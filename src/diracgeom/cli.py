@@ -573,7 +573,10 @@ def run_checks(cf: CheckFile) -> RunReport:
                     if not isinstance(a, Name):
                         raise ParseError("patch(...) takes bare coordinate names")
                     coords.append(a.id)
-                env[stmt.name] = Patch(stmt.name, tuple(coords))
+                try:
+                    env[stmt.name] = Patch(stmt.name, tuple(coords))
+                except ValueError as exc:
+                    raise ParseError(f"patch {stmt.name}: {exc}") from exc
             else:
                 env[stmt.name] = _evaluate_argument(stmt.value, env)
             continue
@@ -612,8 +615,9 @@ def run_checkfile(path: str) -> RunReport:
 
 def run_builtin_suite() -> RunReport:
     results = []
-    for name, report in _suite.paper_examples():
+    for name, build in _suite.SUITE:
         start = time.monotonic()
+        report = build()
         verdict = "pass" if report.passed else "fail"
         witness = None if report.passed else report.witness
         results.append(CheckResult(name, verdict, witness, time.monotonic() - start))
@@ -661,7 +665,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             verify.error("give exactly one of a check file or --suite")
         try:
             report = run_builtin_suite() if args.suite else run_checkfile(args.file)
-        except (ParseError, UnknownReference, CheckError) as exc:
+        except EngineError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
         sys.stdout.buffer.write(emit_report(report, args.format))

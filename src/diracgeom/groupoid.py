@@ -334,7 +334,13 @@ def pair_groupoid(m: Patch) -> GroupoidPatch:
 
 
 def abelian_group(n: int) -> GroupoidPatch:
-    """The additive group on n coordinates, over a one-point base."""
+    """The additive group on n >= 1 coordinates, over a one-point base.
+
+    n = 0 would be the trivial group, whose empty charts the groupoid checks
+    cannot solve on, so it is rejected together with negative n.
+    """
+    if n < 1:
+        raise WrongShape(f"abelian_group needs at least one coordinate, got {n}")
     base = Patch("pt", ())
     total = Patch(f"Ab{n}", tuple(f"x_{i + 1}" for i in range(n)))
     chart = Patch(

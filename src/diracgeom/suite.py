@@ -551,8 +551,3 @@ SUITE = (
     ("compatibility identities on related sections", ca_identity_examples),
     ("linearity detection on vector-bundle charts", linearity_examples),
 )
-
-
-def paper_examples() -> list[tuple[str, Report]]:
-    """Run the whole library in order; deterministic names and verdicts."""
-    return [(name, build()) for name, build in SUITE]

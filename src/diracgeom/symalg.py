@@ -10,6 +10,15 @@ printing is deterministic and byte-stable across runs.
 
 Rational functions (``RatExpr``) appear only transiently, as outputs of
 ``solve_linear`` and inside elimination; everything user-facing is polynomial.
+
+Elimination (``generic_rank``, ``solve_linear``, ``nullspace``) has two exact
+routes, chosen by the coefficient matrix alone.  When every entry is a
+constant polynomial, the matrix is read into ``Fraction`` rows and reduced by
+Gauss-Jordan over Q, and polynomial right-hand sides are only combined with
+rational coefficients.  Any other matrix goes through fraction-free Bareiss
+elimination over the polynomial ring.  Both routes take the leftmost column
+with a nonzero entry as the next pivot, so they find the same pivot columns
+and return equal results.
 """
 
 from __future__ import annotations
@@ -479,14 +488,6 @@ def parse_expr(text: str, patch: Patch) -> Expr:
     return _Parser(_tokenize(text), patch).parse()
 
 
-def differentiate(e: Expr, coord: str) -> Expr:
-    return e.differentiate(coord)
-
-
-def is_zero(e: Expr) -> bool:
-    return e.is_zero()
-
-
 # -- rational functions ----------------------------------------------------------
 
 
@@ -707,6 +708,8 @@ def _bareiss(rows: list[list[Expr]], patch: Patch):
     classical one-step division by the previous pivot keeps growth in check
     and is exact (consecutive-minor identity); if exactness ever failed we
     would keep the undivided row, which is still a correct elimination.
+    This is the route for matrices with non-constant entries, and the
+    reference the tests hold the Q route to.
     """
     if not rows:
         return []
@@ -743,11 +746,80 @@ def _bareiss(rows: list[list[Expr]], patch: Patch):
     return pivots
 
 
+def _rational_rows(rows: list[list[Expr]]) -> list[list[Fraction]] | None:
+    """The entries as Fractions when every one is a constant, else None."""
+    out = []
+    for row in rows:
+        vals = []
+        for e in row:
+            terms = e.terms
+            if not terms:
+                vals.append(Fraction(0))
+                continue
+            if len(terms) != 1:
+                return None
+            ((exps, c),) = terms.items()
+            if any(exps):
+                return None
+            vals.append(c)
+        out.append(vals)
+    return out
+
+
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduced row echelon form over Q in place; returns the pivot columns.
+
+    Only the first ``ncols`` columns are pivoted on; later columns (a tracked
+    row transform) just follow the row operations.  The pivot column is the
+    leftmost one with a nonzero entry in the remaining rows, as in
+    ``_bareiss``, so both routes find the same pivot columns.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        best = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        piv = rows[r][col]
+        prow = rows[r] = [v / piv for v in rows[r]]
+        live = [c for c in range(col, len(prow)) if prow[c]]
+        for i in range(nrows):
+            f = rows[i][col]
+            if i != r and f:
+                row = rows[i]
+                for c in live:
+                    row[c] -= f * prow[c]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def _combine(patch: Patch, coeffs: Sequence[Fraction], polys: Sequence[Expr]) -> Expr:
+    """sum(coeffs[i] * polys[i]), built on the term maps."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for k, p in zip(coeffs, polys):
+        if k:
+            for e, c in p.terms.items():
+                out[e] = out.get(e, 0) + k * c
+    return Expr(patch, out)
+
+
 def generic_rank(m) -> int:
-    """Rank of the matrix over the fraction field of the polynomial ring."""
+    """Rank of the matrix over the fraction field of the polynomial ring.
+
+    A matrix of constants is reduced over Q by ``_gauss_jordan``; any other
+    matrix goes through fraction-free ``_bareiss``.
+    """
     patch, rows = _as_rows(m)
     if not rows or not rows[0]:
         return 0
+    q = _rational_rows(rows)
+    if q is not None:
+        return len(_gauss_jordan(q, len(q[0])))
     return len(_bareiss(rows, patch))
 
 
@@ -770,12 +842,21 @@ def solve_linear(a, b) -> list[RatExpr]:
     ``b`` is a sequence of Exprs (one per row).  Raises ``Inconsistent`` when
     no solution exists generically.  Free variables are set to zero, so the
     returned solution is deterministic; substituting it back yields zero.
+
+    When every entry of ``a`` is a constant, ``a`` is reduced over Q with its
+    row transform tracked, and each pivot variable is one rational
+    combination of the entries of ``b``; ``b`` is inconsistent exactly when
+    the combination on a zero row is nonzero.  Otherwise the augmented matrix
+    goes through ``_bareiss``.  Both routes give the same solution.
     """
     patch, rows = _as_rows(a)
     b = list(b)
     if len(b) != len(rows):
         raise ValueError("right-hand side has wrong length")
     ncols_a = len(rows[0])
+    q = _rational_rows(rows)
+    if q is not None:
+        return _solve_rational(patch, q, ncols_a, b)
     aug = [row + [bv] for row, bv in zip(rows, b)]
     pivots = _bareiss(aug, patch)
     if pivots and any(c == ncols_a for _, c in pivots):
@@ -783,14 +864,36 @@ def solve_linear(a, b) -> list[RatExpr]:
     return _back_substitute(aug, pivots, ncols_a, ncols_a)
 
 
+def _solve_rational(patch: Patch, q: list[list[Fraction]], ncols_a: int, b: list[Expr]) -> list[RatExpr]:
+    """``solve_linear`` for a constant matrix: Gauss-Jordan on [a | I]."""
+    for bv in b:
+        if bv.patch != patch:
+            raise PatchMismatch("right-hand side on a different patch")
+    nrows = len(q)
+    for i, row in enumerate(q):
+        row.extend(Fraction(int(i == j)) for j in range(nrows))
+    pivots = _gauss_jordan(q, ncols_a)
+    for row in q[len(pivots):]:
+        if not _combine(patch, row[ncols_a:], b).is_zero():
+            raise Inconsistent("right-hand side outside the column span")
+    sol = [RatExpr.from_scalar(patch, 0) for _ in range(ncols_a)]
+    for row, c in zip(q, pivots):
+        sol[c] = RatExpr(_combine(patch, row[ncols_a:], b))
+    return sol
+
+
 def nullspace(a) -> list[list[Expr]]:
     """Basis of the kernel over the fraction field, cleared to polynomials.
 
     Basis vectors are indexed by the non-pivot columns in order, which makes
-    the output deterministic.
+    the output deterministic.  A matrix of constants is reduced over Q, any
+    other through ``_bareiss``; both routes give the same basis.
     """
     patch, rows = _as_rows(a)
     ncols = len(rows[0])
+    q = _rational_rows(rows)
+    if q is not None:
+        return _nullspace_rational(patch, q, ncols)
     work = [list(r) for r in rows]
     pivots = _bareiss(work, patch)
     pivot_cols = [c for _, c in pivots]
@@ -806,6 +909,19 @@ def nullspace(a) -> list[list[Expr]]:
                 if not work[r][c2].is_zero() and not vec[c2].is_zero():
                     acc = acc - RatExpr(work[r][c2]) * vec[c2]
             vec[c] = acc / RatExpr(work[r][c])
+        basis.append(clear_denominators(vec))
+    return basis
+
+
+def _nullspace_rational(patch: Patch, q: list[list[Fraction]], ncols: int) -> list[list[Expr]]:
+    """``nullspace`` of a constant matrix, read off its reduced echelon form."""
+    pivot_cols = _gauss_jordan(q, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [RatExpr.from_scalar(patch, 0) for _ in range(ncols)]
+        vec[fc] = RatExpr.from_scalar(patch, 1)
+        for row, c in zip(q, pivot_cols):
+            vec[c] = RatExpr.from_scalar(patch, -row[fc])
         basis.append(clear_denominators(vec))
     return basis
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -249,6 +250,22 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "let M = patch(x, x)\n",
+        "let M = patch(x, y, z, w)\ncheck closed dx^dy^dz^dw\n",
+        "let G = abelian_group(-1)\ncheck groupoid_axioms G\n",
+    ],
+    ids=["duplicate-coordinate", "degree-too-high", "negative-group-size"],
+)
+def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text):
+    assert main(["verify", write(tmp_path, text)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_main_requires_one_source(tmp_path, capsys):
     good = write(tmp_path, "", "x.check")
     with pytest.raises(SystemExit) as err:
@@ -261,10 +278,14 @@ def test_main_requires_one_source(tmp_path, capsys):
 
 
 def test_builtin_suite_passes():
+    start = time.monotonic()
     rep = run_builtin_suite()
+    wall = time.monotonic() - start
     assert rep.failures == 0
     assert rep.passes == 10
     assert rep.exit_code == 0
+    # each section is timed while it runs, so the timings cover the whole call
+    assert sum(c.seconds for c in rep.checks) >= 0.9 * wall
 
 
 def test_cli_subprocess_round_trip(tmp_path):

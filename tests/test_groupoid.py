@@ -125,6 +125,12 @@ def test_axioms_pass_on_builtins():
         assert rep.passed, rep.witness
 
 
+def test_abelian_group_rejects_sizes_below_one():
+    for n in (-1, 0):
+        with pytest.raises(WrongShape, match="at least one coordinate"):
+            abelian_group(n)
+
+
 def test_axioms_catch_broken_multiplication():
     ab = abelian_group(1)
     cp = [Expr.coord(ab.comp_chart, c) for c in ab.comp_chart.coords]

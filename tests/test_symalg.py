@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from diracgeom import symalg
 from diracgeom.errors import ExprSyntaxError, Inconsistent, PatchMismatch, UnknownSymbol
 from diracgeom.symalg import (
     Expr,
@@ -266,6 +270,116 @@ def test_nullspace_rank_nullity():
         nc = rng.randint(1, 4)
         rows = [[rand_expr(rng, XY, max_deg=1, terms=2) for _ in range(nc)] for _ in range(nr)]
         assert generic_rank(rows) + len(nullspace(rows)) == nc
+
+
+# -- elimination over Q for constant matrices -------------------------------------
+
+
+QQ = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def constant_matrices(draw):
+    """Constant matrices, square, wide or tall, of chosen rank, with zero lines."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(0, 5))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    left = [[draw(QQ) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(QQ) for _ in range(ncols)] for _ in range(k)]
+    vals = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(ncols)] for i in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        vals[i] = [Fraction(0)] * ncols
+    if ncols:
+        for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in vals:
+                row[j] = Fraction(0)
+    return vals
+
+
+def polys(patch):
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * patch.dim), QQ, max_size=3)
+    return terms.map(lambda t: Expr(patch, t))
+
+
+@st.composite
+def constant_systems(draw):
+    """A constant matrix and a polynomial right-hand side.
+
+    ``b = a*x`` for polynomial ``x`` is consistent; adding a perturbation
+    usually leaves the column span when ``a`` is rank deficient.
+    """
+    vals = draw(constant_matrices())
+    a = ExprMatrix.from_rows(XY, [[Expr.const(XY, v) for v in row] for row in vals])
+    xs = [draw(polys(XY)) for _ in range(a.ncols)]
+    b = [_combine_row(row, xs) for row in a.entries]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, a.nrows - 1))
+        b[i] = b[i] + draw(polys(XY))
+    return a, b
+
+
+def _combine_row(row, xs):
+    return sum((e * x for e, x in zip(row, xs)), Expr.zero(XY))
+
+
+def _by_bareiss(fn, *args):
+    """``fn(*args)`` with the Q route switched off, so elimination is ``_bareiss``."""
+    with mock.patch.object(symalg, "_rational_rows", lambda rows: None):
+        return fn(*args)
+
+
+def _solve_or_inconsistent(a, b):
+    try:
+        return [(v.num, v.den) for v in solve_linear(a, b)]
+    except Inconsistent:
+        return Inconsistent
+
+
+DIFF = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@DIFF
+@given(constant_matrices())
+def test_rational_rank_and_nullspace_match_bareiss(vals):
+    a = ExprMatrix.from_rows(XY, [[Expr.const(XY, v) for v in row] for row in vals])
+    assert symalg._rational_rows([list(r) for r in a.entries]) is not None
+    assert generic_rank(a) == _by_bareiss(generic_rank, a)
+    assert nullspace(a) == _by_bareiss(nullspace, a)
+
+
+@DIFF
+@given(constant_systems())
+@example(
+    (
+        ExprMatrix.from_rows(XY, [[Expr.one(XY), Expr.one(XY)], [Expr.const(XY, 2), Expr.const(XY, 2)]]),
+        [parse_expr("x", XY), parse_expr("2*x + y^2", XY)],
+    )
+)
+def test_rational_solve_matches_bareiss(system):
+    a, b = system
+    fast = _solve_or_inconsistent(a, b)
+    assert fast == _by_bareiss(_solve_or_inconsistent, a, b)
+    if fast is not Inconsistent:
+        sol = [RatExpr(num, den).as_expr() for num, den in fast]
+        assert [_combine_row(row, sol) for row in a.entries] == b
+
+
+def test_rational_solve_reports_inconsistent_on_zero_rows():
+    zero, one, x = Expr.zero(XY), Expr.one(XY), parse_expr("x", XY)
+    a = [[one, zero], [zero, zero]]
+    with pytest.raises(Inconsistent):
+        solve_linear(a, [one, x])
+    assert [v.as_expr() for v in solve_linear(a, [x, zero])] == [x, zero]
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_matrices())
+def test_rational_rank_and_nullity_match_sympy(vals):
+    sympy = pytest.importorskip("sympy")
+    a = ExprMatrix.from_rows(XY, [[Expr.const(XY, v) for v in row] for row in vals])
+    ref = sympy.Matrix(len(vals), len(vals[0]), [sympy.Rational(v.numerator, v.denominator) for row in vals for v in row])
+    assert generic_rank(a) == ref.rank()
+    assert len(nullspace(a)) == len(ref.nullspace())
 
 
 def test_ratexpr_arithmetic_and_normalization():
