@@ -9,11 +9,28 @@ pairing and bracket are
 and the integrability obstruction of a Lagrangian frame is the trilinear
 tensor mu(i, j, k) = <[[s_i, s_j]], s_k>, which vanishes identically exactly
 when the spanned subbundle is Dirac.
+
+Only the increasing triples i < j < k are computed.  On a frame whose
+sections pair to zero, the bracket identities
+
+    [[a, b]] + [[b, a]] = d<a, b>
+    rho(a)<b, c> = <[[a, b]], c> + <b, [[a, c]]>
+
+make mu totally antisymmetric and zero on repeated indices (Courant 1990).
+So C(n, 2) brackets and C(n, 3) pairings determine all n^3 entries, and the
+first non-zero entry in sorted order is always an increasing triple: sorting
+the indices of a non-zero entry gives a non-zero entry that comes no later.
+``check_dirac`` therefore reports the same witness as a scan of the full
+tensor, and stops at it.  The rest of the tensor is filled by permutation
+sign, which is only valid once isotropy has been checked, so
+``_mu_entries`` checks it itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import Iterator
 
 from .cartan import (
     Bivector,
@@ -213,19 +230,20 @@ def bfield_transform(l: Frame, b: KForm) -> Frame:
 # -- checks -----------------------------------------------------------------------
 
 
-def check_lagrangian(l: Frame) -> Report:
-    """Isotropy of all section pairs plus generic maximality (rank = dim)."""
-    items = []
-    iso_witness = None
+def _isotropy_witness(l: Frame) -> str | None:
+    """The first section pair, in sorted order, whose pairing is not zero."""
     for i in range(len(l.secs)):
-        if iso_witness:
-            break
         for j in range(i, len(l.secs)):
             p = pairing(l.secs[i], l.secs[j])
             if not p.is_zero():
-                iso_witness = f"pairing[{i + 1},{j + 1}] = {p}"
-                break
-    items.append(CheckItem("isotropic", iso_witness is None, iso_witness))
+                return f"pairing[{i + 1},{j + 1}] = {p}"
+    return None
+
+
+def check_lagrangian(l: Frame) -> Report:
+    """Isotropy of all section pairs plus generic maximality (rank = dim)."""
+    iso_witness = _isotropy_witness(l)
+    items = [CheckItem("isotropic", iso_witness is None, iso_witness)]
     n = l.patch.dim
     rank = generic_rank(l.coefficient_matrix()) if l.secs else 0
     max_ok = rank == n and len(l.secs) == n
@@ -246,30 +264,53 @@ def courant_tensor(l: Frame) -> dict[tuple[int, int, int], Expr]:
     return _mu_entries(l)
 
 
+def _increasing_mu(l: Frame) -> Iterator[tuple[tuple[int, int, int], Expr]]:
+    """Yield ((i, j, k), mu(i, j, k)) for i < j < k in lexicographic order.
+
+    Lazy: the bracket [[s_i, s_j]] is built when its first triple comes up
+    and paired with every s_k, k > j, so a consumer that stops early never
+    builds the later brackets.  Brackets with j = n - 1 pair with nothing and
+    are never built.
+    """
+    secs = l.secs
+    n = len(secs)
+    for i in range(n):
+        for j in range(i + 1, n - 1):
+            br = courant_bracket(secs[i], secs[j])
+            for k in range(j + 1, n):
+                yield (i, j, k), pairing(br, secs[k])
+
+
 def _mu_entries(l: Frame) -> dict[tuple[int, int, int], Expr]:
+    """All n^3 entries of mu, filled from the increasing ones by permutation sign.
+
+    Raises NotLagrangian unless the sections pair to zero, the condition
+    under which mu is totally antisymmetric.
+    """
+    iso_witness = _isotropy_witness(l)
+    if iso_witness is not None:
+        raise NotLagrangian(iso_witness)
     n = len(l.secs)
-    brackets = {}
-    for i in range(n):
-        for j in range(n):
-            brackets[(i, j)] = courant_bracket(l.secs[i], l.secs[j])
-    out = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[(i, j, k)] = pairing(brackets[(i, j)], l.secs[k])
+    zero = Expr.zero(l.patch)
+    out = dict.fromkeys(product(range(n), repeat=3), zero)
+    for (i, j, k), v in _increasing_mu(l):
+        out[(i, j, k)] = out[(j, k, i)] = out[(k, i, j)] = v
+        out[(j, i, k)] = out[(i, k, j)] = out[(k, j, i)] = -v
     return out
 
 
 def check_dirac(l: Frame) -> DiracReport:
-    """Lagrangian check plus vanishing of the Courant tensor."""
+    """Lagrangian check plus vanishing of the Courant tensor.
+
+    The witness is the first non-zero increasing entry of mu, which is the
+    first non-zero entry of the whole tensor (see the module docstring).
+    """
     lag = check_lagrangian(l)
     if not lag.passed:
         return DiracReport(False, lag.witness, None, None)
-    mu = _mu_entries(l)
-    for (i, j, k) in sorted(mu):
-        if not mu[(i, j, k)].is_zero():
-            witness = f"mu[{i + 1},{j + 1},{k + 1}] = {mu[(i, j, k)]}"
-            return DiracReport(True, None, False, witness)
+    for (i, j, k), v in _increasing_mu(l):
+        if not v.is_zero():
+            return DiracReport(True, None, False, f"mu[{i + 1},{j + 1},{k + 1}] = {v}")
     return DiracReport(True, None, True, None)
 
 

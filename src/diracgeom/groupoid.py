@@ -75,6 +75,10 @@ class GroupoidPatch:
     mul: PolyMap
 
     def __post_init__(self):
+        if self.total.dim == 0:
+            # the checks solve linear systems on the arrow charts, which
+            # would have no rows: pair_groupoid of a point, the trivial group
+            raise WrongShape(f"groupoid {self.total.name} needs at least one arrow coordinate")
         expected = (
             (self.src, self.total, self.base),
             (self.tgt, self.total, self.base),

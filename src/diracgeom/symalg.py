@@ -18,7 +18,9 @@ Gauss-Jordan over Q, and polynomial right-hand sides are only combined with
 rational coefficients.  Any other matrix goes through fraction-free Bareiss
 elimination over the polynomial ring.  Both routes take the leftmost column
 with a nonzero entry as the next pivot, so they find the same pivot columns
-and return equal results.
+and return equal results.  ``generic_rank`` of a non-constant matrix first
+tries a one-sided certificate: full rank at a fixed rational point proves
+full generic rank, and anything less falls back to Bareiss.
 """
 
 from __future__ import annotations
@@ -609,6 +611,10 @@ def _rat_normalize(num: Expr, den: Expr) -> tuple[Expr, Expr]:
     patch = num.patch
     if num.is_zero():
         return num, Expr.one(patch)
+    if den.degree() == 0:
+        # dividing by a constant: what divide_exact would return, term by term
+        c = den.constant_value()
+        return (num if c == 1 else num * (Fraction(1) / c)), Expr.one(patch)
     # shared monomial factor
     def min_exps(e: Expr):
         it = iter(e.terms)
@@ -808,11 +814,22 @@ def _combine(patch: Patch, coeffs: Sequence[Fraction], polys: Sequence[Expr]) ->
     return Expr(patch, out)
 
 
+def _rank_point(patch: Patch) -> list[Fraction]:
+    """The fixed point of the full-rank certificate: coordinate i (from 0) is (i + 2) / 7."""
+    return [Fraction(i + 2, 7) for i in range(patch.dim)]
+
+
 def generic_rank(m) -> int:
     """Rank of the matrix over the fraction field of the polynomial ring.
 
-    A matrix of constants is reduced over Q by ``_gauss_jordan``; any other
-    matrix goes through fraction-free ``_bareiss``.
+    A matrix of constants is reduced over Q by ``_gauss_jordan``.  Any other
+    matrix is first evaluated at the fixed rational point ``_rank_point``
+    and the values reduced over Q.  Evaluation cannot raise the rank (a
+    non-zero minor at the point is a non-zero minor of the polynomial
+    matrix), so a point rank equal to min(rows, cols) is the generic rank,
+    exactly, and is returned.  A lower point rank proves nothing (the point
+    may lie on the zero set of every maximal minor), and the matrix then
+    goes through fraction-free ``_bareiss``.
     """
     patch, rows = _as_rows(m)
     if not rows or not rows[0]:
@@ -820,6 +837,11 @@ def generic_rank(m) -> int:
     q = _rational_rows(rows)
     if q is not None:
         return len(_gauss_jordan(q, len(q[0])))
+    full = min(len(rows), len(rows[0]))
+    point = _rank_point(patch)
+    values = [[e.eval_rational(point) for e in row] for row in rows]
+    if len(_gauss_jordan(values, len(values[0]))) == full:
+        return full
     return len(_bareiss(rows, patch))
 
 

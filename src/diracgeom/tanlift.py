@@ -237,6 +237,11 @@ def check_tangent_mu_identity(l: Frame) -> Report:
     all-tangent equals the tangent lift of the base tensor, entries with two
     or more vertical generators vanish, and one-vertical entries equal the
     vertical lift of the base entry at the same positions.
+
+    Both tensors are filled by antisymmetry, so the isotropy of the lifted
+    frame is checked too (``_mu_entries`` raises NotLagrangian otherwise).
+    It holds whenever the base frame is isotropic, since the pairing of
+    lifts is the lift of the pairing.
     """
     lag = check_lagrangian(l)
     if not lag.passed:

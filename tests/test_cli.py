@@ -256,8 +256,9 @@ def test_main_exit_codes(tmp_path, capsys):
         "let M = patch(x, x)\n",
         "let M = patch(x, y, z, w)\ncheck closed dx^dy^dz^dw\n",
         "let G = abelian_group(-1)\ncheck groupoid_axioms G\n",
+        "let M = patch()\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n",
     ],
-    ids=["duplicate-coordinate", "degree-too-high", "negative-group-size"],
+    ids=["duplicate-coordinate", "degree-too-high", "negative-group-size", "zero-dimensional-pair-groupoid"],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text):
     assert main(["verify", write(tmp_path, text)]) == 2

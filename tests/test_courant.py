@@ -204,14 +204,119 @@ def test_mu_equals_jacobiator_on_bivector_graphs():
             assert mu[(i, j, k)] == v
 
 
+# -- independent oracle for mu ----------------------------------------------------------
+#
+# courant_tensor computes only the increasing triples and fills the rest by
+# permutation sign; check_dirac stops at the first non-zero increasing entry.
+# The oracle below computes every one of the n^3 entries from its own bracket
+# and pairing, so it relies on no symmetry of mu.
+
+M5 = Patch("M5", ("x", "y", "z", "u", "v"))
+
+
+def reference_mu(l):
+    """mu(i, j, k) = <[[s_i, s_j]], s_k> for all n^3 triples, each computed directly."""
+    n = len(l.secs)
+    return {
+        (i, j, k): pairing(courant_bracket(l.secs[i], l.secs[j]), l.secs[k])
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    }
+
+
+def first_nonzero_witness(mu):
+    """The witness a scan of the full tensor in sorted order reports."""
+    for (i, j, k) in sorted(mu):
+        if not mu[(i, j, k)].is_zero():
+            return f"mu[{i + 1},{j + 1},{k + 1}] = {mu[(i, j, k)]}"
+    return None
+
+
+def rand_bivector(rng, patch, max_deg=1):
+    from itertools import combinations
+
+    return Bivector(patch, {idx: rand_expr(rng, patch, max_deg) for idx in combinations(range(patch.dim), 2)})
+
+
+def oracle_frames():
+    """Lagrangian frames of every constructor kind, integrable or not."""
+    from diracgeom.tanlift import tangent_lift_dirac
+
+    rng = random.Random(131)
+    frames = [
+        graph_two_form(rand_form(rng, M3, 2)),
+        graph_two_form(KForm(M3, 2, {(0, 1): Expr.one(M3), (1, 2): parse_expr("y", M3)})),
+        graph_two_form(rand_form(rng, M5, 2, max_deg=1)),
+        graph_bivector(so3_poisson(M3)),
+        graph_bivector(rand_bivector(rng, M3)),
+        graph_bivector(rand_bivector(rng, M5, max_deg=1)),
+        foliation_frame([vf(M3, "1", "0", "0"), vf(M3, "0", "1", "x")]),
+        foliation_frame([vf(M3, "1", "0", "0"), vf(M3, "0", "1", "y")]),
+        foliation_frame([vf(M5, "1", "0", "0", "0", "y"), vf(M5, "0", "0", "1", "x", "0")]),
+        bfield_transform(graph_bivector(so3_poisson(M3)), rand_form(rng, M3, 2, max_deg=1)),
+        bfield_transform(foliation_frame([vf(M3, "1", "0", "0")]), KForm(M3, 2, {(1, 2): Expr.one(M3)})),
+        tangent_lift_dirac(graph_two_form(rand_form(rng, M2, 2))),
+        tangent_lift_dirac(graph_bivector(Bivector(M2, {(0, 1): parse_expr("x*y", M2)}))),
+    ]
+    # failing frames whose first non-zero entry has large indices
+    frames += [
+        graph_two_form(KForm(M5, 2, {(3, 4): parse_expr("z", M5), (0, 1): parse_expr("x", M5)})),
+        graph_bivector(Bivector(M5, {(2, 3): Expr.one(M5), (2, 4): parse_expr("z", M5)})),
+        foliation_frame(
+            [vf(M5, "1", "0", "0", "0", "0"), vf(M5, "0", "1", "0", "0", "0"), vf(M5, "0", "0", "1", "0", "0"), vf(M5, "0", "0", "0", "1", "z")]
+        ),
+        tangent_lift_dirac(graph_two_form(KForm(M3, 2, {(0, 1): parse_expr("z", M3)}))),
+    ]
+    return frames
+
+
+def test_oracle_frames_are_lagrangian_and_mixed():
+    frames = oracle_frames()
+    assert all(check_lagrangian(l).passed for l in frames)
+    verdicts = [check_dirac(l).passed for l in frames]
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("index", range(len(oracle_frames())))
+def test_courant_tensor_matches_reference(index):
+    l = oracle_frames()[index]
+    assert courant_tensor(l) == reference_mu(l)
+
+
+@pytest.mark.parametrize("index", range(len(oracle_frames())))
+def test_dirac_witness_is_first_nonzero_reference_entry(index):
+    l = oracle_frames()[index]
+    rep = check_dirac(l)
+    witness = first_nonzero_witness(reference_mu(l))
+    assert rep.integrable_ok is (witness is None)
+    assert rep.witness == witness
+
+
+def test_late_witnesses_have_large_indices():
+    late = oracle_frames()[-4:]
+    assert [check_dirac(l).witness.split(" =")[0] for l in late] == ["mu[3,4,5]", "mu[3,4,5]", "mu[3,4,5]", "mu[1,2,6]"]
+
+
+def test_mu_entries_require_isotropy():
+    from diracgeom.courant import _mu_entries
+
+    patch = Patch("R2", ("x", "y"))
+    l = Frame(patch, (GSec(VField.coordinate(patch, "x"), KForm.d_coord(patch, "y")), gsec(patch, ("0", "1"), ("1", "0"))))
+    with pytest.raises(NotLagrangian):
+        _mu_entries(l)
+
+
 def test_mu_total_antisymmetry():
-    rng = random.Random(109)
-    w = rand_form(rng, M3, 2)
-    mu = courant_tensor(graph_two_form(w))
-    for (i, j, k), v in mu.items():
-        assert mu[(j, i, k)] == -v
-        assert mu[(i, k, j)] == -v
-        assert mu[(j, k, i)] == v
+    frames = oracle_frames()
+    for l in frames[:3] + frames[6:7] + frames[-1:]:
+        mu = reference_mu(l)
+        for (i, j, k), v in mu.items():
+            assert mu[(j, i, k)] == -v
+            assert mu[(i, k, j)] == -v
+            assert mu[(j, k, i)] == v
+            if len({i, j, k}) < 3:
+                assert v.is_zero()
 
 
 def test_mu_tensoriality_under_section_scaling():

@@ -1,0 +1,168 @@
+"""Byte-for-byte golden outputs: the built-in suite, check files, Lagrangian witnesses.
+
+Every verdict and witness string is part of the product, so a speed-up or a
+refactor must leave these bytes alone.  The files under ``tests/golden/``
+hold, for the suite and for each ``<name>.check``:
+
+  <name>.txt   stdout of ``diracgeom verify <file>``
+  <name>.json  stdout of ``diracgeom verify <file> --format json``
+  <name>.err   stderr, for a file whose run stops with an evaluation error
+
+``lagrangian_witnesses.txt`` holds the reports of frames that no check file
+can build (non-isotropic or rank-deficient ones), which carry the
+``pairing[...]`` and ``generic rank`` witnesses.
+
+Re-record (only for a change that means to alter output, and say so):
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import io
+import sys
+from contextlib import redirect_stderr
+from pathlib import Path
+
+import pytest
+
+from diracgeom.cli import emit_report, main, run_builtin_suite
+from diracgeom.courant import Frame, check_dirac, check_lagrangian, same_span
+from diracgeom.symalg import Expr, Patch
+
+from test_courant import gsec
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CHECK_FILES = sorted(p.stem for p in GOLDEN.glob("*.check"))
+# exit code of each golden check file: 1 when some check fails, 2 on an error
+EXIT_CODES = {"dirac_witnesses": 1, "groupoid_witnesses": 1, "rank_deficient": 2}
+
+
+def _run_cli(argv):
+    """(exit code, stdout bytes, stderr text) of one in-process CLI run."""
+    out = io.BytesIO()
+    err = io.StringIO()
+
+    class _Stdout:
+        buffer = out
+
+    saved = sys.stdout
+    sys.stdout = _Stdout()
+    try:
+        with redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdout = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def lagrangian_witness_lines() -> list[str]:
+    """Reports of hand-built frames, one line each: lagrangian | dirac | span."""
+    p2 = Patch("M2", ("x", "y"))
+    p3 = Patch("M3", ("x", "y", "z"))
+    frames = {
+        # pairing witnesses
+        "not isotropic": Frame(p2, (gsec(p2, ("1", "0"), ("1", "0")), gsec(p2, ("0", "1"), ("0", "0")))),
+        "late pairing": Frame(
+            p3,
+            (
+                gsec(p3, ("1", "0", "0"), ("0", "0", "0")),
+                gsec(p3, ("0", "1", "0"), ("0", "0", "0")),
+                gsec(p3, ("0", "0", "1"), ("0", "x*y", "z")),
+            ),
+        ),
+        # generic rank witnesses
+        "too few sections": Frame(p2, (gsec(p2, ("1", "0"), ("0", "0")),)),
+        "dependent sections": Frame(
+            p2, (gsec(p2, ("1", "y"), ("0", "0")), gsec(p2, ("x", "x*y"), ("0", "0")))
+        ),
+        "dependent forms": Frame(
+            p3,
+            (
+                gsec(p3, ("0", "0", "0"), ("1", "x", "0")),
+                gsec(p3, ("0", "0", "0"), ("y", "x*y", "0")),
+                gsec(p3, ("0", "0", "0"), ("0", "0", "z")),
+            ),
+        ),
+        # full rank although a section vanishes at a rational point
+        "vanishing at a point": Frame(
+            p2, (gsec(p2, ("1", "0"), ("0", "0")), gsec(p2, ("0", "7*x - 2"), ("0", "0")))
+        ),
+        "non-integrable, vanishing at a point": Frame(
+            p3,
+            (
+                gsec(p3, ("7*x - 2", "0", "0"), ("0", "0", "0")),
+                gsec(p3, ("0", "1", "x"), ("0", "0", "0")),
+                gsec(p3, ("0", "0", "0"), ("0", "-x", "1")),
+            ),
+        ),
+    }
+    lines = []
+    for label, frame in frames.items():
+        lines.append(f"{label}: {check_lagrangian(frame)} | {check_dirac(frame)}")
+    spans = [
+        ("graph of x dx^dy vs itself scaled", p2, [("1", "0"), ("0", "1")], [("0", "x"), ("-x", "0")], 2),
+        ("vector fields vs forms", p2, [("1", "0"), ("0", "1")], [("0", "0"), ("0", "0")], None),
+    ]
+    for label, patch, vcols, fcols, scale in spans:
+        secs = tuple(gsec(patch, v, f) for v, f in zip(vcols, fcols))
+        if scale is None:
+            other = tuple(gsec(patch, ("0", "0"), v) for v in vcols)
+        else:
+            other = tuple(s.scale(Expr.const(patch, scale) + Expr.coord(patch, "y")) for s in secs)
+        lines.append(f"{label}: same span {same_span(Frame(patch, secs), Frame(patch, other))}")
+    return lines
+
+
+def _suite_outputs():
+    report = run_builtin_suite()
+    return {"txt": emit_report(report, "text"), "json": emit_report(report, "json")}
+
+
+def test_suite_matches_golden_bytes():
+    for ext, data in _suite_outputs().items():
+        assert data == (GOLDEN / f"suite.{ext}").read_bytes(), f"suite.{ext}"
+
+
+@pytest.mark.parametrize("name", CHECK_FILES)
+def test_check_file_matches_golden_bytes(name):
+    path = str(GOLDEN / f"{name}.check")
+    for ext, fmt in (("txt", "text"), ("json", "json")):
+        code, out, err = _run_cli(["verify", path, "--format", fmt])
+        assert code == EXIT_CODES[name]
+        if code == 2:
+            assert out == b""
+            assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+        else:
+            assert err == ""
+            assert out == (GOLDEN / f"{name}.{ext}").read_bytes(), f"{name}.{ext}"
+
+
+def test_lagrangian_witnesses_match_golden():
+    text = "\n".join(lagrangian_witness_lines()) + "\n"
+    assert text == (GOLDEN / "lagrangian_witnesses.txt").read_text(encoding="utf-8")
+
+
+def test_golden_files_cover_every_witness_kind():
+    recorded = "".join(p.read_text(encoding="utf-8") for p in GOLDEN.iterdir() if p.suffix != ".check")
+    for needle in ("mu[", "pairing[", "generic rank"):
+        assert needle in recorded
+
+
+def record():
+    for ext, data in _suite_outputs().items():
+        (GOLDEN / f"suite.{ext}").write_bytes(data)
+    for name in CHECK_FILES:
+        path = str(GOLDEN / f"{name}.check")
+        for ext, fmt in (("txt", "text"), ("json", "json")):
+            code, out, err = _run_cli(["verify", path, "--format", fmt])
+            if code == 2:
+                (GOLDEN / f"{name}.err").write_text(err, encoding="utf-8")
+            else:
+                (GOLDEN / f"{name}.{ext}").write_bytes(out)
+    text = "\n".join(lagrangian_witness_lines()) + "\n"
+    (GOLDEN / "lagrangian_witnesses.txt").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    record()

@@ -131,6 +131,11 @@ def test_abelian_group_rejects_sizes_below_one():
             abelian_group(n)
 
 
+def test_groupoids_need_an_arrow_coordinate():
+    with pytest.raises(WrongShape, match="at least one arrow coordinate"):
+        pair_groupoid(Patch("pt", ()))
+
+
 def test_axioms_catch_broken_multiplication():
     ab = abelian_group(1)
     cp = [Expr.coord(ab.comp_chart, c) for c in ab.comp_chart.coords]

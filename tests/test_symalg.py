@@ -323,8 +323,15 @@ def _combine_row(row, xs):
 
 
 def _by_bareiss(fn, *args):
-    """``fn(*args)`` with the Q route switched off, so elimination is ``_bareiss``."""
-    with mock.patch.object(symalg, "_rational_rows", lambda rows: None):
+    """``fn(*args)`` with the Q route and the point certificate switched off.
+
+    Elimination is then ``_bareiss`` on every matrix: ``_rational_rows``
+    reports no constant matrix, and a ``_gauss_jordan`` that finds no pivot
+    makes every point rank too low to certify.
+    """
+    with mock.patch.object(symalg, "_rational_rows", lambda rows: None), mock.patch.object(
+        symalg, "_gauss_jordan", lambda rows, ncols: []
+    ):
         return fn(*args)
 
 
@@ -380,6 +387,105 @@ def test_rational_rank_and_nullity_match_sympy(vals):
     ref = sympy.Matrix(len(vals), len(vals[0]), [sympy.Rational(v.numerator, v.denominator) for row in vals for v in row])
     assert generic_rank(a) == ref.rank()
     assert len(nullspace(a)) == len(ref.nullspace())
+
+
+# -- rank certificate at a rational point ------------------------------------------------
+
+# zero at the certificate point x = 2/7, y = 3/7, so rows scaled by them have
+# a point rank below the generic rank and force the fallback
+VANISHING = ("7*x - 2", "7*y - 3", "49*x*y - 6")
+
+
+def small_polys(patch):
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 1)] * patch.dim), QQ, max_size=2)
+    return terms.map(lambda t: Expr(patch, t))
+
+
+@st.composite
+def poly_matrices(draw):
+    """Polynomial matrices of chosen rank (a product of two random factors).
+
+    Up to two rows are scaled by polynomials that vanish at the certificate
+    point; that keeps the generic rank and lowers the point rank.
+    """
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    left = [[draw(small_polys(XY)) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(small_polys(XY)) for _ in range(ncols)] for _ in range(k)]
+    rows = [[sum((left[i][t] * right[t][j] for t in range(k)), Expr.zero(XY)) for j in range(ncols)] for i in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        f = parse_expr(draw(st.sampled_from(VANISHING)), XY)
+        rows[i] = [e * f for e in rows[i]]
+    return ExprMatrix.from_rows(XY, rows)
+
+
+def _matrix(*rows):
+    return ExprMatrix.from_rows(XY, [[parse_expr(e, XY) for e in row] for row in rows])
+
+
+def test_rank_certificate_point_is_fixed():
+    assert symalg._rank_point(XYZ) == [Fraction(2, 7), Fraction(3, 7), Fraction(4, 7)]
+    for text in VANISHING:
+        assert parse_expr(text, XY).eval_rational(symalg._rank_point(XY)) == 0
+
+
+def test_rank_certificate_falls_back_below_full_point_rank():
+    real = symalg._bareiss
+    calls = []
+
+    def spy(rows, patch):
+        calls.append(len(rows))
+        return real(rows, patch)
+
+    with mock.patch.object(symalg, "_bareiss", spy):
+        assert generic_rank(_matrix(["x", "y"], ["y", "x"], ["1", "x*y"])) == 2
+        assert calls == []  # certified at the point
+        assert generic_rank(_matrix(["7*x - 2", "0"], ["0", "7*y - 3"])) == 2
+        assert calls == [2]  # point rank 0, generic rank 2
+        assert generic_rank(_matrix(["x", "y"], ["2*x", "2*y"])) == 1
+        assert calls == [2, 2]  # rank deficient: the point cannot certify
+
+
+@DIFF
+@given(poly_matrices())
+@example(_matrix(["7*x - 2", "0"], ["0", "7*y - 3"]))
+@example(_matrix(["7*x - 2", "x"], ["0", "49*x*y - 6"], ["7*y - 3", "y"]))
+@example(_matrix(["x*(7*y - 3)", "y"], ["x^2*(7*y - 3)", "x*y"]))
+def test_generic_rank_matches_bareiss_on_polynomial_matrices(m):
+    assert generic_rank(m) == _by_bareiss(generic_rank, m)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(poly_matrices())
+def test_generic_rank_matches_sympy_on_polynomial_matrices(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(e):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x**a * y**b for (a, b), c in e.terms.items()), sympy.Integer(0))
+
+    ref = DomainMatrix.from_Matrix(sympy.Matrix([[to_sympy(e) for e in row] for row in m.entries]))
+    assert generic_rank(m) == ref.to_field().rank()
+
+
+# -- rational functions --------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(XYZ), QQ.filter(bool))
+def test_constant_denominator_shortcut_matches_division(num, c):
+    den = Expr.const(XYZ, c)
+    got_num, got_den = symalg._rat_normalize(num, den)
+    # the general route: no monomial factor is shared with a constant, and
+    # the exact division by it always succeeds
+    want_num = num if num.is_zero() else num.divide_exact(den)
+    assert got_num.terms == want_num.terms
+    assert str(got_num) == str(want_num)
+    assert got_den == Expr.one(XYZ)
+    assert RatExpr(num, den) == RatExpr(want_num)
 
 
 def test_ratexpr_arithmetic_and_normalization():

@@ -375,3 +375,26 @@ def test_tangent_mu_identity_requires_lagrangian():
     bad = Frame(M1, (GSec(VField.coordinate(M1, "x"), KForm.d_coord(M1, "x")),))
     with pytest.raises(NotLagrangian):
         check_tangent_mu_identity(bad)
+
+
+def test_tangent_mu_identity_checks_isotropy_of_the_lifted_frame(monkeypatch):
+    # the lifted tensor is filled by antisymmetry, which needs an isotropic
+    # lifted frame; a lift that broke isotropy must be refused, not filled
+    from diracgeom import tanlift
+    from diracgeom.errors import NotLagrangian
+
+    base = graph_two_form(wedge(KForm.d_coord(M2, "x"), KForm.d_coord(M2, "y")))
+    lifted = tangent_lift_dirac(base)
+    first = lifted.secs[0]
+    broken = Frame(lifted.patch, (GSec(first.vf, first.of + KForm.d_coord(lifted.patch, "x")),) + lifted.secs[1:])
+    assert not check_lagrangian(broken).items[0].passed
+    monkeypatch.setattr(tanlift, "tangent_lift_dirac", lambda l: broken)
+    with pytest.raises(NotLagrangian):
+        check_tangent_mu_identity(base)
+
+
+def test_lifted_frames_stay_isotropic():
+    rng = random.Random(139)
+    for _ in range(4):
+        l = graph_two_form(rand_form(rng, M2, 2))
+        assert check_lagrangian(tangent_lift_dirac(l)).items[0].passed
