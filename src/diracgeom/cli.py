@@ -166,6 +166,8 @@ class _Line:
     def __init__(self, text: str, number: int):
         self.number = number
         self.tokens = []
+        # set for check arguments, where `L (1)` is two arguments and `f(1)` a call
+        self.calls_must_touch = False
         body = text.split("#", 1)[0]
         for m in _TOKEN.finditer(body):
             self.tokens.append((m.group(), m.start() + 1))
@@ -240,8 +242,9 @@ def _parse_primary(line: _Line):
         line.next()
         return IntLit(int(tok))
     if _NAME_RE.match(tok):
+        name_end = line.tokens[line.pos][1] + len(tok)
         line.next()
-        if line.peek() == "(":
+        if line.peek() == "(" and (line.tokens[line.pos][1] == name_end or not line.calls_must_touch):
             line.next()
             args = []
             if line.peek() != ")":
@@ -283,6 +286,7 @@ def parse_checkfile(text: str) -> CheckFile:
                 known = ", ".join(sorted(CHECKS))
                 raise ParseError(f"line {number}: unknown check kind '{kind}' (known: {known})")
             args = []
+            line.calls_must_touch = True
             while line.peek() is not None:
                 args.append(_parse_unary(line))
             statements.append(CheckStmt(kind, tuple(args)))
@@ -372,6 +376,10 @@ def _scale(value, factor, flip=False):
     return value.scale(c)
 
 
+# largest power a check file may take; powers are taken by repeated multiplication
+MAX_EXPONENT = 64
+
+
 def _eval_binop(node, lv, rv):
     op = node.op
     if op in ("+", "-"):
@@ -407,6 +415,8 @@ def _eval_binop(node, lv, rv):
         if isinstance(lv, (int, Fraction, Expr)) and isinstance(rv, int):
             if rv < 0:
                 raise CheckError("negative powers are not defined for polynomials")
+            if rv > MAX_EXPONENT:
+                raise CheckError(f"exponent {rv} is above the limit of {MAX_EXPONENT}")
             out = Expr.one(lv.patch) if isinstance(lv, Expr) else Fraction(1)
             for _ in range(rv):
                 out = out * lv

@@ -12,6 +12,13 @@ derivative along the chart.  That single mechanism drives the cotangent
 source/target maps, cotangent composition, right-invariant frames, and the
 multiplicativity checks.
 
+Data derived from the structure maps is computed once per ``GroupoidPatch``,
+on first use, and kept on the instance: the solved pair chart, the Jacobians
+of the structure maps, the kernel frame along units and its right-invariant
+extensions, the Lie algebroid of that frame, the cotangent source and target
+maps, and a group's translation matrices.  Every check on the same instance
+reads the same copy.
+
 Cotangent unit convention: the unit covector over ``xi`` at ``eps(x)`` is the
 unique covector annihilating the image of ``T eps`` and restricting to ``xi``
 on the kernel of ``Ts``.
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .algebroid import AlgebroidPatch, IMTwoForm, algebroid, dual_patch
@@ -46,6 +54,9 @@ from .symalg import (
     ExprMatrix,
     Patch,
     RatExpr,
+    _combine,
+    _gauss_jordan,
+    _rational_rows,
     clear_denominators,
     fresh_names,
     generic_rank,
@@ -55,13 +66,9 @@ from .symalg import (
 from .tanlift import cotangent_patch, tangent_map, tangent_patch
 
 
-class MultReport(Report):
-    """Report over the identities of one multiplicativity or axiom check."""
-
-
 @dataclass(frozen=True)
 class GroupoidPatch:
-    """Groupoid structure maps over global polynomial charts."""
+    """Groupoid structure maps over global polynomial charts, plus their derived data."""
 
     base: Patch
     total: Patch
@@ -92,69 +99,150 @@ class GroupoidPatch:
             if m.source != source or m.target != target:
                 raise WrongShape(f"structure map {m} should go {source.name} -> {target.name}")
 
+    # Derived data: cached properties, not fields, so equality and hashing see
+    # the structure maps only.  A property that raises caches nothing.
+
+    @cached_property
+    def _chart(self) -> _ChartData | str:
+        """The pair chart solved over Q, or why it cannot be solved."""
+        g_part, h_part = _affine_rows(self.g_of), _affine_rows(self.h_of)
+        if g_part is None or h_part is None:
+            return "factor projections must be affine in the chart coordinates"
+        stacked = g_part[0] + h_part[0]
+        d = self.comp_chart.dim
+        rows = [list(row) + [Fraction(int(i == j)) for j in range(len(stacked))] for i, row in enumerate(stacked)]
+        # the chart must embed into the pair space, otherwise factors do not pin it down
+        if len(_gauss_jordan(rows, d)) != d:
+            return "the composable-pair chart has directions that move neither factor"
+        transform = [tuple(row[d:]) for row in rows]
+        return _ChartData(*g_part, *h_part, tuple(transform[:d]), tuple(transform[d:]))
+
+    @cached_property
+    def _jacobians(self) -> dict[str, tuple[tuple[Expr, ...], ...]]:
+        """Jacobian rows of the source, target, unit and multiplication maps."""
+        return {name: getattr(self, name).jacobian().entries for name in ("src", "tgt", "unit", "mul")}
+
+    @cached_property
+    def _frame(self) -> tuple[tuple[Expr, ...], ...]:
+        """Frame of the source-map kernel along units."""
+        m, n_total = self.base, self.total.dim
+        if m.dim == 0:
+            return tuple(tuple(Expr.const(m, 1 if i == a else 0) for i in range(n_total)) for a in range(n_total))
+        js_unit = _subst_matrix(self._jacobians["src"], list(self.unit.components), m)
+        basis = nullspace(ExprMatrix.from_rows(m, js_unit))
+        if len(basis) != n_total - m.dim:
+            raise RankJump(
+                f"kernel of the source map has rank {len(basis)} along units, expected {n_total - m.dim}"
+            )
+        return tuple(tuple(vec) for vec in basis)
+
+    @cached_property
+    def _fields(self) -> tuple[VField, ...]:
+        return tuple(_right_invariant_fields(self, self._frame))
+
+    @cached_property
+    def _algebroid(self) -> AlgebroidPatch:
+        return _algebroid_on(self, self._frame, self._fields)
+
+    @cached_property
+    def _cotangent(self) -> tuple[PolyMap, PolyMap]:
+        """Source and target of the cotangent groupoid (see ``cotangent_source_target``)."""
+        dual = dual_patch(self._algebroid)
+        data = _chart_data(self, TranslationNotDerivable)
+        ct = cotangent_patch(self.total).total
+        n_total = self.total.dim
+        gp = [Expr.coord(ct, c) for c in ct.coords[:n_total]]
+        xi = [Expr.coord(ct, c) for c in ct.coords[n_total:]]
+
+        def paired(vec):
+            acc = Expr.zero(ct)
+            for p, w in zip(xi, vec):
+                acc = acc + p * w
+            return acc
+
+        # target: the right translates of the kernel frame are the right-invariant fields
+        x_t = [comp.substitute(gp, ct) for comp in self.tgt.components]
+        t_fiber = [paired([comp.substitute(gp, ct) for comp in field.components]) for field in self._fields]
+
+        # source: left-translate target-horizontal corrections of the frame at eps(s(g))
+        x_s = [comp.substitute(gp, ct) for comp in self.src.components]
+        eps_s = self.unit.apply(x_s, ct)
+        jt_eps = _subst_matrix(self._jacobians["tgt"], eps_s, ct)
+        jeps = _subst_matrix(self._jacobians["unit"], x_s, ct)
+        dmul = _subst_matrix(self._jacobians["mul"], chart_params(self, gp, eps_s, ct, TranslationNotDerivable), ct)
+        zero = [Expr.zero(ct)] * n_total
+        s_fiber = []
+        for vec in self._frame:
+            vec = [comp.substitute(x_s, ct) for comp in vec]
+            correction = _matvec(jeps, _matvec(jt_eps, vec, ct), ct)
+            horizontal = [u - w for u, w in zip(vec, correction)]
+            delta = data.solve(
+                zero + horizontal, ct, TranslationNotDerivable, "translation direction missing from the chart"
+            )
+            s_fiber.append(paired(_matvec(dmul, delta, ct)))
+        return PolyMap(ct, dual, tuple(x_s + s_fiber)), PolyMap(ct, dual, tuple(x_t + t_fiber))
+
+    @cached_property
+    def _translations(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
+        """Derivatives of left and right translation on the pair chart, column by moved coordinate."""
+        chart = self.comp_chart
+        data = _chart_data(self, TranslationNotDerivable)
+        dmul = self._jacobians["mul"]
+        n_total = self.total.dim
+        zero = [Expr.zero(chart)] * n_total
+        matrices = []
+        for right_frozen in (False, True):
+            cols = []
+            for i in range(n_total):
+                e_i = [Expr.const(chart, 1 if k == i else 0) for k in range(n_total)]
+                moved = e_i + zero if right_frozen else zero + e_i
+                delta = data.solve(
+                    moved, chart, TranslationNotDerivable, "translation direction missing from the chart"
+                )
+                cols.append(_matvec(dmul, delta, chart))
+            matrices.append(tuple(zip(*cols)))
+        return tuple(matrices)
+
 
 # -- solved-chart linear data ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _ChartData:
-    """Affine parts of g_of and h_of plus the stacked factor matrix."""
+    """Affine parts of g_of and h_of, and the rows of one Gauss-Jordan reduction of
+    [a_g; a_h | I]: ``left_inv`` gives the chart coordinates, ``consistency`` must vanish."""
 
     a_g: tuple[tuple[Fraction, ...], ...]
     c_g: tuple[Fraction, ...]
     a_h: tuple[tuple[Fraction, ...], ...]
     c_h: tuple[Fraction, ...]
+    left_inv: tuple[tuple[Fraction, ...], ...]
+    consistency: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def stacked(self):
-        return self.a_g + self.a_h
+    def solve(self, rhs: Sequence[Expr], ppatch: Patch, exc, message: str) -> list[Expr]:
+        """The chart vector whose factor images are ``rhs``; ``exc(message)`` when there is none."""
+        if len(rhs) != len(self.c_g) + len(self.c_h):
+            raise ValueError("right-hand side has wrong length")
+        for row in self.consistency:
+            if not _combine(ppatch, row, rhs).is_zero():
+                raise exc(message)
+        return [_combine(ppatch, row, rhs) for row in self.left_inv]
 
 
-def _affine_rows(m: PolyMap, exc) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
-    dim = m.source.dim
-    rows, consts = [], []
-    for comp in m.components:
-        if comp.degree() > 1:
-            raise exc("factor projections must be affine in the chart coordinates")
-        row = [Fraction(0)] * dim
-        const = Fraction(0)
-        for exps, coeff in comp.terms.items():
-            if sum(exps) == 0:
-                const = coeff
-            else:
-                row[exps.index(1)] = coeff
-        rows.append(tuple(row))
-        consts.append(const)
-    return tuple(rows), tuple(consts)
+def _affine_rows(m: PolyMap) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]] | None:
+    """Linear and constant parts of m, or None when m is not affine (its Jacobian is not constant)."""
+    rows = _rational_rows([list(row) for row in m.jacobian().entries])
+    if rows is None:
+        return None
+    origin = [0] * m.source.dim
+    return tuple(tuple(row) for row in rows), tuple(comp.eval_rational(origin) for comp in m.components)
 
 
 def _chart_data(g: GroupoidPatch, exc) -> _ChartData:
-    a_g, c_g = _affine_rows(g.g_of, exc)
-    a_h, c_h = _affine_rows(g.h_of, exc)
-    data = _ChartData(a_g, c_g, a_h, c_h)
-    probe = ExprMatrix.from_rows(
-        g.comp_chart,
-        [[Expr.const(g.comp_chart, q) for q in row] for row in data.stacked],
-    )
-    # the chart must embed into the pair space, otherwise factors do not pin it down
-    if generic_rank(probe) != g.comp_chart.dim:
-        raise exc("the composable-pair chart has directions that move neither factor")
+    data = g._chart
+    if isinstance(data, str):
+        raise exc(data)
     return data
-
-
-def _solve_const_system(rows, rhs, ppatch: Patch, exc, message: str) -> list[Expr]:
-    """Solve a rational-constant linear system against polynomial right sides."""
-    mat = ExprMatrix.from_rows(ppatch, [[Expr.const(ppatch, q) for q in row] for row in rows])
-    try:
-        sol = solve_linear(mat, list(rhs))
-    except Inconsistent:
-        raise exc(message) from None
-    out = []
-    for v in sol:
-        if not v.is_polynomial():
-            raise exc(message)
-        out.append(v.as_expr())
-    return out
 
 
 def chart_params(
@@ -167,16 +255,11 @@ def chart_params(
     """Chart coordinates of the composable pair (left, right)."""
     data = _chart_data(g, exc)
     rhs = [p - Expr.const(ppatch, q) for p, q in zip(list(left) + list(right), data.c_g + data.c_h)]
-    return _solve_const_system(data.stacked, rhs, ppatch, exc, "the pair does not lie on the composable chart")
+    return data.solve(rhs, ppatch, exc, "the pair does not lie on the composable chart")
 
 
-def _pair_direction(data: _ChartData, v_left, v_right, ppatch: Patch, exc, message: str) -> list[Expr]:
-    """Chart direction moving the left factor by v_left and the right by v_right."""
-    return _solve_const_system(data.stacked, list(v_left) + list(v_right), ppatch, exc, message)
-
-
-def _subst_matrix(m: ExprMatrix, values: Sequence[Expr], ppatch: Patch) -> list[list[Expr]]:
-    return [[e.substitute(list(values), ppatch) for e in row] for row in m.entries]
+def _subst_matrix(rows, values: Sequence[Expr], ppatch: Patch) -> list[list[Expr]]:
+    return [[e.substitute(list(values), ppatch) for e in row] for row in rows]
 
 
 def _matvec(rows, vec, ppatch: Patch) -> list[Expr]:
@@ -199,7 +282,7 @@ def _first_difference(lhs: Sequence[Expr], rhs: Sequence[Expr]) -> tuple[int, Ex
 # -- groupoid axioms --------------------------------------------------------------------
 
 
-def check_groupoid_axioms(g: GroupoidPatch) -> MultReport:
+def check_groupoid_axioms(g: GroupoidPatch) -> Report:
     """All groupoid identities as polynomial equalities on derived charts."""
     matching = _first_difference(g.src.compose(g.g_of).components, g.tgt.compose(g.h_of).components)
     if matching is not None:
@@ -247,7 +330,7 @@ def check_groupoid_axioms(g: GroupoidPatch) -> MultReport:
     map_item("right inverses produce units", product(gp, inv_pt), unit_left)
 
     items.append(_associativity_item(g, data))
-    return MultReport(tuple(items))
+    return Report(tuple(items))
 
 
 def _associativity_item(g: GroupoidPatch, data: _ChartData) -> CheckItem:
@@ -393,21 +476,7 @@ def heisenberg3() -> GroupoidPatch:
 
 def algebroid_frame(g: GroupoidPatch) -> list[list[Expr]]:
     """Frame of the source-map kernel along units, as vectors over the base."""
-    m, total = g.base, g.total
-    n, n_total = m.dim, total.dim
-    eps = list(g.unit.components)
-    if n == 0:
-        return [
-            [Expr.const(m, 1 if i == a else 0) for i in range(n_total)]
-            for a in range(n_total)
-        ]
-    js_unit = _subst_matrix(g.src.jacobian(), eps, m)
-    basis = nullspace(ExprMatrix.from_rows(m, js_unit))
-    if len(basis) != n_total - n:
-        raise RankJump(
-            f"kernel of the source map has rank {len(basis)} along units, expected {n_total - n}"
-        )
-    return basis
+    return [list(vec) for vec in g._frame]
 
 
 def _right_invariant_fields(g: GroupoidPatch, basis) -> list[VField]:
@@ -418,14 +487,12 @@ def _right_invariant_fields(g: GroupoidPatch, basis) -> list[VField]:
     x_t = list(g.tgt.components)
     eps_t = g.unit.apply(x_t, total)
     c0 = chart_params(g, eps_t, gp, total)
-    dmul = _subst_matrix(g.mul.jacobian(), c0, total)
+    dmul = _subst_matrix(g._jacobians["mul"], c0, total)
     zero = [Expr.zero(total)] * total.dim
     fields = []
     for vec in basis:
         v = [comp.substitute(x_t, total) for comp in vec]
-        delta = _pair_direction(
-            data, v, zero, total, TranslationNotDerivable, "kernel vector does not extend along the chart"
-        )
+        delta = data.solve(v + zero, total, TranslationNotDerivable, "kernel vector does not extend along the chart")
         fields.append(VField(total, tuple(_matvec(dmul, delta, total))))
     return fields
 
@@ -437,25 +504,27 @@ def lie_algebroid_of(g: GroupoidPatch, frame: Sequence[Sequence[Expr]] | None = 
     frame of it); the anchor is the target map's derivative and brackets come
     from right-invariant extensions, re-expanded in the frame along units.
     """
+    if frame is None:
+        return g._algebroid
     m = g.base
     n, n_total = m.dim, g.total.dim
-    if frame is None:
-        basis = algebroid_frame(g)
-    else:
-        basis = [list(col) for col in frame]
-        eps = list(g.unit.components)
-        if n:
-            js_unit = _subst_matrix(g.src.jacobian(), eps, m)
-            for col in basis:
-                if any(not v.is_zero() for v in _matvec(js_unit, col, m)):
-                    raise WrongShape("supplied frame leaves the kernel of the source map")
-        cols_matrix = ExprMatrix.from_rows(m, [[col[i] for col in basis] for i in range(n_total)])
-        if len(basis) != n_total - n or generic_rank(cols_matrix) != len(basis):
-            raise WrongShape("supplied frame does not span the source kernel")
+    basis = [list(col) for col in frame]
+    if n:
+        js_unit = _subst_matrix(g._jacobians["src"], list(g.unit.components), m)
+        for col in basis:
+            if any(not v.is_zero() for v in _matvec(js_unit, col, m)):
+                raise WrongShape("supplied frame leaves the kernel of the source map")
+    cols_matrix = ExprMatrix.from_rows(m, [[col[i] for col in basis] for i in range(n_total)])
+    if len(basis) != n_total - n or generic_rank(cols_matrix) != len(basis):
+        raise WrongShape("supplied frame does not span the source kernel")
+    return _algebroid_on(g, basis, _right_invariant_fields(g, basis))
+
+
+def _algebroid_on(g: GroupoidPatch, basis, fields) -> AlgebroidPatch:
+    m, n_total = g.base, g.total.dim
     eps = list(g.unit.components)
-    jt_unit = _subst_matrix(g.tgt.jacobian(), eps, m)
+    jt_unit = _subst_matrix(g._jacobians["tgt"], eps, m)
     anchors = [VField(m, tuple(_matvec(jt_unit, col, m))) for col in basis]
-    fields = _right_invariant_fields(g, basis)
     frame_matrix = ExprMatrix.from_rows(m, [[col[i] for col in basis] for i in range(n_total)])
     brackets = {}
     for a in range(len(basis)):
@@ -501,58 +570,7 @@ def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
     kernel vectors; the target pairs it with right translates of the kernel
     frame itself.
     """
-    basis = algebroid_frame(g)
-    a = lie_algebroid_of(g)
-    data = _chart_data(g, TranslationNotDerivable)
-    ct = cotangent_patch(g.total).total
-    dual = dual_patch(a)
-    n_total = g.total.dim
-    gp = [Expr.coord(ct, c) for c in ct.coords[:n_total]]
-    xi = [Expr.coord(ct, c) for c in ct.coords[n_total:]]
-    zero = [Expr.zero(ct)] * n_total
-
-    def translated(point_basis, left_pair, direction_right):
-        c0 = chart_params(g, *left_pair, ct, TranslationNotDerivable)
-        dmul = _subst_matrix(g.mul.jacobian(), c0, ct)
-        comps = []
-        for vec in point_basis:
-            if direction_right:
-                delta = _pair_direction(
-                    data, vec, zero, ct, TranslationNotDerivable, "translation direction missing from the chart"
-                )
-            else:
-                delta = _pair_direction(
-                    data, zero, vec, ct, TranslationNotDerivable, "translation direction missing from the chart"
-                )
-            moved = _matvec(dmul, delta, ct)
-            acc = Expr.zero(ct)
-            for p, w in zip(xi, moved):
-                acc = acc + p * w
-            comps.append(acc)
-        return comps
-
-    # target: right-translate the kernel frame at eps(t(g)) up to g
-    x_t = [comp.substitute(gp, ct) for comp in g.tgt.components]
-    eps_t = g.unit.apply(x_t, ct)
-    frame_t = [[comp.substitute(x_t, ct) for comp in vec] for vec in basis]
-    t_fiber = translated(frame_t, (eps_t, gp), True)
-
-    # source: left-translate target-horizontal corrections of the frame at eps(s(g))
-    x_s = [comp.substitute(gp, ct) for comp in g.src.components]
-    eps_s = g.unit.apply(x_s, ct)
-    frame_s = [[comp.substitute(x_s, ct) for comp in vec] for vec in basis]
-    jt_eps = _subst_matrix(g.tgt.jacobian(), eps_s, ct)
-    jeps = _subst_matrix(g.unit.jacobian(), x_s, ct)
-    horizontal = []
-    for vec in frame_s:
-        down = _matvec(jt_eps, vec, ct)
-        correction = _matvec(jeps, down, ct)
-        horizontal.append([u - w for u, w in zip(vec, correction)])
-    s_fiber = translated(horizontal, (gp, eps_s), False)
-
-    s_map = PolyMap(ct, dual, tuple(x_s + s_fiber))
-    t_map = PolyMap(ct, dual, tuple(x_t + t_fiber))
-    return s_map, t_map
+    return g._cotangent
 
 
 def _compose_covectors(g, data, dmul_rows, a_cov, b_cov, ppatch) -> list[RatExpr]:
@@ -581,13 +599,13 @@ def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> C
     ppatch = a.ppatch
     data = _chart_data(g, TranslationNotDerivable)
     c0 = chart_params(g, a.point, b.point, ppatch, NotComposable)
-    s_map, t_map = cotangent_source_target(g)
+    s_map, t_map = g._cotangent
     s_of_a = s_map.apply(list(a.point) + list(a.covector), ppatch)[g.base.dim :]
     t_of_b = t_map.apply(list(b.point) + list(b.covector), ppatch)[g.base.dim :]
     diff = _first_difference(s_of_a, t_of_b)
     if diff is not None:
         raise NotComposable(f"cotangent source and target differ at component {diff[0] + 1}: {diff[1]}")
-    dmul = _subst_matrix(g.mul.jacobian(), c0, ppatch)
+    dmul = _subst_matrix(g._jacobians["mul"], c0, ppatch)
     sol = _compose_covectors(g, data, dmul, a.covector, b.covector, ppatch)
     cov = []
     for v in sol:
@@ -601,7 +619,7 @@ def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> C
 # -- multiplicativity checks ---------------------------------------------------------------------
 
 
-def check_multiplicative_two_form(g: GroupoidPatch, w: KForm) -> MultReport:
+def check_multiplicative_two_form(g: GroupoidPatch, w: KForm) -> Report:
     """Pull the form back along multiplication and along the two factors."""
     if w.patch != g.total:
         raise PatchMismatch("two-form on a different patch")
@@ -613,39 +631,17 @@ def check_multiplicative_two_form(g: GroupoidPatch, w: KForm) -> MultReport:
         idx, val = next(iter(sorted(diff.coeffs.items())))
         witness = f"coefficient[{idx[0] + 1},{idx[1] + 1}] = {val}"
     item = CheckItem("multiplication pulls the form back to the sum over the factors", diff.is_zero(), witness)
-    return MultReport((item,))
+    return Report((item,))
 
 
-def _translation_matrix(g, data, dmul_rows, right_frozen: bool, ppatch) -> list[list[Expr]]:
-    """Derivative of translation by the frozen factor, column by column."""
-    n_total = g.total.dim
-    cols = []
-    for i in range(n_total):
-        e_i = [Expr.const(ppatch, 1 if k == i else 0) for k in range(n_total)]
-        zero = [Expr.zero(ppatch)] * n_total
-        if right_frozen:
-            delta = _pair_direction(
-                data, e_i, zero, ppatch, TranslationNotDerivable, "translation direction missing from the chart"
-            )
-        else:
-            delta = _pair_direction(
-                data, zero, e_i, ppatch, TranslationNotDerivable, "translation direction missing from the chart"
-            )
-        cols.append(_matvec(dmul_rows, delta, ppatch))
-    return [[cols[j][i] for j in range(n_total)] for i in range(n_total)]
-
-
-def check_multiplicative_bivector(g: GroupoidPatch, p: Bivector) -> MultReport:
+def check_multiplicative_bivector(g: GroupoidPatch, p: Bivector) -> Report:
     """Translation identity for bivectors; defined here for group patches only."""
     if g.base.dim != 0:
         raise NotAGroup("the translation identity needs a group patch; use check_multiplicative_frame")
     if p.patch != g.total:
         raise PatchMismatch("bivector on a different patch")
     chart = g.comp_chart
-    data = _chart_data(g, TranslationNotDerivable)
-    dmul = [list(r) for r in g.mul.jacobian().entries]
-    left = _translation_matrix(g, data, dmul, False, chart)
-    right = _translation_matrix(g, data, dmul, True, chart)
+    left, right = g._translations
     mul_pt = list(g.mul.components)
     g_pt = list(g.g_of.components)
     h_pt = list(g.h_of.components)
@@ -666,7 +662,7 @@ def check_multiplicative_bivector(g: GroupoidPatch, p: Bivector) -> MultReport:
         if witness:
             break
     item = CheckItem("product bivector equals the sum of its translates", witness is None, witness)
-    return MultReport((item,))
+    return Report((item,))
 
 
 def _section_values(sec: GSec, point, ppatch) -> tuple[list[Expr], list[Expr]]:
@@ -675,7 +671,7 @@ def _section_values(sec: GSec, point, ppatch) -> tuple[list[Expr], list[Expr]]:
     return x, al
 
 
-def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> MultReport:
+def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     """Subgroupoid test: composable frame combinations close up, and so do units.
 
     Composable pairs are parametrized by the kernel of the tangent and
@@ -692,15 +688,16 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> MultReport:
     m = g.base
     n, n_total, k = m.dim, g.total.dim, len(l.secs)
     data = _chart_data(g, TranslationNotDerivable)
-    s_map, t_map = cotangent_source_target(g)
-    basis = algebroid_frame(g)
+    s_map, t_map = g._cotangent
+    basis = g._frame
     r = len(basis)
+    jac = g._jacobians
 
     g_pt = list(g.g_of.components)
     h_pt = list(g.h_of.components)
     mul_pt = list(g.mul.components)
-    js_g = _subst_matrix(g.src.jacobian(), g_pt, chart)
-    jt_h = _subst_matrix(g.tgt.jacobian(), h_pt, chart)
+    js_g = _subst_matrix(jac["src"], g_pt, chart)
+    jt_h = _subst_matrix(jac["tgt"], h_pt, chart)
 
     left_vals = [_section_values(sec, g_pt, chart) for sec in l.secs]
     right_vals = [_section_values(sec, h_pt, chart) for sec in l.secs]
@@ -717,17 +714,11 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> MultReport:
     t_fibers = [fiber_of(t_map, h_pt, right_vals[j][1]) for j in range(k)]
     for a in range(r):
         rows.append([s_fibers[j][a] for j in range(k)] + [-t_fibers[j][a] for j in range(k)])
-    if rows:
-        kernel = nullspace(ExprMatrix.from_rows(chart, rows))
-    else:
-        kernel = [
-            [Expr.const(chart, 1 if i == j else 0) for i in range(2 * k)] for j in range(2 * k)
-        ]
+    kernel = nullspace(ExprMatrix.from_rows(chart, rows))
 
-    span_rows = _subst_matrix(l.coefficient_matrix(), mul_pt, chart)
-    span = ExprMatrix.from_rows(chart, span_rows)
+    span = ExprMatrix.from_rows(chart, _subst_matrix(l.coefficient_matrix().entries, mul_pt, chart))
     span_rank = generic_rank(span)
-    dmul = [list(row) for row in g.mul.jacobian().entries]
+    dmul = jac["mul"]
 
     witness = None
     for idx, vec in enumerate(kernel):
@@ -741,7 +732,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> MultReport:
             a_left = [acc + lam[j] * v for acc, v in zip(a_left, left_vals[j][1])]
             x_right = [acc + mu[j] * v for acc, v in zip(x_right, right_vals[j][0])]
             b_right = [acc + mu[j] * v for acc, v in zip(b_right, right_vals[j][1])]
-        delta = _pair_direction(data, x_left, x_right, chart, RankJump, "composable pair escapes the chart")
+        delta = data.solve(x_left + x_right, chart, RankJump, "composable pair escapes the chart")
         x_prod = _matvec(dmul, delta, chart)
         cov = _compose_covectors(g, data, dmul, a_left, b_right, chart)
         column = [RatExpr(v) for v in x_prod] + list(cov)
@@ -753,13 +744,14 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> MultReport:
 
     # unit-space closure: units over sources and targets of frame values lie in the span
     eps = list(g.unit.components)
-    js_eps = _subst_matrix(g.src.jacobian(), eps, m)
-    jt_eps = _subst_matrix(g.tgt.jacobian(), eps, m)
-    jeps = [list(row) for row in g.unit.jacobian().entries]
+    js_eps = _subst_matrix(jac["src"], eps, m)
+    jt_eps = _subst_matrix(jac["tgt"], eps, m)
+    jeps = jac["unit"]
     unit_vals = [_section_values(sec, eps, m) for sec in l.secs]
-    span_unit = ExprMatrix.from_rows(m, _subst_matrix(l.coefficient_matrix(), eps, m))
+    span_unit = ExprMatrix.from_rows(m, _subst_matrix(l.coefficient_matrix().entries, eps, m))
     span_unit_rank = generic_rank(span_unit)
-    frame_cols = [[col[i] for col in basis] for i in range(n_total)]
+    # a unit covector annihilates the image of T eps and restricts to the fiber values on the frame
+    unit_cov = ExprMatrix.from_rows(m, [[jeps[i][col] for i in range(n_total)] for col in range(n)] + list(basis))
 
     def fiber_at_units(mp, cov):
         return mp.apply(eps + list(cov), m)[n:]
@@ -774,16 +766,8 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> MultReport:
         ):
             e_columns.append(list(down) + list(fib))
             tangent_part = _matvec(jeps, down, m)
-            rows = []
-            rhs = []
-            for col in range(n):
-                rows.append([jeps[i][col] for i in range(n_total)])
-                rhs.append(Expr.zero(m))
-            for a in range(r):
-                rows.append([basis[a][i] for i in range(n_total)])
-                rhs.append(fib[a])
             try:
-                eta = solve_linear(ExprMatrix.from_rows(m, rows), rhs)
+                eta = solve_linear(unit_cov, [Expr.zero(m)] * n + list(fib))
             except Inconsistent:
                 raise RankJump("unit covector is not determined along units") from None
             column = [RatExpr(v) for v in tangent_part] + list(eta)
@@ -801,7 +785,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> MultReport:
             witness if witness else f"unit subbundle rank {rank_e}",
         )
     )
-    return MultReport(tuple(items))
+    return Report(tuple(items))
 
 
 # -- induced infinitesimal data -------------------------------------------------------------------
@@ -813,9 +797,9 @@ def induced_im_two_form(g: GroupoidPatch, w: KForm) -> IMTwoForm:
         raise WrongShape("need a two-form on the total chart")
     m = g.base
     n, n_total = m.dim, g.total.dim
-    basis = algebroid_frame(g)
+    basis = g._frame
     eps = list(g.unit.components)
-    jeps = [list(row) for row in g.unit.jacobian().entries]
+    jeps = g._jacobians["unit"]
     wmat = [[w.signed_coeff((i, j)).substitute(eps, m) for j in range(n_total)] for i in range(n_total)]
     sigma = []
     for vec in basis:
@@ -867,7 +851,7 @@ def _relatedness_witness(g, data, dmul, s_map, t_map, trio, chart) -> str | None
     x2, a2 = _section_values(right, h_pt, chart)
     x0, a0 = _section_values(total, mul_pt, chart)
     try:
-        delta = _pair_direction(data, x1, x2, chart, NotComposable, "tangent parts are not composable")
+        delta = data.solve(x1 + x2, chart, NotComposable, "tangent parts are not composable")
     except NotComposable as exc:
         return str(exc)
     diff = _first_difference(_matvec(dmul, delta, chart), x0)
@@ -885,12 +869,12 @@ def _relatedness_witness(g, data, dmul, s_map, t_map, trio, chart) -> str | None
     return None
 
 
-def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GSec]]) -> MultReport:
+def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GSec]]) -> Report:
     """Pairing additivity and bracket compatibility on related section triples."""
     chart = g.comp_chart
     data = _chart_data(g, TranslationNotDerivable)
-    dmul = [list(row) for row in g.mul.jacobian().entries]
-    s_map, t_map = cotangent_source_target(g)
+    dmul = g._jacobians["mul"]
+    s_map, t_map = g._cotangent
     for idx, trio in enumerate(samples):
         for sec in trio:
             if sec.patch != g.total:
@@ -930,4 +914,4 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
         if witness:
             break
     items.append(CheckItem("brackets of related sections stay related", witness is None, witness))
-    return MultReport(tuple(items))
+    return Report(tuple(items))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ExprSyntaxError, Inconsistent, PatchMismatch, UnknownSymbol
@@ -936,15 +937,20 @@ def nullspace(a) -> list[list[Expr]]:
 
 
 def _nullspace_rational(patch: Patch, q: list[list[Fraction]], ncols: int) -> list[list[Expr]]:
-    """``nullspace`` of a constant matrix, read off its reduced echelon form."""
+    """``nullspace`` of a constant matrix, read off its reduced echelon form.
+
+    Each vector is cleared as ``clear_denominators`` clears constants: times
+    lcm(denominators) / gcd(numerators).
+    """
     pivot_cols = _gauss_jordan(q, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivot_cols):
-        vec = [RatExpr.from_scalar(patch, 0) for _ in range(ncols)]
-        vec[fc] = RatExpr.from_scalar(patch, 1)
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
         for row, c in zip(q, pivot_cols):
-            vec[c] = RatExpr.from_scalar(patch, -row[fc])
-        basis.append(clear_denominators(vec))
+            vec[c] = -row[fc]
+        scale = Fraction(lcm(*(v.denominator for v in vec)), gcd(*(v.numerator for v in vec)))
+        basis.append([Expr.const(patch, v * scale) for v in vec])
     return basis
 
 
@@ -978,8 +984,6 @@ def clear_denominators(vec: Sequence[RatExpr]) -> list[Expr]:
     # reduce numeric content for a tidy, deterministic representative
     coeffs = [c for e in out for c in e.terms.values()]
     if coeffs:
-        from math import gcd
-
         num_gcd = 0
         den_lcm = 1
         for c in coeffs:

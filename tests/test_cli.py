@@ -8,6 +8,7 @@ import time
 import pytest
 
 from diracgeom.cli import (
+    MAX_EXPONENT,
     BinOp,
     Call,
     CheckFile,
@@ -77,6 +78,32 @@ def test_round_trip_preserves_tricky_expressions():
     )
     cf = parse_checkfile(text)
     assert parse_checkfile(print_checkfile(cf)) == cf
+
+
+def test_parenthesised_check_arguments_are_not_calls():
+    # a call needs its '(' to touch the name; after a space it starts the next argument
+    cf = parse_checkfile(
+        "let M = patch(x, y)\n"
+        "let L = graph_two_form(x*dx^dy)\n"
+        "check linearity L (1)\n"
+        "check dirac graph_two_form(y*dx^dy)\n"
+        "let H = abelian_group(2)\n"
+        "check multiplicative_bivector H (x_2*Dx_1^Dx_2)\n"
+    )
+    checks = [s for s in cf.statements if isinstance(s, CheckStmt)]
+    assert checks[0].args == (Name("L"), IntLit(1))
+    assert isinstance(checks[1].args[0], Call)
+    assert checks[2].args[0] == Name("H") and isinstance(checks[2].args[1], BinOp)
+    rep = run_checks(cf)
+    assert [c.verdict for c in rep.checks] == ["pass", "pass", "pass"]
+    assert parse_checkfile(print_checkfile(cf)) == cf
+
+
+def test_exponent_limit():
+    ok = run_checks(parse_checkfile(f"let M = patch(x)\ncheck closed (x^{MAX_EXPONENT}*dx)\n"))
+    assert ok.checks[0].verdict == "pass"
+    with pytest.raises(CheckError, match="above the limit"):
+        run_checks(parse_checkfile(f"let M = patch(x)\nlet f = x^{MAX_EXPONENT + 1}\n"))
 
 
 def test_parse_errors_carry_positions():
@@ -257,8 +284,17 @@ def test_main_exit_codes(tmp_path, capsys):
         "let M = patch(x, y, z, w)\ncheck closed dx^dy^dz^dw\n",
         "let G = abelian_group(-1)\ncheck groupoid_axioms G\n",
         "let M = patch()\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n",
+        "let M = patch(x, y, z)\nlet f = (x + y + z)^300\n",
+        "let M = patch(x)\ncheck closed (x^100000000*dx)\n",
     ],
-    ids=["duplicate-coordinate", "degree-too-high", "negative-group-size", "zero-dimensional-pair-groupoid"],
+    ids=[
+        "duplicate-coordinate",
+        "degree-too-high",
+        "negative-group-size",
+        "zero-dimensional-pair-groupoid",
+        "huge-exponent-of-a-sum",
+        "huge-exponent-in-a-check",
+    ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text):
     assert main(["verify", write(tmp_path, text)]) == 2

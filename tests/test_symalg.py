@@ -347,6 +347,13 @@ DIFF = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCh
 
 @DIFF
 @given(constant_matrices())
+# mixed signs, zero entries and a zero column: the cleared vectors keep their signs
+@example(
+    [
+        [Fraction(2, 3), Fraction(-4, 9), Fraction(0), Fraction(-1, 2), Fraction(0)],
+        [Fraction(0), Fraction(3, 4), Fraction(0), Fraction(5, 6), Fraction(-7, 3)],
+    ]
+)
 def test_rational_rank_and_nullspace_match_bareiss(vals):
     a = ExprMatrix.from_rows(XY, [[Expr.const(XY, v) for v in row] for row in vals])
     assert symalg._rational_rows([list(r) for r in a.entries]) is not None
