@@ -112,12 +112,16 @@ class AlgebroidPatch:
     def bracket_coeffs(self, u, v) -> tuple[Expr, ...]:
         """[u, v] with the Leibniz terms, as frame coefficients."""
         ru, rv = self.rho(u), self.rho(v)
+        r = range(self.rank)
+        prods = [[u[a] * v[b] for b in r] for a in r]
         out = []
-        for k in range(self.rank):
+        for k in r:
             acc = ru.apply(v[k]) - rv.apply(u[k])
-            for a in range(self.rank):
-                for b in range(self.rank):
-                    acc = acc + u[a] * v[b] * self.structure[a][b][k]
+            for a in r:
+                for b in r:
+                    c = self.structure[a][b][k]
+                    if not c.is_zero():
+                        acc = acc + prods[a][b] * c
             out.append(acc)
         return tuple(out)
 

@@ -70,7 +70,7 @@ from .groupoid import (
     tangent_groupoid,
 )
 from .report import CheckItem, Report
-from .symalg import Expr, Patch
+from .symalg import MAX_EXPONENT, Expr, Patch
 from .tanlift import check_tangent_mu_identity, tangent_lift_dirac
 
 
@@ -366,18 +366,20 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
+# the values that can be added and scaled
+_LINEAR = (Expr, KForm, VField, Bivector)
+
+
 def _scale(value, factor, flip=False):
     if isinstance(value, (int, Fraction)):
         return Fraction(factor) * value if not flip else -value
+    if not isinstance(value, _LINEAR):
+        raise CheckError(f"cannot scale a {_type_name(value)} by a number")
     patch = value.patch
     c = Expr.const(patch, Fraction(factor) if not flip else Fraction(-1))
     if isinstance(value, Expr):
         return value * c
     return value.scale(c)
-
-
-# largest power a check file may take; powers are taken by repeated multiplication
-MAX_EXPONENT = 64
 
 
 def _eval_binop(node, lv, rv):
@@ -389,7 +391,7 @@ def _eval_binop(node, lv, rv):
             rv = Expr.const(lv.patch, Fraction(rv))
         if isinstance(rv, Expr) and isinstance(lv, (int, Fraction)):
             lv = Expr.const(rv.patch, Fraction(lv))
-        if type(lv) is not type(rv):
+        if type(lv) is not type(rv) or not isinstance(lv, _LINEAR):
             raise CheckError(f"cannot combine {_type_name(lv)} and {_type_name(rv)} with '{op}'")
         return lv + rv if op == "+" else lv - rv
     if op == "*":
@@ -417,10 +419,7 @@ def _eval_binop(node, lv, rv):
                 raise CheckError("negative powers are not defined for polynomials")
             if rv > MAX_EXPONENT:
                 raise CheckError(f"exponent {rv} is above the limit of {MAX_EXPONENT}")
-            out = Expr.one(lv.patch) if isinstance(lv, Expr) else Fraction(1)
-            for _ in range(rv):
-                out = out * lv
-            return out
+            return lv ** rv if isinstance(lv, Expr) else Fraction(lv) ** rv
         if isinstance(lv, KForm) and isinstance(rv, KForm):
             from .cartan import wedge
 

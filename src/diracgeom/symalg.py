@@ -21,10 +21,17 @@ with a nonzero entry as the next pivot, so they find the same pivot columns
 and return equal results.  ``generic_rank`` of a non-constant matrix first
 tries a one-sided certificate: full rank at a fixed rational point proves
 full generic rank, and anything less falls back to Bareiss.
+
+Only the public constructor ``Expr(patch, terms)`` validates: it checks the
+exponent tuples, turns coefficients into ``Fraction`` and drops zeros, and is
+the boundary for input from outside the kernel.  Kernel results whose term
+map is canonical by construction are built by ``Expr._trusted``, which takes
+the dict as given.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +43,10 @@ from .errors import ExprSyntaxError, Inconsistent, PatchMismatch, UnknownSymbol
 Scalar = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# largest power ``parse_expr`` and check files may take; powers are taken by
+# repeated multiplication
+MAX_EXPONENT = 64
 
 
 @dataclass(frozen=True)
@@ -117,6 +128,16 @@ class Expr:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, patch: Patch, terms: dict) -> "Expr":
+        """An Expr on a fresh canonical term map, taken as given: non-zero
+        Fractions on exponent tuples of length ``patch.dim``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "patch", patch)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
@@ -126,12 +147,12 @@ class Expr:
     def const(patch: Patch, value: Scalar) -> "Expr":
         v = Fraction(value)
         if v == 0:
-            return Expr(patch, {})
-        return Expr(patch, {(0,) * patch.dim: v})
+            return Expr._trusted(patch, {})
+        return Expr._trusted(patch, {(0,) * patch.dim: v})
 
     @staticmethod
     def zero(patch: Patch) -> "Expr":
-        return Expr(patch, {})
+        return Expr._trusted(patch, {})
 
     @staticmethod
     def one(patch: Patch) -> "Expr":
@@ -142,13 +163,13 @@ class Expr:
         i = patch.index(name)
         exps = [0] * patch.dim
         exps[i] = 1
-        return Expr(patch, {tuple(exps): Fraction(1)})
+        return Expr._trusted(patch, {tuple(exps): Fraction(1)})
 
     # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other) -> "Expr":
         if isinstance(other, Expr):
-            if other.patch != self.patch:
+            if other.patch is not self.patch and other.patch != self.patch:
                 raise PatchMismatch(
                     f"operands on patches {self.patch.name!r} and {other.patch.name!r}"
                 )
@@ -163,17 +184,21 @@ class Expr:
             return NotImplemented
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+            s = out.get(e)
+            if s is None:
+                out[e] = c
             else:
-                out[e] = s
-        return Expr(self.patch, out)
+                s += c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Expr._trusted(self.patch, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(self.patch, {e: -c for e, c in self.terms.items()})
+        return Expr._trusted(self.patch, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -189,15 +214,20 @@ class Expr:
         if o is NotImplemented:
             return NotImplemented
         out: dict[tuple[int, ...], Fraction] = {}
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                if s is None:
+                    out[e] = c1 * c2
                 else:
-                    out[e] = s
-        return Expr(self.patch, out)
+                    s += c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return Expr._trusted(self.patch, out)
 
     __rmul__ = __mul__
 
@@ -205,12 +235,8 @@ class Expr:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Expr.one(self.patch)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -260,13 +286,8 @@ class Expr:
             k = e[i]
             if k == 0:
                 continue
-            ne = e[:i] + (k - 1,) + e[i + 1:]
-            s = out.get(ne, Fraction(0)) + c * k
-            if s == 0:
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return Expr(self.patch, out)
+            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return Expr._trusted(self.patch, out)
 
     def substitute(self, values: Sequence["Expr"], target: Patch) -> "Expr":
         """Evaluate at values[i] in place of coordinate i; result on ``target``."""
@@ -323,7 +344,7 @@ class Expr:
             for i, k in enumerate(e):
                 ne[idx[i]] = k
             out[tuple(ne)] = c
-        return Expr(target, out)
+        return Expr._trusted(target, out)
 
     def divide_exact(self, divisor: "Expr") -> "Expr | None":
         """Quotient self/divisor when the division is exact, else None."""
@@ -339,7 +360,7 @@ class Expr:
             if any(k < 0 for k in qe):
                 return None
             qc = rc / dc
-            mono = Expr(self.patch, {qe: qc})
+            mono = Expr._trusted(self.patch, {qe: qc})
             quot = quot + mono
             rem = rem - mono * d
         return quot
@@ -465,7 +486,10 @@ class _Parser:
             t = self.take()
             if t[0] != "rat" or "/" in t[1]:
                 raise ExprSyntaxError("exponent must be a natural number")
-            b = b ** int(t[1])
+            k = int(t[1])
+            if k > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent {k} is above the limit of {MAX_EXPONENT}")
+            b = b ** k
         return b
 
     def base(self) -> Expr:
@@ -629,7 +653,7 @@ def _rat_normalize(num: Expr, den: Expr) -> tuple[Expr, Expr]:
 
     mn = [min(a, b) for a, b in zip(min_exps(num), min_exps(den))]
     if any(mn):
-        shift = lambda e: Expr(
+        shift = lambda e: Expr._trusted(
             patch, {tuple(a - b for a, b in zip(ex, mn)): c for ex, c in e.terms.items()}
         )
         num, den = shift(num), shift(den)
@@ -811,8 +835,9 @@ def _combine(patch: Patch, coeffs: Sequence[Fraction], polys: Sequence[Expr]) ->
     for k, p in zip(coeffs, polys):
         if k:
             for e, c in p.terms.items():
-                out[e] = out.get(e, 0) + k * c
-    return Expr(patch, out)
+                s = out.get(e)
+                out[e] = k * c if s is None else s + k * c
+    return Expr._trusted(patch, {e: c for e, c in out.items() if c})
 
 
 def _rank_point(patch: Patch) -> list[Fraction]:

@@ -1,5 +1,7 @@
 """Algebroid checks: Jacobi/anchor, dual Poisson, bialgebroids, IM data, linearity."""
 
+import random
+
 import pytest
 
 from diracgeom.algebroid import (
@@ -31,9 +33,11 @@ from diracgeom.errors import (
     RankTooLarge,
     WrongShape,
 )
+from diracgeom.groupoid import heisenberg3, lie_algebroid_of, pair_groupoid
 from diracgeom.symalg import Expr, Patch, parse_expr
 
 from test_cartan import one_form, vf
+from test_symalg import rand_expr
 
 PT = Patch("pt", ())
 R1 = Patch("R1", ("x",))
@@ -180,6 +184,41 @@ def test_dual_poisson_satisfies_jacobi_across_library():
 def test_dual_poisson_rejects_non_algebroid():
     with pytest.raises(NotAlgebroid):
         dual_linear_poisson(bad_cyclic())
+
+
+# -- bracket in frame coefficients --------------------------------------------------------
+
+
+def _bracket_by_triple_loop(alg, u, v):
+    """The reference: every product u[a]*v[b]*c^k_ab formed, zero or not."""
+    ru, rv = alg.rho(u), alg.rho(v)
+    out = []
+    for k in range(alg.rank):
+        acc = ru.apply(v[k]) - rv.apply(u[k])
+        for a in range(alg.rank):
+            for b in range(alg.rank):
+                acc = acc + u[a] * v[b] * alg.structure[a][b][k]
+        out.append(acc)
+    return tuple(out)
+
+
+def test_bracket_coeffs_matches_triple_loop():
+    rng = random.Random(29)
+    heis = lie_algebroid_of(heisenberg3())
+    cases = [
+        lie_algebroid_of(pair_groupoid(R2)),
+        heis,
+        tangent_lift_algebroid(heis),
+        tangent_lift_algebroid(affine_anchored()),
+    ]
+    for alg in cases:
+        for _ in range(6):
+            u = [rand_expr(rng, alg.base) for _ in range(alg.rank)]
+            v = [rand_expr(rng, alg.base) for _ in range(alg.rank)]
+            got = alg.bracket_coeffs(u, v)
+            want = _bracket_by_triple_loop(alg, u, v)
+            # same term maps in the same insertion order
+            assert [list(e.terms.items()) for e in got] == [list(e.terms.items()) for e in want]
 
 
 # -- tangent prolongation -----------------------------------------------------------------

@@ -286,6 +286,9 @@ def test_main_exit_codes(tmp_path, capsys):
         "let M = patch()\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n",
         "let M = patch(x, y, z)\nlet f = (x + y + z)^300\n",
         "let M = patch(x)\ncheck closed (x^100000000*dx)\n",
+        "let G = heisenberg3()\nlet f = -G\n",
+        "let M = patch(x)\nlet f = 2*M\n",
+        "let G = heisenberg3()\nlet f = G + G\n",
     ],
     ids=[
         "duplicate-coordinate",
@@ -294,6 +297,9 @@ def test_main_exit_codes(tmp_path, capsys):
         "zero-dimensional-pair-groupoid",
         "huge-exponent-of-a-sum",
         "huge-exponent-in-a-check",
+        "negated-groupoid",
+        "scaled-patch",
+        "sum-of-groupoids",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text):

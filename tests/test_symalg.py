@@ -75,6 +75,13 @@ def test_parse_rational_literals():
         parse_expr("1/0", XY)
 
 
+def test_parse_exponent_limit():
+    assert symalg.MAX_EXPONENT == 64
+    assert parse_expr("x^64", XY) == Expr.coord(XY, "x") ** 64
+    with pytest.raises(ExprSyntaxError, match="above the limit"):
+        parse_expr("x^65", XY)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ExprSyntaxError):
         parse_expr("x ? y", XY)
@@ -120,6 +127,47 @@ def test_evaluation_is_a_ring_homomorphism():
 def test_patch_mismatch_raises():
     with pytest.raises(PatchMismatch):
         parse_expr("x", XY) + parse_expr("x", XYZ)
+
+
+def test_power_is_step_by_step_multiplication():
+    e = parse_expr("x + 2*y - 1/3", XY)
+    real = Expr.__mul__
+    calls = []
+
+    def spy(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    for k in range(6):
+        want = Expr.one(XY)
+        for _ in range(k):
+            want = want * e
+        calls.clear()
+        with mock.patch.object(Expr, "__mul__", spy):
+            got = e ** k
+        assert got.terms == want.terms
+        assert len(calls) == k  # no square beyond the last factor
+    with pytest.raises(ValueError):
+        e ** -1
+
+
+# -- the validating constructor and trusted results ----------------------------
+
+
+def test_public_constructor_validates():
+    with pytest.raises(ValueError, match="wrong length"):
+        Expr(XY, {(1,): 1})
+    e = Expr(XY, {(1, 0): 2, (0, 1): 0, (0, 0): Fraction(0)})
+    assert e.terms == {(1, 0): Fraction(2)}
+    assert type(e.terms[(1, 0)]) is Fraction
+    assert Expr(XY, {(1, 0): 0}).is_zero()
+
+
+def test_combine_drops_cancelled_sums():
+    p = parse_expr("x*y - 3", XY)
+    assert symalg._combine(XY, [Fraction(1), Fraction(-1)], [p, p]).terms == {}
+    q = symalg._combine(XY, [Fraction(2), Fraction(-1)], [p, parse_expr("x*y", XY)])
+    assert q.terms == {(1, 1): Fraction(1), (0, 0): Fraction(-6)}
 
 
 def test_zero_dimensional_patch_carries_constants():
@@ -469,13 +517,73 @@ def test_generic_rank_matches_sympy_on_polynomial_matrices(m):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    x, y = sympy.symbols("x y")
-
-    def to_sympy(e):
-        return sum((sympy.Rational(c.numerator, c.denominator) * x**a * y**b for (a, b), c in e.terms.items()), sympy.Integer(0))
-
-    ref = DomainMatrix.from_Matrix(sympy.Matrix([[to_sympy(e) for e in row] for row in m.entries]))
+    ref = DomainMatrix.from_Matrix(sympy.Matrix([[_to_sympy(sympy, e) for e in row] for row in m.entries]))
     assert generic_rank(m) == ref.to_field().rank()
+
+
+# -- the kernel against sympy ------------------------------------------------------------
+
+KERNEL_NAMES = ("a", "b", "c", "d")
+
+
+def _assert_canonical(e):
+    for exps, c in e.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(exps) is tuple and len(exps) == e.patch.dim
+        assert all(type(k) is int and k >= 0 for k in exps)
+
+
+def _to_sympy(sympy, e):
+    gens = sympy.symbols(e.patch.coords)
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**k for g, k in zip(gens, exps))) for exps, c in e.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _agrees(sympy, e, expected):
+    """``e`` is canonical and has the term map of the sympy expression ``expected``."""
+    _assert_canonical(e)
+    poly = sympy.Poly(sympy.expand(expected), *sympy.symbols(e.patch.coords), domain="QQ")
+    want = {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms() if c}
+    assert e.terms == want
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_kernel_matches_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    dim = data.draw(st.integers(1, 4), label="dim")
+    patch = Patch(f"K{dim}", KERNEL_NAMES[:dim])
+    a = data.draw(polys(patch), label="a")
+    b = data.draw(polys(patch), label="b")
+    sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+    _assert_canonical(a)
+    _agrees(sympy, a + b, sa + sb)
+    _agrees(sympy, a - b, sa - sb)
+    _agrees(sympy, -a, -sa)
+    _agrees(sympy, a * b, sa * sb)
+    k = data.draw(st.integers(0, 6), label="k")
+    _agrees(sympy, a**k, sa**k)
+    for name in patch.coords:
+        _agrees(sympy, a.differentiate(name), sympy.diff(sa, sympy.Symbol(name)))
+
+    target = Patch("T", ("s", "t", "u")[: data.draw(st.integers(1, 3), label="target dim")])
+    values = [data.draw(small_polys(target), label="value") for _ in patch.coords]
+    swap = {sympy.Symbol(n): _to_sympy(sympy, v) for n, v in zip(patch.coords, values)}
+    _agrees(sympy, a.substitute(values, target), sa.xreplace(swap))
+
+    wider = Patch("W", tuple(data.draw(st.permutations(patch.coords + ("e",)), label="wider")))
+    _agrees(sympy, a.inject(wider), sa)
+
+    if not b.is_zero():
+        _agrees(sympy, (a * b).divide_exact(b), sa)
+        sq, sr = sympy.div(sympy.Poly(sa, *sympy.symbols(patch.coords), domain="QQ"), sympy.Poly(sb, *sympy.symbols(patch.coords), domain="QQ"))
+        q = a.divide_exact(b)
+        if sr.is_zero:
+            _agrees(sympy, q, sq.as_expr())
+        else:
+            assert q is None
 
 
 # -- rational functions --------------------------------------------------------------------
