@@ -8,6 +8,14 @@ Conventions fixed once and used everywhere:
   For ``p = dx ^ dy`` this sends ``dx`` to ``d_y`` and ``dy`` to ``-d_x``.
 * Forms store coefficients on strictly increasing index tuples; evaluation is
   the determinant convention, ``(dx ^ dy)(d_x, d_y) = 1``.
+
+Frames built from lifts are mostly zero, so the operators walk only what is
+stored: ``VField.apply``, ``KForm.evaluate`` and ``sharp_bivector`` skip
+zero components, and ``exterior_derivative`` and ``interior_product`` visit
+only the index tuples reachable from stored coefficients (and, for i_X, the
+support of X).  They visit those tuples in sorted order, the order of
+``combinations``, so every result has the same terms in the same order as
+the dense loops.  A form memoises its ``d`` on first use.
 """
 
 from __future__ import annotations
@@ -65,7 +73,8 @@ class VField:
         """Directional derivative X(f)."""
         acc = Expr.zero(self.patch)
         for comp, coord in zip(self.components, self.patch.coords):
-            acc = acc + comp * f.differentiate(coord)
+            if comp.terms:
+                acc = acc + comp * f.differentiate(coord)
         return acc
 
     def __add__(self, other: "VField") -> "VField":
@@ -101,9 +110,13 @@ class VField:
 
 
 class KForm:
-    """Differential form of degree 0..3 with polynomial coefficients."""
+    """Differential form of degree 0..3 with polynomial coefficients.
 
-    __slots__ = ("patch", "degree", "coeffs")
+    ``_d`` holds d of the form once ``exterior_derivative`` has taken it; it
+    takes no part in equality or hashing.
+    """
+
+    __slots__ = ("patch", "degree", "coeffs", "_d")
 
     def __init__(self, patch: Patch, degree: int, coeffs: Mapping[tuple[int, ...], Expr]):
         if degree < 0 or degree > MAX_DEGREE:
@@ -122,6 +135,7 @@ class KForm:
         object.__setattr__(self, "patch", patch)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_d", None)
 
     def __setattr__(self, *a):
         raise AttributeError("KForm is immutable")
@@ -171,7 +185,8 @@ class KForm:
         acc = Expr.zero(self.patch)
         for idx, c in self.coeffs.items():
             det = _det([[fields[col].components[row] for col in range(self.degree)] for row in idx])
-            acc = acc + c * det
+            if det.terms:
+                acc = acc + c * det
         return acc
 
     def __add__(self, other: "KForm") -> "KForm":
@@ -398,22 +413,29 @@ def lie_bracket(x: VField, y: VField) -> VField:
 
 
 def exterior_derivative(w: KForm) -> KForm:
-    """d on forms of degree <= 2."""
+    """d on forms of degree <= 2, taken once per form and memoised on it."""
     if w.degree > 2:
         raise DegreeTooHigh("exterior derivative supported for degree <= 2")
+    if w._d is not None:
+        return w._d
     patch = w.patch
+    reach = set()
+    for rest, c in w.coeffs.items():
+        used = {i for e in c.terms for i, k in enumerate(e) if k}
+        reach.update(tuple(sorted(rest + (i,))) for i in used.difference(rest))
     out: dict[tuple[int, ...], Expr] = {}
-    for idx in combinations(range(patch.dim), w.degree + 1):
+    for idx in sorted(reach):
         acc = Expr.zero(patch)
         for m, i in enumerate(idx):
-            rest = idx[:m] + idx[m + 1:]
-            c = w.coeff(rest)
-            if not c.is_zero():
+            c = w.coeffs.get(idx[:m] + idx[m + 1:])
+            if c is not None:
                 term = c.differentiate(patch.coords[i])
                 acc = acc + (term if m % 2 == 0 else -term)
-        if not acc.is_zero():
+        if acc.terms:
             out[idx] = acc
-    return KForm(patch, w.degree + 1, out)
+    d = KForm(patch, w.degree + 1, out)
+    object.__setattr__(w, "_d", d)
+    return d
 
 
 def interior_product(x: VField, w: KForm) -> KForm:
@@ -423,16 +445,17 @@ def interior_product(x: VField, w: KForm) -> KForm:
     if x.patch != w.patch:
         raise PatchMismatch("operands on different patches")
     patch = w.patch
+    support = [i for i, c in enumerate(x.components) if c.terms]
+    reach = {key[:m] + key[m + 1:] for key in w.coeffs for m, i in enumerate(key) if x.components[i].terms}
     out: dict[tuple[int, ...], Expr] = {}
-    for idx in combinations(range(patch.dim), w.degree - 1):
+    for idx in sorted(reach):
         acc = Expr.zero(patch)
-        for i in range(patch.dim):
-            if x.components[i].is_zero():
-                continue
-            c = w.signed_coeff((i,) + idx)
-            if not c.is_zero():
-                acc = acc + x.components[i] * c
-        if not acc.is_zero():
+        for i in support:
+            sign = _perm_sign((i,) + idx)
+            c = w.coeffs.get(tuple(sorted((i,) + idx))) if sign else None
+            if c is not None:
+                acc = acc + x.components[i] * (c if sign == 1 else -c)
+        if acc.terms:
             out[idx] = acc
     return KForm(patch, w.degree - 1, out)
 
@@ -476,13 +499,14 @@ def sharp_bivector(p: Bivector, a: KForm) -> VField:
     if a.patch != p.patch:
         raise PatchMismatch("operands on different patches")
     patch = p.patch
+    stored = sorted(a.coeffs.items())
     comps = []
     for i in range(patch.dim):
         acc = Expr.zero(patch)
-        for j in range(patch.dim):
-            aj = a.coeff((j,))
-            if not aj.is_zero():
-                acc = acc + p.entry(j, i) * aj
+        for (j,), aj in stored:
+            pji = p.entries.get((j, i)) if j < i else p.entries.get((i, j))
+            if pji is not None:
+                acc = acc + (pji if j < i else -pji) * aj
         comps.append(acc)
     return VField(patch, tuple(comps))
 

@@ -6,6 +6,9 @@ equality of patches:
   tangent_patch    x -> x, x_dot        (second lift uses del_x, del_x_dot)
   cotangent_patch  x -> x, p_x
 
+Both are memoised per base patch, so each lift's names are built and checked
+once per process; a colliding base raises on every call.
+
 The lift formulas below are the closed coordinate forms pinned down by the
 defining identities
 
@@ -16,6 +19,7 @@ which the test suite re-verifies on random inputs.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cartan import KForm, PolyMap, VField, wedge
 from .courant import Frame, GSec, check_lagrangian, _mu_entries
@@ -77,6 +81,7 @@ class CotangentPatch:
         return self.total.coords[self.base.dim:]
 
 
+@cache
 def tangent_patch(base: Patch) -> TangentPatch:
     if is_tangent_total(base):
         vel = tuple(SECOND_ORDER_PREFIX + c for c in base.coords)
@@ -85,6 +90,7 @@ def tangent_patch(base: Patch) -> TangentPatch:
     return TangentPatch(base, _extend(base, vel, "T" + base.name))
 
 
+@cache
 def cotangent_patch(base: Patch) -> CotangentPatch:
     mom = tuple(MOMENTUM_PREFIX + c for c in base.coords)
     return CotangentPatch(base, _extend(base, mom, "Tstar" + base.name))
@@ -103,7 +109,9 @@ def lift_function(f: Expr, kind: str) -> Expr:
         return f.inject(tp.total)
     acc = Expr.zero(tp.total)
     for c, v in zip(f.patch.coords, tp.velocity_names):
-        acc = acc + Expr.coord(tp.total, v) * f.differentiate(c).inject(tp.total)
+        df = f.differentiate(c)
+        if df.terms:
+            acc = acc + Expr.coord(tp.total, v) * df.inject(tp.total)
     return acc
 
 
@@ -247,8 +255,9 @@ def check_tangent_mu_identity(l: Frame) -> Report:
     if not lag.passed:
         raise NotLagrangian(lag.witness)
     n = len(l.secs)
+    lifted = tangent_lift_dirac(l)  # first, so colliding lifted names raise at once
     mu = _mu_entries(l)
-    mu_lift = _mu_entries(tangent_lift_dirac(l))
+    mu_lift = _mu_entries(lifted)
 
     def label(i, j, k):
         parts = [f"{m + 1}^v" if m >= n else f"{m + 1}^T" for m in (i, j, k)]

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from diracgeom.cartan import (
     Bivector,
@@ -23,6 +26,7 @@ from diracgeom.cartan import (
 )
 from diracgeom.errors import DegreeTooHigh, DegreeZero, NotInverse
 from diracgeom.symalg import Expr, Patch, parse_expr
+from diracgeom.tanlift import lift_function, tangent_patch
 
 from test_symalg import rand_expr
 
@@ -43,8 +47,6 @@ def rand_vf(rng, patch, max_deg=2):
 
 
 def rand_form(rng, patch, degree, max_deg=2):
-    from itertools import combinations
-
     return KForm(
         patch,
         degree,
@@ -342,3 +344,176 @@ def test_wedge_evaluation_convention():
     assert w.evaluate(vf(M2, "1", "0"), vf(M2, "0", "1")) == Expr.one(M2)
     assert wedge(dy, dx) == -w
     assert wedge(dx, dx).is_zero()
+
+
+# -- sparse walks against the dense loops -----------------------------------------------
+#
+# The engine's operators visit only stored components.  These are the dense
+# loops they replaced, kept as references: the sparse walks must give the same
+# coefficients and the same terms in the same insertion order.
+
+
+def _apply_dense(x, f):
+    acc = Expr.zero(x.patch)
+    for comp, coord in zip(x.components, x.patch.coords):
+        acc = acc + comp * f.differentiate(coord)
+    return acc
+
+
+def _evaluate_dense(w, *fields):
+    from diracgeom.cartan import _det
+
+    acc = Expr.zero(w.patch)
+    for idx, c in w.coeffs.items():
+        acc = acc + c * _det([[fields[col].components[row] for col in range(w.degree)] for row in idx])
+    return acc
+
+
+def _d_dense(w):
+    patch = w.patch
+    out = {}
+    for idx in combinations(range(patch.dim), w.degree + 1):
+        acc = Expr.zero(patch)
+        for m, i in enumerate(idx):
+            c = w.coeff(idx[:m] + idx[m + 1:])
+            if not c.is_zero():
+                term = c.differentiate(patch.coords[i])
+                acc = acc + (term if m % 2 == 0 else -term)
+        if not acc.is_zero():
+            out[idx] = acc
+    return KForm(patch, w.degree + 1, out)
+
+
+def _interior_dense(x, w):
+    patch = w.patch
+    out = {}
+    for idx in combinations(range(patch.dim), w.degree - 1):
+        acc = Expr.zero(patch)
+        for i in range(patch.dim):
+            if x.components[i].is_zero():
+                continue
+            c = w.signed_coeff((i,) + idx)
+            if not c.is_zero():
+                acc = acc + x.components[i] * c
+        if not acc.is_zero():
+            out[idx] = acc
+    return KForm(patch, w.degree - 1, out)
+
+
+def _lie_dense(x, w):
+    if w.degree == 0:
+        return KForm.function(_apply_dense(x, w.coeff(())))
+    return _interior_dense(x, _d_dense(w)) + _d_dense(_interior_dense(x, w))
+
+
+def _sharp_dense(p, a):
+    comps = []
+    for i in range(p.patch.dim):
+        acc = Expr.zero(p.patch)
+        for j in range(p.patch.dim):
+            aj = a.coeff((j,))
+            if not aj.is_zero():
+                acc = acc + p.entry(j, i) * aj
+        comps.append(acc)
+    return VField(p.patch, tuple(comps))
+
+
+def _lift_function_dense(f):
+    tp = tangent_patch(f.patch)
+    acc = Expr.zero(tp.total)
+    for c, v in zip(f.patch.coords, tp.velocity_names):
+        acc = acc + Expr.coord(tp.total, v) * f.differentiate(c).inject(tp.total)
+    return acc
+
+
+def layout(obj):
+    """Coefficients and terms of a result, in insertion order."""
+    if isinstance(obj, Expr):
+        return list(obj.terms.items())
+    if isinstance(obj, VField):
+        return [layout(c) for c in obj.components]
+    return [(k, layout(v)) for k, v in obj.coeffs.items()]
+
+
+@st.composite
+def polys(draw, patch):
+    # small integer coefficients, so that sums cancel now and then
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * patch.dim), st.integers(-2, 2), max_size=3))
+    return Expr(patch, terms)
+
+
+@st.composite
+def sparse(draw, patch, keys):
+    """At most half of ``keys`` get a (possibly zero) polynomial; often exactly half,
+    so that the walks also meet larger supports."""
+    keys = list(keys)
+    half = len(keys) // 2
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=draw(st.sampled_from([0, half])), max_size=half, unique=True)) if keys else []
+    return {k: draw(polys(patch)) for k in chosen}
+
+
+@st.composite
+def cartan_cases(draw):
+    dim = draw(st.integers(1, 6))
+    patch = Patch(f"P{dim}", tuple(f"x{i}" for i in range(dim)))
+    degree = draw(st.integers(0, min(2, dim)))
+
+    def field():
+        comps = draw(sparse(patch, range(dim)))
+        return VField(patch, tuple(comps.get(i, Expr.zero(patch)) for i in range(dim)))
+
+    w = KForm(patch, degree, draw(sparse(patch, combinations(range(dim), degree))))
+    p = Bivector(patch, draw(sparse(patch, combinations(range(dim), 2))))
+    return w, field(), field(), p, draw(polys(patch))
+
+
+P6 = Patch("P6", tuple(f"x{i}" for i in range(6)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cartan_cases())
+# i_X reaches five index tuples, which a set does not hold in sorted order
+@example((KForm(P6, 2, {(0, j): Expr.one(P6) for j in range(1, 6)}), VField.coordinate(P6, "x0"), VField.zero(P6), Bivector.zero(P6), Expr.zero(P6)))
+def test_sparse_walks_match_dense_loops(case):
+    w, x, y, p, f = case
+    assert layout(x.apply(f)) == layout(_apply_dense(x, f))
+    assert layout(lift_function(f, "tangent")) == layout(_lift_function_dense(f))
+    assert layout(exterior_derivative(w)) == layout(_d_dense(w))
+    assert layout(lie_derivative(x, w)) == layout(_lie_dense(x, w))
+    if w.degree >= 1:
+        assert layout(interior_product(x, w)) == layout(_interior_dense(x, w))
+        fields = (x, y)[: w.degree]
+        assert layout(w.evaluate(*fields)) == layout(_evaluate_dense(w, *fields))
+    if w.degree == 1:
+        assert layout(sharp_bivector(p, w)) == layout(_sharp_dense(p, w))
+
+
+# -- memoised d ---------------------------------------------------------------------
+
+
+def test_exterior_derivative_is_memoised_outside_equality():
+    w = KForm(M3, 1, {(0,): parse_expr("y*z", M3), (2,): parse_expr("x", M3)})
+    twin = KForm(M3, 1, dict(w.coeffs))
+    before = hash(w)
+    dw = exterior_derivative(w)
+    assert exterior_derivative(w) is dw
+    assert w == twin and twin == w
+    assert hash(w) == before == hash(twin)
+    for attr in ("_d", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(w, attr, None)
+    assert exterior_derivative(w) is dw
+
+
+def test_apply_differentiates_only_along_stored_components(monkeypatch):
+    seen = []
+    original = Expr.differentiate
+
+    def spy(self, coord):
+        seen.append(coord)
+        return original(self, coord)
+
+    f = parse_expr("x*y*z + y^2", M3)
+    monkeypatch.setattr(Expr, "differentiate", spy)
+    assert VField.coordinate(M3, "x").apply(f) == parse_expr("y*z", M3)
+    assert seen == ["x"]

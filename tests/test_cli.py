@@ -289,6 +289,7 @@ def test_main_exit_codes(tmp_path, capsys):
         "let G = heisenberg3()\nlet f = -G\n",
         "let M = patch(x)\nlet f = 2*M\n",
         "let G = heisenberg3()\nlet f = G + G\n",
+        "let M = patch(x, y, z, u, v, w)\ncheck tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(dx^dy)))\n",
     ],
     ids=[
         "duplicate-coordinate",
@@ -300,6 +301,7 @@ def test_main_exit_codes(tmp_path, capsys):
         "negated-groupoid",
         "scaled-patch",
         "sum-of-groupoids",
+        "colliding-tangent-lift",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text):

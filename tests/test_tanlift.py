@@ -78,6 +78,17 @@ def test_lift_collision_rejected():
         tangent_patch(Patch("bad", ("x", "x_dot", "y")))
 
 
+def test_lifted_patches_are_memoised():
+    assert tangent_patch(M2) is tangent_patch(Patch("M2", ("x", "y")))
+    assert cotangent_patch(M2) is cotangent_patch(M2)
+    # a raised collision is not remembered as a result
+    for _ in range(2):
+        with pytest.raises(WrongShape):
+            tangent_patch(Patch("bad", ("x", "x_dot", "y")))
+        with pytest.raises(WrongShape):
+            cotangent_patch(Patch("bad", ("x", "p_x")))
+
+
 # -- function, field, and form lifts ------------------------------------------------
 
 
@@ -391,6 +402,19 @@ def test_tangent_mu_identity_checks_isotropy_of_the_lifted_frame(monkeypatch):
     monkeypatch.setattr(tanlift, "tangent_lift_dirac", lambda l: broken)
     with pytest.raises(NotLagrangian):
         check_tangent_mu_identity(base)
+
+
+def test_tangent_mu_identity_lifts_before_the_base_tensor(monkeypatch):
+    # a colliding lift must raise before the costly base tensor is computed
+    from diracgeom import tanlift
+
+    calls = []
+    monkeypatch.setattr(tanlift, "_mu_entries", lambda l: calls.append(l))
+    clash = Patch("clash", ("x", "y", "x_dot"))
+    base = graph_two_form(wedge(KForm.d_coord(clash, "x"), KForm.d_coord(clash, "y")))
+    with pytest.raises(WrongShape):
+        check_tangent_mu_identity(base)
+    assert calls == []
 
 
 def test_lifted_frames_stay_isotropic():
