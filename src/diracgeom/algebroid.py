@@ -19,7 +19,7 @@ must carry the canonical bracket {x^i, p_j} = delta^i_j.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .cartan import (
     Bivector,
@@ -171,33 +171,32 @@ def check_lie_algebroid(a: AlgebroidPatch) -> Report:
     """Jacobi identity on frame triples and anchor compatibility on frame pairs."""
     r = a.rank
     frame = [a.frame_coeffs(i) for i in range(r)]
-    witness = None
-    for i, j, k in combinations(range(r), 3):
-        jac = [Expr.zero(a.base)] * r
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = a.bracket_coeffs(frame[y], frame[z])
-            outer = a.bracket_coeffs(frame[x], inner)
-            jac = [p + q for p, q in zip(jac, outer)]
-        bad = next((m for m in range(r) if not jac[m].is_zero()), None)
-        if bad is not None:
-            witness = f"jacobi[{i + 1},{j + 1},{k + 1}] has e_{bad + 1} component {jac[bad]}"
-            break
-    items = [CheckItem("jacobi identity on the frame", witness is None, witness)]
-    witness = None
-    for i in range(r):
-        for j in range(i + 1, r):
-            lhs = lie_bracket(a.anchor[i], a.anchor[j])
-            rhs = a.rho(a.bracket_coeffs(frame[i], frame[j]))
-            diff = lhs - rhs
+
+    def jacobi():
+        for i, j, k in combinations(range(r), 3):
+            jac = [Expr.zero(a.base)] * r
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                inner = a.bracket_coeffs(frame[y], frame[z])
+                outer = a.bracket_coeffs(frame[x], inner)
+                jac = [p + q for p, q in zip(jac, outer)]
+            bad = next((m for m in range(r) if not jac[m].is_zero()), None)
+            if bad is not None:
+                yield f"jacobi[{i + 1},{j + 1},{k + 1}] has e_{bad + 1} component {jac[bad]}"
+
+    def anchor():
+        for i, j in combinations(range(r), 2):
+            diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(a.bracket_coeffs(frame[i], frame[j]))
             bad = next((m for m, c in enumerate(diff.components) if not c.is_zero()), None)
             if bad is not None:
                 coord = a.base.coords[bad]
-                witness = f"anchor breaks [e_{i + 1},e_{j + 1}]: d_{coord} component {diff.components[bad]}"
-                break
-        if witness:
-            break
-    items.append(CheckItem("anchor preserves brackets", witness is None, witness))
-    return Report(tuple(items))
+                yield f"anchor breaks [e_{i + 1},e_{j + 1}]: d_{coord} component {diff.components[bad]}"
+
+    return Report(
+        (
+            CheckItem.first("jacobi identity on the frame", jacobi()),
+            CheckItem.first("anchor preserves brackets", anchor()),
+        )
+    )
 
 
 def dual_patch(a: AlgebroidPatch) -> Patch:
@@ -211,9 +210,7 @@ def dual_patch(a: AlgebroidPatch) -> Patch:
 
 def dual_linear_poisson(a: AlgebroidPatch) -> Bivector:
     """The fiberwise-linear Poisson bivector on the dual total patch."""
-    rep = check_lie_algebroid(a)
-    if not rep.passed:
-        raise NotAlgebroid(rep.witness)
+    check_lie_algebroid(a).require(NotAlgebroid)
     total = dual_patch(a)
     n, r = a.base.dim, a.rank
     entries = {}
@@ -299,25 +296,23 @@ def check_lie_bialgebroid(a: AlgebroidPatch, dual: AlgebroidPatch) -> Report:
         rep = check_lie_algebroid(side)
         if not rep.passed:
             raise NotAlgebroid(f"{name} structure: {rep.witness}")
-    witness = None
     frame = [a.frame_coeffs(i) for i in range(a.rank)]
     d_frame = [_dual_differential_section(dual, f) for f in frame]
-    for fa in range(a.rank):
-        for fb in range(fa + 1, a.rank):
+
+    def derivation():
+        for fa, fb in combinations(range(a.rank), 2):
             lhs = _dual_differential_section(dual, a.bracket_coeffs(frame[fa], frame[fb]))
             # condition: d_*[e_a,e_b] + [e_b, d_*e_a] - [e_a, d_*e_b] = 0
             diff = _wedge_add(lhs, _frame_bracket_wedge(a, fb, d_frame[fa]), a.base)
             diff = _wedge_sub(diff, _frame_bracket_wedge(a, fa, d_frame[fb]), a.base)
             bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
             if bad is not None:
-                witness = (
+                yield (
                     f"derivation fails on (e_{fa + 1},e_{fb + 1}) at "
                     f"e_{bad[0] + 1}^e_{bad[1] + 1}: {diff[bad]}"
                 )
-                break
-        if witness:
-            break
-    return Report((CheckItem("derivation condition on frame pairs", witness is None, witness),))
+
+    return Report((CheckItem.first("derivation condition on frame pairs", derivation()),))
 
 
 # -- IM 2-forms ------------------------------------------------------------------------
@@ -348,24 +343,18 @@ def im_from_two_form(a: AlgebroidPatch, b: KForm) -> IMTwoForm:
 
 def check_im_two_form(a: AlgebroidPatch, s: IMTwoForm) -> Report:
     """The two IM identities on frame pairs plus a function-multiple spot check."""
-    rep = check_lie_algebroid(a)
-    if not rep.passed:
-        raise NotAlgebroid(rep.witness)
+    check_lie_algebroid(a).require(NotAlgebroid)
     if len(s.sigma) != a.rank:
         raise WrongShape("need one form per frame section")
     if s.sigma and s.sigma[0].patch != a.base:
         raise PatchMismatch("IM data on a different patch")
     r = a.rank
-    witness = None
-    for i in range(r):
-        for j in range(i, r):
+
+    def anchor_pairing():
+        for i, j in combinations_with_replacement(range(r), 2):
             p = s.sigma[i].evaluate(a.anchor[j]) + s.sigma[j].evaluate(a.anchor[i])
             if not p.is_zero():
-                witness = f"<sigma(e_{i + 1}), rho(e_{j + 1})> + <sigma(e_{j + 1}), rho(e_{i + 1})> = {p}"
-                break
-        if witness:
-            break
-    items = [CheckItem("pairing with the anchor is antisymmetric", witness is None, witness)]
+                yield f"<sigma(e_{i + 1}), rho(e_{j + 1})> + <sigma(e_{j + 1}), rho(e_{i + 1})> = {p}"
 
     def bracket_side(i, j):
         acc = KForm.zero(a.base, 1)
@@ -377,38 +366,31 @@ def check_im_two_form(a: AlgebroidPatch, s: IMTwoForm) -> Report:
         out = lie_derivative(a.anchor[i], s.sigma[j]) - lie_derivative(a.anchor[j], s.sigma[i])
         return out + exterior_derivative(KForm.function(s.sigma[i].evaluate(a.anchor[j])))
 
-    witness = None
-    for i in range(r):
-        for j in range(i + 1, r):
+    def bracket_identity():
+        for i, j in combinations(range(r), 2):
             diff = bracket_side(i, j) - lie_side(i, j)
             if diff != KForm.zero(a.base, 1):
-                witness = f"sigma[e_{i + 1},e_{j + 1}] deviates by {diff}"
-                break
-        if witness:
-            break
-    items.append(CheckItem("bracket identity on frame pairs", witness is None, witness))
+                yield f"sigma[e_{i + 1},e_{j + 1}] deviates by {diff}"
 
-    witness = None
-    if a.base.dim and r >= 2 and items[0].passed and items[1].passed:
+    def function_multiple():
         f = Expr.one(a.base) + Expr.coord(a.base, a.base.coords[0])
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                # [f e_i, e_j] = f [e_i, e_j] - rho(e_j)(f) e_i
-                lhs = bracket_side(i, j).scale(f) - s.sigma[i].scale(a.anchor[j].apply(f))
-                rhs = lie_derivative(a.anchor[i].scale(f), s.sigma[j])
-                rhs = rhs - lie_derivative(a.anchor[j], s.sigma[i].scale(f))
-                rhs = rhs + exterior_derivative(
-                    KForm.function(s.sigma[i].scale(f).evaluate(a.anchor[j]))
-                )
-                diff = lhs - rhs
-                if diff != KForm.zero(a.base, 1):
-                    witness = f"function multiple on (e_{i + 1},e_{j + 1}) deviates by {diff}"
-                    break
-            if witness:
-                break
-    items.append(CheckItem("function-multiple consistency", witness is None, witness))
+        for i, j in permutations(range(r), 2):
+            # [f e_i, e_j] = f [e_i, e_j] - rho(e_j)(f) e_i
+            lhs = bracket_side(i, j).scale(f) - s.sigma[i].scale(a.anchor[j].apply(f))
+            rhs = lie_derivative(a.anchor[i].scale(f), s.sigma[j])
+            rhs = rhs - lie_derivative(a.anchor[j], s.sigma[i].scale(f))
+            rhs = rhs + exterior_derivative(KForm.function(s.sigma[i].scale(f).evaluate(a.anchor[j])))
+            diff = lhs - rhs
+            if diff != KForm.zero(a.base, 1):
+                yield f"function multiple on (e_{i + 1},e_{j + 1}) deviates by {diff}"
+
+    items = [
+        CheckItem.first("pairing with the anchor is antisymmetric", anchor_pairing()),
+        CheckItem.first("bracket identity on frame pairs", bracket_identity()),
+    ]
+    # the spot check runs only when both identities hold
+    runs = a.base.dim and r >= 2 and all(it.passed for it in items)
+    items.append(CheckItem.first("function-multiple consistency", function_multiple() if runs else ()))
     return Report(tuple(items))
 
 
@@ -484,88 +466,64 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
             raise AnchorNotTangent(f"rho(e_{m + 1}) is not tangent to the foliation")
     quotient, nabla = _connection(f, a.rank, a.base)
     frame = [a.frame_coeffs(i) for i in range(a.rank)]
-    items = []
-
-    # bullet 1: curvature of nabla, with [f_i, f_j] expanded in the foliation
-    witness = None
     nf, nq = len(f.f_m), len(quotient)
-    for i in range(nf):
-        if witness:
-            break
-        for j in range(i + 1, nf):
+
+    def curvature():
+        # bullet 1: curvature of nabla, with [f_i, f_j] expanded in the foliation
+        for i, j in combinations(range(nf), 2):
             lam = _span_coefficients(f.f_m, lie_bracket(f.f_m[i], f.f_m[j]))
             if lam is None:
-                witness = f"[f_{i + 1},f_{j + 1}] leaves the foliation span"
-                break
-            for m in range(nq):
-                for l in range(nq):
-                    curv = f.f_m[i].apply(nabla[j][m][l]) - f.f_m[j].apply(nabla[i][m][l])
-                    for mid in range(nq):
-                        curv = curv + nabla[i][mid][l] * nabla[j][m][mid]
-                        curv = curv - nabla[j][mid][l] * nabla[i][m][mid]
-                    # expansion coefficients can be rational functions
-                    total = RatExpr(curv)
-                    for s in range(nf):
-                        total = total - lam[s] * RatExpr(nabla[s][m][l])
-                    if not total.is_zero():
-                        witness = f"curvature(f_{i + 1},f_{j + 1}) on class {m + 1}: {total}"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    items.append(CheckItem("connection is flat", witness is None, witness))
+                yield f"[f_{i + 1},f_{j + 1}] leaves the foliation span"
+                return
+            for m, l in product(range(nq), repeat=2):
+                curv = f.f_m[i].apply(nabla[j][m][l]) - f.f_m[j].apply(nabla[i][m][l])
+                for mid in range(nq):
+                    curv = curv + nabla[i][mid][l] * nabla[j][m][mid]
+                    curv = curv - nabla[j][mid][l] * nabla[i][m][mid]
+                # expansion coefficients can be rational functions
+                total = RatExpr(curv)
+                for s in range(nf):
+                    total = total - lam[s] * RatExpr(nabla[s][m][l])
+                if not total.is_zero():
+                    yield f"curvature(f_{i + 1},f_{j + 1}) on class {m + 1}: {total}"
 
-    # bullet 2: brackets of quotient generators with K stay in K
-    witness = None
-    for m in quotient:
-        for k in f.k_sub:
+    def k_brackets():
+        # bullet 2: brackets of quotient generators with K stay in K
+        for m, k in product(quotient, f.k_sub):
             br = a.bracket_coeffs(frame[m], frame[k])
             bad = next((l for l in quotient if not br[l].is_zero()), None)
             if bad is not None:
-                witness = f"[e_{m + 1},e_{k + 1}] has class component e_{bad + 1} = {br[bad]}"
-                break
-        if witness:
-            break
-    items.append(CheckItem("brackets with K stay in K", witness is None, witness))
+                yield f"[e_{m + 1},e_{k + 1}] has class component e_{bad + 1} = {br[bad]}"
 
-    # bullet 3: bracket classes of quotient generators are flat
-    witness = None
-    for mi in range(nq):
-        if witness:
-            break
-        for mj in range(mi + 1, nq):
+    def class_flatness():
+        # bullet 3: bracket classes of quotient generators are flat
+        for mi, mj in combinations(range(nq), 2):
             br = a.bracket_coeffs(frame[quotient[mi]], frame[quotient[mj]])
             cls = [br[l] for l in quotient]
-            for j in range(nf):
-                for l in range(nq):
-                    d = f.f_m[j].apply(cls[l])
-                    for mid in range(nq):
-                        d = d + nabla[j][mid][l] * cls[mid]
-                    if not d.is_zero():
-                        witness = (
-                            f"class of [e_{quotient[mi] + 1},e_{quotient[mj] + 1}] is not "
-                            f"flat along f_{j + 1}: {d}"
-                        )
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    items.append(CheckItem("bracket classes are flat mod K", witness is None, witness))
+            for j, l in product(range(nf), range(nq)):
+                d = f.f_m[j].apply(cls[l])
+                for mid in range(nq):
+                    d = d + nabla[j][mid][l] * cls[mid]
+                if not d.is_zero():
+                    yield (
+                        f"class of [e_{quotient[mi] + 1},e_{quotient[mj] + 1}] is not "
+                        f"flat along f_{j + 1}: {d}"
+                    )
 
-    # bullet 4: anchors of quotient generators preserve the foliation
-    witness = None
-    for m in quotient:
-        for j in range(nf):
-            br = lie_bracket(a.rho(frame[m]), f.f_m[j])
-            if _span_coefficients(f.f_m, br) is None:
-                witness = f"[rho(e_{m + 1}), f_{j + 1}] leaves the foliation span"
-                break
-        if witness:
-            break
-    items.append(CheckItem("anchor flows preserve the foliation", witness is None, witness))
-    return Report(tuple(items))
+    def anchor_flows():
+        # bullet 4: anchors of quotient generators preserve the foliation
+        for m, j in product(quotient, range(nf)):
+            if _span_coefficients(f.f_m, lie_bracket(a.rho(frame[m]), f.f_m[j])) is None:
+                yield f"[rho(e_{m + 1}), f_{j + 1}] leaves the foliation span"
+
+    return Report(
+        (
+            CheckItem.first("connection is flat", curvature()),
+            CheckItem.first("brackets with K stay in K", k_brackets()),
+            CheckItem.first("bracket classes are flat mod K", class_flatness()),
+            CheckItem.first("anchor flows preserve the foliation", anchor_flows()),
+        )
+    )
 
 
 # -- Lie bialgebras --------------------------------------------------------------------
@@ -596,9 +554,7 @@ class LieBialgebraData:
 def check_lie_bialgebra(d: LieBialgebraData, ideal=None) -> Report:
     """Cocycle condition and dual Jacobi, optionally after an ideal quotient."""
     g = d.g
-    rep = check_lie_algebroid(g)
-    if not rep.passed:
-        raise NotLie(rep.witness)
+    check_lie_algebroid(g).require(NotLie)
     r = g.rank
     if ideal is None:
         ideal = ()
@@ -616,43 +572,32 @@ def check_lie_bialgebra(d: LieBialgebraData, ideal=None) -> Report:
                 raise NotIdeal(
                     f"[e_{i + 1},e_{m + 1}] has quotient component e_{bad + 1} = {br[bad]}"
                 )
-    items = []
 
-    # the dual of the quotient is the annihilator: it must close under the dual bracket
-    witness = None
-    for ai, qa in enumerate(quotient):
-        for qb in quotient[ai + 1 :]:
+    def annihilator():
+        # the dual of the quotient is the annihilator: it must close under the dual bracket
+        for qa, qb in combinations(quotient, 2):
             bad = next((m for m in ideal if not d.dual_c[qa][qb][m].is_zero()), None)
             if bad is not None:
-                witness = (
+                yield (
                     f"[xi_{qa + 1},xi_{qb + 1}]* has annihilator-breaking component "
                     f"xi_{bad + 1} = {d.dual_c[qa][qb][bad]}"
                 )
-                break
-        if witness:
-            break
-    items.append(CheckItem("dual bracket restricts to the annihilator", witness is None, witness))
 
     nq = len(quotient)
     point = g.base
     cbar = [[[g.structure[quotient[x]][quotient[y]][quotient[z]] for z in range(nq)] for y in range(nq)] for x in range(nq)]
     cstar = [[[d.dual_c[quotient[x]][quotient[y]][quotient[z]] for z in range(nq)] for y in range(nq)] for x in range(nq)]
 
-    # Jacobi for the (quotient) dual algebra
-    witness = None
-    for x, y, z in combinations(range(nq), 3):
-        for k in range(nq):
+    def dual_jacobi():
+        # Jacobi for the (quotient) dual algebra
+        for (x, y, z), k in product(combinations(range(nq), 3), range(nq)):
             acc = Expr.zero(point)
             for s in range(nq):
                 acc = acc + cstar[x][y][s] * cstar[s][z][k]
                 acc = acc + cstar[y][z][s] * cstar[s][x][k]
                 acc = acc + cstar[z][x][s] * cstar[s][y][k]
             if not acc.is_zero():
-                witness = f"dual jacobi[{x + 1},{y + 1},{z + 1}] component {k + 1}: {acc}"
-                break
-        if witness:
-            break
-    items.append(CheckItem("dual structure satisfies jacobi", witness is None, witness))
+                yield f"dual jacobi[{x + 1},{y + 1},{z + 1}] component {k + 1}: {acc}"
 
     # cocycle: delta[x, y] = ad_x delta(y) - ad_y delta(x)
     def delta(m):
@@ -670,11 +615,8 @@ def check_lie_bialgebra(d: LieBialgebraData, ideal=None) -> Report:
                 _add_wedge(out, i, k, coeff * cbar[x][j][k])
         return out
 
-    witness = None
-    for x in range(nq):
-        if witness:
-            break
-        for y in range(x + 1, nq):
+    def cocycle():
+        for x, y in combinations(range(nq), 2):
             lhs = {}
             for m in range(nq):
                 for key, coeff in delta(m).items():
@@ -683,13 +625,18 @@ def check_lie_bialgebra(d: LieBialgebraData, ideal=None) -> Report:
             diff = _wedge_sub(lhs, rhs, point)
             bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
             if bad is not None:
-                witness = (
+                yield (
                     f"cocycle fails on (e_{x + 1},e_{y + 1}) at "
                     f"e_{bad[0] + 1}^e_{bad[1] + 1}: {diff[bad]}"
                 )
-                break
-    items.append(CheckItem("dual cocycle condition", witness is None, witness))
-    return Report(tuple(items))
+
+    return Report(
+        (
+            CheckItem.first("dual bracket restricts to the annihilator", annihilator()),
+            CheckItem.first("dual structure satisfies jacobi", dual_jacobi()),
+            CheckItem.first("dual cocycle condition", cocycle()),
+        )
+    )
 
 
 # -- linearity of frames on a vector bundle total patch ------------------------------------
@@ -703,9 +650,7 @@ def check_linearity(l: Frame, n_base: int) -> Report:
     at (x, u); equality is generic-rank equality of the stacked matrices
     over the patch extended by t.
     """
-    lag = check_lagrangian(l)
-    if not lag.passed:
-        raise NotLagrangian(lag.witness)
+    check_lagrangian(l).require(NotLagrangian)
     patch = l.patch
     n = patch.dim
     if not 0 <= n_base <= n:

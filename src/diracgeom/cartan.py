@@ -21,7 +21,6 @@ the dense loops.  A form memoises its ``d`` on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -192,8 +191,10 @@ class KForm:
     def __add__(self, other: "KForm") -> "KForm":
         if other.patch != self.patch or other.degree != self.degree:
             raise PatchMismatch("can only add forms of one degree on one patch")
-        keys = set(self.coeffs) | set(other.coeffs)
-        return KForm(self.patch, self.degree, {k: self.coeff(k) + other.coeff(k) for k in keys})
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out[k] + v if k in out else v
+        return KForm(self.patch, self.degree, out)
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
@@ -293,8 +294,10 @@ class Bivector:
     def __add__(self, other: "Bivector") -> "Bivector":
         if other.patch != self.patch:
             raise PatchMismatch("bivectors on different patches")
-        keys = set(self.entries) | set(other.entries)
-        return Bivector(self.patch, {k: self.entries.get(k, Expr.zero(self.patch)) + other.entries.get(k, Expr.zero(self.patch)) for k in keys})
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out[k] + v if k in out else v
+        return Bivector(self.patch, out)
 
     def __neg__(self) -> "Bivector":
         return Bivector(self.patch, {k: -v for k, v in self.entries.items()})
@@ -527,16 +530,19 @@ def schouten_jacobiator(p: Bivector) -> dict[tuple[int, int, int], Expr]:
     Vanishing of every entry is the Poisson condition.
     """
     patch = p.patch
+    # row[a]: (m, stored entry, whether p[a, m] is its negative), in increasing m
+    row: list[list[tuple[int, Expr, bool]]] = [[] for _ in patch.coords]
+    for (a, m), e in sorted(p.entries.items()):
+        row[a].append((m, e, False))
+        row[m].append((a, e, True))
     out: dict[tuple[int, int, int], Expr] = {}
     for (i, j, k) in combinations(range(patch.dim), 3):
         acc = Expr.zero(patch)
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             # {x^a, p(dx^b, dx^c)} = sum_m p[a, m] d_m p[b, c]
             pbc = p.entry(b, c)
-            for m in range(patch.dim):
-                pam = p.entry(a, m)
-                if not pam.is_zero():
-                    acc = acc + pam * pbc.differentiate(patch.coords[m])
+            for m, e, flip in row[a]:
+                acc = acc + (-e if flip else e) * pbc.differentiate(patch.coords[m])
         out[(i, j, k)] = acc
     return out
 

@@ -10,11 +10,11 @@ A check file is line oriented:
     check closed omega
 
 ``let`` binds a name to a value; ``check`` runs a named verification on
-previously bound values (or inline constructor calls).  Scalar coefficients
-follow the engine expression grammar; ``dx``/``Dx`` inside a literal denote
-the coordinate one-form and coordinate vector field of a declared patch.  A
-literal binds to the first declared patch whose coordinates cover every free
-symbol it mentions.
+previously bound values (or inline constructor calls).  Expressions follow
+the grammar in ``symalg``, which ``symalg.parse_expr`` reads too;
+``dx``/``Dx`` inside a literal denote the coordinate one-form and coordinate
+vector field of a declared patch.  A literal binds to the first declared
+patch whose coordinates cover every free symbol it mentions.
 
 Reports are deterministic: repeated runs of the same file emit identical
 bytes.  Timings are measured per check but never serialized.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -70,39 +69,25 @@ from .groupoid import (
     tangent_groupoid,
 )
 from .report import CheckItem, Report
-from .symalg import MAX_EXPONENT, Expr, Patch
+from .symalg import (
+    _NAME_RE,
+    BinOp,
+    Call,
+    Expr,
+    IntLit,
+    Name,
+    Neg,
+    Patch,
+    _Line,
+    _parse_expr,
+    _parse_unary,
+    _print_expr,
+    bounded_power,
+)
 from .tanlift import check_tangent_mu_identity, tangent_lift_dirac
 
 
-# -- syntax trees ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Name:
-    id: str
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+# -- statements --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -122,29 +107,6 @@ class CheckFile:
     statements: tuple
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def _print_expr(node, parent_prec: int = 0) -> str:
-    if isinstance(node, Name):
-        return node.id
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, Call):
-        return node.fn + "(" + ", ".join(_print_expr(a) for a in node.args) + ")"
-    if isinstance(node, Neg):
-        inner = _print_expr(node.operand, 3)
-        out = "-" + inner
-        return f"({out})" if parent_prec >= 3 else out
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        left = _print_expr(node.left, prec - 1)
-        right = _print_expr(node.right, prec)
-        out = f"{left} {node.op} {right}" if prec == 1 else f"{left}{node.op}{right}"
-        return f"({out})" if parent_prec >= prec else out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def print_checkfile(cf: CheckFile) -> str:
     lines = []
     for stmt in cf.statements:
@@ -156,106 +118,7 @@ def print_checkfile(cf: CheckFile) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# -- tokenizer and parser -----------------------------------------------------------------
-
-
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()+\-*/^,=]|\S")
-
-
-class _Line:
-    def __init__(self, text: str, number: int):
-        self.number = number
-        self.tokens = []
-        # set for check arguments, where `L (1)` is two arguments and `f(1)` a call
-        self.calls_must_touch = False
-        body = text.split("#", 1)[0]
-        for m in _TOKEN.finditer(body):
-            self.tokens.append((m.group(), m.start() + 1))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        if self.pos >= len(self.tokens):
-            raise ParseError(f"line {self.number}: unexpected end of line")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok[0]
-
-    def expect(self, want: str):
-        tok = self.peek()
-        if tok != want:
-            col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(want)
-            raise ParseError(f"line {self.number}, column {col}: expected '{want}', found '{tok}'")
-        self.next()
-
-    def fail(self, message: str):
-        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else 1
-        raise ParseError(f"line {self.number}, column {col}: {message}")
-
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def _parse_expr(line: _Line):
-    node = _parse_term(line)
-    while line.peek() in ("+", "-"):
-        op = line.next()
-        node = BinOp(op, node, _parse_term(line))
-    return node
-
-
-def _parse_term(line: _Line):
-    node = _parse_unary(line)
-    while line.peek() in ("*", "/"):
-        op = line.next()
-        node = BinOp(op, node, _parse_unary(line))
-    return node
-
-
-def _parse_unary(line: _Line):
-    if line.peek() == "-":
-        line.next()
-        return Neg(_parse_unary(line))
-    return _parse_factor(line)
-
-
-def _parse_factor(line: _Line):
-    node = _parse_primary(line)
-    while line.peek() == "^":
-        line.next()
-        node = BinOp("^", node, _parse_primary(line))
-    return node
-
-
-def _parse_primary(line: _Line):
-    tok = line.peek()
-    if tok is None:
-        line.fail("expected an expression")
-    if tok == "(":
-        line.next()
-        node = _parse_expr(line)
-        line.expect(")")
-        return node
-    if tok.isdigit():
-        line.next()
-        return IntLit(int(tok))
-    if _NAME_RE.match(tok):
-        name_end = line.tokens[line.pos][1] + len(tok)
-        line.next()
-        if line.peek() == "(" and (line.tokens[line.pos][1] == name_end or not line.calls_must_touch):
-            line.next()
-            args = []
-            if line.peek() != ")":
-                args.append(_parse_expr(line))
-                while line.peek() == ",":
-                    line.next()
-                    args.append(_parse_expr(line))
-            line.expect(")")
-            return Call(tok, tuple(args))
-        return Name(tok)
-    line.fail(f"unexpected token '{tok}'")
+# -- parser -------------------------------------------------------------------------------
 
 
 def parse_checkfile(text: str) -> CheckFile:
@@ -269,7 +132,7 @@ def parse_checkfile(text: str) -> CheckFile:
         if head == "let":
             line.next()
             name = line.next()
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 line.fail(f"'{name}' is not a valid name")
             if name in seen:
                 line.fail(f"'{name}' is declared twice")
@@ -417,9 +280,7 @@ def _eval_binop(node, lv, rv):
         if isinstance(lv, (int, Fraction, Expr)) and isinstance(rv, int):
             if rv < 0:
                 raise CheckError("negative powers are not defined for polynomials")
-            if rv > MAX_EXPONENT:
-                raise CheckError(f"exponent {rv} is above the limit of {MAX_EXPONENT}")
-            return lv ** rv if isinstance(lv, Expr) else Fraction(lv) ** rv
+            return bounded_power(lv, rv, CheckError)
         if isinstance(lv, KForm) and isinstance(rv, KForm):
             from .cartan import wedge
 
@@ -519,12 +380,10 @@ CONSTRUCTORS: dict[str, tuple[tuple, bool, Callable]] = {
 
 def _check_closed(w: KForm) -> Report:
     d = exterior_derivative(w)
-    witness = None
-    if not d.is_zero():
-        idx, val = next(iter(sorted(d.coeffs.items())))
-        pretty = ",".join(str(i + 1) for i in idx)
-        witness = f"d coefficient[{pretty}] = {val}"
-    return Report((CheckItem("exterior derivative vanishes", d.is_zero(), witness),))
+    coefficients = (
+        f"d coefficient[{','.join(str(i + 1) for i in idx)}] = {val}" for idx, val in sorted(d.coeffs.items())
+    )
+    return Report((CheckItem.first("exterior derivative vanishes", coefficients),))
 
 
 CHECKS: dict[str, tuple[tuple, Callable]] = {
@@ -571,6 +430,10 @@ class RunReport:
         return 0 if self.failures == 0 else 1
 
 
+def _result(name: str, report: Report, seconds: float) -> CheckResult:
+    return CheckResult(name, "pass" if report.passed else "fail", report.witness, seconds)
+
+
 def run_checks(cf: CheckFile) -> RunReport:
     env: dict[str, object] = {}
     results = []
@@ -606,10 +469,7 @@ def run_checks(cf: CheckFile) -> RunReport:
             report = fn(*args)
         except EngineError as exc:
             raise CheckError(f"{label}: {exc}") from exc
-        elapsed = time.monotonic() - start
-        verdict = "pass" if report.passed else "fail"
-        witness = None if report.passed else report.witness
-        results.append(CheckResult(label, verdict, witness, elapsed))
+        results.append(_result(label, report, time.monotonic() - start))
     return RunReport(tuple(results))
 
 
@@ -627,9 +487,7 @@ def run_builtin_suite() -> RunReport:
     for name, build in _suite.SUITE:
         start = time.monotonic()
         report = build()
-        verdict = "pass" if report.passed else "fail"
-        witness = None if report.passed else report.witness
-        results.append(CheckResult(name, verdict, witness, time.monotonic() - start))
+        results.append(_result(name, report, time.monotonic() - start))
     return RunReport(tuple(results))
 
 

@@ -29,7 +29,7 @@ sign, which is only valid once isotropy has been checked, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterator
 
 from .cartan import (
@@ -117,24 +117,8 @@ class Frame:
         return ExprMatrix.from_rows(self.patch, rows)
 
 
-@dataclass(frozen=True)
-class DiracReport:
-    lagrangian_ok: bool
-    lagrangian_witness: str | None
-    integrable_ok: bool | None
-    integrable_witness: str | None
-
-    @property
-    def passed(self) -> bool:
-        return self.lagrangian_ok and self.integrable_ok is True
-
-    @property
-    def witness(self) -> str | None:
-        if not self.lagrangian_ok:
-            return self.lagrangian_witness
-        if self.integrable_ok is False:
-            return self.integrable_witness
-        return None
+class DiracReport(Report):
+    """The items of ``check_dirac``, printed as ``dirac: pass`` or ``dirac: fail [w]``."""
 
     def __str__(self):
         if self.passed:
@@ -230,20 +214,17 @@ def bfield_transform(l: Frame, b: KForm) -> Frame:
 # -- checks -----------------------------------------------------------------------
 
 
-def _isotropy_witness(l: Frame) -> str | None:
-    """The first section pair, in sorted order, whose pairing is not zero."""
-    for i in range(len(l.secs)):
-        for j in range(i, len(l.secs)):
-            p = pairing(l.secs[i], l.secs[j])
-            if not p.is_zero():
-                return f"pairing[{i + 1},{j + 1}] = {p}"
-    return None
+def _nonzero_pairings(l: Frame) -> Iterator[str]:
+    """Witnesses of the section pairs i <= j, in sorted order, whose pairing is not zero."""
+    for i, j in combinations_with_replacement(range(len(l.secs)), 2):
+        p = pairing(l.secs[i], l.secs[j])
+        if not p.is_zero():
+            yield f"pairing[{i + 1},{j + 1}] = {p}"
 
 
 def check_lagrangian(l: Frame) -> Report:
     """Isotropy of all section pairs plus generic maximality (rank = dim)."""
-    iso_witness = _isotropy_witness(l)
-    items = [CheckItem("isotropic", iso_witness is None, iso_witness)]
+    items = [CheckItem.first("isotropic", _nonzero_pairings(l))]
     n = l.patch.dim
     rank = generic_rank(l.coefficient_matrix()) if l.secs else 0
     max_ok = rank == n and len(l.secs) == n
@@ -258,9 +239,7 @@ def courant_tensor(l: Frame) -> dict[tuple[int, int, int], Expr]:
     Requires a Lagrangian frame; on one, mu is tensorial and totally
     antisymmetric, and vanishes identically exactly for Dirac structures.
     """
-    lag = check_lagrangian(l)
-    if not lag.passed:
-        raise NotLagrangian(lag.witness)
+    check_lagrangian(l).require(NotLagrangian)
     return _mu_entries(l)
 
 
@@ -287,7 +266,7 @@ def _mu_entries(l: Frame) -> dict[tuple[int, int, int], Expr]:
     Raises NotLagrangian unless the sections pair to zero, the condition
     under which mu is totally antisymmetric.
     """
-    iso_witness = _isotropy_witness(l)
+    iso_witness = next(_nonzero_pairings(l), None)
     if iso_witness is not None:
         raise NotLagrangian(iso_witness)
     n = len(l.secs)
@@ -307,11 +286,9 @@ def check_dirac(l: Frame) -> DiracReport:
     """
     lag = check_lagrangian(l)
     if not lag.passed:
-        return DiracReport(False, lag.witness, None, None)
-    for (i, j, k), v in _increasing_mu(l):
-        if not v.is_zero():
-            return DiracReport(True, None, False, f"mu[{i + 1},{j + 1},{k + 1}] = {v}")
-    return DiracReport(True, None, True, None)
+        return DiracReport(lag.items)
+    mu = (f"mu[{i + 1},{j + 1},{k + 1}] = {v}" for (i, j, k), v in _increasing_mu(l) if not v.is_zero())
+    return DiracReport(lag.items + (CheckItem.first("integrable", mu),))
 
 
 def same_span(l1: Frame, l2: Frame) -> bool:

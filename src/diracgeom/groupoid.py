@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from .algebroid import AlgebroidPatch, IMTwoForm, algebroid, dual_patch
@@ -626,12 +627,8 @@ def check_multiplicative_two_form(g: GroupoidPatch, w: KForm) -> Report:
     if w.degree != 2:
         raise WrongShape("need a two-form")
     diff = pullback_form(g.mul, w) - pullback_form(g.g_of, w) - pullback_form(g.h_of, w)
-    witness = None
-    if not diff.is_zero():
-        idx, val = next(iter(sorted(diff.coeffs.items())))
-        witness = f"coefficient[{idx[0] + 1},{idx[1] + 1}] = {val}"
-    item = CheckItem("multiplication pulls the form back to the sum over the factors", diff.is_zero(), witness)
-    return Report((item,))
+    coefficients = (f"coefficient[{i + 1},{j + 1}] = {val}" for (i, j), val in sorted(diff.coeffs.items()))
+    return Report((CheckItem.first("multiplication pulls the form back to the sum over the factors", coefficients),))
 
 
 def check_multiplicative_bivector(g: GroupoidPatch, p: Bivector) -> Report:
@@ -645,24 +642,20 @@ def check_multiplicative_bivector(g: GroupoidPatch, p: Bivector) -> Report:
     mul_pt = list(g.mul.components)
     g_pt = list(g.g_of.components)
     h_pt = list(g.h_of.components)
-    n_total = g.total.dim
-    witness = None
-    for k in range(n_total):
-        for l in range(k + 1, n_total):
+    pairs = list(combinations(range(g.total.dim), 2))
+
+    def entries():
+        for k, l in pairs:
             acc = p.entry(k, l).substitute(mul_pt, chart)
-            for i in range(n_total):
-                for j in range(i + 1, n_total):
-                    e_h = p.entry(i, j).substitute(h_pt, chart)
-                    e_g = p.entry(i, j).substitute(g_pt, chart)
-                    acc = acc - e_h * (left[k][i] * left[l][j] - left[k][j] * left[l][i])
-                    acc = acc - e_g * (right[k][i] * right[l][j] - right[k][j] * right[l][i])
+            for i, j in pairs:
+                e_h = p.entry(i, j).substitute(h_pt, chart)
+                e_g = p.entry(i, j).substitute(g_pt, chart)
+                acc = acc - e_h * (left[k][i] * left[l][j] - left[k][j] * left[l][i])
+                acc = acc - e_g * (right[k][i] * right[l][j] - right[k][j] * right[l][i])
             if not acc.is_zero():
-                witness = f"entry[{k + 1},{l + 1}] = {acc}"
-                break
-        if witness:
-            break
-    item = CheckItem("product bivector equals the sum of its translates", witness is None, witness)
-    return Report((item,))
+                yield f"entry[{k + 1},{l + 1}] = {acc}"
+
+    return Report((CheckItem.first("product bivector equals the sum of its translates", entries()),))
 
 
 def _section_values(sec: GSec, point, ppatch) -> tuple[list[Expr], list[Expr]]:
@@ -681,9 +674,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     """
     if l.patch != g.total:
         raise PatchMismatch("frame on a different patch")
-    rep = check_lagrangian(l)
-    if not rep.passed:
-        raise NotLagrangian(rep.witness)
+    check_lagrangian(l).require(NotLagrangian)
     chart = g.comp_chart
     m = g.base
     n, n_total, k = m.dim, g.total.dim, len(l.secs)
@@ -720,27 +711,27 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     span_rank = generic_rank(span)
     dmul = jac["mul"]
 
-    witness = None
-    for idx, vec in enumerate(kernel):
-        lam, mu = vec[:k], vec[k:]
-        x_left = [Expr.zero(chart)] * n_total
-        a_left = [Expr.zero(chart)] * n_total
-        x_right = [Expr.zero(chart)] * n_total
-        b_right = [Expr.zero(chart)] * n_total
-        for j in range(k):
-            x_left = [acc + lam[j] * v for acc, v in zip(x_left, left_vals[j][0])]
-            a_left = [acc + lam[j] * v for acc, v in zip(a_left, left_vals[j][1])]
-            x_right = [acc + mu[j] * v for acc, v in zip(x_right, right_vals[j][0])]
-            b_right = [acc + mu[j] * v for acc, v in zip(b_right, right_vals[j][1])]
-        delta = data.solve(x_left + x_right, chart, RankJump, "composable pair escapes the chart")
-        x_prod = _matvec(dmul, delta, chart)
-        cov = _compose_covectors(g, data, dmul, a_left, b_right, chart)
-        column = [RatExpr(v) for v in x_prod] + list(cov)
-        cleared = clear_denominators(column)
-        if generic_rank(span.augment([cleared])) != span_rank:
-            witness = f"composable direction {idx + 1}: the product leaves the span"
-            break
-    items = [CheckItem("composable products stay in the span", witness is None, witness)]
+    def products():
+        for idx, vec in enumerate(kernel):
+            lam, mu = vec[:k], vec[k:]
+            x_left = [Expr.zero(chart)] * n_total
+            a_left = [Expr.zero(chart)] * n_total
+            x_right = [Expr.zero(chart)] * n_total
+            b_right = [Expr.zero(chart)] * n_total
+            for j in range(k):
+                x_left = [acc + lam[j] * v for acc, v in zip(x_left, left_vals[j][0])]
+                a_left = [acc + lam[j] * v for acc, v in zip(a_left, left_vals[j][1])]
+                x_right = [acc + mu[j] * v for acc, v in zip(x_right, right_vals[j][0])]
+                b_right = [acc + mu[j] * v for acc, v in zip(b_right, right_vals[j][1])]
+            delta = data.solve(x_left + x_right, chart, RankJump, "composable pair escapes the chart")
+            x_prod = _matvec(dmul, delta, chart)
+            cov = _compose_covectors(g, data, dmul, a_left, b_right, chart)
+            column = [RatExpr(v) for v in x_prod] + list(cov)
+            cleared = clear_denominators(column)
+            if generic_rank(span.augment([cleared])) != span_rank:
+                yield f"composable direction {idx + 1}: the product leaves the span"
+
+    items = [CheckItem.first("composable products stay in the span", products())]
 
     # unit-space closure: units over sources and targets of frame values lie in the span
     eps = list(g.unit.components)
@@ -753,18 +744,15 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     # a unit covector annihilates the image of T eps and restricts to the fiber values on the frame
     unit_cov = ExprMatrix.from_rows(m, [[jeps[i][col] for i in range(n_total)] for col in range(n)] + list(basis))
 
-    def fiber_at_units(mp, cov):
-        return mp.apply(eps + list(cov), m)[n:]
+    # (section, its image under Ts or Tt, the matching cotangent fiber value)
+    ends = [
+        (j, _matvec(jd, x_j, m), mp.apply(eps + list(a_j), m)[n:])
+        for j, (x_j, a_j) in enumerate(unit_vals)
+        for jd, mp in ((js_eps, s_map), (jt_eps, t_map))
+    ]
 
-    witness = None
-    e_columns = []
-    for j in range(k):
-        x_j, a_j = unit_vals[j]
-        for down, fib in (
-            (_matvec(js_eps, x_j, m), fiber_at_units(s_map, a_j)),
-            (_matvec(jt_eps, x_j, m), fiber_at_units(t_map, a_j)),
-        ):
-            e_columns.append(list(down) + list(fib))
+    def escaping_units():
+        for j, down, fib in ends:
             tangent_part = _matvec(jeps, down, m)
             try:
                 eta = solve_linear(unit_cov, [Expr.zero(m)] * n + list(fib))
@@ -773,18 +761,15 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
             column = [RatExpr(v) for v in tangent_part] + list(eta)
             cleared = clear_denominators(column)
             if generic_rank(span_unit.augment([cleared])) != span_unit_rank:
-                witness = f"unit element over section {j + 1} leaves the span"
-                break
-        if witness:
-            break
-    rank_e = generic_rank(ExprMatrix.from_rows(m, [[c[i] for c in e_columns] for i in range(n)] + [[c[n + a] for c in e_columns] for a in range(r)])) if e_columns else 0
-    items.append(
-        CheckItem(
-            "units over sources and targets stay in the span",
-            witness is None,
-            witness if witness else f"unit subbundle rank {rank_e}",
-        )
-    )
+                yield f"unit element over section {j + 1} leaves the span"
+
+    unit_item = CheckItem.first("units over sources and targets stay in the span", escaping_units())
+    if unit_item.passed:
+        # a passing unit item reports the rank of the unit subbundle
+        rows = [[down[i] for _, down, _ in ends] for i in range(n)] + [[fib[a] for _, _, fib in ends] for a in range(r)]
+        rank_e = generic_rank(ExprMatrix.from_rows(m, rows)) if ends else 0
+        unit_item = CheckItem(unit_item.name, True, f"unit subbundle rank {rank_e}")
+    items.append(unit_item)
     return Report(tuple(items))
 
 
@@ -819,9 +804,7 @@ def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:
     """Linearize a multiplicative bivector at the unit into dual structure constants."""
     if g.base.dim != 0:
         raise NotAGroup("linearization at the unit needs a group patch")
-    rep = check_multiplicative_bivector(g, p)
-    if not rep.passed:
-        raise NotMultiplicative(rep.witness)
+    check_multiplicative_bivector(g, p).require(NotMultiplicative)
     m = g.base
     eps = list(g.unit.components)
     n_total = g.total.dim
@@ -886,32 +869,26 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
     g_pt = list(g.g_of.components)
     h_pt = list(g.h_of.components)
     mul_pt = list(g.mul.components)
-    witness = None
-    for i in range(len(samples)):
-        for j in range(len(samples)):
+    indices = range(len(samples))
+
+    def pairings():
+        for i, j in product(indices, repeat=2):
             lhs = pairing(samples[i][2], samples[j][2]).substitute(mul_pt, chart)
             rhs = pairing(samples[i][0], samples[j][0]).substitute(g_pt, chart)
             rhs = rhs + pairing(samples[i][1], samples[j][1]).substitute(h_pt, chart)
             if lhs != rhs:
-                witness = f"samples ({i + 1},{j + 1}): pairing deviates by {lhs - rhs}"
-                break
-        if witness:
-            break
-    items = [CheckItem("pairing is additive over multiplication", witness is None, witness)]
+                yield f"samples ({i + 1},{j + 1}): pairing deviates by {lhs - rhs}"
 
-    witness = None
-    for i in range(len(samples)):
-        for j in range(len(samples)):
-            if i == j:
-                continue
-            bra = tuple(
-                courant_bracket(samples[i][slot], samples[j][slot]) for slot in range(3)
-            )
+    def brackets():
+        for i, j in permutations(indices, 2):
+            bra = tuple(courant_bracket(samples[i][slot], samples[j][slot]) for slot in range(3))
             bad = _relatedness_witness(g, data, dmul, s_map, t_map, bra, chart)
             if bad is not None:
-                witness = f"samples ({i + 1},{j + 1}): bracket not related ({bad})"
-                break
-        if witness:
-            break
-    items.append(CheckItem("brackets of related sections stay related", witness is None, witness))
-    return Report(tuple(items))
+                yield f"samples ({i + 1},{j + 1}): bracket not related ({bad})"
+
+    return Report(
+        (
+            CheckItem.first("pairing is additive over multiplication", pairings()),
+            CheckItem.first("brackets of related sections stay related", brackets()),
+        )
+    )

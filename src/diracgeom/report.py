@@ -7,6 +7,7 @@ failing report always says what broke.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -14,6 +15,16 @@ class CheckItem:
     name: str
     passed: bool
     witness: str | None = None
+
+    @classmethod
+    def first(cls, name: str, witnesses: Iterable[str]) -> "CheckItem":
+        """Fail with the first of ``witnesses``, or pass when there is none.
+
+        Only the first witness is drawn, so a generator of failures is never
+        run past it.
+        """
+        witness = next(iter(witnesses), None)
+        return cls(name, witness is None, witness)
 
     def __str__(self):
         tail = "" if self.passed or not self.witness else f"  [{self.witness}]"
@@ -34,6 +45,11 @@ class Report:
             if not it.passed:
                 return it.witness or it.name
         return None
+
+    def require(self, exc: type[Exception]) -> None:
+        """Raise ``exc`` with the witness unless every item passed."""
+        if not self.passed:
+            raise exc(self.witness)
 
     def __str__(self):
         head = "pass" if self.passed else "fail"

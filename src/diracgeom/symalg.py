@@ -27,6 +27,9 @@ exponent tuples, turns coefficients into ``Fraction`` and drops zeros, and is
 the boundary for input from outside the kernel.  Kernel results whose term
 map is canonical by construction are built by ``Expr._trusted``, which takes
 the dict as given.
+
+The expression grammar of check files lives here too, and ``parse_expr``
+evaluates it as a scalar.  Both take powers through ``bounded_power``.
 """
 
 from __future__ import annotations
@@ -38,14 +41,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ExprSyntaxError, Inconsistent, PatchMismatch, UnknownSymbol
+from .errors import ExprSyntaxError, Inconsistent, ParseError, PatchMismatch, UnknownSymbol
 
 Scalar = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# largest power ``parse_expr`` and check files may take; powers are taken by
-# repeated multiplication
+# largest exponent, and largest degree of a power, that ``parse_expr`` and check
+# files take; powers are taken by repeated multiplication
 MAX_EXPONENT = 64
 
 
@@ -80,9 +83,6 @@ class Patch:
             return self.coords.index(coord)
         except ValueError:
             raise UnknownSymbol(f"{coord!r} is not a coordinate of patch {self.name!r}")
-
-    def extend(self, name: str, extra: Sequence[str]) -> "Patch":
-        return Patch(name, self.coords + tuple(extra))
 
     def __repr__(self):
         return f"Patch({self.name!r}, dim={self.dim})"
@@ -401,118 +401,197 @@ class Expr:
 
 
 # -- parsing -------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExprSyntaxError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        if m.group("rat"):
-            tokens.append(("rat", m.group("rat")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+# One grammar for ``parse_expr`` and the check files of ``cli``:
+#   expr    := term (('+' | '-') term)*       term   := unary (('*' | '/') unary)*
+#   unary   := '-' unary | factor             factor := primary ('^' primary)*
+#   primary := integer | name | name '(' [expr (',' expr)*] ')' | '(' expr ')'
 
 
-class _Parser:
-    """Recursive descent for:  expr := ['-'] term (('+'|'-') term)*,
-    term := factor ('*' factor)*,  factor := base ('^' nat)?,
-    base := rational | coordinate | '(' expr ')'.
-    """
+@dataclass(frozen=True)
+class Name:
+    id: str
 
-    def __init__(self, tokens, patch: Patch):
-        self.tokens = tokens
+
+@dataclass(frozen=True)
+class IntLit:
+    value: int
+
+
+@dataclass(frozen=True)
+class Call:
+    fn: str
+    args: tuple
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: object
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str
+    left: object
+    right: object
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+
+
+def _print_expr(node, parent_prec: int = 0) -> str:
+    if isinstance(node, Name):
+        return node.id
+    if isinstance(node, IntLit):
+        return str(node.value)
+    if isinstance(node, Call):
+        return node.fn + "(" + ", ".join(_print_expr(a) for a in node.args) + ")"
+    if isinstance(node, Neg):
+        inner = _print_expr(node.operand, 3)
+        out = "-" + inner
+        return f"({out})" if parent_prec >= 3 else out
+    if isinstance(node, BinOp):
+        prec = _PREC[node.op]
+        left = _print_expr(node.left, prec - 1)
+        right = _print_expr(node.right, prec)
+        out = f"{left} {node.op} {right}" if prec == 1 else f"{left}{node.op}{right}"
+        return f"({out})" if parent_prec >= prec else out
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()+\-*/^,=]|\S")
+
+
+class _Line:
+    def __init__(self, text: str, number: int):
+        self.number = number
+        # (token, column) pairs of the text before any '#'
+        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text.split("#", 1)[0])]
+        # set for check arguments, where `L (1)` is two arguments and `f(1)` a call
+        self.calls_must_touch = False
         self.pos = 0
-        self.patch = patch
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def take(self):
-        t = self.peek()
-        if t is None:
-            raise ExprSyntaxError("unexpected end of expression")
+    def next(self):
+        if self.pos >= len(self.tokens):
+            raise ParseError(f"line {self.number}: unexpected end of line")
+        tok = self.tokens[self.pos]
         self.pos += 1
-        return t
+        return tok[0]
 
-    def expect_op(self, op):
-        t = self.take()
-        if t != ("op", op):
-            raise ExprSyntaxError(f"expected {op!r}, got {t[1]!r}")
+    def expect(self, want: str):
+        if self.peek() != want:
+            self.fail(f"expected '{want}', found '{self.peek()}'")
+        self.next()
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.peek() is not None:
-            raise ExprSyntaxError(f"trailing input at {self.peek()[1]!r}")
-        return e
+    def fail(self, message: str):
+        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else 1
+        raise ParseError(f"line {self.number}, column {col}: {message}")
 
-    def expr(self) -> Expr:
-        negate = False
-        if self.peek() == ("op", "-"):
-            self.take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
 
-    def term(self) -> Expr:
-        acc = self.factor()
-        while self.peek() == ("op", "*"):
-            self.take()
-            acc = acc * self.factor()
-        return acc
+def _parse_left_assoc(line: _Line, ops: tuple[str, ...], operand):
+    node = operand(line)
+    while line.peek() in ops:
+        op = line.next()
+        node = BinOp(op, node, operand(line))
+    return node
 
-    def factor(self) -> Expr:
-        b = self.base()
-        if self.peek() == ("op", "^"):
-            self.take()
-            t = self.take()
-            if t[0] != "rat" or "/" in t[1]:
+
+def _parse_expr(line: _Line):
+    return _parse_left_assoc(line, ("+", "-"), _parse_term)
+
+
+def _parse_term(line: _Line):
+    return _parse_left_assoc(line, ("*", "/"), _parse_unary)
+
+
+def _parse_unary(line: _Line):
+    if line.peek() == "-":
+        line.next()
+        return Neg(_parse_unary(line))
+    return _parse_left_assoc(line, ("^",), _parse_primary)
+
+
+def _parse_primary(line: _Line):
+    tok = line.peek()
+    if tok is None:
+        line.fail("expected an expression")
+    if tok == "(":
+        line.next()
+        node = _parse_expr(line)
+        line.expect(")")
+        return node
+    if tok.isdigit():
+        line.next()
+        return IntLit(int(tok))
+    if _NAME_RE.fullmatch(tok):
+        name_end = line.tokens[line.pos][1] + len(tok)
+        line.next()
+        if line.peek() == "(" and (line.tokens[line.pos][1] == name_end or not line.calls_must_touch):
+            line.next()
+            args = []
+            if line.peek() != ")":
+                args.append(_parse_expr(line))
+                while line.peek() == ",":
+                    line.next()
+                    args.append(_parse_expr(line))
+            line.expect(")")
+            return Call(tok, tuple(args))
+        return Name(tok)
+    line.fail(f"unexpected token '{tok}'")
+
+
+def bounded_power(base, k: int, exc: type[Exception]):
+    """``base ** k`` for a polynomial or rational ``base``; raises ``exc`` when the
+    exponent, the degree of the result or the bit length of its coefficients is too large."""
+    if isinstance(base, Expr):
+        degree, coeffs = max(base.degree(), 0), base.terms.values()
+    else:
+        base = Fraction(base)
+        degree, coeffs = 0, (base,)
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
+    if k > MAX_EXPONENT:
+        raise exc(f"exponent {k} is above the limit of {MAX_EXPONENT}")
+    if degree * k > MAX_EXPONENT:
+        raise exc(f"a power of degree {degree * k} is above the limit of {MAX_EXPONENT}")
+    if bits * k > 64 * MAX_EXPONENT:
+        raise exc(f"a power with {bits * k}-bit coefficients is above the limit of {64 * MAX_EXPONENT} bits")
+    return base ** k
+
+
+def _eval_scalar(node, patch: Patch) -> Expr:
+    if isinstance(node, IntLit):
+        return Expr.const(patch, node.value)
+    if isinstance(node, Name):
+        return Expr.coord(patch, node.id)
+    if isinstance(node, Neg):
+        return -_eval_scalar(node.operand, patch)
+    if isinstance(node, BinOp):
+        left = _eval_scalar(node.left, patch)
+        if node.op == "^":
+            if not isinstance(node.right, IntLit):
                 raise ExprSyntaxError("exponent must be a natural number")
-            k = int(t[1])
-            if k > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent {k} is above the limit of {MAX_EXPONENT}")
-            b = b ** k
-        return b
-
-    def base(self) -> Expr:
-        t = self.take()
-        if t[0] == "rat":
-            if "/" in t[1]:
-                num, den = t[1].split("/")
-                if int(den) == 0:
-                    raise ExprSyntaxError("zero denominator")
-                return Expr.const(self.patch, Fraction(int(num), int(den)))
-            return Expr.const(self.patch, int(t[1]))
-        if t[0] == "name":
-            return Expr.coord(self.patch, t[1])
-        if t == ("op", "("):
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ExprSyntaxError(f"unexpected token {t[1]!r}")
+            return bounded_power(left, node.right.value, ExprSyntaxError)
+        right = _eval_scalar(node.right, patch)
+        if node.op == "/":
+            if right.degree() != 0:
+                raise ExprSyntaxError("division is only defined by a nonzero constant")
+            return left * Expr.const(patch, 1 / right.constant_value())
+        return {"+": operator.add, "-": operator.sub, "*": operator.mul}[node.op](left, right)
+    raise ExprSyntaxError(f"'{node.fn}(...)' is not a scalar")
 
 
 def parse_expr(text: str, patch: Patch) -> Expr:
-    """Parse a polynomial expression string over the patch coordinates."""
-    return _Parser(_tokenize(text), patch).parse()
+    """Parse a polynomial in the patch coordinates, written in the check-file grammar."""
+    line = _Line(text, 1)
+    try:
+        node = _parse_expr(line)
+        if line.peek() is not None:
+            line.fail("trailing tokens after the expression")
+    except ParseError as exc:
+        raise ExprSyntaxError(str(exc)) from None
+    return _eval_scalar(node, patch)
 
 
 # -- rational functions ----------------------------------------------------------

@@ -251,9 +251,7 @@ def check_tangent_mu_identity(l: Frame) -> Report:
     It holds whenever the base frame is isotropic, since the pairing of
     lifts is the lift of the pairing.
     """
-    lag = check_lagrangian(l)
-    if not lag.passed:
-        raise NotLagrangian(lag.witness)
+    check_lagrangian(l).require(NotLagrangian)
     n = len(l.secs)
     lifted = tangent_lift_dirac(l)  # first, so colliding lifted names raise at once
     mu = _mu_entries(l)
@@ -263,31 +261,30 @@ def check_tangent_mu_identity(l: Frame) -> Report:
         parts = [f"{m + 1}^v" if m >= n else f"{m + 1}^T" for m in (i, j, k)]
         return "mu_T[" + ",".join(parts) + "]"
 
-    items = []
-    witness = None
-    for (i, j, k), v in sorted(mu.items()):
-        want = lift_function(v, "tangent")
-        if mu_lift[(i, j, k)] != want:
-            witness = f"{label(i, j, k)} = {mu_lift[(i, j, k)]}, expected {want}"
-            break
-    items.append(CheckItem("all-tangent block is the lifted tensor", witness is None, witness))
+    def tangent_block():
+        for (i, j, k), v in sorted(mu.items()):
+            want = lift_function(v, "tangent")
+            if mu_lift[(i, j, k)] != want:
+                yield f"{label(i, j, k)} = {mu_lift[(i, j, k)]}, expected {want}"
 
-    witness = None
-    for (i, j, k), v in sorted(mu_lift.items()):
-        if sum(1 for m in (i, j, k) if m >= n) >= 2 and not v.is_zero():
-            witness = f"{label(i, j, k)} = {v}"
-            break
-    items.append(CheckItem("multi-vertical entries vanish", witness is None, witness))
+    def multi_vertical():
+        for (i, j, k), v in sorted(mu_lift.items()):
+            if sum(1 for m in (i, j, k) if m >= n) >= 2 and not v.is_zero():
+                yield f"{label(i, j, k)} = {v}"
 
-    witness = None
-    for (i, j, k), v in sorted(mu_lift.items()):
-        verts = [m >= n for m in (i, j, k)]
-        if sum(verts) != 1:
-            continue
-        base = tuple(m - n if m >= n else m for m in (i, j, k))
-        want = lift_function(mu[base], "vertical")
-        if v != want:
-            witness = f"{label(i, j, k)} = {v}, expected {want}"
-            break
-    items.append(CheckItem("one-vertical entries are vertical lifts", witness is None, witness))
-    return Report(tuple(items))
+    def one_vertical():
+        for (i, j, k), v in sorted(mu_lift.items()):
+            if sum(1 for m in (i, j, k) if m >= n) != 1:
+                continue
+            base = tuple(m - n if m >= n else m for m in (i, j, k))
+            want = lift_function(mu[base], "vertical")
+            if v != want:
+                yield f"{label(i, j, k)} = {v}, expected {want}"
+
+    return Report(
+        (
+            CheckItem.first("all-tangent block is the lifted tensor", tangent_block()),
+            CheckItem.first("multi-vertical entries vanish", multi_vertical()),
+            CheckItem.first("one-vertical entries are vertical lifts", one_vertical()),
+        )
+    )

@@ -418,6 +418,28 @@ def _sharp_dense(p, a):
     return VField(p.patch, tuple(comps))
 
 
+def _jacobiator_dense(p):
+    patch = p.patch
+    out = {}
+    for (i, j, k) in combinations(range(patch.dim), 3):
+        acc = Expr.zero(patch)
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            pbc = p.entry(b, c)
+            for m in range(patch.dim):
+                pam = p.entry(a, m)
+                if not pam.is_zero():
+                    acc = acc + pam * pbc.differentiate(patch.coords[m])
+        out[(i, j, k)] = acc
+    return out
+
+
+def _add_dense(a, b):
+    """Sum over the union of stored keys, each side read with zeros filled in."""
+    if isinstance(a, KForm):
+        return KForm(a.patch, a.degree, {k: a.coeff(k) + b.coeff(k) for k in set(a.coeffs) | set(b.coeffs)})
+    return Bivector(a.patch, {k: a.entry(*k) + b.entry(*k) for k in set(a.entries) | set(b.entries)})
+
+
 def _lift_function_dense(f):
     tp = tangent_patch(f.patch)
     acc = Expr.zero(tp.total)
@@ -432,6 +454,10 @@ def layout(obj):
         return list(obj.terms.items())
     if isinstance(obj, VField):
         return [layout(c) for c in obj.components]
+    if isinstance(obj, Bivector):
+        return [(k, layout(v)) for k, v in obj.entries.items()]
+    if isinstance(obj, dict):
+        return [(k, layout(v)) for k, v in obj.items()]
     return [(k, layout(v)) for k, v in obj.coeffs.items()]
 
 
@@ -463,8 +489,10 @@ def cartan_cases(draw):
         return VField(patch, tuple(comps.get(i, Expr.zero(patch)) for i in range(dim)))
 
     w = KForm(patch, degree, draw(sparse(patch, combinations(range(dim), degree))))
+    v = KForm(patch, degree, draw(sparse(patch, combinations(range(dim), degree))))
     p = Bivector(patch, draw(sparse(patch, combinations(range(dim), 2))))
-    return w, field(), field(), p, draw(polys(patch))
+    q = Bivector(patch, draw(sparse(patch, combinations(range(dim), 2))))
+    return w, v, field(), field(), p, q, draw(polys(patch))
 
 
 P6 = Patch("P6", tuple(f"x{i}" for i in range(6)))
@@ -473,9 +501,9 @@ P6 = Patch("P6", tuple(f"x{i}" for i in range(6)))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cartan_cases())
 # i_X reaches five index tuples, which a set does not hold in sorted order
-@example((KForm(P6, 2, {(0, j): Expr.one(P6) for j in range(1, 6)}), VField.coordinate(P6, "x0"), VField.zero(P6), Bivector.zero(P6), Expr.zero(P6)))
+@example((KForm(P6, 2, {(0, j): Expr.one(P6) for j in range(1, 6)}), KForm.zero(P6, 2), VField.coordinate(P6, "x0"), VField.zero(P6), Bivector.zero(P6), Bivector.zero(P6), Expr.zero(P6)))
 def test_sparse_walks_match_dense_loops(case):
-    w, x, y, p, f = case
+    w, v, x, y, p, q, f = case
     assert layout(x.apply(f)) == layout(_apply_dense(x, f))
     assert layout(lift_function(f, "tangent")) == layout(_lift_function_dense(f))
     assert layout(exterior_derivative(w)) == layout(_d_dense(w))
@@ -486,6 +514,10 @@ def test_sparse_walks_match_dense_loops(case):
         assert layout(w.evaluate(*fields)) == layout(_evaluate_dense(w, *fields))
     if w.degree == 1:
         assert layout(sharp_bivector(p, w)) == layout(_sharp_dense(p, w))
+    assert layout(schouten_jacobiator(p)) == layout(_jacobiator_dense(p))
+    # a sum keeps every coefficient's terms; only the order of the keys may differ
+    assert sorted(layout(w + v)) == sorted(layout(_add_dense(w, v)))
+    assert sorted(layout(p + q)) == sorted(layout(_add_dense(p, q)))
 
 
 # -- memoised d ---------------------------------------------------------------------

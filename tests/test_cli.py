@@ -4,11 +4,14 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from diracgeom import cli
 from diracgeom.cli import (
-    MAX_EXPONENT,
     BinOp,
     Call,
     CheckFile,
@@ -26,7 +29,8 @@ from diracgeom.cli import (
     run_checkfile,
     run_checks,
 )
-from diracgeom.errors import CheckError, ParseError, UnknownReference
+from diracgeom.errors import CheckError, EngineError, ParseError, UnknownReference
+from diracgeom.symalg import MAX_EXPONENT, Expr, Patch, parse_expr
 
 SAMPLE = """\
 # a closed two-form on the plane
@@ -104,6 +108,56 @@ def test_exponent_limit():
     assert ok.checks[0].verdict == "pass"
     with pytest.raises(CheckError, match="above the limit"):
         run_checks(parse_checkfile(f"let M = patch(x)\nlet f = x^{MAX_EXPONENT + 1}\n"))
+
+
+# scalar texts: integers, coordinates, unary minus, + - *, / by a non-zero
+# integer, ^ by a literal of at most 3, and parentheses
+SCALAR_TEXTS = st.recursive(
+    st.one_of(st.integers(0, 9).map(str), st.sampled_from(["x", "y", "z"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*", "-"]), inner).map("".join),
+        inner.map(lambda t: f"-{t}"),
+        inner.map(lambda t: f"({t})"),
+        st.tuples(inner, st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+    ),
+    max_leaves=8,
+)
+XYZ = Patch("P", ("x", "y", "z"))
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except EngineError as exc:  # only the power limit can refuse these texts
+        assert "above the limit" in str(exc)
+        return str(exc)
+
+
+def _let_value(text):
+    stmt = parse_checkfile(f"let f = {text}\n").statements[0]
+    value = cli._evaluate_argument(stmt.value, {"P": XYZ})
+    return value if isinstance(value, Expr) else Expr.const(XYZ, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCALAR_TEXTS)
+@example("x/2")
+@example("x*-y")
+@example("x^2^2")
+@example("3/4^2")
+def test_parse_expr_and_check_files_agree(text):
+    # one grammar, one meaning: parse_expr gives what `let f = <text>` binds
+    assert _outcome(lambda: parse_expr(text, XYZ)) == _outcome(lambda: _let_value(text))
+
+
+def test_scalar_texts_the_old_parser_rejected():
+    x, y = Expr.coord(XYZ, "x"), Expr.coord(XYZ, "y")
+    assert parse_expr("x/2", XYZ) == x * Expr.const(XYZ, Fraction(1, 2))
+    assert parse_expr("x*-y", XYZ) == -(x * y)
+    assert parse_expr("x^2^2", XYZ) == x**4
+    # '^' binds tighter than '/', as in check files
+    assert parse_expr("3/4^2", XYZ) == Expr.const(XYZ, Fraction(3, 16))
 
 
 def test_parse_errors_carry_positions():
@@ -290,6 +344,9 @@ def test_main_exit_codes(tmp_path, capsys):
         "let M = patch(x)\nlet f = 2*M\n",
         "let G = heisenberg3()\nlet f = G + G\n",
         "let M = patch(x, y, z, u, v, w)\ncheck tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(dx^dy)))\n",
+        "let M = patch(x, y)\nlet f = (x + y)^64\nlet g = f^64\n",
+        "let M = patch(x, y, z)\nlet f = (x + y + z)^8^8\nlet g = f^8\n",
+        "let n = 2^64^64^64^64^64^64\n",
     ],
     ids=[
         "duplicate-coordinate",
@@ -302,6 +359,9 @@ def test_main_exit_codes(tmp_path, capsys):
         "scaled-patch",
         "sum-of-groupoids",
         "colliding-tangent-lift",
+        "power-of-a-bound-power",
+        "chained-powers",
+        "chained-number-powers",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text):

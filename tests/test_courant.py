@@ -28,6 +28,7 @@ from diracgeom.courant import (
     same_span,
 )
 from diracgeom.errors import NotLagrangian
+from diracgeom.report import Report
 from diracgeom.symalg import Expr, Patch, parse_expr
 
 from test_cartan import one_form, rand_expr, rand_form, rand_vf, so3_poisson, vf
@@ -289,7 +290,8 @@ def test_dirac_witness_is_first_nonzero_reference_entry(index):
     l = oracle_frames()[index]
     rep = check_dirac(l)
     witness = first_nonzero_witness(reference_mu(l))
-    assert rep.integrable_ok is (witness is None)
+    assert rep.items[-1].name == "integrable"
+    assert rep.items[-1].passed is (witness is None)
     assert rep.witness == witness
 
 
@@ -375,8 +377,13 @@ def test_dirac_iff_involutive_foliation():
 
 def test_dirac_report_shape():
     rep = check_dirac(graph_two_form(KForm(M3, 2, {(0, 1): parse_expr("z", M3)})))
-    assert isinstance(rep, DiracReport)
-    assert rep.lagrangian_ok and rep.integrable_ok is False
+    assert isinstance(rep, DiracReport) and isinstance(rep, Report)
+    assert [(it.name, it.passed) for it in rep.items] == [("isotropic", True), ("maximal", True), ("integrable", False)]
+    assert rep.witness == rep.items[-1].witness
+    assert str(rep) == f"dirac: fail [{rep.witness}]"
+    not_lagrangian = check_dirac(Frame(M3, ()))
+    assert [it.name for it in not_lagrangian.items] == ["isotropic", "maximal"]
+    assert str(not_lagrangian) == f"dirac: fail [{not_lagrangian.items[1].witness}]"
 
 
 # -- b-field transforms -----------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""Source hygiene: no unused imports and no unreferenced private names in ``src/diracgeom``.
+
+Standard library ``ast`` only, so it runs with the rest of the tier-1 tests.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "diracgeom"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every bare name read or bound in the module, plus names listed in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value.id for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return used
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        used = _used_names(tree)
+        unused += [f"{path.name}: {name}" for name in _imported(tree) if name not in used]
+    assert unused == []
+
+
+def _private_definitions(stmt: ast.stmt) -> list[str]:
+    """Private names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a statement reads, attributes it reads, and names it imports."""
+    refs = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    refs |= {alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for alias in n.names}
+    return refs
+
+
+def test_private_module_names_are_referenced():
+    # a definition's own body (recursion) does not count as a use
+    statements = [(path, stmt, _references(stmt)) for path in MODULES for stmt in _tree(path).body]
+    unreferenced = []
+    for path, stmt, _ in statements:
+        for name in _private_definitions(stmt):
+            if not any(name in refs for _, other, refs in statements if other is not stmt):
+                unreferenced.append(f"{path.name}: {name}")
+    assert unreferenced == []

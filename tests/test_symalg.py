@@ -80,6 +80,12 @@ def test_parse_exponent_limit():
     assert parse_expr("x^64", XY) == Expr.coord(XY, "x") ** 64
     with pytest.raises(ExprSyntaxError, match="above the limit"):
         parse_expr("x^65", XY)
+    # the limit bounds the result, not only the literal exponent
+    assert parse_expr("(x^2)^32", XY) == Expr.coord(XY, "x") ** 64
+    assert parse_expr("2^64", XY) == Expr.const(XY, 2**64)
+    for text in ("(x^2)^33", "((x + y)^64)^64", "(x + y)^8^8^8", "2^64^64^64^64^64^64"):
+        with pytest.raises(ExprSyntaxError, match="above the limit"):
+            parse_expr(text, XY)
 
 
 def test_parse_rejects_garbage():
