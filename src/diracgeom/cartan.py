@@ -2,12 +2,15 @@
 
 Conventions fixed once and used everywhere:
 
-* ``(X ^ Y)(a, b) = a(X) b(Y) - a(Y) b(X)``, so a bivector ``p`` stores the
-  coefficients ``p[i, j] = p(dx^i, dx^j)`` for ``i < j``.
+* ``wedge_fields``: ``(X ^ Y)(a, b) = a(X) b(Y) - a(Y) b(X)``, so a bivector
+  ``p`` stores the coefficients ``p[i, j] = p(dx^i, dx^j)`` for ``i < j``.
 * ``sharp_bivector(p, a)^i = sum_j p[j, i] a_j``, i.e. ``p^#(a) = p(a, .)``.
   For ``p = dx ^ dy`` this sends ``dx`` to ``d_y`` and ``dy`` to ``-d_x``.
 * Forms store coefficients on strictly increasing index tuples; evaluation is
   the determinant convention, ``(dx ^ dy)(d_x, d_y) = 1``.
+* ``KForm`` and ``Bivector`` are one sparse antisymmetric tensor,
+  ``_AntisymTensor``, that differs only in degree and printed basis (``dx``
+  against ``d_x``); a form never equals a bivector with the same coefficients.
 
 Frames built from lifts are mostly zero, so the operators walk only what is
 stored: ``VField.apply``, ``KForm.evaluate`` and ``sharp_bivector`` skip
@@ -108,18 +111,17 @@ class VField:
         return " + ".join(parts) if parts else "0"
 
 
-class KForm:
-    """Differential form of degree 0..3 with polynomial coefficients.
+class _AntisymTensor:
+    """Nonzero coefficients ``coeffs`` on strictly increasing index tuples.
 
-    ``_d`` holds d of the form once ``exterior_derivative`` has taken it; it
-    takes no part in equality or hashing.
+    A subclass sets its printed ``_basis`` and ``_mismatch`` message, and
+    ``_like`` rebuilds each result through the subclass constructor, so every
+    result is validated.  Tensors of different classes never compare equal or add.
     """
 
-    __slots__ = ("patch", "degree", "coeffs", "_d")
+    __slots__ = ("patch", "degree", "coeffs")
 
     def __init__(self, patch: Patch, degree: int, coeffs: Mapping[tuple[int, ...], Expr]):
-        if degree < 0 or degree > MAX_DEGREE:
-            raise DegreeTooHigh(f"degree {degree} outside 0..{MAX_DEGREE}")
         clean: dict[tuple[int, ...], Expr] = {}
         for idx, e in coeffs.items():
             idx = tuple(idx)
@@ -134,10 +136,90 @@ class KForm:
         object.__setattr__(self, "patch", patch)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_d", None)
 
     def __setattr__(self, *a):
-        raise AttributeError("KForm is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def signed_coeff(self, idx: Sequence[int]) -> Expr:
+        """Coefficient with arbitrary index order (antisymmetric extension)."""
+        sign = _perm_sign(idx)
+        value = self.coeffs.get(tuple(sorted(idx))) if sign else None
+        if value is None:
+            return Expr.zero(self.patch)
+        return value if sign == 1 else -value
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.patch != self.patch or other.degree != self.degree:
+            raise PatchMismatch(self._mismatch)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out[k] + v if k in out else v
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.coeffs.items()})
+
+    def scale(self, f: Expr):
+        return self._like({k: f * v for k, v in self.coeffs.items()})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.patch == other.patch and self.degree == other.degree and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.patch, self.degree, frozenset(self.coeffs.items())))
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        if self.degree == 0:
+            return str(self.coeffs[()])
+        parts = []
+        for idx in sorted(self.coeffs):
+            mono = "^".join(f"{self._basis}{self.patch.coords[i]}" for i in idx)
+            cs = str(self.coeffs[idx])
+            if cs == "1":
+                parts.append(mono)
+            elif cs == "-1":
+                parts.append(f"-{mono}")
+            elif " " in cs:
+                parts.append(f"({cs})*{mono}")
+            else:
+                parts.append(f"{cs}*{mono}")
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class KForm(_AntisymTensor):
+    """Differential form of degree 0..3 with polynomial coefficients.
+
+    ``_d`` holds d of the form once ``exterior_derivative`` has taken it; it
+    takes no part in equality or hashing.
+    """
+
+    __slots__ = ("_d",)
+    _basis = "d"
+    _mismatch = "can only add forms of one degree on one patch"
+
+    def __init__(self, patch: Patch, degree: int, coeffs: Mapping[tuple[int, ...], Expr]):
+        if degree < 0 or degree > MAX_DEGREE:
+            raise DegreeTooHigh(f"degree {degree} outside 0..{MAX_DEGREE}")
+        super().__init__(patch, degree, coeffs)
+        object.__setattr__(self, "_d", None)
+
+    def _like(self, coeffs):
+        return KForm(self.patch, self.degree, coeffs)
 
     @staticmethod
     def zero(patch: Patch, degree: int) -> "KForm":
@@ -157,14 +239,6 @@ class KForm:
 
     def coeff(self, idx: tuple[int, ...]) -> Expr:
         return self.coeffs.get(tuple(idx), Expr.zero(self.patch))
-
-    def signed_coeff(self, idx: Sequence[int]) -> Expr:
-        """Coefficient with arbitrary index order (antisymmetric extension)."""
-        sign = _perm_sign(idx)
-        if sign == 0:
-            return Expr.zero(self.patch)
-        value = self.coeff(tuple(sorted(idx)))
-        return value if sign == 1 else -value
 
     def components(self) -> tuple[Expr, ...]:
         """Degree-1 forms as a coefficient vector."""
@@ -188,61 +262,6 @@ class KForm:
                 acc = acc + c * det
         return acc
 
-    def __add__(self, other: "KForm") -> "KForm":
-        if other.patch != self.patch or other.degree != self.degree:
-            raise PatchMismatch("can only add forms of one degree on one patch")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return KForm(self.patch, self.degree, out)
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
-
-    def __neg__(self) -> "KForm":
-        return KForm(self.patch, self.degree, {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, f: Expr) -> "KForm":
-        return KForm(self.patch, self.degree, {k: f * v for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return (
-            self.patch == other.patch
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.patch, self.degree, frozenset(self.coeffs.items())))
-
-    def __str__(self):
-        if self.degree == 0:
-            return str(self.coeff(()))
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for idx in sorted(self.coeffs):
-            c = self.coeffs[idx]
-            mono = "^".join(f"d{self.patch.coords[i]}" for i in idx)
-            cs = str(c)
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            elif " " in cs:
-                parts.append(f"({cs})*{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"KForm({self})"
-
 
 def _det(rows: list[list[Expr]]) -> Expr:
     n = len(rows)
@@ -259,25 +278,18 @@ def _det(rows: list[list[Expr]]) -> Expr:
     raise DegreeTooHigh("determinants only up to 3x3 are needed")
 
 
-class Bivector:
+class Bivector(_AntisymTensor):
     """Antisymmetric (2,0)-tensor: entries p[i, j] = p(dx^i, dx^j) for i < j."""
 
-    __slots__ = ("patch", "entries")
+    __slots__ = ()
+    _basis = "d_"
+    _mismatch = "bivectors on different patches"
 
     def __init__(self, patch: Patch, entries: Mapping[tuple[int, int], Expr]):
-        clean: dict[tuple[int, int], Expr] = {}
-        for (i, j), e in entries.items():
-            if not (0 <= i < j < patch.dim):
-                raise ValueError(f"entry index ({i}, {j}) not increasing in range")
-            if e.patch != patch:
-                raise PatchMismatch("entry on a different patch")
-            if not e.is_zero():
-                clean[(i, j)] = e
-        object.__setattr__(self, "patch", patch)
-        object.__setattr__(self, "entries", clean)
+        super().__init__(patch, 2, entries)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Bivector is immutable")
+    def _like(self, coeffs):
+        return Bivector(self.patch, coeffs)
 
     @staticmethod
     def zero(patch: Patch) -> "Bivector":
@@ -285,60 +297,7 @@ class Bivector:
 
     def entry(self, i: int, j: int) -> Expr:
         """Signed entry p(dx^i, dx^j) for any index pair."""
-        if i == j:
-            return Expr.zero(self.patch)
-        if i < j:
-            return self.entries.get((i, j), Expr.zero(self.patch))
-        return -self.entries.get((j, i), Expr.zero(self.patch))
-
-    def __add__(self, other: "Bivector") -> "Bivector":
-        if other.patch != self.patch:
-            raise PatchMismatch("bivectors on different patches")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out[k] + v if k in out else v
-        return Bivector(self.patch, out)
-
-    def __neg__(self) -> "Bivector":
-        return Bivector(self.patch, {k: -v for k, v in self.entries.items()})
-
-    def __sub__(self, other: "Bivector") -> "Bivector":
-        return self + (-other)
-
-    def scale(self, f: Expr) -> "Bivector":
-        return Bivector(self.patch, {k: f * v for k, v in self.entries.items()})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, Bivector):
-            return NotImplemented
-        return self.patch == other.patch and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.patch, frozenset(self.entries.items())))
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.entries):
-            c = self.entries[(i, j)]
-            mono = f"d_{self.patch.coords[i]}^d_{self.patch.coords[j]}"
-            cs = str(c)
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            elif " " in cs:
-                parts.append(f"({cs})*{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"Bivector({self})"
+        return self.signed_coeff((i, j))
 
 
 @dataclass(frozen=True)
@@ -495,6 +454,14 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(patch, deg, out)
 
 
+def wedge_fields(x: VField, y: VField) -> Bivector:
+    """X ^ Y, so that (X ^ Y)[i, j] = X^i Y^j - X^j Y^i."""
+    if x.patch != y.patch:
+        raise PatchMismatch("wedge of vector fields on different patches")
+    a, b = x.components, y.components
+    return Bivector(x.patch, {(i, j): a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(x.patch.dim), 2)})
+
+
 def sharp_bivector(p: Bivector, a: KForm) -> VField:
     """p^#(a) = p(a, .); component i is sum_j p[j, i] a_j."""
     if a.degree != 1:
@@ -507,7 +474,7 @@ def sharp_bivector(p: Bivector, a: KForm) -> VField:
     for i in range(patch.dim):
         acc = Expr.zero(patch)
         for (j,), aj in stored:
-            pji = p.entries.get((j, i)) if j < i else p.entries.get((i, j))
+            pji = p.coeffs.get((j, i)) if j < i else p.coeffs.get((i, j))
             if pji is not None:
                 acc = acc + (pji if j < i else -pji) * aj
         comps.append(acc)
@@ -518,7 +485,7 @@ def poisson_bracket(p: Bivector, f: Expr, g: Expr) -> Expr:
     """{f, g} = p(df, dg)."""
     patch = p.patch
     acc = Expr.zero(patch)
-    for (i, j), c in p.entries.items():
+    for (i, j), c in p.coeffs.items():
         xi, xj = patch.coords[i], patch.coords[j]
         acc = acc + c * (f.differentiate(xi) * g.differentiate(xj) - f.differentiate(xj) * g.differentiate(xi))
     return acc
@@ -532,7 +499,7 @@ def schouten_jacobiator(p: Bivector) -> dict[tuple[int, int, int], Expr]:
     patch = p.patch
     # row[a]: (m, stored entry, whether p[a, m] is its negative), in increasing m
     row: list[list[tuple[int, Expr, bool]]] = [[] for _ in patch.coords]
-    for (a, m), e in sorted(p.entries.items()):
+    for (a, m), e in sorted(p.coeffs.items()):
         row[a].append((m, e, False))
         row[m].append((a, e, True))
     out: dict[tuple[int, int, int], Expr] = {}
@@ -580,7 +547,7 @@ def pushforward_bivector(f: PolyMap, f_inv: PolyMap, p: Bivector) -> Bivector:
     out: dict[tuple[int, int], Expr] = {}
     for (k, l) in combinations(range(tgt.dim), 2):
         acc = Expr.zero(f.source)
-        for (i, j), c in p.entries.items():
+        for (i, j), c in p.coeffs.items():
             acc = acc + c * (
                 jac.entries[k][i] * jac.entries[l][j] - jac.entries[k][j] * jac.entries[l][i]
             )

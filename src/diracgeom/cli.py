@@ -43,7 +43,7 @@ from .algebroid import (
     tangent_bundle_algebroid,
     tangent_lift_algebroid,
 )
-from .cartan import Bivector, KForm, VField, exterior_derivative
+from .cartan import Bivector, KForm, VField, exterior_derivative, wedge, wedge_fields
 from .courant import (
     Frame,
     bfield_transform,
@@ -271,6 +271,11 @@ def _eval_binop(node, lv, rv):
             return lv.scale(rv)
         raise CheckError(f"cannot multiply {_type_name(lv)} by {_type_name(rv)} (use '^' to wedge)")
     if op == "/":
+        if isinstance(rv, Expr) and rv.degree() == 0:
+            # a non-zero constant polynomial divides as its value; a number over it is a scalar
+            if isinstance(lv, (int, Fraction)):
+                lv = Expr.const(rv.patch, Fraction(lv))
+            rv = rv.constant_value()
         if not isinstance(rv, (int, Fraction)) or rv == 0:
             raise CheckError("division is only defined by a nonzero number")
         if isinstance(lv, (int, Fraction)):
@@ -282,20 +287,9 @@ def _eval_binop(node, lv, rv):
                 raise CheckError("negative powers are not defined for polynomials")
             return bounded_power(lv, rv, CheckError)
         if isinstance(lv, KForm) and isinstance(rv, KForm):
-            from .cartan import wedge
-
             return wedge(lv, rv)
         if isinstance(lv, VField) and isinstance(rv, VField):
-            if lv.patch != rv.patch:
-                raise CheckError("wedge of vector fields on different patches")
-            n = lv.patch.dim
-            entries = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e = lv.components[i] * rv.components[j] - lv.components[j] * rv.components[i]
-                    if not e.is_zero():
-                        entries[(i, j)] = e
-            return Bivector(lv.patch, entries)
+            return wedge_fields(lv, rv)
         raise CheckError(f"cannot raise {_type_name(lv)} to {_type_name(rv)}")
     raise CheckError(f"unknown operator '{op}'")
 
@@ -321,34 +315,37 @@ def _eval(node, env, patch):
         if node.fn not in CONSTRUCTORS:
             known = ", ".join(sorted(CONSTRUCTORS))
             raise UnknownReference(f"unknown constructor '{node.fn}' (known: {known})")
-        signature = CONSTRUCTORS[node.fn]
-        args = [_eval(a, env, patch) for a in node.args]
-        return _apply_typed(node.fn, signature, args)
+        types, variadic, fn = CONSTRUCTORS[node.fn]
+        args = _typed_args(node.fn, types, variadic, node.args, lambda a: _eval(a, env, patch))
+        try:
+            return fn(*args)
+        except EngineError:
+            raise
+        except Exception as exc:
+            raise CheckError(f"{node.fn}: {exc}") from exc
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _apply_typed(name, signature, args):
-    types, variadic, fn = signature
+def _typed_args(name, types, variadic, nodes, evaluate) -> list:
+    """The values of ``nodes``, checked against a signature once the count fits.
+
+    A variadic signature repeats its last type; an integral Fraction passes as an int.
+    """
     if variadic:
-        if len(args) < len(types):
-            raise CheckError(f"{name} expects at least {len(types)} arguments, got {len(args)}")
-        expected = list(types) + [types[-1]] * (len(args) - len(types))
-    else:
-        if len(args) != len(types):
-            raise CheckError(f"{name} expects {len(types)} arguments, got {len(args)}")
-        expected = list(types)
-    for i, (value, want) in enumerate(zip(args, expected)):
+        if len(nodes) < len(types):
+            raise CheckError(f"{name} expects at least {len(types)} arguments, got {len(nodes)}")
+        types = list(types) + [types[-1]] * (len(nodes) - len(types))
+    elif len(nodes) != len(types):
+        raise CheckError(f"{name} expects {len(types)} arguments, got {len(nodes)}")
+    args = []
+    for i, (node, want) in enumerate(zip(nodes, types), start=1):
+        value = evaluate(node)
         if want is int and isinstance(value, Fraction) and value.denominator == 1:
-            args[i] = int(value)
-            continue
+            value = int(value)
         if not isinstance(value, want):
-            raise CheckError(f"{name}: argument {i + 1} has the wrong kind ({_type_name(value)})")
-    try:
-        return fn(*args)
-    except EngineError:
-        raise
-    except Exception as exc:
-        raise CheckError(f"{name}: {exc}") from exc
+            raise CheckError(f"{name}: argument {i} has the wrong kind ({_type_name(value)})")
+        args.append(value)
+    return args
 
 
 def _evaluate_argument(node, env):
@@ -386,19 +383,19 @@ def _check_closed(w: KForm) -> Report:
     return Report((CheckItem.first("exterior derivative vanishes", coefficients),))
 
 
-CHECKS: dict[str, tuple[tuple, Callable]] = {
-    "dirac": ((Frame,), check_dirac),
-    "lagrangian": ((Frame,), check_lagrangian),
-    "linearity": ((Frame, int), check_linearity),
-    "tangent_mu": ((Frame,), check_tangent_mu_identity),
-    "closed": ((KForm,), _check_closed),
-    "lie_algebroid": ((AlgebroidPatch,), check_lie_algebroid),
-    "bialgebroid": ((AlgebroidPatch, AlgebroidPatch), check_lie_bialgebroid),
-    "im_two_form": ((AlgebroidPatch, IMTwoForm), check_im_two_form),
-    "groupoid_axioms": ((GroupoidPatch,), check_groupoid_axioms),
-    "multiplicative_two_form": ((GroupoidPatch, KForm), check_multiplicative_two_form),
-    "multiplicative_bivector": ((GroupoidPatch, Bivector), check_multiplicative_bivector),
-    "multiplicative_frame": ((GroupoidPatch, Frame), check_multiplicative_frame),
+CHECKS: dict[str, tuple[tuple, bool, Callable]] = {
+    "dirac": ((Frame,), False, check_dirac),
+    "lagrangian": ((Frame,), False, check_lagrangian),
+    "linearity": ((Frame, int), False, check_linearity),
+    "tangent_mu": ((Frame,), False, check_tangent_mu_identity),
+    "closed": ((KForm,), False, _check_closed),
+    "lie_algebroid": ((AlgebroidPatch,), False, check_lie_algebroid),
+    "bialgebroid": ((AlgebroidPatch, AlgebroidPatch), False, check_lie_bialgebroid),
+    "im_two_form": ((AlgebroidPatch, IMTwoForm), False, check_im_two_form),
+    "groupoid_axioms": ((GroupoidPatch,), False, check_groupoid_axioms),
+    "multiplicative_two_form": ((GroupoidPatch, KForm), False, check_multiplicative_two_form),
+    "multiplicative_bivector": ((GroupoidPatch, Bivector), False, check_multiplicative_bivector),
+    "multiplicative_frame": ((GroupoidPatch, Frame), False, check_multiplicative_frame),
 }
 
 
@@ -452,17 +449,8 @@ def run_checks(cf: CheckFile) -> RunReport:
             else:
                 env[stmt.name] = _evaluate_argument(stmt.value, env)
             continue
-        types, fn = CHECKS[stmt.kind]
-        if len(stmt.args) != len(types):
-            raise CheckError(f"check {stmt.kind} expects {len(types)} arguments, got {len(stmt.args)}")
-        args = []
-        for node, want in zip(stmt.args, types):
-            value = _evaluate_argument(node, env)
-            if want is int and isinstance(value, Fraction) and value.denominator == 1:
-                value = int(value)
-            if not isinstance(value, want):
-                raise CheckError(f"check {stmt.kind}: argument has the wrong kind ({_type_name(value)})")
-            args.append(value)
+        types, variadic, fn = CHECKS[stmt.kind]
+        args = _typed_args(f"check {stmt.kind}", types, variadic, stmt.args, lambda a: _evaluate_argument(a, env))
         label = " ".join([stmt.kind] + [_print_expr(a, 3) for a in stmt.args])
         start = time.monotonic()
         try:

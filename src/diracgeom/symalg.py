@@ -466,6 +466,8 @@ class _Line:
         self.number = number
         # (token, column) pairs of the text before any '#'
         self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text.split("#", 1)[0])]
+        # errors at the end of the line point just after the last token
+        self.end = self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
         # set for check arguments, where `L (1)` is two arguments and `f(1)` a call
         self.calls_must_touch = False
         self.pos = 0
@@ -475,18 +477,19 @@ class _Line:
 
     def next(self):
         if self.pos >= len(self.tokens):
-            raise ParseError(f"line {self.number}: unexpected end of line")
+            self.fail("unexpected end of line")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok[0]
 
     def expect(self, want: str):
         if self.peek() != want:
-            self.fail(f"expected '{want}', found '{self.peek()}'")
+            found = "end of line" if self.peek() is None else f"'{self.peek()}'"
+            self.fail(f"expected '{want}', found {found}")
         self.next()
 
     def fail(self, message: str):
-        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else 1
+        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.end
         raise ParseError(f"line {self.number}, column {col}: {message}")
 
 
@@ -516,7 +519,7 @@ def _parse_unary(line: _Line):
 def _parse_primary(line: _Line):
     tok = line.peek()
     if tok is None:
-        line.fail("expected an expression")
+        line.fail("expected an expression, found end of line")
     if tok == "(":
         line.next()
         node = _parse_expr(line)

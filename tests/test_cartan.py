@@ -23,8 +23,10 @@ from diracgeom.cartan import (
     schouten_jacobiator,
     sharp_bivector,
     wedge,
+    wedge_fields,
 )
-from diracgeom.errors import DegreeTooHigh, DegreeZero, NotInverse
+from diracgeom.cli import _type_name
+from diracgeom.errors import DegreeTooHigh, DegreeZero, NotInverse, PatchMismatch
 from diracgeom.symalg import Expr, Patch, parse_expr
 from diracgeom.tanlift import lift_function, tangent_patch
 
@@ -269,6 +271,19 @@ def test_jacobiator_is_cyclic_poisson_sum():
             assert v == direct
 
 
+def test_wedge_fields_convention():
+    # (X ^ Y)(a, b) = a(X) b(Y) - a(Y) b(X), read through p(a, b) = b(p^#(a))
+    rng = random.Random(79)
+    for _ in range(6):
+        x, y = rand_vf(rng, M3, max_deg=1), rand_vf(rng, M3, max_deg=1)
+        a, b = rand_form(rng, M3, 1, max_deg=1), rand_form(rng, M3, 1, max_deg=1)
+        p = wedge_fields(x, y)
+        assert b.evaluate(sharp_bivector(p, a)) == a.evaluate(x) * b.evaluate(y) - a.evaluate(y) * b.evaluate(x)
+    assert str(wedge_fields(vf(M2, "1", "0"), vf(M2, "0", "x"))) == "x*d_x^d_y"
+    with pytest.raises(PatchMismatch, match="wedge of vector fields on different patches"):
+        wedge_fields(vf(M2, "1", "0"), vf(M3, "1", "0", "0"))
+
+
 # -- polynomial maps ---------------------------------------------------------------
 
 
@@ -437,7 +452,7 @@ def _add_dense(a, b):
     """Sum over the union of stored keys, each side read with zeros filled in."""
     if isinstance(a, KForm):
         return KForm(a.patch, a.degree, {k: a.coeff(k) + b.coeff(k) for k in set(a.coeffs) | set(b.coeffs)})
-    return Bivector(a.patch, {k: a.entry(*k) + b.entry(*k) for k in set(a.entries) | set(b.entries)})
+    return Bivector(a.patch, {k: a.entry(*k) + b.entry(*k) for k in set(a.coeffs) | set(b.coeffs)})
 
 
 def _lift_function_dense(f):
@@ -454,8 +469,6 @@ def layout(obj):
         return list(obj.terms.items())
     if isinstance(obj, VField):
         return [layout(c) for c in obj.components]
-    if isinstance(obj, Bivector):
-        return [(k, layout(v)) for k, v in obj.entries.items()]
     if isinstance(obj, dict):
         return [(k, layout(v)) for k, v in obj.items()]
     return [(k, layout(v)) for k, v in obj.coeffs.items()]
@@ -549,3 +562,171 @@ def test_apply_differentiates_only_along_stored_components(monkeypatch):
     monkeypatch.setattr(Expr, "differentiate", spy)
     assert VField.coordinate(M3, "x").apply(f) == parse_expr("y*z", M3)
     assert seen == ["x"]
+
+
+# -- the shared tensor core against the two classes it replaced ------------------------
+
+
+class _RefKForm:
+    """KForm's storage, arithmetic and printing before forms and bivectors shared a core."""
+
+    def __init__(self, patch, degree, coeffs):
+        self.patch, self.degree = patch, degree
+        self.coeffs = {tuple(idx): e for idx, e in coeffs.items() if not e.is_zero()}
+
+    def coeff(self, idx):
+        return self.coeffs.get(tuple(idx), Expr.zero(self.patch))
+
+    def __add__(self, other):
+        if other.patch != self.patch or other.degree != self.degree:
+            raise PatchMismatch("can only add forms of one degree on one patch")
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out[k] + v if k in out else v
+        return _RefKForm(self.patch, self.degree, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return _RefKForm(self.patch, self.degree, {k: -v for k, v in self.coeffs.items()})
+
+    def scale(self, f):
+        return _RefKForm(self.patch, self.degree, {k: f * v for k, v in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, _RefKForm):
+            return NotImplemented
+        return self.patch == other.patch and self.degree == other.degree and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.patch, self.degree, frozenset(self.coeffs.items())))
+
+    def __str__(self):
+        if self.degree == 0:
+            return str(self.coeff(()))
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for idx in sorted(self.coeffs):
+            c = self.coeffs[idx]
+            mono = "^".join(f"d{self.patch.coords[i]}" for i in idx)
+            cs = str(c)
+            if cs == "1":
+                parts.append(mono)
+            elif cs == "-1":
+                parts.append(f"-{mono}")
+            elif " " in cs:
+                parts.append(f"({cs})*{mono}")
+            else:
+                parts.append(f"{cs}*{mono}")
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"KForm({self})"
+
+
+class _RefBivector:
+    """Bivector's storage, arithmetic and printing before forms and bivectors shared a core."""
+
+    def __init__(self, patch, entries):
+        self.patch = patch
+        self.entries = {k: e for k, e in entries.items() if not e.is_zero()}
+
+    def __add__(self, other):
+        if other.patch != self.patch:
+            raise PatchMismatch("bivectors on different patches")
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out[k] + v if k in out else v
+        return _RefBivector(self.patch, out)
+
+    def __neg__(self):
+        return _RefBivector(self.patch, {k: -v for k, v in self.entries.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, f):
+        return _RefBivector(self.patch, {k: f * v for k, v in self.entries.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, _RefBivector):
+            return NotImplemented
+        return self.patch == other.patch and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.patch, frozenset(self.entries.items())))
+
+    def __str__(self):
+        if not self.entries:
+            return "0"
+        parts = []
+        for (i, j) in sorted(self.entries):
+            c = self.entries[(i, j)]
+            mono = f"d_{self.patch.coords[i]}^d_{self.patch.coords[j]}"
+            cs = str(c)
+            if cs == "1":
+                parts.append(mono)
+            elif cs == "-1":
+                parts.append(f"-{mono}")
+            elif " " in cs:
+                parts.append(f"({cs})*{mono}")
+            else:
+                parts.append(f"{cs}*{mono}")
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"Bivector({self})"
+
+
+def _both(patch, degree, coeffs):
+    """A tensor of the shared core and its reference twin; degree None means a bivector."""
+    if degree is None:
+        return Bivector(patch, coeffs), _RefBivector(patch, coeffs)
+    return KForm(patch, degree, coeffs), _RefKForm(patch, degree, coeffs)
+
+
+def _ref_coeffs(ref):
+    return ref.entries if isinstance(ref, _RefBivector) else ref.coeffs
+
+
+@st.composite
+def tensor_cases(draw):
+    dim = draw(st.integers(1, 4))
+    patch = Patch(f"P{dim}", tuple(f"x{i}" for i in range(dim)))
+    degree = draw(st.sampled_from([None] + list(range(min(3, dim) + 1))))
+    keys = list(combinations(range(dim), 2 if degree is None else degree))
+    return patch, degree, draw(sparse(patch, keys)), draw(sparse(patch, keys)), draw(polys(patch))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_cases())
+def test_shared_core_matches_the_classes_it_replaced(case):
+    patch, degree, ca, cb, f = case
+    (a, ra), (b, rb) = _both(patch, degree, ca), _both(patch, degree, cb)
+    for got, want in [(a, ra), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a.scale(f), ra.scale(f))]:
+        assert list(got.coeffs.items()) == list(_ref_coeffs(want).items())
+        assert (str(got), repr(got)) == (str(want), repr(want))
+        assert got.is_zero() == (not _ref_coeffs(want))
+    twin, rtwin = _both(patch, degree, dict(ca))
+    assert (a == b) == (ra == rb) and a == twin and twin == a
+    # hashing groups exactly the values the reference groups
+    assert len({a, b, twin}) == len({ra, rb, rtwin}) and hash(a) == hash(twin)
+    for t in (a, b):
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(AttributeError):
+            t.coeffs = {}
+
+
+def test_two_forms_and_bivectors_stay_apart():
+    coeffs = {(0, 1): parse_expr("x", M3), (1, 2): Expr.one(M3)}
+    w, p = KForm(M3, 2, coeffs), Bivector(M3, coeffs)
+    assert w != p and p != w and w.coeffs == p.coeffs
+    assert not isinstance(w, Bivector) and not isinstance(p, KForm)
+    assert KForm.zero(M3, 2) != Bivector.zero(M3)
+    with pytest.raises(TypeError):
+        w + p
+    assert (str(w), str(p)) == ("x*dx^dy + dy^dz", "x*d_x^d_y + d_y^d_z")
+    assert [_type_name(v) for v in (w, p, KForm.zero(M3, 0), Bivector.zero(M3))] == ["form", "bivector", "form", "bivector"]
+    assert p.entry(2, 1) == -Expr.one(M3) and p.entry(1, 1) == Expr.zero(M3) == w.signed_coeff((2, 2))

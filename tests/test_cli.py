@@ -111,7 +111,8 @@ def test_exponent_limit():
 
 
 # scalar texts: integers, coordinates, unary minus, + - *, / by a non-zero
-# integer, ^ by a literal of at most 3, and parentheses
+# integer or a non-zero constant polynomial, ^ by a literal of at most 3, and
+# parentheses
 SCALAR_TEXTS = st.recursive(
     st.one_of(st.integers(0, 9).map(str), st.sampled_from(["x", "y", "z"])),
     lambda inner: st.one_of(
@@ -119,6 +120,7 @@ SCALAR_TEXTS = st.recursive(
         inner.map(lambda t: f"-{t}"),
         inner.map(lambda t: f"({t})"),
         st.tuples(inner, st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.tuples(inner, st.integers(1, 9)).map(lambda t: f"{t[0]}/(y - y + {t[1]})"),
         st.tuples(inner, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
     ),
     max_leaves=8,
@@ -134,9 +136,13 @@ def _outcome(evaluate):
         return str(exc)
 
 
-def _let_value(text):
+def _let_value_raw(text):
     stmt = parse_checkfile(f"let f = {text}\n").statements[0]
-    value = cli._evaluate_argument(stmt.value, {"P": XYZ})
+    return cli._evaluate_argument(stmt.value, {"P": XYZ})
+
+
+def _let_value(text):
+    value = _let_value_raw(text)
     return value if isinstance(value, Expr) else Expr.const(XYZ, value)
 
 
@@ -146,6 +152,7 @@ def _let_value(text):
 @example("x*-y")
 @example("x^2^2")
 @example("3/4^2")
+@example("x/(y - y + 2)")
 def test_parse_expr_and_check_files_agree(text):
     # one grammar, one meaning: parse_expr gives what `let f = <text>` binds
     assert _outcome(lambda: parse_expr(text, XYZ)) == _outcome(lambda: _let_value(text))
@@ -160,6 +167,14 @@ def test_scalar_texts_the_old_parser_rejected():
     assert parse_expr("3/4^2", XYZ) == Expr.const(XYZ, Fraction(3, 16))
 
 
+def test_division_by_a_constant_polynomial_gives_a_scalar():
+    # a number over a constant polynomial is a scalar, as a number times one is
+    for text in ("3/(y - y + 2)", "3*(y - y + 1)/2", "(3*x - 3*x + 3)/(z - z + 2)"):
+        assert _let_value_raw(text) == Expr.const(XYZ, Fraction(3, 2))
+    with pytest.raises(CheckError, match="division is only defined by a nonzero number"):
+        _let_value_raw("x/(y - y)")
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_checkfile("let x = = 1\n")
@@ -172,8 +187,17 @@ def test_parse_errors_carry_positions():
         parse_checkfile("frob a b\n")
     with pytest.raises(ParseError):
         parse_checkfile("check verywrong L\n")
-    with pytest.raises(ParseError):
-        parse_checkfile("let a = (1 + 2\n")
+    # at the end of a line the column is the one just after the last token
+    for text, message in [
+        ("let a = (1 + 2", "line 1, column 15: expected ')', found end of line"),
+        ("let a = (1 + 2  # open", "line 1, column 15: expected ')', found end of line"),
+        ("let x =", "line 1, column 8: expected an expression, found end of line"),
+        ("let M = patch(x)\nlet", "line 2, column 4: unexpected end of line"),
+        ("check", "line 1, column 6: unexpected end of line"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_checkfile(text + "\n")
+        assert str(err.value) == message
 
 
 def test_comments_and_blanks_are_ignored():
