@@ -71,6 +71,7 @@ from .groupoid import (
 from .report import CheckItem, Report
 from .symalg import (
     _NAME_RE,
+    DIVISION_REFUSAL,
     BinOp,
     Call,
     Expr,
@@ -277,7 +278,7 @@ def _eval_binop(node, lv, rv):
                 lv = Expr.const(rv.patch, Fraction(lv))
             rv = rv.constant_value()
         if not isinstance(rv, (int, Fraction)) or rv == 0:
-            raise CheckError("division is only defined by a nonzero number")
+            raise CheckError(DIVISION_REFUSAL)
         if isinstance(lv, (int, Fraction)):
             return Fraction(lv) / rv
         return _scale(lv, Fraction(1, 1) / Fraction(rv))

@@ -664,6 +664,29 @@ def _section_values(sec: GSec, point, ppatch) -> tuple[list[Expr], list[Expr]]:
     return x, al
 
 
+def _in_span(span: ExprMatrix, span_rank: int, column: Sequence[Expr]) -> bool:
+    """Whether ``column`` lies in the generic span of the columns of ``span``.
+
+    The columns of ``span`` are pairwise isotropic sections of T ⊕ T*, stacked
+    vector half over form half, and ``span_rank`` is their generic rank.  At
+    full rank (half the rows) they span their own annihilator, so membership
+    is ⟨column, s⟩ = α(Y) + β(X) = 0 for every column s, checked as a
+    polynomial identity.  Below full rank the column is appended and the
+    rank compared.
+    """
+    n = span.nrows // 2
+    if span_rank != n:
+        return generic_rank(span.augment([column])) == span_rank
+    x, a = column[:n], column[n:]
+    for sec in zip(*span.entries):
+        acc = Expr.zero(span.patch)
+        for i in range(n):
+            acc = acc + a[i] * sec[i] + sec[n + i] * x[i]
+        if not acc.is_zero():
+            return False
+    return True
+
+
 def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     """Subgroupoid test: composable frame combinations close up, and so do units.
 
@@ -671,6 +694,16 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     cotangent matching conditions over the pair chart; every composed product
     must stay in the span of the frame at the product point.  The unit-space
     span is computed along units and reported.
+
+    Span membership is exact either way (``_in_span``).  The frame has passed
+    ``check_lagrangian``, and substitution is a ring map, so the substituted
+    sections stay pairwise isotropic.  When they keep generic rank n of 2n,
+    they span a Lagrangian L over Q(x); the pairing is non-degenerate there,
+    so L equals its own annihilator, and a column lies in L exactly when it
+    pairs to zero with every section.  Substitution can drop the rank (the
+    unit map is not injective), and then the annihilator is larger than the
+    span: such a span is decided by the rank of the span with the column
+    appended.
     """
     if l.patch != g.total:
         raise PatchMismatch("frame on a different patch")
@@ -728,7 +761,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
             cov = _compose_covectors(g, data, dmul, a_left, b_right, chart)
             column = [RatExpr(v) for v in x_prod] + list(cov)
             cleared = clear_denominators(column)
-            if generic_rank(span.augment([cleared])) != span_rank:
+            if not _in_span(span, span_rank, cleared):
                 yield f"composable direction {idx + 1}: the product leaves the span"
 
     items = [CheckItem.first("composable products stay in the span", products())]
@@ -760,7 +793,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
                 raise RankJump("unit covector is not determined along units") from None
             column = [RatExpr(v) for v in tangent_part] + list(eta)
             cleared = clear_denominators(column)
-            if generic_rank(span_unit.augment([cleared])) != span_unit_rank:
+            if not _in_span(span_unit, span_unit_rank, cleared):
                 yield f"unit element over section {j + 1} leaves the span"
 
     unit_item = CheckItem.first("units over sources and targets stay in the span", escaping_units())

@@ -51,6 +51,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # files take; powers are taken by repeated multiplication
 MAX_EXPONENT = 64
 
+# the refusal of a divisor that is zero or not constant, in ``parse_expr`` and check files
+DIVISION_REFUSAL = "division is only defined by a nonzero number"
+
 
 @dataclass(frozen=True)
 class Patch:
@@ -579,7 +582,7 @@ def _eval_scalar(node, patch: Patch) -> Expr:
         right = _eval_scalar(node.right, patch)
         if node.op == "/":
             if right.degree() != 0:
-                raise ExprSyntaxError("division is only defined by a nonzero constant")
+                raise ExprSyntaxError(DIVISION_REFUSAL)
             return left * Expr.const(patch, 1 / right.constant_value())
         return {"+": operator.add, "-": operator.sub, "*": operator.mul}[node.op](left, right)
     raise ExprSyntaxError(f"'{node.fn}(...)' is not a scalar")

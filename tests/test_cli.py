@@ -30,7 +30,7 @@ from diracgeom.cli import (
     run_checks,
 )
 from diracgeom.errors import CheckError, EngineError, ParseError, UnknownReference
-from diracgeom.symalg import MAX_EXPONENT, Expr, Patch, parse_expr
+from diracgeom.symalg import DIVISION_REFUSAL, MAX_EXPONENT, Expr, Patch, parse_expr
 
 SAMPLE = """\
 # a closed two-form on the plane
@@ -110,9 +110,9 @@ def test_exponent_limit():
         run_checks(parse_checkfile(f"let M = patch(x)\nlet f = x^{MAX_EXPONENT + 1}\n"))
 
 
-# scalar texts: integers, coordinates, unary minus, + - *, / by a non-zero
-# integer or a non-zero constant polynomial, ^ by a literal of at most 3, and
-# parentheses
+# scalar texts: integers, coordinates, unary minus, + - *, / by an integer, a
+# constant polynomial or any other text (zero and non-constant divisors are
+# refused), ^ by a literal of at most 3, and parentheses
 SCALAR_TEXTS = st.recursive(
     st.one_of(st.integers(0, 9).map(str), st.sampled_from(["x", "y", "z"])),
     lambda inner: st.one_of(
@@ -121,6 +121,7 @@ SCALAR_TEXTS = st.recursive(
         inner.map(lambda t: f"({t})"),
         st.tuples(inner, st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
         st.tuples(inner, st.integers(1, 9)).map(lambda t: f"{t[0]}/(y - y + {t[1]})"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]}/({t[1]})"),
         st.tuples(inner, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
     ),
     max_leaves=8,
@@ -131,8 +132,8 @@ XYZ = Patch("P", ("x", "y", "z"))
 def _outcome(evaluate):
     try:
         return evaluate()
-    except EngineError as exc:  # only the power limit can refuse these texts
-        assert "above the limit" in str(exc)
+    except EngineError as exc:  # only the power limit and a bad divisor can refuse these texts
+        assert "above the limit" in str(exc) or str(exc) == DIVISION_REFUSAL
         return str(exc)
 
 
@@ -153,6 +154,10 @@ def _let_value(text):
 @example("x^2^2")
 @example("3/4^2")
 @example("x/(y - y + 2)")
+@example("x/(y - y)")
+@example("x/0")
+@example("x/y")
+@example("x/(0*y)")
 def test_parse_expr_and_check_files_agree(text):
     # one grammar, one meaning: parse_expr gives what `let f = <text>` binds
     assert _outcome(lambda: parse_expr(text, XYZ)) == _outcome(lambda: _let_value(text))

@@ -4,11 +4,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from diracgeom import groupoid, symalg
 from diracgeom.algebroid import (
     IMFoliation,
     check_im_foliation,
@@ -21,6 +23,7 @@ from diracgeom.cartan import Bivector, KForm, PolyMap, VField, exterior_derivati
 from diracgeom.courant import (
     Frame,
     GSec,
+    bfield_transform,
     check_dirac,
     foliation_frame,
     graph_bivector,
@@ -35,6 +38,7 @@ from diracgeom.errors import (
     NotLagrangian,
     NotMultiplicative,
     PatchMismatch,
+    RankDeficient,
     RankJump,
     TranslationNotDerivable,
     UnderdeterminedSpan,
@@ -61,7 +65,7 @@ from diracgeom.groupoid import (
     tangent_groupoid,
 )
 from diracgeom.report import Report
-from diracgeom.symalg import Expr, ExprMatrix, Patch, parse_expr, solve_linear
+from diracgeom.symalg import Expr, ExprMatrix, Patch, generic_rank, parse_expr, solve_linear
 from diracgeom.tanlift import lift_function, tangent_lift_dirac, tangent_patch
 
 R1 = Patch("R1", ("x",))
@@ -748,6 +752,118 @@ def test_tangent_lift_of_multiplicative_frame_is_multiplicative():
     pi = Bivector(ab.total, {(0, 1): parse_expr("x_1", ab.total)})
     lifted = tangent_lift_dirac(graph_bivector(pi))
     assert check_multiplicative_frame(tangent_groupoid(ab), lifted).passed
+
+
+# -- span membership of the frame route ---------------------------------------------------------
+
+SMALL_QQ = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+def small_polys(patch):
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 1)] * patch.dim), SMALL_QQ, max_size=2)
+    return terms.map(lambda t: Expr(patch, t))
+
+
+@st.composite
+def lagrangian_spans(draw):
+    """A Lagrangian frame on R^1..R^3, its columns taken at a drawn point map.
+
+    Each coordinate goes to itself, another coordinate or a constant, as a
+    restriction to units does, so the span may drop below half the rows.
+    """
+    patch = draw(st.sampled_from((R1, R2, R3)))
+    pairs = list(combinations(range(patch.dim), 2))
+
+    def two_form():
+        return KForm(patch, 2, {ij: draw(small_polys(patch)) for ij in pairs})
+
+    kind = draw(st.sampled_from(("two-form", "bivector", "foliation", "foliation")))
+    if kind == "two-form":
+        frame = graph_two_form(two_form())
+    elif kind == "bivector":
+        frame = graph_bivector(Bivector(patch, {ij: draw(small_polys(patch)) for ij in pairs}))
+    else:
+        k = draw(st.integers(0, patch.dim))
+        fields = [VField(patch, tuple(draw(small_polys(patch)) for _ in patch.coords)) for _ in range(k)]
+        try:
+            frame = foliation_frame(fields, patch)
+        except RankDeficient:
+            assume(False)
+    if draw(st.booleans()):
+        frame = bfield_transform(frame, two_form())
+    targets = [Expr.coord(patch, c) for c in patch.coords] + [Expr.const(patch, v) for v in (0, 1, -2)]
+    values = [draw(st.sampled_from(targets)) for _ in patch.coords]
+    rows = [[e.substitute(values, patch) for e in row] for row in frame.coefficient_matrix().entries]
+    return ExprMatrix.from_rows(patch, rows)
+
+
+def _augmented_rank_decides(span, span_rank, column):
+    return generic_rank(span.augment([column])) == span_rank
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.data())
+def test_in_span_matches_the_augmented_rank(data):
+    span = data.draw(lagrangian_spans(), label="span")
+    patch = span.patch
+    span_rank = generic_rank(span)
+    event(f"full rank: {span_rank == span.nrows // 2}")
+    coeffs = [data.draw(small_polys(patch)) for _ in range(span.ncols)]
+    inside = [sum((c * e for c, e in zip(coeffs, row)), Expr.zero(patch)) for row in span.entries]
+    assert groupoid._in_span(span, span_rank, inside)
+    assert _augmented_rank_decides(span, span_rank, inside)
+    nudge = [data.draw(small_polys(patch)) for _ in range(span.nrows)]
+    nudge[data.draw(st.integers(0, span.nrows - 1))] += Expr.one(patch)
+    moved = [a + b for a, b in zip(inside, nudge)]
+    verdict = _augmented_rank_decides(span, span_rank, moved)
+    event(f"perturbed column in the span: {verdict}")
+    assert groupoid._in_span(span, span_rank, moved) == verdict
+
+
+def test_rank_dropping_unit_span_takes_the_augmented_route(monkeypatch):
+    # eps*(x_1 - x_2) = 0, so the unit span has rank 1 of 2 and is not its own annihilator
+    g = pair_groupoid(R1)
+    field = VField(g.total, (parse_expr("x_1 - x_2", g.total), Expr.zero(g.total)))
+    shapes = []
+    real = groupoid.generic_rank
+
+    def spy(m):
+        shapes.append((m.nrows, m.ncols))
+        return real(m)
+
+    monkeypatch.setattr(groupoid, "generic_rank", spy)
+    rep = check_multiplicative_frame(g, foliation_frame([field]))
+    assert str(rep) == (
+        "fail (composable products stay in the span: pass; units over sources and targets stay in the span: "
+        "fail  [unit element over section 2 leaves the span])"
+    )
+    assert (4, 3) in shapes  # the unit span with one column appended
+
+
+def test_full_rank_span_membership_needs_no_elimination(monkeypatch):
+    g = pair_groupoid(R3)
+    beta = KForm(R3, 2, {(0, 1): parse_expr("x", R3), (0, 2): parse_expr("y*z", R3), (1, 2): Expr.one(R3)})
+    inside = []
+    decided = []
+    real_in_span = groupoid._in_span
+    real_bareiss = symalg._bareiss
+
+    def in_span(span, span_rank, column):
+        inside.append(True)
+        try:
+            decided.append(real_in_span(span, span_rank, column))
+        finally:
+            inside.pop()
+        return decided[-1]
+
+    def bareiss(rows, patch):
+        assert not inside, "span membership reached Bareiss"
+        return real_bareiss(rows, patch)
+
+    monkeypatch.setattr(groupoid, "_in_span", in_span)
+    monkeypatch.setattr(symalg, "_bareiss", bareiss)
+    assert check_multiplicative_frame(g, graph_two_form(difference_form(g, beta))).passed
+    assert decided and all(decided)
 
 
 # -- induced infinitesimal data -------------------------------------------------------------------
