@@ -56,8 +56,8 @@ from .symalg import (
     Patch,
     RatExpr,
     _combine,
-    _gauss_jordan,
     _rational_rows,
+    _Reduction,
     clear_denominators,
     fresh_names,
     generic_rank,
@@ -109,14 +109,11 @@ class GroupoidPatch:
         g_part, h_part = _affine_rows(self.g_of), _affine_rows(self.h_of)
         if g_part is None or h_part is None:
             return "factor projections must be affine in the chart coordinates"
-        stacked = g_part[0] + h_part[0]
-        d = self.comp_chart.dim
-        rows = [list(row) + [Fraction(int(i == j)) for j in range(len(stacked))] for i, row in enumerate(stacked)]
+        reduction = _Reduction(g_part[0] + h_part[0], self.comp_chart.dim)
         # the chart must embed into the pair space, otherwise factors do not pin it down
-        if len(_gauss_jordan(rows, d)) != d:
+        if len(reduction.pivots) != self.comp_chart.dim:
             return "the composable-pair chart has directions that move neither factor"
-        transform = [tuple(row[d:]) for row in rows]
-        return _ChartData(*g_part, *h_part, tuple(transform[:d]), tuple(transform[d:]))
+        return _ChartData(*g_part, *h_part, reduction)
 
     @cached_property
     def _jacobians(self) -> dict[str, tuple[tuple[Expr, ...], ...]]:
@@ -143,7 +140,7 @@ class GroupoidPatch:
 
     @cached_property
     def _algebroid(self) -> AlgebroidPatch:
-        return _algebroid_on(self, self._frame, self._fields)
+        return _algebroid_on(self, ExprMatrix(self.base, self._frame).transpose(), self._fields)
 
     @cached_property
     def _cotangent(self) -> tuple[PolyMap, PolyMap]:
@@ -210,24 +207,20 @@ class GroupoidPatch:
 
 @dataclass(frozen=True)
 class _ChartData:
-    """Affine parts of g_of and h_of, and the rows of one Gauss-Jordan reduction of
-    [a_g; a_h | I]: ``left_inv`` gives the chart coordinates, ``consistency`` must vanish."""
+    """Affine parts of g_of and h_of, and the reduction over Q of their stacked linear part [a_g; a_h]."""
 
     a_g: tuple[tuple[Fraction, ...], ...]
     c_g: tuple[Fraction, ...]
     a_h: tuple[tuple[Fraction, ...], ...]
     c_h: tuple[Fraction, ...]
-    left_inv: tuple[tuple[Fraction, ...], ...]
-    consistency: tuple[tuple[Fraction, ...], ...]
+    reduction: _Reduction
 
     def solve(self, rhs: Sequence[Expr], ppatch: Patch, exc, message: str) -> list[Expr]:
         """The chart vector whose factor images are ``rhs``; ``exc(message)`` when there is none."""
-        if len(rhs) != len(self.c_g) + len(self.c_h):
-            raise ValueError("right-hand side has wrong length")
-        for row in self.consistency:
-            if not _combine(ppatch, row, rhs).is_zero():
-                raise exc(message)
-        return [_combine(ppatch, row, rhs) for row in self.left_inv]
+        try:
+            return self.reduction.solve(rhs, ppatch)
+        except Inconsistent:
+            raise exc(message) from None
 
 
 def _affine_rows(m: PolyMap) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]] | None:
@@ -338,32 +331,16 @@ def _associativity_item(g: GroupoidPatch, data: _ChartData) -> CheckItem:
     """Compare the two triple products on a chart solved from the pair constraint."""
     d = g.comp_chart.dim
     n_total = g.total.dim
-    scratch = Patch("q0", ())
     # composable triples: h_of of the first pair equals g_of of the second
-    rows = []
-    rhs = []
-    for i in range(n_total):
-        row = [Expr.const(scratch, q) for q in data.a_h[i]]
-        row += [Expr.const(scratch, -q) for q in data.a_g[i]]
-        rows.append(row)
-        rhs.append(Expr.const(scratch, data.c_g[i] - data.c_h[i]))
+    triples = _Reduction([a_h + tuple(-q for q in a_g) for a_g, a_h in zip(data.a_g, data.a_h)], 2 * d)
+    kernel = triples.kernel()
+    tri = Patch(g.comp_chart.name + "_triples", tuple(fresh_names("tau", len(kernel), ())))
+    coords = [Expr.coord(tri, c) for c in tri.coords]
     try:
-        part = solve_linear(ExprMatrix.from_rows(scratch, rows), rhs)
+        part = triples.solve([Expr.const(tri, data.c_g[i] - data.c_h[i]) for i in range(n_total)], tri)
     except Inconsistent:
         raise ChartMismatch("no composable triples fit on the chart") from None
-    particular = [v.num.constant_value() / v.den.constant_value() for v in part]
-    kernel = nullspace(ExprMatrix.from_rows(scratch, rows))
-    tri = Patch(
-        g.comp_chart.name + "_triples",
-        tuple(fresh_names("tau", len(kernel), ())),
-    )
-    coords = [Expr.coord(tri, c) for c in tri.coords]
-    z = []
-    for j in range(2 * d):
-        acc = Expr.const(tri, particular[j])
-        for s, vec in enumerate(kernel):
-            acc = acc + coords[s] * Expr.const(tri, vec[j].constant_value())
-        z.append(acc)
+    z = [p + _combine(tri, [vec[j] for vec in kernel], coords) for j, p in enumerate(part)]
     c_first, c_second = z[:d], z[d:]
     gh = g.mul.apply(c_first, tri)
     hk = g.mul.apply(c_second, tri)
@@ -510,23 +487,26 @@ def lie_algebroid_of(g: GroupoidPatch, frame: Sequence[Sequence[Expr]] | None = 
     m = g.base
     n, n_total = m.dim, g.total.dim
     basis = [list(col) for col in frame]
+    if any(len(col) != n_total for col in basis):
+        raise WrongShape(f"supplied frame vectors need {n_total} components")
     if n:
         js_unit = _subst_matrix(g._jacobians["src"], list(g.unit.components), m)
         for col in basis:
             if any(not v.is_zero() for v in _matvec(js_unit, col, m)):
                 raise WrongShape("supplied frame leaves the kernel of the source map")
-    cols_matrix = ExprMatrix.from_rows(m, [[col[i] for col in basis] for i in range(n_total)])
-    if len(basis) != n_total - n or generic_rank(cols_matrix) != len(basis):
+    frame_matrix = ExprMatrix.from_rows(m, basis).transpose()
+    if len(basis) != n_total - n or generic_rank(frame_matrix) != len(basis):
         raise WrongShape("supplied frame does not span the source kernel")
-    return _algebroid_on(g, basis, _right_invariant_fields(g, basis))
+    return _algebroid_on(g, frame_matrix, _right_invariant_fields(g, basis))
 
 
-def _algebroid_on(g: GroupoidPatch, basis, fields) -> AlgebroidPatch:
-    m, n_total = g.base, g.total.dim
+def _algebroid_on(g: GroupoidPatch, frame_matrix: ExprMatrix, fields) -> AlgebroidPatch:
+    """The algebroid of a kernel frame, given as the columns of ``frame_matrix``, and its right-invariant fields."""
+    m = g.base
+    basis = frame_matrix.transpose().entries
     eps = list(g.unit.components)
     jt_unit = _subst_matrix(g._jacobians["tgt"], eps, m)
     anchors = [VField(m, tuple(_matvec(jt_unit, col, m))) for col in basis]
-    frame_matrix = ExprMatrix.from_rows(m, [[col[i] for col in basis] for i in range(n_total)])
     brackets = {}
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
@@ -574,23 +554,24 @@ def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
     return g._cotangent
 
 
-def _compose_covectors(g, data, dmul_rows, a_cov, b_cov, ppatch) -> list[RatExpr]:
-    """Solve the defining pairing identity for the product covector."""
-    n_total = g.total.dim
-    d = g.comp_chart.dim
-    rows = []
-    rhs = []
-    for j in range(d):
-        rows.append([dmul_rows[i][j] for i in range(n_total)])
-        acc = Expr.zero(ppatch)
-        for i in range(n_total):
-            acc = acc + a_cov[i] * Expr.const(ppatch, data.a_g[i][j])
-            acc = acc + b_cov[i] * Expr.const(ppatch, data.a_h[i][j])
-        rhs.append(acc)
-    mat = ExprMatrix.from_rows(ppatch, rows)
-    if generic_rank(mat) != n_total:
-        raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
-    return solve_linear(mat, rhs)
+def _covector_products(g: GroupoidPatch, data: _ChartData, dmul_rows, ppatch: Patch):
+    """The product covector of two factor covectors, from the defining pairing identity.
+
+    The system pairs the product covector with the multiplication Jacobian
+    ``dmul_rows`` and the factor covectors with the chart's factor
+    derivatives.  It is built once per Jacobian, so every product solves
+    the same matrix, and its rank is checked when a product is asked for.
+    """
+    mat = ExprMatrix(ppatch, tuple(zip(*dmul_rows)))
+    pulled = tuple(zip(*(data.a_g + data.a_h)))
+
+    def product(a_cov: Sequence[Expr], b_cov: Sequence[Expr]) -> list[RatExpr]:
+        if generic_rank(mat) != g.total.dim:
+            raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
+        covs = list(a_cov) + list(b_cov)
+        return solve_linear(mat, [_combine(ppatch, row, covs) for row in pulled])
+
+    return product
 
 
 def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> CovectorPoint:
@@ -607,7 +588,7 @@ def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> C
     if diff is not None:
         raise NotComposable(f"cotangent source and target differ at component {diff[0] + 1}: {diff[1]}")
     dmul = _subst_matrix(g._jacobians["mul"], c0, ppatch)
-    sol = _compose_covectors(g, data, dmul, a.covector, b.covector, ppatch)
+    sol = _covector_products(g, data, dmul, ppatch)(a.covector, b.covector)
     cov = []
     for v in sol:
         if not v.is_polynomial():
@@ -729,11 +710,10 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     def fiber_of(mp, point, cov):
         return mp.apply(list(point) + list(cov), chart)[n:]
 
-    rows = []
-    for i in range(n):
-        row = [_matvec(js_g, left_vals[j][0], chart)[i] for j in range(k)]
-        row += [-_matvec(jt_h, right_vals[j][0], chart)[i] for j in range(k)]
-        rows.append(row)
+    # matching tangents: Ts of the left factor equals Tt of the right one
+    s_downs = [_matvec(js_g, x, chart) for x, _ in left_vals]
+    t_downs = [_matvec(jt_h, x, chart) for x, _ in right_vals]
+    rows = [[down[i] for down in s_downs] + [-down[i] for down in t_downs] for i in range(n)]
     s_fibers = [fiber_of(s_map, g_pt, left_vals[j][1]) for j in range(k)]
     t_fibers = [fiber_of(t_map, h_pt, right_vals[j][1]) for j in range(k)]
     for a in range(r):
@@ -743,6 +723,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     span = ExprMatrix.from_rows(chart, _subst_matrix(l.coefficient_matrix().entries, mul_pt, chart))
     span_rank = generic_rank(span)
     dmul = jac["mul"]
+    compose = _covector_products(g, data, dmul, chart)
 
     def products():
         for idx, vec in enumerate(kernel):
@@ -758,7 +739,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
                 b_right = [acc + mu[j] * v for acc, v in zip(b_right, right_vals[j][1])]
             delta = data.solve(x_left + x_right, chart, RankJump, "composable pair escapes the chart")
             x_prod = _matvec(dmul, delta, chart)
-            cov = _compose_covectors(g, data, dmul, a_left, b_right, chart)
+            cov = compose(a_left, b_right)
             column = [RatExpr(v) for v in x_prod] + list(cov)
             cleared = clear_denominators(column)
             if not _in_span(span, span_rank, cleared):
@@ -855,53 +836,47 @@ def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:
 # -- compatibility identities on sample sections ---------------------------------------------------
 
 
-def _relatedness_witness(g, data, dmul, s_map, t_map, trio, chart) -> str | None:
-    """First obstruction to a triple of sections being related by multiplication."""
-    n = g.base.dim
-    n_total = g.total.dim
-    left, right, total = trio
-    g_pt = list(g.g_of.components)
-    h_pt = list(g.h_of.components)
-    mul_pt = list(g.mul.components)
-    x1, a1 = _section_values(left, g_pt, chart)
-    x2, a2 = _section_values(right, h_pt, chart)
-    x0, a0 = _section_values(total, mul_pt, chart)
-    try:
-        delta = data.solve(x1 + x2, chart, NotComposable, "tangent parts are not composable")
-    except NotComposable as exc:
-        return str(exc)
-    diff = _first_difference(_matvec(dmul, delta, chart), x0)
-    if diff is not None:
-        return f"tangent component {diff[0] + 1} deviates by {diff[1]}"
-    s_fib = s_map.apply(g_pt + a1, chart)[n:]
-    t_fib = t_map.apply(h_pt + a2, chart)[n:]
-    diff = _first_difference(s_fib, t_fib)
-    if diff is not None:
-        return f"covector parts are not composable: component {diff[0] + 1} deviates by {diff[1]}"
-    cov = _compose_covectors(g, data, dmul, a1, a2, chart)
-    for i in range(n_total):
-        if cov[i] != RatExpr(a0[i]):
-            return f"covector component {i + 1} deviates"
-    return None
-
-
 def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GSec]]) -> Report:
     """Pairing additivity and bracket compatibility on related section triples."""
     chart = g.comp_chart
+    n = g.base.dim
     data = _chart_data(g, TranslationNotDerivable)
     dmul = g._jacobians["mul"]
     s_map, t_map = g._cotangent
+    compose = _covector_products(g, data, dmul, chart)
+    g_pt = list(g.g_of.components)
+    h_pt = list(g.h_of.components)
+    mul_pt = list(g.mul.components)
+
+    def unrelated(trio) -> str | None:
+        """First obstruction to a triple of sections being related by multiplication."""
+        left, right, total = trio
+        x1, a1 = _section_values(left, g_pt, chart)
+        x2, a2 = _section_values(right, h_pt, chart)
+        x0, a0 = _section_values(total, mul_pt, chart)
+        try:
+            delta = data.solve(x1 + x2, chart, NotComposable, "tangent parts are not composable")
+        except NotComposable as exc:
+            return str(exc)
+        diff = _first_difference(_matvec(dmul, delta, chart), x0)
+        if diff is not None:
+            return f"tangent component {diff[0] + 1} deviates by {diff[1]}"
+        diff = _first_difference(s_map.apply(g_pt + a1, chart)[n:], t_map.apply(h_pt + a2, chart)[n:])
+        if diff is not None:
+            return f"covector parts are not composable: component {diff[0] + 1} deviates by {diff[1]}"
+        for i, (v, want) in enumerate(zip(compose(a1, a2), a0)):
+            if v != RatExpr(want):
+                return f"covector component {i + 1} deviates"
+        return None
+
     for idx, trio in enumerate(samples):
         for sec in trio:
             if sec.patch != g.total:
                 raise PatchMismatch("sample section on a different patch")
-        bad = _relatedness_witness(g, data, dmul, s_map, t_map, trio, chart)
+        bad = unrelated(trio)
         if bad is not None:
             raise HypothesisFails(f"sample {idx + 1}: {bad}")
 
-    g_pt = list(g.g_of.components)
-    h_pt = list(g.h_of.components)
-    mul_pt = list(g.mul.components)
     indices = range(len(samples))
 
     def pairings():
@@ -915,7 +890,7 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
     def brackets():
         for i, j in permutations(indices, 2):
             bra = tuple(courant_bracket(samples[i][slot], samples[j][slot]) for slot in range(3))
-            bad = _relatedness_witness(g, data, dmul, s_map, t_map, bra, chart)
+            bad = unrelated(bra)
             if bad is not None:
                 yield f"samples ({i + 1},{j + 1}): bracket not related ({bad})"
 

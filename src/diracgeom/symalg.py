@@ -12,15 +12,18 @@ Rational functions (``RatExpr``) appear only transiently, as outputs of
 ``solve_linear`` and inside elimination; everything user-facing is polynomial.
 
 Elimination (``generic_rank``, ``solve_linear``, ``nullspace``) has two exact
-routes, chosen by the coefficient matrix alone.  When every entry is a
-constant polynomial, the matrix is read into ``Fraction`` rows and reduced by
-Gauss-Jordan over Q, and polynomial right-hand sides are only combined with
-rational coefficients.  Any other matrix goes through fraction-free Bareiss
-elimination over the polynomial ring.  Both routes take the leftmost column
-with a nonzero entry as the next pivot, so they find the same pivot columns
-and return equal results.  ``generic_rank`` of a non-constant matrix first
-tries a one-sided certificate: full rank at a fixed rational point proves
-full generic rank, and anything less falls back to Bareiss.
+routes, chosen by the coefficient matrix alone.  A matrix whose entries are
+all constant polynomials is reduced once: its ``Fraction`` rows go through
+Gauss-Jordan of [a | I] over Q, and the ``ExprMatrix`` keeps that reduction
+(``_Reduction``).  Its rank and kernel are read off the kept reduction, and
+each polynomial right-hand side is only combined with its rational rows.
+The groupoid charts solve their constant systems through the same class.
+Any other matrix goes through fraction-free Bareiss elimination over the
+polynomial ring.  Both routes take the leftmost column with a nonzero entry
+as the next pivot, so they find the same pivot columns and return equal
+results.  ``generic_rank`` of a non-constant matrix first tries a one-sided
+certificate: full rank at a fixed rational point proves full generic rank,
+and anything less falls back to Bareiss.
 
 Only the public constructor ``Expr(patch, terms)`` validates: it checks the
 exponent tuples, turns coefficients into ``Fraction`` and drops zeros, and is
@@ -38,6 +41,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -803,14 +807,20 @@ class ExprMatrix:
     def __str__(self):
         return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.entries) + "]"
 
+    @cached_property
+    def _reduced(self) -> _Reduction | None:
+        """The reduction over Q of a matrix of constants, made on first use; None for any other matrix."""
+        q = _rational_rows(self.entries)
+        return None if q is None else _Reduction(q, self.ncols)
 
-def _as_rows(m) -> tuple[Patch, list[list[Expr]]]:
+
+def _as_matrix(m) -> ExprMatrix:
     if isinstance(m, ExprMatrix):
-        return m.patch, [list(r) for r in m.entries]
+        return m
     rows = [list(r) for r in m]
     if not rows or not rows[0]:
         raise ValueError("empty matrix needs an ExprMatrix with an explicit patch")
-    return rows[0][0].patch, rows
+    return ExprMatrix.from_rows(rows[0][0].patch, rows)
 
 
 def _pivot_weight(e: Expr):
@@ -914,6 +924,52 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
+class _Reduction:
+    """Gauss-Jordan of [a | I] over Q for a constant matrix a, done once.
+
+    ``pivots`` are the pivot columns of a, ``echelon`` the rows of its reduced
+    echelon form and ``transform`` the row operations that produced them.
+    After that a right-hand side b is only combined with rational rows: the
+    first rank rows of ``transform`` give the pivot variables, and the other
+    rows must send b to zero.
+    """
+
+    def __init__(self, q: Sequence[Sequence[Fraction]], ncols: int):
+        rows = [list(row) + [Fraction(int(i == j)) for j in range(len(q))] for i, row in enumerate(q)]
+        self.ncols = ncols
+        self.pivots = _gauss_jordan(rows, ncols)
+        self.echelon = [row[:ncols] for row in rows]
+        self.transform = [row[ncols:] for row in rows]
+
+    def solve(self, b: Sequence[Expr], patch: Patch) -> list[Expr]:
+        """One solution of a*x = b on ``patch``, free variables zero; ``Inconsistent`` when there is none."""
+        if len(b) != len(self.transform):
+            raise ValueError("right-hand side has wrong length")
+        for row in self.transform[len(self.pivots) :]:
+            if not _combine(patch, row, b).is_zero():
+                raise Inconsistent("right-hand side outside the column span")
+        sol = [Expr.zero(patch)] * self.ncols
+        for row, c in zip(self.transform, self.pivots):
+            sol[c] = _combine(patch, row, b)
+        return sol
+
+    def kernel(self) -> list[list[Fraction]]:
+        """Kernel basis indexed by the non-pivot columns in order.
+
+        Each vector is cleared as ``clear_denominators`` clears constants:
+        times lcm(denominators) / gcd(numerators).
+        """
+        basis = []
+        for fc in (c for c in range(self.ncols) if c not in self.pivots):
+            vec = [Fraction(0)] * self.ncols
+            vec[fc] = Fraction(1)
+            for row, c in zip(self.echelon, self.pivots):
+                vec[c] = -row[fc]
+            scale = Fraction(lcm(*(v.denominator for v in vec)), gcd(*(v.numerator for v in vec)))
+            basis.append([v * scale for v in vec])
+        return basis
+
+
 def _combine(patch: Patch, coeffs: Sequence[Fraction], polys: Sequence[Expr]) -> Expr:
     """sum(coeffs[i] * polys[i]), built on the term maps."""
     out: dict[tuple[int, ...], Fraction] = {}
@@ -933,7 +989,7 @@ def _rank_point(patch: Patch) -> list[Fraction]:
 def generic_rank(m) -> int:
     """Rank of the matrix over the fraction field of the polynomial ring.
 
-    A matrix of constants is reduced over Q by ``_gauss_jordan``.  Any other
+    A matrix of constants is read off its reduction over Q.  Any other
     matrix is first evaluated at the fixed rational point ``_rank_point``
     and the values reduced over Q.  Evaluation cannot raise the rank (a
     non-zero minor at the point is a non-zero minor of the polynomial
@@ -942,28 +998,29 @@ def generic_rank(m) -> int:
     may lie on the zero set of every maximal minor), and the matrix then
     goes through fraction-free ``_bareiss``.
     """
-    patch, rows = _as_rows(m)
-    if not rows or not rows[0]:
+    m = _as_matrix(m)
+    if not m.nrows or not m.ncols:
         return 0
-    q = _rational_rows(rows)
-    if q is not None:
-        return len(_gauss_jordan(q, len(q[0])))
-    full = min(len(rows), len(rows[0]))
-    point = _rank_point(patch)
-    values = [[e.eval_rational(point) for e in row] for row in rows]
-    if len(_gauss_jordan(values, len(values[0]))) == full:
+    if m._reduced is not None:
+        return len(m._reduced.pivots)
+    full = min(m.nrows, m.ncols)
+    point = _rank_point(m.patch)
+    values = [[e.eval_rational(point) for e in row] for row in m.entries]
+    if len(_gauss_jordan(values, m.ncols)) == full:
         return full
-    return len(_bareiss(rows, patch))
+    return len(_bareiss([list(r) for r in m.entries], m.patch))
 
 
-def _back_substitute(rows, pivots, rhs_col, ncols_a):
-    """Solve after forward elimination; free variables are set to zero."""
-    patch = rows[0][0].patch if rows else None
-    sol: list[RatExpr] = [RatExpr.from_scalar(patch, 0) for _ in range(ncols_a)]
+def _back_substitute(rows, pivots, sol: list[RatExpr], rhs_col: int | None = None) -> list[RatExpr]:
+    """Fill the pivot variables of ``sol`` after forward elimination; the others stay as given.
+
+    Pivot row r gives its variable: the ``rhs_col`` entry (zero without one)
+    minus the later variables times their entries, over the pivot.
+    """
     for r, c in reversed(pivots):
-        acc = RatExpr(rows[r][rhs_col])
-        for c2 in range(c + 1, ncols_a):
-            if not rows[r][c2].is_zero():
+        acc = RatExpr.from_scalar(sol[c].patch, 0) if rhs_col is None else RatExpr(rows[r][rhs_col])
+        for c2 in range(c + 1, len(sol)):
+            if not rows[r][c2].is_zero() and not sol[c2].is_zero():
                 acc = acc - RatExpr(rows[r][c2]) * sol[c2]
         sol[c] = acc / RatExpr(rows[r][c])
     return sol
@@ -976,92 +1033,50 @@ def solve_linear(a, b) -> list[RatExpr]:
     no solution exists generically.  Free variables are set to zero, so the
     returned solution is deterministic; substituting it back yields zero.
 
-    When every entry of ``a`` is a constant, ``a`` is reduced over Q with its
-    row transform tracked, and each pivot variable is one rational
-    combination of the entries of ``b``; ``b`` is inconsistent exactly when
-    the combination on a zero row is nonzero.  Otherwise the augmented matrix
-    goes through ``_bareiss``.  Both routes give the same solution.
+    A matrix of constants solves through its reduction over Q: each pivot
+    variable is one rational combination of the entries of ``b``, and ``b``
+    is inconsistent exactly when the combination on a zero row is nonzero.
+    Any other matrix is augmented by ``b`` and goes through ``_bareiss``.
+    Both routes give the same solution.
     """
-    patch, rows = _as_rows(a)
+    a = _as_matrix(a)
     b = list(b)
-    if len(b) != len(rows):
+    if len(b) != a.nrows:
         raise ValueError("right-hand side has wrong length")
-    ncols_a = len(rows[0])
-    q = _rational_rows(rows)
-    if q is not None:
-        return _solve_rational(patch, q, ncols_a, b)
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    pivots = _bareiss(aug, patch)
-    if pivots and any(c == ncols_a for _, c in pivots):
+    if any(bv.patch != a.patch for bv in b):
+        raise PatchMismatch("right-hand side on a different patch")
+    if a._reduced is not None:
+        return [RatExpr(v) for v in a._reduced.solve(b, a.patch)]
+    ncols_a = a.ncols
+    aug = [list(row) + [bv] for row, bv in zip(a.entries, b)]
+    pivots = _bareiss(aug, a.patch)
+    if any(c == ncols_a for _, c in pivots):
         raise Inconsistent("right-hand side outside the column span")
-    return _back_substitute(aug, pivots, ncols_a, ncols_a)
-
-
-def _solve_rational(patch: Patch, q: list[list[Fraction]], ncols_a: int, b: list[Expr]) -> list[RatExpr]:
-    """``solve_linear`` for a constant matrix: Gauss-Jordan on [a | I]."""
-    for bv in b:
-        if bv.patch != patch:
-            raise PatchMismatch("right-hand side on a different patch")
-    nrows = len(q)
-    for i, row in enumerate(q):
-        row.extend(Fraction(int(i == j)) for j in range(nrows))
-    pivots = _gauss_jordan(q, ncols_a)
-    for row in q[len(pivots):]:
-        if not _combine(patch, row[ncols_a:], b).is_zero():
-            raise Inconsistent("right-hand side outside the column span")
-    sol = [RatExpr.from_scalar(patch, 0) for _ in range(ncols_a)]
-    for row, c in zip(q, pivots):
-        sol[c] = RatExpr(_combine(patch, row[ncols_a:], b))
-    return sol
+    return _back_substitute(aug, pivots, [RatExpr.from_scalar(a.patch, 0)] * ncols_a, ncols_a)
 
 
 def nullspace(a) -> list[list[Expr]]:
     """Basis of the kernel over the fraction field, cleared to polynomials.
 
     Basis vectors are indexed by the non-pivot columns in order, which makes
-    the output deterministic.  A matrix of constants is reduced over Q, any
-    other through ``_bareiss``; both routes give the same basis.
+    the output deterministic.  A matrix of constants reads its basis off its
+    reduction over Q, any other goes through ``_bareiss``; both routes give
+    the same basis.
     """
-    patch, rows = _as_rows(a)
-    ncols = len(rows[0])
-    q = _rational_rows(rows)
-    if q is not None:
-        return _nullspace_rational(patch, q, ncols)
-    work = [list(r) for r in rows]
-    pivots = _bareiss(work, patch)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis: list[list[Expr]] = []
-    for fc in free_cols:
-        # solve A * v = 0 with v[fc] = 1, other free vars 0
-        vec: list[RatExpr] = [RatExpr.from_scalar(patch, 0) for _ in range(ncols)]
-        vec[fc] = RatExpr.from_scalar(patch, 1)
-        for r, c in reversed(pivots):
-            acc = RatExpr.from_scalar(patch, 0)
-            for c2 in range(c + 1, ncols):
-                if not work[r][c2].is_zero() and not vec[c2].is_zero():
-                    acc = acc - RatExpr(work[r][c2]) * vec[c2]
-            vec[c] = acc / RatExpr(work[r][c])
-        basis.append(clear_denominators(vec))
-    return basis
-
-
-def _nullspace_rational(patch: Patch, q: list[list[Fraction]], ncols: int) -> list[list[Expr]]:
-    """``nullspace`` of a constant matrix, read off its reduced echelon form.
-
-    Each vector is cleared as ``clear_denominators`` clears constants: times
-    lcm(denominators) / gcd(numerators).
-    """
-    pivot_cols = _gauss_jordan(q, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivot_cols):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, c in zip(q, pivot_cols):
-            vec[c] = -row[fc]
-        scale = Fraction(lcm(*(v.denominator for v in vec)), gcd(*(v.numerator for v in vec)))
-        basis.append([Expr.const(patch, v * scale) for v in vec])
-    return basis
+    a = _as_matrix(a)
+    if a._reduced is not None:
+        return [[Expr.const(a.patch, v) for v in vec] for vec in a._reduced.kernel()]
+    work = [list(r) for r in a.entries]
+    pivots = _bareiss(work, a.patch)
+    pivot_cols = {c for _, c in pivots}
+    # each free column in turn: A * v = 0 with that variable 1 and the other free ones 0
+    return [
+        clear_denominators(
+            _back_substitute(work, pivots, [RatExpr.from_scalar(a.patch, int(c == fc)) for c in range(a.ncols)])
+        )
+        for fc in range(a.ncols)
+        if fc not in pivot_cols
+    ]
 
 
 def clear_denominators(vec: Sequence[RatExpr]) -> list[Expr]:

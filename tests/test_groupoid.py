@@ -454,6 +454,9 @@ def test_frame_hint_is_validated():
         lie_algebroid_of(g, frame=bad)
     with pytest.raises(WrongShape):
         lie_algebroid_of(g, frame=[[Expr.one(R1), Expr.zero(R1)]] * 2)
+    for short_or_long in ([Expr.one(R1)], [Expr.one(R1), Expr.zero(R1), Expr.zero(R1)]):
+        with pytest.raises(WrongShape, match="need 2 components"):
+            lie_algebroid_of(g, frame=[short_or_long])
 
 
 def test_algebroid_of_tangent_groupoid_is_tangent_lift():
@@ -866,6 +869,25 @@ def test_full_rank_span_membership_needs_no_elimination(monkeypatch):
     assert decided and all(decided)
 
 
+def test_constant_covector_systems_are_reduced_once_per_check(monkeypatch):
+    # on pair_groupoid(R3) the product covector solves a 9x6 constant system, once per
+    # composable direction, and the unit covector a 6x6 one, once per section end
+    g = pair_groupoid(R3)
+    beta = KForm(R3, 2, {(0, 1): parse_expr("x", R3), (0, 2): parse_expr("y*z", R3), (1, 2): Expr.one(R3)})
+    frame = graph_two_form(difference_form(g, beta))
+    assert check_multiplicative_frame(g, frame).passed
+    shapes = Counter()
+    real_gauss_jordan = symalg._gauss_jordan
+
+    def gauss_jordan(rows, ncols):
+        shapes[len(rows), ncols] += 1
+        return real_gauss_jordan(rows, ncols)
+
+    monkeypatch.setattr(symalg, "_gauss_jordan", gauss_jordan)
+    assert check_multiplicative_frame(g, frame).passed
+    assert (shapes[9, 6], shapes[6, 6]) == (1, 1)
+
+
 # -- induced infinitesimal data -------------------------------------------------------------------
 
 
@@ -964,6 +986,22 @@ def test_ca_identities_reject_unrelated_samples():
     skew = GSec(VField.coordinate(g.total, "x_1"), KForm.zero(g.total, 1))
     with pytest.raises(HypothesisFails):
         check_ca_identities(g, [(skew, skew, skew)])
+
+
+def test_ca_identities_name_the_deviating_component():
+    # the third section of the second sample is off by one tangent or one covector component
+    g = pair_groupoid(R2)
+    total = g.total
+    good = pair_section(g, ("y", "x"), ("x", "0"))
+    zero = Expr.zero(total)
+    off_tangent = GSec(good.vf + VField.coordinate(total, "y_2"), good.of)
+    off_covector = GSec(good.vf, good.of + KForm.one_form(total, (zero, zero, parse_expr("x_1", total), zero)))
+    with pytest.raises(HypothesisFails) as tangent:
+        check_ca_identities(g, [(good, good, good), (good, good, off_tangent)])
+    assert str(tangent.value) == "sample 2: tangent component 4 deviates by -1"
+    with pytest.raises(HypothesisFails) as covector:
+        check_ca_identities(g, [(good, good, good), (good, good, off_covector)])
+    assert str(covector.value) == "sample 2: covector component 3 deviates"
 
 
 def test_ca_identities_vacuous_and_validated():

@@ -1,9 +1,11 @@
-"""Source hygiene: no unused imports and no unreferenced private names in ``src/diracgeom``.
+"""Source hygiene: no unused imports, no unreferenced private names and no
+unreferenced private class members in ``src/diracgeom``.
 
 Standard library ``ast`` only, so it runs with the rest of the tier-1 tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "diracgeom"
@@ -72,4 +74,39 @@ def test_private_module_names_are_referenced():
         for name in _private_definitions(stmt):
             if not any(name in refs for _, other, refs in statements if other is not stmt):
                 unreferenced.append(f"{path.name}: {name}")
+    assert unreferenced == []
+
+
+def _class_members(cls: ast.ClassDef) -> list[tuple[str, ast.stmt]]:
+    """Members a class body defines: methods, cached properties and class attributes or fields."""
+    members = []
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef):
+            members.append((stmt.name, stmt))
+        elif isinstance(stmt, ast.Assign):
+            members += [(t.id, stmt) for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            members.append((stmt.target.id, stmt))
+    return members
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """How often each attribute is read and each bare name loaded inside ``node``."""
+    found = Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+    found.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    return found
+
+
+def test_private_class_members_are_referenced():
+    # private: a private member name, or any member of a private class.  Attributes are
+    # matched by name alone, and a member's own definition does not count as a use.
+    trees = [(path, _tree(path)) for path in MODULES]
+    everywhere = sum((_mentions(tree) for _, tree in trees), Counter())
+    unreferenced = []
+    for path, tree in trees:
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for name, stmt in _class_members(cls):
+                private = name.startswith("_") or cls.name.startswith("_")
+                if private and not name.startswith("__") and everywhere[name] <= _mentions(stmt)[name]:
+                    unreferenced.append(f"{path.name}: {cls.name}.{name}")
     assert unreferenced == []

@@ -364,12 +364,25 @@ def constant_systems(draw):
     """
     vals = draw(constant_matrices())
     a = ExprMatrix.from_rows(XY, [[Expr.const(XY, v) for v in row] for row in vals])
+    return a, _right_hand_side(draw, a)
+
+
+def _right_hand_side(draw, a):
     xs = [draw(polys(XY)) for _ in range(a.ncols)]
     b = [_combine_row(row, xs) for row in a.entries]
     if draw(st.booleans()):
         i = draw(st.integers(0, a.nrows - 1))
         b[i] = b[i] + draw(polys(XY))
-    return a, b
+    return b
+
+
+@st.composite
+def constant_questions(draw):
+    """One constant matrix and, in drawn order, its rank, its kernel and two or three right-hand sides."""
+    vals = draw(constant_matrices())
+    a = ExprMatrix.from_rows(XY, [[Expr.const(XY, v) for v in row] for row in vals])
+    questions = ["rank", "kernel"] + [_right_hand_side(draw, a) for _ in range(draw(st.integers(2, 3)))]
+    return a, draw(st.permutations(questions))
 
 
 def _combine_row(row, xs):
@@ -379,14 +392,23 @@ def _combine_row(row, xs):
 def _by_bareiss(fn, *args):
     """``fn(*args)`` with the Q route and the point certificate switched off.
 
-    Elimination is then ``_bareiss`` on every matrix: ``_rational_rows``
-    reports no constant matrix, and a ``_gauss_jordan`` that finds no pivot
-    makes every point rank too low to certify.
+    Elimination is then ``_bareiss`` on every matrix: no matrix offers a
+    reduction over Q, not even one that has already made and kept it, and a
+    ``_gauss_jordan`` that finds no pivot makes every point rank too low to
+    certify.
     """
-    with mock.patch.object(symalg, "_rational_rows", lambda rows: None), mock.patch.object(
+    with mock.patch.object(ExprMatrix, "_reduced", property(lambda self: None)), mock.patch.object(
         symalg, "_gauss_jordan", lambda rows, ncols: []
     ):
         return fn(*args)
+
+
+def _ask(a, question):
+    if question == "rank":
+        return generic_rank(a)
+    if question == "kernel":
+        return nullspace(a)
+    return _solve_or_inconsistent(a, question)
 
 
 def _solve_or_inconsistent(a, b):
@@ -430,6 +452,20 @@ def test_rational_solve_matches_bareiss(system):
     if fast is not Inconsistent:
         sol = [RatExpr(num, den).as_expr() for num, den in fast]
         assert [_combine_row(row, sol) for row in a.entries] == b
+
+
+@DIFF
+@given(constant_questions())
+def test_one_constant_matrix_is_reduced_once_for_every_question(problem):
+    # every answer on the kept reduction equals the Bareiss route, asked of the same object
+    a, questions = problem
+    with mock.patch.object(symalg, "_gauss_jordan", wraps=symalg._gauss_jordan) as gauss_jordan:
+        for question in questions:
+            fast = _ask(a, question)
+            with mock.patch.object(symalg, "_bareiss", wraps=symalg._bareiss) as bareiss:
+                assert fast == _by_bareiss(_ask, a, question)
+            assert bareiss.called or (question == "rank" and not a.ncols)
+    assert gauss_jordan.call_count == 1
 
 
 def test_rational_solve_reports_inconsistent_on_zero_rows():
