@@ -534,6 +534,18 @@ def pullback_form(f: PolyMap, w: KForm) -> KForm:
     return KForm(src, w.degree, out)
 
 
+def _pushed_entries(p: Bivector, rows, point: Sequence[Expr], ppatch: Patch) -> dict[tuple[int, int], Expr]:
+    """Entries k < l of J p J^T on ``ppatch``, J = ``rows``, with each stored entry of p taken once at ``point``."""
+    stored = [(i, j, c.substitute(point, ppatch)) for (i, j), c in p.coeffs.items()]
+    out = {}
+    for k, l in combinations(range(len(rows)), 2):
+        acc = Expr.zero(ppatch)
+        for i, j, c in stored:
+            acc = acc + c * (rows[k][i] * rows[l][j] - rows[k][j] * rows[l][i])
+        out[k, l] = acc
+    return out
+
+
 def pushforward_bivector(f: PolyMap, f_inv: PolyMap, p: Bivector) -> Bivector:
     """f_* p expressed on the target, using the supplied two-sided inverse."""
     if p.patch != f.source:
@@ -542,15 +554,7 @@ def pushforward_bivector(f: PolyMap, f_inv: PolyMap, p: Bivector) -> Bivector:
         raise NotInverse("inverse goes between the wrong patches")
     if not f.compose(f_inv).is_identity() or not f_inv.compose(f).is_identity():
         raise NotInverse("supplied map is not a two-sided inverse")
-    jac = f.jacobian()
     tgt = f.target
-    out: dict[tuple[int, int], Expr] = {}
-    for (k, l) in combinations(range(tgt.dim), 2):
-        acc = Expr.zero(f.source)
-        for (i, j), c in p.coeffs.items():
-            acc = acc + c * (
-                jac.entries[k][i] * jac.entries[l][j] - jac.entries[k][j] * jac.entries[l][i]
-            )
-        if not acc.is_zero():
-            out[(k, l)] = f_inv.pullback_scalar(acc)
-    return Bivector(tgt, out)
+    point = list(f_inv.components)
+    rows = [[e.substitute(point, tgt) for e in row] for row in f.jacobian().entries]
+    return Bivector(tgt, _pushed_entries(p, rows, point, tgt))

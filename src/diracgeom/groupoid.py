@@ -10,7 +10,10 @@ Left and right translations are never supplied by the caller; they are
 recovered from ``mul`` by freezing one argument, which is a constrained
 derivative along the chart.  That single mechanism drives the cotangent
 source/target maps, cotangent composition, right-invariant frames, and the
-multiplicativity checks.
+multiplicativity checks.  The frame route reads both ends of TG ⊕ T*G ⇒
+TM ⊕ A* (Ts or Tt on the tangent half, the cotangent source or target on the
+covector half) through one helper, ``_end``, at the two factors of a pair and
+along units; a passing unit item carries no witness.
 
 Data derived from the structure maps is computed once per ``GroupoidPatch``,
 on first use, and kept on the instance: the solved pair chart, the Jacobians
@@ -33,7 +36,7 @@ from itertools import combinations, permutations, product
 from typing import Sequence
 
 from .algebroid import AlgebroidPatch, IMTwoForm, algebroid, dual_patch
-from .cartan import Bivector, KForm, PolyMap, VField, lie_bracket, pullback_form
+from .cartan import Bivector, KForm, PolyMap, VField, _pushed_entries, interior_product, lie_bracket, pullback_form
 from .courant import Frame, GSec, check_lagrangian, courant_bracket, pairing
 from .errors import (
     ChartMismatch,
@@ -51,6 +54,7 @@ from .errors import (
 )
 from .report import CheckItem, Report
 from .symalg import (
+    MAX_DIMENSION,
     Expr,
     ExprMatrix,
     Patch,
@@ -152,24 +156,18 @@ class GroupoidPatch:
         gp = [Expr.coord(ct, c) for c in ct.coords[:n_total]]
         xi = [Expr.coord(ct, c) for c in ct.coords[n_total:]]
 
-        def paired(vec):
-            acc = Expr.zero(ct)
-            for p, w in zip(xi, vec):
-                acc = acc + p * w
-            return acc
-
         # target: the right translates of the kernel frame are the right-invariant fields
-        x_t = [comp.substitute(gp, ct) for comp in self.tgt.components]
-        t_fiber = [paired([comp.substitute(gp, ct) for comp in field.components]) for field in self._fields]
+        x_t = [comp.inject(ct) for comp in self.tgt.components]
+        t_fiber = _matvec([[comp.inject(ct) for comp in field.components] for field in self._fields], xi, ct)
 
         # source: left-translate target-horizontal corrections of the frame at eps(s(g))
-        x_s = [comp.substitute(gp, ct) for comp in self.src.components]
+        x_s = [comp.inject(ct) for comp in self.src.components]
         eps_s = self.unit.apply(x_s, ct)
         jt_eps = _subst_matrix(self._jacobians["tgt"], eps_s, ct)
         jeps = _subst_matrix(self._jacobians["unit"], x_s, ct)
         dmul = _subst_matrix(self._jacobians["mul"], chart_params(self, gp, eps_s, ct, TranslationNotDerivable), ct)
         zero = [Expr.zero(ct)] * n_total
-        s_fiber = []
+        translated = []
         for vec in self._frame:
             vec = [comp.substitute(x_s, ct) for comp in vec]
             correction = _matvec(jeps, _matvec(jt_eps, vec, ct), ct)
@@ -177,7 +175,8 @@ class GroupoidPatch:
             delta = data.solve(
                 zero + horizontal, ct, TranslationNotDerivable, "translation direction missing from the chart"
             )
-            s_fiber.append(paired(_matvec(dmul, delta, ct)))
+            translated.append(_matvec(dmul, delta, ct))
+        s_fiber = _matvec(translated, xi, ct)
         return PolyMap(ct, dual, tuple(x_s + s_fiber)), PolyMap(ct, dual, tuple(x_t + t_fiber))
 
     @cached_property
@@ -284,47 +283,46 @@ def check_groupoid_axioms(g: GroupoidPatch) -> Report:
             f"left-factor source differs from right-factor target: component {matching[0] + 1} = {matching[1]}"
         )
     data = _chart_data(g, ChartMismatch)
-
-    items = []
-
-    def map_item(name: str, lhs: Sequence[Expr], rhs: Sequence[Expr]) -> None:
-        diff = _first_difference(lhs, rhs)
-        witness = None if diff is None else f"component {diff[0] + 1} deviates by {diff[1]}"
-        items.append(CheckItem(name, diff is None, witness))
-
-    map_item(
-        "products have the source of the right factor",
-        g.src.compose(g.mul).components,
-        g.src.compose(g.h_of).components,
-    )
-    map_item(
-        "products have the target of the left factor",
-        g.tgt.compose(g.mul).components,
-        g.tgt.compose(g.g_of).components,
-    )
-    map_item(
-        "inversion swaps source and target",
-        g.src.compose(g.inv).components + g.tgt.compose(g.inv).components,
-        g.tgt.components + g.src.components,
-    )
-
     total = g.total
     gp = [Expr.coord(total, c) for c in total.coords]
     unit_left = g.unit.apply(list(g.tgt.components), total)
     unit_right = g.unit.apply(list(g.src.components), total)
+    inv_pt = list(g.inv.components)
 
     def product(left, right):
         c0 = chart_params(g, left, right, total, ChartMismatch)
         return g.mul.apply(c0, total)
 
-    map_item("left units act trivially", product(unit_left, gp), gp)
-    map_item("right units act trivially", product(gp, unit_right), gp)
-    inv_pt = list(g.inv.components)
-    map_item("left inverses produce units", product(inv_pt, gp), unit_right)
-    map_item("right inverses produce units", product(gp, inv_pt), unit_left)
+    return Report(
+        (
+            _agreement(
+                "products have the source of the right factor",
+                g.src.compose(g.mul).components,
+                g.src.compose(g.h_of).components,
+            ),
+            _agreement(
+                "products have the target of the left factor",
+                g.tgt.compose(g.mul).components,
+                g.tgt.compose(g.g_of).components,
+            ),
+            _agreement(
+                "inversion swaps source and target",
+                g.src.compose(g.inv).components + g.tgt.compose(g.inv).components,
+                g.tgt.components + g.src.components,
+            ),
+            _agreement("left units act trivially", product(unit_left, gp), gp),
+            _agreement("right units act trivially", product(gp, unit_right), gp),
+            _agreement("left inverses produce units", product(inv_pt, gp), unit_right),
+            _agreement("right inverses produce units", product(gp, inv_pt), unit_left),
+            _associativity_item(g, data),
+        )
+    )
 
-    items.append(_associativity_item(g, data))
-    return Report(tuple(items))
+
+def _agreement(name: str, lhs: Sequence[Expr], rhs: Sequence[Expr]) -> CheckItem:
+    """Pass when the component lists agree, else name the first component that deviates."""
+    diff = _first_difference(lhs, rhs)
+    return CheckItem(name, diff is None, None if diff is None else f"component {diff[0] + 1} deviates by {diff[1]}")
 
 
 def _associativity_item(g: GroupoidPatch, data: _ChartData) -> CheckItem:
@@ -346,9 +344,7 @@ def _associativity_item(g: GroupoidPatch, data: _ChartData) -> CheckItem:
     hk = g.mul.apply(c_second, tri)
     left = g.mul.apply(chart_params(g, gh, g.h_of.apply(c_second, tri), tri, ChartMismatch), tri)
     right = g.mul.apply(chart_params(g, g.g_of.apply(c_first, tri), hk, tri, ChartMismatch), tri)
-    diff = _first_difference(left, right)
-    witness = None if diff is None else f"component {diff[0] + 1} deviates by {diff[1]}"
-    return CheckItem("composition is associative on the derived triple chart", diff is None, witness)
+    return _agreement("composition is associative on the derived triple chart", left, right)
 
 
 # -- tangent groupoid ---------------------------------------------------------------------
@@ -402,10 +398,13 @@ def abelian_group(n: int) -> GroupoidPatch:
     """The additive group on n >= 1 coordinates, over a one-point base.
 
     n = 0 would be the trivial group, whose empty charts the groupoid checks
-    cannot solve on, so it is rejected together with negative n.
+    cannot solve on, so it is rejected together with negative n.  An n above
+    ``MAX_DIMENSION`` is rejected before any coordinate name is built.
     """
     if n < 1:
         raise WrongShape(f"abelian_group needs at least one coordinate, got {n}")
+    if n > MAX_DIMENSION:
+        raise WrongShape(f"abelian_group needs at most {MAX_DIMENSION} coordinates, got {n}")
     base = Patch("pt", ())
     total = Patch(f"Ab{n}", tuple(f"x_{i + 1}" for i in range(n)))
     chart = Patch(
@@ -621,18 +620,12 @@ def check_multiplicative_bivector(g: GroupoidPatch, p: Bivector) -> Report:
     chart = g.comp_chart
     left, right = g._translations
     mul_pt = list(g.mul.components)
-    g_pt = list(g.g_of.components)
-    h_pt = list(g.h_of.components)
-    pairs = list(combinations(range(g.total.dim), 2))
+    by_left = _pushed_entries(p, left, list(g.h_of.components), chart)
+    by_right = _pushed_entries(p, right, list(g.g_of.components), chart)
 
     def entries():
-        for k, l in pairs:
-            acc = p.entry(k, l).substitute(mul_pt, chart)
-            for i, j in pairs:
-                e_h = p.entry(i, j).substitute(h_pt, chart)
-                e_g = p.entry(i, j).substitute(g_pt, chart)
-                acc = acc - e_h * (left[k][i] * left[l][j] - left[k][j] * left[l][i])
-                acc = acc - e_g * (right[k][i] * right[l][j] - right[k][j] * right[l][i])
+        for k, l in combinations(range(g.total.dim), 2):
+            acc = p.entry(k, l).substitute(mul_pt, chart) - by_left[k, l] - by_right[k, l]
             if not acc.is_zero():
                 yield f"entry[{k + 1},{l + 1}] = {acc}"
 
@@ -658,23 +651,30 @@ def _in_span(span: ExprMatrix, span_rank: int, column: Sequence[Expr]) -> bool:
     n = span.nrows // 2
     if span_rank != n:
         return generic_rank(span.augment([column])) == span_rank
-    x, a = column[:n], column[n:]
-    for sec in zip(*span.entries):
-        acc = Expr.zero(span.patch)
-        for i in range(n):
-            acc = acc + a[i] * sec[i] + sec[n + i] * x[i]
-        if not acc.is_zero():
-            return False
-    return True
+    swapped = list(column[n:]) + list(column[:n])
+    return all(v.is_zero() for v in _matvec(zip(*span.entries), swapped, span.patch))
+
+
+def _end(g: GroupoidPatch, side: int, point: Sequence[Expr], ppatch: Patch):
+    """The source (side 0) or target (side 1) of TG ⊕ T*G at ``point``.
+
+    The returned map takes a stacked (x, a) to Ts·x or Tt·x, followed by the
+    fibre value of a in A*.
+    """
+    jac = _subst_matrix(g._jacobians[("src", "tgt")[side]], point, ppatch)
+    fibre = g._cotangent[side]
+    n, n_total = g.base.dim, g.total.dim
+    return lambda xa: _matvec(jac, xa[:n_total], ppatch) + fibre.apply(list(point) + list(xa[n_total:]), ppatch)[n:]
 
 
 def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     """Subgroupoid test: composable frame combinations close up, and so do units.
 
-    Composable pairs are parametrized by the kernel of the tangent and
-    cotangent matching conditions over the pair chart; every composed product
-    must stay in the span of the frame at the product point.  The unit-space
-    span is computed along units and reported.
+    L_G must be a subgroupoid of TG ⊕ T*G ⇒ TM ⊕ A*, whose source and target
+    ``_end`` reads.  Composable pairs are the kernel of the matching condition
+    over the pair chart, and each product must stay in the span of the frame
+    at the product point; units over the source and target of each section
+    along units must stay in the span there.
 
     Span membership is exact either way (``_in_span``).  The frame has passed
     ``check_lagrangian``, and substitution is a ring map, so the substituted
@@ -693,125 +693,64 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     m = g.base
     n, n_total, k = m.dim, g.total.dim, len(l.secs)
     data = _chart_data(g, TranslationNotDerivable)
-    s_map, t_map = g._cotangent
-    basis = g._frame
-    r = len(basis)
-    jac = g._jacobians
+    coefficients = l.coefficient_matrix().entries
+    dmul = g._jacobians["mul"]
+    g_pt, h_pt = list(g.g_of.components), list(g.h_of.components)
+    # stacked section values, one column per section, at the two factors and at the product
+    left = _subst_matrix(coefficients, g_pt, chart)
+    right = _subst_matrix(coefficients, h_pt, chart)
+    span = ExprMatrix.from_rows(chart, _subst_matrix(coefficients, list(g.mul.components), chart))
 
-    g_pt = list(g.g_of.components)
-    h_pt = list(g.h_of.components)
-    mul_pt = list(g.mul.components)
-    js_g = _subst_matrix(jac["src"], g_pt, chart)
-    jt_h = _subst_matrix(jac["tgt"], h_pt, chart)
-
-    left_vals = [_section_values(sec, g_pt, chart) for sec in l.secs]
-    right_vals = [_section_values(sec, h_pt, chart) for sec in l.secs]
-
-    def fiber_of(mp, point, cov):
-        return mp.apply(list(point) + list(cov), chart)[n:]
-
-    # matching tangents: Ts of the left factor equals Tt of the right one
-    s_downs = [_matvec(js_g, x, chart) for x, _ in left_vals]
-    t_downs = [_matvec(jt_h, x, chart) for x, _ in right_vals]
-    rows = [[down[i] for down in s_downs] + [-down[i] for down in t_downs] for i in range(n)]
-    s_fibers = [fiber_of(s_map, g_pt, left_vals[j][1]) for j in range(k)]
-    t_fibers = [fiber_of(t_map, h_pt, right_vals[j][1]) for j in range(k)]
-    for a in range(r):
-        rows.append([s_fibers[j][a] for j in range(k)] + [-t_fibers[j][a] for j in range(k)])
+    # matching: the source of the left combination equals the target of the right one
+    s_ends = list(map(_end(g, 0, g_pt, chart), zip(*left)))
+    t_ends = list(map(_end(g, 1, h_pt, chart), zip(*right)))
+    rows = [[s[i] for s in s_ends] + [-t[i] for t in t_ends] for i in range(n_total)]
     kernel = nullspace(ExprMatrix.from_rows(chart, rows))
-
-    span = ExprMatrix.from_rows(chart, _subst_matrix(l.coefficient_matrix().entries, mul_pt, chart))
     span_rank = generic_rank(span)
-    dmul = jac["mul"]
     compose = _covector_products(g, data, dmul, chart)
 
     def products():
         for idx, vec in enumerate(kernel):
-            lam, mu = vec[:k], vec[k:]
-            x_left = [Expr.zero(chart)] * n_total
-            a_left = [Expr.zero(chart)] * n_total
-            x_right = [Expr.zero(chart)] * n_total
-            b_right = [Expr.zero(chart)] * n_total
-            for j in range(k):
-                x_left = [acc + lam[j] * v for acc, v in zip(x_left, left_vals[j][0])]
-                a_left = [acc + lam[j] * v for acc, v in zip(a_left, left_vals[j][1])]
-                x_right = [acc + mu[j] * v for acc, v in zip(x_right, right_vals[j][0])]
-                b_right = [acc + mu[j] * v for acc, v in zip(b_right, right_vals[j][1])]
-            delta = data.solve(x_left + x_right, chart, RankJump, "composable pair escapes the chart")
-            x_prod = _matvec(dmul, delta, chart)
-            cov = compose(a_left, b_right)
-            column = [RatExpr(v) for v in x_prod] + list(cov)
-            cleared = clear_denominators(column)
-            if not _in_span(span, span_rank, cleared):
+            xa, xb = _matvec(left, vec[:k], chart), _matvec(right, vec[k:], chart)
+            delta = data.solve(xa[:n_total] + xb[:n_total], chart, RankJump, "composable pair escapes the chart")
+            column = [RatExpr(v) for v in _matvec(dmul, delta, chart)] + compose(xa[n_total:], xb[n_total:])
+            if not _in_span(span, span_rank, clear_denominators(column)):
                 yield f"composable direction {idx + 1}: the product leaves the span"
 
-    items = [CheckItem.first("composable products stay in the span", products())]
+    closed = CheckItem.first("composable products stay in the span", products())
 
-    # unit-space closure: units over sources and targets of frame values lie in the span
+    # units over the source and target of every section along units
     eps = list(g.unit.components)
-    js_eps = _subst_matrix(jac["src"], eps, m)
-    jt_eps = _subst_matrix(jac["tgt"], eps, m)
-    jeps = jac["unit"]
-    unit_vals = [_section_values(sec, eps, m) for sec in l.secs]
-    span_unit = ExprMatrix.from_rows(m, _subst_matrix(l.coefficient_matrix().entries, eps, m))
+    jeps = g._jacobians["unit"]
+    along_units = _subst_matrix(coefficients, eps, m)
+    span_unit = ExprMatrix.from_rows(m, along_units)
     span_unit_rank = generic_rank(span_unit)
+    unit_ends = (_end(g, 0, eps, m), _end(g, 1, eps, m))
     # a unit covector annihilates the image of T eps and restricts to the fiber values on the frame
-    unit_cov = ExprMatrix.from_rows(m, [[jeps[i][col] for i in range(n_total)] for col in range(n)] + list(basis))
-
-    # (section, its image under Ts or Tt, the matching cotangent fiber value)
-    ends = [
-        (j, _matvec(jd, x_j, m), mp.apply(eps + list(a_j), m)[n:])
-        for j, (x_j, a_j) in enumerate(unit_vals)
-        for jd, mp in ((js_eps, s_map), (jt_eps, t_map))
-    ]
+    unit_cov = ExprMatrix.from_rows(m, [[jeps[i][col] for i in range(n_total)] for col in range(n)] + list(g._frame))
 
     def escaping_units():
-        for j, down, fib in ends:
-            tangent_part = _matvec(jeps, down, m)
+        for (j, col), end in product(enumerate(zip(*along_units)), unit_ends):
+            down = end(col)
             try:
-                eta = solve_linear(unit_cov, [Expr.zero(m)] * n + list(fib))
+                eta = solve_linear(unit_cov, [Expr.zero(m)] * n + down[n:])
             except Inconsistent:
                 raise RankJump("unit covector is not determined along units") from None
-            column = [RatExpr(v) for v in tangent_part] + list(eta)
-            cleared = clear_denominators(column)
-            if not _in_span(span_unit, span_unit_rank, cleared):
+            column = [RatExpr(v) for v in _matvec(jeps, down[:n], m)] + eta
+            if not _in_span(span_unit, span_unit_rank, clear_denominators(column)):
                 yield f"unit element over section {j + 1} leaves the span"
 
-    unit_item = CheckItem.first("units over sources and targets stay in the span", escaping_units())
-    if unit_item.passed:
-        # a passing unit item reports the rank of the unit subbundle
-        rows = [[down[i] for _, down, _ in ends] for i in range(n)] + [[fib[a] for _, _, fib in ends] for a in range(r)]
-        rank_e = generic_rank(ExprMatrix.from_rows(m, rows)) if ends else 0
-        unit_item = CheckItem(unit_item.name, True, f"unit subbundle rank {rank_e}")
-    items.append(unit_item)
-    return Report(tuple(items))
+    return Report((closed, CheckItem.first("units over sources and targets stay in the span", escaping_units())))
 
 
 # -- induced infinitesimal data -------------------------------------------------------------------
 
 
 def induced_im_two_form(g: GroupoidPatch, w: KForm) -> IMTwoForm:
-    """Pair the kernel frame with the form along units, restricted to unit vectors."""
+    """IM form sigma(a) = eps*(i_{a^r} w) over the right-invariant fields a^r (Bursztyn–Crainic–Weinstein–Zhu)."""
     if w.patch != g.total or w.degree != 2:
         raise WrongShape("need a two-form on the total chart")
-    m = g.base
-    n, n_total = m.dim, g.total.dim
-    basis = g._frame
-    eps = list(g.unit.components)
-    jeps = g._jacobians["unit"]
-    wmat = [[w.signed_coeff((i, j)).substitute(eps, m) for j in range(n_total)] for i in range(n_total)]
-    sigma = []
-    for vec in basis:
-        comps = []
-        for i in range(n):
-            col = [jeps[kk][i] for kk in range(n_total)]
-            acc = Expr.zero(m)
-            for a in range(n_total):
-                for b in range(n_total):
-                    acc = acc + wmat[a][b] * vec[a] * col[b]
-            comps.append(acc)
-        sigma.append(KForm.one_form(m, comps))
-    return IMTwoForm(tuple(sigma))
+    return IMTwoForm(tuple(pullback_form(g.unit, interior_product(field, w)) for field in g._fields))
 
 
 def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:

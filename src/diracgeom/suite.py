@@ -42,6 +42,7 @@ from .courant import (
     graph_bivector,
     graph_two_form,
 )
+from .errors import CheckError
 from .groupoid import (
     abelian_group,
     check_ca_identities,
@@ -86,6 +87,12 @@ def _expect(name: str, verdict: bool, expected: bool, detail: str | None = None)
     return CheckItem(name, ok, witness)
 
 
+def _ground_truth(holds: bool, claim: str) -> None:
+    """Stop the suite when an independent ground truth does not hold."""
+    if not holds:
+        raise CheckError(f"suite ground truth does not hold: {claim}")
+
+
 def _rand_expr(rng, patch, max_deg=2, terms=3):
     out = Expr.zero(patch)
     for _ in range(rng.randint(1, terms)):
@@ -125,7 +132,7 @@ def two_form_integrability() -> Report:
     ]
     items = []
     for name, w, closed in instances:
-        assert exterior_derivative(w).is_zero() == closed
+        _ground_truth(exterior_derivative(w).is_zero() == closed, f"closedness of {name}")
         verdict = check_dirac(graph_two_form(w)).passed
         items.append(_expect(f"graph of {name}", verdict, closed))
     return Report(tuple(items))
@@ -149,7 +156,7 @@ def bivector_integrability() -> Report:
     items = []
     for name, p, jacobi in instances:
         jac = schouten_jacobiator(p)
-        assert all(v.is_zero() for v in jac.values()) == jacobi
+        _ground_truth(all(v.is_zero() for v in jac.values()) == jacobi, f"the Jacobi identity for {name}")
         verdict = check_dirac(graph_bivector(p)).passed
         items.append(_expect(f"graph of {name}", verdict, jacobi))
     return Report(tuple(items))
@@ -184,7 +191,7 @@ def foliation_integrability() -> Report:
     ]
     items = []
     for name, fields, involutive in instances:
-        assert _involutive(fields) == involutive
+        _ground_truth(_involutive(fields) == involutive, f"involutivity of the {name}")
         verdict = check_dirac(foliation_frame(fields)).passed
         items.append(_expect(name, verdict, involutive))
     return Report(tuple(items))
@@ -285,11 +292,11 @@ def bfield_criterion() -> Report:
     l2 = graph_two_form(KForm(R3, 2, {(0, 1): parse_expr("x", R3)}))
     b_closed = KForm(R3, 2, {(0, 1): parse_expr("y", R3)})
     b_open = KForm(R3, 2, {(0, 1): parse_expr("z", R3)})
-    assert exterior_derivative(b_closed).is_zero()
-    assert not exterior_derivative(b_open).is_zero()
+    _ground_truth(exterior_derivative(b_closed).is_zero(), "y dx^dy is closed")
+    _ground_truth(not exterior_derivative(b_open).is_zero(), "z dx^dy is not closed")
     items = []
     for i, l in enumerate((l1, l2)):
-        assert check_dirac(l).passed
+        _ground_truth(check_dirac(l).passed, f"frame {i + 1} is Dirac")
         for b, closed in ((b_closed, True), (b_open, False)):
             kind = "closed" if closed else "non-closed"
             verdict = check_dirac(bfield_transform(l, b)).passed

@@ -45,7 +45,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ExprSyntaxError, Inconsistent, ParseError, PatchMismatch, UnknownSymbol
+from .errors import ExprSyntaxError, Inconsistent, ParseError, PatchMismatch, UnknownSymbol, WrongShape
 
 Scalar = Union[int, Fraction]
 
@@ -54,6 +54,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # largest exponent, and largest degree of a power, that ``parse_expr`` and check
 # files take; powers are taken by repeated multiplication
 MAX_EXPONENT = 64
+
+# most coordinates a patch may have; every chart and lift is a patch, so nothing
+# built from user input grows past it
+MAX_DIMENSION = 128
 
 # the refusal of a divisor that is zero or not constant, in ``parse_expr`` and check files
 DIVISION_REFUSAL = "division is only defined by a nonzero number"
@@ -64,7 +68,8 @@ class Patch:
     """A named coordinate patch: an ordered tuple of distinct coordinate names.
 
     Zero-dimensional patches are allowed; they carry the constants and serve
-    as the base of groups viewed as groupoids over a point.
+    as the base of groups viewed as groupoids over a point.  A patch has at
+    most ``MAX_DIMENSION`` coordinates.
     """
 
     name: str
@@ -73,6 +78,8 @@ class Patch:
     def __post_init__(self):
         if not self.name:
             raise ValueError("patch needs a name")
+        if self.dim > MAX_DIMENSION:
+            raise WrongShape(f"patch {self.name} has {self.dim} coordinates, above the limit of {MAX_DIMENSION}")
         seen = set()
         for c in self.coords:
             if not _NAME_RE.fullmatch(c):
@@ -120,7 +127,7 @@ class Expr:
     nonzero ``Fraction`` coefficients.
     """
 
-    __slots__ = ("patch", "terms", "_hash")
+    __slots__ = ("patch", "terms")
 
     def __init__(self, patch: Patch, terms: Mapping[tuple[int, ...], Fraction]):
         object.__setattr__(self, "patch", patch)
@@ -133,7 +140,6 @@ class Expr:
             if c != 0:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, patch: Patch, terms: dict) -> "Expr":
@@ -142,7 +148,6 @@ class Expr:
         self = object.__new__(cls)
         object.__setattr__(self, "patch", patch)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, *a):
@@ -254,11 +259,7 @@ class Expr:
         return self.patch == other.patch and self.terms == other.terms
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.patch, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.patch, frozenset(self.terms.items())))
 
     # -- queries -------------------------------------------------------------
 

@@ -207,7 +207,6 @@ def legendre_map(base: Patch, rank: int) -> PolyMap:
     astar_total = _extend(base, dual_fiber, base.name + "_Astar")
     src = cotangent_patch(astar_total).total
     tgt = cotangent_patch(a_total).total
-    n = base.dim
     comps = []
     for c in base.coords:
         comps.append(Expr.coord(src, c))
@@ -217,7 +216,6 @@ def legendre_map(base: Patch, rank: int) -> PolyMap:
         comps.append(-Expr.coord(src, MOMENTUM_PREFIX + c))
     for name in dual_fiber:
         comps.append(Expr.coord(src, name))
-    assert len(comps) == tgt.dim and 2 * (n + rank) == tgt.dim
     return PolyMap(src, tgt, tuple(comps))
 
 

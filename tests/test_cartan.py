@@ -336,6 +336,47 @@ def test_pushforward_bivector_example():
     assert pushforward_bivector(f, f_inv, p) == Bivector(M2, {(0, 1): Expr.const(M2, 2)})
 
 
+@st.composite
+def triangular_automorphisms(draw):
+    """(c1 x, c2 y + q(x), c3 z + r(x, y)) on M3 with its inverse, solved one coordinate at a time."""
+    x, y, z = (Expr.coord(M3, c) for c in M3.coords)
+
+    def poly(variables):
+        powers = st.lists(st.integers(0, 2), min_size=len(variables), max_size=len(variables))
+        acc = Expr.zero(M3)
+        for c, exps in draw(st.lists(st.tuples(st.integers(-2, 2), powers), max_size=2)):
+            term = Expr.const(M3, c)
+            for v, k in zip(variables, exps):
+                term = term * v**k
+            acc = acc + term
+        return acc
+
+    scale = [Fraction(draw(st.sampled_from([1, -1, 2, 3]))) for _ in range(3)]
+    q, r = poly([x]), poly([x, y])
+    f = PolyMap(M3, M3, (x * scale[0], y * scale[1] + q, z * scale[2] + r))
+    x_inv = x * (1 / scale[0])
+    y_inv = (y - q.substitute([x_inv, y, z], M3)) * (1 / scale[1])
+    z_inv = (z - r.substitute([x_inv, y_inv, z], M3)) * (1 / scale[2])
+    return f, PolyMap(M3, M3, (x_inv, y_inv, z_inv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_automorphisms(), st.integers(0, 2**32 - 1))
+@example(
+    (
+        PolyMap(M2, M2, (parse_expr("x", M2), parse_expr("y + x^2", M2))),
+        PolyMap(M2, M2, (parse_expr("x", M2), parse_expr("y - x^2", M2))),
+    ),
+    7,
+)
+def test_pushforward_bivector_round_trip(maps, seed):
+    f, f_inv = maps
+    rng = random.Random(seed)
+    patch = f.source
+    p = Bivector(patch, {idx: rand_expr(rng, patch, max_deg=2) for idx in combinations(range(patch.dim), 2)})
+    assert pushforward_bivector(f_inv, f, pushforward_bivector(f, f_inv, p)) == p
+
+
 def test_pushforward_requires_true_inverse():
     f = PolyMap(M2, M2, (parse_expr("2*x", M2), parse_expr("y", M2)))
     wrong = PolyMap(M2, M2, (parse_expr("x", M2), parse_expr("y", M2)))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracgeom import cli
+from diracgeom import cli, suite
+from diracgeom.cartan import KForm
 from diracgeom.cli import (
     BinOp,
     Call,
@@ -30,7 +31,7 @@ from diracgeom.cli import (
     run_checks,
 )
 from diracgeom.errors import CheckError, EngineError, ParseError, UnknownReference
-from diracgeom.symalg import DIVISION_REFUSAL, MAX_EXPONENT, Expr, Patch, parse_expr
+from diracgeom.symalg import DIVISION_REFUSAL, MAX_DIMENSION, MAX_EXPONENT, Expr, Patch, parse_expr
 
 SAMPLE = """\
 # a closed two-form on the plane
@@ -376,6 +377,9 @@ def test_main_exit_codes(tmp_path, capsys):
         "let M = patch(x, y)\nlet f = (x + y)^64\nlet g = f^64\n",
         "let M = patch(x, y, z)\nlet f = (x + y + z)^8^8\nlet g = f^8\n",
         "let n = 2^64^64^64^64^64^64\n",
+        "let G = abelian_group(10^9)\ncheck groupoid_axioms G\n",
+        f"let M = patch({', '.join(f'x{i}' for i in range(MAX_DIMENSION + 1))})\n",
+        "let G = tangent_groupoid(tangent_groupoid(abelian_group(20)))\ncheck groupoid_axioms G\n",
     ],
     ids=[
         "duplicate-coordinate",
@@ -391,10 +395,22 @@ def test_main_exit_codes(tmp_path, capsys):
         "power-of-a-bound-power",
         "chained-powers",
         "chained-number-powers",
+        "huge-abelian-group",
+        "patch-above-the-dimension-limit",
+        "tangent-groupoids-above-the-dimension-limit",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text):
     assert main(["verify", write(tmp_path, text)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_failed_suite_ground_truth_exits_2(monkeypatch, capsys):
+    # every form now reads as closed, so "z dx^dy is not closed" no longer holds
+    monkeypatch.setattr(suite, "exterior_derivative", lambda w: KForm.zero(w.patch, w.degree + 1))
+    assert main(["verify", "--suite", "paper-examples"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1

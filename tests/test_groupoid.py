@@ -3,8 +3,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
@@ -681,6 +681,14 @@ def test_constant_bivector_is_not_multiplicative():
     assert "entry[1,2]" in rep.witness
 
 
+def test_bivector_witness_is_the_first_failing_entry():
+    # p(x + y) - p(x) - p(y) on the entries (1,2), (1,3), (2,3) is 0, -1, -2
+    ab = abelian_group(3)
+    t = ab.total
+    pi = Bivector(t, {(0, 1): parse_expr("x_1", t), (0, 2): Expr.one(t), (1, 2): Expr.const(t, 2)})
+    assert check_multiplicative_bivector(ab, pi).witness == "entry[1,3] = -1"
+
+
 def test_zero_bivector_is_multiplicative():
     ab = abelian_group(2)
     assert check_multiplicative_bivector(ab, Bivector(ab.total, {})).passed
@@ -869,6 +877,26 @@ def test_full_rank_span_membership_needs_no_elimination(monkeypatch):
     assert decided and all(decided)
 
 
+def test_passing_frame_check_computes_no_unit_subbundle_rank(monkeypatch):
+    # 8 generic ranks: the span at the product, one for each of the 6 product covectors, and
+    # the span along units; a passing unit item carries no witness
+    g = pair_groupoid(R2)
+    frame = graph_two_form(difference_form(g, beta_form(R2, "x")))
+    assert check_multiplicative_frame(g, frame).passed
+    calls = []
+    real = groupoid.generic_rank
+
+    def spy(m):
+        calls.append((m.nrows, m.ncols))
+        return real(m)
+
+    monkeypatch.setattr(groupoid, "generic_rank", spy)
+    rep = check_multiplicative_frame(g, frame)
+    assert rep.passed
+    assert len(calls) == 8
+    assert all(item.witness is None for item in rep.items)
+
+
 def test_constant_covector_systems_are_reduced_once_per_check(monkeypatch):
     # on pair_groupoid(R3) the product covector solves a 9x6 constant system, once per
     # composable direction, and the unit covector a 6x6 one, once per section end
@@ -913,6 +941,65 @@ def test_induced_im_pairs_frame_with_the_form():
     # sigma(e_1) = (x+1) dy, sigma(e_2) = -(x+1) dx on the base
     assert sig.sigma[0].components() == (Expr.zero(R2), parse_expr("x + 1", R2))
     assert sig.sigma[1].components() == (parse_expr("-x - 1", R2), Expr.zero(R2))
+
+
+def _dense_im_two_form(g, w):
+    """sigma(e)_i = sum over a, b of w_ab(eps) e_a d_i eps_b, one dense loop per frame vector."""
+    m, n_total = g.base, g.total.dim
+    eps = list(g.unit.components)
+    jeps = g.unit.jacobian().entries
+    sigma = []
+    for vec in algebroid_frame(g):
+        comps = []
+        for i in range(m.dim):
+            acc = Expr.zero(m)
+            for a, b in product(range(n_total), repeat=2):
+                acc = acc + w.signed_coeff((a, b)).substitute(eps, m) * vec[a] * jeps[b][i]
+            comps.append(acc)
+        sigma.append(KForm.one_form(m, comps))
+    return sigma
+
+
+@cache
+def _im_groupoids():
+    return (
+        pair_groupoid(R1),
+        pair_groupoid(R2),
+        pair_groupoid(R3),
+        abelian_group(3),
+        heisenberg3(),
+        tangent_groupoid(pair_groupoid(R1)),
+        tangent_groupoid(heisenberg3()),
+    )
+
+
+@st.composite
+def im_cases(draw):
+    g = draw(st.sampled_from(_im_groupoids()))
+    total = g.total
+    coeffs = {}
+    for idx in combinations(range(total.dim), 2):
+        terms = draw(
+            st.dictionaries(
+                st.lists(st.integers(0, total.dim - 1), max_size=2).map(
+                    lambda used: tuple(used.count(i) for i in range(total.dim))
+                ),
+                st.integers(-3, 3),
+                max_size=2,
+            )
+        )
+        coeffs[idx] = Expr(total, terms)
+    return g, KForm(total, 2, coeffs)
+
+
+@settings(max_examples=105, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(im_cases())
+def test_induced_im_two_form_matches_the_dense_formula(case):
+    g, w = case
+    got = induced_im_two_form(g, w).sigma
+    want = _dense_im_two_form(g, w)
+    assert [s.coeffs for s in got] == [s.coeffs for s in want]
+    assert [str(s) for s in got] == [str(s) for s in want]
 
 
 def test_induced_dual_bracket_affine():

@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports, no unreferenced private names and no
-unreferenced private class members in ``src/diracgeom``.
+"""Source hygiene: no unused imports, no unreferenced private names, no
+unreferenced private class members and no ``assert`` statements in
+``src/diracgeom``.
 
 Standard library ``ast`` only, so it runs with the rest of the tier-1 tests.
 """
@@ -110,3 +111,11 @@ def test_private_class_members_are_referenced():
                 if private and not name.startswith("__") and everywhere[name] <= _mentions(stmt)[name]:
                     unreferenced.append(f"{path.name}: {cls.name}.{name}")
     assert unreferenced == []
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so a condition the engine relies on must raise instead
+    found = []
+    for path in MODULES:
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert found == []
