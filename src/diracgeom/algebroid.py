@@ -44,7 +44,7 @@ from .errors import (
     WrongShape,
 )
 from .report import CheckItem, Report
-from .symalg import Expr, Patch, RatExpr, fresh_names, generic_rank, solve_linear
+from .symalg import Expr, ExprMatrix, Patch, RatExpr, fresh_names, generic_rank, solve_linear
 from .tanlift import lift_function, lift_vector_field, tangent_patch
 
 Structure = tuple[tuple[tuple[Expr, ...], ...], ...]
@@ -432,14 +432,10 @@ def _connection(f: IMFoliation, rank: int, base: Patch):
     return quotient, [[list(row) for row in plane] for plane in f.nabla]
 
 
-def _span_coefficients(fields, target: VField):
-    """Coefficients writing target in the span of fields, or None."""
-    if not fields:
-        return [] if target.is_zero() else None
-    patch = target.patch
-    rows = [[f.components[i] for f in fields] for i in range(patch.dim)]
+def _span_coefficients(span: ExprMatrix, target: VField):
+    """Coefficients writing target in the span of the columns of ``span``, or None."""
     try:
-        return solve_linear(rows, list(target.components))
+        return solve_linear(span, target.components)
     except Inconsistent:
         return None
 
@@ -456,13 +452,13 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     for m in f.k_sub:
         if not 0 <= m < a.rank:
             raise WrongShape(f"k_sub index {m} out of range")
-    if f.f_m:
-        rows = [[v.components[i] for v in f.f_m] for i in range(a.base.dim)]
-        if generic_rank(rows) != len(f.f_m):
-            raise RankDeficient("foliation generators are generically dependent")
+    # one generator matrix for every span question of the check; n x 0 without generators
+    span = ExprMatrix.from_rows(a.base, [[v.components[i] for v in f.f_m] for i in range(a.base.dim)])
+    if generic_rank(span) != len(f.f_m):
+        raise RankDeficient("foliation generators are generically dependent")
     k_anchors = [a.anchor[m] for m in f.k_sub]
     for m, v in zip(f.k_sub, k_anchors):
-        if _span_coefficients(f.f_m, v) is None:
+        if _span_coefficients(span, v) is None:
             raise AnchorNotTangent(f"rho(e_{m + 1}) is not tangent to the foliation")
     quotient, nabla = _connection(f, a.rank, a.base)
     frame = [a.frame_coeffs(i) for i in range(a.rank)]
@@ -471,7 +467,7 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     def curvature():
         # bullet 1: curvature of nabla, with [f_i, f_j] expanded in the foliation
         for i, j in combinations(range(nf), 2):
-            lam = _span_coefficients(f.f_m, lie_bracket(f.f_m[i], f.f_m[j]))
+            lam = _span_coefficients(span, lie_bracket(f.f_m[i], f.f_m[j]))
             if lam is None:
                 yield f"[f_{i + 1},f_{j + 1}] leaves the foliation span"
                 return
@@ -513,7 +509,7 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     def anchor_flows():
         # bullet 4: anchors of quotient generators preserve the foliation
         for m, j in product(quotient, range(nf)):
-            if _span_coefficients(f.f_m, lie_bracket(a.rho(frame[m]), f.f_m[j])) is None:
+            if _span_coefficients(span, lie_bracket(a.rho(frame[m]), f.f_m[j])) is None:
                 yield f"[rho(e_{m + 1}), f_{j + 1}] leaves the foliation span"
 
     return Report(

@@ -44,7 +44,7 @@ from .cartan import (
 )
 from .errors import NotLagrangian, PatchMismatch, RankDeficient
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, generic_rank, nullspace
+from .symalg import Expr, ExprMatrix, Patch, generic_rank, in_span, nullspace
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,11 @@ def foliation_frame(fields: list[VField], patch: Patch | None = None) -> Frame:
     n = patch.dim
     r = len(fields)
     if r:
-        span_rows = [[f.components[i] for i in range(n)] for f in fields]
-        if generic_rank(span_rows) != r:
-            raise RankDeficient(f"{r} fields span generic rank {generic_rank(span_rows)}")
-        ann = nullspace(span_rows)
+        span = ExprMatrix.from_rows(patch, [f.components for f in fields])
+        rank = generic_rank(span)
+        if rank != r:
+            raise RankDeficient(f"{r} fields span generic rank {rank}")
+        ann = nullspace(span)
     else:
         ann = [
             [Expr.one(patch) if j == i else Expr.zero(patch) for j in range(n)]
@@ -297,9 +298,4 @@ def same_span(l1: Frame, l2: Frame) -> bool:
         raise PatchMismatch("frames on different patches")
     m1 = l1.coefficient_matrix()
     m2 = l2.coefficient_matrix()
-    r1 = generic_rank(m1)
-    r2 = generic_rank(m2)
-    if r1 != r2:
-        return False
-    joint = m1.augment([[row[c] for row in m2.entries] for c in range(m2.ncols)])
-    return generic_rank(joint) == r1
+    return generic_rank(m1) == generic_rank(m2) and all(in_span(m1, col) for col in zip(*m2.entries))

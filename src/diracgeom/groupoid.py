@@ -65,6 +65,7 @@ from .symalg import (
     clear_denominators,
     fresh_names,
     generic_rank,
+    in_span,
     nullspace,
     solve_linear,
 )
@@ -370,8 +371,14 @@ def tangent_groupoid(g: GroupoidPatch) -> GroupoidPatch:
 
 
 def pair_groupoid(m: Patch) -> GroupoidPatch:
-    """Pairs of points of m, composing when the middle points agree."""
+    """Pairs of points of m, composing when the middle points agree.
+
+    The pair chart has 3 * m.dim coordinates, so a patch above a third of
+    ``MAX_DIMENSION`` is rejected before any patch is built.
+    """
     n = m.dim
+    if 3 * n > MAX_DIMENSION:
+        raise WrongShape(f"pair_groupoid needs a patch of at most {MAX_DIMENSION // 3} coordinates, got {n}")
     total = Patch("Pair" + m.name, tuple(c + "_1" for c in m.coords) + tuple(c + "_2" for c in m.coords))
     chart = Patch(
         "Pair" + m.name + "_pairs",
@@ -398,13 +405,14 @@ def abelian_group(n: int) -> GroupoidPatch:
     """The additive group on n >= 1 coordinates, over a one-point base.
 
     n = 0 would be the trivial group, whose empty charts the groupoid checks
-    cannot solve on, so it is rejected together with negative n.  An n above
-    ``MAX_DIMENSION`` is rejected before any coordinate name is built.
+    cannot solve on, so it is rejected together with negative n.  The pair
+    chart has 2n coordinates, so an n above half of ``MAX_DIMENSION`` is
+    rejected before any coordinate name is built.
     """
     if n < 1:
         raise WrongShape(f"abelian_group needs at least one coordinate, got {n}")
-    if n > MAX_DIMENSION:
-        raise WrongShape(f"abelian_group needs at most {MAX_DIMENSION} coordinates, got {n}")
+    if 2 * n > MAX_DIMENSION:
+        raise WrongShape(f"abelian_group needs at most {MAX_DIMENSION // 2} coordinates, got {n}")
     base = Patch("pt", ())
     total = Patch(f"Ab{n}", tuple(f"x_{i + 1}" for i in range(n)))
     chart = Patch(
@@ -645,12 +653,12 @@ def _in_span(span: ExprMatrix, span_rank: int, column: Sequence[Expr]) -> bool:
     vector half over form half, and ``span_rank`` is their generic rank.  At
     full rank (half the rows) they span their own annihilator, so membership
     is ⟨column, s⟩ = α(Y) + β(X) = 0 for every column s, checked as a
-    polynomial identity.  Below full rank the column is appended and the
-    rank compared.
+    polynomial identity.  Below full rank ``in_span`` decides it on the
+    span's kept reduction.
     """
     n = span.nrows // 2
     if span_rank != n:
-        return generic_rank(span.augment([column])) == span_rank
+        return in_span(span, column)
     swapped = list(column[n:]) + list(column[:n])
     return all(v.is_zero() for v in _matvec(zip(*span.entries), swapped, span.patch))
 

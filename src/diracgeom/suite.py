@@ -30,6 +30,7 @@ from .cartan import (
     PolyMap,
     VField,
     exterior_derivative,
+    lie_bracket,
     pullback_form,
     schouten_jacobiator,
 )
@@ -58,7 +59,7 @@ from .groupoid import (
     tangent_groupoid,
 )
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, generic_rank, parse_expr
+from .symalg import Expr, ExprMatrix, Patch, in_span, parse_expr
 from .tanlift import (
     canonical_involution,
     check_tangent_mu_identity,
@@ -167,15 +168,7 @@ def _involutive(fields) -> bool:
     span = ExprMatrix.from_rows(
         patch, [[f.components[i] for f in fields] for i in range(patch.dim)]
     )
-    base = generic_rank(span)
-    from .cartan import lie_bracket
-
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            col = list(lie_bracket(fields[i], fields[j]).components)
-            if generic_rank(span.augment([col])) != base:
-                return False
-    return True
+    return all(in_span(span, lie_bracket(f, g).components) for f, g in combinations(fields, 2))
 
 
 def foliation_integrability() -> Report:

@@ -11,19 +11,20 @@ printing is deterministic and byte-stable across runs.
 Rational functions (``RatExpr``) appear only transiently, as outputs of
 ``solve_linear`` and inside elimination; everything user-facing is polynomial.
 
-Elimination (``generic_rank``, ``solve_linear``, ``nullspace``) has two exact
-routes, chosen by the coefficient matrix alone.  A matrix whose entries are
-all constant polynomials is reduced once: its ``Fraction`` rows go through
-Gauss-Jordan of [a | I] over Q, and the ``ExprMatrix`` keeps that reduction
-(``_Reduction``).  Its rank and kernel are read off the kept reduction, and
-each polynomial right-hand side is only combined with its rational rows.
-The groupoid charts solve their constant systems through the same class.
-Any other matrix goes through fraction-free Bareiss elimination over the
-polynomial ring.  Both routes take the leftmost column with a nonzero entry
-as the next pivot, so they find the same pivot columns and return equal
-results.  ``generic_rank`` of a non-constant matrix first tries a one-sided
-certificate: full rank at a fixed rational point proves full generic rank,
-and anything less falls back to Bareiss.
+Elimination (``generic_rank``, ``solve_linear``, ``nullspace``, ``in_span``)
+reads one reduction per matrix, made on first use and kept on the
+``ExprMatrix``.  A matrix of constants goes through Gauss-Jordan of [a | I]
+over Q (``_Reduction``), so a right-hand side is only combined with rational
+rows; the groupoid charts solve their constant systems through the same
+class.  Any other matrix goes through one fraction-free Bareiss elimination
+over the polynomial ring that keeps its steps (``_FractionFree``), and a
+right-hand side is replayed through them: it ends as the last column of
+[a | b] would, at the cost of one column.  A column lies in the span when it
+vanishes past the rank after either.  Both take the leftmost column with a
+nonzero entry as the next pivot, so they find the same pivot columns and
+return equal results.  Until a non-constant matrix keeps its reduction,
+``generic_rank`` first tries a one-sided certificate: full rank at a fixed
+rational point proves full generic rank; anything less reduces the matrix.
 
 Only the public constructor ``Expr(patch, terms)`` validates: it checks the
 exponent tuples, turns coefficients into ``Fraction`` and drops zeros, and is
@@ -696,7 +697,9 @@ class RatExpr:
         return (self.num * o.den - o.num * self.den).is_zero()
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # equal values must hash alike, but num/den is not canonical; a polynomial
+        # value is, since normalization divides exactly and leaves it over 1
+        return hash(self.num) if self.is_polynomial() else hash(self.patch)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -797,22 +800,15 @@ class ExprMatrix:
     def transpose(self) -> "ExprMatrix":
         return ExprMatrix(self.patch, tuple(zip(*self.entries)) if self.entries else ())
 
-    def augment(self, cols: Sequence[Sequence[Expr]]) -> "ExprMatrix":
-        """Append extra columns (given as a list of columns)."""
-        rows = [list(r) for r in self.entries]
-        for col in cols:
-            for i, v in enumerate(col):
-                rows[i].append(v)
-        return ExprMatrix.from_rows(self.patch, rows)
-
     def __str__(self):
         return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.entries) + "]"
 
     @cached_property
-    def _reduced(self) -> _Reduction | None:
-        """The reduction over Q of a matrix of constants, made on first use; None for any other matrix."""
+    def _reduced(self) -> _Reduction | _FractionFree:
+        """The matrix's one elimination, made on first use and kept: over Q for a
+        matrix of constants, fraction-free for any other."""
         q = _rational_rows(self.entries)
-        return None if q is None else _Reduction(q, self.ncols)
+        return _FractionFree(self) if q is None else _Reduction(q, self.ncols)
 
 
 def _as_matrix(m) -> ExprMatrix:
@@ -824,73 +820,11 @@ def _as_matrix(m) -> ExprMatrix:
     return ExprMatrix.from_rows(rows[0][0].patch, rows)
 
 
-def _pivot_weight(e: Expr):
-    return (len(e.terms), e.degree())
-
-
-def _bareiss(rows: list[list[Expr]], patch: Patch):
-    """Fraction-free forward elimination in place.
-
-    Returns the list of pivot (row, col) pairs.  Entries stay polynomial; the
-    classical one-step division by the previous pivot keeps growth in check
-    and is exact (consecutive-minor identity); if exactness ever failed we
-    would keep the undivided row, which is still a correct elimination.
-    This is the route for matrices with non-constant entries, and the
-    reference the tests hold the Q route to.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    pivots: list[tuple[int, int]] = []
-    prev = Expr.one(patch)
-    r = 0
-    for col in range(ncols):
-        best = None
-        for i in range(r, nrows):
-            if not rows[i][col].is_zero():
-                if best is None or _pivot_weight(rows[i][col]) < _pivot_weight(rows[best][col]):
-                    best = i
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][col]
-        for i in range(r + 1, nrows):
-            if all(rows[i][c].is_zero() for c in range(col, ncols)):
-                continue
-            head = rows[i][col]
-            new_row = []
-            for c in range(ncols):
-                v = piv * rows[i][c] - head * rows[r][c]
-                q = v.divide_exact(prev)
-                new_row.append(v if q is None else q)
-            rows[i] = new_row
-        pivots.append((r, col))
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _rational_rows(rows: list[list[Expr]]) -> list[list[Fraction]] | None:
+def _rational_rows(rows: Sequence[Sequence[Expr]]) -> list[list[Fraction]] | None:
     """The entries as Fractions when every one is a constant, else None."""
-    out = []
-    for row in rows:
-        vals = []
-        for e in row:
-            terms = e.terms
-            if not terms:
-                vals.append(Fraction(0))
-                continue
-            if len(terms) != 1:
-                return None
-            ((exps, c),) = terms.items()
-            if any(exps):
-                return None
-            vals.append(c)
-        out.append(vals)
-    return out
+    if any(e.degree() > 0 for row in rows for e in row):
+        return None
+    return [[e.constant_value() for e in row] for row in rows]
 
 
 def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -899,7 +833,7 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
     Only the first ``ncols`` columns are pivoted on; later columns (a tracked
     row transform) just follow the row operations.  The pivot column is the
     leftmost one with a nonzero entry in the remaining rows, as in
-    ``_bareiss``, so both routes find the same pivot columns.
+    ``_FractionFree``, so both reductions find the same pivot columns.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -942,17 +876,23 @@ class _Reduction:
         self.echelon = [row[:ncols] for row in rows]
         self.transform = [row[ncols:] for row in rows]
 
+    def contains(self, b: Sequence[Expr], patch: Patch) -> bool:
+        """Whether b lies in the column span: the rows of ``transform`` past the rank send it to zero."""
+        return all(_combine(patch, row, b).is_zero() for row in self.transform[len(self.pivots) :])
+
     def solve(self, b: Sequence[Expr], patch: Patch) -> list[Expr]:
         """One solution of a*x = b on ``patch``, free variables zero; ``Inconsistent`` when there is none."""
         if len(b) != len(self.transform):
             raise ValueError("right-hand side has wrong length")
-        for row in self.transform[len(self.pivots) :]:
-            if not _combine(patch, row, b).is_zero():
-                raise Inconsistent("right-hand side outside the column span")
+        if not self.contains(b, patch):
+            raise Inconsistent("right-hand side outside the column span")
         sol = [Expr.zero(patch)] * self.ncols
         for row, c in zip(self.transform, self.pivots):
             sol[c] = _combine(patch, row, b)
         return sol
+
+    def solution(self, b: Sequence[Expr], patch: Patch) -> list[RatExpr]:
+        return [RatExpr(v) for v in self.solve(b, patch)]
 
     def kernel(self) -> list[list[Fraction]]:
         """Kernel basis indexed by the non-pivot columns in order.
@@ -969,6 +909,103 @@ class _Reduction:
             scale = Fraction(lcm(*(v.denominator for v in vec)), gcd(*(v.numerator for v in vec)))
             basis.append([v * scale for v in vec])
         return basis
+
+    def basis(self, patch: Patch) -> list[list[Expr]]:
+        return [[Expr.const(patch, v) for v in vec] for vec in self.kernel()]
+
+
+def _step(piv: Expr, v: Expr, head: Expr, w: Expr, prev: Expr) -> Expr:
+    """(piv*v - head*w) / prev, or the undivided value should the division ever be inexact."""
+    u = piv * v - head * w
+    q = u.divide_exact(prev)
+    return u if q is None else q
+
+
+class _FractionFree:
+    """Fraction-free Bareiss elimination (Bareiss 1968) of a polynomial matrix a, done once.
+
+    Each step pivots on the leftmost column with a nonzero entry below the
+    finished rows, takes the lightest such entry, and replaces every later
+    row by (pivot*row - head*pivot row) / previous pivot.  The division is
+    exact (consecutive-minor identity), so entries stay polynomial and their
+    growth stays in check.  ``rows`` is the echelon form.
+
+    The steps are kept (row swapped up, pivot, heads of the later rows,
+    previous pivot), so a right-hand side b is replayed through exactly the
+    row operations the last column of [a | b] would see: ``replay`` ends as
+    eliminating [a | b] ends, and b lies in the column span exactly when its
+    replayed entries past the rank vanish.
+    """
+
+    def __init__(self, a: ExprMatrix):
+        rows = [list(row) for row in a.entries]
+        nrows, ncols = a.nrows, a.ncols
+        self.ncols = ncols
+        self.pivots: list[int] = []
+        self.steps: list[tuple[int, Expr, list[Expr], Expr]] = []
+        prev = Expr.one(a.patch)
+        for col in range(ncols):
+            r = len(self.pivots)
+            if r == nrows:
+                break
+            live = [i for i in range(r, nrows) if not rows[i][col].is_zero()]
+            if not live:
+                continue
+            # the lightest pivot: fewest terms, then lowest degree; the first of equals
+            best = min(live, key=lambda i: (len(rows[i][col].terms), rows[i][col].degree()))
+            rows[r], rows[best] = rows[best], rows[r]
+            piv, prow = rows[r][col], rows[r]
+            heads = [rows[i][col] for i in range(r + 1, nrows)]
+            for i, head in enumerate(heads, r + 1):
+                if any(not v.is_zero() for v in rows[i][col:]):
+                    rows[i] = [_step(piv, v, head, w, prev) for v, w in zip(rows[i], prow)]
+            self.pivots.append(col)
+            self.steps.append((best, piv, heads, prev))
+            prev = piv
+        self.rows = rows
+
+    def replay(self, b: Sequence[Expr]) -> list[Expr]:
+        """b carried through the row operations of the elimination."""
+        b = list(b)
+        for r, (best, piv, heads, prev) in enumerate(self.steps):
+            b[r], b[best] = b[best], b[r]
+            for i, head in enumerate(heads, r + 1):
+                if not (head.is_zero() and b[i].is_zero()):
+                    b[i] = _step(piv, b[i], head, b[r], prev)
+        return b
+
+    def contains(self, b: Sequence[Expr], patch: Patch) -> bool:
+        return all(v.is_zero() for v in self.replay(b)[len(self.pivots) :])
+
+    def solution(self, b: Sequence[Expr], patch: Patch) -> list[RatExpr]:
+        b = self.replay(b)
+        if any(not v.is_zero() for v in b[len(self.pivots) :]):
+            raise Inconsistent("right-hand side outside the column span")
+        return self._back_substitute([RatExpr.from_scalar(patch, 0)] * self.ncols, b)
+
+    def basis(self, patch: Patch) -> list[list[Expr]]:
+        # each free column in turn: a*v = 0 with that variable 1 and the other free ones 0
+        return [
+            clear_denominators(self._back_substitute([RatExpr.from_scalar(patch, int(c == fc)) for c in range(self.ncols)]))
+            for fc in range(self.ncols)
+            if fc not in self.pivots
+        ]
+
+    def _back_substitute(self, sol: list[RatExpr], rhs: Sequence[Expr] | None = None) -> list[RatExpr]:
+        """Fill the pivot variables of ``sol``; the others stay as given.
+
+        Pivot row r gives its variable: the replayed ``rhs`` entry (zero
+        without one) minus the later variables times their entries, over the
+        pivot.
+        """
+        for r, c in reversed(list(enumerate(self.pivots))):
+            row = self.rows[r]
+            acc = RatExpr.from_scalar(sol[c].patch, 0) if rhs is None else RatExpr(rhs[r])
+            for c2 in range(c + 1, len(sol)):
+                if not row[c2].is_zero() and not sol[c2].is_zero():
+                    acc = acc - RatExpr(row[c2]) * sol[c2]
+            sol[c] = acc / RatExpr(row[c])
+        return sol
 
 
 def _combine(patch: Patch, coeffs: Sequence[Fraction], polys: Sequence[Expr]) -> Expr:
@@ -990,41 +1027,34 @@ def _rank_point(patch: Patch) -> list[Fraction]:
 def generic_rank(m) -> int:
     """Rank of the matrix over the fraction field of the polynomial ring.
 
-    A matrix of constants is read off its reduction over Q.  Any other
-    matrix is first evaluated at the fixed rational point ``_rank_point``
-    and the values reduced over Q.  Evaluation cannot raise the rank (a
-    non-zero minor at the point is a non-zero minor of the polynomial
-    matrix), so a point rank equal to min(rows, cols) is the generic rank,
-    exactly, and is returned.  A lower point rank proves nothing (the point
-    may lie on the zero set of every maximal minor), and the matrix then
-    goes through fraction-free ``_bareiss``.
+    The rank is read off the matrix's kept reduction.  Until a matrix with a
+    non-constant entry has one, it is first evaluated at the fixed rational
+    point ``_rank_point`` and the values reduced over Q.  Evaluation cannot
+    raise the rank (a non-zero minor at the point is a non-zero minor of the
+    polynomial matrix), so a point rank equal to min(rows, cols) is the
+    generic rank, exactly, and is returned.  A lower point rank proves
+    nothing (the point may lie on the zero set of every maximal minor), and
+    the matrix is then reduced.
     """
     m = _as_matrix(m)
     if not m.nrows or not m.ncols:
         return 0
-    if m._reduced is not None:
-        return len(m._reduced.pivots)
-    full = min(m.nrows, m.ncols)
-    point = _rank_point(m.patch)
-    values = [[e.eval_rational(point) for e in row] for row in m.entries]
-    if len(_gauss_jordan(values, m.ncols)) == full:
-        return full
-    return len(_bareiss([list(r) for r in m.entries], m.patch))
+    if "_reduced" not in m.__dict__ and _rational_rows(m.entries) is None:
+        full = min(m.nrows, m.ncols)
+        point = _rank_point(m.patch)
+        values = [[e.eval_rational(point) for e in row] for row in m.entries]
+        if len(_gauss_jordan(values, m.ncols)) == full:
+            return full
+    return len(m._reduced.pivots)
 
 
-def _back_substitute(rows, pivots, sol: list[RatExpr], rhs_col: int | None = None) -> list[RatExpr]:
-    """Fill the pivot variables of ``sol`` after forward elimination; the others stay as given.
-
-    Pivot row r gives its variable: the ``rhs_col`` entry (zero without one)
-    minus the later variables times their entries, over the pivot.
-    """
-    for r, c in reversed(pivots):
-        acc = RatExpr.from_scalar(sol[c].patch, 0) if rhs_col is None else RatExpr(rows[r][rhs_col])
-        for c2 in range(c + 1, len(sol)):
-            if not rows[r][c2].is_zero() and not sol[c2].is_zero():
-                acc = acc - RatExpr(rows[r][c2]) * sol[c2]
-        sol[c] = acc / RatExpr(rows[r][c])
-    return sol
+def _right_hand_side(a: ExprMatrix, b: Sequence[Expr]) -> list[Expr]:
+    b = list(b)
+    if len(b) != a.nrows:
+        raise ValueError("right-hand side has wrong length")
+    if any(bv.patch != a.patch for bv in b):
+        raise PatchMismatch("right-hand side on a different patch")
+    return b
 
 
 def solve_linear(a, b) -> list[RatExpr]:
@@ -1033,51 +1063,33 @@ def solve_linear(a, b) -> list[RatExpr]:
     ``b`` is a sequence of Exprs (one per row).  Raises ``Inconsistent`` when
     no solution exists generically.  Free variables are set to zero, so the
     returned solution is deterministic; substituting it back yields zero.
-
-    A matrix of constants solves through its reduction over Q: each pivot
-    variable is one rational combination of the entries of ``b``, and ``b``
-    is inconsistent exactly when the combination on a zero row is nonzero.
-    Any other matrix is augmented by ``b`` and goes through ``_bareiss``.
-    Both routes give the same solution.
+    ``b`` is carried through the matrix's kept reduction, so every system
+    on one matrix shares a single elimination.
     """
     a = _as_matrix(a)
-    b = list(b)
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side has wrong length")
-    if any(bv.patch != a.patch for bv in b):
-        raise PatchMismatch("right-hand side on a different patch")
-    if a._reduced is not None:
-        return [RatExpr(v) for v in a._reduced.solve(b, a.patch)]
-    ncols_a = a.ncols
-    aug = [list(row) + [bv] for row, bv in zip(a.entries, b)]
-    pivots = _bareiss(aug, a.patch)
-    if any(c == ncols_a for _, c in pivots):
-        raise Inconsistent("right-hand side outside the column span")
-    return _back_substitute(aug, pivots, [RatExpr.from_scalar(a.patch, 0)] * ncols_a, ncols_a)
+    return a._reduced.solution(_right_hand_side(a, b), a.patch)
+
+
+def in_span(m, column: Sequence[Expr]) -> bool:
+    """Whether ``column`` lies in the span of the columns of ``m`` over the fraction field.
+
+    This is rank [m | column] == rank m, read off the matrix's kept
+    reduction: the column, carried through its row operations, vanishes
+    past the rank.
+    """
+    m = _as_matrix(m)
+    return m._reduced.contains(_right_hand_side(m, column), m.patch)
 
 
 def nullspace(a) -> list[list[Expr]]:
     """Basis of the kernel over the fraction field, cleared to polynomials.
 
     Basis vectors are indexed by the non-pivot columns in order, which makes
-    the output deterministic.  A matrix of constants reads its basis off its
-    reduction over Q, any other goes through ``_bareiss``; both routes give
-    the same basis.
+    the output deterministic.  The basis is read off the matrix's kept
+    reduction.
     """
     a = _as_matrix(a)
-    if a._reduced is not None:
-        return [[Expr.const(a.patch, v) for v in vec] for vec in a._reduced.kernel()]
-    work = [list(r) for r in a.entries]
-    pivots = _bareiss(work, a.patch)
-    pivot_cols = {c for _, c in pivots}
-    # each free column in turn: A * v = 0 with that variable 1 and the other free ones 0
-    return [
-        clear_denominators(
-            _back_substitute(work, pivots, [RatExpr.from_scalar(a.patch, int(c == fc)) for c in range(a.ncols)])
-        )
-        for fc in range(a.ncols)
-        if fc not in pivot_cols
-    ]
+    return a._reduced.basis(a.patch)
 
 
 def clear_denominators(vec: Sequence[RatExpr]) -> list[Expr]:

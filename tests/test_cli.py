@@ -362,24 +362,37 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
+    ("text", "expected"),
     [
-        "let M = patch(x, x)\n",
-        "let M = patch(x, y, z, w)\ncheck closed dx^dy^dz^dw\n",
-        "let G = abelian_group(-1)\ncheck groupoid_axioms G\n",
-        "let M = patch()\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n",
-        "let M = patch(x, y, z)\nlet f = (x + y + z)^300\n",
-        "let M = patch(x)\ncheck closed (x^100000000*dx)\n",
-        "let G = heisenberg3()\nlet f = -G\n",
-        "let M = patch(x)\nlet f = 2*M\n",
-        "let G = heisenberg3()\nlet f = G + G\n",
-        "let M = patch(x, y, z, u, v, w)\ncheck tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(dx^dy)))\n",
-        "let M = patch(x, y)\nlet f = (x + y)^64\nlet g = f^64\n",
-        "let M = patch(x, y, z)\nlet f = (x + y + z)^8^8\nlet g = f^8\n",
-        "let n = 2^64^64^64^64^64^64\n",
-        "let G = abelian_group(10^9)\ncheck groupoid_axioms G\n",
-        f"let M = patch({', '.join(f'x{i}' for i in range(MAX_DIMENSION + 1))})\n",
-        "let G = tangent_groupoid(tangent_groupoid(abelian_group(20)))\ncheck groupoid_axioms G\n",
+        ("let M = patch(x, x)\n", None),
+        ("let M = patch(x, y, z, w)\ncheck closed dx^dy^dz^dw\n", None),
+        ("let G = abelian_group(-1)\ncheck groupoid_axioms G\n", None),
+        ("let M = patch()\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n", None),
+        ("let M = patch(x, y, z)\nlet f = (x + y + z)^300\n", None),
+        ("let M = patch(x)\ncheck closed (x^100000000*dx)\n", None),
+        ("let G = heisenberg3()\nlet f = -G\n", None),
+        ("let M = patch(x)\nlet f = 2*M\n", None),
+        ("let G = heisenberg3()\nlet f = G + G\n", None),
+        ("let M = patch(x, y, z, u, v, w)\ncheck tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(dx^dy)))\n", None),
+        ("let M = patch(x, y)\nlet f = (x + y)^64\nlet g = f^64\n", None),
+        ("let M = patch(x, y, z)\nlet f = (x + y + z)^8^8\nlet g = f^8\n", None),
+        ("let n = 2^64^64^64^64^64^64\n", None),
+        ("let G = abelian_group(10^9)\ncheck groupoid_axioms G\n", "abelian_group needs at most 64 coordinates, got 1000000000"),
+        (
+            f"let M = patch({', '.join(f'x{i}' for i in range(MAX_DIMENSION + 1))})\n",
+            "patch M has 129 coordinates, above the limit of 128",
+        ),
+        (
+            "let G = tangent_groupoid(tangent_groupoid(abelian_group(20)))\ncheck groupoid_axioms G\n",
+            "patch TTAb20_pairs has 160 coordinates, above the limit of 128",
+        ),
+        # the constructor names itself: the pair chart of abelian_group(n) has 2n coordinates
+        ("let G = abelian_group(100)\n", "abelian_group needs at most 64 coordinates, got 100"),
+        # and that of pair_groupoid(M) three times as many as M
+        (
+            f"let M = patch({', '.join(f'x{i}' for i in range(43))})\nlet G = pair_groupoid(M)\n",
+            "pair_groupoid needs a patch of at most 42 coordinates, got 43",
+        ),
     ],
     ids=[
         "duplicate-coordinate",
@@ -398,13 +411,17 @@ def test_main_exit_codes(tmp_path, capsys):
         "huge-abelian-group",
         "patch-above-the-dimension-limit",
         "tangent-groupoids-above-the-dimension-limit",
+        "abelian-group-with-a-pair-chart-above-the-limit",
+        "pair-groupoid-with-a-pair-chart-above-the-limit",
     ],
 )
-def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text):
+def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected):
     assert main(["verify", write(tmp_path, text)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    if expected is not None:
+        assert out.err == f"error: {expected}\n"
 
 
 def test_failed_suite_ground_truth_exits_2(monkeypatch, capsys):

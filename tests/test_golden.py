@@ -12,21 +12,30 @@ hold, for the suite and for each ``<name>.check``:
 can build (non-isotropic or rank-deficient ones), which carry the
 ``pairing[...]`` and ``generic rank`` witnesses.
 
+``elimination.txt`` holds the rank, kernel and two solutions of a fixed set
+of random matrices.  Witnesses print ``RatExpr`` numerators and
+denominators, and normalization is not canonical, so a different
+elimination order could print a different but equal fraction; this file
+pins the bytes the elimination itself produces.
+
 Re-record (only for a change that means to alter output, and say so):
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
 import io
+import random
 import sys
 from contextlib import redirect_stderr
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from diracgeom.cli import emit_report, main, run_builtin_suite
 from diracgeom.courant import Frame, check_dirac, check_lagrangian, same_span
-from diracgeom.symalg import Expr, Patch
+from diracgeom.errors import Inconsistent
+from diracgeom.symalg import Expr, ExprMatrix, Patch, generic_rank, nullspace, solve_linear
 
 from test_courant import gsec
 
@@ -112,6 +121,55 @@ def lagrangian_witness_lines() -> list[str]:
     return lines
 
 
+def _random_poly(rng, patch, constant):
+    if constant:
+        return Expr.const(patch, Fraction(rng.choice([0, 0, 1, -1, 2, -3]), rng.choice([1, 1, 2, 3])))
+    out = Expr.zero(patch)
+    for _ in range(rng.randint(0, 3)):
+        exps = [0] * patch.dim
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(patch.dim)] += 1
+        out = out + Expr(patch, {tuple(exps): rng.randint(-3, 3)})
+    return out
+
+
+def elimination_lines(count: int = 200, seed: int = 12) -> list[str]:
+    """Rank, kernel and two solutions of ``count`` random 1-4 x 1-4 matrices, one line each.
+
+    About 30 % of the matrices are constant and some repeat a multiple of an
+    earlier row.  The first right-hand side is a times a random vector, so it
+    is consistent; the second is drawn at random.
+    """
+    patch = Patch("E", ("x", "y"))
+    rng = random.Random(seed)
+
+    def solution(a, b):
+        try:
+            return "; ".join(f"{v.num} | {v.den}" for v in solve_linear(a, b))
+        except Inconsistent:
+            return "inconsistent"
+
+    lines = []
+    for i in range(count):
+        constant = rng.random() < 0.3
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[_random_poly(rng, patch, constant) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            k = rng.randrange(1, nrows)
+            factor = _random_poly(rng, patch, constant)
+            rows[k] = [factor * e for e in rows[rng.randrange(k)]]
+        a = ExprMatrix.from_rows(patch, rows)
+        xs = [_random_poly(rng, patch, constant) for _ in range(ncols)]
+        consistent = [sum((e * x for e, x in zip(row, xs)), Expr.zero(patch)) for row in rows]
+        drawn = [_random_poly(rng, patch, constant) for _ in range(nrows)]
+        kernel = " / ".join(", ".join(str(e) for e in vec) for vec in nullspace(a))
+        lines.append(
+            f"{i + 1}: {a} | rank {generic_rank(a)} | kernel [{kernel}]"
+            f" | solve [{solution(a, consistent)}] | solve [{solution(a, drawn)}]"
+        )
+    return lines
+
+
 def _suite_outputs():
     report = run_builtin_suite()
     return {"txt": emit_report(report, "text"), "json": emit_report(report, "json")}
@@ -141,6 +199,11 @@ def test_lagrangian_witnesses_match_golden():
     assert text == (GOLDEN / "lagrangian_witnesses.txt").read_text(encoding="utf-8")
 
 
+def test_elimination_matches_golden():
+    text = "\n".join(elimination_lines()) + "\n"
+    assert text == (GOLDEN / "elimination.txt").read_text(encoding="utf-8")
+
+
 def test_golden_files_cover_every_witness_kind():
     recorded = "".join(p.read_text(encoding="utf-8") for p in GOLDEN.iterdir() if p.suffix != ".check")
     for needle in ("mu[", "pairing[", "generic rank"):
@@ -160,6 +223,8 @@ def record():
                 (GOLDEN / f"{name}.{ext}").write_bytes(out)
     text = "\n".join(lagrangian_witness_lines()) + "\n"
     (GOLDEN / "lagrangian_witnesses.txt").write_text(text, encoding="utf-8")
+    text = "\n".join(elimination_lines()) + "\n"
+    (GOLDEN / "elimination.txt").write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

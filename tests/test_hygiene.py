@@ -1,15 +1,18 @@
 """Source hygiene: no unused imports, no unreferenced private names, no
 unreferenced private class members and no ``assert`` statements in
-``src/diracgeom``.
+``src/diracgeom``, and no syntax newer than Python 3.10 in any Python file.
 
-Standard library ``ast`` only, so it runs with the rest of the tier-1 tests.
+Standard library ``ast`` and pytest only, so it runs with the rest of the tier-1 tests.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "diracgeom"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "diracgeom"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -119,3 +122,17 @@ def test_no_assert_statements():
     for path in MODULES:
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_python_files_parse_as_python_3_10():
+    # the package supports Python 3.10 (pyproject.toml), so no file may use newer syntax
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    files = sorted(path for top in ("src", "tests", "bench", "demos") for path in (ROOT / top).rglob("*.py"))
+    refused = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            refused.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert files and refused == []

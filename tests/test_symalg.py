@@ -17,6 +17,7 @@ from diracgeom.symalg import (
     RatExpr,
     clear_denominators,
     generic_rank,
+    in_span,
     nullspace,
     parse_expr,
     solve_linear,
@@ -392,12 +393,12 @@ def _combine_row(row, xs):
 def _by_bareiss(fn, *args):
     """``fn(*args)`` with the Q route and the point certificate switched off.
 
-    Elimination is then ``_bareiss`` on every matrix: no matrix offers a
-    reduction over Q, not even one that has already made and kept it, and a
-    ``_gauss_jordan`` that finds no pivot makes every point rank too low to
-    certify.
+    Every matrix then answers from a fraction-free ``_FractionFree`` reduction
+    built directly on it, a matrix of constants too, and not one it has
+    already made and kept; a ``_gauss_jordan`` that finds no pivot makes
+    every point rank too low to certify.
     """
-    with mock.patch.object(ExprMatrix, "_reduced", property(lambda self: None)), mock.patch.object(
+    with mock.patch.object(ExprMatrix, "_reduced", property(lambda self: symalg._FractionFree(self))), mock.patch.object(
         symalg, "_gauss_jordan", lambda rows, ncols: []
     ):
         return fn(*args)
@@ -408,6 +409,8 @@ def _ask(a, question):
         return generic_rank(a)
     if question == "kernel":
         return nullspace(a)
+    if isinstance(question, tuple):
+        return in_span(a, question[1])
     return _solve_or_inconsistent(a, question)
 
 
@@ -462,9 +465,9 @@ def test_one_constant_matrix_is_reduced_once_for_every_question(problem):
     with mock.patch.object(symalg, "_gauss_jordan", wraps=symalg._gauss_jordan) as gauss_jordan:
         for question in questions:
             fast = _ask(a, question)
-            with mock.patch.object(symalg, "_bareiss", wraps=symalg._bareiss) as bareiss:
+            with mock.patch.object(symalg, "_FractionFree", wraps=symalg._FractionFree) as fraction_free:
                 assert fast == _by_bareiss(_ask, a, question)
-            assert bareiss.called or (question == "rank" and not a.ncols)
+            assert fraction_free.called or (question == "rank" and not a.ncols)
     assert gauss_jordan.call_count == 1
 
 
@@ -528,14 +531,14 @@ def test_rank_certificate_point_is_fixed():
 
 
 def test_rank_certificate_falls_back_below_full_point_rank():
-    real = symalg._bareiss
+    real = symalg._FractionFree
     calls = []
 
-    def spy(rows, patch):
-        calls.append(len(rows))
-        return real(rows, patch)
+    def spy(a):
+        calls.append(a.nrows)
+        return real(a)
 
-    with mock.patch.object(symalg, "_bareiss", spy):
+    with mock.patch.object(symalg, "_FractionFree", spy):
         assert generic_rank(_matrix(["x", "y"], ["y", "x"], ["1", "x*y"])) == 2
         assert calls == []  # certified at the point
         assert generic_rank(_matrix(["7*x - 2", "0"], ["0", "7*y - 3"])) == 2
@@ -551,6 +554,46 @@ def test_rank_certificate_falls_back_below_full_point_rank():
 @example(_matrix(["x*(7*y - 3)", "y"], ["x^2*(7*y - 3)", "x*y"]))
 def test_generic_rank_matches_bareiss_on_polynomial_matrices(m):
     assert generic_rank(m) == _by_bareiss(generic_rank, m)
+
+
+@st.composite
+def polynomial_questions(draw):
+    """One polynomial matrix and, in drawn order, its rank, its kernel, two span questions and three right-hand sides."""
+    a = draw(poly_matrices())
+    questions = ["rank", "kernel"] + [("span", _right_hand_side(draw, a)) for _ in range(2)]
+    questions += [_right_hand_side(draw, a) for _ in range(3)]
+    return a, draw(st.permutations(questions))
+
+
+@DIFF
+@given(polynomial_questions())
+@example((_matrix(["x", "y"], ["2*x", "2*y"]), ["rank", "kernel", ("span", [parse_expr("x", XY), parse_expr("y", XY)])]))
+def test_one_polynomial_matrix_is_eliminated_at_most_once(problem):
+    # every answer on the kept reduction equals the answer of a fresh copy of the matrix
+    a, questions = problem
+    with mock.patch.object(symalg, "_FractionFree", wraps=symalg._FractionFree) as fraction_free:
+        answers = [_ask(a, question) for question in questions]
+    assert fraction_free.call_count <= 1
+    assert answers == [_ask(ExprMatrix(a.patch, a.entries), question) for question in questions]
+
+
+@st.composite
+def span_questions(draw):
+    """A polynomial or constant matrix and a column, in its span or, when perturbed, usually not."""
+    vals = draw(constant_matrices())
+    constant = ExprMatrix.from_rows(XY, [[Expr.const(XY, v) for v in row] for row in vals])
+    a = draw(st.sampled_from([constant, draw(poly_matrices())]))
+    return a, _right_hand_side(draw, a)
+
+
+@DIFF
+@given(span_questions())
+@example((_matrix(["x", "y"], ["2*x", "2*y"]), [parse_expr("x", XY), parse_expr("2*x + 1", XY)]))
+def test_in_span_matches_the_augmented_rank_rule(problem):
+    m, column = problem
+    # the rule in_span replaces: append the column and compare generic ranks
+    joint = ExprMatrix.from_rows(m.patch, [row + (c,) for row, c in zip(m.entries, column)])
+    assert in_span(m, column) == (generic_rank(joint) == generic_rank(m))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -643,6 +686,21 @@ def test_constant_denominator_shortcut_matches_division(num, c):
     assert str(got_num) == str(want_num)
     assert got_den == Expr.one(XYZ)
     assert RatExpr(num, den) == RatExpr(want_num)
+
+
+NONZERO = polys(XYZ).filter(lambda e: not e.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(XYZ), NONZERO, NONZERO)
+@example(parse_expr("y", XYZ), parse_expr("x + 1", XYZ), parse_expr("z", XYZ))
+def test_equal_ratexprs_hash_alike(p, q, r):
+    # p*q / r*q need not normalize to p / r, yet the two are equal and must hash alike
+    a, b = RatExpr(p * q, r * q), RatExpr(p, r)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # a polynomial value hashes like its Expr, which it equals
+    for value in (RatExpr(p), RatExpr(p * q, q)):
+        assert value == p and hash(value) == hash(p) and len({value, p}) == 1
 
 
 def test_ratexpr_arithmetic_and_normalization():
