@@ -44,7 +44,7 @@ from .errors import (
     WrongShape,
 )
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, RatExpr, fresh_names, generic_rank, solve_linear
+from .symalg import Expr, ExprMatrix, Patch, RatExpr, dot, fresh_names, generic_rank, solve_linear
 from .tanlift import lift_function, lift_vector_field, tangent_patch
 
 Structure = tuple[tuple[tuple[Expr, ...], ...], ...]
@@ -99,10 +99,8 @@ class AlgebroidPatch:
 
     def rho(self, coeffs) -> VField:
         """Anchor of the section with the given frame coefficients."""
-        acc = VField.zero(self.base)
-        for c, v in zip(coeffs, self.anchor):
-            acc = acc + v.scale(c)
-        return acc
+        comps = (dot(self.base, ((c, v.components[i]) for c, v in zip(coeffs, self.anchor))) for i in range(self.base.dim))
+        return VField(self.base, tuple(comps))
 
     def frame_coeffs(self, a: int) -> tuple[Expr, ...]:
         return tuple(
@@ -114,16 +112,11 @@ class AlgebroidPatch:
         ru, rv = self.rho(u), self.rho(v)
         r = range(self.rank)
         prods = [[u[a] * v[b] for b in r] for a in r]
-        out = []
-        for k in r:
-            acc = ru.apply(v[k]) - rv.apply(u[k])
-            for a in r:
-                for b in r:
-                    c = self.structure[a][b][k]
-                    if not c.is_zero():
-                        acc = acc + prods[a][b] * c
-            out.append(acc)
-        return tuple(out)
+        s = self.structure
+        return tuple(
+            ru.apply(v[k]) - rv.apply(u[k]) + dot(self.base, ((prods[a][b], s[a][b][k]) for a in r for b in r if s[a][b][k].terms))
+            for k in r
+        )
 
 
 def algebroid(base: Patch, anchors, brackets) -> AlgebroidPatch:
@@ -219,12 +212,10 @@ def dual_linear_poisson(a: AlgebroidPatch) -> Bivector:
             rho = a.anchor[fa].components[i].inject(total)
             if not rho.is_zero():
                 entries[(i, n + fa)] = rho
+    xi = [Expr.coord(total, f"xi_{k + 1}") for k in range(r)]
     for fa in range(r):
         for fb in range(fa + 1, r):
-            acc = Expr.zero(total)
-            for k in range(r):
-                c = a.structure[fa][fb][k]
-                acc = acc - c.inject(total) * Expr.coord(total, f"xi_{k + 1}")
+            acc = -dot(total, ((c.inject(total), x) for c, x in zip(a.structure[fa][fb], xi) if c.terms))
             if not acc.is_zero():
                 entries[(n + fa, n + fb)] = acc
     return Bivector(total, entries)
@@ -246,9 +237,7 @@ def _dual_differential_section(dual: AlgebroidPatch, u) -> dict:
     out = {}
     for fa in range(dual.rank):
         for fb in range(fa + 1, dual.rank):
-            acc = dual.anchor[fa].apply(u[fb]) - dual.anchor[fb].apply(u[fa])
-            for k in range(dual.rank):
-                acc = acc - dual.structure[fa][fb][k] * u[k]
+            acc = dual.anchor[fa].apply(u[fb]) - dual.anchor[fb].apply(u[fa]) - dot(dual.base, zip(dual.structure[fa][fb], u))
             _add_wedge(out, fa, fb, acc)
     return out
 
@@ -587,11 +576,8 @@ def check_lie_bialgebra(d: LieBialgebraData, ideal=None) -> Report:
     def dual_jacobi():
         # Jacobi for the (quotient) dual algebra
         for (x, y, z), k in product(combinations(range(nq), 3), range(nq)):
-            acc = Expr.zero(point)
-            for s in range(nq):
-                acc = acc + cstar[x][y][s] * cstar[s][z][k]
-                acc = acc + cstar[y][z][s] * cstar[s][x][k]
-                acc = acc + cstar[z][x][s] * cstar[s][y][k]
+            cyclic = ((x, y, z), (y, z, x), (z, x, y))
+            acc = dot(point, ((cstar[p][q][s], cstar[s][t][k]) for s in range(nq) for p, q, t in cyclic))
             if not acc.is_zero():
                 yield f"dual jacobi[{x + 1},{y + 1},{z + 1}] component {k + 1}: {acc}"
 

@@ -18,7 +18,10 @@ zero components, and ``exterior_derivative`` and ``interior_product`` visit
 only the index tuples reachable from stored coefficients (and, for i_X, the
 support of X).  They visit those tuples in sorted order, the order of
 ``combinations``, so every result has the same terms in the same order as
-the dense loops.  A form memoises its ``d`` on first use.
+the dense loops.  A form memoises its ``d`` on first use.  Each sum is
+built in one term map by ``symalg.dot`` (or ``_combine`` for signs), and a
+signed lookup that misses returns None (``_AntisymTensor._signed``), so no
+operator builds a zero it then skips.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import DegreeTooHigh, DegreeZero, NotInverse, PatchMismatch
-from .symalg import Expr, ExprMatrix, Patch
+from .symalg import Expr, ExprMatrix, Patch, _combine, dot
 
 MAX_DEGREE = 3
 
@@ -73,11 +76,7 @@ class VField:
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f)."""
-        acc = Expr.zero(self.patch)
-        for comp, coord in zip(self.components, self.patch.coords):
-            if comp.terms:
-                acc = acc + comp * f.differentiate(coord)
-        return acc
+        return dot(self.patch, ((c, f.differentiate(x)) for c, x in zip(self.components, self.patch.coords) if c.terms))
 
     def __add__(self, other: "VField") -> "VField":
         if other.patch != self.patch:
@@ -140,13 +139,16 @@ class _AntisymTensor:
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def signed_coeff(self, idx: Sequence[int]) -> Expr:
-        """Coefficient with arbitrary index order (antisymmetric extension)."""
+    def _signed(self, idx: Sequence[int]) -> Expr | None:
+        """Coefficient with arbitrary index order (antisymmetric extension), None when it is zero."""
         sign = _perm_sign(idx)
         value = self.coeffs.get(tuple(sorted(idx))) if sign else None
-        if value is None:
-            return Expr.zero(self.patch)
-        return value if sign == 1 else -value
+        return value if value is None or sign == 1 else -value
+
+    def signed_coeff(self, idx: Sequence[int]) -> Expr:
+        """Coefficient with arbitrary index order (antisymmetric extension)."""
+        value = self._signed(idx)
+        return Expr.zero(self.patch) if value is None else value
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -255,12 +257,7 @@ class KForm(_AntisymTensor):
                 raise PatchMismatch("vector field on a different patch")
         if self.degree == 0:
             return self.coeff(())
-        acc = Expr.zero(self.patch)
-        for idx, c in self.coeffs.items():
-            det = _det([[fields[col].components[row] for col in range(self.degree)] for row in idx])
-            if det.terms:
-                acc = acc + c * det
-        return acc
+        return dot(self.patch, ((c, _det([[v.components[r] for v in fields] for r in idx])) for idx, c in self.coeffs.items()))
 
 
 def _det(rows: list[list[Expr]]) -> Expr:
@@ -387,12 +384,8 @@ def exterior_derivative(w: KForm) -> KForm:
         reach.update(tuple(sorted(rest + (i,))) for i in used.difference(rest))
     out: dict[tuple[int, ...], Expr] = {}
     for idx in sorted(reach):
-        acc = Expr.zero(patch)
-        for m, i in enumerate(idx):
-            c = w.coeffs.get(idx[:m] + idx[m + 1:])
-            if c is not None:
-                term = c.differentiate(patch.coords[i])
-                acc = acc + (term if m % 2 == 0 else -term)
+        faces = [(m, c) for m in range(len(idx)) if (c := w.coeffs.get(idx[:m] + idx[m + 1:])) is not None]
+        acc = _combine(patch, [(-1) ** m for m, _ in faces], [c.differentiate(patch.coords[idx[m]]) for m, c in faces])
         if acc.terms:
             out[idx] = acc
     d = KForm(patch, w.degree + 1, out)
@@ -411,12 +404,7 @@ def interior_product(x: VField, w: KForm) -> KForm:
     reach = {key[:m] + key[m + 1:] for key in w.coeffs for m, i in enumerate(key) if x.components[i].terms}
     out: dict[tuple[int, ...], Expr] = {}
     for idx in sorted(reach):
-        acc = Expr.zero(patch)
-        for i in support:
-            sign = _perm_sign((i,) + idx)
-            c = w.coeffs.get(tuple(sorted((i,) + idx))) if sign else None
-            if c is not None:
-                acc = acc + x.components[i] * (c if sign == 1 else -c)
+        acc = dot(patch, ((x.components[i], c) for i in support if (c := w._signed((i,) + idx)) is not None))
         if acc.terms:
             out[idx] = acc
     return KForm(patch, w.degree - 1, out)
@@ -440,18 +428,13 @@ def wedge(a: KForm, b: KForm) -> KForm:
     deg = a.degree + b.degree
     if deg > MAX_DEGREE:
         raise DegreeTooHigh(f"wedge degree {deg} exceeds {MAX_DEGREE}")
-    patch = a.patch
-    out: dict[tuple[int, ...], Expr] = {}
+    pairs: dict[tuple[int, ...], list[tuple[Expr, Expr]]] = {}
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
             sign = _perm_sign(ia + ib)
-            if sign == 0:
-                continue
-            key = tuple(sorted(ia + ib))
-            add = ca * cb if sign == 1 else -(ca * cb)
-            cur = out.get(key, Expr.zero(patch))
-            out[key] = cur + add
-    return KForm(patch, deg, out)
+            if sign:
+                pairs.setdefault(tuple(sorted(ia + ib)), []).append((ca if sign == 1 else -ca, cb))
+    return KForm(a.patch, deg, {key: dot(a.patch, p) for key, p in pairs.items()})
 
 
 def wedge_fields(x: VField, y: VField) -> Bivector:
@@ -470,25 +453,15 @@ def sharp_bivector(p: Bivector, a: KForm) -> VField:
         raise PatchMismatch("operands on different patches")
     patch = p.patch
     stored = sorted(a.coeffs.items())
-    comps = []
-    for i in range(patch.dim):
-        acc = Expr.zero(patch)
-        for (j,), aj in stored:
-            pji = p.coeffs.get((j, i)) if j < i else p.coeffs.get((i, j))
-            if pji is not None:
-                acc = acc + (pji if j < i else -pji) * aj
-        comps.append(acc)
+    comps = (dot(patch, ((pji, aj) for (j,), aj in stored if (pji := p._signed((j, i))) is not None)) for i in range(patch.dim))
     return VField(patch, tuple(comps))
 
 
 def poisson_bracket(p: Bivector, f: Expr, g: Expr) -> Expr:
     """{f, g} = p(df, dg)."""
-    patch = p.patch
-    acc = Expr.zero(patch)
-    for (i, j), c in p.coeffs.items():
-        xi, xj = patch.coords[i], patch.coords[j]
-        acc = acc + c * (f.differentiate(xi) * g.differentiate(xj) - f.differentiate(xj) * g.differentiate(xi))
-    return acc
+    df = [f.differentiate(x) for x in p.patch.coords]
+    dg = [g.differentiate(x) for x in p.patch.coords]
+    return dot(p.patch, ((c, df[i] * dg[j] - df[j] * dg[i]) for (i, j), c in p.coeffs.items()))
 
 
 def schouten_jacobiator(p: Bivector) -> dict[tuple[int, int, int], Expr]:
@@ -497,20 +470,16 @@ def schouten_jacobiator(p: Bivector) -> dict[tuple[int, int, int], Expr]:
     Vanishing of every entry is the Poisson condition.
     """
     patch = p.patch
-    # row[a]: (m, stored entry, whether p[a, m] is its negative), in increasing m
-    row: list[list[tuple[int, Expr, bool]]] = [[] for _ in patch.coords]
+    # row[a]: (m, p[a, m]) for every nonzero p[a, m], in increasing m
+    row: list[list[tuple[int, Expr]]] = [[] for _ in patch.coords]
     for (a, m), e in sorted(p.coeffs.items()):
-        row[a].append((m, e, False))
-        row[m].append((a, e, True))
+        row[a].append((m, e))
+        row[m].append((a, -e))
     out: dict[tuple[int, int, int], Expr] = {}
     for (i, j, k) in combinations(range(patch.dim), 3):
-        acc = Expr.zero(patch)
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            # {x^a, p(dx^b, dx^c)} = sum_m p[a, m] d_m p[b, c]
-            pbc = p.entry(b, c)
-            for m, e, flip in row[a]:
-                acc = acc + (-e if flip else e) * pbc.differentiate(patch.coords[m])
-        out[(i, j, k)] = acc
+        # {x^a, p(dx^b, dx^c)} = sum_m p[a, m] d_m p[b, c]
+        cyclic = [(row[a], p.entry(b, c)) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        out[(i, j, k)] = dot(patch, ((e, pbc.differentiate(patch.coords[m])) for ra, pbc in cyclic for m, e in ra))
     return out
 
 
@@ -522,13 +491,10 @@ def pullback_form(f: PolyMap, w: KForm) -> KForm:
     jac = f.jacobian()
     if w.degree == 0:
         return KForm.function(f.pullback_scalar(w.coeff(())))
+    pulled = [(idx_tgt, f.pullback_scalar(c)) for idx_tgt, c in w.coeffs.items()]
     out: dict[tuple[int, ...], Expr] = {}
     for idx_src in combinations(range(src.dim), w.degree):
-        acc = Expr.zero(src)
-        for idx_tgt, c in w.coeffs.items():
-            minor = _det([[jac.entries[r][s] for s in idx_src] for r in idx_tgt])
-            if not minor.is_zero():
-                acc = acc + f.pullback_scalar(c) * minor
+        acc = dot(src, ((c, _det([[jac.entries[r][s] for s in idx_src] for r in idx_tgt])) for idx_tgt, c in pulled))
         if not acc.is_zero():
             out[idx_src] = acc
     return KForm(src, w.degree, out)
@@ -537,13 +503,10 @@ def pullback_form(f: PolyMap, w: KForm) -> KForm:
 def _pushed_entries(p: Bivector, rows, point: Sequence[Expr], ppatch: Patch) -> dict[tuple[int, int], Expr]:
     """Entries k < l of J p J^T on ``ppatch``, J = ``rows``, with each stored entry of p taken once at ``point``."""
     stored = [(i, j, c.substitute(point, ppatch)) for (i, j), c in p.coeffs.items()]
-    out = {}
-    for k, l in combinations(range(len(rows)), 2):
-        acc = Expr.zero(ppatch)
-        for i, j, c in stored:
-            acc = acc + c * (rows[k][i] * rows[l][j] - rows[k][j] * rows[l][i])
-        out[k, l] = acc
-    return out
+    return {
+        (k, l): dot(ppatch, ((c, rows[k][i] * rows[l][j] - rows[k][j] * rows[l][i]) for i, j, c in stored))
+        for k, l in combinations(range(len(rows)), 2)
+    }
 
 
 def pushforward_bivector(f: PolyMap, f_inv: PolyMap, p: Bivector) -> Bivector:

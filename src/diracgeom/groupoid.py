@@ -63,6 +63,7 @@ from .symalg import (
     _rational_rows,
     _Reduction,
     clear_denominators,
+    dot,
     fresh_names,
     generic_rank,
     in_span,
@@ -257,13 +258,7 @@ def _subst_matrix(rows, values: Sequence[Expr], ppatch: Patch) -> list[list[Expr
 
 
 def _matvec(rows, vec, ppatch: Patch) -> list[Expr]:
-    out = []
-    for row in rows:
-        acc = Expr.zero(ppatch)
-        for a, b in zip(row, vec):
-            acc = acc + a * b
-        out.append(acc)
-    return out
+    return [dot(ppatch, zip(row, vec)) for row in rows]
 
 
 def _first_difference(lhs: Sequence[Expr], rhs: Sequence[Expr]) -> tuple[int, Expr] | None:
@@ -333,6 +328,8 @@ def _associativity_item(g: GroupoidPatch, data: _ChartData) -> CheckItem:
     # composable triples: h_of of the first pair equals g_of of the second
     triples = _Reduction([a_h + tuple(-q for q in a_g) for a_g, a_h in zip(data.a_g, data.a_h)], 2 * d)
     kernel = triples.kernel()
+    if len(kernel) > MAX_DIMENSION:
+        raise WrongShape(f"the composable-triple chart has {len(kernel)} coordinates, above the limit of {MAX_DIMENSION}")
     tri = Patch(g.comp_chart.name + "_triples", tuple(fresh_names("tau", len(kernel), ())))
     coords = [Expr.coord(tri, c) for c in tri.coords]
     try:

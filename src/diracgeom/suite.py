@@ -59,7 +59,7 @@ from .groupoid import (
     tangent_groupoid,
 )
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, in_span, parse_expr
+from .symalg import Expr, ExprMatrix, Patch, _combine, in_span, parse_expr
 from .tanlift import (
     canonical_involution,
     check_tangent_mu_identity,
@@ -95,15 +95,16 @@ def _ground_truth(holds: bool, claim: str) -> None:
 
 
 def _rand_expr(rng, patch, max_deg=2, terms=3):
-    out = Expr.zero(patch)
+    out: dict[tuple[int, ...], Fraction] = {}
     for _ in range(rng.randint(1, terms)):
         exps = [0] * patch.dim
         for _ in range(rng.randint(0, max_deg)):
             if patch.dim:
                 exps[rng.randrange(patch.dim)] += 1
         coeff = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-        out = out + Expr(patch, {tuple(exps): coeff} if coeff else {})
-    return out
+        key = tuple(exps)
+        out[key] = out.get(key, 0) + coeff
+    return Expr(patch, out)
 
 
 def _rand_vf(rng, patch, max_deg=2):
@@ -435,14 +436,9 @@ def _pair_section(g, vcomps, acomps):
 def _linear_section(g, matrix, acomps):
     total = g.total
     xs = [Expr.coord(total, c) for c in total.coords]
-    comps = []
-    for row in matrix:
-        acc = Expr.zero(total)
-        for q, x in zip(row, xs):
-            acc = acc + Expr.const(total, q) * x
-        comps.append(acc)
+    comps = tuple(_combine(total, row, xs) for row in matrix)
     of = KForm.one_form(total, tuple(Expr.const(total, q) for q in acomps))
-    return GSec(VField(total, tuple(comps)), of)
+    return GSec(VField(total, comps), of)
 
 
 def ca_identity_examples() -> Report:

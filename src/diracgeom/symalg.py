@@ -26,6 +26,13 @@ return equal results.  Until a non-constant matrix keeps its reduction,
 ``generic_rank`` first tries a one-sided certificate: full rank at a fixed
 rational point proves full generic rank; anything less reduces the matrix.
 
+Accumulation: every sum of products is built in one term map, never by
+adding to an accumulating ``Expr``, which copies the whole map at each step.
+``dot`` sums the products of pairs of polynomials, and ``_combine`` a
+combination of polynomials with rational coefficients.  Both merge each
+product into the sum as it is formed (``_merge``), so they store the terms of
+the step-by-step sum in the same insertion order.
+
 Only the public constructor ``Expr(patch, terms)`` validates: it checks the
 exponent tuples, turns coefficients into ``Fraction`` and drops zeros, and is
 the boundary for input from outside the kernel.  Kernel results whose term
@@ -313,14 +320,14 @@ class Expr:
                 cache[k] = values[i] ** k
             return cache[k]
 
-        acc = Expr.zero(target)
-        for e, c in self.terms.items():
-            term = Expr.const(target, c)
+        monomials = []
+        for e in self.terms:
+            mono = None
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
-            acc = acc + term
-        return acc
+                    mono = power(i, k) if mono is None else mono * power(i, k)
+            monomials.append(Expr.one(target) if mono is None else mono)
+        return _combine(target, self.terms.values(), monomials)
 
     def eval_rational(self, point: Sequence[Scalar]) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -361,18 +368,17 @@ class Expr:
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         rem = self
-        quot = Expr.zero(self.patch)
+        # the leading exponent of the remainder strictly decreases, so no two quotient terms meet
+        quot = {}
         de, dc = d.leading()
         while not rem.is_zero():
             re_, rc = rem.leading()
             qe = tuple(a - b for a, b in zip(re_, de))
             if any(k < 0 for k in qe):
                 return None
-            qc = rc / dc
-            mono = Expr._trusted(self.patch, {qe: qc})
-            quot = quot + mono
-            rem = rem - mono * d
-        return quot
+            quot[qe] = rc / dc
+            rem = rem - Expr._trusted(self.patch, {qe: quot[qe]}) * d
+        return Expr._trusted(self.patch, quot)
 
     # -- printing --------------------------------------------------------------
 
@@ -1008,15 +1014,52 @@ class _FractionFree:
         return sol
 
 
-def _combine(patch: Patch, coeffs: Sequence[Fraction], polys: Sequence[Expr]) -> Expr:
-    """sum(coeffs[i] * polys[i]), built on the term maps."""
+def _merge(out: dict, terms: dict) -> dict:
+    """``out`` with the term map ``terms`` added, a term deleted as soon as it cancels.
+
+    Both maps must be fresh: ``out`` is changed in place, and ``terms`` is
+    returned as it is when ``out`` is empty.
+    """
+    if not out:
+        return terms
+    for e, c in terms.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s += c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def dot(patch: Patch, pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
+    """sum(a * b for a, b in pairs) on ``patch``, built in one term map.
+
+    Each product is merged into the sum as it is formed, so the result has the
+    terms of the step-by-step sum in the same insertion order, without a copy
+    of the sum per step.  An operand on another patch raises ``PatchMismatch``.
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for a, b in pairs:
+        if a.patch is not patch or b.patch is not patch:
+            for x in (a, b):
+                if x.patch != patch:
+                    raise PatchMismatch(f"operands on patches {patch.name!r} and {x.patch.name!r}")
+        if a.terms and b.terms:
+            out = _merge(out, (a * b).terms)
+    return Expr._trusted(patch, out)
+
+
+def _combine(patch: Patch, coeffs: Iterable[Fraction], polys: Iterable[Expr]) -> Expr:
+    """sum(coeffs[i] * polys[i]) for rational coefficients, built in one term map as ``dot`` builds its sum."""
     out: dict[tuple[int, ...], Fraction] = {}
     for k, p in zip(coeffs, polys):
         if k:
-            for e, c in p.terms.items():
-                s = out.get(e)
-                out[e] = k * c if s is None else s + k * c
-    return Expr._trusted(patch, {e: c for e, c in out.items() if c})
+            out = _merge(out, {e: k * c for e, c in p.terms.items()})
+    return Expr._trusted(patch, out)
 
 
 def _rank_point(patch: Patch) -> list[Fraction]:

@@ -3,7 +3,8 @@
 Coordinate naming is deterministic so that iterated constructions agree by
 equality of patches:
 
-  tangent_patch    x -> x, x_dot        (second lift uses del_x, del_x_dot)
+  tangent_patch    x -> x, x_dot        (second lift uses del_x, del_x_dot,
+                                         the k-th for k >= 3 del{k-1}_x, ...)
   cotangent_patch  x -> x, p_x
 
 Both are memoised per base patch, so each lift's names are built and checked
@@ -25,22 +26,33 @@ from .cartan import KForm, PolyMap, VField, wedge
 from .courant import Frame, GSec, check_lagrangian, _mu_entries
 from .errors import NotLagrangian, WrongShape
 from .report import CheckItem, Report
-from .symalg import Expr, Patch
+from .symalg import Expr, Patch, dot
 
 VELOCITY_SUFFIX = "_dot"
 SECOND_ORDER_PREFIX = "del_"
 MOMENTUM_PREFIX = "p_"
 
 
+def _velocities(coords: tuple[str, ...], depth: int) -> tuple[str, ...]:
+    """The names the ``depth``-th tangent lift gives the velocities of ``coords``."""
+    if depth == 1:
+        return tuple(c + VELOCITY_SUFFIX for c in coords)
+    prefix = SECOND_ORDER_PREFIX if depth == 2 else f"del{depth - 1}_"
+    return tuple(prefix + c for c in coords)
+
+
+def _tangent_depth(coords: tuple[str, ...]) -> int:
+    """How many tangent lifts named ``coords``: 0 unless the second half names velocities of the first."""
+    n, odd = divmod(len(coords), 2)
+    if odd or n == 0:
+        return 0
+    depth = _tangent_depth(coords[:n]) + 1
+    return depth if coords[n:] == _velocities(coords[:n], depth) else 0
+
+
 def is_tangent_total(patch: Patch) -> bool:
     """True when the second half of the coordinates names velocities of the first."""
-    n, odd = divmod(patch.dim, 2)
-    if odd or n == 0:
-        return False
-    head, tail = patch.coords[:n], patch.coords[n:]
-    if tail == tuple(c + VELOCITY_SUFFIX for c in head):
-        return True
-    return tail == tuple(SECOND_ORDER_PREFIX + c for c in head)
+    return _tangent_depth(patch.coords) > 0
 
 
 def is_cotangent_total(patch: Patch) -> bool:
@@ -83,10 +95,7 @@ class CotangentPatch:
 
 @cache
 def tangent_patch(base: Patch) -> TangentPatch:
-    if is_tangent_total(base):
-        vel = tuple(SECOND_ORDER_PREFIX + c for c in base.coords)
-    else:
-        vel = tuple(c + VELOCITY_SUFFIX for c in base.coords)
+    vel = _velocities(base.coords, _tangent_depth(base.coords) + 1)
     return TangentPatch(base, _extend(base, vel, "T" + base.name))
 
 
@@ -107,12 +116,9 @@ def lift_function(f: Expr, kind: str) -> Expr:
     tp = tangent_patch(f.patch)
     if kind == "vertical":
         return f.inject(tp.total)
-    acc = Expr.zero(tp.total)
-    for c, v in zip(f.patch.coords, tp.velocity_names):
-        df = f.differentiate(c)
-        if df.terms:
-            acc = acc + Expr.coord(tp.total, v) * df.inject(tp.total)
-    return acc
+    total = tp.total
+    diffs = ((v, f.differentiate(c)) for c, v in zip(f.patch.coords, tp.velocity_names))
+    return dot(total, ((Expr.coord(total, v), df.inject(total)) for v, df in diffs if df.terms))
 
 
 def lift_vector_field(x: VField, kind: str) -> VField:
@@ -155,13 +161,9 @@ def tangent_map(f: PolyMap) -> PolyMap:
     """Tangent functor: (x, v) -> (f(x), Df(x) v)."""
     src = tangent_patch(f.source)
     tgt = tangent_patch(f.target)
+    vel = [Expr.coord(src.total, v) for v in src.velocity_names]
     comps = [c.inject(src.total) for c in f.components]
-    jac = f.jacobian()
-    for row in jac.entries:
-        acc = Expr.zero(src.total)
-        for entry, v in zip(row, src.velocity_names):
-            acc = acc + entry.inject(src.total) * Expr.coord(src.total, v)
-        comps.append(acc)
+    comps += [dot(src.total, ((e.inject(src.total), v) for e, v in zip(row, vel) if e.terms)) for row in f.jacobian().entries]
     return PolyMap(src.total, tgt.total, tuple(comps))
 
 

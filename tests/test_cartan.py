@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -758,6 +758,28 @@ def test_shared_core_matches_the_classes_it_replaced(case):
         assert not hasattr(t, "__dict__")
         with pytest.raises(AttributeError):
             t.coeffs = {}
+
+
+def _signed_reference(t, idx):
+    """The antisymmetric extension, apart from ``_perm_sign``: zero on a repeated index, else the
+    stored coefficient signed by the parity of the sorting permutation."""
+    if len(set(idx)) != len(idx):
+        return Expr.zero(t.patch)
+    swaps = sum(1 for a, b in combinations(idx, 2) if a > b)
+    value = t.coeffs.get(tuple(sorted(idx)), Expr.zero(t.patch))
+    return -value if swaps % 2 else value
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensor_cases())
+def test_signed_lookup_agrees_with_signed_coeff(case):
+    patch, degree, coeffs, _, _ = case
+    t, _ = _both(patch, degree, coeffs)
+    for idx in product(range(patch.dim), repeat=t.degree):
+        want = _signed_reference(t, idx)
+        assert t.signed_coeff(idx) == want
+        # a miss is None, never a stored zero
+        assert t._signed(idx) == (None if want.is_zero() else want)
 
 
 def test_two_forms_and_bivectors_stay_apart():

@@ -373,7 +373,11 @@ def test_main_exit_codes(tmp_path, capsys):
         ("let G = heisenberg3()\nlet f = -G\n", None),
         ("let M = patch(x)\nlet f = 2*M\n", None),
         ("let G = heisenberg3()\nlet f = G + G\n", None),
-        ("let M = patch(x, y, z, u, v, w)\ncheck tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(dx^dy)))\n", None),
+        # the second lift of this patch names its velocities del_x, ..., which it already has
+        (
+            "let M = patch(x, y, del_x, del_y)\ncheck tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(dx^dy)))\n",
+            "lifted coordinate names collide: ['del_x', 'del_x_dot', 'del_y', 'del_y_dot']",
+        ),
         ("let M = patch(x, y)\nlet f = (x + y)^64\nlet g = f^64\n", None),
         ("let M = patch(x, y, z)\nlet f = (x + y + z)^8^8\nlet g = f^8\n", None),
         ("let n = 2^64^64^64^64^64^64\n", None),
@@ -392,6 +396,16 @@ def test_main_exit_codes(tmp_path, capsys):
         (
             f"let M = patch({', '.join(f'x{i}' for i in range(43))})\nlet G = pair_groupoid(M)\n",
             "pair_groupoid needs a patch of at most 42 coordinates, got 43",
+        ),
+        # the associativity check names its chart of composable triples: 3n coordinates for a group,
+        (
+            "let G = abelian_group(43)\ncheck groupoid_axioms G\n",
+            "groupoid_axioms G: the composable-triple chart has 129 coordinates, above the limit of 128",
+        ),
+        # 4n for a pair groupoid
+        (
+            f"let M = patch({', '.join(f'x{i}' for i in range(33))})\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n",
+            "groupoid_axioms G: the composable-triple chart has 132 coordinates, above the limit of 128",
         ),
     ],
     ids=[
@@ -413,6 +427,8 @@ def test_main_exit_codes(tmp_path, capsys):
         "tangent-groupoids-above-the-dimension-limit",
         "abelian-group-with-a-pair-chart-above-the-limit",
         "pair-groupoid-with-a-pair-chart-above-the-limit",
+        "abelian-group-with-a-triple-chart-above-the-limit",
+        "pair-groupoid-with-a-triple-chart-above-the-limit",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected):
@@ -422,6 +438,13 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected)
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     if expected is not None:
         assert out.err == f"error: {expected}\n"
+
+
+def test_third_tangent_groupoid_passes_its_axioms(tmp_path, capsys):
+    # each level names its velocities apart: a_dot, then del_a, then del2_a
+    text = "let G = tangent_groupoid(tangent_groupoid(tangent_groupoid(heisenberg3())))\ncheck groupoid_axioms G\n"
+    assert main(["verify", write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == "pass  groupoid_axioms G\nsummary: 1 passed, 0 failed\n"
 
 
 def test_failed_suite_ground_truth_exits_2(monkeypatch, capsys):

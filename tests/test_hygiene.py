@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, no unreferenced private names, no
-unreferenced private class members and no ``assert`` statements in
-``src/diracgeom``, and no syntax newer than Python 3.10 in any Python file.
+unreferenced private class members, no ``assert`` statements and no
+accumulator loops over ``Expr`` in ``src/diracgeom``, and no syntax newer
+than Python 3.10 in any Python file.
 
 Standard library ``ast`` and pytest only, so it runs with the rest of the tier-1 tests.
 """
@@ -122,6 +123,41 @@ def test_no_assert_statements():
     for path in MODULES:
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _is_expr_zero(node: ast.AST) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and func.attr == "zero" and isinstance(func.value, ast.Name) and func.value.id == "Expr"
+
+
+def _accumulations(fn: ast.FunctionDef) -> set[int]:
+    """Lines in loops of ``fn`` that add to or subtract from a name ``fn`` starts at ``Expr.zero(...)``."""
+    zeros = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and _is_expr_zero(n.value) for t in n.targets if isinstance(t, ast.Name)}
+    found = set()
+    for loop in (n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))):
+        for n in ast.walk(loop):
+            if isinstance(n, ast.AugAssign) and isinstance(n.op, (ast.Add, ast.Sub)):
+                target = n.target
+            elif isinstance(n, ast.Assign) and len(n.targets) == 1 and isinstance(n.value, ast.BinOp) and isinstance(n.value.op, (ast.Add, ast.Sub)):
+                target = n.targets[0]
+                if not (isinstance(n.value.left, ast.Name) and isinstance(target, ast.Name) and n.value.left.id == target.id):
+                    continue
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in zeros:
+                found.add(n.lineno)
+    return found
+
+
+def test_no_accumulator_loops():
+    # acc = acc + a * b copies the whole term map at every step; symalg.dot (products of
+    # polynomials) and symalg._combine (rational coefficients) build a sum in one map
+    found = set()
+    for path in MODULES:
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, ast.FunctionDef):
+                found |= {f"{path.name}:{line}" for line in _accumulations(fn)}
+    assert sorted(found) == []
 
 
 def test_python_files_parse_as_python_3_10():

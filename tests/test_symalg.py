@@ -356,6 +356,63 @@ def polys(patch):
     return terms.map(lambda t: Expr(patch, t))
 
 
+# -- accumulation: dot and substitute against the step-by-step sums -------------------
+
+
+@st.composite
+def product_pairs(draw):
+    """Pairs of polynomials on XY, among them (a, b) next to (-a, b), whose products cancel."""
+    pairs = draw(st.lists(st.tuples(polys(XY), polys(XY)), max_size=5))
+    a, b = draw(polys(XY)), draw(polys(XY))
+    at = draw(st.integers(0, len(pairs)))
+    return pairs[:at] + [(a, b), (-a, b)] + pairs[at:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs())
+# x cancels part-way through the second product and its last term restores it; y cancels between products
+@example([(parse_expr("1", XY), parse_expr("x + y", XY)), (parse_expr("1 + x", XY), parse_expr("1 - x", XY)), (parse_expr("y", XY), parse_expr("-1", XY))])
+def test_dot_is_the_sum_of_products(pairs):
+    want = Expr.zero(XY)
+    for a, b in pairs:
+        want = want + a * b
+    got = symalg.dot(XY, pairs)
+    assert got.terms == want.terms and str(got) == str(want)
+    # no cancelled term is stored, and the terms come in the order of the step-by-step sum
+    assert all(got.terms.values()) and list(got.terms.items()) == list(want.terms.items())
+
+
+def test_dot_refuses_an_operand_on_another_patch():
+    x, y, z = parse_expr("x", XY), parse_expr("y", XY), parse_expr("z", XYZ)
+    for pairs in ([(x, y), (x, z)], [(x, y), (z, x)], [(z, z)]):
+        with pytest.raises(PatchMismatch):
+            symalg.dot(XY, pairs)
+    # an equal patch is the same patch, as for the ring operations
+    assert symalg.dot(Patch("M", ("x", "y")), [(x, y)]) == x * y
+    assert symalg.dot(XY, []) == Expr.zero(XY)
+
+
+def _substitute_term_by_term(e, values, target):
+    """The substitution rule before monomials were combined once: one scaled term at a time."""
+    acc = Expr.zero(target)
+    for exps, c in e.terms.items():
+        term = Expr.const(target, c)
+        for v, k in zip(values, exps):
+            if k:
+                term = term * v ** k
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(XYZ), st.lists(polys(XY), min_size=3, max_size=3))
+def test_substitute_matches_the_term_by_term_rule(e, values):
+    got = e.substitute(values, XY)
+    want = _substitute_term_by_term(e, values, XY)
+    assert got.terms == want.terms and str(got) == str(want)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 @st.composite
 def constant_systems(draw):
     """A constant matrix and a polynomial right-hand side.

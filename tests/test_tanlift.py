@@ -66,6 +66,19 @@ def test_second_tangent_patch_names():
     assert is_tangent_total(tt.total)
 
 
+def test_deeper_tangent_patch_names():
+    # from the third lift on, velocities are named by depth: del2_, del3_, ...
+    t2 = tangent_patch(tangent_patch(M1).total).total
+    t3 = tangent_patch(t2)
+    assert t3.total.coords == t2.coords + ("del2_x", "del2_x_dot", "del2_del_x", "del2_del_x_dot")
+    assert is_tangent_total(t3.total)
+    t4 = tangent_patch(t3.total)
+    assert t4.velocity_names == tuple("del3_" + c for c in t3.total.coords)
+    assert is_tangent_total(t4.total)
+    # a del_ block that does not name the velocities of the first half is no tangent total
+    assert not is_tangent_total(Patch("P", ("x", "del_x")))
+
+
 def test_cotangent_patch_names():
     ct = cotangent_patch(M2)
     assert ct.total.coords == ("x", "y", "p_x", "p_y")
@@ -185,6 +198,19 @@ def test_involution_squares_to_identity():
     tt = tangent_patch(tangent_patch(M2).total)
     j = canonical_involution(tt)
     assert j.compose(j) == PolyMap.identity(tt.total)
+
+
+def test_involution_on_a_third_level_patch():
+    # T(T(TM)) is the second tangent of N = TM: J swaps N's del_ and del2_ velocity blocks
+    n = tangent_patch(M1).total
+    t3 = tangent_patch(tangent_patch(n).total)
+    j = canonical_involution(t3)
+    names = tuple(str(c) for c in j.components)
+    assert names == ("x", "x_dot", "del2_x", "del2_x_dot", "del_x", "del_x_dot", "del2_del_x", "del2_del_x_dot")
+    assert j.compose(j) == PolyMap.identity(t3.total)
+    # and it still turns T X into the tangent lift of X, for a field X on N
+    x = vf(n, "x*x_dot", "x^2 - x_dot")
+    assert j.compose(tangent_map(section_map(x))) == section_map(lift_vector_field(x, "tangent"))
 
 
 def test_involution_rejects_plain_double():
