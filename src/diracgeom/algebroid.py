@@ -16,6 +16,12 @@ The relative sign between the mixed and fiber-fiber brackets is forced by the
 Jacobi identity as soon as some frame pair has both c != 0 and a nonzero
 anchor; the mixed sign is pinned by the tangent-bundle case, where the dual
 must carry the canonical bracket {x^i, p_j} = delta^i_j.
+
+Jacobi and the bialgebroid derivation condition are each walked by one
+generator of raw failures, ``_jacobi_failures`` and ``_derivation_failures``.
+A Lie bialgebra is a Lie bialgebroid over a point, so ``check_lie_bialgebra``
+reads both on its quotient pair and prints the negated values: at a point
+d_* = -delta, and the cyclic sum of [[x, y], z] is minus the Jacobiator.
 """
 
 from dataclasses import dataclass
@@ -67,6 +73,14 @@ def _structure_tensor(base: Patch, rank: int, brackets) -> Structure:
     return tuple(tuple(tuple(row) for row in plane) for plane in table)
 
 
+def _check_structure(r: int, c: Structure) -> None:
+    """Raise WrongShape unless ``c`` is an r x r x r table antisymmetric in its first two indices."""
+    if len(c) != r or any(len(p) != r or any(len(row) != r for row in p) for p in c):
+        raise WrongShape("structure tensor must be rank x rank x rank")
+    if any(c[a][b][k] != -c[b][a][k] for a, b, k in product(range(r), repeat=3)):
+        raise WrongShape("structure tensor must be antisymmetric in (a, b)")
+
+
 @dataclass(frozen=True)
 class AlgebroidPatch:
     """Anchor fields and structure functions of a would-be Lie algebroid.
@@ -86,16 +100,7 @@ class AlgebroidPatch:
         for v in self.anchor:
             if v.patch != self.base:
                 raise PatchMismatch("anchor field on a different patch")
-        r = self.rank
-        if len(self.structure) != r or any(
-            len(p) != r or any(len(row) != r for row in p) for p in self.structure
-        ):
-            raise WrongShape("structure tensor must be rank x rank x rank")
-        for a in range(r):
-            for b in range(r):
-                for k in range(r):
-                    if self.structure[a][b][k] != -self.structure[b][a][k]:
-                        raise WrongShape("structure tensor must be antisymmetric in (a, b)")
+        _check_structure(self.rank, self.structure)
 
     def rho(self, coeffs) -> VField:
         """Anchor of the section with the given frame coefficients."""
@@ -160,21 +165,27 @@ def tangent_lift_algebroid(a: AlgebroidPatch) -> AlgebroidPatch:
     return AlgebroidPatch(total, 2 * r, tuple(anchors), _structure_tensor(total, 2 * r, brackets))
 
 
+def _jacobi_failures(a: AlgebroidPatch):
+    """Yield (i, j, k, m, value) for each frame triple i < j < k whose Jacobiator
+    sum [e_i, [e_j, e_k]] + cyclic has a non-zero e_m component, the first such m."""
+    r = a.rank
+    frame = [a.frame_coeffs(i) for i in range(r)]
+    for i, j, k in combinations(range(r), 3):
+        jac = [Expr.zero(a.base)] * r
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = a.bracket_coeffs(frame[y], frame[z])
+            outer = a.bracket_coeffs(frame[x], inner)
+            jac = [p + q for p, q in zip(jac, outer)]
+        bad = next((m for m in range(r) if not jac[m].is_zero()), None)
+        if bad is not None:
+            yield i, j, k, bad, jac[bad]
+
+
 def check_lie_algebroid(a: AlgebroidPatch) -> Report:
     """Jacobi identity on frame triples and anchor compatibility on frame pairs."""
     r = a.rank
     frame = [a.frame_coeffs(i) for i in range(r)]
-
-    def jacobi():
-        for i, j, k in combinations(range(r), 3):
-            jac = [Expr.zero(a.base)] * r
-            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = a.bracket_coeffs(frame[y], frame[z])
-                outer = a.bracket_coeffs(frame[x], inner)
-                jac = [p + q for p, q in zip(jac, outer)]
-            bad = next((m for m in range(r) if not jac[m].is_zero()), None)
-            if bad is not None:
-                yield f"jacobi[{i + 1},{j + 1},{k + 1}] has e_{bad + 1} component {jac[bad]}"
+    jacobi = (f"jacobi[{i + 1},{j + 1},{k + 1}] has e_{m + 1} component {v}" for i, j, k, m, v in _jacobi_failures(a))
 
     def anchor():
         for i, j in combinations(range(r), 2):
@@ -186,7 +197,7 @@ def check_lie_algebroid(a: AlgebroidPatch) -> Report:
 
     return Report(
         (
-            CheckItem.first("jacobi identity on the frame", jacobi()),
+            CheckItem.first("jacobi identity on the frame", jacobi),
             CheckItem.first("anchor preserves brackets", anchor()),
         )
     )
@@ -242,30 +253,30 @@ def _dual_differential_section(dual: AlgebroidPatch, u) -> dict:
     return out
 
 
-def _frame_bracket_wedge(a: AlgebroidPatch, b: int, table: dict) -> dict:
-    """[e_b, P] for a wedge table P, extending the bracket as a degree-0 derivation."""
-    out = {}
+def _frame_bracket_wedge(a: AlgebroidPatch, b: int, table: dict, out: dict) -> None:
+    """Add [e_b, P] to ``out`` for a wedge table P, extending the bracket as a degree-0 derivation."""
     rho_b = a.anchor[b]
     for (m, l), coeff in table.items():
         _add_wedge(out, m, l, rho_b.apply(coeff))
         for k in range(a.rank):
             _add_wedge(out, k, l, coeff * a.structure[b][m][k])
             _add_wedge(out, m, k, coeff * a.structure[b][l][k])
-    return out
 
 
-def _wedge_sub(p: dict, q: dict, patch: Patch) -> dict:
-    out = dict(p)
-    for key, coeff in q.items():
-        out[key] = out.get(key, Expr.zero(patch)) - coeff
-    return out
-
-
-def _wedge_add(p: dict, q: dict, patch: Patch) -> dict:
-    out = dict(p)
-    for key, coeff in q.items():
-        out[key] = out.get(key, Expr.zero(patch)) + coeff
-    return out
+def _derivation_failures(a: AlgebroidPatch, dual: AlgebroidPatch):
+    """Yield (x, y, (i, j), value) for each frame pair x < y on which
+    d_*[e_x,e_y] + [e_y, d_*e_x] - [e_x, d_*e_y] has a non-zero wedge
+    coefficient, the first such e_i^e_j in sorted order."""
+    frame = [a.frame_coeffs(i) for i in range(a.rank)]
+    d_frame = [_dual_differential_section(dual, f) for f in frame]
+    minus_d_frame = [{key: -coeff for key, coeff in t.items()} for t in d_frame]
+    for fa, fb in combinations(range(a.rank), 2):
+        diff = _dual_differential_section(dual, a.bracket_coeffs(frame[fa], frame[fb]))
+        _frame_bracket_wedge(a, fb, d_frame[fa], diff)
+        _frame_bracket_wedge(a, fa, minus_d_frame[fb], diff)
+        bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
+        if bad is not None:
+            yield fa, fb, bad, diff[bad]
 
 
 def check_lie_bialgebroid(a: AlgebroidPatch, dual: AlgebroidPatch) -> Report:
@@ -285,23 +296,11 @@ def check_lie_bialgebroid(a: AlgebroidPatch, dual: AlgebroidPatch) -> Report:
         rep = check_lie_algebroid(side)
         if not rep.passed:
             raise NotAlgebroid(f"{name} structure: {rep.witness}")
-    frame = [a.frame_coeffs(i) for i in range(a.rank)]
-    d_frame = [_dual_differential_section(dual, f) for f in frame]
-
-    def derivation():
-        for fa, fb in combinations(range(a.rank), 2):
-            lhs = _dual_differential_section(dual, a.bracket_coeffs(frame[fa], frame[fb]))
-            # condition: d_*[e_a,e_b] + [e_b, d_*e_a] - [e_a, d_*e_b] = 0
-            diff = _wedge_add(lhs, _frame_bracket_wedge(a, fb, d_frame[fa]), a.base)
-            diff = _wedge_sub(diff, _frame_bracket_wedge(a, fa, d_frame[fb]), a.base)
-            bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
-            if bad is not None:
-                yield (
-                    f"derivation fails on (e_{fa + 1},e_{fb + 1}) at "
-                    f"e_{bad[0] + 1}^e_{bad[1] + 1}: {diff[bad]}"
-                )
-
-    return Report((CheckItem.first("derivation condition on frame pairs", derivation()),))
+    derivation = (
+        f"derivation fails on (e_{x + 1},e_{y + 1}) at e_{i + 1}^e_{j + 1}: {v}"
+        for x, y, (i, j), v in _derivation_failures(a, dual)
+    )
+    return Report((CheckItem.first("derivation condition on frame pairs", derivation),))
 
 
 # -- IM 2-forms ------------------------------------------------------------------------
@@ -524,16 +523,7 @@ class LieBialgebraData:
     def __post_init__(self):
         if self.g.base.dim != 0:
             raise WrongShape("bialgebra data needs an algebra over a point patch")
-        r = self.g.rank
-        if len(self.dual_c) != r or any(
-            len(p) != r or any(len(row) != r for row in p) for p in self.dual_c
-        ):
-            raise WrongShape("dual structure tensor must be rank x rank x rank")
-        for a in range(r):
-            for b in range(r):
-                for k in range(r):
-                    if self.dual_c[a][b][k] != -self.dual_c[b][a][k]:
-                        raise WrongShape("dual structure must be antisymmetric")
+        _check_structure(self.g.rank, self.dual_c)
 
 
 def check_lie_bialgebra(d: LieBialgebraData, ideal=None) -> Report:
@@ -568,55 +558,25 @@ def check_lie_bialgebra(d: LieBialgebraData, ideal=None) -> Report:
                     f"xi_{bad + 1} = {d.dual_c[qa][qb][bad]}"
                 )
 
-    nq = len(quotient)
-    point = g.base
-    cbar = [[[g.structure[quotient[x]][quotient[y]][quotient[z]] for z in range(nq)] for y in range(nq)] for x in range(nq)]
-    cstar = [[[d.dual_c[quotient[x]][quotient[y]][quotient[z]] for z in range(nq)] for y in range(nq)] for x in range(nq)]
+    zeros = [VField.zero(g.base)] * len(quotient)
 
-    def dual_jacobi():
-        # Jacobi for the (quotient) dual algebra
-        for (x, y, z), k in product(combinations(range(nq), 3), range(nq)):
-            cyclic = ((x, y, z), (y, z, x), (z, x, y))
-            acc = dot(point, ((cstar[p][q][s], cstar[s][t][k]) for s in range(nq) for p, q, t in cyclic))
-            if not acc.is_zero():
-                yield f"dual jacobi[{x + 1},{y + 1},{z + 1}] component {k + 1}: {acc}"
+    def restricted(c: Structure) -> AlgebroidPatch:
+        pairs = combinations(enumerate(quotient), 2)
+        return algebroid(g.base, zeros, {(x, y): [c[qa][qb][qz] for qz in quotient] for (x, qa), (y, qb) in pairs})
 
-    # cocycle: delta[x, y] = ad_x delta(y) - ad_y delta(x)
-    def delta(m):
-        out = {}
-        for x in range(nq):
-            for y in range(x + 1, nq):
-                _add_wedge(out, x, y, cstar[x][y][m])
-        return out
-
-    def ad_wedge(x, table):
-        out = {}
-        for (i, j), coeff in table.items():
-            for k in range(nq):
-                _add_wedge(out, k, j, coeff * cbar[x][i][k])
-                _add_wedge(out, i, k, coeff * cbar[x][j][k])
-        return out
-
-    def cocycle():
-        for x, y in combinations(range(nq), 2):
-            lhs = {}
-            for m in range(nq):
-                for key, coeff in delta(m).items():
-                    _add_wedge(lhs, key[0], key[1], coeff * cbar[x][y][m])
-            rhs = _wedge_sub(ad_wedge(x, delta(y)), ad_wedge(y, delta(x)), point)
-            diff = _wedge_sub(lhs, rhs, point)
-            bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
-            if bad is not None:
-                yield (
-                    f"cocycle fails on (e_{x + 1},e_{y + 1}) at "
-                    f"e_{bad[0] + 1}^e_{bad[1] + 1}: {diff[bad]}"
-                )
-
+    gbar, gstar = restricted(g.structure), restricted(d.dual_c)
+    dual_jacobi = (
+        f"dual jacobi[{i + 1},{j + 1},{k + 1}] component {m + 1}: {-v}" for i, j, k, m, v in _jacobi_failures(gstar)
+    )
+    cocycle = (
+        f"cocycle fails on (e_{x + 1},e_{y + 1}) at e_{i + 1}^e_{j + 1}: {-v}"
+        for x, y, (i, j), v in _derivation_failures(gbar, gstar)
+    )
     return Report(
         (
             CheckItem.first("dual bracket restricts to the annihilator", annihilator()),
-            CheckItem.first("dual structure satisfies jacobi", dual_jacobi()),
-            CheckItem.first("dual cocycle condition", cocycle()),
+            CheckItem.first("dual structure satisfies jacobi", dual_jacobi),
+            CheckItem.first("dual cocycle condition", cocycle),
         )
     )
 

@@ -223,6 +223,13 @@ def _nonzero_pairings(l: Frame) -> Iterator[str]:
             yield f"pairing[{i + 1},{j + 1}] = {p}"
 
 
+def _require_isotropic(l: Frame) -> None:
+    """Raise NotLagrangian with the first pairing witness unless the sections pair to zero."""
+    witness = next(_nonzero_pairings(l), None)
+    if witness is not None:
+        raise NotLagrangian(witness)
+
+
 def check_lagrangian(l: Frame) -> Report:
     """Isotropy of all section pairs plus generic maximality (rank = dim)."""
     items = [CheckItem.first("isotropic", _nonzero_pairings(l))]
@@ -267,9 +274,7 @@ def _mu_entries(l: Frame) -> dict[tuple[int, int, int], Expr]:
     Raises NotLagrangian unless the sections pair to zero, the condition
     under which mu is totally antisymmetric.
     """
-    iso_witness = next(_nonzero_pairings(l), None)
-    if iso_witness is not None:
-        raise NotLagrangian(iso_witness)
+    _require_isotropic(l)
     n = len(l.secs)
     zero = Expr.zero(l.patch)
     out = dict.fromkeys(product(range(n), repeat=3), zero)

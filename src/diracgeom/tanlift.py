@@ -22,11 +22,11 @@ which the test suite re-verifies on random inputs.
 from dataclasses import dataclass
 from functools import cache
 
-from .cartan import KForm, PolyMap, VField, wedge
-from .courant import Frame, GSec, check_lagrangian, _mu_entries
+from .cartan import KForm, PolyMap, VField, _perm_sign, wedge
+from .courant import Frame, GSec, _increasing_mu, _require_isotropic, check_lagrangian
 from .errors import NotLagrangian, WrongShape
 from .report import CheckItem, Report
-from .symalg import Expr, Patch, dot
+from .symalg import MAX_DIMENSION, Expr, Patch, dot
 
 VELOCITY_SUFFIX = "_dot"
 SECOND_ORDER_PREFIX = "del_"
@@ -246,38 +246,48 @@ def check_tangent_mu_identity(l: Frame) -> Report:
     or more vertical generators vanish, and one-vertical entries equal the
     vertical lift of the base entry at the same positions.
 
-    Both tensors are filled by antisymmetry, so the isotropy of the lifted
-    frame is checked too (``_mu_entries`` raises NotLagrangian otherwise).
-    It holds whenever the base frame is isotropic, since the pairing of
-    lifts is the lift of the pairing.
+    Both tensors are read on increasing triples only.  Each block's
+    difference is totally antisymmetric and zero on repeated indices once
+    the lifted frame is isotropic, so its first non-zero entry in sorted
+    order is an increasing triple (see ``courant``); isotropy of the lift is
+    checked here, and holds whenever the base frame is isotropic, since the
+    pairing of lifts is the lift of the pairing.  A frame on more than
+    ``MAX_DIMENSION // 4`` coordinates, whose lift would have more than 64
+    sections, is refused before anything is computed.
     """
+    if l.patch.dim > MAX_DIMENSION // 4:
+        raise WrongShape(
+            f"a frame on {l.patch.dim} coordinates is above the limit of {MAX_DIMENSION // 4} for the lifted Courant tensor"
+        )
     check_lagrangian(l).require(NotLagrangian)
     n = len(l.secs)
     lifted = tangent_lift_dirac(l)  # first, so colliding lifted names raise at once
-    mu = _mu_entries(l)
-    mu_lift = _mu_entries(lifted)
+    _require_isotropic(lifted)
+    mu = dict(_increasing_mu(l))
+    mu_lift = dict(_increasing_mu(lifted))
 
     def label(i, j, k):
         parts = [f"{m + 1}^v" if m >= n else f"{m + 1}^T" for m in (i, j, k)]
         return "mu_T[" + ",".join(parts) + "]"
 
     def tangent_block():
-        for (i, j, k), v in sorted(mu.items()):
+        for (i, j, k), v in mu.items():
             want = lift_function(v, "tangent")
             if mu_lift[(i, j, k)] != want:
                 yield f"{label(i, j, k)} = {mu_lift[(i, j, k)]}, expected {want}"
 
     def multi_vertical():
-        for (i, j, k), v in sorted(mu_lift.items()):
+        for (i, j, k), v in mu_lift.items():
             if sum(1 for m in (i, j, k) if m >= n) >= 2 and not v.is_zero():
                 yield f"{label(i, j, k)} = {v}"
 
     def one_vertical():
-        for (i, j, k), v in sorted(mu_lift.items()):
+        for (i, j, k), v in mu_lift.items():
             if sum(1 for m in (i, j, k) if m >= n) != 1:
                 continue
             base = tuple(m - n if m >= n else m for m in (i, j, k))
-            want = lift_function(mu[base], "vertical")
+            sign = _perm_sign(base)
+            want = lift_function(sign * mu[tuple(sorted(base))] if sign else Expr.zero(l.patch), "vertical")
             if v != want:
                 yield f"{label(i, j, k)} = {v}, expected {want}"
 

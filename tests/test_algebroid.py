@@ -1,8 +1,12 @@
 """Algebroid checks: Jacobi/anchor, dual Poisson, bialgebroids, IM data, linearity."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from diracgeom.algebroid import (
     AlgebroidPatch,
@@ -26,15 +30,18 @@ from diracgeom.cartan import Bivector, KForm, VField, exterior_derivative, schou
 from diracgeom.courant import Frame, GSec, check_dirac, graph_bivector, graph_two_form
 from diracgeom.errors import (
     AnchorNotTangent,
+    EngineError,
     NotAlgebroid,
     NotIdeal,
     NotLagrangian,
+    NotLie,
     RankDeficient,
     RankTooLarge,
     WrongShape,
 )
 from diracgeom.groupoid import heisenberg3, lie_algebroid_of, pair_groupoid
-from diracgeom.symalg import Expr, Patch, parse_expr
+from diracgeom.report import CheckItem, Report
+from diracgeom.symalg import Expr, Patch, dot, parse_expr
 
 from test_cartan import one_form, vf
 from test_symalg import rand_expr
@@ -417,6 +424,160 @@ def test_bialgebra_agrees_with_bialgebroid_over_point():
         broid = check_lie_bialgebroid(g, gstar).passed
         bra = check_lie_bialgebra(LieBialgebraData(g, gstar.structure)).passed
         assert broid == bra
+
+
+def _ref_add_wedge(table, i, j, coeff):
+    if i == j or coeff.is_zero():
+        return
+    if i > j:
+        i, j, coeff = j, i, -coeff
+    table[(i, j)] = table.get((i, j), Expr.zero(coeff.patch)) + coeff
+
+
+def _ref_wedge_sub(p, q, patch):
+    out = dict(p)
+    for key, coeff in q.items():
+        out[key] = out.get(key, Expr.zero(patch)) - coeff
+    return out
+
+
+def reference_lie_bialgebra(d, ideal=None):
+    """The bialgebra check written out on constant tables: its own dual Jacobi sum and
+    cocycle delta[x, y] = ad_x delta(y) - ad_y delta(x), with no algebroid walk."""
+    g = d.g
+    check_lie_algebroid(g).require(NotLie)
+    r = g.rank
+    if ideal is None:
+        ideal = ()
+    ideal = tuple(sorted(set(ideal)))
+    for m in ideal:
+        if not 0 <= m < r:
+            raise WrongShape(f"ideal index {m} out of range")
+    quotient = [m for m in range(r) if m not in ideal]
+    frame = [g.frame_coeffs(i) for i in range(r)]
+    for i in range(r):
+        for m in ideal:
+            br = g.bracket_coeffs(frame[i], frame[m])
+            bad = next((q for q in quotient if not br[q].is_zero()), None)
+            if bad is not None:
+                raise NotIdeal(f"[e_{i + 1},e_{m + 1}] has quotient component e_{bad + 1} = {br[bad]}")
+
+    def annihilator():
+        for qa, qb in itertools.combinations(quotient, 2):
+            bad = next((m for m in ideal if not d.dual_c[qa][qb][m].is_zero()), None)
+            if bad is not None:
+                yield (
+                    f"[xi_{qa + 1},xi_{qb + 1}]* has annihilator-breaking component "
+                    f"xi_{bad + 1} = {d.dual_c[qa][qb][bad]}"
+                )
+
+    nq = len(quotient)
+    point = g.base
+    cbar = [[[g.structure[quotient[x]][quotient[y]][quotient[z]] for z in range(nq)] for y in range(nq)] for x in range(nq)]
+    cstar = [[[d.dual_c[quotient[x]][quotient[y]][quotient[z]] for z in range(nq)] for y in range(nq)] for x in range(nq)]
+
+    def dual_jacobi():
+        for (x, y, z), k in itertools.product(itertools.combinations(range(nq), 3), range(nq)):
+            cyclic = ((x, y, z), (y, z, x), (z, x, y))
+            acc = dot(point, ((cstar[p][q][s], cstar[s][t][k]) for s in range(nq) for p, q, t in cyclic))
+            if not acc.is_zero():
+                yield f"dual jacobi[{x + 1},{y + 1},{z + 1}] component {k + 1}: {acc}"
+
+    def delta(m):
+        out = {}
+        for x in range(nq):
+            for y in range(x + 1, nq):
+                _ref_add_wedge(out, x, y, cstar[x][y][m])
+        return out
+
+    def ad_wedge(x, table):
+        out = {}
+        for (i, j), coeff in table.items():
+            for k in range(nq):
+                _ref_add_wedge(out, k, j, coeff * cbar[x][i][k])
+                _ref_add_wedge(out, i, k, coeff * cbar[x][j][k])
+        return out
+
+    def cocycle():
+        for x, y in itertools.combinations(range(nq), 2):
+            lhs = {}
+            for m in range(nq):
+                for key, coeff in delta(m).items():
+                    _ref_add_wedge(lhs, key[0], key[1], coeff * cbar[x][y][m])
+            rhs = _ref_wedge_sub(ad_wedge(x, delta(y)), ad_wedge(y, delta(x)), point)
+            diff = _ref_wedge_sub(lhs, rhs, point)
+            bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
+            if bad is not None:
+                yield f"cocycle fails on (e_{x + 1},e_{y + 1}) at e_{bad[0] + 1}^e_{bad[1] + 1}: {diff[bad]}"
+
+    return Report(
+        (
+            CheckItem.first("dual bracket restricts to the annihilator", annihilator()),
+            CheckItem.first("dual structure satisfies jacobi", dual_jacobi()),
+            CheckItem.first("dual cocycle condition", cocycle()),
+        )
+    )
+
+
+# constant Lie algebras (rank, brackets) the bialgebra draws sum and pad with abelian directions;
+# the last one fails Jacobi, so the check must raise NotLie
+LIE_SUMMANDS = [
+    (1, {}),
+    (2, {(0, 1): (0, 1)}),
+    (3, {(0, 1): (0, 0, 1)}),
+    (3, {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)}),
+    (3, {(0, 1): (1, 0, 0), (1, 2): (0, 1, 0), (0, 2): (0, 0, -1)}),
+]
+DUAL_CONSTANTS = [0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)]
+
+
+def _permuted_algebra(summands, rank, perm):
+    """The direct sum of ``summands`` padded to ``rank`` with abelian directions, frame renumbered by ``perm``."""
+    brackets, offset = {}, 0
+    for size, table in summands:
+        for (a, b), comps in table.items():
+            full = [0] * rank
+            for k, v in enumerate(comps):
+                full[perm[offset + k]] = v
+            pa, pb = perm[offset + a], perm[offset + b]
+            brackets[(min(pa, pb), max(pa, pb))] = full if pa < pb else [-v for v in full]
+        offset += size
+    return const_algebra(rank, brackets)
+
+
+@st.composite
+def bialgebra_inputs(draw):
+    summands = draw(st.lists(st.sampled_from(LIE_SUMMANDS), min_size=1, max_size=2))
+    size = sum(s for s, _ in summands)
+    assume(size <= 5)
+    rank = draw(st.integers(max(2, size), 5))
+    g = _permuted_algebra(summands, rank, draw(st.permutations(range(rank))))
+    if draw(st.booleans()):
+        dual = {
+            (a, b): [draw(st.sampled_from(DUAL_CONSTANTS)) for _ in range(rank)]
+            for a, b in itertools.combinations(range(rank), 2)
+        }
+        dual_c = const_algebra(rank, dual).structure
+    else:
+        pick = draw(st.lists(st.sampled_from(LIE_SUMMANDS[:4]), min_size=1, max_size=2).filter(lambda s: sum(n for n, _ in s) <= rank))
+        dual_c = _permuted_algebra(pick, rank, draw(st.permutations(range(rank)))).structure
+    ideal = draw(st.none() | st.lists(st.integers(0, rank), max_size=rank))
+    return LieBialgebraData(g, dual_c), ideal
+
+
+def _bialgebra_outcome(check, d, ideal):
+    try:
+        rep = check(d, ideal)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return [(it.name, it.passed, it.witness) for it in rep.items]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(bialgebra_inputs())
+def test_bialgebra_matches_the_constant_table_reference(case):
+    d, ideal = case
+    assert _bialgebra_outcome(check_lie_bialgebra, d, ideal) == _bialgebra_outcome(reference_lie_bialgebra, d, ideal)
 
 
 # -- linearity ------------------------------------------------------------------------------------

@@ -407,6 +407,13 @@ def test_main_exit_codes(tmp_path, capsys):
             f"let M = patch({', '.join(f'x{i}' for i in range(33))})\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n",
             "groupoid_axioms G: the composable-triple chart has 132 coordinates, above the limit of 128",
         ),
+        # the lifted Courant tensor of a frame on 64 coordinates would have C(128, 3) entries
+        (
+            f"let M = patch({', '.join('abcdefghijklmnop')})\n"
+            "check tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(da^db)))\n",
+            "tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(da^db))): "
+            "a frame on 64 coordinates is above the limit of 32 for the lifted Courant tensor",
+        ),
     ],
     ids=[
         "duplicate-coordinate",
@@ -429,6 +436,7 @@ def test_main_exit_codes(tmp_path, capsys):
         "pair-groupoid-with-a-pair-chart-above-the-limit",
         "abelian-group-with-a-triple-chart-above-the-limit",
         "pair-groupoid-with-a-triple-chart-above-the-limit",
+        "triple-tangent-lift-above-the-tangent-mu-limit",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected):

@@ -23,7 +23,8 @@ from diracgeom.courant import (
     graph_two_form,
     same_span,
 )
-from diracgeom.errors import WrongShape
+from diracgeom.errors import EngineError, WrongShape
+from diracgeom.report import CheckItem, Report
 from diracgeom.symalg import Expr, Patch, parse_expr
 from diracgeom.tanlift import (
     canonical_involution,
@@ -435,12 +436,111 @@ def test_tangent_mu_identity_lifts_before_the_base_tensor(monkeypatch):
     from diracgeom import tanlift
 
     calls = []
-    monkeypatch.setattr(tanlift, "_mu_entries", lambda l: calls.append(l))
+    monkeypatch.setattr(tanlift, "_increasing_mu", lambda l: calls.append(l))
     clash = Patch("clash", ("x", "y", "x_dot"))
     base = graph_two_form(wedge(KForm.d_coord(clash, "x"), KForm.d_coord(clash, "y")))
     with pytest.raises(WrongShape):
         check_tangent_mu_identity(base)
     assert calls == []
+
+
+TANGENT_BLOCK = "all-tangent block is the lifted tensor"
+MULTI_VERTICAL = "multi-vertical entries vanish"
+ONE_VERTICAL = "one-vertical entries are vertical lifts"
+
+
+def reference_tangent_mu(l):
+    """The lifted-tensor check scanning all n^3 entries of both tensors, filled by sign.
+
+    It reads ``tanlift.lift_function`` and ``tanlift.tangent_lift_dirac``
+    through the module, so a monkeypatched lift reaches it as it reaches the check.
+    """
+    from diracgeom import tanlift
+    from diracgeom.courant import _mu_entries
+    from diracgeom.errors import NotLagrangian
+
+    check_lagrangian(l).require(NotLagrangian)
+    n = len(l.secs)
+    lifted = tanlift.tangent_lift_dirac(l)
+    mu = _mu_entries(l)
+    mu_lift = _mu_entries(lifted)
+
+    def label(i, j, k):
+        return "mu_T[" + ",".join(f"{m + 1}^v" if m >= n else f"{m + 1}^T" for m in (i, j, k)) + "]"
+
+    def tangent_block():
+        for (i, j, k), v in sorted(mu.items()):
+            want = tanlift.lift_function(v, "tangent")
+            if mu_lift[(i, j, k)] != want:
+                yield f"{label(i, j, k)} = {mu_lift[(i, j, k)]}, expected {want}"
+
+    def multi_vertical():
+        for (i, j, k), v in sorted(mu_lift.items()):
+            if sum(1 for m in (i, j, k) if m >= n) >= 2 and not v.is_zero():
+                yield f"{label(i, j, k)} = {v}"
+
+    def one_vertical():
+        for (i, j, k), v in sorted(mu_lift.items()):
+            if sum(1 for m in (i, j, k) if m >= n) != 1:
+                continue
+            want = tanlift.lift_function(mu[tuple(m - n if m >= n else m for m in (i, j, k))], "vertical")
+            if v != want:
+                yield f"{label(i, j, k)} = {v}, expected {want}"
+
+    return Report(
+        (
+            CheckItem.first(TANGENT_BLOCK, tangent_block()),
+            CheckItem.first(MULTI_VERTICAL, multi_vertical()),
+            CheckItem.first(ONE_VERTICAL, one_vertical()),
+        )
+    )
+
+
+def _tangent_mu_outcome(check, l):
+    try:
+        rep = check(l)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return [(it.name, it.passed, it.witness) for it in rep.items]
+
+
+def _wrong_lift(f, kind):
+    """A function lift that keeps lifted frames isotropic but is neither lift: f^T + 2 f^v."""
+    return lift_function(f, "tangent") + 2 * lift_function(f, "vertical")
+
+
+def _swapped_lift(l):
+    """The lifted frame with its vertical block first: isotropic, with every block misplaced."""
+    secs = tangent_lift_dirac(l).secs
+    return Frame(tangent_patch(l.patch).total, secs[len(l.secs):] + secs[: len(l.secs)])
+
+
+@pytest.mark.parametrize(
+    ("target", "wrong", "fails"),
+    [
+        (None, None, set()),
+        # a function lift reaches the frame only through the velocity slots of X^T and the dx
+        # slots of a^T, which leave every multi-vertical entry zero
+        ("lift_function", _wrong_lift, {TANGENT_BLOCK, ONE_VERTICAL}),
+        ("tangent_lift_dirac", _swapped_lift, {TANGENT_BLOCK, MULTI_VERTICAL, ONE_VERTICAL}),
+    ],
+    ids=["true-lift", "wrong-function-lift", "swapped-lifted-frame"],
+)
+def test_tangent_mu_identity_matches_the_full_scan(monkeypatch, target, wrong, fails):
+    from diracgeom import tanlift
+
+    if target is not None:
+        monkeypatch.setattr(tanlift, target, wrong)
+    rng = random.Random(141)
+    frames = [graph_two_form(rand_form(rng, M3, 2)) for _ in range(4)]
+    frames += [graph_bivector(Bivector(M3, rand_form(rng, M3, 2).coeffs)) for _ in range(4)]
+    frames += [graph_bivector(so3_poisson()), foliation_frame((vf(M3, "1", "0", "0"), vf(M3, "0", "1", "x")))]
+    failed = set()
+    for l in frames:
+        got = _tangent_mu_outcome(check_tangent_mu_identity, l)
+        assert got == _tangent_mu_outcome(reference_tangent_mu, l)
+        failed.update(name for name, passed, _ in got if not passed)
+    assert failed == fails
 
 
 def test_lifted_frames_stay_isotropic():
