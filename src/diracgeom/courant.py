@@ -21,15 +21,15 @@ So C(n, 2) brackets and C(n, 3) pairings determine all n^3 entries, and the
 first non-zero entry in sorted order is always an increasing triple: sorting
 the indices of a non-zero entry gives a non-zero entry that comes no later.
 ``check_dirac`` therefore reports the same witness as a scan of the full
-tensor, and stops at it.  The rest of the tensor is filled by permutation
-sign, which is only valid once isotropy has been checked, so
-``_mu_entries`` checks it itself.
+tensor, and stops at it.  The symmetry holds only on an isotropic frame, so
+a caller that has not run ``check_lagrangian`` calls ``_require_isotropic``
+before it reads ``_increasing_mu``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .cartan import (
@@ -241,16 +241,6 @@ def check_lagrangian(l: Frame) -> Report:
     return Report(tuple(items))
 
 
-def courant_tensor(l: Frame) -> dict[tuple[int, int, int], Expr]:
-    """mu(i, j, k) = <[[s_i, s_j]], s_k> on all index triples (0-based keys).
-
-    Requires a Lagrangian frame; on one, mu is tensorial and totally
-    antisymmetric, and vanishes identically exactly for Dirac structures.
-    """
-    check_lagrangian(l).require(NotLagrangian)
-    return _mu_entries(l)
-
-
 def _increasing_mu(l: Frame) -> Iterator[tuple[tuple[int, int, int], Expr]]:
     """Yield ((i, j, k), mu(i, j, k)) for i < j < k in lexicographic order.
 
@@ -266,22 +256,6 @@ def _increasing_mu(l: Frame) -> Iterator[tuple[tuple[int, int, int], Expr]]:
             br = courant_bracket(secs[i], secs[j])
             for k in range(j + 1, n):
                 yield (i, j, k), pairing(br, secs[k])
-
-
-def _mu_entries(l: Frame) -> dict[tuple[int, int, int], Expr]:
-    """All n^3 entries of mu, filled from the increasing ones by permutation sign.
-
-    Raises NotLagrangian unless the sections pair to zero, the condition
-    under which mu is totally antisymmetric.
-    """
-    _require_isotropic(l)
-    n = len(l.secs)
-    zero = Expr.zero(l.patch)
-    out = dict.fromkeys(product(range(n), repeat=3), zero)
-    for (i, j, k), v in _increasing_mu(l):
-        out[(i, j, k)] = out[(j, k, i)] = out[(k, i, j)] = v
-        out[(j, i, k)] = out[(i, k, j)] = out[(k, j, i)] = -v
-    return out
 
 
 def check_dirac(l: Frame) -> DiracReport:

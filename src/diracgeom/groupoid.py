@@ -13,7 +13,10 @@ source/target maps, cotangent composition, right-invariant frames, and the
 multiplicativity checks.  The frame route reads both ends of TG ⊕ T*G ⇒
 TM ⊕ A* (Ts or Tt on the tangent half, the cotangent source or target on the
 covector half) through one helper, ``_end``, at the two factors of a pair and
-along units; a passing unit item carries no witness.
+along units; a passing unit item carries no witness.  The multiplication of
+TG ⊕ T*G has one helper too: ``_tangent_product`` applies Tm to the chart
+direction with two given factor vectors, and ``_product`` follows it with
+the product covector that the pairing identity pins down.
 
 Data derived from the structure maps is computed once per ``GroupoidPatch``,
 on first use, and kept on the instance: the solved pair chart, the Jacobians
@@ -152,7 +155,6 @@ class GroupoidPatch:
     def _cotangent(self) -> tuple[PolyMap, PolyMap]:
         """Source and target of the cotangent groupoid (see ``cotangent_source_target``)."""
         dual = dual_patch(self._algebroid)
-        data = _chart_data(self, TranslationNotDerivable)
         ct = cotangent_patch(self.total).total
         n_total = self.total.dim
         gp = [Expr.coord(ct, c) for c in ct.coords[:n_total]]
@@ -167,17 +169,13 @@ class GroupoidPatch:
         eps_s = self.unit.apply(x_s, ct)
         jt_eps = _subst_matrix(self._jacobians["tgt"], eps_s, ct)
         jeps = _subst_matrix(self._jacobians["unit"], x_s, ct)
-        dmul = _subst_matrix(self._jacobians["mul"], chart_params(self, gp, eps_s, ct, TranslationNotDerivable), ct)
+        translate = _tangent_product(self, chart_params(self, gp, eps_s, ct, TranslationNotDerivable), ct, *_TRANSLATION)
         zero = [Expr.zero(ct)] * n_total
         translated = []
         for vec in self._frame:
             vec = [comp.substitute(x_s, ct) for comp in vec]
             correction = _matvec(jeps, _matvec(jt_eps, vec, ct), ct)
-            horizontal = [u - w for u, w in zip(vec, correction)]
-            delta = data.solve(
-                zero + horizontal, ct, TranslationNotDerivable, "translation direction missing from the chart"
-            )
-            translated.append(_matvec(dmul, delta, ct))
+            translated.append(translate(zero, [u - w for u, w in zip(vec, correction)]))
         s_fiber = _matvec(translated, xi, ct)
         return PolyMap(ct, dual, tuple(x_s + s_fiber)), PolyMap(ct, dual, tuple(x_t + t_fiber))
 
@@ -185,25 +183,18 @@ class GroupoidPatch:
     def _translations(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
         """Derivatives of left and right translation on the pair chart, column by moved coordinate."""
         chart = self.comp_chart
-        data = _chart_data(self, TranslationNotDerivable)
-        dmul = self._jacobians["mul"]
+        translate = _tangent_product(self, None, chart, *_TRANSLATION)
         n_total = self.total.dim
         zero = [Expr.zero(chart)] * n_total
-        matrices = []
-        for right_frozen in (False, True):
-            cols = []
-            for i in range(n_total):
-                e_i = [Expr.const(chart, 1 if k == i else 0) for k in range(n_total)]
-                moved = e_i + zero if right_frozen else zero + e_i
-                delta = data.solve(
-                    moved, chart, TranslationNotDerivable, "translation direction missing from the chart"
-                )
-                cols.append(_matvec(dmul, delta, chart))
-            matrices.append(tuple(zip(*cols)))
-        return tuple(matrices)
+        basis = [[Expr.const(chart, 1 if k == i else 0) for k in range(n_total)] for i in range(n_total)]
+        # left translation moves the right factor, right translation the left one
+        return tuple(zip(*(translate(zero, e) for e in basis))), tuple(zip(*(translate(e, zero) for e in basis)))
 
 
 # -- solved-chart linear data ---------------------------------------------------------
+
+# a translation direction outside the pair chart
+_TRANSLATION = ("translation direction missing from the chart", TranslationNotDerivable)
 
 
 @dataclass(frozen=True)
@@ -253,8 +244,9 @@ def chart_params(
     return data.solve(rhs, ppatch, exc, "the pair does not lie on the composable chart")
 
 
-def _subst_matrix(rows, values: Sequence[Expr], ppatch: Patch) -> list[list[Expr]]:
-    return [[e.substitute(list(values), ppatch) for e in row] for row in rows]
+def _subst_matrix(rows, values: Sequence[Expr] | None, ppatch: Patch):
+    """The rows with ``values`` substituted; the rows themselves when ``values`` is None."""
+    return rows if values is None else [[e.substitute(list(values), ppatch) for e in row] for row in rows]
 
 
 def _matvec(rows, vec, ppatch: Patch) -> list[Expr]:
@@ -464,19 +456,13 @@ def algebroid_frame(g: GroupoidPatch) -> list[list[Expr]]:
 def _right_invariant_fields(g: GroupoidPatch, basis) -> list[VField]:
     """Extend kernel-frame vectors to the whole chart by right translation."""
     total = g.total
-    data = _chart_data(g, TranslationNotDerivable)
-    gp = [Expr.coord(total, c) for c in total.coords]
+    # a pair chart that cannot be solved is a translation fault, named before the unit pair is solved
+    _chart_data(g, TranslationNotDerivable)
     x_t = list(g.tgt.components)
-    eps_t = g.unit.apply(x_t, total)
-    c0 = chart_params(g, eps_t, gp, total)
-    dmul = _subst_matrix(g._jacobians["mul"], c0, total)
+    pair = chart_params(g, g.unit.apply(x_t, total), [Expr.coord(total, c) for c in total.coords], total)
+    translate = _tangent_product(g, pair, total, "kernel vector does not extend along the chart", TranslationNotDerivable)
     zero = [Expr.zero(total)] * total.dim
-    fields = []
-    for vec in basis:
-        v = [comp.substitute(x_t, total) for comp in vec]
-        delta = data.solve(v + zero, total, TranslationNotDerivable, "kernel vector does not extend along the chart")
-        fields.append(VField(total, tuple(_matvec(dmul, delta, total))))
-    return fields
+    return [VField(total, tuple(translate([comp.substitute(x_t, total) for comp in vec], zero))) for vec in basis]
 
 
 def lie_algebroid_of(g: GroupoidPatch, frame: Sequence[Sequence[Expr]] | None = None) -> AlgebroidPatch:
@@ -558,22 +544,35 @@ def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
     return g._cotangent
 
 
-def _covector_products(g: GroupoidPatch, data: _ChartData, dmul_rows, ppatch: Patch):
-    """The product covector of two factor covectors, from the defining pairing identity.
+def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch, message: str, exc):
+    """The map (x, y) -> Tm·δ at chart point ``pair``, where δ is the chart direction with factor images x and y.
 
-    The system pairs the product covector with the multiplication Jacobian
-    ``dmul_rows`` and the factor covectors with the chart's factor
-    derivatives.  It is built once per Jacobian, so every product solves
-    the same matrix, and its rank is checked when a product is asked for.
+    ``exc(message)`` when there is no such δ; ``pair=None`` is the pair chart itself, with no substitution.
     """
-    mat = ExprMatrix(ppatch, tuple(zip(*dmul_rows)))
-    pulled = tuple(zip(*(data.a_g + data.a_h)))
+    data = _chart_data(g, TranslationNotDerivable)
+    dmul = _subst_matrix(g._jacobians["mul"], pair, ppatch)
+    return lambda x, y: _matvec(dmul, data.solve(list(x) + list(y), ppatch, exc, message), ppatch)
 
-    def product(a_cov: Sequence[Expr], b_cov: Sequence[Expr]) -> list[RatExpr]:
-        if generic_rank(mat) != g.total.dim:
+
+def _product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch, message: str, exc):
+    """The multiplication of TG ⊕ T*G at chart point ``pair``, as a map of two stacked (x, a).
+
+    The product, as ``RatExpr``, is the tangent product, then the covector c
+    the pairing identity ⟨c, Tm·δ⟩ = ⟨a, δ_g⟩ + ⟨b, δ_h⟩ pins down over chart
+    directions δ with factor images δ_g, δ_h.  Every product solves the same
+    matrix, and its rank is checked when a product is asked for.
+    """
+    tangent = _tangent_product(g, pair, ppatch, message, exc)
+    n_total = g.total.dim
+    mat = ExprMatrix(ppatch, tuple(zip(*_subst_matrix(g._jacobians["mul"], pair, ppatch))))
+    pulled = tuple(zip(*(g._chart.a_g + g._chart.a_h)))
+
+    def product(xa: Sequence[Expr], yb: Sequence[Expr]) -> list[RatExpr]:
+        x = tangent(xa[:n_total], yb[:n_total])
+        if generic_rank(mat) != n_total:
             raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
-        covs = list(a_cov) + list(b_cov)
-        return solve_linear(mat, [_combine(ppatch, row, covs) for row in pulled])
+        covs = list(xa[n_total:]) + list(yb[n_total:])
+        return [RatExpr(v) for v in x] + solve_linear(mat, [_combine(ppatch, row, covs) for row in pulled])
 
     return product
 
@@ -583,23 +582,19 @@ def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> C
     if a.ppatch != b.ppatch:
         raise PatchMismatch("covectors over different parameter patches")
     ppatch = a.ppatch
-    data = _chart_data(g, TranslationNotDerivable)
+    n, n_total = g.base.dim, g.total.dim
+    # a pair chart that cannot be solved is a translation fault, named before the pair is solved
+    _chart_data(g, TranslationNotDerivable)
     c0 = chart_params(g, a.point, b.point, ppatch, NotComposable)
-    s_map, t_map = g._cotangent
-    s_of_a = s_map.apply(list(a.point) + list(a.covector), ppatch)[g.base.dim :]
-    t_of_b = t_map.apply(list(b.point) + list(b.covector), ppatch)[g.base.dim :]
-    diff = _first_difference(s_of_a, t_of_b)
+    zero = [Expr.zero(ppatch)] * n_total
+    xa, xb = zero + list(a.covector), zero + list(b.covector)
+    diff = _first_difference(_end(g, 0, a.point, ppatch)(xa)[n:], _end(g, 1, b.point, ppatch)(xb)[n:])
     if diff is not None:
         raise NotComposable(f"cotangent source and target differ at component {diff[0] + 1}: {diff[1]}")
-    dmul = _subst_matrix(g._jacobians["mul"], c0, ppatch)
-    sol = _covector_products(g, data, dmul, ppatch)(a.covector, b.covector)
-    cov = []
-    for v in sol:
-        if not v.is_polynomial():
-            raise RankJump("product covector is not polynomial on this chart")
-        cov.append(v.as_expr())
-    point = g.mul.apply(c0, ppatch)
-    return CovectorPoint(ppatch, tuple(point), tuple(cov))
+    cov = _product(g, c0, ppatch, *_TRANSLATION)(xa, xb)[n_total:]
+    if not all(v.is_polynomial() for v in cov):
+        raise RankJump("product covector is not polynomial on this chart")
+    return CovectorPoint(ppatch, tuple(g.mul.apply(c0, ppatch)), tuple(v.as_expr() for v in cov))
 
 
 # -- multiplicativity checks ---------------------------------------------------------------------
@@ -697,9 +692,8 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     chart = g.comp_chart
     m = g.base
     n, n_total, k = m.dim, g.total.dim, len(l.secs)
-    data = _chart_data(g, TranslationNotDerivable)
+    compose = _product(g, None, chart, "composable pair escapes the chart", RankJump)
     coefficients = l.coefficient_matrix().entries
-    dmul = g._jacobians["mul"]
     g_pt, h_pt = list(g.g_of.components), list(g.h_of.components)
     # stacked section values, one column per section, at the two factors and at the product
     left = _subst_matrix(coefficients, g_pt, chart)
@@ -712,13 +706,10 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     rows = [[s[i] for s in s_ends] + [-t[i] for t in t_ends] for i in range(n_total)]
     kernel = nullspace(ExprMatrix.from_rows(chart, rows))
     span_rank = generic_rank(span)
-    compose = _covector_products(g, data, dmul, chart)
 
     def products():
         for idx, vec in enumerate(kernel):
-            xa, xb = _matvec(left, vec[:k], chart), _matvec(right, vec[k:], chart)
-            delta = data.solve(xa[:n_total] + xb[:n_total], chart, RankJump, "composable pair escapes the chart")
-            column = [RatExpr(v) for v in _matvec(dmul, delta, chart)] + compose(xa[n_total:], xb[n_total:])
+            column = compose(_matvec(left, vec[:k], chart), _matvec(right, vec[k:], chart))
             if not _in_span(span, span_rank, clear_denominators(column)):
                 yield f"composable direction {idx + 1}: the product leaves the span"
 
@@ -765,16 +756,11 @@ def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:
     check_multiplicative_bivector(g, p).require(NotMultiplicative)
     m = g.base
     eps = list(g.unit.components)
-    n_total = g.total.dim
-    brackets = {}
-    for a in range(n_total):
-        for b in range(a + 1, n_total):
-            comps = tuple(
-                p.entry(a, b).differentiate(g.total.coords[kk]).substitute(eps, m) for kk in range(n_total)
-            )
-            brackets[(a, b)] = comps
-    zero = VField(m, ())
-    return algebroid(m, [zero] * n_total, brackets)
+    brackets = {
+        (a, b): tuple(p.entry(a, b).differentiate(c).substitute(eps, m) for c in g.total.coords)
+        for a, b in combinations(range(g.total.dim), 2)
+    }
+    return algebroid(m, [VField(m, ())] * g.total.dim, brackets)
 
 
 # -- compatibility identities on sample sections ---------------------------------------------------
@@ -783,14 +769,11 @@ def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:
 def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GSec]]) -> Report:
     """Pairing additivity and bracket compatibility on related section triples."""
     chart = g.comp_chart
-    n = g.base.dim
-    data = _chart_data(g, TranslationNotDerivable)
-    dmul = g._jacobians["mul"]
-    s_map, t_map = g._cotangent
-    compose = _covector_products(g, data, dmul, chart)
-    g_pt = list(g.g_of.components)
-    h_pt = list(g.h_of.components)
-    mul_pt = list(g.mul.components)
+    n, n_total = g.base.dim, g.total.dim
+    compose = _product(g, None, chart, "tangent parts are not composable", NotComposable)
+    g_pt, h_pt, mul_pt = (list(f.components) for f in (g.g_of, g.h_of, g.mul))
+    s_end, t_end = _end(g, 0, g_pt, chart), _end(g, 1, h_pt, chart)
+    zero = [Expr.zero(chart)] * n_total
 
     def unrelated(trio) -> str | None:
         """First obstruction to a triple of sections being related by multiplication."""
@@ -798,17 +781,18 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
         x1, a1 = _section_values(left, g_pt, chart)
         x2, a2 = _section_values(right, h_pt, chart)
         x0, a0 = _section_values(total, mul_pt, chart)
+        ends = _first_difference(s_end(x1 + a1)[n:], t_end(x2 + a2)[n:])
+        # covectors whose ends differ have no product: multiply the tangent parts alone
         try:
-            delta = data.solve(x1 + x2, chart, NotComposable, "tangent parts are not composable")
+            xa = compose(x1 + (a1 if ends is None else zero), x2 + (a2 if ends is None else zero))
         except NotComposable as exc:
             return str(exc)
-        diff = _first_difference(_matvec(dmul, delta, chart), x0)
+        diff = _first_difference(xa[:n_total], x0)
         if diff is not None:
             return f"tangent component {diff[0] + 1} deviates by {diff[1]}"
-        diff = _first_difference(s_map.apply(g_pt + a1, chart)[n:], t_map.apply(h_pt + a2, chart)[n:])
-        if diff is not None:
-            return f"covector parts are not composable: component {diff[0] + 1} deviates by {diff[1]}"
-        for i, (v, want) in enumerate(zip(compose(a1, a2), a0)):
+        if ends is not None:
+            return f"covector parts are not composable: component {ends[0] + 1} deviates by {ends[1]}"
+        for i, (v, want) in enumerate(zip(xa[n_total:], a0)):
             if v != RatExpr(want):
                 return f"covector component {i + 1} deviates"
         return None

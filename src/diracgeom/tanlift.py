@@ -22,7 +22,7 @@ which the test suite re-verifies on random inputs.
 from dataclasses import dataclass
 from functools import cache
 
-from .cartan import KForm, PolyMap, VField, _perm_sign, wedge
+from .cartan import KForm, PolyMap, VField, _perm_sign
 from .courant import Frame, GSec, _increasing_mu, _require_isotropic, check_lagrangian
 from .errors import NotLagrangian, WrongShape
 from .report import CheckItem, Report
@@ -222,11 +222,9 @@ def legendre_map(base: Patch, rank: int) -> PolyMap:
 
 
 def canonical_symplectic(ct: CotangentPatch) -> KForm:
-    """omega = sum of dq^i wedge dp_i on a cotangent total patch."""
-    acc = KForm.zero(ct.total, 2)
-    for q, p in zip(ct.base.coords, ct.momentum_names):
-        acc = acc + wedge(KForm.d_coord(ct.total, q), KForm.d_coord(ct.total, p))
-    return acc
+    """omega = sum of dq^i wedge dp_i on a cotangent total patch, whose momenta follow the base coordinates."""
+    one = Expr.one(ct.total)
+    return KForm(ct.total, 2, {(ct.total.index(q), ct.total.index(p)): one for q, p in zip(ct.base.coords, ct.momentum_names)})
 
 
 def tangent_lift_dirac(l: Frame) -> Frame:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from diracgeom.algebroid import (
@@ -26,7 +26,7 @@ from diracgeom.algebroid import (
     tangent_bundle_algebroid,
     tangent_lift_algebroid,
 )
-from diracgeom.cartan import Bivector, KForm, VField, exterior_derivative, schouten_jacobiator, wedge
+from diracgeom.cartan import Bivector, KForm, VField, exterior_derivative, lie_derivative, schouten_jacobiator, wedge
 from diracgeom.courant import Frame, GSec, check_dirac, graph_bivector, graph_two_form
 from diracgeom.errors import (
     AnchorNotTangent,
@@ -319,6 +319,72 @@ def test_im_zero_passes_on_nontrivial_algebroid():
 def test_im_two_form_requires_algebroid():
     with pytest.raises(NotAlgebroid):
         check_im_two_form(bad_cyclic(), IMTwoForm((KForm.zero(PT, 1),) * 3))
+
+
+def reference_function_multiple(a, s):
+    """The function-multiple item ``check_im_two_form`` carried until the two identities were shown to imply it.
+
+    On every ordered frame pair, with f = 1 + x_1, it compares both sides of
+    [f e_i, e_j] = f [e_i, e_j] - rho(e_j)(f) e_i under sigma.
+    """
+    f = Expr.one(a.base) + Expr.coord(a.base, a.base.coords[0])
+
+    def bracket_side(i, j):
+        acc = KForm.zero(a.base, 1)
+        for k in range(a.rank):
+            acc = acc + s.sigma[k].scale(a.structure[i][j][k])
+        return acc
+
+    def deviations():
+        for i, j in itertools.permutations(range(a.rank), 2):
+            lhs = bracket_side(i, j).scale(f) - s.sigma[i].scale(a.anchor[j].apply(f))
+            rhs = lie_derivative(a.anchor[i].scale(f), s.sigma[j])
+            rhs = rhs - lie_derivative(a.anchor[j], s.sigma[i].scale(f))
+            rhs = rhs + exterior_derivative(KForm.function(s.sigma[i].scale(f).evaluate(a.anchor[j])))
+            diff = lhs - rhs
+            if diff != KForm.zero(a.base, 1):
+                yield f"function multiple on (e_{i + 1},e_{j + 1}) deviates by {diff}"
+
+    return CheckItem.first("function-multiple consistency", deviations())
+
+
+def so3_action():
+    """so(3) acting on R^3 by rotations: rho(e_1) = y d_z - z d_y and cyclically, so [e_1,e_2] = -e_3."""
+    return algebroid(
+        R3,
+        [vf(R3, "0", "-z", "y"), vf(R3, "z", "0", "-x"), vf(R3, "-y", "x", "0")],
+        {key: tuple(Expr.const(R3, v) for v in comps) for key, comps in {(0, 1): (0, 0, -1), (1, 2): (-1, 0, 0), (0, 2): (0, 1, 0)}.items()},
+    )
+
+
+IM_ALGEBROIDS = (tangent_bundle_algebroid(R2), affine_anchored(), so3_action(), tangent_lift_algebroid(affine_anchored()))
+
+
+@st.composite
+def im_two_form_cases(draw):
+    """An algebroid on a base of positive dimension and an IM candidate: the flat map of dθ, sometimes nudged."""
+    a = draw(st.sampled_from(IM_ALGEBROIDS))
+    base = a.base
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 1)] * base.dim), st.integers(-2, 2), max_size=2).map(
+        lambda t: Expr(base, t)
+    )
+    theta = KForm.one_form(base, tuple(draw(polys) for _ in base.coords))
+    sigma = list(im_from_two_form(a, exterior_derivative(theta)).sigma)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, a.rank - 1))
+        sigma[k] = sigma[k] + KForm.one_form(base, tuple(draw(polys) for _ in base.coords))
+    return a, IMTwoForm(tuple(sigma))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(im_two_form_cases())
+def test_function_multiple_identity_follows_from_the_two_items(case):
+    a, s = case
+    rep = check_im_two_form(a, s)
+    assert [item.name for item in rep.items] == ["pairing with the anchor is antisymmetric", "bracket identity on frame pairs"]
+    event(f"both identities hold: {rep.passed}")
+    if rep.passed:
+        assert reference_function_multiple(a, s).passed
 
 
 # -- IM foliations -----------------------------------------------------------------------------

@@ -538,10 +538,10 @@ def test_cotangent_compose_needs_matching_momenta():
 
     a = CovectorPoint(p, (pe("x"), pe("y")), (pe("xi"), pe("-eta")))
     off_base = CovectorPoint(p, (pe("y + 1"), pe("z")), (pe("eta"), pe("-zeta")))
-    with pytest.raises(NotComposable):
+    with pytest.raises(NotComposable, match="^the pair does not lie on the composable chart$"):
         cotangent_compose(g, a, off_base)
     off_fiber = CovectorPoint(p, (pe("y"), pe("z")), (pe("eta + 1"), pe("-zeta")))
-    with pytest.raises(NotComposable):
+    with pytest.raises(NotComposable, match="^cotangent source and target differ at component 1: -1$"):
         cotangent_compose(g, a, off_fiber)
 
 
@@ -1089,11 +1089,26 @@ def test_ca_identities_reject_unrelated_samples():
         good.vf,
         pullback_form(g.tgt, KForm.one_form(R2, (Expr.one(R2), Expr.zero(R2)))),
     )
-    with pytest.raises(HypothesisFails):
+    with pytest.raises(HypothesisFails) as covector:
         check_ca_identities(g, [(one_sided, one_sided, one_sided)])
+    assert str(covector.value) == "sample 1: covector parts are not composable: component 1 deviates by -1"
     skew = GSec(VField.coordinate(g.total, "x_1"), KForm.zero(g.total, 1))
-    with pytest.raises(HypothesisFails):
+    with pytest.raises(HypothesisFails) as tangent:
         check_ca_identities(g, [(skew, skew, skew)])
+    assert str(tangent.value) == "sample 1: tangent parts are not composable"
+
+
+def test_ca_identities_report_an_unrelated_bracket(monkeypatch):
+    # a bracket scaled by the function x_1 no longer relates related sections of the pair groupoid
+    g = pair_groupoid(R2)
+    samples = [(s, s, s) for s in (pair_section(g, ("y", "x"), ("x", "0")), pair_section(g, ("1", "x*y"), ("y", "x")))]
+    bracket = groupoid.courant_bracket
+    x_1 = Expr.coord(g.total, "x_1")
+    monkeypatch.setattr(groupoid, "courant_bracket", lambda a, b: bracket(a, b).scale(x_1))
+    assert str(check_ca_identities(g, samples)) == (
+        "fail (pairing is additive over multiplication: pass; brackets of related sections stay related: "
+        "fail  [samples (1,2): bracket not related (tangent parts are not composable)])"
+    )
 
 
 def test_ca_identities_name_the_deviating_component():
@@ -1110,6 +1125,11 @@ def test_ca_identities_name_the_deviating_component():
     with pytest.raises(HypothesisFails) as covector:
         check_ca_identities(g, [(good, good, good), (good, good, off_covector)])
     assert str(covector.value) == "sample 2: covector component 3 deviates"
+    # a tangent deviation is named before covector ends that do not match
+    one_sided = GSec(good.vf, pullback_form(g.tgt, KForm.one_form(R2, (Expr.one(R2), Expr.zero(R2)))))
+    with pytest.raises(HypothesisFails) as both:
+        check_ca_identities(g, [(one_sided, one_sided, off_tangent)])
+    assert str(both.value) == "sample 1: tangent component 4 deviates by -1"
 
 
 def test_ca_identities_vacuous_and_validated():
@@ -1118,3 +1138,84 @@ def test_ca_identities_vacuous_and_validated():
     stray = GSec(VField.zero(R2), KForm.zero(R2, 1))
     with pytest.raises(PatchMismatch):
         check_ca_identities(g, [(stray, stray, stray)])
+
+
+def test_ca_identities_solve_the_pair_chart_once_per_trio(monkeypatch):
+    # two samples and their two ordered brackets: four trios, one chart solve each
+    g = pair_groupoid(R2)
+    samples = [(s, s, s) for s in (pair_section(g, ("y", "x"), ("x", "0")), pair_section(g, ("1", "x*y"), ("y", "x")))]
+    solves = []
+    real = groupoid._ChartData.solve
+
+    def spy(self, rhs, ppatch, exc, message):
+        solves.append(message)
+        return real(self, rhs, ppatch, exc, message)
+
+    monkeypatch.setattr(groupoid._ChartData, "solve", spy)
+    assert check_ca_identities(g, samples).passed
+    assert solves.count("tangent parts are not composable") == 4
+
+
+# -- one multiplication for TG + T*G, held against the inline route it replaced ------------------
+
+PRODUCT_GROUPOIDS = {
+    "pair": pair_groupoid(R2),
+    "abelian": abelian_group(2),
+    "heisenberg": heisenberg3(),
+    "tangent heisenberg": tangent_groupoid(heisenberg3()),
+}
+
+
+def reference_product(g, xa, yb):
+    """Stacked product of two stacked (x, a) on the pair chart, as the frame check once wrote it inline.
+
+    Solve the pair chart for the tangent direction and apply Tm, then solve the
+    pairing identity against the transposed multiplication Jacobian.
+    """
+    chart, n_total = g.comp_chart, g.total.dim
+    data, dmul = g._chart, g._jacobians["mul"]
+    delta = data.solve(list(xa[:n_total]) + list(yb[:n_total]), chart, RankJump, "composable pair escapes the chart")
+    tangent = [symalg.RatExpr(symalg.dot(chart, zip(row, delta))) for row in dmul]
+    mat = ExprMatrix(chart, tuple(zip(*dmul)))
+    pulled = tuple(zip(*(data.a_g + data.a_h)))
+    if generic_rank(mat) != n_total:
+        raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
+    covs = list(xa[n_total:]) + list(yb[n_total:])
+    return tangent + solve_linear(mat, [symalg._combine(chart, row, covs) for row in pulled])
+
+
+@st.composite
+def composable_stacked_pairs(draw):
+    """A groupoid and two composable stacked (x, a) over its pair chart.
+
+    The tangent parts are the factor images of a drawn chart direction.  The
+    covectors solve the pairing identity for a drawn product covector, plus a
+    drawn covector that vanishes on every chart direction.
+    """
+    name = draw(st.sampled_from(sorted(PRODUCT_GROUPOIDS)))
+    g = PRODUCT_GROUPOIDS[name]
+    chart, n_total = g.comp_chart, g.total.dim
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 1)] * chart.dim), SMALL_QQ, max_size=2).map(
+        lambda t: Expr(chart, t)
+    )
+    delta = [draw(polys) for _ in range(chart.dim)]
+    data = g._chart
+    x = [symalg._combine(chart, row, delta) for row in data.a_g]
+    y = [symalg._combine(chart, row, delta) for row in data.a_h]
+    c = [draw(polys) for _ in range(n_total)]
+    stacked = ExprMatrix.from_rows(chart, [[Expr.const(chart, q) for q in col] for col in zip(*(data.a_g + data.a_h))])
+    pulled = [symalg.dot(chart, zip(col, c)) for col in zip(*g._jacobians["mul"])]
+    ab = [v.as_expr() for v in solve_linear(stacked, pulled)]
+    for vec in symalg.nullspace(stacked):
+        f = draw(polys)
+        ab = [u + f * v for u, v in zip(ab, vec)]
+    return name, x + ab[:n_total], y + ab[n_total:]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(composable_stacked_pairs())
+def test_product_matches_the_inline_route(case):
+    name, xa, yb = case
+    g = PRODUCT_GROUPOIDS[name]
+    compose = groupoid._product(g, None, g.comp_chart, "composable pair escapes the chart", RankJump)
+    assert [str(v) for v in compose(xa, yb)] == [str(v) for v in reference_product(g, xa, yb)]

@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports, no unreferenced private names, no
 unreferenced private class members, no ``assert`` statements and no
-accumulator loops over ``Expr`` in ``src/diracgeom``, and no syntax newer
+accumulator loops over ``Expr`` or ``KForm`` in ``src/diracgeom``, and no syntax newer
 than Python 3.10 in any Python file.
 
 Standard library ``ast`` and pytest only, so it runs with the rest of the tier-1 tests.
@@ -125,14 +125,20 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _is_expr_zero(node: ast.AST) -> bool:
+def _is_zero_call(node: ast.AST) -> bool:
+    """Whether ``node`` is ``Expr.zero(...)`` or ``KForm.zero(...)``."""
     func = node.func if isinstance(node, ast.Call) else None
-    return isinstance(func, ast.Attribute) and func.attr == "zero" and isinstance(func.value, ast.Name) and func.value.id == "Expr"
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "zero"
+        and isinstance(func.value, ast.Name)
+        and func.value.id in ("Expr", "KForm")
+    )
 
 
 def _accumulations(fn: ast.FunctionDef) -> set[int]:
-    """Lines in loops of ``fn`` that add to or subtract from a name ``fn`` starts at ``Expr.zero(...)``."""
-    zeros = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and _is_expr_zero(n.value) for t in n.targets if isinstance(t, ast.Name)}
+    """Lines in loops of ``fn`` that add to or subtract from a name ``fn`` starts at ``Expr.zero(...)`` or ``KForm.zero(...)``."""
+    zeros = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and _is_zero_call(n.value) for t in n.targets if isinstance(t, ast.Name)}
     found = set()
     for loop in (n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))):
         for n in ast.walk(loop):
@@ -150,8 +156,9 @@ def _accumulations(fn: ast.FunctionDef) -> set[int]:
 
 
 def test_no_accumulator_loops():
-    # acc = acc + a * b copies the whole term map at every step; symalg.dot (products of
-    # polynomials) and symalg._combine (rational coefficients) build a sum in one map
+    # acc = acc + a * b copies the whole term map at every step, and a KForm sum copies every
+    # coefficient; symalg.dot (products of polynomials) and symalg._combine (rational
+    # coefficients) build a sum in one map
     found = set()
     for path in MODULES:
         for fn in ast.walk(_tree(path)):

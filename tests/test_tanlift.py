@@ -44,6 +44,7 @@ from diracgeom.tanlift import (
 )
 
 from test_cartan import one_form, rand_form, rand_vf, so3_poisson, vf
+from test_courant import reference_mu
 from test_symalg import rand_expr
 
 M1 = Patch("M1", ("x",))
@@ -450,20 +451,21 @@ ONE_VERTICAL = "one-vertical entries are vertical lifts"
 
 
 def reference_tangent_mu(l):
-    """The lifted-tensor check scanning all n^3 entries of both tensors, filled by sign.
+    """The lifted-tensor check scanning all n^3 entries of both tensors, each computed directly.
 
     It reads ``tanlift.lift_function`` and ``tanlift.tangent_lift_dirac``
     through the module, so a monkeypatched lift reaches it as it reaches the check.
     """
     from diracgeom import tanlift
-    from diracgeom.courant import _mu_entries
+    from diracgeom.courant import _require_isotropic
     from diracgeom.errors import NotLagrangian
 
     check_lagrangian(l).require(NotLagrangian)
     n = len(l.secs)
     lifted = tanlift.tangent_lift_dirac(l)
-    mu = _mu_entries(l)
-    mu_lift = _mu_entries(lifted)
+    _require_isotropic(lifted)
+    mu = reference_mu(l)
+    mu_lift = reference_mu(lifted)
 
     def label(i, j, k):
         return "mu_T[" + ",".join(f"{m + 1}^v" if m >= n else f"{m + 1}^T" for m in (i, j, k)) + "]"
