@@ -593,19 +593,12 @@ def check_linearity(l: Frame, n_base: int) -> Report:
     values = [Expr.coord(ext, c) for c in patch.coords]
     for i in range(n_base, n):
         values[i] = values[i] * t
-    a_cols, b_cols = [], []
-    for s in l.secs:
-        comps = s.coefficients()
-        a_cols.append([c.substitute(values, ext) for c in comps])
-        inj = [c.inject(ext) for c in comps]
-        col = []
-        for i in range(n):
-            col.append(inj[i] if i < n_base else inj[i] * t)
-        for i in range(n):
-            col.append(inj[n + i] * t if i < n_base else inj[n + i])
-        b_cols.append(col)
-    rows_a = [[col[r] for col in a_cols] for r in range(2 * n)]
-    rows_b = [[col[r] for col in b_cols] for r in range(2 * n)]
+    rows = l.coefficient_matrix().entries
+    rows_a = [[c.substitute(values, ext) for c in row] for row in rows]
+    # the action multiplies vector components past the base and form components on the base by t
+    rows_b = [
+        [c.inject(ext) * t if n_base <= r < n + n_base else c.inject(ext) for c in row] for r, row in enumerate(rows)
+    ]
     ra = generic_rank(rows_a)
     rb = generic_rank(rows_b)
     joint = generic_rank([rows_a[r] + rows_b[r] for r in range(2 * n)])

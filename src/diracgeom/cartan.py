@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .errors import DegreeTooHigh, DegreeZero, NotInverse, PatchMismatch
+from .errors import DegreeTooHigh, DegreeZero, PatchMismatch
 from .symalg import Expr, ExprMatrix, Patch, _combine, dot
 
 MAX_DEGREE = 3
@@ -457,13 +457,6 @@ def sharp_bivector(p: Bivector, a: KForm) -> VField:
     return VField(patch, tuple(comps))
 
 
-def poisson_bracket(p: Bivector, f: Expr, g: Expr) -> Expr:
-    """{f, g} = p(df, dg)."""
-    df = [f.differentiate(x) for x in p.patch.coords]
-    dg = [g.differentiate(x) for x in p.patch.coords]
-    return dot(p.patch, ((c, df[i] * dg[j] - df[j] * dg[i]) for (i, j), c in p.coeffs.items()))
-
-
 def schouten_jacobiator(p: Bivector) -> dict[tuple[int, int, int], Expr]:
     """Jacobiator Jac(i,j,k) = sum_cyc {x^i, {x^j, x^k}} on increasing triples.
 
@@ -507,17 +500,3 @@ def _pushed_entries(p: Bivector, rows, point: Sequence[Expr], ppatch: Patch) -> 
         (k, l): dot(ppatch, ((c, rows[k][i] * rows[l][j] - rows[k][j] * rows[l][i]) for i, j, c in stored))
         for k, l in combinations(range(len(rows)), 2)
     }
-
-
-def pushforward_bivector(f: PolyMap, f_inv: PolyMap, p: Bivector) -> Bivector:
-    """f_* p expressed on the target, using the supplied two-sided inverse."""
-    if p.patch != f.source:
-        raise PatchMismatch("bivector not on the source patch")
-    if f_inv.source != f.target or f_inv.target != f.source:
-        raise NotInverse("inverse goes between the wrong patches")
-    if not f.compose(f_inv).is_identity() or not f_inv.compose(f).is_identity():
-        raise NotInverse("supplied map is not a two-sided inverse")
-    tgt = f.target
-    point = list(f_inv.components)
-    rows = [[e.substitute(point, tgt) for e in row] for row in f.jacobian().entries]
-    return Bivector(tgt, _pushed_entries(p, rows, point, tgt))

@@ -108,17 +108,6 @@ class CheckFile:
     statements: tuple
 
 
-def print_checkfile(cf: CheckFile) -> str:
-    lines = []
-    for stmt in cf.statements:
-        if isinstance(stmt, LetStmt):
-            lines.append(f"let {stmt.name} = {_print_expr(stmt.value)}")
-        else:
-            args = " ".join(_print_expr(a, 3) for a in stmt.args)
-            lines.append(f"check {stmt.kind} {args}".rstrip())
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # -- parser -------------------------------------------------------------------------------
 
 
@@ -234,13 +223,13 @@ def _type_name(value) -> str:
 _LINEAR = (Expr, KForm, VField, Bivector)
 
 
-def _scale(value, factor, flip=False):
+def _scale(value, factor):
     if isinstance(value, (int, Fraction)):
-        return Fraction(factor) * value if not flip else -value
+        return Fraction(factor) * value
     if not isinstance(value, _LINEAR):
         raise CheckError(f"cannot scale a {_type_name(value)} by a number")
     patch = value.patch
-    c = Expr.const(patch, Fraction(factor) if not flip else Fraction(-1))
+    c = Expr.const(patch, Fraction(factor))
     if isinstance(value, Expr):
         return value * c
     return value.scale(c)
@@ -283,6 +272,8 @@ def _eval_binop(node, lv, rv):
             return Fraction(lv) / rv
         return _scale(lv, Fraction(1, 1) / Fraction(rv))
     if op == "^":
+        if isinstance(rv, Fraction) and rv.denominator == 1:
+            rv = int(rv)
         if isinstance(lv, (int, Fraction, Expr)) and isinstance(rv, int):
             if rv < 0:
                 raise CheckError("negative powers are not defined for polynomials")
@@ -307,7 +298,7 @@ def _eval(node, env, patch):
                 return atom
         raise UnknownReference(f"'{node.id}' is not declared")
     if isinstance(node, Neg):
-        return _scale(_eval(node.operand, env, patch), -1, flip=True)
+        return _scale(_eval(node.operand, env, patch), -1)
     if isinstance(node, BinOp):
         return _eval_binop(node, _eval(node.left, env, patch), _eval(node.right, env, patch))
     if isinstance(node, Call):

@@ -33,10 +33,6 @@ class DegreeZero(EngineError):
     """The operation needs a form of degree at least one."""
 
 
-class NotInverse(EngineError):
-    """The supplied map is not a two-sided inverse."""
-
-
 # -- Courant / Dirac ---------------------------------------------------------
 
 class RankDeficient(EngineError):

@@ -9,8 +9,7 @@ constraint variety) keeps every derived computation polynomial.
 Left and right translations are never supplied by the caller; they are
 recovered from ``mul`` by freezing one argument, which is a constrained
 derivative along the chart.  That single mechanism drives the cotangent
-source/target maps, cotangent composition, right-invariant frames, and the
-multiplicativity checks.  The frame route reads both ends of TG ⊕ T*G ⇒
+source/target maps, right-invariant frames, and the multiplicativity checks.  The frame route reads both ends of TG ⊕ T*G ⇒
 TM ⊕ A* (Ts or Tt on the tangent half, the cotangent source or target on the
 covector half) through one helper, ``_end``, at the two factors of a pair and
 along units; a passing unit item carries no witness.  The multiplication of
@@ -518,22 +517,6 @@ def _algebroid_on(g: GroupoidPatch, frame_matrix: ExprMatrix, fields) -> Algebro
 # -- cotangent groupoid -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CovectorPoint:
-    """A covector attached to a point of the total chart, over a parameter patch."""
-
-    ppatch: Patch
-    point: tuple[Expr, ...]
-    covector: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if len(self.point) != len(self.covector):
-            raise WrongShape("point and covector must have the same length")
-        for e in self.point + self.covector:
-            if e.patch != self.ppatch:
-                raise PatchMismatch("covector data on a different parameter patch")
-
-
 def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
     """Source and target of the cotangent groupoid, onto the dual algebroid chart.
 
@@ -575,26 +558,6 @@ def _product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch, messa
         return [RatExpr(v) for v in x] + solve_linear(mat, [_combine(ppatch, row, covs) for row in pulled])
 
     return product
-
-
-def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> CovectorPoint:
-    """Product covector characterized by additivity of the pairing on composable vectors."""
-    if a.ppatch != b.ppatch:
-        raise PatchMismatch("covectors over different parameter patches")
-    ppatch = a.ppatch
-    n, n_total = g.base.dim, g.total.dim
-    # a pair chart that cannot be solved is a translation fault, named before the pair is solved
-    _chart_data(g, TranslationNotDerivable)
-    c0 = chart_params(g, a.point, b.point, ppatch, NotComposable)
-    zero = [Expr.zero(ppatch)] * n_total
-    xa, xb = zero + list(a.covector), zero + list(b.covector)
-    diff = _first_difference(_end(g, 0, a.point, ppatch)(xa)[n:], _end(g, 1, b.point, ppatch)(xb)[n:])
-    if diff is not None:
-        raise NotComposable(f"cotangent source and target differ at component {diff[0] + 1}: {diff[1]}")
-    cov = _product(g, c0, ppatch, *_TRANSLATION)(xa, xb)[n_total:]
-    if not all(v.is_polynomial() for v in cov):
-        raise RankJump("product covector is not polynomial on this chart")
-    return CovectorPoint(ppatch, tuple(g.mul.apply(c0, ppatch)), tuple(v.as_expr() for v in cov))
 
 
 # -- multiplicativity checks ---------------------------------------------------------------------

@@ -78,13 +78,13 @@ R3 = Patch("R3", ("x", "y", "z"))
 P3 = Patch("P3", ("x_1", "x_2", "x_3"))
 
 
-def _expect(name: str, verdict: bool, expected: bool, detail: str | None = None) -> CheckItem:
+def _expect(name: str, verdict: bool, expected: bool) -> CheckItem:
     ok = verdict == expected
     witness = None
     if not ok:
         got = "passes" if verdict else "fails"
         want = "pass" if expected else "fail"
-        witness = f"{got} but should {want}" + (f" ({detail})" if detail else "")
+        witness = f"{got} but should {want}"
     return CheckItem(name, ok, witness)
 
 

@@ -27,7 +27,7 @@ from diracgeom.algebroid import (
     tangent_lift_algebroid,
 )
 from diracgeom.cartan import Bivector, KForm, VField, exterior_derivative, lie_derivative, schouten_jacobiator, wedge
-from diracgeom.courant import Frame, GSec, check_dirac, graph_bivector, graph_two_form
+from diracgeom.courant import Frame, GSec, check_dirac, check_lagrangian, foliation_frame, graph_bivector, graph_two_form
 from diracgeom.errors import (
     AnchorNotTangent,
     EngineError,
@@ -41,7 +41,7 @@ from diracgeom.errors import (
 )
 from diracgeom.groupoid import heisenberg3, lie_algebroid_of, pair_groupoid
 from diracgeom.report import CheckItem, Report
-from diracgeom.symalg import Expr, Patch, dot, parse_expr
+from diracgeom.symalg import Expr, Patch, dot, fresh_names, generic_rank, parse_expr
 
 from test_cartan import one_form, vf
 from test_symalg import rand_expr
@@ -688,6 +688,72 @@ def test_linearity_base_count_validated():
     p = dual_linear_poisson(abelian(2))
     with pytest.raises(WrongShape):
         check_linearity(graph_bivector(p), n_base=7)
+
+
+def reference_linearity(l, n_base):
+    """``check_linearity`` with the scaled and acted-on spans built column by column."""
+    check_lagrangian(l).require(NotLagrangian)
+    patch = l.patch
+    n = patch.dim
+    if not 0 <= n_base <= n:
+        raise WrongShape("base coordinate count out of range")
+    (tname,) = fresh_names("t", 1, set(patch.coords))
+    ext = Patch(patch.name + "_scaled", patch.coords + (tname,))
+    t = Expr.coord(ext, tname)
+    values = [Expr.coord(ext, c) for c in patch.coords]
+    for i in range(n_base, n):
+        values[i] = values[i] * t
+    a_cols, b_cols = [], []
+    for s in l.secs:
+        comps = s.coefficients()
+        a_cols.append([c.substitute(values, ext) for c in comps])
+        inj = [c.inject(ext) for c in comps]
+        col = []
+        for i in range(n):
+            col.append(inj[i] if i < n_base else inj[i] * t)
+        for i in range(n):
+            col.append(inj[n + i] * t if i < n_base else inj[n + i])
+        b_cols.append(col)
+    rows_a = [[col[r] for col in a_cols] for r in range(2 * n)]
+    rows_b = [[col[r] for col in b_cols] for r in range(2 * n)]
+    ra = generic_rank(rows_a)
+    rb = generic_rank(rows_b)
+    joint = generic_rank([rows_a[r] + rows_b[r] for r in range(2 * n)])
+    ok = ra == rb == joint
+    witness = None if ok else f"scaled span rank {ra}, action image rank {rb}, joint {joint}"
+    return Report((CheckItem("span is invariant under fiber scaling", ok, witness),))
+
+
+@st.composite
+def linearity_cases(draw):
+    """A Lagrangian frame on 2..4 coordinates (graph of a two-form or bivector, or a foliation) and a base count."""
+    n = draw(st.integers(2, 4))
+    patch = Patch(f"V{n}", ("x", "y", "z", "w")[:n])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    max_deg = draw(st.integers(0, 2))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["two-form", "bivector", "foliation"]))
+    if kind == "two-form":
+        frame = graph_two_form(KForm(patch, 2, {ij: rand_expr(rng, patch, max_deg) for ij in pairs}))
+    elif kind == "bivector":
+        frame = graph_bivector(Bivector(patch, {ij: rand_expr(rng, patch, max_deg) for ij in pairs}))
+    else:
+        k = draw(st.integers(0, n))
+        fields = [VField(patch, tuple(rand_expr(rng, patch, max_deg) for _ in range(n))) for _ in range(k)]
+        try:
+            frame = foliation_frame(fields, patch)
+        except RankDeficient:
+            assume(False)
+    return frame, draw(st.integers(0, n))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(linearity_cases())
+def test_linearity_matches_the_column_reference(case):
+    frame, n_base = case
+    report = check_linearity(frame, n_base)
+    event("linear" if report.passed else "not linear")
+    assert str(report) == str(reference_linearity(frame, n_base))
 
 
 def test_bialgebroid_dual_poisson_graph_is_dirac_and_linear():

@@ -1,6 +1,7 @@
 """Check-file parsing, evaluation, report emission, and exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -25,13 +26,12 @@ from diracgeom.cli import (
     emit_report,
     main,
     parse_checkfile,
-    print_checkfile,
     run_builtin_suite,
     run_checkfile,
     run_checks,
 )
 from diracgeom.errors import CheckError, EngineError, ParseError, UnknownReference
-from diracgeom.symalg import DIVISION_REFUSAL, MAX_DIMENSION, MAX_EXPONENT, Expr, Patch, parse_expr
+from diracgeom.symalg import DIVISION_REFUSAL, MAX_DIMENSION, MAX_EXPONENT, Expr, Patch, _print_expr, parse_expr
 
 SAMPLE = """\
 # a closed two-form on the plane
@@ -63,6 +63,18 @@ def test_parse_shapes():
         BinOp("*", BinOp("+", IntLit(1), Name("x")), BinOp("^", Name("dx"), Name("dy"))),
     )
     assert cf.statements[3] == CheckStmt("dirac", (Name("L"),))
+
+
+def print_checkfile(cf: CheckFile) -> str:
+    """The check-file text of ``cf``, which parses back to ``cf``: the parser round-trip reference."""
+    lines = []
+    for stmt in cf.statements:
+        if isinstance(stmt, LetStmt):
+            lines.append(f"let {stmt.name} = {_print_expr(stmt.value)}")
+        else:
+            args = " ".join(_print_expr(a, 3) for a in stmt.args)
+            lines.append(f"check {stmt.kind} {args}".rstrip())
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def test_parse_print_round_trip():
@@ -179,6 +191,21 @@ def test_division_by_a_constant_polynomial_gives_a_scalar():
         assert _let_value_raw(text) == Expr.const(XYZ, Fraction(3, 2))
     with pytest.raises(CheckError, match="division is only defined by a nonzero number"):
         _let_value_raw("x/(y - y)")
+
+
+def test_integral_exponents_in_check_files():
+    # + of numbers stays an int while * and / give a Fraction, and unary minus gives one too;
+    # an integral exponent raises either way
+    x = Expr.coord(XYZ, "x")
+    for text in ("x^(1+1)", "x^(2*1)", "x^(4/2)", "x^(-(-2))"):
+        assert _let_value_raw(text) == x**2
+    for text, message in [
+        ("x^(1/2)", "cannot raise scalar to number"),
+        ("x^(0-2)", "negative powers are not defined for polynomials"),
+        ("x^(-2)", "negative powers are not defined for polynomials"),
+    ]:
+        with pytest.raises(CheckError, match=f"^{re.escape(message)}$"):
+            _let_value_raw(text)
 
 
 def test_parse_errors_carry_positions():

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
@@ -45,7 +46,6 @@ from diracgeom.errors import (
     WrongShape,
 )
 from diracgeom.groupoid import (
-    CovectorPoint,
     GroupoidPatch,
     abelian_group,
     algebroid_frame,
@@ -55,7 +55,6 @@ from diracgeom.groupoid import (
     check_multiplicative_bivector,
     check_multiplicative_frame,
     check_multiplicative_two_form,
-    cotangent_compose,
     cotangent_source_target,
     heisenberg3,
     induced_dual_bracket,
@@ -514,6 +513,39 @@ def test_group_cotangent_source_equals_target():
         assert s_map.apply(vals, ct) == t_map.apply(vals, ct)
 
 
+# the T*G product at arbitrary points, kept as a reference on groupoid._product
+
+
+class CovectorPoint(NamedTuple):
+    """A covector attached to a point of the total chart, over a parameter patch."""
+
+    ppatch: Patch
+    point: tuple[Expr, ...]
+    covector: tuple[Expr, ...]
+
+
+def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> CovectorPoint:
+    """Product covector characterized by additivity of the pairing on composable vectors."""
+    if a.ppatch != b.ppatch:
+        raise PatchMismatch("covectors over different parameter patches")
+    ppatch = a.ppatch
+    n, n_total = g.base.dim, g.total.dim
+    # a pair chart that cannot be solved is a translation fault, named before the pair is solved
+    groupoid._chart_data(g, TranslationNotDerivable)
+    c0 = chart_params(g, a.point, b.point, ppatch, NotComposable)
+    zero = [Expr.zero(ppatch)] * n_total
+    xa, xb = zero + list(a.covector), zero + list(b.covector)
+    diff = groupoid._first_difference(
+        groupoid._end(g, 0, a.point, ppatch)(xa)[n:], groupoid._end(g, 1, b.point, ppatch)(xb)[n:]
+    )
+    if diff is not None:
+        raise NotComposable(f"cotangent source and target differ at component {diff[0] + 1}: {diff[1]}")
+    cov = groupoid._product(g, c0, ppatch, *groupoid._TRANSLATION)(xa, xb)[n_total:]
+    if not all(v.is_polynomial() for v in cov):
+        raise RankJump("product covector is not polynomial on this chart")
+    return CovectorPoint(ppatch, tuple(g.mul.apply(c0, ppatch)), tuple(v.as_expr() for v in cov))
+
+
 def test_cotangent_compose_pair_example():
     # ((x,y),(xi,-eta)) . ((y,z),(eta,-zeta)) = ((x,z),(xi,-zeta))
     g = pair_groupoid(R1)
@@ -613,10 +645,6 @@ def test_loose_chart_breaks_translations():
 
 def test_covector_point_validation():
     p = Patch("P2", ("t", "s"))
-    with pytest.raises(WrongShape):
-        CovectorPoint(p, (Expr.coord(p, "t"),), (Expr.zero(p), Expr.one(p)))
-    with pytest.raises(PatchMismatch):
-        CovectorPoint(p, (Expr.coord(p, "t"), Expr.zero(p)), (Expr.zero(p), Expr.one(R1)))
     with pytest.raises(PatchMismatch):
         g = pair_groupoid(R1)
         q = Patch("Q2", ("t", "s"))
