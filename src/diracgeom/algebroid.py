@@ -2,9 +2,12 @@
 
 A rank-r algebroid is stored through its action on the frame e_1..e_r:
 anchor fields rho(e_a) and bracket coefficients [e_a, e_b] = sum c^k_ab e_k.
-Sections are coefficient vectors of polynomials; their bracket carries the
-Leibniz terms, so the Jacobi check on frame triples picks up anchor
-derivatives of non-constant structure functions.
+Sections are coefficient vectors of polynomials.  A bracket of two frame
+sections is the table entry c_ab itself, since the Leibniz terms
+differentiate constant coefficients to zero; only [e_x, v]
+(``frame_bracket``) carries the Leibniz term rho(e_x)(v^k), so the outer
+bracket of the Jacobi check on frame triples picks up anchor derivatives of
+non-constant structure functions.
 
 Sign conventions, fixed once:
 
@@ -50,7 +53,7 @@ from .errors import (
     WrongShape,
 )
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, RatExpr, dot, fresh_names, generic_rank, solve_linear
+from .symalg import MAX_DIMENSION, Expr, ExprMatrix, Patch, RatExpr, dot, fresh_names, generic_rank, solve_linear
 from .tanlift import lift_function, lift_vector_field, tangent_patch
 
 Structure = tuple[tuple[tuple[Expr, ...], ...], ...]
@@ -107,21 +110,10 @@ class AlgebroidPatch:
         comps = (dot(self.base, ((c, v.components[i]) for c, v in zip(coeffs, self.anchor))) for i in range(self.base.dim))
         return VField(self.base, tuple(comps))
 
-    def frame_coeffs(self, a: int) -> tuple[Expr, ...]:
-        return tuple(
-            Expr.one(self.base) if k == a else Expr.zero(self.base) for k in range(self.rank)
-        )
-
-    def bracket_coeffs(self, u, v) -> tuple[Expr, ...]:
-        """[u, v] with the Leibniz terms, as frame coefficients."""
-        ru, rv = self.rho(u), self.rho(v)
-        r = range(self.rank)
-        prods = [[u[a] * v[b] for b in r] for a in r]
-        s = self.structure
-        return tuple(
-            ru.apply(v[k]) - rv.apply(u[k]) + dot(self.base, ((prods[a][b], s[a][b][k]) for a in r for b in r if s[a][b][k].terms))
-            for k in r
-        )
+    def frame_bracket(self, x: int, v) -> tuple[Expr, ...]:
+        """[e_x, v] as frame coefficients: rho(e_x)(v^k) + sum_b v^b c^k_xb."""
+        rho, row, r = self.anchor[x], self.structure[x], range(self.rank)
+        return tuple(rho.apply(v[k]) + dot(self.base, ((v[b], row[b][k]) for b in r if row[b][k].terms)) for k in r)
 
 
 def algebroid(base: Patch, anchors, brackets) -> AlgebroidPatch:
@@ -169,27 +161,25 @@ def _jacobi_failures(a: AlgebroidPatch):
     """Yield (i, j, k, m, value) for each frame triple i < j < k whose Jacobiator
     sum [e_i, [e_j, e_k]] + cyclic has a non-zero e_m component, the first such m."""
     r = a.rank
-    frame = [a.frame_coeffs(i) for i in range(r)]
     for i, j, k in combinations(range(r), 3):
         jac = [Expr.zero(a.base)] * r
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = a.bracket_coeffs(frame[y], frame[z])
-            outer = a.bracket_coeffs(frame[x], inner)
-            jac = [p + q for p, q in zip(jac, outer)]
+            jac = [p + q for p, q in zip(jac, a.frame_bracket(x, a.structure[y][z]))]
         bad = next((m for m in range(r) if not jac[m].is_zero()), None)
         if bad is not None:
             yield i, j, k, bad, jac[bad]
 
 
 def check_lie_algebroid(a: AlgebroidPatch) -> Report:
-    """Jacobi identity on frame triples and anchor compatibility on frame pairs."""
+    """Jacobi identity on frame triples and anchor compatibility on frame pairs, up to rank MAX_DIMENSION // 4."""
     r = a.rank
-    frame = [a.frame_coeffs(i) for i in range(r)]
+    if r > MAX_DIMENSION // 4:
+        raise RankTooLarge(f"an algebroid of rank {r} is above the limit of {MAX_DIMENSION // 4} for the Jacobi check")
     jacobi = (f"jacobi[{i + 1},{j + 1},{k + 1}] has e_{m + 1} component {v}" for i, j, k, m, v in _jacobi_failures(a))
 
     def anchor():
         for i, j in combinations(range(r), 2):
-            diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(a.bracket_coeffs(frame[i], frame[j]))
+            diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(a.structure[i][j])
             bad = next((m for m, c in enumerate(diff.components) if not c.is_zero()), None)
             if bad is not None:
                 coord = a.base.coords[bad]
@@ -267,11 +257,12 @@ def _derivation_failures(a: AlgebroidPatch, dual: AlgebroidPatch):
     """Yield (x, y, (i, j), value) for each frame pair x < y on which
     d_*[e_x,e_y] + [e_y, d_*e_x] - [e_x, d_*e_y] has a non-zero wedge
     coefficient, the first such e_i^e_j in sorted order."""
-    frame = [a.frame_coeffs(i) for i in range(a.rank)]
-    d_frame = [_dual_differential_section(dual, f) for f in frame]
-    minus_d_frame = [{key: -coeff for key, coeff in t.items()} for t in d_frame]
-    for fa, fb in combinations(range(a.rank), 2):
-        diff = _dual_differential_section(dual, a.bracket_coeffs(frame[fa], frame[fb]))
+    pairs = list(combinations(range(a.rank), 2))
+    # (d_* e_c)(xi_i, xi_j) = -c*^c_ij: the dual anchor differentiates the constant coefficients of e_c to zero
+    minus_d_frame = [{(i, j): dual.structure[i][j][c] for i, j in pairs if dual.structure[i][j][c].terms} for c in range(a.rank)]
+    d_frame = [{key: -coeff for key, coeff in t.items()} for t in minus_d_frame]
+    for fa, fb in pairs:
+        diff = _dual_differential_section(dual, a.structure[fa][fb])
         _frame_bracket_wedge(a, fb, d_frame[fa], diff)
         _frame_bracket_wedge(a, fa, minus_d_frame[fb], diff)
         bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
@@ -441,7 +432,6 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
         if _span_coefficients(span, v) is None:
             raise AnchorNotTangent(f"rho(e_{m + 1}) is not tangent to the foliation")
     quotient, nabla = _connection(f, a.rank, a.base)
-    frame = [a.frame_coeffs(i) for i in range(a.rank)]
     nf, nq = len(f.f_m), len(quotient)
 
     def curvature():
@@ -466,7 +456,7 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     def k_brackets():
         # bullet 2: brackets of quotient generators with K stay in K
         for m, k in product(quotient, f.k_sub):
-            br = a.bracket_coeffs(frame[m], frame[k])
+            br = a.structure[m][k]
             bad = next((l for l in quotient if not br[l].is_zero()), None)
             if bad is not None:
                 yield f"[e_{m + 1},e_{k + 1}] has class component e_{bad + 1} = {br[bad]}"
@@ -474,7 +464,7 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     def class_flatness():
         # bullet 3: bracket classes of quotient generators are flat
         for mi, mj in combinations(range(nq), 2):
-            br = a.bracket_coeffs(frame[quotient[mi]], frame[quotient[mj]])
+            br = a.structure[quotient[mi]][quotient[mj]]
             cls = [br[l] for l in quotient]
             for j, l in product(range(nf), range(nq)):
                 d = f.f_m[j].apply(cls[l]) + dot(a.base, ((nabla[j][mid][l], cls[mid]) for mid in range(nq)))
@@ -487,7 +477,7 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     def anchor_flows():
         # bullet 4: anchors of quotient generators preserve the foliation
         for m, j in product(quotient, range(nf)):
-            if _span_coefficients(span, lie_bracket(a.rho(frame[m]), f.f_m[j])) is None:
+            if _span_coefficients(span, lie_bracket(a.anchor[m], f.f_m[j])) is None:
                 yield f"[rho(e_{m + 1}), f_{j + 1}] leaves the foliation span"
 
     return Report(
@@ -528,10 +518,9 @@ def check_lie_bialgebra(d: LieBialgebraData, ideal=None) -> Report:
         if not 0 <= m < r:
             raise WrongShape(f"ideal index {m} out of range")
     quotient = [m for m in range(r) if m not in ideal]
-    frame = [g.frame_coeffs(i) for i in range(r)]
     for i in range(r):
         for m in ideal:
-            br = g.bracket_coeffs(frame[i], frame[m])
+            br = g.structure[i][m]
             bad = next((q for q in quotient if not br[q].is_zero()), None)
             if bad is not None:
                 raise NotIdeal(

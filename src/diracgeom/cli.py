@@ -115,36 +115,39 @@ def parse_checkfile(text: str) -> CheckFile:
     statements = []
     seen = set()
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = _Line(raw, number)
-        head = line.peek()
-        if head is None:
-            continue
-        if head == "let":
-            line.next()
-            name = line.next()
-            if not _NAME_RE.fullmatch(name):
-                line.fail(f"'{name}' is not a valid name")
-            if name in seen:
-                line.fail(f"'{name}' is declared twice")
-            seen.add(name)
-            line.expect("=")
-            value = _parse_expr(line)
-            if line.peek() is not None:
-                line.fail("trailing tokens after declaration")
-            statements.append(LetStmt(name, value))
-        elif head == "check":
-            line.next()
-            kind = line.next()
-            if kind not in CHECKS:
-                known = ", ".join(sorted(CHECKS))
-                raise ParseError(f"line {number}: unknown check kind '{kind}' (known: {known})")
-            args = []
-            line.calls_must_touch = True
-            while line.peek() is not None:
-                args.append(_parse_unary(line))
-            statements.append(CheckStmt(kind, tuple(args)))
-        else:
-            line.fail(f"expected 'let' or 'check', found '{head}'")
+        try:
+            line = _Line(raw, number)
+            head = line.peek()
+            if head is None:
+                continue
+            if head == "let":
+                line.next()
+                name = line.next()
+                if not _NAME_RE.fullmatch(name):
+                    line.fail(f"'{name}' is not a valid name")
+                if name in seen:
+                    line.fail(f"'{name}' is declared twice")
+                seen.add(name)
+                line.expect("=")
+                value = _parse_expr(line)
+                if line.peek() is not None:
+                    line.fail("trailing tokens after declaration")
+                statements.append(LetStmt(name, value))
+            elif head == "check":
+                line.next()
+                kind = line.next()
+                if kind not in CHECKS:
+                    known = ", ".join(sorted(CHECKS))
+                    raise ParseError(f"line {number}: unknown check kind '{kind}' (known: {known})")
+                args = []
+                line.calls_must_touch = True
+                while line.peek() is not None:
+                    args.append(_parse_unary(line))
+                statements.append(CheckStmt(kind, tuple(args)))
+            else:
+                line.fail(f"expected 'let' or 'check', found '{head}'")
+        except RecursionError:
+            raise ParseError(f"line {number}: the expression nests too deeply") from None
     return CheckFile(tuple(statements))
 
 
@@ -427,23 +430,27 @@ def run_checks(cf: CheckFile) -> RunReport:
     env: dict[str, object] = {}
     results = []
     for stmt in cf.statements:
-        if isinstance(stmt, LetStmt):
-            if isinstance(stmt.value, Call) and stmt.value.fn == "patch":
-                coords = []
-                for a in stmt.value.args:
-                    if not isinstance(a, Name):
-                        raise ParseError("patch(...) takes bare coordinate names")
-                    coords.append(a.id)
-                try:
-                    env[stmt.name] = Patch(stmt.name, tuple(coords))
-                except ValueError as exc:
-                    raise ParseError(f"patch {stmt.name}: {exc}") from exc
-            else:
-                env[stmt.name] = _evaluate_argument(stmt.value, env)
-            continue
-        types, variadic, fn = CHECKS[stmt.kind]
-        args = _typed_args(f"check {stmt.kind}", types, variadic, stmt.args, lambda a: _evaluate_argument(a, env))
-        label = " ".join([stmt.kind] + [_print_expr(a, 3) for a in stmt.args])
+        try:
+            if isinstance(stmt, LetStmt):
+                if isinstance(stmt.value, Call) and stmt.value.fn == "patch":
+                    coords = []
+                    for a in stmt.value.args:
+                        if not isinstance(a, Name):
+                            raise ParseError("patch(...) takes bare coordinate names")
+                        coords.append(a.id)
+                    try:
+                        env[stmt.name] = Patch(stmt.name, tuple(coords))
+                    except ValueError as exc:
+                        raise ParseError(f"patch {stmt.name}: {exc}") from exc
+                else:
+                    env[stmt.name] = _evaluate_argument(stmt.value, env)
+                continue
+            types, variadic, fn = CHECKS[stmt.kind]
+            args = _typed_args(f"check {stmt.kind}", types, variadic, stmt.args, lambda a: _evaluate_argument(a, env))
+            label = " ".join([stmt.kind] + [_print_expr(a, 3) for a in stmt.args])
+        except RecursionError:
+            where = f"let {stmt.name}" if isinstance(stmt, LetStmt) else f"check {stmt.kind}"
+            raise CheckError(f"{where}: the expression nests too deeply") from None
         start = time.monotonic()
         try:
             report = fn(*args)

@@ -464,29 +464,14 @@ def _right_invariant_fields(g: GroupoidPatch, basis) -> list[VField]:
     return [VField(total, tuple(translate([comp.substitute(x_t, total) for comp in vec], zero))) for vec in basis]
 
 
-def lie_algebroid_of(g: GroupoidPatch, frame: Sequence[Sequence[Expr]] | None = None) -> AlgebroidPatch:
+def lie_algebroid_of(g: GroupoidPatch) -> AlgebroidPatch:
     """Anchor and structure functions of the infinitesimal object of g.
 
-    The frame is the kernel of the source map along units (or a caller-supplied
-    frame of it); the anchor is the target map's derivative and brackets come
-    from right-invariant extensions, re-expanded in the frame along units.
+    The frame is the kernel of the source map along units; the anchor is the
+    target map's derivative and brackets come from right-invariant
+    extensions, re-expanded in the frame along units.
     """
-    if frame is None:
-        return g._algebroid
-    m = g.base
-    n, n_total = m.dim, g.total.dim
-    basis = [list(col) for col in frame]
-    if any(len(col) != n_total for col in basis):
-        raise WrongShape(f"supplied frame vectors need {n_total} components")
-    if n:
-        js_unit = _subst_matrix(g._jacobians["src"], list(g.unit.components), m)
-        for col in basis:
-            if any(not v.is_zero() for v in _matvec(js_unit, col, m)):
-                raise WrongShape("supplied frame leaves the kernel of the source map")
-    frame_matrix = ExprMatrix.from_rows(m, basis).transpose()
-    if len(basis) != n_total - n or generic_rank(frame_matrix) != len(basis):
-        raise WrongShape("supplied frame does not span the source kernel")
-    return _algebroid_on(g, frame_matrix, _right_invariant_fields(g, basis))
+    return g._algebroid
 
 
 def _algebroid_on(g: GroupoidPatch, frame_matrix: ExprMatrix, fields) -> AlgebroidPatch:

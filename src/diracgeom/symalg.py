@@ -607,9 +607,11 @@ def parse_expr(text: str, patch: Patch) -> Expr:
         node = _parse_expr(line)
         if line.peek() is not None:
             line.fail("trailing tokens after the expression")
+        return _eval_scalar(node, patch)
     except ParseError as exc:
         raise ExprSyntaxError(str(exc)) from None
-    return _eval_scalar(node, patch)
+    except RecursionError:
+        raise ExprSyntaxError("the expression nests too deeply") from None
 
 
 # -- rational functions ----------------------------------------------------------

@@ -13,6 +13,8 @@ from diracgeom.algebroid import (
     IMFoliation,
     IMTwoForm,
     LieBialgebraData,
+    _dual_differential_section,
+    _frame_bracket_wedge,
     algebroid,
     check_im_foliation,
     check_im_two_form,
@@ -26,7 +28,7 @@ from diracgeom.algebroid import (
     tangent_bundle_algebroid,
     tangent_lift_algebroid,
 )
-from diracgeom.cartan import Bivector, KForm, VField, exterior_derivative, lie_derivative, schouten_jacobiator, wedge
+from diracgeom.cartan import Bivector, KForm, VField, exterior_derivative, lie_bracket, lie_derivative, schouten_jacobiator, wedge
 from diracgeom.courant import Frame, GSec, check_dirac, check_lagrangian, foliation_frame, graph_bivector, graph_two_form
 from diracgeom.errors import (
     AnchorNotTangent,
@@ -35,11 +37,12 @@ from diracgeom.errors import (
     NotIdeal,
     NotLagrangian,
     NotLie,
+    PatchMismatch,
     RankDeficient,
     RankTooLarge,
     WrongShape,
 )
-from diracgeom.groupoid import heisenberg3, lie_algebroid_of, pair_groupoid
+from diracgeom.groupoid import abelian_group, heisenberg3, lie_algebroid_of, pair_groupoid
 from diracgeom.report import CheckItem, Report
 from diracgeom.symalg import Expr, Patch, dot, fresh_names, generic_rank, parse_expr
 
@@ -209,7 +212,11 @@ def _bracket_by_triple_loop(alg, u, v):
     return tuple(out)
 
 
-def test_bracket_coeffs_matches_triple_loop():
+def _unit(alg, a):
+    return tuple(Expr.one(alg.base) if k == a else Expr.zero(alg.base) for k in range(alg.rank))
+
+
+def test_frame_bracket_matches_triple_loop():
     rng = random.Random(29)
     heis = lie_algebroid_of(heisenberg3())
     cases = [
@@ -219,13 +226,109 @@ def test_bracket_coeffs_matches_triple_loop():
         tangent_lift_algebroid(affine_anchored()),
     ]
     for alg in cases:
-        for _ in range(6):
-            u = [rand_expr(rng, alg.base) for _ in range(alg.rank)]
-            v = [rand_expr(rng, alg.base) for _ in range(alg.rank)]
-            got = alg.bracket_coeffs(u, v)
-            want = _bracket_by_triple_loop(alg, u, v)
-            # same term maps in the same insertion order
-            assert [list(e.terms.items()) for e in got] == [list(e.terms.items()) for e in want]
+        for x in range(alg.rank):
+            for _ in range(3):
+                v = [rand_expr(rng, alg.base) for _ in range(alg.rank)]
+                assert alg.frame_bracket(x, v) == _bracket_by_triple_loop(alg, _unit(alg, x), v)
+        for i, j in itertools.product(range(alg.rank), repeat=2):
+            assert _bracket_by_triple_loop(alg, _unit(alg, i), _unit(alg, j)) == alg.structure[i][j]
+
+
+def reference_lie_algebroid(a):
+    """``check_lie_algebroid`` with every bracket formed by the triple loop on unit-vector sections."""
+    r = a.rank
+    frame = [_unit(a, i) for i in range(r)]
+
+    def jacobi():
+        for i, j, k in itertools.combinations(range(r), 3):
+            jac = [Expr.zero(a.base)] * r
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                inner = _bracket_by_triple_loop(a, frame[y], frame[z])
+                jac = [p + q for p, q in zip(jac, _bracket_by_triple_loop(a, frame[x], inner))]
+            bad = next((m for m in range(r) if not jac[m].is_zero()), None)
+            if bad is not None:
+                yield f"jacobi[{i + 1},{j + 1},{k + 1}] has e_{bad + 1} component {jac[bad]}"
+
+    def anchor():
+        for i, j in itertools.combinations(range(r), 2):
+            diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(_bracket_by_triple_loop(a, frame[i], frame[j]))
+            bad = next((m for m, c in enumerate(diff.components) if not c.is_zero()), None)
+            if bad is not None:
+                coord = a.base.coords[bad]
+                yield f"anchor breaks [e_{i + 1},e_{j + 1}]: d_{coord} component {diff.components[bad]}"
+
+    return Report(
+        (
+            CheckItem.first("jacobi identity on the frame", jacobi()),
+            CheckItem.first("anchor preserves brackets", anchor()),
+        )
+    )
+
+
+def reference_lie_bialgebroid(a, dual):
+    """``check_lie_bialgebroid`` with d_* applied to unit-vector sections and to triple-loop brackets."""
+    if dual.base != a.base:
+        raise PatchMismatch("dual structure on a different base")
+    if dual.rank != a.rank:
+        raise WrongShape("dual structure must have the same rank")
+    if a.rank > 4:
+        raise RankTooLarge("bialgebroid check supports rank at most 4")
+    for side, name in ((a, "primary"), (dual, "dual")):
+        rep = reference_lie_algebroid(side)
+        if not rep.passed:
+            raise NotAlgebroid(f"{name} structure: {rep.witness}")
+    frame = [_unit(a, i) for i in range(a.rank)]
+    d_frame = [_dual_differential_section(dual, f) for f in frame]
+    minus_d_frame = [{key: -coeff for key, coeff in t.items()} for t in d_frame]
+
+    def derivation():
+        for fa, fb in itertools.combinations(range(a.rank), 2):
+            diff = _dual_differential_section(dual, _bracket_by_triple_loop(a, frame[fa], frame[fb]))
+            _frame_bracket_wedge(a, fb, d_frame[fa], diff)
+            _frame_bracket_wedge(a, fa, minus_d_frame[fb], diff)
+            bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
+            if bad is not None:
+                yield f"derivation fails on (e_{fa + 1},e_{fb + 1}) at e_{bad[0] + 1}^e_{bad[1] + 1}: {diff[bad]}"
+
+    return Report((CheckItem.first("derivation condition on frame pairs", derivation()),))
+
+
+def _poly(base, max_deg):
+    """Sparse small-coefficient polynomials of degree at most ``max_deg``; often zero."""
+    exps = [e for e in itertools.product(range(max_deg + 1), repeat=base.dim) if sum(e) <= max_deg]
+    return st.dictionaries(st.sampled_from(exps), st.integers(-2, 2), max_size=2).map(lambda t: Expr(base, t))
+
+
+@st.composite
+def random_algebroids(draw, bases=(PT, R1, R2), ranks=(2, 4), max_deg=1):
+    """Random anchors and structure functions on one of ``bases``; most fail Jacobi or the anchor item."""
+    base = draw(st.sampled_from(bases))
+    rank = draw(st.integers(*ranks))
+    polys = _poly(base, max_deg)
+    anchors = [VField(base, tuple(draw(polys) for _ in base.coords)) for _ in range(rank)]
+    brackets = {key: [draw(polys) for _ in range(rank)] for key in itertools.combinations(range(rank), 2)}
+    return algebroid(base, anchors, brackets)
+
+
+def _bialgebroid_outcome(check, a, dual):
+    try:
+        return str(check(a, dual))
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_algebroids(), st.data())
+def test_frame_brackets_match_the_unit_vector_reference(a, data):
+    rep = check_lie_algebroid(a)
+    event(f"lie algebroid: {rep.passed}")
+    assert str(rep) == str(reference_lie_algebroid(a))
+    # a dual on the same base and rank: random, or zero so the derivation condition is reached
+    zero = algebroid(a.base, [VField.zero(a.base)] * a.rank, {})
+    dual = data.draw(random_algebroids((a.base,), (a.rank, a.rank)) | st.just(zero))
+    outcome = _bialgebroid_outcome(check_lie_bialgebroid, a, dual)
+    event("bialgebroid " + (f"raised {outcome[0].__name__}" if isinstance(outcome, tuple) else "ran"))
+    assert outcome == _bialgebroid_outcome(reference_lie_bialgebroid, a, dual)
 
 
 # -- tangent prolongation -----------------------------------------------------------------
@@ -236,6 +339,19 @@ def test_tangent_lift_algebroid_is_algebroid():
         lifted = tangent_lift_algebroid(a)
         assert lifted.rank == 2 * a.rank
         assert check_lie_algebroid(lifted).passed
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    random_algebroids(ranks=(2, 3))
+    | st.sampled_from([lambda: pair_groupoid(R1), lambda: pair_groupoid(R2), lambda: abelian_group(2), heisenberg3]).map(
+        lambda build: lie_algebroid_of(build())
+    )
+)
+def test_tangent_prolongation_keeps_the_lie_verdict(a):
+    passed = check_lie_algebroid(a).passed
+    event(f"lie algebroid: {passed}")
+    assert check_lie_algebroid(tangent_lift_algebroid(a)).passed == passed
 
 
 # -- bialgebroids --------------------------------------------------------------------------
@@ -520,10 +636,9 @@ def reference_lie_bialgebra(d, ideal=None):
         if not 0 <= m < r:
             raise WrongShape(f"ideal index {m} out of range")
     quotient = [m for m in range(r) if m not in ideal]
-    frame = [g.frame_coeffs(i) for i in range(r)]
     for i in range(r):
         for m in ideal:
-            br = g.bracket_coeffs(frame[i], frame[m])
+            br = g.structure[i][m]
             bad = next((q for q in quotient if not br[q].is_zero()), None)
             if bad is not None:
                 raise NotIdeal(f"[e_{i + 1},e_{m + 1}] has quotient component e_{bad + 1} = {br[bad]}")

@@ -441,6 +441,25 @@ def test_main_exit_codes(tmp_path, capsys):
             "tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(da^db))): "
             "a frame on 64 coordinates is above the limit of 32 for the lifted Courant tensor",
         ),
+        # nesting deeper than the interpreter's stack is an error line, not a traceback: in the parser,
+        ("let M = patch(x)\nlet f = " + "(" * 2000 + "x" + ")" * 2000 + "\n", "line 2: the expression nests too deeply"),
+        ("let M = patch(x)\nlet f = " + "-" * 5000 + "x\n", "line 2: the expression nests too deeply"),
+        # and in the evaluation of a let or of a check's arguments
+        ("let M = patch(x)\nlet f = x" + "^1" * 3000 + "\n", "let f: the expression nests too deeply"),
+        (
+            "let M = patch(x)\ncheck closed ((" + "+".join(["x"] * 1500) + ")*dx)\n",
+            "check closed: the expression nests too deeply",
+        ),
+        # the Jacobi walk refuses a rank above MAX_DIMENSION // 4, also where a check or constructor needs it
+        (
+            f"let M = patch({', '.join(f'x{i}' for i in range(33))})\nlet P = dual_linear_poisson(tangent_bundle_algebroid(M))\n",
+            "an algebroid of rank 33 is above the limit of 32 for the Jacobi check",
+        ),
+        (
+            f"let M = patch({', '.join(f'x{i}' for i in range(33))})\nlet A = tangent_bundle_algebroid(M)\n"
+            "check im_two_form A im_from_two_form(A, dx0^dx1)\n",
+            "im_two_form A im_from_two_form(A, dx0^dx1): an algebroid of rank 33 is above the limit of 32 for the Jacobi check",
+        ),
     ],
     ids=[
         "duplicate-coordinate",
@@ -464,6 +483,12 @@ def test_main_exit_codes(tmp_path, capsys):
         "abelian-group-with-a-triple-chart-above-the-limit",
         "pair-groupoid-with-a-triple-chart-above-the-limit",
         "triple-tangent-lift-above-the-tangent-mu-limit",
+        "deeply-nested-parentheses",
+        "deeply-nested-minus-signs",
+        "deeply-chained-powers",
+        "long-sum-in-a-check",
+        "dual-poisson-above-the-algebroid-rank-limit",
+        "im-two-form-above-the-algebroid-rank-limit",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected):
@@ -473,6 +498,25 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected)
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     if expected is not None:
         assert out.err == f"error: {expected}\n"
+
+
+def test_a_300_term_sum_in_a_check_passes(tmp_path, capsys):
+    path = write(tmp_path, "let M = patch(x, y)\ncheck closed ((" + "+".join(["x"] * 300) + ")*dx^dy)\n")
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out.endswith("summary: 1 passed, 0 failed\n")
+
+
+def test_oversized_algebroid_is_refused_at_once(tmp_path, capsys):
+    coords = ", ".join(f"x{i}" for i in range(MAX_DIMENSION // 4 + 1))
+    path = write(tmp_path, f"let M = patch({coords})\ncheck lie_algebroid tangent_bundle_algebroid(M)\n")
+    start = time.monotonic()
+    assert main(["verify", path]) == 2
+    assert time.monotonic() - start < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: lie_algebroid tangent_bundle_algebroid(M): an algebroid of rank 33 is above the limit of 32 for the Jacobi check\n"
+    )
 
 
 def test_third_tangent_groupoid_passes_its_axioms(tmp_path, capsys):

@@ -445,19 +445,6 @@ def test_degenerate_source_raises_rank_jump():
         algebroid_frame(flat)
 
 
-def test_frame_hint_is_validated():
-    # source of a pair is the second block, so (0, 1) leaves its kernel
-    g = pair_groupoid(R1)
-    bad = [[Expr.zero(R1), Expr.one(R1)]]
-    with pytest.raises(WrongShape):
-        lie_algebroid_of(g, frame=bad)
-    with pytest.raises(WrongShape):
-        lie_algebroid_of(g, frame=[[Expr.one(R1), Expr.zero(R1)]] * 2)
-    for short_or_long in ([Expr.one(R1)], [Expr.one(R1), Expr.zero(R1), Expr.zero(R1)]):
-        with pytest.raises(WrongShape, match="need 2 components"):
-            lie_algebroid_of(g, frame=[short_or_long])
-
-
 def test_algebroid_of_tangent_groupoid_is_tangent_lift():
     # after reordering by the canonical involution, the kernel frame of the
     # tangent groupoid consists of tangent and vertical lifts of the base frame
@@ -477,7 +464,8 @@ def test_algebroid_of_tangent_groupoid_is_tangent_lift():
             lifted.append(
                 [Expr.zero(tm)] * n_total + [lift_function(c, "vertical") for c in col]
             )
-        assert lie_algebroid_of(tg, frame=lifted) == tangent_lift_algebroid(a)
+        frame_matrix = ExprMatrix.from_rows(tg.base, lifted).transpose()
+        assert groupoid._algebroid_on(tg, frame_matrix, groupoid._right_invariant_fields(tg, lifted)) == tangent_lift_algebroid(a)
 
 
 # -- cotangent source and target ----------------------------------------------------------

@@ -89,6 +89,13 @@ def test_parse_exponent_limit():
             parse_expr(text, XY)
 
 
+def test_parse_refuses_deep_nesting_without_a_traceback():
+    for text in ("(" * 2000 + "x" + ")" * 2000, " + ".join(["x"] * 3000)):
+        with pytest.raises(ExprSyntaxError, match="^the expression nests too deeply$"):
+            parse_expr(text, XY)
+    assert parse_expr(" + ".join(["x"] * 300), XY) == Expr.const(XY, 300) * Expr.coord(XY, "x")
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ExprSyntaxError):
         parse_expr("x ? y", XY)
