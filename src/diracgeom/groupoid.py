@@ -8,21 +8,23 @@ constraint variety) keeps every derived computation polynomial.
 
 Left and right translations are never supplied by the caller; they are
 recovered from ``mul`` by freezing one argument, which is a constrained
-derivative along the chart.  That single mechanism drives the cotangent
-source/target maps, right-invariant frames, and the multiplicativity checks.  The frame route reads both ends of TG ⊕ T*G ⇒
-TM ⊕ A* (Ts or Tt on the tangent half, the cotangent source or target on the
-covector half) through one helper, ``_end``, at the two factors of a pair and
-along units; a passing unit item carries no witness.  The multiplication of
-TG ⊕ T*G has one helper too: ``_tangent_product`` applies Tm to the chart
-direction with two given factor vectors, and ``_product`` follows it with
-the product covector that the pairing identity pins down.
+derivative along the chart.  That single mechanism drives the right-invariant
+frames, the cotangent source and target, and the multiplicativity checks.
+The frame route reads both ends of TG ⊕ T*G ⇒ TM ⊕ A* through one helper,
+``_end``, at the two factors of a pair and along units: Ts or Tt on the
+tangent half, and on the covector half the fibre rows of the cotangent
+source or target, kept on the arrow chart, so no T*G or A* chart is built.
+A passing unit item carries no witness.  The multiplication of TG ⊕ T*G has
+one helper too: ``_tangent_product`` applies Tm to the chart direction with
+two given factor vectors, and ``_product`` follows it with the product
+covector that the pairing identity pins down.
 
 Data derived from the structure maps is computed once per ``GroupoidPatch``,
 on first use, and kept on the instance: the solved pair chart, the Jacobians
 of the structure maps, the kernel frame along units and its right-invariant
-extensions, the Lie algebroid of that frame, the cotangent source and target
-maps, and a group's translation matrices.  Every check on the same instance
-reads the same copy.
+extensions, the Lie algebroid of that frame, the fibre rows of the cotangent
+source and target, and a group's translation matrices.  Every check on the
+same instance reads the same copy.
 
 Cotangent unit convention: the unit covector over ``xi`` at ``eps(x)`` is the
 unique covector annihilating the image of ``T eps`` and restricting to ``xi``
@@ -37,7 +39,7 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from .algebroid import AlgebroidPatch, IMTwoForm, algebroid, dual_patch
+from .algebroid import AlgebroidPatch, IMTwoForm, algebroid
 from .cartan import Bivector, KForm, PolyMap, VField, _pushed_entries, interior_product, lie_bracket, pullback_form
 from .courant import Frame, GSec, check_lagrangian, courant_bracket, pairing
 from .errors import (
@@ -72,7 +74,7 @@ from .symalg import (
     nullspace,
     solve_linear,
 )
-from .tanlift import cotangent_patch, tangent_map, tangent_patch
+from .tanlift import tangent_map, tangent_patch
 
 
 @dataclass(frozen=True)
@@ -151,32 +153,28 @@ class GroupoidPatch:
         return _algebroid_on(self, ExprMatrix(self.base, self._frame).transpose(), self._fields)
 
     @cached_property
-    def _cotangent(self) -> tuple[PolyMap, PolyMap]:
-        """Source and target of the cotangent groupoid (see ``cotangent_source_target``)."""
-        dual = dual_patch(self._algebroid)
-        ct = cotangent_patch(self.total).total
-        n_total = self.total.dim
-        gp = [Expr.coord(ct, c) for c in ct.coords[:n_total]]
-        xi = [Expr.coord(ct, c) for c in ct.coords[n_total:]]
+    def _fibre_rows(self) -> tuple[tuple[tuple[Expr, ...], ...], tuple[tuple[Expr, ...], ...]]:
+        """Rows on the arrow chart that pair a covector at g into A*: the source's, then the target's.
 
-        # target: the right translates of the kernel frame are the right-invariant fields
-        x_t = [comp.inject(ct) for comp in self.tgt.components]
-        t_fiber = _matvec([[comp.inject(ct) for comp in field.components] for field in self._fields], xi, ct)
-
-        # source: left-translate target-horizontal corrections of the frame at eps(s(g))
-        x_s = [comp.inject(ct) for comp in self.src.components]
-        eps_s = self.unit.apply(x_s, ct)
-        jt_eps = _subst_matrix(self._jacobians["tgt"], eps_s, ct)
-        jeps = _subst_matrix(self._jacobians["unit"], x_s, ct)
-        translate = _tangent_product(self, chart_params(self, gp, eps_s, ct, TranslationNotDerivable), ct, *_TRANSLATION)
-        zero = [Expr.zero(ct)] * n_total
-        translated = []
+        The target's rows are the right-invariant fields; the source's are the
+        left translates of the target-horizontal frame corrections at eps(s(g)).
+        """
+        # the right-invariant fields come first, so a chart fault is named as they name it
+        t_rows = tuple(field.components for field in self._fields)
+        total = self.total
+        x_s = list(self.src.components)
+        eps_s = self.unit.apply(x_s, total)
+        jt_eps = _subst_matrix(self._jacobians["tgt"], eps_s, total)
+        jeps = _subst_matrix(self._jacobians["unit"], x_s, total)
+        gp = [Expr.coord(total, c) for c in total.coords]
+        translate = _tangent_product(self, chart_params(self, gp, eps_s, total, TranslationNotDerivable), total, *_TRANSLATION)
+        zero = [Expr.zero(total)] * total.dim
+        s_rows = []
         for vec in self._frame:
-            vec = [comp.substitute(x_s, ct) for comp in vec]
-            correction = _matvec(jeps, _matvec(jt_eps, vec, ct), ct)
-            translated.append(translate(zero, [u - w for u, w in zip(vec, correction)]))
-        s_fiber = _matvec(translated, xi, ct)
-        return PolyMap(ct, dual, tuple(x_s + s_fiber)), PolyMap(ct, dual, tuple(x_t + t_fiber))
+            vec = [comp.substitute(x_s, total) for comp in vec]
+            correction = _matvec(jeps, _matvec(jt_eps, vec, total), total)
+            s_rows.append(tuple(translate(zero, [u - w for u, w in zip(vec, correction)])))
+        return tuple(s_rows), t_rows
 
     @cached_property
     def _translations(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
@@ -447,11 +445,6 @@ def heisenberg3() -> GroupoidPatch:
 # -- the algebroid of a groupoid ----------------------------------------------------------------
 
 
-def algebroid_frame(g: GroupoidPatch) -> list[list[Expr]]:
-    """Frame of the source-map kernel along units, as vectors over the base."""
-    return [list(vec) for vec in g._frame]
-
-
 def _right_invariant_fields(g: GroupoidPatch, basis) -> list[VField]:
     """Extend kernel-frame vectors to the whole chart by right translation."""
     total = g.total
@@ -497,19 +490,6 @@ def _algebroid_on(g: GroupoidPatch, frame_matrix: ExprMatrix, fields) -> Algebro
                 comps.append(v.as_expr())
             brackets[(a, b)] = tuple(comps)
     return algebroid(m, anchors, brackets)
-
-
-# -- cotangent groupoid -------------------------------------------------------------------------
-
-
-def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
-    """Source and target of the cotangent groupoid, onto the dual algebroid chart.
-
-    The source pairs a covector with left translates of target-horizontal
-    kernel vectors; the target pairs it with right translates of the kernel
-    frame itself.
-    """
-    return g._cotangent
 
 
 def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch, message: str, exc):
@@ -610,9 +590,9 @@ def _end(g: GroupoidPatch, side: int, point: Sequence[Expr], ppatch: Patch):
     fibre value of a in A*.
     """
     jac = _subst_matrix(g._jacobians[("src", "tgt")[side]], point, ppatch)
-    fibre = g._cotangent[side]
-    n, n_total = g.base.dim, g.total.dim
-    return lambda xa: _matvec(jac, xa[:n_total], ppatch) + fibre.apply(list(point) + list(xa[n_total:]), ppatch)[n:]
+    fibre = _subst_matrix(g._fibre_rows[side], point, ppatch)
+    n_total = g.total.dim
+    return lambda xa: _matvec(jac, xa[:n_total], ppatch) + _matvec(fibre, xa[n_total:], ppatch)
 
 
 def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
@@ -717,10 +697,11 @@ def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:
 def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GSec]]) -> Report:
     """Pairing additivity and bracket compatibility on related section triples."""
     chart = g.comp_chart
-    n, n_total = g.base.dim, g.total.dim
+    n_total = g.total.dim
     compose = _product(g, None, chart, "tangent parts are not composable", NotComposable)
     g_pt, h_pt, mul_pt = (list(f.components) for f in (g.g_of, g.h_of, g.mul))
-    s_end, t_end = _end(g, 0, g_pt, chart), _end(g, 1, h_pt, chart)
+    # the fibre halves of the source and target ends at the two factors
+    s_fibre, t_fibre = (_subst_matrix(rows, pt, chart) for rows, pt in zip(g._fibre_rows, (g_pt, h_pt)))
     zero = [Expr.zero(chart)] * n_total
 
     def unrelated(trio) -> str | None:
@@ -729,7 +710,7 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
         x1, a1 = _section_values(left, g_pt, chart)
         x2, a2 = _section_values(right, h_pt, chart)
         x0, a0 = _section_values(total, mul_pt, chart)
-        ends = _first_difference(s_end(x1 + a1)[n:], t_end(x2 + a2)[n:])
+        ends = _first_difference(_matvec(s_fibre, a1, chart), _matvec(t_fibre, a2, chart))
         # covectors whose ends differ have no product: multiply the tangent parts alone
         try:
             xa = compose(x1 + (a1 if ends is None else zero), x2 + (a2 if ends is None else zero))

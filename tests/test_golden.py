@@ -42,7 +42,14 @@ from test_courant import gsec
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CHECK_FILES = sorted(p.stem for p in GOLDEN.glob("*.check"))
 # exit code of each golden check file: 1 when some check fails, 2 on an error
-EXIT_CODES = {"algebroid_witnesses": 1, "deep_nesting": 2, "dirac_witnesses": 1, "groupoid_witnesses": 1, "rank_deficient": 2}
+EXIT_CODES = {
+    "algebroid_witnesses": 1,
+    "cotangent_chart": 1,
+    "deep_nesting": 2,
+    "dirac_witnesses": 1,
+    "groupoid_witnesses": 1,
+    "rank_deficient": 2,
+}
 
 
 def _run_cli(argv):

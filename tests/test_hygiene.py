@@ -85,8 +85,6 @@ def test_private_module_names_are_referenced():
 
 # public names the package defines without calling them itself, each with its reason
 UNCALLED_PUBLIC = {
-    "algebroid_frame": "documented API; the benchmark's span counters name it",
-    "cotangent_source_target": "documented API; the benchmark's span counters name it",
     "legendre_map": "ROADMAP item 3 (L_A, the Lie functor on Dirac structures) gives it its first caller",
     "same_span": "ROADMAP item 3 (L_A, the Lie functor on Dirac structures) gives it its first caller",
 }
