@@ -11,7 +11,7 @@ identically on the chart.  The submodules layer as
 - algebroid: anchored brackets, duals, bialgebroids, infinitesimal data
 - groupoid: polynomial groupoids, translations, multiplicative structures
 - suite: the built-in example library run by the command line tool
-- cli: check-file parser and report emission
+- cli: the check-file language (grammar, evaluator, parse_expr), runner and reports
 """
 
 __version__ = "0.1.0"

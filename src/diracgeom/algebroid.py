@@ -194,12 +194,8 @@ def check_lie_algebroid(a: AlgebroidPatch) -> Report:
 
 
 def dual_patch(a: AlgebroidPatch) -> Patch:
-    """Total patch of the dual bundle: base coordinates then xi_1..xi_r."""
-    fiber = tuple(f"xi_{i + 1}" for i in range(a.rank))
-    clash = set(fiber) & set(a.base.coords)
-    if clash:
-        raise WrongShape(f"dual fiber names collide with base coordinates: {sorted(clash)}")
-    return Patch(a.base.name + "_dual", a.base.coords + fiber)
+    """Total patch of the dual bundle: base coordinates, then the first r names xi_k the base leaves free."""
+    return Patch(a.base.name + "_dual", a.base.coords + tuple(fresh_names("xi_", a.rank, a.base.coords)))
 
 
 def dual_linear_poisson(a: AlgebroidPatch) -> Bivector:
@@ -213,7 +209,7 @@ def dual_linear_poisson(a: AlgebroidPatch) -> Bivector:
             rho = a.anchor[fa].components[i].inject(total)
             if not rho.is_zero():
                 entries[(i, n + fa)] = rho
-    xi = [Expr.coord(total, f"xi_{k + 1}") for k in range(r)]
+    xi = [Expr.coord(total, name) for name in total.coords[n:]]
     for fa in range(r):
         for fb in range(fa + 1, r):
             acc = -dot(total, ((c.inject(total), x) for c, x in zip(a.structure[fa][fb], xi) if c.terms))

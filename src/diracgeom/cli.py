@@ -11,10 +11,11 @@ A check file is line oriented:
 
 ``let`` binds a name to a value; ``check`` runs a named verification on
 previously bound values (or inline constructor calls).  Expressions follow
-the grammar in ``symalg``, which ``symalg.parse_expr`` reads too;
-``dx``/``Dx`` inside a literal denote the coordinate one-form and coordinate
-vector field of a declared patch.  A literal binds to the first declared
-patch whose coordinates cover every free symbol it mentions.
+the grammar of the "grammar" section below; ``dx``/``Dx`` inside a literal
+denote the coordinate one-form and coordinate vector field of a declared
+patch.  A literal binds to the first declared patch whose coordinates cover
+every free symbol it mentions.  ``parse_expr`` evaluates one line as a scalar
+through the same evaluator, so with the same limits and refusals.
 
 Reports are deterministic: repeated runs of the same file emit identical
 bytes.  Timings are measured per check but never serialized.
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import suite as _suite
 from .algebroid import (
     AlgebroidPatch,
     IMTwoForm,
@@ -53,7 +54,7 @@ from .courant import (
     graph_bivector,
     graph_two_form,
 )
-from .errors import CheckError, EngineError, ParseError, UnknownReference
+from .errors import CheckError, EngineError, ExprSyntaxError, ParseError, UnknownReference, UnknownSymbol
 from .groupoid import (
     GroupoidPatch,
     abelian_group,
@@ -69,23 +70,160 @@ from .groupoid import (
     tangent_groupoid,
 )
 from .report import CheckItem, Report
-from .symalg import (
-    _NAME_RE,
-    DIVISION_REFUSAL,
-    BinOp,
-    Call,
-    Expr,
-    IntLit,
-    Name,
-    Neg,
-    Patch,
-    _Line,
-    _parse_expr,
-    _parse_unary,
-    _print_expr,
-    bounded_power,
-)
+from .symalg import _NAME_RE, Expr, Patch
 from .tanlift import check_tangent_mu_identity, tangent_lift_dirac
+
+# largest exponent, and largest degree of a power, that an expression takes;
+# powers are taken by repeated multiplication
+MAX_EXPONENT = 64
+
+# the refusal of a divisor that is zero or not constant
+DIVISION_REFUSAL = "division is only defined by a nonzero number"
+
+
+# -- grammar ----------------------------------------------------------------------------
+# One grammar for check files and ``parse_expr``:
+#   expr    := term (('+' | '-') term)*       term   := unary (('*' | '/') unary)*
+#   unary   := '-' unary | factor             factor := primary ('^' primary)*
+#   primary := integer | name | name '(' [expr (',' expr)*] ')' | '(' expr ')'
+
+
+@dataclass(frozen=True)
+class Name:
+    id: str
+
+
+@dataclass(frozen=True)
+class IntLit:
+    value: int
+
+
+@dataclass(frozen=True)
+class Call:
+    fn: str
+    args: tuple
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: object
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str
+    left: object
+    right: object
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+
+
+def _print_expr(node, parent_prec: int = 0) -> str:
+    if isinstance(node, Name):
+        return node.id
+    if isinstance(node, IntLit):
+        return str(node.value)
+    if isinstance(node, Call):
+        return node.fn + "(" + ", ".join(_print_expr(a) for a in node.args) + ")"
+    if isinstance(node, Neg):
+        inner = _print_expr(node.operand, 3)
+        out = "-" + inner
+        return f"({out})" if parent_prec >= 3 else out
+    if isinstance(node, BinOp):
+        prec = _PREC[node.op]
+        left = _print_expr(node.left, prec - 1)
+        right = _print_expr(node.right, prec)
+        out = f"{left} {node.op} {right}" if prec == 1 else f"{left}{node.op}{right}"
+        return f"({out})" if parent_prec >= prec else out
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()+\-*/^,=]|\S")
+
+
+class _Line:
+    def __init__(self, text: str, number: int):
+        self.number = number
+        # (token, column) pairs of the text before any '#'
+        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text.split("#", 1)[0])]
+        # errors at the end of the line point just after the last token
+        self.end = self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
+        # set for check arguments, where `L (1)` is two arguments and `f(1)` a call
+        self.calls_must_touch = False
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        if self.pos >= len(self.tokens):
+            self.fail("unexpected end of line")
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok[0]
+
+    def expect(self, want: str):
+        if self.peek() != want:
+            found = "end of line" if self.peek() is None else f"'{self.peek()}'"
+            self.fail(f"expected '{want}', found {found}")
+        self.next()
+
+    def fail(self, message: str):
+        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.end
+        raise ParseError(f"line {self.number}, column {col}: {message}")
+
+
+def _parse_left_assoc(line: _Line, ops: tuple[str, ...], operand):
+    node = operand(line)
+    while line.peek() in ops:
+        op = line.next()
+        node = BinOp(op, node, operand(line))
+    return node
+
+
+def _parse_expr(line: _Line):
+    return _parse_left_assoc(line, ("+", "-"), _parse_term)
+
+
+def _parse_term(line: _Line):
+    return _parse_left_assoc(line, ("*", "/"), _parse_unary)
+
+
+def _parse_unary(line: _Line):
+    if line.peek() == "-":
+        line.next()
+        return Neg(_parse_unary(line))
+    return _parse_left_assoc(line, ("^",), _parse_primary)
+
+
+def _parse_primary(line: _Line):
+    tok = line.peek()
+    if tok is None:
+        line.fail("expected an expression, found end of line")
+    if tok == "(":
+        line.next()
+        node = _parse_expr(line)
+        line.expect(")")
+        return node
+    if tok.isdigit():
+        line.next()
+        return IntLit(int(tok))
+    if _NAME_RE.fullmatch(tok):
+        name_end = line.tokens[line.pos][1] + len(tok)
+        line.next()
+        if line.peek() == "(" and (line.tokens[line.pos][1] == name_end or not line.calls_must_touch):
+            line.next()
+            args = []
+            if line.peek() != ")":
+                args.append(_parse_expr(line))
+                while line.peek() == ",":
+                    line.next()
+                    args.append(_parse_expr(line))
+            line.expect(")")
+            return Call(tok, tuple(args))
+        return Name(tok)
+    line.fail(f"unexpected token '{tok}'")
 
 
 # -- statements --------------------------------------------------------------------------
@@ -238,6 +376,24 @@ def _scale(value, factor):
     return value.scale(c)
 
 
+def bounded_power(base, k: int):
+    """``base ** k`` for a polynomial or rational ``base``; raises ``CheckError`` when the
+    exponent, the degree of the result or the bit length of its coefficients is too large."""
+    if isinstance(base, Expr):
+        degree, coeffs = max(base.degree(), 0), base.terms.values()
+    else:
+        base = Fraction(base)
+        degree, coeffs = 0, (base,)
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
+    if k > MAX_EXPONENT:
+        raise CheckError(f"exponent {k} is above the limit of {MAX_EXPONENT}")
+    if degree * k > MAX_EXPONENT:
+        raise CheckError(f"a power of degree {degree * k} is above the limit of {MAX_EXPONENT}")
+    if bits * k > 64 * MAX_EXPONENT:
+        raise CheckError(f"a power with {bits * k}-bit coefficients is above the limit of {64 * MAX_EXPONENT} bits")
+    return base ** k
+
+
 def _eval_binop(node, lv, rv):
     op = node.op
     if op in ("+", "-"):
@@ -280,7 +436,7 @@ def _eval_binop(node, lv, rv):
         if isinstance(lv, (int, Fraction, Expr)) and isinstance(rv, int):
             if rv < 0:
                 raise CheckError("negative powers are not defined for polynomials")
-            return bounded_power(lv, rv, CheckError)
+            return bounded_power(lv, rv)
         if isinstance(lv, KForm) and isinstance(rv, KForm):
             return wedge(lv, rv)
         if isinstance(lv, VField) and isinstance(rv, VField):
@@ -348,6 +504,31 @@ def _evaluate_argument(node, env):
     _free_names(node, env, free)
     patch = _bind_patch(free, env)
     return _eval(node, env, patch)
+
+
+def parse_expr(text: str, patch: Patch) -> Expr:
+    """The polynomial one line of the language gives on ``patch``, evaluated as a ``let`` is.
+
+    A name that is neither a coordinate nor a constructor raises ``UnknownSymbol``; any
+    other refusal, and a value that is not a scalar, raises ``ExprSyntaxError``.
+    """
+    line = _Line(text, 1)
+    try:
+        node = _parse_expr(line)
+        if line.peek() is not None:
+            line.fail("trailing tokens after the expression")
+        value = _eval(node, {}, patch)
+    except UnknownReference as exc:
+        raise UnknownSymbol(str(exc)) from None
+    except EngineError as exc:
+        raise ExprSyntaxError(str(exc)) from None
+    except RecursionError:
+        raise ExprSyntaxError("the expression nests too deeply") from None
+    if isinstance(value, (int, Fraction)):
+        return Expr.const(patch, value)
+    if not isinstance(value, Expr):
+        raise ExprSyntaxError(f"the expression is a {_type_name(value)}, not a scalar")
+    return value
 
 
 CONSTRUCTORS: dict[str, tuple[tuple, bool, Callable]] = {
@@ -470,8 +651,11 @@ def run_checkfile(path: str) -> RunReport:
 
 
 def run_builtin_suite() -> RunReport:
+    # imported here, not at the top: the suite builds its examples with this module's parse_expr
+    from . import suite
+
     results = []
-    for name, build in _suite.SUITE:
+    for name, build in suite.SUITE:
         start = time.monotonic()
         report = build()
         results.append(_result(name, report, time.monotonic() - start))

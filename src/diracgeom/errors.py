@@ -12,7 +12,7 @@ class UnknownSymbol(EngineError):
 
 
 class ExprSyntaxError(EngineError):
-    """A scalar expression string does not match the expression grammar."""
+    """A scalar expression string does not parse, or does not evaluate to a polynomial."""
 
 
 class PatchMismatch(EngineError):

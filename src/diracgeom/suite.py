@@ -34,6 +34,7 @@ from .cartan import (
     pullback_form,
     schouten_jacobiator,
 )
+from .cli import parse_expr
 from .courant import (
     GSec,
     bfield_transform,
@@ -59,7 +60,7 @@ from .groupoid import (
     tangent_groupoid,
 )
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, _combine, in_span, parse_expr
+from .symalg import Expr, ExprMatrix, Patch, _combine, in_span
 from .tanlift import (
     canonical_involution,
     check_tangent_mu_identity,

@@ -38,9 +38,6 @@ exponent tuples, turns coefficients into ``Fraction`` and drops zeros, and is
 the boundary for input from outside the kernel.  Kernel results whose term
 map is canonical by construction are built by ``Expr._trusted``, which takes
 the dict as given.
-
-The expression grammar of check files lives here too, and ``parse_expr``
-evaluates it as a scalar.  Both take powers through ``bounded_power``.
 """
 
 from __future__ import annotations
@@ -53,22 +50,15 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ExprSyntaxError, Inconsistent, ParseError, PatchMismatch, UnknownSymbol, WrongShape
+from .errors import Inconsistent, PatchMismatch, UnknownSymbol, WrongShape
 
 Scalar = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# largest exponent, and largest degree of a power, that ``parse_expr`` and check
-# files take; powers are taken by repeated multiplication
-MAX_EXPONENT = 64
-
 # most coordinates a patch may have; every chart and lift is a patch, so nothing
 # built from user input grows past it
 MAX_DIMENSION = 128
-
-# the refusal of a divisor that is zero or not constant, in ``parse_expr`` and check files
-DIVISION_REFUSAL = "division is only defined by a nonzero number"
 
 
 @dataclass(frozen=True)
@@ -413,205 +403,6 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self})"
-
-
-# -- parsing -------------------------------------------------------------------
-# One grammar for ``parse_expr`` and the check files of ``cli``:
-#   expr    := term (('+' | '-') term)*       term   := unary (('*' | '/') unary)*
-#   unary   := '-' unary | factor             factor := primary ('^' primary)*
-#   primary := integer | name | name '(' [expr (',' expr)*] ')' | '(' expr ')'
-
-
-@dataclass(frozen=True)
-class Name:
-    id: str
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def _print_expr(node, parent_prec: int = 0) -> str:
-    if isinstance(node, Name):
-        return node.id
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, Call):
-        return node.fn + "(" + ", ".join(_print_expr(a) for a in node.args) + ")"
-    if isinstance(node, Neg):
-        inner = _print_expr(node.operand, 3)
-        out = "-" + inner
-        return f"({out})" if parent_prec >= 3 else out
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        left = _print_expr(node.left, prec - 1)
-        right = _print_expr(node.right, prec)
-        out = f"{left} {node.op} {right}" if prec == 1 else f"{left}{node.op}{right}"
-        return f"({out})" if parent_prec >= prec else out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()+\-*/^,=]|\S")
-
-
-class _Line:
-    def __init__(self, text: str, number: int):
-        self.number = number
-        # (token, column) pairs of the text before any '#'
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text.split("#", 1)[0])]
-        # errors at the end of the line point just after the last token
-        self.end = self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
-        # set for check arguments, where `L (1)` is two arguments and `f(1)` a call
-        self.calls_must_touch = False
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        if self.pos >= len(self.tokens):
-            self.fail("unexpected end of line")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok[0]
-
-    def expect(self, want: str):
-        if self.peek() != want:
-            found = "end of line" if self.peek() is None else f"'{self.peek()}'"
-            self.fail(f"expected '{want}', found {found}")
-        self.next()
-
-    def fail(self, message: str):
-        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.end
-        raise ParseError(f"line {self.number}, column {col}: {message}")
-
-
-def _parse_left_assoc(line: _Line, ops: tuple[str, ...], operand):
-    node = operand(line)
-    while line.peek() in ops:
-        op = line.next()
-        node = BinOp(op, node, operand(line))
-    return node
-
-
-def _parse_expr(line: _Line):
-    return _parse_left_assoc(line, ("+", "-"), _parse_term)
-
-
-def _parse_term(line: _Line):
-    return _parse_left_assoc(line, ("*", "/"), _parse_unary)
-
-
-def _parse_unary(line: _Line):
-    if line.peek() == "-":
-        line.next()
-        return Neg(_parse_unary(line))
-    return _parse_left_assoc(line, ("^",), _parse_primary)
-
-
-def _parse_primary(line: _Line):
-    tok = line.peek()
-    if tok is None:
-        line.fail("expected an expression, found end of line")
-    if tok == "(":
-        line.next()
-        node = _parse_expr(line)
-        line.expect(")")
-        return node
-    if tok.isdigit():
-        line.next()
-        return IntLit(int(tok))
-    if _NAME_RE.fullmatch(tok):
-        name_end = line.tokens[line.pos][1] + len(tok)
-        line.next()
-        if line.peek() == "(" and (line.tokens[line.pos][1] == name_end or not line.calls_must_touch):
-            line.next()
-            args = []
-            if line.peek() != ")":
-                args.append(_parse_expr(line))
-                while line.peek() == ",":
-                    line.next()
-                    args.append(_parse_expr(line))
-            line.expect(")")
-            return Call(tok, tuple(args))
-        return Name(tok)
-    line.fail(f"unexpected token '{tok}'")
-
-
-def bounded_power(base, k: int, exc: type[Exception]):
-    """``base ** k`` for a polynomial or rational ``base``; raises ``exc`` when the
-    exponent, the degree of the result or the bit length of its coefficients is too large."""
-    if isinstance(base, Expr):
-        degree, coeffs = max(base.degree(), 0), base.terms.values()
-    else:
-        base = Fraction(base)
-        degree, coeffs = 0, (base,)
-    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
-    if k > MAX_EXPONENT:
-        raise exc(f"exponent {k} is above the limit of {MAX_EXPONENT}")
-    if degree * k > MAX_EXPONENT:
-        raise exc(f"a power of degree {degree * k} is above the limit of {MAX_EXPONENT}")
-    if bits * k > 64 * MAX_EXPONENT:
-        raise exc(f"a power with {bits * k}-bit coefficients is above the limit of {64 * MAX_EXPONENT} bits")
-    return base ** k
-
-
-def _eval_scalar(node, patch: Patch) -> Expr:
-    if isinstance(node, IntLit):
-        return Expr.const(patch, node.value)
-    if isinstance(node, Name):
-        return Expr.coord(patch, node.id)
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.operand, patch)
-    if isinstance(node, BinOp):
-        left = _eval_scalar(node.left, patch)
-        if node.op == "^":
-            if not isinstance(node.right, IntLit):
-                raise ExprSyntaxError("exponent must be a natural number")
-            return bounded_power(left, node.right.value, ExprSyntaxError)
-        right = _eval_scalar(node.right, patch)
-        if node.op == "/":
-            if right.degree() != 0:
-                raise ExprSyntaxError(DIVISION_REFUSAL)
-            return left * Expr.const(patch, 1 / right.constant_value())
-        return {"+": operator.add, "-": operator.sub, "*": operator.mul}[node.op](left, right)
-    raise ExprSyntaxError(f"'{node.fn}(...)' is not a scalar")
-
-
-def parse_expr(text: str, patch: Patch) -> Expr:
-    """Parse a polynomial in the patch coordinates, written in the check-file grammar."""
-    line = _Line(text, 1)
-    try:
-        node = _parse_expr(line)
-        if line.peek() is not None:
-            line.fail("trailing tokens after the expression")
-        return _eval_scalar(node, patch)
-    except ParseError as exc:
-        raise ExprSyntaxError(str(exc)) from None
-    except RecursionError:
-        raise ExprSyntaxError("the expression nests too deeply") from None
 
 
 # -- rational functions ----------------------------------------------------------

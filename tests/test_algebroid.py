@@ -29,6 +29,7 @@ from diracgeom.algebroid import (
     tangent_lift_algebroid,
 )
 from diracgeom.cartan import Bivector, KForm, VField, exterior_derivative, lie_bracket, lie_derivative, schouten_jacobiator, wedge
+from diracgeom.cli import parse_expr
 from diracgeom.courant import Frame, GSec, check_dirac, check_lagrangian, foliation_frame, graph_bivector, graph_two_form
 from diracgeom.errors import (
     AnchorNotTangent,
@@ -44,7 +45,7 @@ from diracgeom.errors import (
 )
 from diracgeom.groupoid import abelian_group, heisenberg3, lie_algebroid_of, pair_groupoid
 from diracgeom.report import CheckItem, Report
-from diracgeom.symalg import Expr, Patch, dot, fresh_names, generic_rank, parse_expr
+from diracgeom.symalg import Expr, Patch, dot, fresh_names, generic_rank
 
 from test_cartan import one_form, vf
 from test_symalg import rand_expr

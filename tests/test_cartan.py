@@ -24,9 +24,9 @@ from diracgeom.cartan import (
     wedge,
     wedge_fields,
 )
-from diracgeom.cli import _type_name
+from diracgeom.cli import _type_name, parse_expr
 from diracgeom.errors import DegreeTooHigh, DegreeZero, PatchMismatch
-from diracgeom.symalg import Expr, Patch, dot, parse_expr
+from diracgeom.symalg import Expr, Patch, dot
 from diracgeom.tanlift import lift_function, tangent_patch
 
 from test_symalg import rand_expr

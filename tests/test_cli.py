@@ -12,8 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracgeom import cli, suite
+from diracgeom.algebroid import dual_patch, tangent_bundle_algebroid
 from diracgeom.cartan import KForm
 from diracgeom.cli import (
+    DIVISION_REFUSAL,
+    MAX_EXPONENT,
     BinOp,
     Call,
     CheckFile,
@@ -23,15 +26,17 @@ from diracgeom.cli import (
     Name,
     Neg,
     RunReport,
+    _print_expr,
     emit_report,
     main,
     parse_checkfile,
+    parse_expr,
     run_builtin_suite,
     run_checkfile,
     run_checks,
 )
-from diracgeom.errors import CheckError, EngineError, ParseError, UnknownReference
-from diracgeom.symalg import DIVISION_REFUSAL, MAX_DIMENSION, MAX_EXPONENT, Expr, Patch, _print_expr, parse_expr
+from diracgeom.errors import CheckError, EngineError, ExprSyntaxError, ParseError, UnknownReference, UnknownSymbol
+from diracgeom.symalg import MAX_DIMENSION, Expr, Patch
 
 SAMPLE = """\
 # a closed two-form on the plane
@@ -206,6 +211,92 @@ def test_integral_exponents_in_check_files():
     ]:
         with pytest.raises(CheckError, match=f"^{re.escape(message)}$"):
             _let_value_raw(text)
+
+
+# number texts: integers combined by + - * / and unary minus, each compound one in parentheses,
+# so that it can stand as an exponent or a divisor
+NUMBER_TEXTS = st.recursive(
+    st.integers(0, 4).map(str),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(lambda t: f"({''.join(t)})"),
+        inner.map(lambda t: f"(-{t})"),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def patch_and_scalar_text(draw):
+    """A patch of 2 or 3 coordinates and a scalar text over them, with number texts as exponents and divisors."""
+    coords = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    text = draw(
+        st.recursive(
+            st.one_of(st.integers(0, 9).map(str), st.sampled_from(coords)),
+            lambda inner: st.one_of(
+                st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+                inner.map(lambda t: f"-{t}"),
+                st.tuples(inner, NUMBER_TEXTS).map(lambda t: f"({t[0]})^{t[1]}"),
+                st.tuples(inner, NUMBER_TEXTS).map(lambda t: f"({t[0]})/{t[1]}"),
+            ),
+            max_leaves=6,
+        )
+    )
+    return Patch("M", coords), text
+
+
+def _value_or_refusal(evaluate):
+    try:
+        return evaluate()
+    except EngineError as exc:
+        return str(exc)
+
+
+def _bound_by_let(patch, text):
+    """The value ``let f = <text>`` binds in a check file after ``let M = patch(...)``."""
+    _, bind = parse_checkfile(f"let M = patch({', '.join(patch.coords)})\nlet f = {text}\n").statements
+    value = cli._evaluate_argument(bind.value, {"M": patch})
+    return value if isinstance(value, Expr) else Expr.const(patch, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(patch_and_scalar_text())
+@example((XYZ, "x^(1+1)"))
+@example((XYZ, "x^(2*1)"))
+@example((XYZ, "x^(4/2)"))
+@example((XYZ, "(x + y)/(1+1)"))
+@example((XYZ, "x/(2-2)"))
+@example((XYZ, "x^(1/2)"))
+def test_parse_expr_is_the_check_file_evaluator(case):
+    # the same value, or the same refusal text, for every scalar text
+    patch, text = case
+    assert _value_or_refusal(lambda: parse_expr(text, patch)) == _value_or_refusal(lambda: _bound_by_let(patch, text))
+
+
+XY = Patch("M", ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("x^(1/2)", ExprSyntaxError),
+        ("x^(-2)", ExprSyntaxError),
+        ("x^y", ExprSyntaxError),
+        ("1/0", ExprSyntaxError),
+        ("x^65", ExprSyntaxError),
+        ("(x^2)^33", ExprSyntaxError),
+        ("x +", ExprSyntaxError),
+        ("z", UnknownSymbol),
+        ("f(x)", UnknownSymbol),
+        # a form, a vector field and a frame are values, but not scalars
+        ("dx", ExprSyntaxError),
+        ("Dx", ExprSyntaxError),
+        ("graph_two_form(dx^dy)", ExprSyntaxError),
+    ],
+)
+def test_parse_expr_refusals(text, error):
+    with pytest.raises(EngineError) as err:
+        parse_expr(text, XY)
+    assert type(err.value) is error
 
 
 def test_parse_errors_carry_positions():
@@ -524,6 +615,22 @@ def test_third_tangent_groupoid_passes_its_axioms(tmp_path, capsys):
     text = "let G = tangent_groupoid(tangent_groupoid(tangent_groupoid(heisenberg3())))\ncheck groupoid_axioms G\n"
     assert main(["verify", write(tmp_path, text)]) == 0
     assert capsys.readouterr().out == "pass  groupoid_axioms G\nsummary: 1 passed, 0 failed\n"
+
+
+def test_dual_chart_avoids_base_coordinate_names(tmp_path, capsys):
+    # the fibre of the dual takes the xi_k names the base leaves free, here xi_2 and xi_3
+    text = (
+        "let M = patch(xi_1, y)\n"
+        "check dirac graph_bivector(dual_linear_poisson(tangent_bundle_algebroid(M)))\n"
+        "check linearity graph_bivector(dual_linear_poisson(tangent_bundle_algebroid(M))) 2\n"
+    )
+    assert main(["verify", write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == (
+        "pass  dirac graph_bivector(dual_linear_poisson(tangent_bundle_algebroid(M)))\n"
+        "pass  linearity graph_bivector(dual_linear_poisson(tangent_bundle_algebroid(M))) 2\n"
+        "summary: 2 passed, 0 failed\n"
+    )
+    assert dual_patch(tangent_bundle_algebroid(Patch("M", ("xi_1", "y")))).coords == ("xi_1", "y", "xi_2", "xi_3")
 
 
 def test_failed_suite_ground_truth_exits_2(monkeypatch, capsys):

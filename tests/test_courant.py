@@ -1,8 +1,11 @@
 """Courant algebra: pairing, bracket, graphs, foliations, Dirac checks."""
 
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diracgeom.cartan import (
     Bivector,
@@ -12,6 +15,7 @@ from diracgeom.cartan import (
     schouten_jacobiator,
     wedge,
 )
+from diracgeom.cli import parse_expr
 from diracgeom.courant import (
     DiracReport,
     Frame,
@@ -28,9 +32,9 @@ from diracgeom.courant import (
     pairing,
     same_span,
 )
-from diracgeom.errors import NotLagrangian
+from diracgeom.errors import NotLagrangian, RankDeficient
 from diracgeom.report import Report
-from diracgeom.symalg import Expr, Patch, parse_expr
+from diracgeom.symalg import Expr, Patch
 
 from test_cartan import one_form, rand_expr, rand_form, rand_vf, so3_poisson, vf
 
@@ -360,6 +364,69 @@ def test_dirac_iff_involutive_foliation():
     rep = check_dirac(bad)
     assert not rep.passed
     assert "mu[" in rep.witness
+
+
+# -- invariances of the Dirac verdict ----------------------------------------------
+# Whether a frame spans a Dirac structure depends on the span alone, in any coordinates:
+# permuting the coordinates, reordering the sections or scaling one by a non-zero
+# polynomial keeps the verdict, though not the witness.
+
+COORDS = ("x", "y", "z", "u")
+
+
+def _polynomials(patch):
+    """Polynomials of degree at most 2 with up to three small integer terms."""
+    # x_a * x_b for a <= b, where the index dim stands for the factor 1
+    pairs = combinations_with_replacement(range(patch.dim + 1), 2)
+    exponents = [tuple(int(i == a) + int(i == b) for i in range(patch.dim)) for a, b in pairs]
+    return st.dictionaries(st.sampled_from(exponents), st.integers(-2, 2), max_size=3).map(lambda t: Expr(patch, t))
+
+
+@st.composite
+def dirac_candidates(draw):
+    """The graph of a two-form (a third of them exact) or of a bivector, or a foliation frame, on 2-4 coordinates."""
+    patch = Patch("M", COORDS[: draw(st.integers(2, 4))])
+    n, poly = patch.dim, _polynomials(patch)
+    kind = draw(st.sampled_from(["two_form", "bivector", "foliation"]))
+    if kind == "two_form":
+        if draw(st.integers(0, 2)) == 0:
+            return graph_two_form(exterior_derivative(KForm.one_form(patch, [draw(poly) for _ in range(n)])))
+        return graph_two_form(KForm(patch, 2, {ij: draw(poly) for ij in combinations(range(n), 2)}))
+    if kind == "bivector":
+        return graph_bivector(Bivector(patch, {ij: draw(poly) for ij in combinations(range(n), 2)}))
+    fields = [VField(patch, tuple(draw(poly) for _ in range(n))) for _ in range(draw(st.sampled_from(range(1, n))))]
+    try:
+        return foliation_frame(fields)
+    except RankDeficient:
+        assume(False)
+
+
+def _permuted(l: Frame, perm) -> Frame:
+    """``l`` on the patch whose i-th coordinate is coordinate perm[i] of ``l.patch``, components moved to match."""
+    patch = Patch(l.patch.name, tuple(l.patch.coords[p] for p in perm))
+
+    def move(e):
+        return Expr(patch, {tuple(exps[p] for p in perm): c for exps, c in e.terms.items()})
+
+    def section(s):
+        forms = s.of.components()
+        return GSec(VField(patch, tuple(move(s.vf.components[p]) for p in perm)), KForm.one_form(patch, [move(forms[p]) for p in perm]))
+
+    return Frame(patch, tuple(section(s) for s in l.secs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_dirac_verdict_is_invariant(data):
+    l = data.draw(dirac_candidates())
+    verdict = check_dirac(l).passed
+    n, k = l.patch.dim, len(l.secs)
+    assert check_dirac(_permuted(l, data.draw(st.permutations(range(n))))).passed is verdict
+    order = data.draw(st.permutations(range(k)))
+    assert check_dirac(Frame(l.patch, tuple(l.secs[i] for i in order))).passed is verdict
+    i = data.draw(st.integers(0, k - 1))
+    f = data.draw(_polynomials(l.patch).filter(lambda e: not e.is_zero()))
+    assert check_dirac(Frame(l.patch, l.secs[:i] + (l.secs[i].scale(f),) + l.secs[i + 1 :])).passed is verdict
 
 
 def test_dirac_report_shape():

@@ -22,6 +22,7 @@ from diracgeom.algebroid import (
     tangent_lift_algebroid,
 )
 from diracgeom.cartan import Bivector, KForm, PolyMap, VField, exterior_derivative, pullback_form
+from diracgeom.cli import parse_expr
 from diracgeom.courant import (
     Frame,
     GSec,
@@ -63,7 +64,7 @@ from diracgeom.groupoid import (
     tangent_groupoid,
 )
 from diracgeom.report import Report
-from diracgeom.symalg import Expr, ExprMatrix, Patch, generic_rank, parse_expr, solve_linear
+from diracgeom.symalg import Expr, ExprMatrix, Patch, generic_rank, solve_linear
 from diracgeom.tanlift import cotangent_patch, lift_function, tangent_lift_dirac, tangent_patch
 
 R1 = Patch("R1", ("x",))

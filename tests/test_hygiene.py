@@ -1,13 +1,16 @@
 """Source hygiene: no unused imports, no unreferenced private names, no public
 name without a caller outside an explicit allowlist, no unreferenced private
 class members, no ``assert`` statements and no accumulator loops over ``Expr``
-or ``KForm`` in ``src/diracgeom``, and no syntax newer than Python 3.10 in any
-Python file.
+or ``KForm`` in ``src/diracgeom``, every module of it importable on its own,
+and no syntax newer than Python 3.10 in any Python file.
 
-Standard library ``ast`` and pytest only, so it runs with the rest of the tier-1 tests.
+Standard library and pytest only, so it runs with the rest of the tier-1 tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -187,6 +190,16 @@ def test_no_accumulator_loops():
             if isinstance(fn, ast.FunctionDef):
                 found |= {f"{path.name}:{line}" for line in _accumulations(fn)}
     assert sorted(found) == []
+
+
+# __main__ runs the command line when imported; tests/test_cli.py runs it through python -m diracgeom
+@pytest.mark.parametrize("module", [path.stem for path in MODULES if path.stem != "__main__"])
+def test_each_module_imports_alone(module):
+    # a fresh interpreter per module: an import cycle fails only when one of its modules is imported first
+    name = "diracgeom" if module == "__init__" else f"diracgeom.{module}"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", f"import {name}"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
 
 
 def test_python_files_parse_as_python_3_10():

@@ -12,6 +12,7 @@ from diracgeom.cartan import (
     pullback_form,
     wedge,
 )
+from diracgeom.cli import parse_expr
 from diracgeom.courant import (
     Frame,
     GSec,
@@ -25,7 +26,7 @@ from diracgeom.courant import (
 )
 from diracgeom.errors import EngineError, WrongShape
 from diracgeom.report import CheckItem, Report
-from diracgeom.symalg import Expr, Patch, parse_expr
+from diracgeom.symalg import Expr, Patch
 from diracgeom.tanlift import (
     canonical_involution,
     canonical_symplectic,
