@@ -11,7 +11,6 @@ from diracgeom.tanlift import (
     lift_one_form,
     lift_vector_field,
     tangent_lift_dirac,
-    tangent_patch,
 )
 
 R2 = Patch("R2", ("x", "y"))
@@ -49,8 +48,7 @@ print("a^T     =", lift_one_form(a, "tangent"))
 print()
 
 # the canonical involution swaps the two fibre directions and squares to one
-tt = tangent_patch(tangent_patch(R2).total)
-J = canonical_involution(tt)
+J = canonical_involution(R2)
 print("J o J is the identity:", J.compose(J).is_identity())
 print()
 

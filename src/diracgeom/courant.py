@@ -44,7 +44,7 @@ from .cartan import (
 )
 from .errors import NotLagrangian, PatchMismatch, RankDeficient
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, generic_rank, in_span, nullspace
+from .symalg import Expr, ExprMatrix, Patch, generic_rank, nullspace
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,8 @@ class GSec:
     def patch(self) -> Patch:
         return self.vf.patch
 
-    @staticmethod
-    def zero(patch: Patch) -> "GSec":
-        return GSec(VField.zero(patch), KForm.zero(patch, 1))
-
     def __add__(self, other: "GSec") -> "GSec":
         return GSec(self.vf + other.vf, self.of + other.of)
-
-    def __sub__(self, other: "GSec") -> "GSec":
-        return GSec(self.vf - other.vf, self.of - other.of)
-
-    def __neg__(self) -> "GSec":
-        return GSec(-self.vf, -self.of)
 
     def scale(self, f: Expr) -> "GSec":
         return GSec(self.vf.scale(f), self.of.scale(f))
@@ -104,9 +94,6 @@ class Frame:
             if s.patch != self.patch:
                 raise PatchMismatch("section on a different patch")
 
-    def __len__(self):
-        return len(self.secs)
-
     def coefficient_matrix(self) -> ExprMatrix:
         """2n x k matrix whose columns are the stacked section components."""
         n2 = 2 * self.patch.dim
@@ -115,15 +102,6 @@ class Frame:
         if not cols:
             rows = [[] for _ in range(n2)]
         return ExprMatrix.from_rows(self.patch, rows)
-
-
-class DiracReport(Report):
-    """The items of ``check_dirac``, printed as ``dirac: pass`` or ``dirac: fail [w]``."""
-
-    def __str__(self):
-        if self.passed:
-            return "dirac: pass"
-        return f"dirac: fail [{self.witness}]"
 
 
 # -- pairing and bracket ---------------------------------------------------------
@@ -258,7 +236,7 @@ def _increasing_mu(l: Frame) -> Iterator[tuple[tuple[int, int, int], Expr]]:
                 yield (i, j, k), pairing(br, secs[k])
 
 
-def check_dirac(l: Frame) -> DiracReport:
+def check_dirac(l: Frame) -> Report:
     """Lagrangian check plus vanishing of the Courant tensor.
 
     The witness is the first non-zero increasing entry of mu, which is the
@@ -266,15 +244,7 @@ def check_dirac(l: Frame) -> DiracReport:
     """
     lag = check_lagrangian(l)
     if not lag.passed:
-        return DiracReport(lag.items)
+        return lag
     mu = (f"mu[{i + 1},{j + 1},{k + 1}] = {v}" for (i, j, k), v in _increasing_mu(l) if not v.is_zero())
-    return DiracReport(lag.items + (CheckItem.first("integrable", mu),))
+    return Report(lag.items + (CheckItem.first("integrable", mu),))
 
-
-def same_span(l1: Frame, l2: Frame) -> bool:
-    """Generic span equality of two frames on one patch."""
-    if l1.patch != l2.patch:
-        raise PatchMismatch("frames on different patches")
-    m1 = l1.coefficient_matrix()
-    m2 = l2.coefficient_matrix()
-    return generic_rank(m1) == generic_rank(m2) and all(in_span(m1, col) for col in zip(*m2.entries))

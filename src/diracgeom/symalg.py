@@ -593,9 +593,6 @@ class ExprMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> tuple[Expr, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "ExprMatrix":
         return ExprMatrix(self.patch, tuple(zip(*self.entries)) if self.entries else ())
 

@@ -1,4 +1,4 @@
-"""Vertical and tangent lifts, the canonical maps J, Theta, R, and lifted frames.
+"""Vertical and tangent lifts, the canonical maps J and Theta, and lifted frames.
 
 Coordinate naming is deterministic so that iterated constructions agree by
 equality of patches:
@@ -7,8 +7,11 @@ equality of patches:
                                          the k-th for k >= 3 del{k-1}_x, ...)
   cotangent_patch  x -> x, p_x
 
-Both are memoised per base patch, so each lift's names are built and checked
-once per process; a colliding base raises on every call.
+Both are memoised per base patch, so each lift's names are built once per
+process.  A lifted name the base already uses takes the first free name1,
+name2, ... instead: patch(x, x_dot, y) lifts to (x, x_dot, y, x_dot1,
+x_dot_dot, y_dot).  The canonical maps build their charts from the base
+patch with these two functions and read them by position, not by name.
 
 The lift formulas below are the closed coordinate forms pinned down by the
 defining identities
@@ -26,7 +29,7 @@ from .cartan import KForm, PolyMap, VField, _perm_sign
 from .courant import Frame, GSec, _increasing_mu, _require_isotropic, check_lagrangian
 from .errors import NotLagrangian, WrongShape
 from .report import CheckItem, Report
-from .symalg import MAX_DIMENSION, Expr, Patch, dot
+from .symalg import MAX_DIMENSION, Expr, Patch, dot, fresh_names
 
 VELOCITY_SUFFIX = "_dot"
 SECOND_ORDER_PREFIX = "del_"
@@ -50,23 +53,16 @@ def _tangent_depth(coords: tuple[str, ...]) -> int:
     return depth if coords[n:] == _velocities(coords[:n], depth) else 0
 
 
-def is_tangent_total(patch: Patch) -> bool:
-    """True when the second half of the coordinates names velocities of the first."""
-    return _tangent_depth(patch.coords) > 0
-
-
-def is_cotangent_total(patch: Patch) -> bool:
-    n, odd = divmod(patch.dim, 2)
-    if odd or n == 0:
-        return False
-    return patch.coords[n:] == tuple(MOMENTUM_PREFIX + c for c in patch.coords[:n])
-
-
 def _extend(base: Patch, new_names: tuple[str, ...], name: str) -> Patch:
-    clash = set(new_names) & set(base.coords)
-    if clash or len(set(new_names)) != len(new_names):
-        raise WrongShape(f"lifted coordinate names collide: {sorted(clash) or new_names}")
-    return Patch(name, base.coords + new_names)
+    """The patch ``name`` on ``base``'s coordinates and ``new_names``, each taken name made fresh."""
+    taken = set(base.coords)
+    names = []
+    for c in new_names:
+        if c in taken:
+            (c,) = fresh_names(c, 1, taken)
+        taken.add(c)
+        names.append(c)
+    return Patch(name, base.coords + tuple(names))
 
 
 @dataclass(frozen=True)
@@ -167,58 +163,29 @@ def tangent_map(f: PolyMap) -> PolyMap:
     return PolyMap(src.total, tgt.total, tuple(comps))
 
 
-def canonical_involution(tt: TangentPatch) -> PolyMap:
-    """The block swap (x, x_dot, del_x, del_x_dot) -> (x, del_x, x_dot, del_x_dot)."""
-    if not is_tangent_total(tt.base):
-        raise WrongShape("canonical involution needs the tangent of a tangent total patch")
-    n = tt.base.dim // 2
-    c = tt.total.coords
+def canonical_involution(base: Patch) -> PolyMap:
+    """J on T(TM), the block swap (x, x_dot, del_x, del_x_dot) -> (x, del_x, x_dot, del_x_dot)."""
+    tt = tangent_patch(tangent_patch(base).total).total
+    n = base.dim
+    c = tt.coords
     order = c[:n] + c[2 * n : 3 * n] + c[n : 2 * n] + c[3 * n :]
-    comps = tuple(Expr.coord(tt.total, name) for name in order)
-    return PolyMap(tt.total, tt.total, comps)
+    return PolyMap(tt, tt, tuple(Expr.coord(tt, name) for name in order))
 
 
-def tulczyjew_map(tt: TangentPatch) -> PolyMap:
-    """The permutation (x, p, x_dot, p_dot) -> (x, x_dot, p_dot, p) into T*TM.
+def tulczyjew_map(base: Patch) -> PolyMap:
+    """Theta: T(T*M) -> T*(TM), the permutation (x, p, x_dot, p_dot) -> (x, x_dot, p_dot, p).
 
-    ``tt`` must be the tangent patch of a cotangent total patch; the target is
-    the cotangent patch of the tangent total patch of the shared base, which
-    carries the same coordinate names in a different order.
+    The source is the tangent patch of T*M and the target the cotangent
+    patch of TM, both built from ``base``.  When no lifted name was taken
+    they carry the same names, in the orders (x, p, x_dot, p_dot) and
+    (x, x_dot, p, p_dot).
     """
-    if not is_cotangent_total(tt.base):
-        raise WrongShape("Tulczyjew map needs the tangent of a cotangent total patch")
-    n = tt.base.dim // 2
-    c = tt.total.coords
-    x, p, xd, pd = c[:n], c[n : 2 * n], c[2 * n : 3 * n], c[3 * n :]
-    base_name = tt.base.name
-    if base_name.startswith("Tstar"):
-        base_name = base_name[len("Tstar"):]
-    target = Patch("TstarT" + base_name, x + xd + p + pd)
-    order = x + xd + pd + p
-    comps = tuple(Expr.coord(tt.total, name) for name in order)
-    return PolyMap(tt.total, target, comps)
-
-
-def legendre_map(base: Patch, rank: int) -> PolyMap:
-    """R: T*A* -> T*A, (x, xi, p, u) -> (x, u, -p, xi), for a rank-r bundle pair."""
-    if rank < 0:
-        raise WrongShape("rank must be nonnegative")
-    fiber = tuple(f"u_{a + 1}" for a in range(rank))
-    dual_fiber = tuple(f"xi_{a + 1}" for a in range(rank))
-    a_total = _extend(base, fiber, base.name + "_A")
-    astar_total = _extend(base, dual_fiber, base.name + "_Astar")
-    src = cotangent_patch(astar_total).total
-    tgt = cotangent_patch(a_total).total
-    comps = []
-    for c in base.coords:
-        comps.append(Expr.coord(src, c))
-    for name in dual_fiber:
-        comps.append(Expr.coord(src, MOMENTUM_PREFIX + name))
-    for c in base.coords:
-        comps.append(-Expr.coord(src, MOMENTUM_PREFIX + c))
-    for name in dual_fiber:
-        comps.append(Expr.coord(src, name))
-    return PolyMap(src, tgt, tuple(comps))
+    src = tangent_patch(cotangent_patch(base).total).total
+    n = base.dim
+    c = src.coords
+    order = c[:n] + c[2 * n : 3 * n] + c[3 * n :] + c[n : 2 * n]
+    tgt = cotangent_patch(tangent_patch(base).total).total
+    return PolyMap(src, tgt, tuple(Expr.coord(src, name) for name in order))
 
 
 def canonical_symplectic(ct: CotangentPatch) -> KForm:
@@ -259,7 +226,7 @@ def check_tangent_mu_identity(l: Frame) -> Report:
         )
     check_lagrangian(l).require(NotLagrangian)
     n = len(l.secs)
-    lifted = tangent_lift_dirac(l)  # first, so colliding lifted names raise at once
+    lifted = tangent_lift_dirac(l)
     _require_isotropic(lifted)
     mu = dict(_increasing_mu(l))
     mu_lift = dict(_increasing_mu(lifted))

@@ -33,11 +33,11 @@ from pathlib import Path
 import pytest
 
 from diracgeom.cli import emit_report, main, run_builtin_suite
-from diracgeom.courant import Frame, check_dirac, check_lagrangian, same_span
+from diracgeom.courant import Frame, check_dirac, check_lagrangian
 from diracgeom.errors import Inconsistent
 from diracgeom.symalg import Expr, ExprMatrix, Patch, generic_rank, nullspace, solve_linear
 
-from test_courant import gsec
+from test_courant import gsec, same_span
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CHECK_FILES = sorted(p.stem for p in GOLDEN.glob("*.check"))
@@ -113,7 +113,9 @@ def lagrangian_witness_lines() -> list[str]:
     }
     lines = []
     for label, frame in frames.items():
-        lines.append(f"{label}: {check_lagrangian(frame)} | {check_dirac(frame)}")
+        dirac = check_dirac(frame)
+        verdict = "pass" if dirac.passed else f"fail [{dirac.witness}]"
+        lines.append(f"{label}: {check_lagrangian(frame)} | dirac: {verdict}")
     spans = [
         ("graph of x dx^dy vs itself scaled", p2, [("1", "0"), ("0", "1")], [("0", "x"), ("-x", "0")], 2),
         ("vector fields vs forms", p2, [("1", "0"), ("0", "1")], [("0", "0"), ("0", "0")], None),

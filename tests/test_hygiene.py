@@ -86,25 +86,16 @@ def test_private_module_names_are_referenced():
     assert unreferenced == []
 
 
-# public names the package defines without calling them itself, each with its reason
-UNCALLED_PUBLIC = {
-    "legendre_map": "ROADMAP item 3 (L_A, the Lie functor on Dirac structures) gives it its first caller",
-    "same_span": "ROADMAP item 3 (L_A, the Lie functor on Dirac structures) gives it its first caller",
-}
-
-
 def test_every_public_name_has_a_caller():
     # a public module-level function or class that nothing in the package reads is a test
     # helper and belongs in the tests; names are matched as in the private-name test
     statements = [(path, stmt, _references(stmt)) for path in MODULES for stmt in _tree(path).body]
-    uncalled = {}
+    uncalled = []
     for path, stmt, _ in statements:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
             if not any(stmt.name in refs for _, other, refs in statements if other is not stmt):
-                uncalled[stmt.name] = path.name
-    assert sorted(f"{path}: {name}" for name, path in uncalled.items() if name not in UNCALLED_PUBLIC) == []
-    # an allowlisted name that gains a caller, or leaves the package, leaves the allowlist too
-    assert sorted(set(UNCALLED_PUBLIC) - set(uncalled)) == []
+                uncalled.append(f"{path.name}: {stmt.name}")
+    assert uncalled == []
 
 
 def _class_members(cls: ast.ClassDef) -> list[tuple[str, ast.stmt]]:

@@ -9,7 +9,6 @@ from diracgeom.cartan import (
     KForm,
     PolyMap,
     VField,
-    pullback_form,
     wedge,
 )
 from diracgeom.cli import parse_expr
@@ -22,9 +21,8 @@ from diracgeom.courant import (
     foliation_frame,
     graph_bivector,
     graph_two_form,
-    same_span,
 )
-from diracgeom.errors import EngineError, WrongShape
+from diracgeom.errors import EngineError
 from diracgeom.report import CheckItem, Report
 from diracgeom.symalg import Expr, Patch
 from diracgeom.tanlift import (
@@ -32,9 +30,6 @@ from diracgeom.tanlift import (
     canonical_symplectic,
     check_tangent_mu_identity,
     cotangent_patch,
-    is_cotangent_total,
-    is_tangent_total,
-    legendre_map,
     lift_function,
     lift_one_form,
     lift_section,
@@ -42,10 +37,11 @@ from diracgeom.tanlift import (
     tangent_lift_dirac,
     tangent_map,
     tangent_patch,
+    tulczyjew_map,
 )
 
 from test_cartan import one_form, rand_form, rand_vf, so3_poisson, vf
-from test_courant import reference_mu
+from test_courant import reference_mu, same_span
 from test_symalg import rand_expr
 
 M1 = Patch("M1", ("x",))
@@ -59,14 +55,11 @@ M3 = Patch("M3", ("x", "y", "z"))
 def test_tangent_patch_names():
     tp = tangent_patch(M2)
     assert tp.total.coords == ("x", "y", "x_dot", "y_dot")
-    assert is_tangent_total(tp.total)
-    assert not is_tangent_total(M2)
 
 
 def test_second_tangent_patch_names():
     tt = tangent_patch(tangent_patch(M1).total)
     assert tt.total.coords == ("x", "x_dot", "del_x", "del_x_dot")
-    assert is_tangent_total(tt.total)
 
 
 def test_deeper_tangent_patch_names():
@@ -74,35 +67,31 @@ def test_deeper_tangent_patch_names():
     t2 = tangent_patch(tangent_patch(M1).total).total
     t3 = tangent_patch(t2)
     assert t3.total.coords == t2.coords + ("del2_x", "del2_x_dot", "del2_del_x", "del2_del_x_dot")
-    assert is_tangent_total(t3.total)
     t4 = tangent_patch(t3.total)
     assert t4.velocity_names == tuple("del3_" + c for c in t3.total.coords)
-    assert is_tangent_total(t4.total)
-    # a del_ block that does not name the velocities of the first half is no tangent total
-    assert not is_tangent_total(Patch("P", ("x", "del_x")))
+    # a del_ block that does not name the velocities of the first half is a first lift's base
+    assert tangent_patch(Patch("P", ("x", "del_x"))).velocity_names == ("x_dot", "del_x_dot")
 
 
 def test_cotangent_patch_names():
     ct = cotangent_patch(M2)
     assert ct.total.coords == ("x", "y", "p_x", "p_y")
-    assert is_cotangent_total(ct.total)
-    assert not is_cotangent_total(ct.base)
 
 
-def test_lift_collision_rejected():
-    with pytest.raises(WrongShape):
-        tangent_patch(Patch("bad", ("x", "x_dot", "y")))
+def test_lift_collision_takes_fresh_names():
+    # a lifted name the base already uses becomes the first free name1, name2, ...
+    tp = tangent_patch(Patch("clash", ("x", "x_dot", "y")))
+    assert tp.velocity_names == ("x_dot1", "x_dot_dot", "y_dot")
+    assert tangent_patch(Patch("clash", ("x", "x_dot", "x_dot1"))).velocity_names == ("x_dot2", "x_dot_dot", "x_dot1_dot")
+    ct = cotangent_patch(Patch("Q", ("q", "p_q")))
+    assert ct.momentum_names == ("p_q1", "p_p_q")
+    # a fresh name that a later lifted name would take moves that one on in turn
+    assert cotangent_patch(Patch("Q", ("q", "p_q", "q1"))).momentum_names == ("p_q1", "p_p_q", "p_q11")
 
 
 def test_lifted_patches_are_memoised():
     assert tangent_patch(M2) is tangent_patch(Patch("M2", ("x", "y")))
     assert cotangent_patch(M2) is cotangent_patch(M2)
-    # a raised collision is not remembered as a result
-    for _ in range(2):
-        with pytest.raises(WrongShape):
-            tangent_patch(Patch("bad", ("x", "x_dot", "y")))
-        with pytest.raises(WrongShape):
-            cotangent_patch(Patch("bad", ("x", "p_x")))
 
 
 # -- function, field, and form lifts ------------------------------------------------
@@ -191,41 +180,34 @@ def form_section_map(a: KForm) -> PolyMap:
 
 
 def test_involution_is_the_block_swap():
-    tt = tangent_patch(tangent_patch(M2).total)
-    j = canonical_involution(tt)
+    j = canonical_involution(M2)
+    assert j.source == j.target == tangent_patch(tangent_patch(M2).total).total
     names = tuple(str(c) for c in j.components)
     assert names == ("x", "y", "del_x", "del_y", "x_dot", "y_dot", "del_x_dot", "del_y_dot")
 
 
 def test_involution_squares_to_identity():
-    tt = tangent_patch(tangent_patch(M2).total)
-    j = canonical_involution(tt)
-    assert j.compose(j) == PolyMap.identity(tt.total)
+    j = canonical_involution(M2)
+    assert j.compose(j) == PolyMap.identity(j.source)
 
 
 def test_involution_on_a_third_level_patch():
     # T(T(TM)) is the second tangent of N = TM: J swaps N's del_ and del2_ velocity blocks
     n = tangent_patch(M1).total
-    t3 = tangent_patch(tangent_patch(n).total)
-    j = canonical_involution(t3)
+    j = canonical_involution(n)
     names = tuple(str(c) for c in j.components)
     assert names == ("x", "x_dot", "del2_x", "del2_x_dot", "del_x", "del_x_dot", "del2_del_x", "del2_del_x_dot")
-    assert j.compose(j) == PolyMap.identity(t3.total)
+    assert j.compose(j) == PolyMap.identity(j.source)
     # and it still turns T X into the tangent lift of X, for a field X on N
     x = vf(n, "x*x_dot", "x^2 - x_dot")
     assert j.compose(tangent_map(section_map(x))) == section_map(lift_vector_field(x, "tangent"))
-
-
-def test_involution_rejects_plain_double():
-    with pytest.raises(WrongShape):
-        canonical_involution(tangent_patch(M2))
 
 
 def test_involution_swaps_tangent_and_vertical_lifts():
     rng = random.Random(139)
     tm = tangent_patch(M2)
     tt = tangent_patch(tm.total)
-    j = canonical_involution(tt)
+    j = canonical_involution(M2)
     for x in [vf(M2, "x", "0"), vf(M2, "y", "x*x"), rand_vf(rng, M2)]:
         # T X as a map TM -> TTM, then J on top
         tx = tangent_map(section_map(x))
@@ -249,34 +231,27 @@ def test_involution_swaps_tangent_and_vertical_lifts():
 
 
 def test_tulczyjew_is_the_displayed_permutation():
-    from diracgeom.tanlift import tulczyjew_map
-
-    ct = cotangent_patch(M2)
-    tt = tangent_patch(ct.total)
-    theta = tulczyjew_map(tt)
-    assert tt.total.coords == ("x", "y", "p_x", "p_y", "x_dot", "y_dot", "p_x_dot", "p_y_dot")
+    theta = tulczyjew_map(M2)
+    assert theta.source == tangent_patch(cotangent_patch(M2).total).total
+    assert theta.source.coords == ("x", "y", "p_x", "p_y", "x_dot", "y_dot", "p_x_dot", "p_y_dot")
     assert theta.target == cotangent_patch(tangent_patch(M2).total).total
     names = tuple(str(c) for c in theta.components)
     assert names == ("x", "y", "x_dot", "y_dot", "p_x_dot", "p_y_dot", "p_x", "p_y")
 
 
-def test_tulczyjew_sends_lifted_form_sections_to_lifts():
-    from diracgeom.tanlift import tulczyjew_map
-
-    ct = cotangent_patch(M2)
-    tt = tangent_patch(ct.total)
-    theta = tulczyjew_map(tt)
-    tm = tangent_patch(M2)
-    for a in [one_form(M2, "0", "x"), KForm.d_coord(M2, "x"), one_form(M2, "y", "x*y")]:
+def assert_tulczyjew_sends_form_sections_to_lifts(base, forms):
+    theta = tulczyjew_map(base)
+    tm = tangent_patch(base)
+    for a in forms:
         ta = tangent_map(form_section_map(a))
         assert theta.compose(ta) == form_section_map(lift_one_form(a, "tangent"))
         zero = Expr.zero(tm.total)
         hat = PolyMap(
             tm.total,
-            tt.total,
+            theta.source,
             tuple(
-                [Expr.coord(tm.total, c) for c in M2.coords]
-                + [zero] * M2.dim
+                [Expr.coord(tm.total, c) for c in base.coords]
+                + [zero] * base.dim
                 + [Expr.coord(tm.total, c) for c in tm.velocity_names]
                 + [c.inject(tm.total) for c in a.components()]
             ),
@@ -284,34 +259,16 @@ def test_tulczyjew_sends_lifted_form_sections_to_lifts():
         assert theta.compose(hat) == form_section_map(lift_one_form(a, "vertical"))
 
 
-def test_tulczyjew_rejects_wrong_shape():
-    from diracgeom.tanlift import tulczyjew_map
-
-    with pytest.raises(WrongShape):
-        tulczyjew_map(tangent_patch(M2))
+def test_tulczyjew_sends_lifted_form_sections_to_lifts():
+    assert_tulczyjew_sends_form_sections_to_lifts(M2, [one_form(M2, "0", "x"), KForm.d_coord(M2, "x"), one_form(M2, "y", "x*y")])
 
 
-# -- Legendre-type map -------------------------------------------------------------------
-
-
-def test_legendre_map_formula():
-    r = legendre_map(M1, 2)
-    assert r.source.coords == ("x", "xi_1", "xi_2", "p_x", "p_xi_1", "p_xi_2")
-    assert r.target.coords == ("x", "u_1", "u_2", "p_x", "p_u_1", "p_u_2")
-    names = tuple(str(c) for c in r.components)
-    assert names == ("x", "p_xi_1", "p_xi_2", "-p_x", "xi_1", "xi_2")
-
-
-def test_legendre_map_is_anti_symplectic():
-    for base, rank in [(M1, 1), (M2, 2), (M3, 1)]:
-        r = legendre_map(base, rank)
-        fiber = tuple(f"u_{a + 1}" for a in range(rank))
-        dual = tuple(f"xi_{a + 1}" for a in range(rank))
-        a_total = Patch(base.name + "_A", base.coords + fiber)
-        astar_total = Patch(base.name + "_Astar", base.coords + dual)
-        w_target = canonical_symplectic(cotangent_patch(a_total))
-        w_source = canonical_symplectic(cotangent_patch(astar_total))
-        assert pullback_form(r, w_target) == -w_source
+def test_tulczyjew_on_a_base_that_uses_a_momentum_name():
+    # the cotangent chart of (q, p_q) names its momenta p_q1, p_p_q; Theta reads them by position
+    q = Patch("Q", ("q", "p_q"))
+    assert cotangent_patch(q).total.coords == ("q", "p_q", "p_q1", "p_p_q")
+    forms = [one_form(q, "0", "q"), KForm.d_coord(q, "p_q"), one_form(q, "p_q", "q*p_q")]
+    assert_tulczyjew_sends_form_sections_to_lifts(q, forms)
 
 
 def test_canonical_symplectic_is_closed_and_nondegenerate():
@@ -431,19 +388,6 @@ def test_tangent_mu_identity_checks_isotropy_of_the_lifted_frame(monkeypatch):
     monkeypatch.setattr(tanlift, "tangent_lift_dirac", lambda l: broken)
     with pytest.raises(NotLagrangian):
         check_tangent_mu_identity(base)
-
-
-def test_tangent_mu_identity_lifts_before_the_base_tensor(monkeypatch):
-    # a colliding lift must raise before the costly base tensor is computed
-    from diracgeom import tanlift
-
-    calls = []
-    monkeypatch.setattr(tanlift, "_increasing_mu", lambda l: calls.append(l))
-    clash = Patch("clash", ("x", "y", "x_dot"))
-    base = graph_two_form(wedge(KForm.d_coord(clash, "x"), KForm.d_coord(clash, "y")))
-    with pytest.raises(WrongShape):
-        check_tangent_mu_identity(base)
-    assert calls == []
 
 
 TANGENT_BLOCK = "all-tangent block is the lifted tensor"
