@@ -42,7 +42,7 @@ from .cartan import (
     lie_derivative,
     sharp_bivector,
 )
-from .errors import NotLagrangian, PatchMismatch, RankDeficient
+from .errors import NotLagrangian, PatchMismatch, RankDeficient, WrongShape
 from .report import CheckItem, Report
 from .symalg import Expr, ExprMatrix, Patch, generic_rank, nullspace
 
@@ -129,7 +129,7 @@ def courant_bracket(a1: GSec, a2: GSec) -> GSec:
 def graph_two_form(w: KForm) -> Frame:
     """Sections (d_i, i_{d_i} w) spanning the graph of a two-form."""
     if w.degree != 2:
-        raise ValueError("graph_two_form needs a two-form")
+        raise WrongShape("graph_two_form needs a two-form")
     patch = w.patch
     secs = []
     for c in patch.coords:
@@ -148,32 +148,25 @@ def graph_bivector(p: Bivector) -> Frame:
     return Frame(patch, tuple(secs))
 
 
-def foliation_frame(fields: list[VField], patch: Patch | None = None) -> Frame:
+def foliation_frame(fields: list[VField]) -> Frame:
     """Frame for F + Ann(F): the fields, then polynomial annihilator one-forms.
 
     The fields must be generically independent (RankDeficient otherwise).
-    ``patch`` is only needed when the list is empty.
+    The zero foliation on M is the graph of the zero bivector,
+    ``graph_bivector(Bivector.zero(M))``; an empty list raises WrongShape.
     """
-    if fields:
-        patch = fields[0].patch
-    elif patch is None:
-        raise ValueError("empty foliation needs an explicit patch")
+    if not fields:
+        raise WrongShape("a foliation frame needs at least one field")
+    patch = fields[0].patch
     for f in fields:
         if f.patch != patch:
             raise PatchMismatch("foliation field on a different patch")
-    n = patch.dim
     r = len(fields)
-    if r:
-        span = ExprMatrix.from_rows(patch, [f.components for f in fields])
-        rank = generic_rank(span)
-        if rank != r:
-            raise RankDeficient(f"{r} fields span generic rank {rank}")
-        ann = nullspace(span)
-    else:
-        ann = [
-            [Expr.one(patch) if j == i else Expr.zero(patch) for j in range(n)]
-            for i in range(n)
-        ]
+    span = ExprMatrix.from_rows(patch, [f.components for f in fields])
+    rank = generic_rank(span)
+    if rank != r:
+        raise RankDeficient(f"{r} fields span generic rank {rank}")
+    ann = nullspace(span)
     secs = [GSec(f, KForm.zero(patch, 1)) for f in fields]
     for a in ann:
         secs.append(GSec(VField.zero(patch), KForm.one_form(patch, a)))

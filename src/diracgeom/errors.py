@@ -57,10 +57,6 @@ class RankTooLarge(EngineError):
     """The operation is only supported up to a fixed small rank."""
 
 
-class NotIdeal(EngineError):
-    """The chosen subspace is not an ideal."""
-
-
 class NotLie(EngineError):
     """Constant structure data fails the Jacobi identity."""
 

@@ -502,17 +502,18 @@ def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patc
     return lambda x, y: _matvec(dmul, data.solve(list(x) + list(y), ppatch, exc, message), ppatch)
 
 
-def _product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch, message: str, exc):
-    """The multiplication of TG ⊕ T*G at chart point ``pair``, as a map of two stacked (x, a).
+def _product(g: GroupoidPatch, message: str, exc):
+    """The multiplication of TG ⊕ T*G on the pair chart, as a map of two stacked (x, a).
 
     The product, as ``RatExpr``, is the tangent product, then the covector c
     the pairing identity ⟨c, Tm·δ⟩ = ⟨a, δ_g⟩ + ⟨b, δ_h⟩ pins down over chart
     directions δ with factor images δ_g, δ_h.  Every product solves the same
     matrix, and its rank is checked when a product is asked for.
     """
-    tangent = _tangent_product(g, pair, ppatch, message, exc)
+    chart = g.comp_chart
+    tangent = _tangent_product(g, None, chart, message, exc)
     n_total = g.total.dim
-    mat = ExprMatrix(ppatch, tuple(zip(*_subst_matrix(g._jacobians["mul"], pair, ppatch))))
+    mat = ExprMatrix(chart, tuple(zip(*g._jacobians["mul"])))
     pulled = tuple(zip(*(g._chart.a_g + g._chart.a_h)))
 
     def product(xa: Sequence[Expr], yb: Sequence[Expr]) -> list[RatExpr]:
@@ -520,7 +521,7 @@ def _product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch, messa
         if generic_rank(mat) != n_total:
             raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
         covs = list(xa[n_total:]) + list(yb[n_total:])
-        return [RatExpr(v) for v in x] + solve_linear(mat, [_combine(ppatch, row, covs) for row in pulled])
+        return [RatExpr(v) for v in x] + solve_linear(mat, [_combine(chart, row, covs) for row in pulled])
 
     return product
 
@@ -620,7 +621,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     chart = g.comp_chart
     m = g.base
     n, n_total, k = m.dim, g.total.dim, len(l.secs)
-    compose = _product(g, None, chart, "composable pair escapes the chart", RankJump)
+    compose = _product(g, "composable pair escapes the chart", RankJump)
     coefficients = l.coefficient_matrix().entries
     g_pt, h_pt = list(g.g_of.components), list(g.h_of.components)
     # stacked section values, one column per section, at the two factors and at the product
@@ -698,7 +699,7 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
     """Pairing additivity and bracket compatibility on related section triples."""
     chart = g.comp_chart
     n_total = g.total.dim
-    compose = _product(g, None, chart, "tangent parts are not composable", NotComposable)
+    compose = _product(g, "tangent parts are not composable", NotComposable)
     g_pt, h_pt, mul_pt = (list(f.components) for f in (g.g_of, g.h_of, g.mul))
     # the fibre halves of the source and target ends at the two factors
     s_fibre, t_fibre = (_subst_matrix(rows, pt, chart) for rows, pt in zip(g._fibre_rows, (g_pt, h_pt)))

@@ -96,9 +96,9 @@ def _ground_truth(holds: bool, claim: str) -> None:
         raise CheckError(f"suite ground truth does not hold: {claim}")
 
 
-def _rand_expr(rng, patch, max_deg=2, terms=3):
+def _rand_expr(rng, patch, max_deg=2):
     out: dict[tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 3)):
         exps = [0] * patch.dim
         for _ in range(rng.randint(0, max_deg)):
             if patch.dim:

@@ -30,7 +30,7 @@ from diracgeom.courant import (
     graph_two_form,
     pairing,
 )
-from diracgeom.errors import NotLagrangian, PatchMismatch, RankDeficient
+from diracgeom.errors import NotLagrangian, PatchMismatch, RankDeficient, WrongShape
 from diracgeom.report import Report
 from diracgeom.symalg import Expr, Patch, generic_rank, in_span
 
@@ -138,10 +138,15 @@ def test_foliation_frame_sections():
 
 
 def test_foliation_frame_zero_distribution():
-    l = foliation_frame([], patch=M2)
+    l = graph_bivector(Bivector.zero(M2))
     assert len(l.secs) == 2
     assert all(s.vf.is_zero() for s in l.secs)
     assert check_dirac(l).passed
+
+
+def test_foliation_frame_needs_a_field():
+    with pytest.raises(WrongShape):
+        foliation_frame([])
 
 
 def test_foliation_frame_full_tangent():

@@ -44,6 +44,7 @@ CHECK_FILES = sorted(p.stem for p in GOLDEN.glob("*.check"))
 # exit code of each golden check file: 1 when some check fails, 2 on an error
 EXIT_CODES = {
     "algebroid_witnesses": 1,
+    "constructor_error": 2,
     "cotangent_chart": 1,
     "deep_nesting": 2,
     "dirac_witnesses": 1,

@@ -1,8 +1,10 @@
 """Source hygiene: no unused imports, no unreferenced private names, no public
-name without a caller outside an explicit allowlist, no unreferenced private
-class members, no ``assert`` statements and no accumulator loops over ``Expr``
-or ``KForm`` in ``src/diracgeom``, every module of it importable on its own,
-and no syntax newer than Python 3.10 in any Python file.
+name without a caller, no unreferenced private class members, no
+``assert`` statements and no accumulator loops over ``Expr`` or ``KForm`` in
+``src/diracgeom``, every module of it importable on its own, and no syntax
+newer than Python 3.10 in any Python file.  Outside the tests, the package,
+the benchmark and the demos must read every public member of a public class
+and pass every parameter and dataclass field that has a default.
 
 Standard library and pytest only, so it runs with the rest of the tier-1 tests.
 """
@@ -131,6 +133,73 @@ def test_private_class_members_are_referenced():
                 if private and not name.startswith("__") and everywhere[name] <= _mentions(stmt)[name]:
                     unreferenced.append(f"{path.name}: {cls.name}.{name}")
     assert unreferenced == []
+
+
+# the programs that may call into the package: everything outside the tests
+PROGRAMS = sorted(path for top in ("src", "bench", "demos") for path in (ROOT / top).rglob("*.py"))
+
+
+def _decorators(node: ast.FunctionDef | ast.ClassDef) -> set[str]:
+    """Names of a definition's decorators, called or not."""
+    return {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
+
+
+def _options(tree: ast.Module):
+    """Yield (callee, position, name) for every parameter and every dataclass field with a default.
+
+    ``position`` is the number of arguments a call passes before it, None for a keyword-only
+    parameter.  A call to a class is a call to its ``__init__``.
+    """
+    owners = {id(stmt): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            callee = owners[id(node)] if node.name == "__init__" else node.name
+            bound = id(node) in owners and "staticmethod" not in _decorators(node)
+            positional = (node.args.posonlyargs + node.args.args)[int(bound) :]
+            first = len(positional) - len(node.args.defaults)
+            yield from ((callee, i, arg.arg) for i, arg in enumerate(positional) if i >= first)
+            yield from ((callee, None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d)
+        elif isinstance(node, ast.ClassDef) and "dataclass" in _decorators(node):
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            yield from ((node.name, i, stmt.target.id) for i, stmt in enumerate(fields) if stmt.value is not None)
+
+
+def _passed(tree: ast.Module) -> set[tuple[str, object]]:
+    """(callee, position or keyword) for every argument a call passes; (callee, "*") for ``*args`` or ``**kwargs``."""
+    passed = set()
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        passed |= {(name, i) for i in range(len(call.args))} | {(name, k.arg or "*") for k in call.keywords}
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            passed.add((name, "*"))
+    return passed
+
+
+def test_every_option_has_a_program_caller():
+    # a parameter or dataclass field with a default that no program passes has one value in use,
+    # so it is a constant; callees and keywords are matched by bare name, as in the tests above
+    passed = set().union(*(_passed(_tree(path)) for path in PROGRAMS))
+    unpassed = [
+        f"{callee}({name})"
+        for path in MODULES
+        for callee, position, name in _options(_tree(path))
+        if not {(callee, position), (callee, name), (callee, "*")} & passed
+    ]
+    assert unpassed == []
+
+
+def test_public_class_members_are_read():
+    # a public member of a public class must be read by the package, the benchmark or a demo;
+    # matched as in the private-member test, so a read of any attribute of that name counts
+    everywhere = sum((_mentions(_tree(path)) for path in PROGRAMS), Counter())
+    unread = []
+    for path in MODULES:
+        for cls in (stmt for stmt in _tree(path).body if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_")):
+            for name, stmt in _class_members(cls):
+                if not name.startswith("_") and everywhere[name] <= _mentions(stmt)[name]:
+                    unread.append(f"{path.name}: {cls.name}.{name}")
+    assert unread == []
 
 
 def test_no_assert_statements():
