@@ -56,7 +56,7 @@ class GSec:
 
     def __post_init__(self):
         if self.of.degree != 1:
-            raise ValueError("form part must have degree 1")
+            raise WrongShape("form part must have degree 1")
         if self.vf.patch != self.of.patch:
             raise PatchMismatch("vector and form parts on different patches")
 
@@ -176,7 +176,7 @@ def foliation_frame(fields: list[VField]) -> Frame:
 def bfield_transform(l: Frame, b: KForm) -> Frame:
     """Gauge transform (X, a) -> (X, a + i_X b)."""
     if b.degree != 2:
-        raise ValueError("b-field must be a two-form")
+        raise WrongShape("b-field must be a two-form")
     if b.patch != l.patch:
         raise PatchMismatch("b-field on a different patch")
     secs = tuple(GSec(s.vf, s.of + interior_product(s.vf, b)) for s in l.secs)

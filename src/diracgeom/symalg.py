@@ -1,9 +1,14 @@
 """Exact scalar algebra on coordinate patches.
 
 Scalars are multivariate polynomials with rational coefficients, stored as
-canonical term maps: exponent tuple -> Fraction, zero coefficients never
-stored.  Equality of scalars is therefore literal equality of term maps, and
-``is_zero`` is a syntactic check on the canonical form.  No floats anywhere.
+canonical term maps: exponent tuple -> coefficient, zero coefficients never
+stored.  A coefficient is an ``int`` or a ``Fraction``: the constructors and
+every quotient store an integral value as ``int``, and sums and products of
+``int`` stay ``int``, so a ``Fraction`` appears only where a value needs one.
+``Fraction(2) == 2``, the two hash alike and print alike, so equality of
+scalars is literal equality of term maps either way, and ``is_zero`` is a
+syntactic check on the canonical form.  No floats anywhere: ``int / int`` is
+one, so every division of coefficients goes through ``_quotient``.
 
 Serialization orders terms graded-lexicographically by coordinate index, so
 printing is deterministic and byte-stable across runs.
@@ -25,6 +30,8 @@ nonzero entry as the next pivot, so they find the same pivot columns and
 return equal results.  Until a non-constant matrix keeps its reduction,
 ``generic_rank`` first tries a one-sided certificate: full rank at a fixed
 rational point proves full generic rank; anything less reduces the matrix.
+The point's values are taken in integers, all scaled by one power of its
+denominator.
 
 Accumulation: every sum of products is built in one term map, never by
 adding to an accumulating ``Expr``, which copies the whole map at each step.
@@ -34,10 +41,10 @@ product into the sum as it is formed (``_merge``), so they store the terms of
 the step-by-step sum in the same insertion order.
 
 Only the public constructor ``Expr(patch, terms)`` validates: it checks the
-exponent tuples, turns coefficients into ``Fraction`` and drops zeros, and is
-the boundary for input from outside the kernel.  Kernel results whose term
-map is canonical by construction are built by ``Expr._trusted``, which takes
-the dict as given.
+exponent tuples, turns coefficients into ``int`` or ``Fraction`` and drops
+zeros, and is the boundary for input from outside the kernel.  Kernel
+results whose term map is canonical by construction are built by
+``Expr._trusted``, which takes the dict as given.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -118,21 +126,43 @@ def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
+def _grlex_heap_entry(exps: tuple[int, ...]):
+    """A min-heap entry that puts the grlex-largest exponent tuple first."""
+    return (-sum(exps), tuple(map(operator.neg, exps)), exps)
+
+
+def _coefficient(value) -> Scalar:
+    """``value`` as a coefficient: an ``int`` when it is integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    v = Fraction(value)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly, an ``int`` when it is integral (``int / int`` would be a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    v = a / b
+    return v.numerator if v.denominator == 1 else v
+
+
 class Expr:
     """Polynomial over a patch with exact rational coefficients.
 
     Immutable.  ``terms`` maps exponent tuples (length = patch.dim) to
-    nonzero ``Fraction`` coefficients.
+    nonzero coefficients, each an ``int`` or a ``Fraction``.
     """
 
     __slots__ = ("patch", "terms")
 
-    def __init__(self, patch: Patch, terms: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, patch: Patch, terms: Mapping[tuple[int, ...], Scalar]):
         object.__setattr__(self, "patch", patch)
         clean = {}
         n = patch.dim
         for exps, c in terms.items():
-            c = Fraction(c)
+            c = _coefficient(c)
             if len(exps) != n:
                 raise ValueError("exponent tuple has wrong length")
             if c != 0:
@@ -142,7 +172,8 @@ class Expr:
     @classmethod
     def _trusted(cls, patch: Patch, terms: dict) -> "Expr":
         """An Expr on a fresh canonical term map, taken as given: non-zero
-        Fractions on exponent tuples of length ``patch.dim``."""
+        ``int`` or ``Fraction`` coefficients on exponent tuples of length
+        ``patch.dim``."""
         self = object.__new__(cls)
         object.__setattr__(self, "patch", patch)
         object.__setattr__(self, "terms", terms)
@@ -155,7 +186,7 @@ class Expr:
 
     @staticmethod
     def const(patch: Patch, value: Scalar) -> "Expr":
-        v = Fraction(value)
+        v = _coefficient(value)
         if v == 0:
             return Expr._trusted(patch, {})
         return Expr._trusted(patch, {(0,) * patch.dim: v})
@@ -173,7 +204,7 @@ class Expr:
         i = patch.index(name)
         exps = [0] * patch.dim
         exps[i] = 1
-        return Expr._trusted(patch, {tuple(exps): Fraction(1)})
+        return Expr._trusted(patch, {tuple(exps): 1})
 
     # -- ring operations -----------------------------------------------------
 
@@ -223,7 +254,7 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -270,15 +301,15 @@ class Expr:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         """The value when the polynomial is constant; raises otherwise."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and sum(next(iter(self.terms))) == 0:
             return next(iter(self.terms.values()))
         raise ValueError(f"{self} is not constant")
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], Scalar]:
         """Leading term in graded-lex order; zero polynomial has none."""
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
@@ -287,7 +318,7 @@ class Expr:
 
     def differentiate(self, coord: str) -> "Expr":
         i = self.patch.index(coord)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
             k = e[i]
             if k == 0:
@@ -357,17 +388,38 @@ class Expr:
         d = self._coerce(divisor)
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self
+        de, dc = d.leading()
+        tail = [(e, c) for e, c in d.terms.items() if e != de]
+        # the remainder, changed in place, and a heap of its exponents, largest in grlex
+        # first; an exponent that cancels stays in the heap and is skipped when it comes up
+        rem = dict(self.terms)
+        heap = [_grlex_heap_entry(e) for e in rem]
+        heapify(heap)
+        sub, add = operator.sub, operator.add
         # the leading exponent of the remainder strictly decreases, so no two quotient terms meet
         quot = {}
-        de, dc = d.leading()
-        while not rem.is_zero():
-            re_, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re_, de))
+        while rem:
+            re_ = heappop(heap)[2]
+            rc = rem.pop(re_, None)
+            if rc is None:
+                continue
+            qe = tuple(map(sub, re_, de))
             if any(k < 0 for k in qe):
                 return None
-            quot[qe] = rc / dc
-            rem = rem - Expr._trusted(self.patch, {qe: quot[qe]}) * d
+            q = quot[qe] = _quotient(rc, dc)
+            # rem - q*x^qe*d: the leading term cancels exactly, the tail lands below it
+            for e2, c2 in tail:
+                e = tuple(map(add, qe, e2))
+                s = rem.get(e)
+                if s is None:
+                    rem[e] = -(q * c2)
+                    heappush(heap, _grlex_heap_entry(e))
+                else:
+                    s -= q * c2
+                    if s:
+                        rem[e] = s
+                    else:
+                        del rem[e]
         return Expr._trusted(self.patch, quot)
 
     # -- printing --------------------------------------------------------------
@@ -531,7 +583,7 @@ def _rat_normalize(num: Expr, den: Expr) -> tuple[Expr, Expr]:
     if den.degree() == 0:
         # dividing by a constant: what divide_exact would return, term by term
         c = den.constant_value()
-        return (num if c == 1 else num * (Fraction(1) / c)), Expr.one(patch)
+        return (num if c == 1 else _divide_terms(num, c)), Expr.one(patch)
     # shared monomial factor
     def min_exps(e: Expr):
         it = iter(e.terms)
@@ -556,10 +608,14 @@ def _rat_normalize(num: Expr, den: Expr) -> tuple[Expr, Expr]:
     # monic denominator
     _, lc = den.leading()
     if lc != 1:
-        inv = Fraction(1) / lc
-        num = num * inv
-        den = den * inv
+        num = _divide_terms(num, lc)
+        den = _divide_terms(den, lc)
     return num, den
+
+
+def _divide_terms(p: Expr, c: Scalar) -> Expr:
+    """p / c for a non-zero number c, term by term in the order of p."""
+    return Expr._trusted(p.patch, {e: _quotient(t, c) for e, t in p.terms.items()})
 
 
 # -- matrices and elimination ------------------------------------------------------
@@ -616,14 +672,14 @@ def _as_matrix(m) -> ExprMatrix:
     return ExprMatrix.from_rows(rows[0][0].patch, rows)
 
 
-def _rational_rows(rows: Sequence[Sequence[Expr]]) -> list[list[Fraction]] | None:
-    """The entries as Fractions when every one is a constant, else None."""
+def _rational_rows(rows: Sequence[Sequence[Expr]]) -> list[list[Scalar]] | None:
+    """The entries as numbers when every one is a constant, else None."""
     if any(e.degree() > 0 for row in rows for e in row):
         return None
     return [[e.constant_value() for e in row] for row in rows]
 
 
-def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
+def _gauss_jordan(rows: list[list[Scalar]], ncols: int) -> list[int]:
     """Reduced row echelon form over Q in place; returns the pivot columns.
 
     Only the first ``ncols`` columns are pivoted on; later columns (a tracked
@@ -642,7 +698,7 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
             continue
         rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][col]
-        prow = rows[r] = [v / piv for v in rows[r]]
+        prow = rows[r] = [_quotient(v, piv) for v in rows[r]]
         live = [c for c in range(col, len(prow)) if prow[c]]
         for i in range(nrows):
             f = rows[i][col]
@@ -665,8 +721,8 @@ class _Reduction:
     rows must send b to zero.
     """
 
-    def __init__(self, q: Sequence[Sequence[Fraction]], ncols: int):
-        rows = [list(row) + [Fraction(int(i == j)) for j in range(len(q))] for i, row in enumerate(q)]
+    def __init__(self, q: Sequence[Sequence[Scalar]], ncols: int):
+        rows = [list(row) + [int(i == j) for j in range(len(q))] for i, row in enumerate(q)]
         self.ncols = ncols
         self.pivots = _gauss_jordan(rows, ncols)
         self.echelon = [row[:ncols] for row in rows]
@@ -690,20 +746,20 @@ class _Reduction:
     def solution(self, b: Sequence[Expr], patch: Patch) -> list[RatExpr]:
         return [RatExpr(v) for v in self.solve(b, patch)]
 
-    def kernel(self) -> list[list[Fraction]]:
+    def kernel(self) -> list[list[int]]:
         """Kernel basis indexed by the non-pivot columns in order.
 
         Each vector is cleared as ``clear_denominators`` clears constants:
-        times lcm(denominators) / gcd(numerators).
+        times lcm(denominators) / gcd(numerators), which leaves integers.
         """
         basis = []
         for fc in (c for c in range(self.ncols) if c not in self.pivots):
-            vec = [Fraction(0)] * self.ncols
-            vec[fc] = Fraction(1)
+            vec = [0] * self.ncols
+            vec[fc] = 1
             for row, c in zip(self.echelon, self.pivots):
                 vec[c] = -row[fc]
-            scale = Fraction(lcm(*(v.denominator for v in vec)), gcd(*(v.numerator for v in vec)))
-            basis.append([v * scale for v in vec])
+            den, num = lcm(*(v.denominator for v in vec)), gcd(*(v.numerator for v in vec))
+            basis.append([_quotient(v * den, num) for v in vec])
         return basis
 
     def basis(self, patch: Patch) -> list[list[Expr]]:
@@ -832,7 +888,7 @@ def dot(patch: Patch, pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
     terms of the step-by-step sum in the same insertion order, without a copy
     of the sum per step.  An operand on another patch raises ``PatchMismatch``.
     """
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for a, b in pairs:
         if a.patch is not patch or b.patch is not patch:
             for x in (a, b):
@@ -843,18 +899,50 @@ def dot(patch: Patch, pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
     return Expr._trusted(patch, out)
 
 
-def _combine(patch: Patch, coeffs: Iterable[Fraction], polys: Iterable[Expr]) -> Expr:
+def _combine(patch: Patch, coeffs: Iterable[Scalar], polys: Iterable[Expr]) -> Expr:
     """sum(coeffs[i] * polys[i]) for rational coefficients, built in one term map as ``dot`` builds its sum."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for k, p in zip(coeffs, polys):
         if k:
             out = _merge(out, {e: k * c for e, c in p.terms.items()})
     return Expr._trusted(patch, out)
 
 
+# the denominator of every coordinate of the full-rank certificate's point
+_RANK_DENOMINATOR = 7
+
+
 def _rank_point(patch: Patch) -> list[Fraction]:
     """The fixed point of the full-rank certificate: coordinate i (from 0) is (i + 2) / 7."""
-    return [Fraction(i + 2, 7) for i in range(patch.dim)]
+    return [Fraction(i + 2, _RANK_DENOMINATOR) for i in range(patch.dim)]
+
+
+def _rank_point_values(m: ExprMatrix) -> list[list[Scalar]]:
+    """The entries of m at ``_rank_point``, every one times 7^D for D the highest entry degree.
+
+    A term of degree d is its coefficient times the numerators of the point
+    times 7^(D - d), so integer coefficients give integer values.  All
+    entries are scaled by the same non-zero number, which keeps the rank.
+    """
+    top = max(e.degree() for row in m.entries for e in row)
+    nums = [int(v * _RANK_DENOMINATOR) for v in _rank_point(m.patch)]
+    scales = [_RANK_DENOMINATOR ** (top - d) for d in range(top + 1)]
+    out = []
+    for row in m.entries:
+        values = []
+        for p in row:
+            acc = 0
+            for e, c in p.terms.items():
+                t = c
+                d = 0
+                for v, k in zip(nums, e):
+                    if k:
+                        t *= v**k
+                        d += k
+                acc += t * scales[d]
+            values.append(acc)
+        out.append(values)
+    return out
 
 
 def generic_rank(m) -> int:
@@ -862,21 +950,20 @@ def generic_rank(m) -> int:
 
     The rank is read off the matrix's kept reduction.  Until a matrix with a
     non-constant entry has one, it is first evaluated at the fixed rational
-    point ``_rank_point`` and the values reduced over Q.  Evaluation cannot
-    raise the rank (a non-zero minor at the point is a non-zero minor of the
-    polynomial matrix), so a point rank equal to min(rows, cols) is the
-    generic rank, exactly, and is returned.  A lower point rank proves
-    nothing (the point may lie on the zero set of every maximal minor), and
-    the matrix is then reduced.
+    point ``_rank_point``, in integers scaled by one power of its
+    denominator (``_rank_point_values``), and the values reduced over Q.
+    Evaluation cannot raise the rank (a non-zero minor at the point is a
+    non-zero minor of the polynomial matrix), so a point rank equal to
+    min(rows, cols) is the generic rank, exactly, and is returned.  A lower
+    point rank proves nothing (the point may lie on the zero set of every
+    maximal minor), and the matrix is then reduced.
     """
     m = _as_matrix(m)
     if not m.nrows or not m.ncols:
         return 0
     if "_reduced" not in m.__dict__ and _rational_rows(m.entries) is None:
         full = min(m.nrows, m.ncols)
-        point = _rank_point(m.patch)
-        values = [[e.eval_rational(point) for e in row] for row in m.entries]
-        if len(_gauss_jordan(values, m.ncols)) == full:
+        if len(_gauss_jordan(_rank_point_values(m), m.ncols)) == full:
             return full
     return len(m._reduced.pivots)
 
@@ -926,7 +1013,7 @@ def nullspace(a) -> list[list[Expr]]:
 
 
 def clear_denominators(vec: Sequence[RatExpr]) -> list[Expr]:
-    """Scale a rational vector to a polynomial one (content-reduced)."""
+    """Scale a rational vector to a polynomial one, content-reduced to integer coefficients."""
     if not vec:
         return []
     patch = vec[0].patch
@@ -936,10 +1023,18 @@ def clear_denominators(vec: Sequence[RatExpr]) -> list[Expr]:
             # multiply by this denominator unless it already divides scale
             if scale.divide_exact(v.den) is None:
                 scale = scale * v.den
+    # every denominator divides scale: each numerator times the exact quotient scale/den,
+    # its terms in the grlex-descending order in which divide_exact builds num*scale/den
+    cofactors: dict[Expr, Expr] = {}
     out = []
     for v in vec:
-        w = v * RatExpr(scale)
-        out.append(w.as_expr())
+        if v.is_polynomial():
+            out.append(v.num * scale)
+            continue
+        if v.den not in cofactors:
+            cofactors[v.den] = scale.divide_exact(v.den)
+        w = v.num * cofactors[v.den]
+        out.append(Expr._trusted(patch, dict(sorted(w.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True))))
     # the scale above can overshoot the lcm; divide back out while possible
     if all(e.is_zero() for e in out):
         return out
@@ -952,16 +1047,8 @@ def clear_denominators(vec: Sequence[RatExpr]) -> list[Expr]:
             if all(q is not None for q in quots):
                 out = quots
                 changed = True
-    # reduce numeric content for a tidy, deterministic representative
+    # reduce numeric content for a tidy, deterministic representative: times
+    # lcm(denominators) / gcd(numerators), which leaves every coefficient an int
     coeffs = [c for e in out for c in e.terms.values()]
-    if coeffs:
-        num_gcd = 0
-        den_lcm = 1
-        for c in coeffs:
-            num_gcd = gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        if num_gcd:
-            factor = Fraction(den_lcm, num_gcd)
-            if factor != 1:
-                out = [e * factor for e in out]
-    return out
+    den, num = lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs))
+    return [Expr._trusted(patch, {x: _quotient(c * den, num) for x, c in e.terms.items()}) for e in out]

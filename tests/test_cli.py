@@ -546,6 +546,8 @@ def test_main_exit_codes(tmp_path, capsys):
             "check im_two_form A im_from_two_form(A, dx0^dx1)\n",
             "im_two_form A im_from_two_form(A, dx0^dx1): an algebroid of rank 33 is above the limit of 32 for the Jacobi check",
         ),
+        # a constructor's shape error is an engine error, printed once without the constructor's name
+        ("let M = patch(x, y)\nlet L = bfield_transform(graph_two_form(dx^dy), dx)\n", "b-field must be a two-form"),
     ],
     ids=[
         "duplicate-coordinate",
@@ -574,6 +576,7 @@ def test_main_exit_codes(tmp_path, capsys):
         "long-sum-in-a-check",
         "dual-poisson-above-the-algebroid-rank-limit",
         "im-two-form-above-the-algebroid-rank-limit",
+        "bfield-of-a-one-form",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected):

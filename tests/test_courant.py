@@ -162,6 +162,14 @@ def test_foliation_rank_deficient():
         foliation_frame([vf(M2, "x", "0"), vf(M2, "x^2", "0")])
 
 
+def test_parts_of_the_wrong_degree_raise_wrong_shape():
+    # an engine error, so a library caller that catches EngineError sees it
+    with pytest.raises(WrongShape, match="form part must have degree 1"):
+        GSec(VField.zero(M2), KForm.zero(M2, 2))
+    with pytest.raises(WrongShape, match="b-field must be a two-form"):
+        bfield_transform(graph_two_form(KForm.zero(M2, 2)), KForm.d_coord(M2, "x"))
+
+
 # -- Lagrangian check ---------------------------------------------------------------
 
 

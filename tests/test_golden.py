@@ -50,6 +50,7 @@ EXIT_CODES = {
     "dirac_witnesses": 1,
     "groupoid_witnesses": 1,
     "rank_deficient": 2,
+    "slow_linearity": 1,
 }
 
 

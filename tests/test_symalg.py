@@ -1,5 +1,6 @@
 """Scalar algebra: parsing, ring laws, calculus, elimination."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -171,9 +172,11 @@ def test_power_is_step_by_step_multiplication():
 def test_public_constructor_validates():
     with pytest.raises(ValueError, match="wrong length"):
         Expr(XY, {(1,): 1})
-    e = Expr(XY, {(1, 0): 2, (0, 1): 0, (0, 0): Fraction(0)})
-    assert e.terms == {(1, 0): Fraction(2)}
-    assert type(e.terms[(1, 0)]) is Fraction
+    e = Expr(XY, {(1, 0): Fraction(4, 2), (0, 1): 0, (0, 0): Fraction(0), (1, 1): Fraction(1, 2)})
+    assert e.terms == {(1, 0): 2, (1, 1): Fraction(1, 2)}
+    # an integral value is stored as an int, any other as a Fraction
+    assert type(e.terms[(1, 0)]) is int
+    assert type(e.terms[(1, 1)]) is Fraction
     assert Expr(XY, {(1, 0): 0}).is_zero()
 
 
@@ -677,7 +680,8 @@ KERNEL_NAMES = ("a", "b", "c", "d")
 
 def _assert_canonical(e):
     for exps, c in e.terms.items():
-        assert type(c) is Fraction and c != 0
+        # an int or a Fraction, never a float or a bool
+        assert type(c) in (int, Fraction) and c != 0
         assert type(exps) is tuple and len(exps) == e.patch.dim
         assert all(type(k) is int and k >= 0 for k in exps)
 
@@ -794,3 +798,149 @@ def test_expr_matrix_shape_checks():
     assert m.transpose().entries == m.entries
     with pytest.raises(ValueError):
         ExprMatrix.from_rows(XY, [[one], [one, one]])
+
+
+# -- integer coefficients -------------------------------------------------------------------
+
+ZZ = st.integers(-4, 4)
+
+
+def int_polys(patch, degree=2, size=3):
+    terms = st.dictionaries(st.tuples(*[st.integers(0, degree)] * patch.dim), ZZ, max_size=size)
+    return terms.map(lambda t: Expr(patch, t))
+
+
+def _as_fractions(e):
+    """``e`` with every coefficient an integral Fraction, built as a kernel result is built."""
+    return Expr._trusted(e.patch, {exps: Fraction(c) for exps, c in e.terms.items()})
+
+
+def _terms(value):
+    """Term maps in insertion order, with their printed form, of a result or a nest of them."""
+    if isinstance(value, Expr):
+        return list(value.terms.items()), str(value)
+    if isinstance(value, RatExpr):
+        return _terms(value.num), _terms(value.den)
+    if isinstance(value, (list, tuple)):
+        return [_terms(v) for v in value]
+    return value
+
+
+@st.composite
+def integer_problems(draw):
+    """Two polynomials, a matrix (polynomial, of chosen rank, or constant) and a column, all with integer coefficients."""
+    a, b = draw(int_polys(XY)), draw(int_polys(XY))
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nrows, ncols)))
+        left = [[draw(int_polys(XY, 1, 2)) for _ in range(k)] for _ in range(nrows)]
+        right = [[draw(int_polys(XY, 1, 2)) for _ in range(ncols)] for _ in range(k)]
+        rows = [[symalg.dot(XY, zip(left[i], [r[j] for r in right])) for j in range(ncols)] for i in range(nrows)]
+    else:
+        rows = [[Expr.const(XY, draw(ZZ)) for _ in range(ncols)] for _ in range(nrows)]
+    column = [draw(int_polys(XY, 1, 2)) for _ in range(nrows)]
+    return a, b, rows, column
+
+
+def _kernel_results(a, b, rows, column):
+    """Every kernel operation on one problem, in a fixed order."""
+    m = ExprMatrix.from_rows(XY, rows)
+    out = [a + b, a - b, a * b, a.differentiate("x"), a.substitute([b, a], XY), a.divide_exact(b) if b.terms else None]
+    if b.terms:
+        out.append((a * b).divide_exact(b))
+    out += [generic_rank(m), nullspace(m), in_span(m, column), _solve_or_inconsistent(m, column)]
+    if a.terms and b.terms:
+        out.append(clear_denominators([RatExpr(a, b), RatExpr(b, a), RatExpr(a)]))
+    return out
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(integer_problems())
+@example((parse_expr("2*x*y - 4", XY), parse_expr("2*x", XY), [[parse_expr("2*x", XY), parse_expr("4*y", XY)]], [parse_expr("6", XY)]))
+def test_integer_coefficients_match_integral_fractions(problem):
+    a, b, rows, column = problem
+    got = _kernel_results(a, b, rows, column)
+    want = _kernel_results(_as_fractions(a), _as_fractions(b), [[_as_fractions(e) for e in row] for row in rows], [_as_fractions(e) for e in column])
+    # equal term maps in the same insertion order, printed alike
+    assert _terms(got) == _terms(want)
+    for value in (a + b, a * b, a.differentiate("y"), a.substitute([b, a], XY)):
+        assert all(type(c) is int for c in value.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rank_point_values_are_the_scaled_point_values(data):
+    # seven coordinates, so that one coordinate of the point, 7/7, is an integer
+    patch = Patch("P7", tuple("abcdefg"))
+    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rows = [[data.draw(polys(patch) if data.draw(st.booleans()) else int_polys(patch)) for _ in range(ncols)] for _ in range(nrows)]
+    rows[0][0] = rows[0][0] + Expr.coord(patch, data.draw(st.sampled_from(patch.coords)))
+    m = ExprMatrix.from_rows(patch, rows)
+    top = max(e.degree() for row in rows for e in row)
+    point = symalg._rank_point(patch)
+    values = symalg._rank_point_values(m)
+    assert values == [[7**top * e.eval_rational(point) for e in row] for row in rows]
+    for row, vals in zip(rows, values):
+        for e, v in zip(row, vals):
+            if all(type(c) is int for c in e.terms.values()):
+                assert type(v) is int
+
+
+def _divide_by_scan(num, den):
+    """``divide_exact`` before the heap: every leading term found by a scan of the whole remainder, rebuilt per step."""
+    rem = num
+    quot = {}
+    de, dc = den.leading()
+    while not rem.is_zero():
+        re_, rc = rem.leading()
+        qe = tuple(a - b for a, b in zip(re_, de))
+        if any(k < 0 for k in qe):
+            return None
+        quot[qe] = Fraction(rc) / dc
+        rem = rem - Expr._trusted(num.patch, {qe: quot[qe]}) * den
+    return Expr._trusted(num.patch, quot)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(XYZ), NONZERO, polys(XYZ), st.booleans())
+@example(parse_expr("x^2 + x*y + 1", XYZ), parse_expr("x + y - z", XYZ), parse_expr("y^2 - 2", XYZ), True)
+def test_divide_exact_matches_the_scan(q, d, r, exact):
+    num = q * d if exact else q * d + r
+    got, want = num.divide_exact(d), _divide_by_scan(num, d)
+    assert (got is None) == (want is None)
+    if got is not None:
+        # the same quotient, its terms in the same insertion order
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _clear_by_normalising(vec):
+    """``clear_denominators`` before the exact quotient: each entry num*scale normalised over den."""
+    scale = Expr.one(vec[0].patch)
+    for v in vec:
+        if not v.is_polynomial() and scale.divide_exact(v.den) is None:
+            scale = scale * v.den
+    out = [(v * RatExpr(scale)).as_expr() for v in vec]
+    if all(e.is_zero() for e in out):
+        return out
+    dens = sorted({v.den for v in vec if not v.is_polynomial()}, key=str)
+    changed = True
+    while changed:
+        changed = False
+        for d in dens:
+            quots = [e.divide_exact(d) for e in out]
+            if all(q is not None for q in quots):
+                out, changed = quots, True
+    coeffs = [Fraction(c) for e in out for c in e.terms.values()]
+    factor = Fraction(math.lcm(*(c.denominator for c in coeffs)), math.gcd(*(c.numerator for c in coeffs)))
+    return [e * factor for e in out]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(polys(XY), polys(XY).filter(lambda e: not e.is_zero())), min_size=1, max_size=3))
+@example([(parse_expr("x", XY), parse_expr("x*y + y", XY)), (parse_expr("2", XY), parse_expr("y + 1", XY))])
+def test_clear_denominators_matches_the_normalised_products(pairs):
+    vec = [RatExpr(n, d) for n, d in pairs]
+    got, want = clear_denominators(vec), _clear_by_normalising(vec)
+    assert [list(e.terms.items()) for e in got] == [list(e.terms.items()) for e in want]
+    # cleared vectors have integer coefficients
+    assert all(type(c) is int for e in got for c in e.terms.values())
