@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .errors import DegreeTooHigh, DegreeZero, PatchMismatch
+from .errors import DegreeTooHigh, DegreeZero, PatchMismatch, WrongShape
 from .symalg import Expr, ExprMatrix, Patch, _combine, dot
 
 MAX_DEGREE = 3
@@ -58,7 +58,7 @@ class VField:
 
     def __post_init__(self):
         if len(self.components) != self.patch.dim:
-            raise ValueError("need one component per coordinate")
+            raise WrongShape("need one component per coordinate")
         for c in self.components:
             if c.patch != self.patch:
                 raise PatchMismatch("component on a different patch")
@@ -125,9 +125,9 @@ class _AntisymTensor:
         for idx, e in coeffs.items():
             idx = tuple(idx)
             if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"index {idx} not strictly increasing of length {degree}")
+                raise WrongShape(f"index {idx} not strictly increasing of length {degree}")
             if any(i < 0 or i >= patch.dim for i in idx):
-                raise ValueError(f"index {idx} out of range")
+                raise WrongShape(f"index {idx} out of range")
             if e.patch != patch:
                 raise PatchMismatch("coefficient on a different patch")
             if not e.is_zero():
@@ -245,13 +245,13 @@ class KForm(_AntisymTensor):
     def components(self) -> tuple[Expr, ...]:
         """Degree-1 forms as a coefficient vector."""
         if self.degree != 1:
-            raise ValueError("components() needs a one-form")
+            raise WrongShape("components() needs a one-form")
         return tuple(self.coeff((i,)) for i in range(self.patch.dim))
 
     def evaluate(self, *fields: VField) -> Expr:
         """Multilinear antisymmetric evaluation on vector fields."""
         if len(fields) != self.degree:
-            raise ValueError(f"need {self.degree} vector fields")
+            raise WrongShape(f"need {self.degree} vector fields")
         for v in fields:
             if v.patch != self.patch:
                 raise PatchMismatch("vector field on a different patch")
@@ -307,7 +307,7 @@ class PolyMap:
 
     def __post_init__(self):
         if len(self.components) != self.target.dim:
-            raise ValueError("need one component per target coordinate")
+            raise WrongShape("need one component per target coordinate")
         for c in self.components:
             if c.patch != self.source:
                 raise PatchMismatch("component on a patch other than the source")
@@ -323,11 +323,11 @@ class PolyMap:
         the empty point cannot carry the parameter patch itself.
         """
         if len(point) != self.source.dim:
-            raise ValueError("point has wrong length")
+            raise WrongShape("point has wrong length")
         if point:
             ppatch = point[0].patch
         elif ppatch is None:
-            raise ValueError("zero-dimensional source needs an explicit parameter patch")
+            raise WrongShape("zero-dimensional source needs an explicit parameter patch")
         values = list(point)
         return [c.substitute(values, ppatch) for c in self.components]
 
@@ -448,7 +448,7 @@ def wedge_fields(x: VField, y: VField) -> Bivector:
 def sharp_bivector(p: Bivector, a: KForm) -> VField:
     """p^#(a) = p(a, .); component i is sum_j p[j, i] a_j."""
     if a.degree != 1:
-        raise ValueError("sharp needs a one-form")
+        raise WrongShape("sharp needs a one-form")
     if a.patch != p.patch:
         raise PatchMismatch("operands on different patches")
     patch = p.patch

@@ -27,11 +27,16 @@ right-hand side is replayed through them: it ends as the last column of
 [a | b] would, at the cost of one column.  A column lies in the span when it
 vanishes past the rank after either.  Both take the leftmost column with a
 nonzero entry as the next pivot, so they find the same pivot columns and
-return equal results.  Until a non-constant matrix keeps its reduction,
-``generic_rank`` first tries a one-sided certificate: full rank at a fixed
-rational point proves full generic rank; anything less reduces the matrix.
-The point's values are taken in integers, all scaled by one power of its
-denominator.
+return equal results.
+
+Until a non-constant matrix keeps its reduction, ``generic_rank`` first
+certifies the rank from both sides in word-size integers.  From below: the
+rank modulo the prime p = 2^61 - 1 of the values at a fixed rational point.
+A minor non-zero mod p is non-zero at the point, hence a non-zero
+polynomial; a coefficient with p in its denominator skips the certificate.
+From above: the term rank, a maximum matching of the non-zero entries,
+since every non-zero minor has a non-zero term.  When the lower bound is min(rows, cols) or equals the term rank, that
+is the rank and nothing is eliminated; otherwise the matrix is reduced.
 
 Accumulation: every sum of products is built in one term map, never by
 adding to an accumulating ``Expr``, which copies the whole map at each step.
@@ -908,63 +913,126 @@ def _combine(patch: Patch, coeffs: Iterable[Scalar], polys: Iterable[Expr]) -> E
     return Expr._trusted(patch, out)
 
 
-# the denominator of every coordinate of the full-rank certificate's point
-_RANK_DENOMINATOR = 7
+# the prime of the rank certificate's lower bound, 2^61 - 1
+_P = (1 << 61) - 1
 
 
-def _rank_point(patch: Patch) -> list[Fraction]:
-    """The fixed point of the full-rank certificate: coordinate i (from 0) is (i + 2) / 7."""
-    return [Fraction(i + 2, _RANK_DENOMINATOR) for i in range(patch.dim)]
+def _rank_point(dim: int) -> tuple[Fraction, ...]:
+    """The fixed point of the rank certificate on ``dim`` coordinates: coordinate i (from 0) is (i + 2) / 7."""
+    return tuple(Fraction(i + 2, 7) for i in range(dim))
 
 
-def _rank_point_values(m: ExprMatrix) -> list[list[Scalar]]:
-    """The entries of m at ``_rank_point``, every one times 7^D for D the highest entry degree.
+def _mod_p(c: Scalar) -> int | None:
+    """The rational c modulo ``_P``; None when ``_P`` divides its denominator."""
+    if type(c) is int:
+        return c % _P
+    d = c.denominator % _P
+    return c.numerator * pow(d, -1, _P) % _P if d else None
 
-    A term of degree d is its coefficient times the numerators of the point
-    times 7^(D - d), so integer coefficients give integer values.  All
-    entries are scaled by the same non-zero number, which keeps the rank.
+
+def _point_values_mod_p(m: ExprMatrix) -> list[list[int]] | None:
+    """The entries of m at ``_rank_point``, modulo ``_P``; None when ``_P`` divides a coefficient's denominator.
+
+    Each monomial is evaluated once per matrix, kept by its exponent tuple.
     """
-    top = max(e.degree() for row in m.entries for e in row)
-    nums = [int(v * _RANK_DENOMINATOR) for v in _rank_point(m.patch)]
-    scales = [_RANK_DENOMINATOR ** (top - d) for d in range(top + 1)]
+    point = tuple(map(_mod_p, _rank_point(m.patch.dim)))
+    monomials: dict[tuple[int, ...], int] = {}
     out = []
     for row in m.entries:
         values = []
         for p in row:
             acc = 0
             for e, c in p.terms.items():
-                t = c
-                d = 0
-                for v, k in zip(nums, e):
-                    if k:
-                        t *= v**k
-                        d += k
-                acc += t * scales[d]
-            values.append(acc)
+                v = monomials.get(e)
+                if v is None:
+                    v = 1
+                    for x, k in zip(point, e):
+                        if k:
+                            v = v * pow(x, k, _P) % _P
+                    monomials[e] = v
+                if type(c) is not int:
+                    c = _mod_p(c)
+                    if c is None:
+                        return None
+                acc += c * v
+            values.append(acc % _P)
         out.append(values)
     return out
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank of a matrix of integers modulo ``_P``, by row echelon elimination in place."""
+    nrows, ncols = len(rows), len(rows[0])
+    r = 0
+    for col in range(ncols):
+        best = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        prow = rows[r]
+        inv = pow(prow[col], -1, _P)
+        live = [c for c in range(col + 1, ncols) if prow[c]]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[col] * inv % _P
+            if f:
+                for c in live:
+                    row[c] = (row[c] - f * prow[c]) % _P
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _term_rank(m: ExprMatrix) -> int:
+    """Most non-zero entries with no two in one row or column: a maximum matching
+    of rows to columns, grown by augmenting paths (Kuhn)."""
+    support = [[j for j, e in enumerate(row) if e.terms] for row in m.entries]
+    owner = [-1] * m.ncols  # the row each column is matched to
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in support[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(m.nrows))
 
 
 def generic_rank(m) -> int:
     """Rank of the matrix over the fraction field of the polynomial ring.
 
-    The rank is read off the matrix's kept reduction.  Until a matrix with a
-    non-constant entry has one, it is first evaluated at the fixed rational
-    point ``_rank_point``, in integers scaled by one power of its
-    denominator (``_rank_point_values``), and the values reduced over Q.
-    Evaluation cannot raise the rank (a non-zero minor at the point is a
-    non-zero minor of the polynomial matrix), so a point rank equal to
-    min(rows, cols) is the generic rank, exactly, and is returned.  A lower
-    point rank proves nothing (the point may lie on the zero set of every
-    maximal minor), and the matrix is then reduced.
+    A matrix of constants, or one that already keeps its reduction, reads
+    the rank off the reduction.  Any other is first bounded from both
+    sides, in word-size integers:
+
+    * from below, by the rank modulo the prime p = 2^61 - 1 of its values at
+      the fixed point ``_rank_point``, coordinate i at (i + 2) * 7^-1 mod p.
+      A minor that is non-zero mod p is non-zero over Q, so it is non-zero
+      at the point, so it is a non-zero minor of the polynomial matrix.  When
+      p divides a coefficient's denominator the values have no residue mod
+      p, and the matrix is reduced;
+    * from above, by the term rank: a non-zero minor has a non-zero term in
+      its expansion, which picks non-zero entries in distinct rows and
+      columns, so no minor larger than a maximum matching of the non-zero
+      entries is non-zero.  It is taken only when the lower bound is below
+      min(rows, cols), which is also an upper bound.
+
+    When the bounds meet, that is the rank, exactly.  Otherwise the point
+    may lie on the zero set of every larger minor, and the matrix is reduced.
     """
     m = _as_matrix(m)
     if not m.nrows or not m.ncols:
         return 0
     if "_reduced" not in m.__dict__ and _rational_rows(m.entries) is None:
-        full = min(m.nrows, m.ncols)
-        if len(_gauss_jordan(_rank_point_values(m), m.ncols)) == full:
-            return full
+        values = _point_values_mod_p(m)
+        if values is not None:
+            low = _rank_mod_p(values)
+            if low == min(m.nrows, m.ncols) or low == _term_rank(m):
+                return low
     return len(m._reduced.pivots)
 
 

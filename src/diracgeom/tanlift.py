@@ -103,7 +103,7 @@ def cotangent_patch(base: Patch) -> CotangentPatch:
 
 def _check_kind(kind: str) -> None:
     if kind not in ("vertical", "tangent"):
-        raise ValueError(f"kind must be 'vertical' or 'tangent', got {kind!r}")
+        raise WrongShape(f"kind must be 'vertical' or 'tangent', got {kind!r}")
 
 
 def lift_function(f: Expr, kind: str) -> Expr:
@@ -136,7 +136,7 @@ def lift_one_form(a: KForm, kind: str) -> KForm:
     """a^v keeps the dx components; a^T pairs lifted coefficients with dx and dx_dot."""
     _check_kind(kind)
     if a.degree != 1:
-        raise ValueError("only one-forms lift here")
+        raise WrongShape("only one-forms lift here")
     tp = tangent_patch(a.patch)
     n = a.patch.dim
     zero = Expr.zero(tp.total)

@@ -25,9 +25,9 @@ from diracgeom.cartan import (
     wedge_fields,
 )
 from diracgeom.cli import _type_name, parse_expr
-from diracgeom.errors import DegreeTooHigh, DegreeZero, PatchMismatch
+from diracgeom.errors import DegreeTooHigh, DegreeZero, EngineError, PatchMismatch, WrongShape
 from diracgeom.symalg import Expr, Patch, dot
-from diracgeom.tanlift import lift_function, tangent_patch
+from diracgeom.tanlift import lift_function, lift_one_form, tangent_patch
 
 from test_symalg import rand_expr
 
@@ -53,6 +53,41 @@ def rand_form(rng, patch, degree, max_deg=2):
         degree,
         {idx: rand_expr(rng, patch, max_deg=max_deg) for idx in combinations(range(patch.dim), degree)},
     )
+
+
+# -- shape checks of cartan and tanlift ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: VField(M2, (Expr.zero(M2),)),
+        lambda: PolyMap(M2, M3, (Expr.zero(M2),) * 2),
+        lambda: PolyMap.identity(M2).apply([Expr.zero(M2)]),
+        lambda: KForm(M2, 2, {(1, 0): Expr.one(M2)}),
+        lambda: KForm(M2, 1, {(2,): Expr.one(M2)}),
+        lambda: wedge(one_form(M2, "1", "0"), one_form(M2, "0", "1")).components(),
+        lambda: one_form(M2, "1", "0").evaluate(),
+        lambda: sharp_bivector(wedge_fields(vf(M2, "1", "0"), vf(M2, "0", "1")), KForm.function(Expr.one(M2))),
+        lambda: lift_one_form(wedge(one_form(M2, "1", "0"), one_form(M2, "0", "1")), "tangent"),
+    ],
+    ids=[
+        "vfield-count",
+        "polymap-count",
+        "polymap-point",
+        "kform-index-order",
+        "kform-index-range",
+        "components-of-a-two-form",
+        "evaluate-count",
+        "sharp-of-a-function",
+        "lift-of-a-two-form",
+    ],
+)
+def test_shape_checks_raise_wrong_shape(build):
+    # caught as EngineError, the base of every error the package raises
+    with pytest.raises(EngineError) as caught:
+        build()
+    assert type(caught.value) is WrongShape
 
 
 # -- Lie bracket ---------------------------------------------------------------

@@ -51,6 +51,7 @@ EXIT_CODES = {
     "groupoid_witnesses": 1,
     "rank_deficient": 2,
     "slow_linearity": 1,
+    "slow_linearity_4d": 1,
 }
 
 

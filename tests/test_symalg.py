@@ -458,15 +458,14 @@ def _combine_row(row, xs):
 
 
 def _by_bareiss(fn, *args):
-    """``fn(*args)`` with the Q route and the point certificate switched off.
+    """``fn(*args)`` with the Q route and the rank certificate switched off.
 
     Every matrix then answers from a fraction-free ``_FractionFree`` reduction
     built directly on it, a matrix of constants too, and not one it has
-    already made and kept; a ``_gauss_jordan`` that finds no pivot makes
-    every point rank too low to certify.
+    already made and kept.
     """
     with mock.patch.object(ExprMatrix, "_reduced", property(lambda self: symalg._FractionFree(self))), mock.patch.object(
-        symalg, "_gauss_jordan", lambda rows, ncols: []
+        symalg, "_point_values_mod_p", lambda m: None
     ):
         return fn(*args)
 
@@ -556,7 +555,7 @@ def test_rational_rank_and_nullity_match_sympy(vals):
     assert len(nullspace(a)) == len(ref.nullspace())
 
 
-# -- rank certificate at a rational point ------------------------------------------------
+# -- rank certificate: point rank mod p from below, term rank from above ------------------
 
 # zero at the certificate point x = 2/7, y = 3/7, so rows scaled by them have
 # a point rank below the generic rank and force the fallback
@@ -587,14 +586,27 @@ def poly_matrices(draw):
     return ExprMatrix.from_rows(XY, rows)
 
 
+@st.composite
+def block_matrices(draw):
+    """[a 0; 0 b] for two drawn polynomial matrices, rows shuffled: zero blocks, often rank deficient.
+
+    The zero blocks lower the term rank, the upper bound of the certificate,
+    as the zero blocks of a foliation frame do.
+    """
+    a, b = draw(poly_matrices()), draw(poly_matrices())
+    zero = Expr.zero(XY)
+    rows = [row + (zero,) * b.ncols for row in a.entries] + [(zero,) * a.ncols + row for row in b.entries]
+    return ExprMatrix.from_rows(XY, draw(st.permutations(rows)))
+
+
 def _matrix(*rows):
     return ExprMatrix.from_rows(XY, [[parse_expr(e, XY) for e in row] for row in rows])
 
 
 def test_rank_certificate_point_is_fixed():
-    assert symalg._rank_point(XYZ) == [Fraction(2, 7), Fraction(3, 7), Fraction(4, 7)]
+    assert symalg._rank_point(XYZ.dim) == (Fraction(2, 7), Fraction(3, 7), Fraction(4, 7))
     for text in VANISHING:
-        assert parse_expr(text, XY).eval_rational(symalg._rank_point(XY)) == 0
+        assert parse_expr(text, XY).eval_rational(symalg._rank_point(XY.dim)) == 0
 
 
 def test_rank_certificate_falls_back_below_full_point_rank():
@@ -608,19 +620,78 @@ def test_rank_certificate_falls_back_below_full_point_rank():
     with mock.patch.object(symalg, "_FractionFree", spy):
         assert generic_rank(_matrix(["x", "y"], ["y", "x"], ["1", "x*y"])) == 2
         assert calls == []  # certified at the point
+        assert generic_rank(_matrix(["x", "0"], ["0", "0"])) == 1
+        assert generic_rank(_matrix(["x", "0"], ["y", "0"])) == 1
+        assert generic_rank(_matrix(["x", "y", "0"], ["y", "x", "0"], ["0", "0", "0"])) == 2
+        assert calls == []  # point rank below full, equal to the term rank
         assert generic_rank(_matrix(["7*x - 2", "0"], ["0", "7*y - 3"])) == 2
         assert calls == [2]  # point rank 0, generic rank 2
         assert generic_rank(_matrix(["x", "y"], ["2*x", "2*y"])) == 1
-        assert calls == [2, 2]  # rank deficient: the point cannot certify
+        assert calls == [2, 2]  # rank deficient with term rank 2: the bounds disagree
+        # point rank 1, term rank 2: a matching that never moves the first row off column 1 stops at 1
+        assert generic_rank(_matrix(["x", "7*y - 3"], ["x", "0"])) == 2
+        assert calls == [2, 2, 2]
+
+
+def _largest_matching(support, used=frozenset()):
+    """The most rows that get distinct columns of their own support, by trying every choice."""
+    if not support:
+        return 0
+    rest = support[1:]
+    return max([_largest_matching(rest, used)] + [1 + _largest_matching(rest, used | {j}) for j in support[0] if j not in used])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_term_rank_is_the_largest_matching(pattern):
+    x = parse_expr("x", XY)
+    m = ExprMatrix.from_rows(XY, [[x if b else Expr.zero(XY) for b in row] for row in pattern])
+    assert symalg._term_rank(m) == _largest_matching([[j for j, b in enumerate(row) if b] for row in pattern])
 
 
 @DIFF
-@given(poly_matrices())
+@given(st.one_of(poly_matrices(), block_matrices()))
 @example(_matrix(["7*x - 2", "0"], ["0", "7*y - 3"]))
 @example(_matrix(["7*x - 2", "x"], ["0", "49*x*y - 6"], ["7*y - 3", "y"]))
 @example(_matrix(["x*(7*y - 3)", "y"], ["x^2*(7*y - 3)", "x*y"]))
+@example(_matrix(["x", "y", "0"], ["2*x", "2*y", "0"], ["0", "0", "7*x - 2"]))
+@example(_matrix(["x", "7*y - 3"], ["x", "0"]))
 def test_generic_rank_matches_bareiss_on_polynomial_matrices(m):
     assert generic_rank(m) == _by_bareiss(generic_rank, m)
+
+
+def _mod(v, p):
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_point_values_mod_p_are_the_point_values_mod_p(data):
+    # seven coordinates, so that one coordinate of the point, 7/7, is an integer
+    patch = Patch("P7", tuple("abcdefg"))
+    p = symalg._P
+    assert p == 2**61 - 1
+    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rows = [[data.draw(polys(patch) if data.draw(st.booleans()) else int_polys(patch)) for _ in range(ncols)] for _ in range(nrows)]
+    # a coefficient above p, and one below -p
+    rows[0][0] = rows[0][0] + Expr(patch, {(1,) + (0,) * 6: 3 * p + 5, (0, 2) + (0,) * 5: Fraction(-5 * p - 1, 3)})
+    m = ExprMatrix.from_rows(patch, rows)
+    point = symalg._rank_point(patch.dim)
+    assert symalg._point_values_mod_p(m) == [[_mod(e.eval_rational(point), p) for e in row] for row in rows]
+
+
+def test_a_denominator_divisible_by_p_skips_the_certificate():
+    p = symalg._P
+    x, y = Expr.coord(XY, "x"), Expr.coord(XY, "y")
+    over_p = Expr(XY, {(1, 0): Fraction(1, p)})
+    singular = ExprMatrix.from_rows(XY, [[over_p, y], [x, y * p]])  # determinant x*y - x*y
+    regular = ExprMatrix.from_rows(XY, [[over_p, Expr.zero(XY)], [Expr.zero(XY), y]])
+    for m, rank in ((singular, 1), (regular, 2)):
+        assert symalg._point_values_mod_p(m) is None
+        with mock.patch.object(symalg, "_FractionFree", wraps=symalg._FractionFree) as fraction_free:
+            assert generic_rank(m) == rank
+        assert fraction_free.call_count == 1
+        assert _by_bareiss(generic_rank, ExprMatrix(m.patch, m.entries)) == rank
 
 
 @st.composite
@@ -664,7 +735,7 @@ def test_in_span_matches_the_augmented_rank_rule(problem):
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(poly_matrices())
+@given(st.one_of(poly_matrices(), block_matrices()))
 def test_generic_rank_matches_sympy_on_polynomial_matrices(m):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
@@ -865,25 +936,6 @@ def test_integer_coefficients_match_integral_fractions(problem):
     assert _terms(got) == _terms(want)
     for value in (a + b, a * b, a.differentiate("y"), a.substitute([b, a], XY)):
         assert all(type(c) is int for c in value.terms.values())
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_rank_point_values_are_the_scaled_point_values(data):
-    # seven coordinates, so that one coordinate of the point, 7/7, is an integer
-    patch = Patch("P7", tuple("abcdefg"))
-    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    rows = [[data.draw(polys(patch) if data.draw(st.booleans()) else int_polys(patch)) for _ in range(ncols)] for _ in range(nrows)]
-    rows[0][0] = rows[0][0] + Expr.coord(patch, data.draw(st.sampled_from(patch.coords)))
-    m = ExprMatrix.from_rows(patch, rows)
-    top = max(e.degree() for row in rows for e in row)
-    point = symalg._rank_point(patch)
-    values = symalg._rank_point_values(m)
-    assert values == [[7**top * e.eval_rational(point) for e in row] for row in rows]
-    for row, vals in zip(rows, values):
-        for e, v in zip(row, vals):
-            if all(type(c) is int for c in e.terms.values()):
-                assert type(v) is int
 
 
 def _divide_by_scan(num, den):

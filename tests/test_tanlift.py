@@ -158,7 +158,7 @@ def test_lift_bracket_identities():
 
 
 def test_lift_kind_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError, match="kind must be 'vertical' or 'tangent', got 'sideways'"):
         lift_function(parse_expr("x", M1), "sideways")
 
 
