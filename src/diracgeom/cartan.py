@@ -18,7 +18,8 @@ zero components, and ``exterior_derivative`` and ``interior_product`` visit
 only the index tuples reachable from stored coefficients (and, for i_X, the
 support of X).  They visit those tuples in sorted order, the order of
 ``combinations``, so every result has the same terms in the same order as
-the dense loops.  A form memoises its ``d`` on first use.  Each sum is
+the dense loops.  ``pullback_form`` picks only non-zero Jacobian entries
+and forms no minor.  A form memoises its ``d`` on first use.  Each sum is
 built in one term map by ``symalg.dot`` (or ``_combine`` for signs), and a
 signed lookup that misses returns None (``_AntisymTensor._signed``), so no
 operator builds a zero it then skips.
@@ -27,7 +28,7 @@ operator builds a zero it then skips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .errors import DegreeTooHigh, DegreeZero, PatchMismatch, WrongShape
@@ -477,20 +478,38 @@ def schouten_jacobiator(p: Bivector) -> dict[tuple[int, int, int], Expr]:
 
 
 def pullback_form(f: PolyMap, w: KForm) -> KForm:
-    """f^* w for w on the target of f."""
+    """f^* w for w on the target of f.
+
+    f^*(c dx^{r_1} ^ ... ^ dx^{r_k}) is f^*(c) times the wedge of the rows
+    f^*dx^r = sum_s J[r][s] dx^s, so the sum runs over one non-zero Jacobian
+    entry per row, in distinct columns s_1..s_k: each such pick adds
+    sign(s) f^*(c) J[r_1][s_1]...J[r_k][s_k] to the coefficient of the sorted
+    columns, where sign(s) is the sign of the permutation sorting them.  The
+    picks with one set of columns are the non-zero terms of the Leibniz
+    expansion of that minor of J, so this equals the minor expansion,
+    without forming a minor or a term that is zero.
+    """
     if w.patch != f.target:
         raise PatchMismatch("form not on the target patch")
-    src = f.source
-    jac = f.jacobian()
     if w.degree == 0:
         return KForm.function(f.pullback_scalar(w.coeff(())))
-    pulled = [(idx_tgt, f.pullback_scalar(c)) for idx_tgt, c in w.coeffs.items()]
-    out: dict[tuple[int, ...], Expr] = {}
-    for idx_src in combinations(range(src.dim), w.degree):
-        acc = dot(src, ((c, _det([[jac.entries[r][s] for s in idx_src] for r in idx_tgt])) for idx_tgt, c in pulled))
-        if not acc.is_zero():
-            out[idx_src] = acc
-    return KForm(src, w.degree, out)
+    src = f.source
+    # row r of the Jacobian as its non-zero entries (s, J[r][s])
+    rows = [[(s, e) for s, e in enumerate(row) if e.terms] for row in f.jacobian().entries]
+    pairs: dict[tuple[int, ...], list[tuple[Expr, Expr]]] = {}
+    for idx_tgt, c in w.coeffs.items():
+        pulled = f.pullback_scalar(c)
+        if not pulled.terms:
+            continue
+        for pick in product(*(rows[r] for r in idx_tgt)):
+            cols = tuple(s for s, _ in pick)
+            sign = _perm_sign(cols)
+            if sign:
+                term = pick[0][1]
+                for _, e in pick[1:]:
+                    term = term * e
+                pairs.setdefault(tuple(sorted(cols)), []).append((pulled if sign == 1 else -pulled, term))
+    return KForm(src, w.degree, {key: dot(src, pairs[key]) for key in sorted(pairs)})
 
 
 def _pushed_entries(p: Bivector, rows, point: Sequence[Expr], ppatch: Patch) -> dict[tuple[int, int], Expr]:

@@ -619,10 +619,8 @@ def run_checks(cf: CheckFile) -> RunReport:
                         if not isinstance(a, Name):
                             raise ParseError("patch(...) takes bare coordinate names")
                         coords.append(a.id)
-                    try:
-                        env[stmt.name] = Patch(stmt.name, tuple(coords))
-                    except ValueError as exc:
-                        raise ParseError(f"patch {stmt.name}: {exc}") from exc
+                    # a bad coordinate list raises WrongShape, whose message names the patch
+                    env[stmt.name] = Patch(stmt.name, tuple(coords))
                 else:
                     env[stmt.name] = _evaluate_argument(stmt.value, env)
                 continue

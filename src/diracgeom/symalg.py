@@ -49,7 +49,14 @@ Only the public constructor ``Expr(patch, terms)`` validates: it checks the
 exponent tuples, turns coefficients into ``int`` or ``Fraction`` and drops
 zeros, and is the boundary for input from outside the kernel.  Kernel
 results whose term map is canonical by construction are built by
-``Expr._trusted``, which takes the dict as given.
+``Expr._trusted``, which takes the dict as given: one ``object.__new__``
+and the two slot descriptors' own setters, with no ``__setattr__`` call, so
+every other assignment still raises.
+
+No work on a zero or a unit: ``substitute`` checks its values and then
+returns the target's zero for the zero polynomial at once, and builds a
+unit only for a constant term; ``e ** k`` is k - 1 products starting from
+``e`` itself.
 """
 
 from __future__ import annotations
@@ -88,15 +95,15 @@ class Patch:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("patch needs a name")
+            raise WrongShape("patch needs a name")
         if self.dim > MAX_DIMENSION:
             raise WrongShape(f"patch {self.name} has {self.dim} coordinates, above the limit of {MAX_DIMENSION}")
         seen = set()
         for c in self.coords:
             if not _NAME_RE.fullmatch(c):
-                raise ValueError(f"bad coordinate name {c!r}")
+                raise WrongShape(f"patch {self.name}: bad coordinate name {c!r}")
             if c in seen:
-                raise ValueError(f"duplicate coordinate {c!r}")
+                raise WrongShape(f"patch {self.name}: duplicate coordinate {c!r}")
             seen.add(c)
 
     @property
@@ -169,19 +176,19 @@ class Expr:
         for exps, c in terms.items():
             c = _coefficient(c)
             if len(exps) != n:
-                raise ValueError("exponent tuple has wrong length")
+                raise WrongShape("exponent tuple has wrong length")
             if c != 0:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def _trusted(cls, patch: Patch, terms: dict) -> "Expr":
+    @staticmethod
+    def _trusted(patch: Patch, terms: dict) -> "Expr":
         """An Expr on a fresh canonical term map, taken as given: non-zero
         ``int`` or ``Fraction`` coefficients on exponent tuples of length
-        ``patch.dim``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "patch", patch)
-        object.__setattr__(self, "terms", terms)
+        ``patch.dim``.  One allocation, filled through the slot setters."""
+        self = object.__new__(Expr)
+        _set_patch(self, patch)
+        _set_terms(self, terms)
         return self
 
     def __setattr__(self, *a):
@@ -279,9 +286,11 @@ class Expr:
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Expr.one(self.patch)
-        for _ in range(k):
+            raise WrongShape("exponent must be a nonnegative integer")
+        if k == 0:
+            return Expr.one(self.patch)
+        result = self
+        for _ in range(k - 1):
             result = result * self
         return result
 
@@ -334,10 +343,12 @@ class Expr:
     def substitute(self, values: Sequence["Expr"], target: Patch) -> "Expr":
         """Evaluate at values[i] in place of coordinate i; result on ``target``."""
         if len(values) != self.patch.dim:
-            raise ValueError("need one value per coordinate")
+            raise WrongShape("need one value per coordinate")
         for v in values:
-            if v.patch != target:
+            if v.patch is not target and v.patch != target:
                 raise PatchMismatch("substitution values must live on the target patch")
+        if not self.terms:
+            return Expr._trusted(target, {})
         powers: list[dict[int, Expr]] = [dict() for _ in values]
 
         def power(i: int, k: int) -> Expr:
@@ -358,7 +369,7 @@ class Expr:
     def eval_rational(self, point: Sequence[Scalar]) -> Fraction:
         """Exact evaluation at a rational point."""
         if len(point) != self.patch.dim:
-            raise ValueError("need one value per coordinate")
+            raise WrongShape("need one value per coordinate")
         vals = [Fraction(v) for v in point]
         acc = Fraction(0)
         for e, c in self.terms.items():
@@ -462,6 +473,10 @@ class Expr:
         return f"Expr({self})"
 
 
+_set_patch = Expr.patch.__set__
+_set_terms = Expr.terms.__set__
+
+
 # -- rational functions ----------------------------------------------------------
 
 
@@ -561,7 +576,8 @@ class RatExpr:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == Expr.one(self.patch)
+        # the denominator is on the numerator's patch, so only its terms are compared with the unit's
+        return self.den.terms == {(0,) * self.patch.dim: 1}
 
     def as_expr(self) -> Expr:
         """The underlying polynomial; raises when genuinely rational."""
@@ -636,7 +652,7 @@ class ExprMatrix:
     def __post_init__(self):
         widths = {len(r) for r in self.entries}
         if len(widths) > 1:
-            raise ValueError("ragged rows")
+            raise WrongShape("ragged rows")
         for row in self.entries:
             for e in row:
                 if e.patch != self.patch:
@@ -740,7 +756,7 @@ class _Reduction:
     def solve(self, b: Sequence[Expr], patch: Patch) -> list[Expr]:
         """One solution of a*x = b on ``patch``, free variables zero; ``Inconsistent`` when there is none."""
         if len(b) != len(self.transform):
-            raise ValueError("right-hand side has wrong length")
+            raise WrongShape("right-hand side has wrong length")
         if not self.contains(b, patch):
             raise Inconsistent("right-hand side outside the column span")
         sol = [Expr.zero(patch)] * self.ncols
@@ -1039,7 +1055,7 @@ def generic_rank(m) -> int:
 def _right_hand_side(a: ExprMatrix, b: Sequence[Expr]) -> list[Expr]:
     b = list(b)
     if len(b) != a.nrows:
-        raise ValueError("right-hand side has wrong length")
+        raise WrongShape("right-hand side has wrong length")
     if any(bv.patch != a.patch for bv in b):
         raise PatchMismatch("right-hand side on a different patch")
     return b

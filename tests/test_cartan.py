@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -26,6 +26,7 @@ from diracgeom.cartan import (
 )
 from diracgeom.cli import _type_name, parse_expr
 from diracgeom.errors import DegreeTooHigh, DegreeZero, EngineError, PatchMismatch, WrongShape
+from diracgeom.groupoid import pair_groupoid
 from diracgeom.symalg import Expr, Patch, dot
 from diracgeom.tanlift import lift_function, lift_one_form, tangent_patch
 
@@ -837,3 +838,91 @@ def test_two_forms_and_bivectors_stay_apart():
     assert (str(w), str(p)) == ("x*dx^dy + dy^dz", "x*d_x^d_y + d_y^d_z")
     assert [_type_name(v) for v in (w, p, KForm.zero(M3, 0), Bivector.zero(M3))] == ["form", "bivector", "form", "bivector"]
     assert p.entry(2, 1) == -Expr.one(M3) and p.entry(1, 1) == Expr.zero(M3) == w.signed_coeff((2, 2))
+
+
+# -- pullbacks against evaluation on pushed fields -----------------------------------------
+#
+# (f^* w)(v_1, ..., v_k) = w(Tf v_1, ..., Tf v_k), with (Tf v)^r = sum_s J[r][s] v^s and the
+# right side expanded by permutations, shares nothing with the pullback's column picks.
+
+
+def _pair_maps(n):
+    g = pair_groupoid(Patch(f"R{n}", tuple(f"x{i}" for i in range(n))))
+    return [g.src, g.tgt, g.mul, g.g_of, g.h_of]
+
+
+# affine maps whose Jacobians have zero columns and 0/1 entries, as the multiplicativity checks meet them
+PAIR_MAPS = [f for n in (1, 2, 3) for f in _pair_maps(n)]
+
+
+def quadratics(patch, size):
+    """Polynomials of total degree at most 2 with at most ``size`` terms, zero among them."""
+    exps = [e for e in product(range(3), repeat=patch.dim) if sum(e) <= 2]
+    return st.dictionaries(st.sampled_from(exps), st.integers(-2, 2), min_size=1, max_size=size).map(lambda t: Expr(patch, t))
+
+
+@st.composite
+def quadratic_maps(draw):
+    """Maps R^2 -> R^3 and R^3 -> R^3 with components of total degree at most 2."""
+    src = draw(st.sampled_from([M2, M3]))
+    return PolyMap(src, M3, tuple(draw(quadratics(src, 4)) for _ in M3.coords))
+
+
+@st.composite
+def pullback_cases(draw):
+    """A map, and for each degree k = 1, 2, 3 the target allows, a k-form and k fields on the source."""
+    f = draw(st.one_of(st.sampled_from(PAIR_MAPS), quadratic_maps()))
+    src, tgt = f.source, f.target
+    cases = []
+    for degree in range(1, min(3, tgt.dim) + 1):
+        # a form with no coefficient drawn is the zero form
+        keys = list(combinations(range(tgt.dim), degree))
+        size = min(draw(st.integers(0, 3)), len(keys))
+        w = KForm(tgt, degree, draw(st.dictionaries(st.sampled_from(keys), quadratics(tgt, 2), min_size=size, max_size=size)))
+        cases.append((w, [VField(src, tuple(draw(quadratics(src, 2)) for _ in src.coords)) for _ in range(degree)]))
+    return f, cases
+
+
+def _leibniz_det(rows, patch):
+    acc = Expr.zero(patch)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = Expr.const(patch, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        acc = acc + term
+    return acc
+
+
+def _pullback_by_minors(f, w):
+    """The minor expansion the pullback replaced: every index tuple of the source, every minor of J."""
+    from diracgeom.cartan import _det
+
+    jac = f.jacobian().entries
+    out = {}
+    for idx_src in combinations(range(f.source.dim), w.degree):
+        acc = Expr.zero(f.source)
+        for idx_tgt, c in w.coeffs.items():
+            acc = acc + f.pullback_scalar(c) * _det([[jac[r][s] for s in idx_src] for r in idx_tgt])
+        out[idx_src] = acc
+    return KForm(f.source, w.degree, out)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pullback_cases())
+def test_pullback_is_evaluation_on_pushed_fields(case):
+    f, cases = case
+    src = f.source
+    jac = f.jacobian().entries
+    for w, fields in cases:
+        pushed = [
+            [sum((jac[r][s] * v.components[s] for s in range(src.dim)), Expr.zero(src)) for r in range(f.target.dim)]
+            for v in fields
+        ]
+        rhs = Expr.zero(src)
+        for idx, c in w.coeffs.items():
+            rhs = rhs + f.pullback_scalar(c) * _leibniz_det([[pushed[j][r] for j in range(w.degree)] for r in idx], src)
+        got = pullback_form(f, w)
+        assert got.evaluate(*fields) == rhs
+        assert got == _pullback_by_minors(f, w)
+        assert list(got.coeffs) == sorted(got.coeffs)

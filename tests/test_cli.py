@@ -482,7 +482,7 @@ def test_main_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("text", "expected"),
     [
-        ("let M = patch(x, x)\n", None),
+        ("let M = patch(x, x)\n", "patch M: duplicate coordinate 'x'"),
         ("let M = patch(x, y, z, w)\ncheck closed dx^dy^dz^dw\n", None),
         ("let G = abelian_group(-1)\ncheck groupoid_axioms G\n", None),
         ("let M = patch()\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n", None),

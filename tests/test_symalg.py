@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from diracgeom import cli, symalg
 from diracgeom.cli import parse_expr
-from diracgeom.errors import ExprSyntaxError, Inconsistent, PatchMismatch, UnknownSymbol
+from diracgeom.errors import EngineError, ExprSyntaxError, Inconsistent, PatchMismatch, UnknownSymbol, WrongShape
 from diracgeom.symalg import (
     Expr,
     ExprMatrix,
@@ -161,8 +161,9 @@ def test_power_is_step_by_step_multiplication():
         with mock.patch.object(Expr, "__mul__", spy):
             got = e ** k
         assert got.terms == want.terms
-        assert len(calls) == k  # no square beyond the last factor
-    with pytest.raises(ValueError):
+        # k - 1 products from e itself, and none for e ** 0
+        assert len(calls) == max(k - 1, 0)
+    with pytest.raises(WrongShape):
         e ** -1
 
 
@@ -170,7 +171,7 @@ def test_power_is_step_by_step_multiplication():
 
 
 def test_public_constructor_validates():
-    with pytest.raises(ValueError, match="wrong length"):
+    with pytest.raises(WrongShape, match="wrong length"):
         Expr(XY, {(1,): 1})
     e = Expr(XY, {(1, 0): Fraction(4, 2), (0, 1): 0, (0, 0): Fraction(0), (1, 1): Fraction(1, 2)})
     assert e.terms == {(1, 0): 2, (1, 1): Fraction(1, 2)}
@@ -178,6 +179,59 @@ def test_public_constructor_validates():
     assert type(e.terms[(1, 0)]) is int
     assert type(e.terms[(1, 1)]) is Fraction
     assert Expr(XY, {(1, 0): 0}).is_zero()
+
+
+def test_trusted_results_are_immutable():
+    # filled through the slot setters, a kernel result still refuses assignment
+    e = parse_expr("x", XY) * parse_expr("y", XY)
+    assert type(e) is Expr and e.patch is XY and e.terms == {(1, 1): 1}
+    for attr in ("patch", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(e, attr, None)
+    assert e.terms == {(1, 1): 1}
+
+
+ONE = Expr.one(XY)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Patch("", ("x",)),
+        lambda: Patch("M", ("1x",)),
+        lambda: Patch("M", ("x", "x")),
+        lambda: parse_expr("x", XY).substitute([ONE], XY),
+        lambda: parse_expr("x", XY).eval_rational([1]),
+        lambda: solve_linear(ExprMatrix.from_rows(XY, [[parse_expr("x", XY)]]), [ONE, ONE]),
+        lambda: symalg._Reduction([[1]], 1).solve([ONE, ONE], XY),
+    ],
+    ids=[
+        "patch-without-a-name",
+        "bad-coordinate-name",
+        "duplicate-coordinate",
+        "substitute-count",
+        "eval-rational-count",
+        "right-hand-side-length",
+        "chart-right-hand-side-length",
+    ],
+)
+def test_shape_checks_raise_wrong_shape(build):
+    # caught as EngineError, the base of every error the package raises; the exponent tuple,
+    # the negative power and ragged rows are checked by their own tests above and below
+    with pytest.raises(EngineError) as caught:
+        build()
+    assert type(caught.value) is WrongShape
+
+
+def test_substituting_zero_validates_the_values_first():
+    zero = Expr.zero(XYZ)
+    with pytest.raises(PatchMismatch):
+        zero.substitute([ONE, ONE, Expr.one(XYZ)], XY)
+    with pytest.raises(WrongShape):
+        zero.substitute([ONE, ONE], XY)
+    # a patch equal to the target, though another object, is the target
+    got = zero.substitute([Expr.one(Patch("M", ("x", "y")))] * 3, XY)
+    assert got.is_zero() and got.patch is XY
 
 
 def test_combine_drops_cancelled_sums():
@@ -867,7 +921,7 @@ def test_expr_matrix_shape_checks():
     m = ExprMatrix.from_rows(XY, [[one, one], [one, one]])
     assert m.nrows == 2 and m.ncols == 2
     assert m.transpose().entries == m.entries
-    with pytest.raises(ValueError):
+    with pytest.raises(WrongShape):
         ExprMatrix.from_rows(XY, [[one], [one, one]])
 
 
