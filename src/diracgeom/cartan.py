@@ -19,7 +19,11 @@ only the index tuples reachable from stored coefficients (and, for i_X, the
 support of X).  They visit those tuples in sorted order, the order of
 ``combinations``, so every result has the same terms in the same order as
 the dense loops.  ``pullback_form`` picks only non-zero Jacobian entries
-and forms no minor.  A form memoises its ``d`` on first use.  Each sum is
+and forms no minor.  A form memoises its ``d`` on first use, and a vector
+field its Jacobian (``VField._jacobian``), so ``lie_bracket`` differentiates
+each component once per coordinate however many brackets the field enters;
+it sums over the stored components in the pairs ``apply`` takes.  A one-form
+is evaluated as sum_i c_i X^i, without determinants.  Each sum is
 built in one term map by ``symalg.dot`` (or ``_combine`` for signs), and a
 signed lookup that misses returns None (``_AntisymTensor._signed``), so no
 operator builds a zero it then skips.
@@ -28,6 +32,7 @@ operator builds a zero it then skips.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
@@ -52,7 +57,10 @@ def _perm_sign(seq: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class VField:
-    """Vector field: one component per coordinate."""
+    """Vector field: one component per coordinate.
+
+    ``_jacobian`` holds d_j X^i once first read; it takes no part in equality or hashing.
+    """
 
     patch: Patch
     components: tuple[Expr, ...]
@@ -61,8 +69,16 @@ class VField:
         if len(self.components) != self.patch.dim:
             raise WrongShape("need one component per coordinate")
         for c in self.components:
-            if c.patch != self.patch:
+            if c.patch is not self.patch and c.patch != self.patch:
                 raise PatchMismatch("component on a different patch")
+
+    @cached_property
+    def _jacobian(self) -> tuple[tuple[Expr, ...], ...]:
+        """Row i is (d_j X^i for each coordinate j): each component differentiated once, on first use, and kept.
+
+        A zero component's row is that zero, once per coordinate."""
+        coords = self.patch.coords
+        return tuple(tuple(c.differentiate(x) for x in coords) if c.terms else (c,) * len(coords) for c in self.components)
 
     @staticmethod
     def zero(patch: Patch) -> "VField":
@@ -129,7 +145,7 @@ class _AntisymTensor:
                 raise WrongShape(f"index {idx} not strictly increasing of length {degree}")
             if any(i < 0 or i >= patch.dim for i in idx):
                 raise WrongShape(f"index {idx} out of range")
-            if e.patch != patch:
+            if e.patch is not patch and e.patch != patch:
                 raise PatchMismatch("coefficient on a different patch")
             if not e.is_zero():
                 clean[idx] = e
@@ -241,7 +257,8 @@ class KForm(_AntisymTensor):
         return KForm(patch, 1, {(patch.index(name),): Expr.one(patch)})
 
     def coeff(self, idx: tuple[int, ...]) -> Expr:
-        return self.coeffs.get(tuple(idx), Expr.zero(self.patch))
+        c = self.coeffs.get(tuple(idx))
+        return Expr.zero(self.patch) if c is None else c
 
     def components(self) -> tuple[Expr, ...]:
         """Degree-1 forms as a coefficient vector."""
@@ -258,6 +275,10 @@ class KForm(_AntisymTensor):
                 raise PatchMismatch("vector field on a different patch")
         if self.degree == 0:
             return self.coeff(())
+        if self.degree == 1:
+            # sum_i c_i X^i: the determinants are the 1x1 ones, the components themselves
+            x = fields[0].components
+            return dot(self.patch, ((c, x[i]) for (i,), c in self.coeffs.items()))
         return dot(self.patch, ((c, _det([[v.components[r] for v in fields] for r in idx])) for idx, c in self.coeffs.items()))
 
 
@@ -365,11 +386,23 @@ class PolyMap:
 
 
 def lie_bracket(x: VField, y: VField) -> VField:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, read off the Jacobians the fields keep.
+
+    Each sum runs over the stored components of the field in front, in order,
+    the pairs ``VField.apply`` would take; a field's Jacobian is read only when
+    the other field has a stored component.
+    """
     if x.patch != y.patch:
         raise PatchMismatch("vector fields on different patches")
-    comps = tuple(x.apply(yc) - y.apply(xc) for xc, yc in zip(x.components, y.components))
-    return VField(x.patch, comps)
+    patch = x.patch
+    xs = [(j, c) for j, c in enumerate(x.components) if c.terms]
+    ys = [(j, c) for j, c in enumerate(y.components) if c.terms]
+    dx = x._jacobian if ys else None
+    dy = y._jacobian if xs else None
+    comps = tuple(
+        dot(patch, ((c, dy[i][j]) for j, c in xs)) - dot(patch, ((c, dx[i][j]) for j, c in ys)) for i in range(patch.dim)
+    )
+    return VField(patch, comps)
 
 
 def exterior_derivative(w: KForm) -> KForm:

@@ -237,7 +237,7 @@ def chart_params(
 ) -> list[Expr]:
     """Chart coordinates of the composable pair (left, right)."""
     data = _chart_data(g, exc)
-    rhs = [p - Expr.const(ppatch, q) for p, q in zip(list(left) + list(right), data.c_g + data.c_h)]
+    rhs = [p - Expr.const(ppatch, q) if q else p for p, q in zip(list(left) + list(right), data.c_g + data.c_h)]
     return data.solve(rhs, ppatch, exc, "the pair does not lie on the composable chart")
 
 

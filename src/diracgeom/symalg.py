@@ -56,7 +56,13 @@ every other assignment still raises.
 No work on a zero or a unit: ``substitute`` checks its values and then
 returns the target's zero for the zero polynomial at once, and builds a
 unit only for a constant term; ``e ** k`` is k - 1 products starting from
-``e`` itself.
+``e`` itself.  A zero operand returns at once: ``a + 0``, ``0 + a`` and
+``a - 0`` are ``a``, and ``-0`` and the derivative of 0 are that zero, so a
+result may be an operand itself; no operation changes a term map it did not
+build.  ``a - b`` subtracts into one copy of ``a``, with the terms of
+``a + (-b)`` in the same order.  ``__mul__`` and ``dot`` share one product
+loop on term maps, ``_product``, so ``dot`` builds no ``Expr`` per pair.  A
+``RatExpr`` keeps a unit denominator it is given instead of building another.
 """
 
 from __future__ import annotations
@@ -235,29 +241,38 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
+        return Expr._trusted(self.patch, _merge(dict(self.terms), o.terms))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if not self.terms:
+            return self
+        return Expr._trusted(self.patch, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        # into one copy of the minuend: the term map of self + (-o), in the same order
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if not o.terms:
+            return self
         out = dict(self.terms)
         for e, c in o.terms.items():
             s = out.get(e)
             if s is None:
-                out[e] = c
+                out[e] = -c
             else:
-                s += c
+                s -= c
                 if s:
                     out[e] = s
                 else:
                     del out[e]
         return Expr._trusted(self.patch, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Expr._trusted(self.patch, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -266,21 +281,7 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Scalar] = {}
-        add = operator.add
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return Expr._trusted(self.patch, out)
+        return Expr._trusted(self.patch, _product(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -321,7 +322,7 @@ class Expr:
             return 0
         if len(self.terms) == 1 and sum(next(iter(self.terms))) == 0:
             return next(iter(self.terms.values()))
-        raise ValueError(f"{self} is not constant")
+        raise WrongShape(f"{self} is not constant")
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
         """Leading term in graded-lex order; zero polynomial has none."""
@@ -332,6 +333,8 @@ class Expr:
 
     def differentiate(self, coord: str) -> "Expr":
         i = self.patch.index(coord)
+        if not self.terms:
+            return self
         out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
             k = e[i]
@@ -576,8 +579,7 @@ class RatExpr:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        # the denominator is on the numerator's patch, so only its terms are compared with the unit's
-        return self.den.terms == {(0,) * self.patch.dim: 1}
+        return _is_unit(self.den)
 
     def as_expr(self) -> Expr:
         """The underlying polynomial; raises when genuinely rational."""
@@ -585,7 +587,7 @@ class RatExpr:
             return self.num
         q = self.num.divide_exact(self.den)
         if q is None:
-            raise ValueError(f"{self} is not a polynomial")
+            raise WrongShape(f"{self} is not a polynomial")
         return q
 
     def __str__(self):
@@ -597,14 +599,20 @@ class RatExpr:
         return f"RatExpr({self})"
 
 
+def _is_unit(e: Expr) -> bool:
+    """Whether e is the constant 1, read off its term map without building the unit."""
+    return e.terms == {(0,) * e.patch.dim: 1}
+
+
 def _rat_normalize(num: Expr, den: Expr) -> tuple[Expr, Expr]:
+    # a unit denominator given is the unit returned, so no second one is built
     patch = num.patch
     if num.is_zero():
-        return num, Expr.one(patch)
+        return num, den if _is_unit(den) else Expr.one(patch)
     if den.degree() == 0:
         # dividing by a constant: what divide_exact would return, term by term
         c = den.constant_value()
-        return (num if c == 1 else _divide_terms(num, c)), Expr.one(patch)
+        return (num, den) if c == 1 else (_divide_terms(num, c), Expr.one(patch))
     # shared monomial factor
     def min_exps(e: Expr):
         it = iter(e.terms)
@@ -689,7 +697,7 @@ def _as_matrix(m) -> ExprMatrix:
         return m
     rows = [list(r) for r in m]
     if not rows or not rows[0]:
-        raise ValueError("empty matrix needs an ExprMatrix with an explicit patch")
+        raise WrongShape("empty matrix needs an ExprMatrix with an explicit patch")
     return ExprMatrix.from_rows(rows[0][0].patch, rows)
 
 
@@ -881,11 +889,31 @@ class _FractionFree:
         return sol
 
 
+def _product(t1: dict, t2: dict) -> dict:
+    """The term map of the product of two term maps, in a fresh dict: the one product loop of
+    ``__mul__`` and ``dot``, a term deleted as soon as it cancels."""
+    out: dict[tuple[int, ...], Scalar] = {}
+    add = operator.add
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e)
+            if s is None:
+                out[e] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
 def _merge(out: dict, terms: dict) -> dict:
     """``out`` with the term map ``terms`` added, a term deleted as soon as it cancels.
 
-    Both maps must be fresh: ``out`` is changed in place, and ``terms`` is
-    returned as it is when ``out`` is empty.
+    ``out`` must be fresh, as it is changed in place, and so must ``terms``
+    when ``out`` may be empty, as it is then returned as it is.
     """
     if not out:
         return terms
@@ -916,7 +944,7 @@ def dot(patch: Patch, pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
                 if x.patch != patch:
                     raise PatchMismatch(f"operands on patches {patch.name!r} and {x.patch.name!r}")
         if a.terms and b.terms:
-            out = _merge(out, (a * b).terms)
+            out = _merge(out, _product(a.terms, b.terms))
     return Expr._trusted(patch, out)
 
 

@@ -1,6 +1,7 @@
 """Cartan calculus: brackets, d, contractions, bivectors, maps."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -25,6 +26,7 @@ from diracgeom.cartan import (
     wedge_fields,
 )
 from diracgeom.cli import _type_name, parse_expr
+from diracgeom.courant import foliation_frame, graph_bivector, graph_two_form
 from diracgeom.errors import DegreeTooHigh, DegreeZero, EngineError, PatchMismatch, WrongShape
 from diracgeom.groupoid import pair_groupoid
 from diracgeom.symalg import Expr, Patch, dot
@@ -648,6 +650,86 @@ def test_apply_differentiates_only_along_stored_components(monkeypatch):
     monkeypatch.setattr(Expr, "differentiate", spy)
     assert VField.coordinate(M3, "x").apply(f) == parse_expr("y*z", M3)
     assert seen == ["x"]
+
+
+# -- brackets read off the kept Jacobians ----------------------------------------------
+
+
+def _bracket_by_apply(x, y):
+    """The bracket before fields kept their Jacobians: each component by ``apply``, minus as plus the negation."""
+    return VField(x.patch, tuple(x.apply(yc) + (-y.apply(xc)) for xc, yc in zip(x.components, y.components)))
+
+
+@st.composite
+def bracket_fields(draw):
+    """Fields on one patch: two with zero components, a coordinate field, and the vector
+    parts of a graph, a bivector or a foliation frame (whose annihilator sections have none)."""
+    dim = draw(st.integers(1, 4))
+    patch = Patch(f"P{dim}", tuple(f"x{i}" for i in range(dim)))
+
+    def field():
+        comps = draw(sparse(patch, range(dim)))
+        return VField(patch, tuple(comps.get(i, Expr.zero(patch)) for i in range(dim)))
+
+    fields = [field(), field(), VField.coordinate(patch, draw(st.sampled_from(patch.coords)))]
+    kind = draw(st.sampled_from(["graph", "bivector", "foliation"]))
+    if kind == "graph":
+        frame = graph_two_form(KForm(patch, 2, draw(sparse(patch, combinations(range(dim), 2)))))
+    elif kind == "bivector":
+        frame = graph_bivector(Bivector(patch, draw(sparse(patch, combinations(range(dim), 2)))))
+    else:
+        # d_k plus a multiple of d_last for k < r: triangular, so independent
+        r, last = draw(st.integers(1, dim)), dim - 1
+        leaves = []
+        for k in range(r):
+            comps = [Expr.zero(patch)] * dim
+            comps[k] = Expr.one(patch)
+            if k != last:
+                comps[last] = draw(polys(patch))
+            leaves.append(VField(patch, tuple(comps)))
+        frame = foliation_frame(leaves)
+    return fields + [s.vf for s in frame.secs]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bracket_fields())
+def test_lie_bracket_matches_the_apply_reference(fields):
+    # every ordered pair, a field with itself too: the same terms in the same insertion order
+    for x, y in product(fields, repeat=2):
+        assert layout(lie_bracket(x, y)) == layout(_bracket_by_apply(x, y))
+
+
+def test_a_bracket_table_differentiates_each_component_once(monkeypatch):
+    foliation = foliation_frame([vf(M3, "1", "0", "y*z"), vf(M3, "0", "1", "x^2 - z")])
+    fields = [s.vf for frame in (graph_bivector(so3_poisson()), foliation) for s in frame.secs]
+    want = [_bracket_by_apply(x, y) for x in fields for y in fields]
+    calls = Counter()
+    original = Expr.differentiate
+
+    def spy(self, coord):
+        calls[id(self), coord] += 1
+        return original(self, coord)
+
+    monkeypatch.setattr(Expr, "differentiate", spy)
+    table = [lie_bracket(x, y) for x in fields for y in fields]
+    monkeypatch.undo()
+    assert table == want
+    # a component object is differentiated along a coordinate at most once per field it is a component of
+    occurs = Counter(id(c) for f in fields for c in f.components)
+    assert calls and all(n <= occurs[key] for (key, _), n in calls.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_form_evaluation_is_the_determinant_path(data):
+    from diracgeom.cartan import _det
+
+    dim = data.draw(st.integers(1, 5))
+    patch = Patch(f"P{dim}", tuple(f"x{i}" for i in range(dim)))
+    w = KForm(patch, 1, data.draw(sparse(patch, [(i,) for i in range(dim)])))
+    x = VField(patch, tuple(data.draw(polys(patch)) for _ in patch.coords))
+    want = dot(patch, ((c, _det([[x.components[r] for r in idx]])) for idx, c in w.coeffs.items()))
+    assert layout(w.evaluate(x)) == layout(want)
 
 
 # -- the shared tensor core against the two classes it replaced ------------------------

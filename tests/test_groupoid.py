@@ -223,6 +223,25 @@ def test_chart_params_solves_the_pair():
     assert g.h_of.apply(c0, total) == gp
 
 
+def test_chart_params_builds_no_constant_for_a_zero_chart_constant(monkeypatch):
+    g = pair_groupoid(R1)
+    assert not any(g._chart.c_g + g._chart.c_h)
+    total = g.total
+    gp = [Expr.coord(total, c) for c in total.coords]
+    eps_t = g.unit.apply(list(g.tgt.components), total)
+    want = chart_params(g, eps_t, gp, total)
+    built = []
+    original = Expr.const
+
+    def spy(patch, value):
+        built.append(value)
+        return original(patch, value)
+
+    monkeypatch.setattr(Expr, "const", spy)
+    assert chart_params(g, eps_t, gp, total) == want
+    assert built == []
+
+
 # the chart solve of each groupoid, held against solve_linear on its stacked factor matrix
 CHART_GROUPOIDS = {
     "pair": pair_groupoid(R2),

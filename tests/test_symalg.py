@@ -204,6 +204,9 @@ ONE = Expr.one(XY)
         lambda: parse_expr("x", XY).eval_rational([1]),
         lambda: solve_linear(ExprMatrix.from_rows(XY, [[parse_expr("x", XY)]]), [ONE, ONE]),
         lambda: symalg._Reduction([[1]], 1).solve([ONE, ONE], XY),
+        lambda: parse_expr("x + 1", XY).constant_value(),
+        lambda: RatExpr(ONE, parse_expr("x", XY)).as_expr(),
+        lambda: generic_rank([]),
     ],
     ids=[
         "patch-without-a-name",
@@ -213,6 +216,9 @@ ONE = Expr.one(XY)
         "eval-rational-count",
         "right-hand-side-length",
         "chart-right-hand-side-length",
+        "constant-value-of-a-non-constant",
+        "as-expr-of-a-quotient",
+        "empty-row-list",
     ],
 )
 def test_shape_checks_raise_wrong_shape(build):
@@ -454,6 +460,75 @@ def test_dot_refuses_an_operand_on_another_patch():
     # an equal patch is the same patch, as for the ring operations
     assert symalg.dot(Patch("M", ("x", "y")), [(x, y)]) == x * y
     assert symalg.dot(XY, []) == Expr.zero(XY)
+
+
+# -- zero and unit operands, and term maps a result may share ------------------------------
+
+# a zero or a unit among the drawn operands, as the shortcuts meet them
+OPERANDS = st.one_of(polys(XY), st.sampled_from([Expr.zero(XY), Expr.one(XY), -Expr.one(XY)]))
+
+
+def _sum_reference(a, b):
+    """a + b by the step-by-step rule: a copy of a, each term of b added in order, a cancelled term deleted."""
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, 0) + c
+        if not out[e]:
+            del out[e]
+    return list(out.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPERANDS, OPERANDS)
+@example(parse_expr("x - y + 1", XY), parse_expr("x + 2*y + 1", XY))
+def test_difference_is_the_sum_with_the_negation(a, b):
+    got = list((a - b).terms.items())
+    assert got == list((a + (-b)).terms.items()) == _sum_reference(a, -b)
+    assert list((a + b).terms.items()) == _sum_reference(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPERANDS, OPERANDS, OPERANDS)
+@example(Expr.zero(XY), Expr.one(XY), parse_expr("x - 1", XY))
+def test_operations_change_no_operand(a, b, c):
+    # a result may be an operand itself or share its term map, so a result changed in place would corrupt a live Expr
+    def snapshot(values):
+        return [list(v.terms.items()) for v in values]
+
+    operands = [a, b, c]
+    before = snapshot(operands)
+    first = [
+        a + b, b + a, a - b, b - a, -a, a * b, b * a, a.differentiate("x"),
+        symalg.dot(XY, [(a, b), (b, c), (a, c)]), symalg._combine(XY, [2, -1, 1], [a, b, c]),
+    ]
+    middle = snapshot(first)
+    # each result again as an operand, and what that gives once more
+    for r in first:
+        for v in (r + c, c + r, r - c, c - r, r * c, symalg.dot(XY, [(r, c), (c, r), (r, r)]), symalg._combine(XY, [1, 1], [r, c])):
+            v + r, v - r
+    assert snapshot(operands) == before and snapshot(first) == middle
+
+
+def test_a_unit_denominator_is_kept_not_rebuilt(monkeypatch):
+    unit, x = Expr.one(XY), parse_expr("x + 1", XY)
+    for num in (x, Expr.zero(XY)):
+        assert RatExpr(num, unit).den is unit
+    units = []
+    original = Expr.one
+
+    def spy(patch):
+        units.append(patch)
+        return original(patch)
+
+    monkeypatch.setattr(Expr, "one", spy)
+    for num in (x, Expr.zero(XY), Expr.const(XY, 3)):
+        units.clear()
+        r = RatExpr(num)
+        assert r.num is num and r.is_polynomial()
+        # the default denominator, and no second one from normalization
+        assert len(units) == 1
+    units.clear()
+    assert RatExpr(Expr.zero(XY), x).den == unit and len(units) == 1
 
 
 def _substitute_term_by_term(e, values, target):
