@@ -18,8 +18,8 @@ A = lie_algebroid_of(G)
 print("heisenberg algebroid brackets:")
 for a in range(A.rank):
     for b in range(a + 1, A.rank):
-        comps = A.structure[a][b]
-        print(f"  [e{a + 1}, e{b + 1}] = (", ", ".join(str(c) for c in comps), ")")
+        terms = A.bracket(a, b)
+        print(f"  [e{a + 1}, e{b + 1}] = (", ", ".join(str(terms.get(k, 0)) for k in range(A.rank)), ")")
 
 # the pair groupoid differentiates to the tangent bundle with identity anchor
 R2 = Patch("R2", ("x", "y"))

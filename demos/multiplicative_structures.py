@@ -49,7 +49,7 @@ print("linear bivector:", check_multiplicative_bivector(H, pi))
 dual = induced_dual_bracket(H, pi)
 print(
     "dual structure constants [f1, f2] = (",
-    ", ".join(str(c) for c in dual.structure[0][1]),
+    ", ".join(str(dual.bracket(0, 1).get(k, 0)) for k in range(dual.rank)),
     ")",
 )
 print("bialgebroid pairing:", check_lie_bialgebroid(lie_algebroid_of(H), dual))

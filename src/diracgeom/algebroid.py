@@ -2,9 +2,15 @@
 
 A rank-r algebroid is stored through its action on the frame e_1..e_r:
 anchor fields rho(e_a) and bracket coefficients [e_a, e_b] = sum c^k_ab e_k.
-Sections are coefficient vectors of polynomials.  A bracket of two frame
-sections is the table entry c_ab itself, since the Leibniz terms
-differentiate constant coefficients to zero; only [e_x, v]
+The bracket is one sparse table {(a, b): {k: c^k_ab}} of the non-zero
+coefficients only, each pair in both orders with the second negated, so it
+is antisymmetric by construction; ``bracket(a, b)`` reads one entry, empty
+for a zero bracket.  Sections are sparse {k: coefficient} mappings too, as
+``rho`` and ``frame_bracket`` take them.  Every walk below visits stored
+entries only, so a table of zeros costs nothing.
+
+A bracket of two frame sections is the table entry c_ab itself, since the
+Leibniz terms differentiate constant coefficients to zero; only [e_x, v]
 (``frame_bracket``) carries the Leibniz term rho(e_x)(v^k), so the outer
 bracket of the Jacobi check on frame triples picks up anchor derivatives of
 non-constant structure functions.
@@ -23,13 +29,16 @@ must carry the canonical bracket {x^i, p_j} = delta^i_j.
 Jacobi and the bialgebroid derivation condition are each walked by one
 generator of raw failures, ``_jacobi_failures`` and ``_derivation_failures``.
 A Lie bialgebra is a Lie bialgebroid over a point, so ``check_lie_bialgebra``
-reads both on the algebra and its dual table and prints the negated values:
-at a point d_* = -delta, and the cyclic sum of [[x, y], z] is minus the
+takes the algebra and the bracket on its dual as two algebroids over one
+point patch, reads both walks on them and prints the negated values: at a
+point d_* = -delta, and the cyclic sum of [[x, y], z] is minus the
 Jacobiator.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
+from types import MappingProxyType
+from typing import Mapping
 
 from .cartan import (
     Bivector,
@@ -55,76 +64,72 @@ from .report import CheckItem, Report
 from .symalg import MAX_DIMENSION, Expr, ExprMatrix, Patch, dot, fresh_names, generic_rank, in_span
 from .tanlift import lift_function, lift_vector_field, tangent_patch
 
-Structure = tuple[tuple[tuple[Expr, ...], ...], ...]
+_NO_TERMS = MappingProxyType({})
 
 
-def _structure_tensor(base: Patch, rank: int, brackets) -> Structure:
-    """Fill the full antisymmetric c[a][b][k] table from entries with a < b."""
-    zero = Expr.zero(base)
-    table = [[[zero] * rank for _ in range(rank)] for _ in range(rank)]
-    for (a, b), comps in brackets.items():
-        if not 0 <= a < b < rank:
-            raise WrongShape(f"bracket key ({a}, {b}) must satisfy 0 <= a < b < rank")
-        if len(comps) != rank:
-            raise WrongShape(f"bracket ({a}, {b}) needs {rank} components")
-        for k, e in enumerate(comps):
-            if e.patch != base:
-                raise PatchMismatch("structure function on a different patch")
-            table[a][b][k] = e
-            table[b][a][k] = -e
-    return tuple(tuple(tuple(row) for row in plane) for plane in table)
-
-
-def _check_structure(r: int, c: Structure) -> None:
-    """Raise WrongShape unless ``c`` is an r x r x r table antisymmetric in its first two indices."""
-    if len(c) != r or any(len(p) != r or any(len(row) != r for row in p) for p in c):
-        raise WrongShape("structure tensor must be rank x rank x rank")
-    if any(c[a][b][k] != -c[b][a][k] for a, b, k in product(range(r), repeat=3)):
-        raise WrongShape("structure tensor must be antisymmetric in (a, b)")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AlgebroidPatch:
     """Anchor fields and structure functions of a would-be Lie algebroid.
 
-    Jacobi and anchor compatibility are check results (check_lie_algebroid),
-    not construction invariants; only shapes and antisymmetry are enforced.
+    Built from the anchor fields and a ``{(a, b): comps}`` table with a < b,
+    each ``comps`` all r coefficients of [e_a, e_b] and a pair left out zero;
+    keys, lengths and patches are validated.  Jacobi and anchor compatibility
+    are check results (check_lie_algebroid), not construction invariants.
     """
 
     base: Patch
-    rank: int
     anchor: tuple[VField, ...]
-    structure: Structure
+    _table: dict[tuple[int, int], Mapping[int, Expr]]
 
-    def __post_init__(self):
-        if len(self.anchor) != self.rank:
-            raise WrongShape(f"need {self.rank} anchor fields, got {len(self.anchor)}")
-        for v in self.anchor:
-            if v.patch != self.base:
+    def __init__(self, base: Patch, anchors, brackets):
+        anchor = tuple(anchors)
+        r = len(anchor)
+        table = {}
+        for (a, b), comps in brackets.items():
+            if not 0 <= a < b < r:
+                raise WrongShape(f"bracket key ({a}, {b}) must satisfy 0 <= a < b < rank")
+            if len(comps) != r:
+                raise WrongShape(f"bracket ({a}, {b}) needs {r} components")
+            if any(e.patch != base for e in comps):
+                raise PatchMismatch("structure function on a different patch")
+            entry = {k: e for k, e in enumerate(comps) if e.terms}
+            if entry:
+                table[(a, b)] = MappingProxyType(entry)
+                table[(b, a)] = MappingProxyType({k: -e for k, e in entry.items()})
+        for v in anchor:
+            if v.patch != base:
                 raise PatchMismatch("anchor field on a different patch")
-        _check_structure(self.rank, self.structure)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "_table", table)
 
-    def rho(self, coeffs) -> VField:
-        """Anchor of the section with the given frame coefficients."""
-        comps = (dot(self.base, ((c, v.components[i]) for c, v in zip(coeffs, self.anchor))) for i in range(self.base.dim))
+    @property
+    def rank(self) -> int:
+        return len(self.anchor)
+
+    def bracket(self, a: int, b: int) -> Mapping[int, Expr]:
+        """The non-zero coefficients c^k_ab of [e_a, e_b] by k; empty for a zero bracket."""
+        return self._table.get((a, b), _NO_TERMS)
+
+    def rho(self, section) -> VField:
+        """Anchor of the sparse section ``{k: coefficient}``."""
+        anchor = self.anchor
+        comps = (dot(self.base, ((c, anchor[k].components[i]) for k, c in section.items())) for i in range(self.base.dim))
         return VField(self.base, tuple(comps))
 
-    def frame_bracket(self, x: int, v) -> tuple[Expr, ...]:
-        """[e_x, v] as frame coefficients: rho(e_x)(v^k) + sum_b v^b c^k_xb."""
-        rho, row, r = self.anchor[x], self.structure[x], range(self.rank)
-        return tuple(rho.apply(v[k]) + dot(self.base, ((v[b], row[b][k]) for b in r if row[b][k].terms)) for k in r)
-
-
-def algebroid(base: Patch, anchors, brackets) -> AlgebroidPatch:
-    """Build an AlgebroidPatch from anchor fields and a sparse {(a, b): comps} table."""
-    anchors = tuple(anchors)
-    return AlgebroidPatch(base, len(anchors), anchors, _structure_tensor(base, len(anchors), brackets))
+    def frame_bracket(self, x: int, section) -> dict[int, Expr]:
+        """[e_x, v] as a sparse section: rho(e_x)(v^k) + sum_b v^b c^k_xb, non-zero entries only."""
+        rho = self.anchor[x]
+        out = {k: rho.apply(f) for k, f in section.items()}
+        for b, f in section.items():
+            for k, c in self.bracket(x, b).items():
+                out[k] = out[k] + f * c if k in out else f * c
+        return {k: value for k, value in out.items() if value.terms}
 
 
 def tangent_bundle_algebroid(base: Patch) -> AlgebroidPatch:
     """TM in the coordinate frame: identity anchor, vanishing structure."""
-    anchors = tuple(VField.coordinate(base, c) for c in base.coords)
-    return AlgebroidPatch(base, base.dim, anchors, _structure_tensor(base, base.dim, {}))
+    return AlgebroidPatch(base, (VField.coordinate(base, c) for c in base.coords), {})
 
 
 def tangent_lift_algebroid(a: AlgebroidPatch) -> AlgebroidPatch:
@@ -133,38 +138,39 @@ def tangent_lift_algebroid(a: AlgebroidPatch) -> AlgebroidPatch:
     Brackets: [Te_a, Te_b] = sum (c^k)^v Te_k + (c^k)^T e_k-hat,
     [Te_a, e_b-hat] = sum (c^k)^v e_k-hat, hats commute; the anchor sends
     Te_a to the tangent lift and e_a-hat to the vertical lift of rho(e_a).
+    Only the pairs with a non-zero base bracket get an entry.
     """
     r = a.rank
     total = tangent_patch(a.base).total
     anchors = [lift_vector_field(v, "tangent") for v in a.anchor]
     anchors += [lift_vector_field(v, "vertical") for v in a.anchor]
     brackets = {}
-    for fa in range(r):
-        for fb in range(fa + 1, r):
+    for fa, fb in product(range(r), repeat=2):
+        entry = a.bracket(fa, fb)
+        if not entry:
+            continue
+        hat = [Expr.zero(total)] * (2 * r)
+        for k, c in entry.items():
+            hat[r + k] = lift_function(c, "vertical")
+        brackets[(fa, r + fb)] = hat
+        if fa < fb:
             comps = [Expr.zero(total)] * (2 * r)
-            for k in range(r):
-                c = a.structure[fa][fb][k]
-                comps[k] = lift_function(c, "vertical")
+            for k, c in entry.items():
+                comps[k] = hat[r + k]
                 comps[r + k] = lift_function(c, "tangent")
             brackets[(fa, fb)] = comps
-    for fa in range(r):
-        for fb in range(r):
-            comps = [Expr.zero(total)] * (2 * r)
-            for k in range(r):
-                comps[r + k] = lift_function(a.structure[fa][fb][k], "vertical")
-            brackets[(fa, r + fb)] = comps
-    return AlgebroidPatch(total, 2 * r, tuple(anchors), _structure_tensor(total, 2 * r, brackets))
+    return AlgebroidPatch(total, anchors, brackets)
 
 
 def _jacobi_failures(a: AlgebroidPatch):
     """Yield (i, j, k, m, value) for each frame triple i < j < k whose Jacobiator
     sum [e_i, [e_j, e_k]] + cyclic has a non-zero e_m component, the first such m."""
-    r = a.rank
-    for i, j, k in combinations(range(r), 3):
-        jac = [Expr.zero(a.base)] * r
+    for i, j, k in combinations(range(a.rank), 3):
+        jac = {}
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            jac = [p + q for p, q in zip(jac, a.frame_bracket(x, a.structure[y][z]))]
-        bad = next((m for m in range(r) if not jac[m].is_zero()), None)
+            for m, value in a.frame_bracket(x, a.bracket(y, z)).items():
+                jac[m] = jac[m] + value if m in jac else value
+        bad = min((m for m, value in jac.items() if value.terms), default=None)
         if bad is not None:
             yield i, j, k, bad, jac[bad]
 
@@ -178,7 +184,7 @@ def check_lie_algebroid(a: AlgebroidPatch) -> Report:
 
     def anchor():
         for i, j in combinations(range(r), 2):
-            diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(a.structure[i][j])
+            diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(a.bracket(i, j))
             bad = next((m for m, c in enumerate(diff.components) if not c.is_zero()), None)
             if bad is not None:
                 coord = a.base.coords[bad]
@@ -209,11 +215,10 @@ def dual_linear_poisson(a: AlgebroidPatch) -> Bivector:
             if not rho.is_zero():
                 entries[(i, n + fa)] = rho
     xi = [Expr.coord(total, name) for name in total.coords[n:]]
-    for fa in range(r):
-        for fb in range(fa + 1, r):
-            acc = -dot(total, ((c.inject(total), x) for c, x in zip(a.structure[fa][fb], xi) if c.terms))
-            if not acc.is_zero():
-                entries[(n + fa, n + fb)] = acc
+    for fa, fb in combinations(range(r), 2):
+        acc = -dot(total, ((c.inject(total), xi[k]) for k, c in a.bracket(fa, fb).items()))
+        if not acc.is_zero():
+            entries[(n + fa, n + fb)] = acc
     return Bivector(total, entries)
 
 
@@ -229,12 +234,12 @@ def _add_wedge(table: dict, i: int, j: int, coeff: Expr) -> None:
 
 
 def _dual_differential_section(dual: AlgebroidPatch, u) -> dict:
-    """d_* u as a wedge table: (d_*u)(xi_a, xi_b) with the dual anchor and bracket."""
-    out = {}
-    for fa in range(dual.rank):
-        for fb in range(fa + 1, dual.rank):
-            acc = dual.anchor[fa].apply(u[fb]) - dual.anchor[fb].apply(u[fa]) - dot(dual.base, zip(dual.structure[fa][fb], u))
-            _add_wedge(out, fa, fb, acc)
+    """d_* u as a wedge table for a sparse section u: (d_*u)(xi_a, xi_b) with the dual anchor and bracket."""
+    out, zero = {}, Expr.zero(dual.base)
+    for fa, fb in combinations(range(dual.rank), 2):
+        bracket = dot(dual.base, ((c, u[k]) for k, c in dual.bracket(fa, fb).items() if k in u))
+        acc = dual.anchor[fa].apply(u.get(fb, zero)) - dual.anchor[fb].apply(u.get(fa, zero)) - bracket
+        _add_wedge(out, fa, fb, acc)
     return out
 
 
@@ -243,9 +248,10 @@ def _frame_bracket_wedge(a: AlgebroidPatch, b: int, table: dict, out: dict) -> N
     rho_b = a.anchor[b]
     for (m, l), coeff in table.items():
         _add_wedge(out, m, l, rho_b.apply(coeff))
-        for k in range(a.rank):
-            _add_wedge(out, k, l, coeff * a.structure[b][m][k])
-            _add_wedge(out, m, k, coeff * a.structure[b][l][k])
+        for k, c in a.bracket(b, m).items():
+            _add_wedge(out, k, l, coeff * c)
+        for k, c in a.bracket(b, l).items():
+            _add_wedge(out, m, k, coeff * c)
 
 
 def _derivation_failures(a: AlgebroidPatch, dual: AlgebroidPatch):
@@ -254,10 +260,13 @@ def _derivation_failures(a: AlgebroidPatch, dual: AlgebroidPatch):
     coefficient, the first such e_i^e_j in sorted order."""
     pairs = list(combinations(range(a.rank), 2))
     # (d_* e_c)(xi_i, xi_j) = -c*^c_ij: the dual anchor differentiates the constant coefficients of e_c to zero
-    minus_d_frame = [{(i, j): dual.structure[i][j][c] for i, j in pairs if dual.structure[i][j][c].terms} for c in range(a.rank)]
+    minus_d_frame = [{} for _ in range(a.rank)]
+    for i, j in pairs:
+        for c, coeff in dual.bracket(i, j).items():
+            minus_d_frame[c][(i, j)] = coeff
     d_frame = [{key: -coeff for key, coeff in t.items()} for t in minus_d_frame]
     for fa, fb in pairs:
-        diff = _dual_differential_section(dual, a.structure[fa][fb])
+        diff = _dual_differential_section(dual, a.bracket(fa, fb))
         _frame_bracket_wedge(a, fb, d_frame[fa], diff)
         _frame_bracket_wedge(a, fa, minus_d_frame[fb], diff)
         bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
@@ -339,8 +348,8 @@ def check_im_two_form(a: AlgebroidPatch, s: IMTwoForm) -> Report:
     sigmas = [sig.components() for sig in s.sigma]
 
     def bracket_side(i, j):
-        coeffs = a.structure[i][j]
-        return KForm.one_form(a.base, [dot(a.base, zip(coeffs, (sig[l] for sig in sigmas))) for l in range(a.base.dim)])
+        coeffs = a.bracket(i, j).items()
+        return KForm.one_form(a.base, [dot(a.base, ((c, sigmas[k][l]) for k, c in coeffs)) for l in range(a.base.dim)])
 
     def lie_side(i, j):
         out = lie_derivative(a.anchor[i], s.sigma[j]) - lie_derivative(a.anchor[j], s.sigma[i])
@@ -413,16 +422,16 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     def k_brackets():
         # bullet 2: brackets of quotient generators with K stay in K
         for m, k in product(quotient, f.k_sub):
-            br = a.structure[m][k]
-            bad = next((l for l in quotient if not br[l].is_zero()), None)
+            br = a.bracket(m, k)
+            bad = next((l for l in quotient if l in br), None)
             if bad is not None:
                 yield f"[e_{m + 1},e_{k + 1}] has class component e_{bad + 1} = {br[bad]}"
 
     def class_flatness():
         # bullet 3: bracket classes of quotient generators are flat
         for mi, mj in combinations(quotient, 2):
-            br = a.structure[mi][mj]
-            for j, l in product(range(nf), quotient):
+            br = a.bracket(mi, mj)
+            for j, l in product(range(nf), (l for l in quotient if l in br)):
                 d = f.f_m[j].apply(br[l])
                 if not d.is_zero():
                     yield f"class of [e_{mi + 1},e_{mj + 1}] is not flat along f_{j + 1}: {d}"
@@ -446,24 +455,12 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
 # -- Lie bialgebras --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LieBialgebraData:
-    """A Lie algebra over a point patch and constant structure for its dual."""
-
-    g: AlgebroidPatch
-    dual_c: Structure
-
-    def __post_init__(self):
-        if self.g.base.dim != 0:
-            raise WrongShape("bialgebra data needs an algebra over a point patch")
-        _check_structure(self.g.rank, self.dual_c)
-
-
-def check_lie_bialgebra(d: LieBialgebraData) -> Report:
-    """Dual Jacobi and the cocycle condition, read as a bialgebroid over the point."""
-    g = d.g
+def check_lie_bialgebra(g: AlgebroidPatch, gstar: AlgebroidPatch) -> Report:
+    """Dual Jacobi and the cocycle condition on a Lie algebra g and a bracket gstar on its dual,
+    both algebroids of one rank over one point patch, read as a bialgebroid over the point."""
+    if g.base.dim != 0 or gstar.base != g.base or gstar.rank != g.rank:
+        raise WrongShape("a Lie bialgebra needs two algebroids of one rank over one point patch")
     check_lie_algebroid(g).require(NotLie)
-    gstar = AlgebroidPatch(g.base, g.rank, g.anchor, d.dual_c)
     dual_jacobi = (
         f"dual jacobi[{i + 1},{j + 1},{k + 1}] component {m + 1}: {-v}" for i, j, k, m, v in _jacobi_failures(gstar)
     )

@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from .algebroid import AlgebroidPatch, IMTwoForm, algebroid
+from .algebroid import AlgebroidPatch, IMTwoForm
 from .cartan import Bivector, KForm, PolyMap, VField, _pushed_entries, interior_product, lie_bracket, pullback_form
 from .courant import Frame, GSec, check_lagrangian, courant_bracket, pairing
 from .errors import (
@@ -489,7 +489,7 @@ def _algebroid_on(g: GroupoidPatch, frame_matrix: ExprMatrix, fields) -> Algebro
                     raise RankJump("bracket coefficients are not polynomial on this chart")
                 comps.append(v.as_expr())
             brackets[(a, b)] = tuple(comps)
-    return algebroid(m, anchors, brackets)
+    return AlgebroidPatch(m, anchors, brackets)
 
 
 def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch, message: str, exc):
@@ -689,7 +689,7 @@ def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:
         (a, b): tuple(p.entry(a, b).differentiate(c).substitute(eps, m) for c in g.total.coords)
         for a, b in combinations(range(g.total.dim), 2)
     }
-    return algebroid(m, [VField(m, ())] * g.total.dim, brackets)
+    return AlgebroidPatch(m, [VField(m, ())] * g.total.dim, brackets)
 
 
 # -- compatibility identities on sample sections ---------------------------------------------------

@@ -66,39 +66,27 @@ def _extend(base: Patch, new_names: tuple[str, ...], name: str) -> Patch:
 
 
 @dataclass(frozen=True)
-class TangentPatch:
-    """A base patch together with its doubled total patch (positions, velocities)."""
+class LiftedPatch:
+    """A base patch together with its doubled total patch: positions, then velocities or momenta."""
 
     base: Patch
     total: Patch
 
     @property
-    def velocity_names(self) -> tuple[str, ...]:
-        return self.total.coords[self.base.dim:]
-
-
-@dataclass(frozen=True)
-class CotangentPatch:
-    """A base patch together with its doubled total patch (positions, momenta)."""
-
-    base: Patch
-    total: Patch
-
-    @property
-    def momentum_names(self) -> tuple[str, ...]:
+    def fibre_names(self) -> tuple[str, ...]:
         return self.total.coords[self.base.dim:]
 
 
 @cache
-def tangent_patch(base: Patch) -> TangentPatch:
+def tangent_patch(base: Patch) -> LiftedPatch:
     vel = _velocities(base.coords, _tangent_depth(base.coords) + 1)
-    return TangentPatch(base, _extend(base, vel, "T" + base.name))
+    return LiftedPatch(base, _extend(base, vel, "T" + base.name))
 
 
 @cache
-def cotangent_patch(base: Patch) -> CotangentPatch:
+def cotangent_patch(base: Patch) -> LiftedPatch:
     mom = tuple(MOMENTUM_PREFIX + c for c in base.coords)
-    return CotangentPatch(base, _extend(base, mom, "Tstar" + base.name))
+    return LiftedPatch(base, _extend(base, mom, "Tstar" + base.name))
 
 
 def _check_kind(kind: str) -> None:
@@ -113,7 +101,7 @@ def lift_function(f: Expr, kind: str) -> Expr:
     if kind == "vertical":
         return f.inject(tp.total)
     total = tp.total
-    diffs = ((v, f.differentiate(c)) for c, v in zip(f.patch.coords, tp.velocity_names))
+    diffs = ((v, f.differentiate(c)) for c, v in zip(f.patch.coords, tp.fibre_names))
     return dot(total, ((Expr.coord(total, v), df.inject(total)) for v, df in diffs if df.terms))
 
 
@@ -157,7 +145,7 @@ def tangent_map(f: PolyMap) -> PolyMap:
     """Tangent functor: (x, v) -> (f(x), Df(x) v)."""
     src = tangent_patch(f.source)
     tgt = tangent_patch(f.target)
-    vel = [Expr.coord(src.total, v) for v in src.velocity_names]
+    vel = [Expr.coord(src.total, v) for v in src.fibre_names]
     comps = [c.inject(src.total) for c in f.components]
     comps += [dot(src.total, ((e.inject(src.total), v) for e, v in zip(row, vel) if e.terms)) for row in f.jacobian().entries]
     return PolyMap(src.total, tgt.total, tuple(comps))
@@ -188,10 +176,10 @@ def tulczyjew_map(base: Patch) -> PolyMap:
     return PolyMap(src, tgt, tuple(Expr.coord(src, name) for name in order))
 
 
-def canonical_symplectic(ct: CotangentPatch) -> KForm:
+def canonical_symplectic(ct: LiftedPatch) -> KForm:
     """omega = sum of dq^i wedge dp_i on a cotangent total patch, whose momenta follow the base coordinates."""
     one = Expr.one(ct.total)
-    return KForm(ct.total, 2, {(ct.total.index(q), ct.total.index(p)): one for q, p in zip(ct.base.coords, ct.momentum_names)})
+    return KForm(ct.total, 2, {(ct.total.index(q), ct.total.index(p)): one for q, p in zip(ct.base.coords, ct.fibre_names)})
 
 
 def tangent_lift_dirac(l: Frame) -> Frame:

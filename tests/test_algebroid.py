@@ -12,10 +12,8 @@ from diracgeom.algebroid import (
     AlgebroidPatch,
     IMFoliation,
     IMTwoForm,
-    LieBialgebraData,
     _dual_differential_section,
     _frame_bracket_wedge,
-    algebroid,
     check_im_foliation,
     check_im_two_form,
     check_lie_algebroid,
@@ -61,7 +59,7 @@ def const_algebra(rank, brackets):
     table = {
         key: [Expr.const(PT, v) for v in comps] for key, comps in brackets.items()
     }
-    return algebroid(PT, [zero] * rank, table)
+    return AlgebroidPatch(PT, [zero] * rank, table)
 
 
 def so3():
@@ -85,7 +83,7 @@ def abelian(rank):
 
 def affine_anchored():
     """rho(e1) = d_x, rho(e2) = x d_x, [e1,e2] = e1 on the line."""
-    return algebroid(
+    return AlgebroidPatch(
         R1,
         [vf(R1, "1"), vf(R1, "x")],
         {(0, 1): (Expr.one(R1), Expr.zero(R1))},
@@ -112,7 +110,7 @@ def test_anchored_affine_algebroid_passes():
 
 
 def test_anchor_compatibility_failure():
-    a = algebroid(R1, [vf(R1, "1"), vf(R1, "x")], {})
+    a = AlgebroidPatch(R1, [vf(R1, "1"), vf(R1, "x")], {})
     rep = check_lie_algebroid(a)
     assert not rep.passed
     assert "anchor" in rep.witness
@@ -122,7 +120,7 @@ def test_jacobi_needs_anchor_derivative_terms():
     # Jacobi on (e1,e2,e3) only closes through rho(e1)(x^2) and rho(e2)(x):
     # [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = (x - 2x + x) e3
     z = Expr.zero(R1)
-    a = algebroid(
+    a = AlgebroidPatch(
         R1,
         [vf(R1, "1"), vf(R1, "x"), vf(R1, "0")],
         {
@@ -135,17 +133,30 @@ def test_jacobi_needs_anchor_derivative_terms():
     assert rep.passed, rep.witness
 
 
-def test_structure_antisymmetry_enforced():
+def test_constructor_refuses_malformed_tables():
+    zero, one = Expr.zero(PT), Expr.one(PT)
     with pytest.raises(WrongShape):
-        AlgebroidPatch(
-            PT,
-            2,
-            (VField.zero(PT), VField.zero(PT)),
-            (
-                ((Expr.zero(PT), Expr.zero(PT)), (Expr.one(PT), Expr.zero(PT))),
-                ((Expr.one(PT), Expr.zero(PT)), (Expr.zero(PT), Expr.zero(PT))),
-            ),
-        )
+        AlgebroidPatch(PT, [VField.zero(PT)] * 2, {(1, 0): (one, zero)})
+    with pytest.raises(WrongShape):
+        AlgebroidPatch(PT, [VField.zero(PT)] * 2, {(0, 2): (one, zero)})
+    with pytest.raises(WrongShape):
+        AlgebroidPatch(PT, [VField.zero(PT)] * 2, {(0, 1): (one,)})
+    with pytest.raises(PatchMismatch):
+        AlgebroidPatch(PT, [VField.zero(PT)] * 2, {(0, 1): (one, Expr.zero(R1))})
+    with pytest.raises(PatchMismatch):
+        AlgebroidPatch(PT, [VField.zero(R1)], {})
+
+
+def dense_table(alg):
+    """c[a][b][k] for every a, b, k, zeros written out: the one dense expansion of the sparse table the references read."""
+    zero = Expr.zero(alg.base)
+    r = range(alg.rank)
+    return tuple(tuple(tuple(alg.bracket(a, b).get(k, zero) for k in r) for b in r) for a in r)
+
+
+def sparse(v):
+    """The sparse section {k: v[k]} of a dense coefficient tuple."""
+    return {k: e for k, e in enumerate(v) if e.terms}
 
 
 # -- dual linear Poisson ---------------------------------------------------------------
@@ -200,14 +211,15 @@ def test_dual_poisson_rejects_non_algebroid():
 
 
 def _bracket_by_triple_loop(alg, u, v):
-    """The reference: every product u[a]*v[b]*c^k_ab formed, zero or not."""
-    ru, rv = alg.rho(u), alg.rho(v)
+    """The reference: every product u[a]*v[b]*c^k_ab formed, zero or not, on dense coefficient tuples."""
+    c = dense_table(alg)
+    ru, rv = alg.rho(sparse(u)), alg.rho(sparse(v))
     out = []
     for k in range(alg.rank):
         acc = ru.apply(v[k]) - rv.apply(u[k])
         for a in range(alg.rank):
             for b in range(alg.rank):
-                acc = acc + u[a] * v[b] * alg.structure[a][b][k]
+                acc = acc + u[a] * v[b] * c[a][b][k]
         out.append(acc)
     return tuple(out)
 
@@ -229,9 +241,10 @@ def test_frame_bracket_matches_triple_loop():
         for x in range(alg.rank):
             for _ in range(3):
                 v = [rand_expr(rng, alg.base) for _ in range(alg.rank)]
-                assert alg.frame_bracket(x, v) == _bracket_by_triple_loop(alg, _unit(alg, x), v)
+                assert alg.frame_bracket(x, sparse(v)) == sparse(_bracket_by_triple_loop(alg, _unit(alg, x), v))
+        c = dense_table(alg)
         for i, j in itertools.product(range(alg.rank), repeat=2):
-            assert _bracket_by_triple_loop(alg, _unit(alg, i), _unit(alg, j)) == alg.structure[i][j]
+            assert _bracket_by_triple_loop(alg, _unit(alg, i), _unit(alg, j)) == c[i][j]
 
 
 def reference_lie_algebroid(a):
@@ -251,7 +264,7 @@ def reference_lie_algebroid(a):
 
     def anchor():
         for i, j in itertools.combinations(range(r), 2):
-            diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(_bracket_by_triple_loop(a, frame[i], frame[j]))
+            diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(sparse(_bracket_by_triple_loop(a, frame[i], frame[j])))
             bad = next((m for m, c in enumerate(diff.components) if not c.is_zero()), None)
             if bad is not None:
                 coord = a.base.coords[bad]
@@ -278,12 +291,12 @@ def reference_lie_bialgebroid(a, dual):
         if not rep.passed:
             raise NotAlgebroid(f"{name} structure: {rep.witness}")
     frame = [_unit(a, i) for i in range(a.rank)]
-    d_frame = [_dual_differential_section(dual, f) for f in frame]
+    d_frame = [_dual_differential_section(dual, sparse(f)) for f in frame]
     minus_d_frame = [{key: -coeff for key, coeff in t.items()} for t in d_frame]
 
     def derivation():
         for fa, fb in itertools.combinations(range(a.rank), 2):
-            diff = _dual_differential_section(dual, _bracket_by_triple_loop(a, frame[fa], frame[fb]))
+            diff = _dual_differential_section(dual, sparse(_bracket_by_triple_loop(a, frame[fa], frame[fb])))
             _frame_bracket_wedge(a, fb, d_frame[fa], diff)
             _frame_bracket_wedge(a, fa, minus_d_frame[fb], diff)
             bad = next((key for key in sorted(diff) if not diff[key].is_zero()), None)
@@ -300,14 +313,38 @@ def _poly(base, max_deg):
 
 
 @st.composite
-def random_algebroids(draw, bases=(PT, R1, R2), ranks=(2, 4), max_deg=1):
-    """Random anchors and structure functions on one of ``bases``; most fail Jacobi or the anchor item."""
+def algebroid_inputs(draw, bases=(PT, R1, R2), ranks=(2, 4), max_deg=1):
+    """Constructor input (base, anchors, brackets): random anchors and structure functions on one of ``bases``."""
     base = draw(st.sampled_from(bases))
     rank = draw(st.integers(*ranks))
     polys = _poly(base, max_deg)
     anchors = [VField(base, tuple(draw(polys) for _ in base.coords)) for _ in range(rank)]
     brackets = {key: [draw(polys) for _ in range(rank)] for key in itertools.combinations(range(rank), 2)}
-    return algebroid(base, anchors, brackets)
+    return base, anchors, brackets
+
+
+def random_algebroids(bases=(PT, R1, R2), ranks=(2, 4), max_deg=1):
+    """Random algebroids on one of ``bases``; most fail Jacobi or the anchor item."""
+    return algebroid_inputs(bases, ranks, max_deg).map(lambda inputs: AlgebroidPatch(*inputs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebroid_inputs(ranks=(1, 4)))
+def test_bracket_table_is_sparse_and_antisymmetric(inputs):
+    base, anchors, brackets = inputs
+    a = AlgebroidPatch(base, anchors, brackets)
+    r = range(a.rank)
+    for i, j in itertools.product(r, repeat=2):
+        assert all(e.terms for e in a.bracket(i, j).values())
+        assert dict(a.bracket(j, i)) == {k: -e for k, e in a.bracket(i, j).items()}
+    assert all(not a.bracket(i, i) for i in r)
+    zero = Expr.zero(base)
+    want = [[[zero] * a.rank for _ in r] for _ in r]
+    for (i, j), comps in brackets.items():
+        want[i][j] = list(comps)
+        want[j][i] = [-e for e in comps]
+    assert dense_table(a) == tuple(tuple(tuple(row) for row in plane) for plane in want)
+    event(f"stored pairs: {sum(1 for i, j in itertools.product(r, repeat=2) if a.bracket(i, j))}")
 
 
 def _bialgebroid_outcome(check, a, dual):
@@ -324,7 +361,7 @@ def test_frame_brackets_match_the_unit_vector_reference(a, data):
     event(f"lie algebroid: {rep.passed}")
     assert str(rep) == str(reference_lie_algebroid(a))
     # a dual on the same base and rank: random, or zero so the derivation condition is reached
-    zero = algebroid(a.base, [VField.zero(a.base)] * a.rank, {})
+    zero = AlgebroidPatch(a.base, [VField.zero(a.base)] * a.rank, {})
     dual = data.draw(random_algebroids((a.base,), (a.rank, a.rank)) | st.just(zero))
     outcome = _bialgebroid_outcome(check_lie_bialgebroid, a, dual)
     event("bialgebroid " + (f"raised {outcome[0].__name__}" if isinstance(outcome, tuple) else "ran"))
@@ -383,7 +420,7 @@ def test_bialgebroid_so3_pair_fails_symmetrically():
 
 def test_bialgebroid_with_anchors():
     a = tangent_bundle_algebroid(R1)
-    dual = algebroid(R1, [VField.zero(R1)], {})
+    dual = AlgebroidPatch(R1, [VField.zero(R1)], {})
     assert check_lie_bialgebroid(a, dual).passed
     assert check_lie_bialgebroid(dual, a).passed
 
@@ -445,10 +482,12 @@ def reference_function_multiple(a, s):
     """
     f = Expr.one(a.base) + Expr.coord(a.base, a.base.coords[0])
 
+    c = dense_table(a)
+
     def bracket_side(i, j):
         acc = KForm.zero(a.base, 1)
         for k in range(a.rank):
-            acc = acc + s.sigma[k].scale(a.structure[i][j][k])
+            acc = acc + s.sigma[k].scale(c[i][j][k])
         return acc
 
     def deviations():
@@ -466,7 +505,7 @@ def reference_function_multiple(a, s):
 
 def so3_action():
     """so(3) acting on R^3 by rotations: rho(e_1) = y d_z - z d_y and cyclically, so [e_1,e_2] = -e_3."""
-    return algebroid(
+    return AlgebroidPatch(
         R3,
         [vf(R3, "0", "-z", "y"), vf(R3, "z", "0", "-x"), vf(R3, "-y", "x", "0")],
         {key: tuple(Expr.const(R3, v) for v in comps) for key, comps in {(0, 1): (0, 0, -1), (1, 2): (-1, 0, 0), (0, 2): (0, 1, 0)}.items()},
@@ -515,7 +554,7 @@ def test_im_foliation_coordinate_example_passes():
 
 def test_im_foliation_bracket_stability_failure():
     # frame e1 = d_x, e2 = d_y + x d_x with [e1,e2] = e1; K = span{e2}
-    a = algebroid(
+    a = AlgebroidPatch(
         R2,
         [vf(R2, "1", "0"), vf(R2, "x", "1")],
         {(0, 1): (Expr.one(R2), Expr.zero(R2))},
@@ -535,7 +574,7 @@ def test_im_foliation_witnesses():
         "bracket classes are flat mod K: pass; anchor flows preserve the foliation: fail  "
         "[[rho(e_1), f_2] leaves the foliation span])"
     )
-    line = algebroid(R1, [VField.zero(R1)] * 2, {(0, 1): (parse_expr("x", R1), Expr.zero(R1))})
+    line = AlgebroidPatch(R1, [VField.zero(R1)] * 2, {(0, 1): (parse_expr("x", R1), Expr.zero(R1))})
     assert str(check_im_foliation(line, IMFoliation((vf(R1, "1"),), ()))) == (
         "fail (connection is flat: pass; brackets with K stay in K: pass; bracket classes are flat mod K: fail  "
         "[class of [e_1,e_2] is not flat along f_1: 1]; anchor flows preserve the foliation: pass)"
@@ -544,7 +583,7 @@ def test_im_foliation_witnesses():
         "fail (connection is flat: pass; brackets with K stay in K: pass; bracket classes are flat mod K: pass; "
         "anchor flows preserve the foliation: fail  [[rho(e_2), f_1] leaves the foliation span])"
     )
-    a = algebroid(R2, [vf(R2, "1", "0"), vf(R2, "x", "1")], {(0, 1): (Expr.one(R2), Expr.zero(R2))})
+    a = AlgebroidPatch(R2, [vf(R2, "1", "0"), vf(R2, "x", "1")], {(0, 1): (Expr.one(R2), Expr.zero(R2))})
     assert str(check_im_foliation(a, IMFoliation((vf(R2, "1", "0"), vf(R2, "0", "1")), (1,)))) == (
         "fail (connection is flat: pass; brackets with K stay in K: fail  [[e_1,e_2] has class component e_1 = 1]; "
         "bracket classes are flat mod K: pass; anchor flows preserve the foliation: pass)"
@@ -573,20 +612,27 @@ def test_im_foliation_rank_deficient_generators():
 
 
 def test_bialgebra_abelian_affine_passes():
-    d = LieBialgebraData(abelian(2), const_algebra(2, {(0, 1): (1, 0)}).structure)
-    assert check_lie_bialgebra(d).passed
+    assert check_lie_bialgebra(abelian(2), const_algebra(2, {(0, 1): (1, 0)})).passed
+
+
+def test_bialgebra_shape_errors():
+    with pytest.raises(WrongShape):
+        check_lie_bialgebra(abelian(2), abelian(3))
+    with pytest.raises(WrongShape):
+        check_lie_bialgebra(tangent_bundle_algebroid(R1), AlgebroidPatch(R1, [VField.zero(R1)], {}))
+    with pytest.raises(WrongShape):
+        check_lie_bialgebra(abelian(1), AlgebroidPatch(Patch("pt2", ()), [VField.zero(Patch("pt2", ()))], {}))
 
 
 def test_bialgebra_so3_pair_fails_cocycle():
-    d = LieBialgebraData(so3(), so3().structure)
-    rep = check_lie_bialgebra(d)
+    rep = check_lie_bialgebra(so3(), so3())
     assert not rep.passed
     assert "cocycle" in rep.witness
 
 
 def test_bialgebra_witnesses():
     def failures(g, gstar):
-        rep = check_lie_bialgebra(LieBialgebraData(g, gstar.structure))
+        rep = check_lie_bialgebra(g, gstar)
         return [(it.name, it.witness) for it in rep.items if not it.passed]
 
     assert failures(so3(), so3()) == [("dual cocycle condition", "cocycle fails on (e_1,e_2) at e_1^e_2: -1")]
@@ -607,7 +653,7 @@ def test_bialgebra_agrees_with_bialgebroid_over_point():
     ]
     for g, gstar in pairs:
         broid = check_lie_bialgebroid(g, gstar).passed
-        bra = check_lie_bialgebra(LieBialgebraData(g, gstar.structure)).passed
+        bra = check_lie_bialgebra(g, gstar).passed
         assert broid == bra
 
 
@@ -626,14 +672,13 @@ def _ref_wedge_sub(p, q, patch):
     return out
 
 
-def reference_lie_bialgebra(d):
-    """The bialgebra check written out on constant tables: its own dual Jacobi sum and
+def reference_lie_bialgebra(g, gstar):
+    """The bialgebra check written out on dense constant tables: its own dual Jacobi sum and
     cocycle delta[x, y] = ad_x delta(y) - ad_y delta(x), with no algebroid walk."""
-    g = d.g
     check_lie_algebroid(g).require(NotLie)
     r = g.rank
     point = g.base
-    cbar, cstar = g.structure, d.dual_c
+    cbar, cstar = dense_table(g), dense_table(gstar)
 
     def dual_jacobi():
         for (x, y, z), k in itertools.product(itertools.combinations(range(r), 3), range(r)):
@@ -715,16 +760,16 @@ def bialgebra_inputs(draw):
             (a, b): [draw(st.sampled_from(DUAL_CONSTANTS)) for _ in range(rank)]
             for a, b in itertools.combinations(range(rank), 2)
         }
-        dual_c = const_algebra(rank, dual).structure
+        gstar = const_algebra(rank, dual)
     else:
         pick = draw(st.lists(st.sampled_from(LIE_SUMMANDS[:4]), min_size=1, max_size=2).filter(lambda s: sum(n for n, _ in s) <= rank))
-        dual_c = _permuted_algebra(pick, rank, draw(st.permutations(range(rank)))).structure
-    return LieBialgebraData(g, dual_c)
+        gstar = _permuted_algebra(pick, rank, draw(st.permutations(range(rank))))
+    return g, gstar
 
 
 def _bialgebra_outcome(check, d):
     try:
-        rep = check(d)
+        rep = check(*d)
     except EngineError as exc:
         return type(exc), str(exc)
     return [(it.name, it.passed, it.witness) for it in rep.items]

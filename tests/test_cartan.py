@@ -546,7 +546,7 @@ def _add_dense(a, b):
 def _lift_function_dense(f):
     tp = tangent_patch(f.patch)
     acc = Expr.zero(tp.total)
-    for c, v in zip(f.patch.coords, tp.velocity_names):
+    for c, v in zip(f.patch.coords, tp.fibre_names):
         acc = acc + Expr.coord(tp.total, v) * f.differentiate(c).inject(tp.total)
     return acc
 

@@ -52,6 +52,7 @@ EXIT_CODES = {
     "rank_deficient": 2,
     "slow_linearity": 1,
     "slow_linearity_4d": 1,
+    "wide_algebroid": 0,
 }
 
 

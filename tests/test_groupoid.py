@@ -411,7 +411,7 @@ def test_pair_groupoid_gives_tangent_bundle():
         (Expr.one(R2), Expr.zero(R2)),
         (Expr.zero(R2), Expr.one(R2)),
     ]
-    assert all(c.is_zero() for c in a.structure[0][1])
+    assert not a.bracket(0, 1)
     assert check_lie_algebroid(a).passed
 
 
@@ -421,17 +421,16 @@ def test_abelian_group_gives_abelian_algebra():
     assert all(v.components == () for v in a.anchor)
     for i in range(3):
         for j in range(3):
-            assert all(c.is_zero() for c in a.structure[i][j])
+            assert not a.bracket(i, j)
 
 
 def test_heisenberg_structure_constant():
     # right-invariant frame of a2*b1 cocycle: [E_a, E_b] = E_c
     a = lie_algebroid_of(heisenberg3())
     assert a.rank == 3
-    assert a.structure[0][1][2] == Expr.one(a.base)
-    assert a.structure[0][1][0].is_zero() and a.structure[0][1][1].is_zero()
-    assert all(c.is_zero() for c in a.structure[0][2])
-    assert all(c.is_zero() for c in a.structure[1][2])
+    assert a.bracket(0, 1) == {2: Expr.one(a.base)}
+    assert a.bracket(1, 0) == {2: -Expr.one(a.base)}
+    assert not a.bracket(0, 2) and not a.bracket(1, 2)
     assert check_lie_algebroid(a).passed
 
 
@@ -1133,7 +1132,7 @@ def test_induced_dual_bracket_affine():
     pi = Bivector(ab.total, {(0, 1): parse_expr("x_1", ab.total)})
     dual = induced_dual_bracket(ab, pi)
     assert dual.rank == 2
-    assert dual.structure[0][1] == (Expr.one(dual.base), Expr.zero(dual.base))
+    assert dual.bracket(0, 1) == {0: Expr.one(dual.base)}
     assert check_lie_algebroid(dual).passed
     assert check_lie_bialgebroid(lie_algebroid_of(ab), dual).passed
 
@@ -1150,10 +1149,10 @@ def test_induced_dual_bracket_so3():
         },
     )
     dual = induced_dual_bracket(ab, pi)
-    z, o = Expr.zero(dual.base), Expr.one(dual.base)
-    assert dual.structure[0][1] == (z, z, o)
-    assert dual.structure[1][2] == (o, z, z)
-    assert dual.structure[2][0] == (z, o, z)
+    o = Expr.one(dual.base)
+    assert dual.bracket(0, 1) == {2: o}
+    assert dual.bracket(1, 2) == {0: o}
+    assert dual.bracket(2, 0) == {1: o}
     assert check_lie_algebroid(dual).passed
 
 

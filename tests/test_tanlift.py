@@ -68,9 +68,9 @@ def test_deeper_tangent_patch_names():
     t3 = tangent_patch(t2)
     assert t3.total.coords == t2.coords + ("del2_x", "del2_x_dot", "del2_del_x", "del2_del_x_dot")
     t4 = tangent_patch(t3.total)
-    assert t4.velocity_names == tuple("del3_" + c for c in t3.total.coords)
+    assert t4.fibre_names == tuple("del3_" + c for c in t3.total.coords)
     # a del_ block that does not name the velocities of the first half is a first lift's base
-    assert tangent_patch(Patch("P", ("x", "del_x"))).velocity_names == ("x_dot", "del_x_dot")
+    assert tangent_patch(Patch("P", ("x", "del_x"))).fibre_names == ("x_dot", "del_x_dot")
 
 
 def test_cotangent_patch_names():
@@ -81,12 +81,12 @@ def test_cotangent_patch_names():
 def test_lift_collision_takes_fresh_names():
     # a lifted name the base already uses becomes the first free name1, name2, ...
     tp = tangent_patch(Patch("clash", ("x", "x_dot", "y")))
-    assert tp.velocity_names == ("x_dot1", "x_dot_dot", "y_dot")
-    assert tangent_patch(Patch("clash", ("x", "x_dot", "x_dot1"))).velocity_names == ("x_dot2", "x_dot_dot", "x_dot1_dot")
+    assert tp.fibre_names == ("x_dot1", "x_dot_dot", "y_dot")
+    assert tangent_patch(Patch("clash", ("x", "x_dot", "x_dot1"))).fibre_names == ("x_dot2", "x_dot_dot", "x_dot1_dot")
     ct = cotangent_patch(Patch("Q", ("q", "p_q")))
-    assert ct.momentum_names == ("p_q1", "p_p_q")
+    assert ct.fibre_names == ("p_q1", "p_p_q")
     # a fresh name that a later lifted name would take moves that one on in turn
-    assert cotangent_patch(Patch("Q", ("q", "p_q", "q1"))).momentum_names == ("p_q1", "p_p_q", "p_q11")
+    assert cotangent_patch(Patch("Q", ("q", "p_q", "q1"))).fibre_names == ("p_q1", "p_p_q", "p_q11")
 
 
 def test_lifted_patches_are_memoised():
@@ -220,7 +220,7 @@ def test_involution_swaps_tangent_and_vertical_lifts():
             tuple(
                 [Expr.coord(tm.total, c) for c in M2.coords]
                 + [zero] * M2.dim
-                + [Expr.coord(tm.total, c) for c in tm.velocity_names]
+                + [Expr.coord(tm.total, c) for c in tm.fibre_names]
                 + [c.inject(tm.total) for c in x.components]
             ),
         )
@@ -252,7 +252,7 @@ def assert_tulczyjew_sends_form_sections_to_lifts(base, forms):
             tuple(
                 [Expr.coord(tm.total, c) for c in base.coords]
                 + [zero] * base.dim
-                + [Expr.coord(tm.total, c) for c in tm.velocity_names]
+                + [Expr.coord(tm.total, c) for c in tm.fibre_names]
                 + [c.inject(tm.total) for c in a.components()]
             ),
         )
