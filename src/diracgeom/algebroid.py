@@ -112,10 +112,12 @@ class AlgebroidPatch:
         return self._table.get((a, b), _NO_TERMS)
 
     def rho(self, section) -> VField:
-        """Anchor of the sparse section ``{k: coefficient}``."""
-        anchor = self.anchor
-        comps = (dot(self.base, ((c, anchor[k].components[i]) for k, c in section.items())) for i in range(self.base.dim))
-        return VField(self.base, tuple(comps))
+        """Anchor of the sparse section ``{k: coefficient}``, summed over the anchors' stored components."""
+        pairs = {}
+        for k, c in section.items():
+            for i, e in self.anchor[k].coeffs.items():
+                pairs.setdefault(i, []).append((c, e))
+        return VField._trusted(self.base, 1, {i: dot(self.base, ps) for i, ps in sorted(pairs.items())})
 
     def frame_bracket(self, x: int, section) -> dict[int, Expr]:
         """[e_x, v] as a sparse section: rho(e_x)(v^k) + sum_b v^b c^k_xb, non-zero entries only."""
@@ -185,10 +187,9 @@ def check_lie_algebroid(a: AlgebroidPatch) -> Report:
     def anchor():
         for i, j in combinations(range(r), 2):
             diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(a.bracket(i, j))
-            bad = next((m for m, c in enumerate(diff.components) if not c.is_zero()), None)
-            if bad is not None:
-                coord = a.base.coords[bad]
-                yield f"anchor breaks [e_{i + 1},e_{j + 1}]: d_{coord} component {diff.components[bad]}"
+            if diff.coeffs:
+                bad = min(diff.coeffs)
+                yield f"anchor breaks [e_{i + 1},e_{j + 1}]: d_{a.base.coords[bad[0]]} component {diff.coeffs[bad]}"
 
     return Report(
         (
@@ -209,11 +210,9 @@ def dual_linear_poisson(a: AlgebroidPatch) -> Bivector:
     total = dual_patch(a)
     n, r = a.base.dim, a.rank
     entries = {}
-    for i in range(n):
-        for fa in range(r):
-            rho = a.anchor[fa].components[i].inject(total)
-            if not rho.is_zero():
-                entries[(i, n + fa)] = rho
+    for fa, field in enumerate(a.anchor):
+        for (i,), rho in field.coeffs.items():
+            entries[(i, n + fa)] = rho.inject(total)
     xi = [Expr.coord(total, name) for name in total.coords[n:]]
     for fa, fb in combinations(range(r), 2):
         acc = -dot(total, ((c.inject(total), xi[k]) for k, c in a.bracket(fa, fb).items()))
@@ -404,11 +403,12 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
         if not 0 <= m < a.rank:
             raise WrongShape(f"k_sub index {m} out of range")
     # one generator matrix for every span question of the check; n x 0 without generators
-    span = ExprMatrix.from_rows(a.base, [[v.components[i] for v in f.f_m] for i in range(a.base.dim)])
+    columns = [v.components() for v in f.f_m]
+    span = ExprMatrix.from_rows(a.base, [[col[i] for col in columns] for i in range(a.base.dim)])
     if generic_rank(span) != len(f.f_m):
         raise RankDeficient("foliation generators are generically dependent")
     for m in f.k_sub:
-        if not in_span(span, a.anchor[m].components):
+        if not in_span(span, a.anchor[m].components()):
             raise AnchorNotTangent(f"rho(e_{m + 1}) is not tangent to the foliation")
     quotient = [m for m in range(a.rank) if m not in f.k_sub]
     nf = len(f.f_m)
@@ -416,7 +416,7 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     def involutive():
         # bullet 1: the trivial connection is flat exactly when the foliation is involutive
         for i, j in combinations(range(nf), 2):
-            if not in_span(span, lie_bracket(f.f_m[i], f.f_m[j]).components):
+            if not in_span(span, lie_bracket(f.f_m[i], f.f_m[j]).components()):
                 yield f"[f_{i + 1},f_{j + 1}] leaves the foliation span"
 
     def k_brackets():
@@ -439,7 +439,7 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
     def anchor_flows():
         # bullet 4: anchors of quotient generators preserve the foliation
         for m, j in product(quotient, range(nf)):
-            if not in_span(span, lie_bracket(a.anchor[m], f.f_m[j]).components):
+            if not in_span(span, lie_bracket(a.anchor[m], f.f_m[j]).components()):
                 yield f"[rho(e_{m + 1}), f_{j + 1}] leaves the foliation span"
 
     return Report(

@@ -8,31 +8,41 @@ Conventions fixed once and used everywhere:
   For ``p = dx ^ dy`` this sends ``dx`` to ``d_y`` and ``dy`` to ``-d_x``.
 * Forms store coefficients on strictly increasing index tuples; evaluation is
   the determinant convention, ``(dx ^ dy)(d_x, d_y) = 1``.
-* ``KForm`` and ``Bivector`` are one sparse antisymmetric tensor,
-  ``_AntisymTensor``, that differs only in degree and printed basis (``dx``
-  against ``d_x``); a form never equals a bivector with the same coefficients.
+* ``VField``, ``KForm`` and ``Bivector`` are three classes on one sparse
+  antisymmetric tensor, ``_AntisymTensor``, that differ only in degree and
+  printed basis (``dx`` against ``d_x``).  A vector field is the degree-1
+  contravariant tensor: it stores its non-zero components as ``coeffs[(i,)]``
+  and prints as a bivector does.  A tensor never equals or adds to one of
+  another class with the same coefficients.  ``components()`` is the one
+  dense view, of a field or a one-form, for callers that need a vector.
+
+Only the public constructors validate (index order and range, patch, one
+component per coordinate for a field); they are the boundary for input from
+outside.  Every operator below builds its result through
+``_AntisymTensor._trusted``, which drops zero entries and checks nothing
+else, as ``Expr._trusted`` takes a term map.
 
 Frames built from lifts are mostly zero, so the operators walk only what is
-stored: ``VField.apply``, ``KForm.evaluate`` and ``sharp_bivector`` skip
-zero components, and ``exterior_derivative`` and ``interior_product`` visit
-only the index tuples reachable from stored coefficients (and, for i_X, the
-support of X).  They visit those tuples in sorted order, the order of
-``combinations``, so every result has the same terms in the same order as
-the dense loops.  ``pullback_form`` picks only non-zero Jacobian entries
-and forms no minor.  A form memoises its ``d`` on first use, and a vector
-field its Jacobian (``VField._jacobian``), so ``lie_bracket`` differentiates
-each component once per coordinate however many brackets the field enters;
-it sums over the stored components in the pairs ``apply`` takes.  A one-form
-is evaluated as sum_i c_i X^i, without determinants.  Each sum is
-built in one term map by ``symalg.dot`` (or ``_combine`` for signs), and a
-signed lookup that misses returns None (``_AntisymTensor._signed``), so no
-operator builds a zero it then skips.
+stored: ``VField.apply``, ``KForm.evaluate``, ``sharp_bivector`` and
+``wedge_fields`` read stored components only, and ``exterior_derivative``
+and ``interior_product`` visit only the index tuples reachable from stored
+coefficients (and, for i_X, the support of X).  They visit those tuples in
+sorted order, the order of ``combinations``, so every result has the same
+terms in the same order as the dense loops.  ``pullback_form`` picks only
+non-zero Jacobian entries and forms no minor.  A form memoises its ``d`` on
+first use, and a vector field its Jacobian (``VField._jacobian``, the
+non-zero derivatives only), so ``lie_bracket`` differentiates each component
+once along each coordinate it contains however many brackets the field
+enters, and visits only the rows a stored derivative reaches.  A one-form is
+evaluated as sum_i c_i X^i over the indices both store, without
+determinants.  Each sum is built in one term map by ``symalg.dot`` (or
+``_combine`` for signs), and a signed lookup that misses returns None
+(``_AntisymTensor._signed``), so no operator builds a zero it then skips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
@@ -55,87 +65,17 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class VField:
-    """Vector field: one component per coordinate.
-
-    ``_jacobian`` holds d_j X^i once first read; it takes no part in equality or hashing.
-    """
-
-    patch: Patch
-    components: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.patch.dim:
-            raise WrongShape("need one component per coordinate")
-        for c in self.components:
-            if c.patch is not self.patch and c.patch != self.patch:
-                raise PatchMismatch("component on a different patch")
-
-    @cached_property
-    def _jacobian(self) -> tuple[tuple[Expr, ...], ...]:
-        """Row i is (d_j X^i for each coordinate j): each component differentiated once, on first use, and kept.
-
-        A zero component's row is that zero, once per coordinate."""
-        coords = self.patch.coords
-        return tuple(tuple(c.differentiate(x) for x in coords) if c.terms else (c,) * len(coords) for c in self.components)
-
-    @staticmethod
-    def zero(patch: Patch) -> "VField":
-        return VField(patch, tuple(Expr.zero(patch) for _ in patch.coords))
-
-    @staticmethod
-    def coordinate(patch: Patch, name: str) -> "VField":
-        i = patch.index(name)
-        comps = [Expr.zero(patch)] * patch.dim
-        comps[i] = Expr.one(patch)
-        return VField(patch, tuple(comps))
-
-    def apply(self, f: Expr) -> Expr:
-        """Directional derivative X(f)."""
-        return dot(self.patch, ((c, f.differentiate(x)) for c, x in zip(self.components, self.patch.coords) if c.terms))
-
-    def __add__(self, other: "VField") -> "VField":
-        if other.patch != self.patch:
-            raise PatchMismatch("vector fields on different patches")
-        return VField(self.patch, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VField") -> "VField":
-        return self + (-other)
-
-    def __neg__(self) -> "VField":
-        return VField(self.patch, tuple(-c for c in self.components))
-
-    def scale(self, f: Expr) -> "VField":
-        return VField(self.patch, tuple(f * c for c in self.components))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __str__(self):
-        parts = []
-        for comp, coord in zip(self.components, self.patch.coords):
-            if comp.is_zero():
-                continue
-            cs = str(comp)
-            if cs == "1":
-                parts.append(f"d_{coord}")
-            elif "+" in cs or (cs.count("-") and not cs.startswith("-")) or " " in cs:
-                parts.append(f"({cs})*d_{coord}")
-            else:
-                parts.append(f"{cs}*d_{coord}")
-        return " + ".join(parts) if parts else "0"
-
-
 class _AntisymTensor:
     """Nonzero coefficients ``coeffs`` on strictly increasing index tuples.
 
-    A subclass sets its printed ``_basis`` and ``_mismatch`` message, and
-    ``_like`` rebuilds each result through the subclass constructor, so every
-    result is validated.  Tensors of different classes never compare equal or add.
+    A subclass sets its printed ``_basis`` and ``_mismatch`` message.  The
+    constructor validates and ``_trusted`` builds kernel results.  ``_memo``
+    holds what a subclass derives once (d of a form, the Jacobian of a field)
+    and takes no part in equality or hashing.  Tensors of different classes
+    never compare equal or add.
     """
 
-    __slots__ = ("patch", "degree", "coeffs")
+    __slots__ = ("patch", "degree", "coeffs", "_memo")
 
     def __init__(self, patch: Patch, degree: int, coeffs: Mapping[tuple[int, ...], Expr]):
         clean: dict[tuple[int, ...], Expr] = {}
@@ -147,11 +87,24 @@ class _AntisymTensor:
                 raise WrongShape(f"index {idx} out of range")
             if e.patch is not patch and e.patch != patch:
                 raise PatchMismatch("coefficient on a different patch")
-            if not e.is_zero():
+            if e.terms:
                 clean[idx] = e
-        object.__setattr__(self, "patch", patch)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
+        self._fill(patch, degree, clean)
+
+    @classmethod
+    def _trusted(cls, patch: Patch, degree: int, coeffs: Mapping[tuple[int, ...], Expr]):
+        """A result the kernel built, on strictly increasing in-range keys with coefficients on ``patch``:
+        its zero coefficients are dropped and nothing else is checked."""
+        self = object.__new__(cls)
+        self._fill(patch, degree, {idx: e for idx, e in coeffs.items() if e.terms})
+        return self
+
+    def _fill(self, patch: Patch, degree: int, coeffs: dict[tuple[int, ...], Expr]) -> None:
+        # through the slot descriptors' own setters, as Expr._trusted fills an Expr
+        _set_patch(self, patch)
+        _set_degree(self, degree)
+        _set_coeffs(self, coeffs)
+        _set_memo(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -167,6 +120,13 @@ class _AntisymTensor:
         value = self._signed(idx)
         return Expr.zero(self.patch) if value is None else value
 
+    def components(self) -> tuple[Expr, ...]:
+        """A vector field or one-form as its dense vector: one entry per coordinate, zero where none is stored."""
+        if self.degree != 1:
+            raise WrongShape("components() needs a vector field or a one-form")
+        zero = Expr.zero(self.patch)
+        return tuple(self.coeffs.get((i,), zero) for i in range(self.patch.dim))
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -175,16 +135,16 @@ class _AntisymTensor:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out[k] + v if k in out else v
-        return self._like(out)
+        return self._trusted(self.patch, self.degree, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.coeffs.items()})
+        return self._trusted(self.patch, self.degree, {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, f: Expr):
-        return self._like({k: f * v for k, v in self.coeffs.items()})
+        return self._trusted(self.patch, self.degree, {k: f * v for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -220,14 +180,59 @@ class _AntisymTensor:
         return f"{type(self).__name__}({self})"
 
 
+_set_patch, _set_degree, _set_coeffs, _set_memo = (getattr(_AntisymTensor, name).__set__ for name in _AntisymTensor.__slots__)
+
+
+class VField(_AntisymTensor):
+    """Vector field: the degree-1 contravariant tensor, built from one component per coordinate.
+
+    ``_memo`` holds the Jacobian once ``_jacobian`` has been read.
+    """
+
+    __slots__ = ()
+    _basis = "d_"
+    _mismatch = "vector fields on different patches"
+
+    def __init__(self, patch: Patch, components: Sequence[Expr]):
+        if len(components) != patch.dim:
+            raise WrongShape("need one component per coordinate")
+        super().__init__(patch, 1, {(i,): c for i, c in enumerate(components)})
+
+    @staticmethod
+    def zero(patch: Patch) -> "VField":
+        return VField._trusted(patch, 1, {})
+
+    @staticmethod
+    def coordinate(patch: Patch, name: str) -> "VField":
+        return VField._trusted(patch, 1, {(patch.index(name),): Expr.one(patch)})
+
+    def _jacobian(self) -> dict[tuple[int], list[tuple[tuple[int], Expr]]]:
+        """Row (i,) lists ((j,), d_j X^i) for each coordinate j that X^i contains, in increasing j.
+
+        Each stored component is differentiated once, on first use, and the
+        rows are kept; a constant component has no row."""
+        if self._memo is None:
+            coords, rows = self.patch.coords, {}
+            for key, c in self.coeffs.items():
+                used = sorted({j for e in c.terms for j, k in enumerate(e) if k})
+                if used:
+                    rows[key] = [((j,), c.differentiate(coords[j])) for j in used]
+            _set_memo(self, rows)
+        return self._memo
+
+    def apply(self, f: Expr) -> Expr:
+        """Directional derivative X(f)."""
+        coords = self.patch.coords
+        return dot(self.patch, ((c, f.differentiate(coords[i])) for (i,), c in self.coeffs.items()))
+
+
 class KForm(_AntisymTensor):
     """Differential form of degree 0..3 with polynomial coefficients.
 
-    ``_d`` holds d of the form once ``exterior_derivative`` has taken it; it
-    takes no part in equality or hashing.
+    ``_memo`` holds d of the form once ``exterior_derivative`` has taken it.
     """
 
-    __slots__ = ("_d",)
+    __slots__ = ()
     _basis = "d"
     _mismatch = "can only add forms of one degree on one patch"
 
@@ -235,10 +240,6 @@ class KForm(_AntisymTensor):
         if degree < 0 or degree > MAX_DEGREE:
             raise DegreeTooHigh(f"degree {degree} outside 0..{MAX_DEGREE}")
         super().__init__(patch, degree, coeffs)
-        object.__setattr__(self, "_d", None)
-
-    def _like(self, coeffs):
-        return KForm(self.patch, self.degree, coeffs)
 
     @staticmethod
     def zero(patch: Patch, degree: int) -> "KForm":
@@ -260,14 +261,8 @@ class KForm(_AntisymTensor):
         c = self.coeffs.get(tuple(idx))
         return Expr.zero(self.patch) if c is None else c
 
-    def components(self) -> tuple[Expr, ...]:
-        """Degree-1 forms as a coefficient vector."""
-        if self.degree != 1:
-            raise WrongShape("components() needs a one-form")
-        return tuple(self.coeff((i,)) for i in range(self.patch.dim))
-
     def evaluate(self, *fields: VField) -> Expr:
-        """Multilinear antisymmetric evaluation on vector fields."""
+        """Multilinear antisymmetric evaluation on vector fields, reading their stored components."""
         if len(fields) != self.degree:
             raise WrongShape(f"need {self.degree} vector fields")
         for v in fields:
@@ -276,10 +271,11 @@ class KForm(_AntisymTensor):
         if self.degree == 0:
             return self.coeff(())
         if self.degree == 1:
-            # sum_i c_i X^i: the determinants are the 1x1 ones, the components themselves
-            x = fields[0].components
-            return dot(self.patch, ((c, x[i]) for (i,), c in self.coeffs.items()))
-        return dot(self.patch, ((c, _det([[v.components[r] for v in fields] for r in idx])) for idx, c in self.coeffs.items()))
+            # sum_i c_i X^i over the indices both store: the determinants are the 1x1 ones
+            x = fields[0].coeffs
+            return dot(self.patch, ((c, xi) for idx, c in self.coeffs.items() if (xi := x.get(idx)) is not None))
+        zero = Expr.zero(self.patch)
+        return dot(self.patch, ((c, _det([[v.coeffs.get((r,), zero) for v in fields] for r in idx])) for idx, c in self.coeffs.items()))
 
 
 def _det(rows: list[list[Expr]]) -> Expr:
@@ -307,9 +303,6 @@ class Bivector(_AntisymTensor):
     def __init__(self, patch: Patch, entries: Mapping[tuple[int, int], Expr]):
         super().__init__(patch, 2, entries)
 
-    def _like(self, coeffs):
-        return Bivector(self.patch, coeffs)
-
     @staticmethod
     def zero(patch: Patch) -> "Bivector":
         return Bivector(patch, {})
@@ -317,6 +310,8 @@ class Bivector(_AntisymTensor):
     def entry(self, i: int, j: int) -> Expr:
         """Signed entry p(dx^i, dx^j) for any index pair."""
         return self.signed_coeff((i, j))
+
+
 
 
 @dataclass(frozen=True)
@@ -381,36 +376,41 @@ class PolyMap:
         comps = ", ".join(str(c) for c in self.components)
         return f"{self.source.name} -> {self.target.name}: ({comps})"
 
-
 # -- operations -----------------------------------------------------------------
 
 
 def lie_bracket(x: VField, y: VField) -> VField:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, read off the Jacobians the fields keep.
 
-    Each sum runs over the stored components of the field in front, in order,
-    the pairs ``VField.apply`` would take; a field's Jacobian is read only when
-    the other field has a stored component.
+    Only the rows i of a stored derivative are visited.  Each sum runs over
+    the stored derivatives d_j whose component X^j (or Y^j) is stored, in
+    increasing j, the pairs ``VField.apply`` would take; a field's Jacobian is
+    read only when the other field has a stored component.
     """
     if x.patch != y.patch:
         raise PatchMismatch("vector fields on different patches")
     patch = x.patch
-    xs = [(j, c) for j, c in enumerate(x.components) if c.terms]
-    ys = [(j, c) for j, c in enumerate(y.components) if c.terms]
-    dx = x._jacobian if ys else None
-    dy = y._jacobian if xs else None
-    comps = tuple(
-        dot(patch, ((c, dy[i][j]) for j, c in xs)) - dot(patch, ((c, dx[i][j]) for j, c in ys)) for i in range(patch.dim)
-    )
-    return VField(patch, comps)
+    dx = x._jacobian() if y.coeffs else {}
+    dy = y._jacobian() if x.coeffs else {}
+    out = {}
+    for i in sorted(dx.keys() | dy.keys()):
+        plus = [(c, d) for j, d in dy.get(i, ()) if (c := x.coeffs.get(j)) is not None]
+        minus = [(c, d) for j, d in dx.get(i, ()) if (c := y.coeffs.get(j)) is not None]
+        if plus and minus:
+            out[i] = dot(patch, plus) - dot(patch, minus)
+        elif plus:
+            out[i] = dot(patch, plus)
+        elif minus:
+            out[i] = -dot(patch, minus)
+    return VField._trusted(patch, 1, out)
 
 
 def exterior_derivative(w: KForm) -> KForm:
     """d on forms of degree <= 2, taken once per form and memoised on it."""
     if w.degree > 2:
         raise DegreeTooHigh("exterior derivative supported for degree <= 2")
-    if w._d is not None:
-        return w._d
+    if w._memo is not None:
+        return w._memo
     patch = w.patch
     reach = set()
     for rest, c in w.coeffs.items():
@@ -419,11 +419,9 @@ def exterior_derivative(w: KForm) -> KForm:
     out: dict[tuple[int, ...], Expr] = {}
     for idx in sorted(reach):
         faces = [(m, c) for m in range(len(idx)) if (c := w.coeffs.get(idx[:m] + idx[m + 1:])) is not None]
-        acc = _combine(patch, [(-1) ** m for m, _ in faces], [c.differentiate(patch.coords[idx[m]]) for m, c in faces])
-        if acc.terms:
-            out[idx] = acc
-    d = KForm(patch, w.degree + 1, out)
-    object.__setattr__(w, "_d", d)
+        out[idx] = _combine(patch, [(-1) ** m for m, _ in faces], [c.differentiate(patch.coords[idx[m]]) for m, c in faces])
+    d = KForm._trusted(patch, w.degree + 1, out)
+    _set_memo(w, d)
     return d
 
 
@@ -433,15 +431,13 @@ def interior_product(x: VField, w: KForm) -> KForm:
         raise DegreeZero("cannot contract a function")
     if x.patch != w.patch:
         raise PatchMismatch("operands on different patches")
-    patch = w.patch
-    support = [i for i, c in enumerate(x.components) if c.terms]
-    reach = {key[:m] + key[m + 1:] for key in w.coeffs for m, i in enumerate(key) if x.components[i].terms}
-    out: dict[tuple[int, ...], Expr] = {}
-    for idx in sorted(reach):
-        acc = dot(patch, ((x.components[i], c) for i in support if (c := w._signed((i,) + idx)) is not None))
-        if acc.terms:
-            out[idx] = acc
-    return KForm(patch, w.degree - 1, out)
+    patch, support = w.patch, x.coeffs
+    reach = {key[:m] + key[m + 1:] for key in w.coeffs for m, i in enumerate(key) if (i,) in support}
+    out = {
+        idx: dot(patch, ((xi, c) for (i,), xi in support.items() if (c := w._signed((i,) + idx)) is not None))
+        for idx in sorted(reach)
+    }
+    return KForm._trusted(patch, w.degree - 1, out)
 
 
 def lie_derivative(x: VField, w: KForm) -> KForm:
@@ -449,10 +445,21 @@ def lie_derivative(x: VField, w: KForm) -> KForm:
     if w.degree > 2:
         raise DegreeTooHigh("Lie derivative supported for degree <= 2")
     if w.degree == 0:
-        return KForm.function(x.apply(w.coeff(())))
+        return KForm._trusted(w.patch, 0, {k: x.apply(c) for k, c in w.coeffs.items()})
     return interior_product(x, exterior_derivative(w)) + exterior_derivative(
         interior_product(x, w)
     )
+
+
+def _wedge_coeffs(a: _AntisymTensor, b: _AntisymTensor) -> dict[tuple[int, ...], Expr]:
+    """Coefficients of a ^ b (determinant convention) for tensors of one patch, key by key in one ``dot``."""
+    pairs: dict[tuple[int, ...], list[tuple[Expr, Expr]]] = {}
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            sign = _perm_sign(ia + ib)
+            if sign:
+                pairs.setdefault(tuple(sorted(ia + ib)), []).append((ca if sign == 1 else -ca, cb))
+    return {key: dot(a.patch, p) for key, p in pairs.items()}
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -462,21 +469,14 @@ def wedge(a: KForm, b: KForm) -> KForm:
     deg = a.degree + b.degree
     if deg > MAX_DEGREE:
         raise DegreeTooHigh(f"wedge degree {deg} exceeds {MAX_DEGREE}")
-    pairs: dict[tuple[int, ...], list[tuple[Expr, Expr]]] = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            sign = _perm_sign(ia + ib)
-            if sign:
-                pairs.setdefault(tuple(sorted(ia + ib)), []).append((ca if sign == 1 else -ca, cb))
-    return KForm(a.patch, deg, {key: dot(a.patch, p) for key, p in pairs.items()})
+    return KForm._trusted(a.patch, deg, _wedge_coeffs(a, b))
 
 
 def wedge_fields(x: VField, y: VField) -> Bivector:
     """X ^ Y, so that (X ^ Y)[i, j] = X^i Y^j - X^j Y^i."""
     if x.patch != y.patch:
         raise PatchMismatch("wedge of vector fields on different patches")
-    a, b = x.components, y.components
-    return Bivector(x.patch, {(i, j): a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(x.patch.dim), 2)})
+    return Bivector._trusted(x.patch, 2, _wedge_coeffs(x, y))
 
 
 def sharp_bivector(p: Bivector, a: KForm) -> VField:
@@ -487,8 +487,8 @@ def sharp_bivector(p: Bivector, a: KForm) -> VField:
         raise PatchMismatch("operands on different patches")
     patch = p.patch
     stored = sorted(a.coeffs.items())
-    comps = (dot(patch, ((pji, aj) for (j,), aj in stored if (pji := p._signed((j, i))) is not None)) for i in range(patch.dim))
-    return VField(patch, tuple(comps))
+    pairs = ([(pji, aj) for (j,), aj in stored if (pji := p._signed((j, i))) is not None] for i in range(patch.dim))
+    return VField._trusted(patch, 1, {(i,): dot(patch, ps) for i, ps in enumerate(pairs) if ps})
 
 
 def schouten_jacobiator(p: Bivector) -> dict[tuple[int, int, int], Expr]:
@@ -505,7 +505,7 @@ def schouten_jacobiator(p: Bivector) -> dict[tuple[int, int, int], Expr]:
     out: dict[tuple[int, int, int], Expr] = {}
     for (i, j, k) in combinations(range(patch.dim), 3):
         # {x^a, p(dx^b, dx^c)} = sum_m p[a, m] d_m p[b, c]
-        cyclic = [(row[a], p.entry(b, c)) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        cyclic = [(row[a], pbc) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) if (pbc := p._signed((b, c))) is not None]
         out[(i, j, k)] = dot(patch, ((e, pbc.differentiate(patch.coords[m])) for ra, pbc in cyclic for m, e in ra))
     return out
 
@@ -524,9 +524,9 @@ def pullback_form(f: PolyMap, w: KForm) -> KForm:
     """
     if w.patch != f.target:
         raise PatchMismatch("form not on the target patch")
-    if w.degree == 0:
-        return KForm.function(f.pullback_scalar(w.coeff(())))
     src = f.source
+    if w.degree == 0:
+        return KForm._trusted(src, 0, {k: f.pullback_scalar(c) for k, c in w.coeffs.items()})
     # row r of the Jacobian as its non-zero entries (s, J[r][s])
     rows = [[(s, e) for s, e in enumerate(row) if e.terms] for row in f.jacobian().entries]
     pairs: dict[tuple[int, ...], list[tuple[Expr, Expr]]] = {}
@@ -542,7 +542,8 @@ def pullback_form(f: PolyMap, w: KForm) -> KForm:
                 for _, e in pick[1:]:
                     term = term * e
                 pairs.setdefault(tuple(sorted(cols)), []).append((pulled if sign == 1 else -pulled, term))
-    return KForm(src, w.degree, {key: dot(src, pairs[key]) for key in sorted(pairs)})
+    return KForm._trusted(src, w.degree, {key: dot(src, pairs[key]) for key in sorted(pairs)})
+
 
 
 def _pushed_entries(p: Bivector, rows, point: Sequence[Expr], ppatch: Patch) -> dict[tuple[int, int], Expr]:

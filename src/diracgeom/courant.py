@@ -44,7 +44,7 @@ from .cartan import (
 )
 from .errors import NotLagrangian, PatchMismatch, RankDeficient, WrongShape
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, generic_rank, nullspace
+from .symalg import Expr, ExprMatrix, Patch, dot, generic_rank, nullspace
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class GSec:
 
     def coefficients(self) -> list[Expr]:
         """Stacked component vector (vector components, then form components)."""
-        return list(self.vf.components) + list(self.of.components())
+        return list(self.vf.components()) + list(self.of.components())
 
     def __str__(self):
         return f"({self.vf}; {self.of})"
@@ -108,10 +108,11 @@ class Frame:
 
 
 def pairing(a1: GSec, a2: GSec) -> Expr:
-    """<(X, a), (Y, b)> = a(Y) + b(X)."""
+    """<(X, a), (Y, b)> = a(Y) + b(X), one sum over the indices each form and field both store."""
     if a1.patch != a2.patch:
         raise PatchMismatch("sections on different patches")
-    return a1.of.evaluate(a2.vf) + a2.of.evaluate(a1.vf)
+    halves = ((a1.of, a2.vf), (a2.of, a1.vf))
+    return dot(a1.patch, ((c, v) for form, field in halves for i, c in form.coeffs.items() if (v := field.coeffs.get(i)) is not None))
 
 
 def courant_bracket(a1: GSec, a2: GSec) -> GSec:
@@ -162,7 +163,7 @@ def foliation_frame(fields: list[VField]) -> Frame:
         if f.patch != patch:
             raise PatchMismatch("foliation field on a different patch")
     r = len(fields)
-    span = ExprMatrix.from_rows(patch, [f.components for f in fields])
+    span = ExprMatrix.from_rows(patch, [f.components() for f in fields])
     rank = generic_rank(span)
     if rank != r:
         raise RankDeficient(f"{r} fields span generic rank {rank}")

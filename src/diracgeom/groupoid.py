@@ -160,7 +160,7 @@ class GroupoidPatch:
         left translates of the target-horizontal frame corrections at eps(s(g)).
         """
         # the right-invariant fields come first, so a chart fault is named as they name it
-        t_rows = tuple(field.components for field in self._fields)
+        t_rows = tuple(field.components() for field in self._fields)
         total = self.total
         x_s = list(self.src.components)
         eps_s = self.unit.apply(x_s, total)
@@ -478,7 +478,7 @@ def _algebroid_on(g: GroupoidPatch, frame_matrix: ExprMatrix, fields) -> Algebro
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             bracket = lie_bracket(fields[a], fields[b])
-            along_units = [comp.substitute(eps, m) for comp in bracket.components]
+            along_units = [comp.substitute(eps, m) for comp in bracket.components()]
             try:
                 coeffs = solve_linear(frame_matrix, along_units)
             except Inconsistent:
@@ -562,7 +562,7 @@ def check_multiplicative_bivector(g: GroupoidPatch, p: Bivector) -> Report:
 
 
 def _section_values(sec: GSec, point, ppatch) -> tuple[list[Expr], list[Expr]]:
-    x = [comp.substitute(point, ppatch) for comp in sec.vf.components]
+    x = [comp.substitute(point, ppatch) for comp in sec.vf.components()]
     al = [comp.substitute(point, ppatch) for comp in sec.of.components()]
     return x, al
 

@@ -167,10 +167,9 @@ def bivector_integrability() -> Report:
 
 def _involutive(fields) -> bool:
     patch = fields[0].patch
-    span = ExprMatrix.from_rows(
-        patch, [[f.components[i] for f in fields] for i in range(patch.dim)]
-    )
-    return all(in_span(span, lie_bracket(f, g).components) for f, g in combinations(fields, 2))
+    columns = [f.components() for f in fields]
+    span = ExprMatrix.from_rows(patch, [[col[i] for col in columns] for i in range(patch.dim)])
+    return all(in_span(span, lie_bracket(f, g).components()) for f, g in combinations(fields, 2))
 
 
 def foliation_integrability() -> Report:
@@ -312,11 +311,7 @@ def groupoid_functoriality() -> Report:
         a = lie_algebroid_of(g)
         items.append(CheckItem(f"{name}: derived algebroid brackets", check_lie_algebroid(a).passed))
     pair_a = lie_algebroid_of(pair_groupoid(R2))
-    tangent_like = (
-        [v.components for v in pair_a.anchor]
-        == [(Expr.one(R2), Expr.zero(R2)), (Expr.zero(R2), Expr.one(R2))]
-        and not pair_a.bracket(0, 1)
-    )
+    tangent_like = list(pair_a.anchor) == [VField.coordinate(R2, c) for c in R2.coords] and not pair_a.bracket(0, 1)
     items.append(CheckItem("pair groupoid derives the full tangent algebroid", tangent_like))
     heis_a = lie_algebroid_of(heisenberg3())
     central = (

@@ -108,16 +108,12 @@ def lift_function(f: Expr, kind: str) -> Expr:
 def lift_vector_field(x: VField, kind: str) -> VField:
     """X^v feeds the components into the velocity slots; X^T adds their derivative flow."""
     _check_kind(kind)
-    tp = tangent_patch(x.patch)
-    n = x.patch.dim
-    zero = Expr.zero(tp.total)
+    total, n = tangent_patch(x.patch).total, x.patch.dim
     if kind == "vertical":
-        comps = [zero] * n + [c.inject(tp.total) for c in x.components]
-        return VField(tp.total, tuple(comps))
-    comps = [c.inject(tp.total) for c in x.components]
-    for i in range(n):
-        comps.append(lift_function(x.components[i], "tangent"))
-    return VField(tp.total, tuple(comps))
+        return VField._trusted(total, 1, {(n + i,): c.inject(total) for (i,), c in x.coeffs.items()})
+    out = {k: c.inject(total) for k, c in x.coeffs.items()}
+    out.update({(n + i,): lift_function(c, "tangent") for (i,), c in x.coeffs.items()})
+    return VField._trusted(total, 1, out)
 
 
 def lift_one_form(a: KForm, kind: str) -> KForm:
@@ -125,16 +121,12 @@ def lift_one_form(a: KForm, kind: str) -> KForm:
     _check_kind(kind)
     if a.degree != 1:
         raise WrongShape("only one-forms lift here")
-    tp = tangent_patch(a.patch)
-    n = a.patch.dim
-    zero = Expr.zero(tp.total)
-    comps = list(a.components())
+    total, n = tangent_patch(a.patch).total, a.patch.dim
     if kind == "vertical":
-        out = [c.inject(tp.total) for c in comps] + [zero] * n
-    else:
-        out = [lift_function(c, "tangent") for c in comps]
-        out += [c.inject(tp.total) for c in comps]
-    return KForm.one_form(tp.total, out)
+        return KForm._trusted(total, 1, {k: c.inject(total) for k, c in a.coeffs.items()})
+    out = {k: lift_function(c, "tangent") for k, c in a.coeffs.items()}
+    out.update({(n + i,): c.inject(total) for (i,), c in a.coeffs.items()})
+    return KForm._trusted(total, 1, out)
 
 
 def lift_section(s: GSec, kind: str) -> GSec:

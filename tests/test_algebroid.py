@@ -97,6 +97,26 @@ def test_tangent_bundle_passes():
     assert check_lie_algebroid(tangent_bundle_algebroid(R2)).passed
 
 
+def test_a_zero_table_with_coordinate_anchors_multiplies_nothing(monkeypatch):
+    # every bracket and every anchor derivative is zero, so the check reads only stored entries
+    # and forms no product: both walks of a rank-32 tangent bundle make no dot call
+    import diracgeom.algebroid
+    import diracgeom.cartan
+    import diracgeom.courant
+
+    calls = []
+
+    def spy(patch, pairs):
+        calls.append(patch)
+        return dot(patch, pairs)
+
+    for module in (diracgeom.cartan, diracgeom.courant, diracgeom.algebroid):
+        monkeypatch.setattr(module, "dot", spy)
+    wide = Patch("R32", tuple(f"x{i}" for i in range(32)))
+    assert check_lie_algebroid(tangent_bundle_algebroid(wide)).passed
+    assert calls == []
+
+
 def test_so3_passes_and_cyclic_fails():
     assert check_lie_algebroid(so3()).passed
     rep = check_lie_algebroid(bad_cyclic())
@@ -265,10 +285,11 @@ def reference_lie_algebroid(a):
     def anchor():
         for i, j in itertools.combinations(range(r), 2):
             diff = lie_bracket(a.anchor[i], a.anchor[j]) - a.rho(sparse(_bracket_by_triple_loop(a, frame[i], frame[j])))
-            bad = next((m for m, c in enumerate(diff.components) if not c.is_zero()), None)
+            comps = diff.components()
+            bad = next((m for m, c in enumerate(comps) if not c.is_zero()), None)
             if bad is not None:
                 coord = a.base.coords[bad]
-                yield f"anchor breaks [e_{i + 1},e_{j + 1}]: d_{coord} component {diff.components[bad]}"
+                yield f"anchor breaks [e_{i + 1},e_{j + 1}]: d_{coord} component {comps[bad]}"
 
     return Report(
         (

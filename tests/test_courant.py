@@ -429,8 +429,8 @@ def _permuted(l: Frame, perm) -> Frame:
         return Expr(patch, {tuple(exps[p] for p in perm): c for exps, c in e.terms.items()})
 
     def section(s):
-        forms = s.of.components()
-        return GSec(VField(patch, tuple(move(s.vf.components[p]) for p in perm)), KForm.one_form(patch, [move(forms[p]) for p in perm]))
+        fields, forms = s.vf.components(), s.of.components()
+        return GSec(VField(patch, tuple(move(fields[p]) for p in perm)), KForm.one_form(patch, [move(forms[p]) for p in perm]))
 
     return Frame(patch, tuple(section(s) for s in l.secs))
 

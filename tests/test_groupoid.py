@@ -407,7 +407,7 @@ def test_pair_groupoid_gives_tangent_bundle():
     # kernel frame along units: (d/dx_1, d/dx_2) with identity anchor, zero brackets
     a = lie_algebroid_of(pair_groupoid(R2))
     assert a.rank == 2
-    assert [v.components for v in a.anchor] == [
+    assert [v.components() for v in a.anchor] == [
         (Expr.one(R2), Expr.zero(R2)),
         (Expr.zero(R2), Expr.one(R2)),
     ]
@@ -418,7 +418,7 @@ def test_pair_groupoid_gives_tangent_bundle():
 def test_abelian_group_gives_abelian_algebra():
     a = lie_algebroid_of(abelian_group(3))
     assert a.rank == 3
-    assert all(v.components == () for v in a.anchor)
+    assert all(v.components() == () for v in a.anchor)
     for i in range(3):
         for j in range(3):
             assert not a.bracket(i, j)
@@ -496,7 +496,7 @@ def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
 
     # target: the right translates of the kernel frame are the right-invariant fields
     x_t = [comp.inject(ct) for comp in g.tgt.components]
-    t_fiber = groupoid._matvec([[comp.inject(ct) for comp in field.components] for field in g._fields], xi, ct)
+    t_fiber = groupoid._matvec([[comp.inject(ct) for comp in field.components()] for field in g._fields], xi, ct)
 
     # source: left-translate target-horizontal corrections of the frame at eps(s(g))
     x_s = [comp.inject(ct) for comp in g.src.components]

@@ -168,7 +168,7 @@ def test_lift_kind_validated():
 def section_map(x: VField) -> PolyMap:
     """A vector field as the map P -> TP it defines."""
     tp = tangent_patch(x.patch)
-    comps = [Expr.coord(x.patch, c) for c in x.patch.coords] + list(x.components)
+    comps = [Expr.coord(x.patch, c) for c in x.patch.coords] + list(x.components())
     return PolyMap(x.patch, tp.total, tuple(comps))
 
 
@@ -221,7 +221,7 @@ def test_involution_swaps_tangent_and_vertical_lifts():
                 [Expr.coord(tm.total, c) for c in M2.coords]
                 + [zero] * M2.dim
                 + [Expr.coord(tm.total, c) for c in tm.fibre_names]
-                + [c.inject(tm.total) for c in x.components]
+                + [c.inject(tm.total) for c in x.components()]
             ),
         )
         assert j.compose(hat) == section_map(lift_vector_field(x, "vertical"))
