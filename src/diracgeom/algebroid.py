@@ -67,6 +67,15 @@ from .tanlift import lift_function, lift_vector_field, tangent_patch
 _NO_TERMS = MappingProxyType({})
 
 
+def _linear_combination(cls, patch: Patch, section: Mapping[int, Expr], tensors):
+    """sum_k section[k] tensors[k] for degree-1 ``tensors``, summed over their stored entries."""
+    pairs = {}
+    for k, c in section.items():
+        for i, e in tensors[k].coeffs.items():
+            pairs.setdefault(i, []).append((c, e))
+    return cls._trusted(patch, 1, {i: dot(patch, ps) for i, ps in sorted(pairs.items())})
+
+
 @dataclass(frozen=True, init=False)
 class AlgebroidPatch:
     """Anchor fields and structure functions of a would-be Lie algebroid.
@@ -113,11 +122,7 @@ class AlgebroidPatch:
 
     def rho(self, section) -> VField:
         """Anchor of the sparse section ``{k: coefficient}``, summed over the anchors' stored components."""
-        pairs = {}
-        for k, c in section.items():
-            for i, e in self.anchor[k].coeffs.items():
-                pairs.setdefault(i, []).append((c, e))
-        return VField._trusted(self.base, 1, {i: dot(self.base, ps) for i, ps in sorted(pairs.items())})
+        return _linear_combination(VField, self.base, section, self.anchor)
 
     def frame_bracket(self, x: int, section) -> dict[int, Expr]:
         """[e_x, v] as a sparse section: rho(e_x)(v^k) + sum_b v^b c^k_xb, non-zero entries only."""
@@ -344,20 +349,15 @@ def check_im_two_form(a: AlgebroidPatch, s: IMTwoForm) -> Report:
             if not p.is_zero():
                 yield f"<sigma(e_{i + 1}), rho(e_{j + 1})> + <sigma(e_{j + 1}), rho(e_{i + 1})> = {p}"
 
-    sigmas = [sig.components() for sig in s.sigma]
-
-    def bracket_side(i, j):
-        coeffs = a.bracket(i, j).items()
-        return KForm.one_form(a.base, [dot(a.base, ((c, sigmas[k][l]) for k, c in coeffs)) for l in range(a.base.dim)])
-
     def lie_side(i, j):
         out = lie_derivative(a.anchor[i], s.sigma[j]) - lie_derivative(a.anchor[j], s.sigma[i])
         return out + exterior_derivative(KForm.function(s.sigma[i].evaluate(a.anchor[j])))
 
     def bracket_identity():
         for i, j in combinations(range(r), 2):
-            diff = bracket_side(i, j) - lie_side(i, j)
-            if diff != KForm.zero(a.base, 1):
+            # sigma([e_i, e_j]) = sum_k c^k_ij sigma_k
+            diff = _linear_combination(KForm, a.base, a.bracket(i, j), s.sigma) - lie_side(i, j)
+            if not diff.is_zero():
                 yield f"sigma[e_{i + 1},e_{j + 1}] deviates by {diff}"
 
     return Report(
@@ -504,9 +504,9 @@ def check_linearity(l: Frame, n_base: int) -> Report:
     rows_b = [
         [c.inject(ext) * t if n_base <= r < n + n_base else c.inject(ext) for c in row] for r, row in enumerate(rows)
     ]
-    ra = generic_rank(rows_a)
-    rb = generic_rank(rows_b)
-    joint = generic_rank([rows_a[r] + rows_b[r] for r in range(2 * n)])
+    ra = generic_rank(ExprMatrix.from_rows(ext, rows_a))
+    rb = generic_rank(ExprMatrix.from_rows(ext, rows_b))
+    joint = generic_rank(ExprMatrix.from_rows(ext, [rows_a[r] + rows_b[r] for r in range(2 * n)]))
     ok = ra == rb == joint
     witness = None if ok else f"scaled span rank {ra}, action image rank {rb}, joint {joint}"
     return Report((CheckItem("span is invariant under fiber scaling", ok, witness),))

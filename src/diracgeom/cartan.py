@@ -29,7 +29,8 @@ and ``interior_product`` visit only the index tuples reachable from stored
 coefficients (and, for i_X, the support of X).  They visit those tuples in
 sorted order, the order of ``combinations``, so every result has the same
 terms in the same order as the dense loops.  ``pullback_form`` picks only
-non-zero Jacobian entries and forms no minor.  A form memoises its ``d`` on
+non-zero entries of the Jacobian the map keeps (``PolyMap.jacobian``) and
+forms no minor.  A form memoises its ``d`` on
 first use, and a vector field its Jacobian (``VField._jacobian``, the
 non-zero derivatives only), so ``lie_bracket`` differentiates each component
 once along each coordinate it contains however many brackets the field
@@ -43,6 +44,7 @@ determinants.  Each sum is built in one term map by ``symalg.dot`` (or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
@@ -303,15 +305,9 @@ class Bivector(_AntisymTensor):
     def __init__(self, patch: Patch, entries: Mapping[tuple[int, int], Expr]):
         super().__init__(patch, 2, entries)
 
-    @staticmethod
-    def zero(patch: Patch) -> "Bivector":
-        return Bivector(patch, {})
-
     def entry(self, i: int, j: int) -> Expr:
         """Signed entry p(dx^i, dx^j) for any index pair."""
         return self.signed_coeff((i, j))
-
-
 
 
 @dataclass(frozen=True)
@@ -361,10 +357,12 @@ class PolyMap:
         return f.substitute(list(self.components), self.source)
 
     def jacobian(self) -> ExprMatrix:
-        """Rows = target components, columns = source coordinates."""
-        rows = [
-            [c.differentiate(x) for x in self.source.coords] for c in self.components
-        ]
+        """Rows = target components, columns = source coordinates; built on first use and kept on the map."""
+        return self._jacobian
+
+    @cached_property
+    def _jacobian(self) -> ExprMatrix:
+        rows = [[c.differentiate(x) for x in self.source.coords] for c in self.components]
         return ExprMatrix.from_rows(self.source, rows)
 
     def is_identity(self) -> bool:

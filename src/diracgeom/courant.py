@@ -154,7 +154,7 @@ def foliation_frame(fields: list[VField]) -> Frame:
 
     The fields must be generically independent (RankDeficient otherwise).
     The zero foliation on M is the graph of the zero bivector,
-    ``graph_bivector(Bivector.zero(M))``; an empty list raises WrongShape.
+    ``graph_bivector(Bivector(M, {}))``; an empty list raises WrongShape.
     """
     if not fields:
         raise WrongShape("a foliation frame needs at least one field")
@@ -206,7 +206,7 @@ def check_lagrangian(l: Frame) -> Report:
     """Isotropy of all section pairs plus generic maximality (rank = dim)."""
     items = [CheckItem.first("isotropic", _nonzero_pairings(l))]
     n = l.patch.dim
-    rank = generic_rank(l.coefficient_matrix()) if l.secs else 0
+    rank = generic_rank(l.coefficient_matrix())
     max_ok = rank == n and len(l.secs) == n
     witness = None if max_ok else f"generic rank {rank} with {len(l.secs)} sections, need {n}"
     items.append(CheckItem("maximal", max_ok, witness))

@@ -9,7 +9,9 @@ constraint variety) keeps every derived computation polynomial.
 Left and right translations are never supplied by the caller; they are
 recovered from ``mul`` by freezing one argument, which is a constrained
 derivative along the chart.  That single mechanism drives the right-invariant
-frames, the cotangent source and target, and the multiplicativity checks.
+frames, the cotangent target, and the multiplicativity checks.  The cotangent
+source is not a second mechanism: T*G inverts by ξ ↦ −(T inv)*ξ, and its
+source is its target after that inversion, as s = t ∘ inv on G.
 The frame route reads both ends of TG ⊕ T*G ⇒ TM ⊕ A* through one helper,
 ``_end``, at the two factors of a pair and along units: Ts or Tt on the
 tangent half, and on the covector half the fibre rows of the cotangent
@@ -20,11 +22,11 @@ two given factor vectors, and ``_product`` follows it with the product
 covector that the pairing identity pins down.
 
 Data derived from the structure maps is computed once per ``GroupoidPatch``,
-on first use, and kept on the instance: the solved pair chart, the Jacobians
-of the structure maps, the kernel frame along units and its right-invariant
-extensions, the Lie algebroid of that frame, the fibre rows of the cotangent
-source and target, and a group's translation matrices.  Every check on the
-same instance reads the same copy.
+on first use, and kept on the instance: the solved pair chart, the kernel
+frame along units and its right-invariant extensions, the Lie algebroid of
+that frame, the fibre rows of the cotangent source and target, and a group's
+translation matrices.  Each structure map keeps its own Jacobian
+(``PolyMap.jacobian``).  Every check on the same instance reads the same copy.
 
 Cotangent unit convention: the unit covector over ``xi`` at ``eps(x)`` is the
 unique covector annihilating the image of ``T eps`` and restricting to ``xi``
@@ -126,17 +128,12 @@ class GroupoidPatch:
         return _ChartData(*g_part, *h_part, reduction)
 
     @cached_property
-    def _jacobians(self) -> dict[str, tuple[tuple[Expr, ...], ...]]:
-        """Jacobian rows of the source, target, unit and multiplication maps."""
-        return {name: getattr(self, name).jacobian().entries for name in ("src", "tgt", "unit", "mul")}
-
-    @cached_property
     def _frame(self) -> tuple[tuple[Expr, ...], ...]:
         """Frame of the source-map kernel along units."""
         m, n_total = self.base, self.total.dim
         if m.dim == 0:
             return tuple(tuple(Expr.const(m, 1 if i == a else 0) for i in range(n_total)) for a in range(n_total))
-        js_unit = _subst_matrix(self._jacobians["src"], list(self.unit.components), m)
+        js_unit = _subst_matrix(self.src.jacobian().entries, list(self.unit.components), m)
         basis = nullspace(ExprMatrix.from_rows(m, js_unit))
         if len(basis) != n_total - m.dim:
             raise RankJump(
@@ -156,25 +153,18 @@ class GroupoidPatch:
     def _fibre_rows(self) -> tuple[tuple[tuple[Expr, ...], ...], tuple[tuple[Expr, ...], ...]]:
         """Rows on the arrow chart that pair a covector at g into A*: the source's, then the target's.
 
-        The target's rows are the right-invariant fields; the source's are the
-        left translates of the target-horizontal frame corrections at eps(s(g)).
+        The target's row a is the right-invariant field a^r(g).  The source is
+        the target after the inversion ξ ↦ −(T inv)*ξ of T*G, so its row a is
+        −J_inv(g⁻¹)·a^r(g⁻¹), read off the field's stored components.
         """
-        # the right-invariant fields come first, so a chart fault is named as they name it
-        t_rows = tuple(field.components() for field in self._fields)
         total = self.total
-        x_s = list(self.src.components)
-        eps_s = self.unit.apply(x_s, total)
-        jt_eps = _subst_matrix(self._jacobians["tgt"], eps_s, total)
-        jeps = _subst_matrix(self._jacobians["unit"], x_s, total)
-        gp = [Expr.coord(total, c) for c in total.coords]
-        translate = _tangent_product(self, chart_params(self, gp, eps_s, total, TranslationNotDerivable), total, *_TRANSLATION)
-        zero = [Expr.zero(total)] * total.dim
+        g_inv = list(self.inv.components)
+        j_inv = _subst_matrix(self.inv.jacobian().entries, g_inv, total)
         s_rows = []
-        for vec in self._frame:
-            vec = [comp.substitute(x_s, total) for comp in vec]
-            correction = _matvec(jeps, _matvec(jt_eps, vec, total), total)
-            s_rows.append(tuple(translate(zero, [u - w for u, w in zip(vec, correction)])))
-        return tuple(s_rows), t_rows
+        for field in self._fields:
+            at_inv = [(j, -c.substitute(g_inv, total)) for (j,), c in field.coeffs.items()]
+            s_rows.append(tuple(dot(total, ((row[j], c) for j, c in at_inv)) for row in j_inv))
+        return tuple(s_rows), tuple(field.components() for field in self._fields)
 
     @cached_property
     def _translations(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
@@ -472,7 +462,7 @@ def _algebroid_on(g: GroupoidPatch, frame_matrix: ExprMatrix, fields) -> Algebro
     m = g.base
     basis = frame_matrix.transpose().entries
     eps = list(g.unit.components)
-    jt_unit = _subst_matrix(g._jacobians["tgt"], eps, m)
+    jt_unit = _subst_matrix(g.tgt.jacobian().entries, eps, m)
     anchors = [VField(m, tuple(_matvec(jt_unit, col, m))) for col in basis]
     brackets = {}
     for a in range(len(basis)):
@@ -498,7 +488,7 @@ def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patc
     ``exc(message)`` when there is no such δ; ``pair=None`` is the pair chart itself, with no substitution.
     """
     data = _chart_data(g, TranslationNotDerivable)
-    dmul = _subst_matrix(g._jacobians["mul"], pair, ppatch)
+    dmul = _subst_matrix(g.mul.jacobian().entries, pair, ppatch)
     return lambda x, y: _matvec(dmul, data.solve(list(x) + list(y), ppatch, exc, message), ppatch)
 
 
@@ -513,7 +503,7 @@ def _product(g: GroupoidPatch, message: str, exc):
     chart = g.comp_chart
     tangent = _tangent_product(g, None, chart, message, exc)
     n_total = g.total.dim
-    mat = ExprMatrix(chart, tuple(zip(*g._jacobians["mul"])))
+    mat = g.mul.jacobian().transpose()
     pulled = tuple(zip(*(g._chart.a_g + g._chart.a_h)))
 
     def product(xa: Sequence[Expr], yb: Sequence[Expr]) -> list[RatExpr]:
@@ -590,7 +580,7 @@ def _end(g: GroupoidPatch, side: int, point: Sequence[Expr], ppatch: Patch):
     The returned map takes a stacked (x, a) to Ts·x or Tt·x, followed by the
     fibre value of a in A*.
     """
-    jac = _subst_matrix(g._jacobians[("src", "tgt")[side]], point, ppatch)
+    jac = _subst_matrix((g.src, g.tgt)[side].jacobian().entries, point, ppatch)
     fibre = _subst_matrix(g._fibre_rows[side], point, ppatch)
     n_total = g.total.dim
     return lambda xa: _matvec(jac, xa[:n_total], ppatch) + _matvec(fibre, xa[n_total:], ppatch)
@@ -604,6 +594,11 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     over the pair chart, and each product must stay in the span of the frame
     at the product point; units over the source and target of each section
     along units must stay in the span there.
+
+    The covector half of the source reads ``inv``: it is the target's after
+    the inversion of T*G (``GroupoidPatch._fibre_rows``).  That identity, like
+    the translations read off ``mul``, holds on a groupoid, so the verdict
+    assumes the axioms that ``check_groupoid_axioms`` verifies.
 
     Span membership is exact either way (``_in_span``).  The frame has passed
     ``check_lagrangian``, and substitution is a ring map, so the substituted
@@ -646,7 +641,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
 
     # units over the source and target of every section along units
     eps = list(g.unit.components)
-    jeps = g._jacobians["unit"]
+    jeps = g.unit.jacobian().entries
     along_units = _subst_matrix(coefficients, eps, m)
     span_unit = ExprMatrix.from_rows(m, along_units)
     span_unit_rank = generic_rank(span_unit)

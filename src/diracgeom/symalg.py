@@ -17,12 +17,13 @@ Rational functions (``RatExpr``) appear only transiently, as outputs of
 ``solve_linear`` and inside elimination; everything user-facing is polynomial.
 
 Elimination (``generic_rank``, ``solve_linear``, ``nullspace``, ``in_span``)
-reads one reduction per matrix, made on first use and kept on the
-``ExprMatrix``.  A matrix of constants goes through Gauss-Jordan of [a | I]
-over Q (``_Reduction``), so a right-hand side is only combined with rational
-rows; the groupoid charts solve their constant systems through the same
-class.  Any other matrix goes through one fraction-free Bareiss elimination
-over the polynomial ring that keeps its steps (``_FractionFree``), and a
+takes an ``ExprMatrix``, which carries its patch even with no entries, and
+reads one reduction per matrix, made on first use and kept on it.  A matrix
+of constants goes through Gauss-Jordan of [a | I] over Q (``_Reduction``),
+so a right-hand side is only combined with rational rows; the groupoid
+charts solve their constant systems through the same class.  Any other
+matrix goes through one fraction-free Bareiss elimination over the
+polynomial ring that keeps its steps (``_FractionFree``), and a
 right-hand side is replayed through them: it ends as the last column of
 [a | b] would, at the cost of one column.  A column lies in the span when it
 vanishes past the rank after either.  Both take the leftmost column with a
@@ -692,15 +693,6 @@ class ExprMatrix:
         return _FractionFree(self) if q is None else _Reduction(q, self.ncols)
 
 
-def _as_matrix(m) -> ExprMatrix:
-    if isinstance(m, ExprMatrix):
-        return m
-    rows = [list(r) for r in m]
-    if not rows or not rows[0]:
-        raise WrongShape("empty matrix needs an ExprMatrix with an explicit patch")
-    return ExprMatrix.from_rows(rows[0][0].patch, rows)
-
-
 def _rational_rows(rows: Sequence[Sequence[Expr]]) -> list[list[Scalar]] | None:
     """The entries as numbers when every one is a constant, else None."""
     if any(e.degree() > 0 for row in rows for e in row):
@@ -1046,7 +1038,7 @@ def _term_rank(m: ExprMatrix) -> int:
     return sum(augment(i, set()) for i in range(m.nrows))
 
 
-def generic_rank(m) -> int:
+def generic_rank(m: ExprMatrix) -> int:
     """Rank of the matrix over the fraction field of the polynomial ring.
 
     A matrix of constants, or one that already keeps its reduction, reads
@@ -1068,7 +1060,6 @@ def generic_rank(m) -> int:
     When the bounds meet, that is the rank, exactly.  Otherwise the point
     may lie on the zero set of every larger minor, and the matrix is reduced.
     """
-    m = _as_matrix(m)
     if not m.nrows or not m.ncols:
         return 0
     if "_reduced" not in m.__dict__ and _rational_rows(m.entries) is None:
@@ -1089,7 +1080,7 @@ def _right_hand_side(a: ExprMatrix, b: Sequence[Expr]) -> list[Expr]:
     return b
 
 
-def solve_linear(a, b) -> list[RatExpr]:
+def solve_linear(a: ExprMatrix, b: Sequence[Expr]) -> list[RatExpr]:
     """One solution of a*x = b over the fraction field.
 
     ``b`` is a sequence of Exprs (one per row).  Raises ``Inconsistent`` when
@@ -1098,29 +1089,26 @@ def solve_linear(a, b) -> list[RatExpr]:
     ``b`` is carried through the matrix's kept reduction, so every system
     on one matrix shares a single elimination.
     """
-    a = _as_matrix(a)
     return a._reduced.solution(_right_hand_side(a, b), a.patch)
 
 
-def in_span(m, column: Sequence[Expr]) -> bool:
+def in_span(m: ExprMatrix, column: Sequence[Expr]) -> bool:
     """Whether ``column`` lies in the span of the columns of ``m`` over the fraction field.
 
     This is rank [m | column] == rank m, read off the matrix's kept
     reduction: the column, carried through its row operations, vanishes
     past the rank.
     """
-    m = _as_matrix(m)
     return m._reduced.contains(_right_hand_side(m, column), m.patch)
 
 
-def nullspace(a) -> list[list[Expr]]:
+def nullspace(a: ExprMatrix) -> list[list[Expr]]:
     """Basis of the kernel over the fraction field, cleared to polynomials.
 
     Basis vectors are indexed by the non-pivot columns in order, which makes
     the output deterministic.  The basis is read off the matrix's kept
     reduction.
     """
-    a = _as_matrix(a)
     return a._reduced.basis(a.patch)
 
 

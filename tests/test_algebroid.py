@@ -42,7 +42,7 @@ from diracgeom.errors import (
 )
 from diracgeom.groupoid import abelian_group, heisenberg3, lie_algebroid_of, pair_groupoid
 from diracgeom.report import CheckItem, Report
-from diracgeom.symalg import Expr, Patch, dot, fresh_names, generic_rank
+from diracgeom.symalg import Expr, ExprMatrix, Patch, dot, fresh_names, generic_rank
 
 from test_cartan import one_form, vf
 from test_symalg import rand_expr
@@ -872,9 +872,9 @@ def reference_linearity(l, n_base):
         b_cols.append(col)
     rows_a = [[col[r] for col in a_cols] for r in range(2 * n)]
     rows_b = [[col[r] for col in b_cols] for r in range(2 * n)]
-    ra = generic_rank(rows_a)
-    rb = generic_rank(rows_b)
-    joint = generic_rank([rows_a[r] + rows_b[r] for r in range(2 * n)])
+    ra = generic_rank(ExprMatrix.from_rows(ext, rows_a))
+    rb = generic_rank(ExprMatrix.from_rows(ext, rows_b))
+    joint = generic_rank(ExprMatrix.from_rows(ext, [rows_a[r] + rows_b[r] for r in range(2 * n)]))
     ok = ra == rb == joint
     witness = None if ok else f"scaled span rank {ra}, action image rank {rb}, joint {joint}"
     return Report((CheckItem("span is invariant under fiber scaling", ok, witness),))
@@ -897,7 +897,7 @@ def linearity_cases(draw):
         k = draw(st.integers(0, n))
         fields = [VField(patch, tuple(rand_expr(rng, patch, max_deg) for _ in range(n))) for _ in range(k)]
         try:
-            frame = foliation_frame(fields) if fields else graph_bivector(Bivector.zero(patch))
+            frame = foliation_frame(fields) if fields else graph_bivector(Bivector(patch, {}))
         except RankDeficient:
             assume(False)
     return frame, draw(st.integers(0, n))

@@ -603,7 +603,7 @@ P6 = Patch("P6", tuple(f"x{i}" for i in range(6)))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cartan_cases())
 # i_X reaches five index tuples, which a set does not hold in sorted order
-@example((KForm(P6, 2, {(0, j): Expr.one(P6) for j in range(1, 6)}), KForm.zero(P6, 2), VField.coordinate(P6, "x0"), VField.zero(P6), Bivector.zero(P6), Bivector.zero(P6), Expr.zero(P6)))
+@example((KForm(P6, 2, {(0, j): Expr.one(P6) for j in range(1, 6)}), KForm.zero(P6, 2), VField.coordinate(P6, "x0"), VField.zero(P6), Bivector(P6, {}), Bivector(P6, {}), Expr.zero(P6)))
 def test_sparse_walks_match_dense_loops(case):
     w, v, x, y, p, q, f = case
     assert layout(x.apply(f)) == layout(_apply_dense(x, f))
@@ -977,11 +977,11 @@ def test_two_forms_and_bivectors_stay_apart():
     w, p = KForm(M3, 2, coeffs), Bivector(M3, coeffs)
     assert w != p and p != w and w.coeffs == p.coeffs
     assert not isinstance(w, Bivector) and not isinstance(p, KForm)
-    assert KForm.zero(M3, 2) != Bivector.zero(M3)
+    assert KForm.zero(M3, 2) != Bivector(M3, {})
     with pytest.raises(TypeError):
         w + p
     assert (str(w), str(p)) == ("x*dx^dy + dy^dz", "x*d_x^d_y + d_y^d_z")
-    assert [_type_name(v) for v in (w, p, KForm.zero(M3, 0), Bivector.zero(M3))] == ["form", "bivector", "form", "bivector"]
+    assert [_type_name(v) for v in (w, p, KForm.zero(M3, 0), Bivector(M3, {}))] == ["form", "bivector", "form", "bivector"]
     assert p.entry(2, 1) == -Expr.one(M3) and p.entry(1, 1) == Expr.zero(M3) == w.signed_coeff((2, 2))
 
 

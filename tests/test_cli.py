@@ -630,6 +630,16 @@ def test_dual_chart_avoids_base_coordinate_names(tmp_path, capsys):
     assert dual_patch(tangent_bundle_algebroid(Patch("M", ("xi_1", "y")))).coords == ("xi_1", "y", "xi_2", "xi_3")
 
 
+def test_linearity_on_a_frame_over_a_point(tmp_path, capsys):
+    # the frame lives on a point patch, so every matrix of the check is 0 x 0
+    text = "let N = patch()\ncheck linearity graph_bivector(dual_linear_poisson(tangent_bundle_algebroid(N))) 0\n"
+    assert main(["verify", write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == (
+        "pass  linearity graph_bivector(dual_linear_poisson(tangent_bundle_algebroid(N))) 0\n"
+        "summary: 1 passed, 0 failed\n"
+    )
+
+
 def test_tangent_lift_avoids_base_coordinate_names(tmp_path, capsys):
     # the base already uses y_dot, so its lift names the velocity of y y_dot1
     text = "let M = patch(x, y_dot, y)\ncheck dirac tangent_lift_dirac(graph_two_form(dx^dy))\n"

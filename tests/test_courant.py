@@ -138,7 +138,7 @@ def test_foliation_frame_sections():
 
 
 def test_foliation_frame_zero_distribution():
-    l = graph_bivector(Bivector.zero(M2))
+    l = graph_bivector(Bivector(M2, {}))
     assert len(l.secs) == 2
     assert all(s.vf.is_zero() for s in l.secs)
     assert check_dirac(l).passed

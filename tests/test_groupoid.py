@@ -309,7 +309,7 @@ def test_chart_solve_matches_solve_linear(problem):
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Counts the builds of each cached derived piece and each structure-map Jacobian."""
+    """Counts the builds of each cached derived piece and of each structure map's kept Jacobian."""
     counts = Counter()
     for name, prop in list(vars(GroupoidPatch).items()):
         if isinstance(prop, cached_property):
@@ -319,13 +319,13 @@ def build_counts(monkeypatch):
                 return _build(self)
 
             monkeypatch.setattr(prop, "func", counted)
-    jacobian = PolyMap.jacobian
+    kept = vars(PolyMap)["_jacobian"]
 
-    def counted_jacobian(self):
+    def counted_jacobian(self, _build=kept.func):
         counts["jacobian", id(self)] += 1
-        return jacobian(self)
+        return _build(self)
 
-    monkeypatch.setattr(PolyMap, "jacobian", counted_jacobian)
+    monkeypatch.setattr(kept, "func", counted_jacobian)
     return counts
 
 
@@ -339,29 +339,33 @@ def _pair_inputs(g):
     b = CovectorPoint(p, (pe("y"), pe("z")), (pe("eta"), pe("-zeta")))
     samples = [(s, s, s) for s in (pair_section(g, ("x",), ("1",)), pair_section(g, ("1",), ("x",)))]
     frames = (graph_two_form(KForm.zero(g.total, 2)), foliation_frame((VField.coordinate(g.total, "x_1"),)))
-    return a, b, samples, frames
+    w = KForm(g.total, 2, {(0, 1): Expr.coord(g.total, "x_1")})
+    return a, b, samples, frames, w
 
 
 def _pair_checks(g, inputs):
-    a, b, samples, frames = inputs
+    a, b, samples, frames, w = inputs
     return (
         check_groupoid_axioms(g),
         lie_algebroid_of(g),
         [check_multiplicative_frame(g, frame) for frame in frames],
         check_ca_identities(g, samples),
         cotangent_compose(g, a, b),
+        check_multiplicative_two_form(g, w),
+        induced_im_two_form(g, w),
     )
 
 
 def test_derived_data_is_built_once_per_groupoid(build_counts):
     g = pair_groupoid(R1)
-    inputs = _pair_inputs(g)
+    # the inputs read the Jacobians of an equal groupoid's maps, not of g's
+    inputs = _pair_inputs(pair_groupoid(R1))
     build_counts.clear()
     first = _pair_checks(g, inputs)
     assert _pair_checks(g, inputs) == first
-    pieces = {"_chart", "_jacobians", "_frame", "_fields", "_algebroid", "_fibre_rows"}
+    pieces = {"_chart", "_frame", "_fields", "_algebroid", "_fibre_rows"}
     assert {k: v for k, v in build_counts.items() if isinstance(k, str)} == dict.fromkeys(pieces, 1)
-    maps = {id(m) for m in (g.src, g.tgt, g.unit, g.mul, g.g_of, g.h_of)}
+    maps = {id(m) for m in (g.src, g.tgt, g.unit, g.inv, g.mul, g.g_of, g.h_of)}
     assert {k[1]: v for k, v in build_counts.items() if not isinstance(k, str)} == dict.fromkeys(maps, 1)
     # another instance builds its own data
     _pair_checks(pair_groupoid(R1), inputs)
@@ -484,7 +488,8 @@ def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
 
     The reference for the fibre rows ``groupoid._end`` reads.  The source
     pairs a covector with left translates of target-horizontal kernel
-    vectors; the target pairs it with right translates of the kernel frame
+    vectors, a route independent of the inversion that the package's source
+    rows read; the target pairs it with right translates of the kernel frame
     itself.  Both charts name fresh coordinates, so base coordinates that
     reuse those names are refused.
     """
@@ -501,8 +506,8 @@ def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
     # source: left-translate target-horizontal corrections of the frame at eps(s(g))
     x_s = [comp.inject(ct) for comp in g.src.components]
     eps_s = g.unit.apply(x_s, ct)
-    jt_eps = groupoid._subst_matrix(g._jacobians["tgt"], eps_s, ct)
-    jeps = groupoid._subst_matrix(g._jacobians["unit"], x_s, ct)
+    jt_eps = groupoid._subst_matrix(g.tgt.jacobian().entries, eps_s, ct)
+    jeps = groupoid._subst_matrix(g.unit.jacobian().entries, x_s, ct)
     pair = chart_params(g, gp, eps_s, ct, TranslationNotDerivable)
     translate = groupoid._tangent_product(g, pair, ct, *groupoid._TRANSLATION)
     zero = [Expr.zero(ct)] * n_total
@@ -551,6 +556,7 @@ END_GROUPOIDS = {
     "abelian": abelian_group(2),
     "heisenberg": heisenberg3(),
     "tangent heisenberg": tangent_groupoid(heisenberg3()),
+    "tangent pair R1": tangent_groupoid(pair_groupoid(R1)),
     "bundle": bundle_of_groups(),
 }
 
@@ -583,6 +589,27 @@ def test_ends_match_the_cotangent_chart_reference(case):
     assert groupoid._end(g, side, point, ST)(xa) == tangent + fibre
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: pair_groupoid(R2), heisenberg3, bundle_of_groups, lambda: tangent_groupoid(pair_groupoid(R1))],
+    ids=["pair R2", "heisenberg", "bundle", "tangent pair R1"],
+)
+def test_source_rows_solve_no_chart(make, monkeypatch):
+    # the source rows are the target's after the inversion: no pair is solved, no product taken
+    g = make()
+    assert g._fields
+    calls = Counter()
+    for name in ("chart_params", "_tangent_product"):
+
+        def spy(*args, _real=getattr(groupoid, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(groupoid, name, spy)
+    assert g._fibre_rows
+    assert not calls
+
+
 # the T*G product at arbitrary points, kept as a reference on groupoid._product
 
 
@@ -611,7 +638,7 @@ def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> C
     if diff is not None:
         raise NotComposable(f"cotangent source and target differ at component {diff[0] + 1}: {diff[1]}")
     # the pairing identity at the chart point c0, solved as groupoid._product solves it on the pair chart
-    mat = ExprMatrix(ppatch, tuple(zip(*groupoid._subst_matrix(g._jacobians["mul"], c0, ppatch))))
+    mat = ExprMatrix(ppatch, tuple(zip(*groupoid._subst_matrix(g.mul.jacobian().entries, c0, ppatch))))
     if generic_rank(mat) != n_total:
         raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
     covs = list(a.covector) + list(b.covector)
@@ -901,7 +928,7 @@ def lagrangian_spans(draw):
         k = draw(st.integers(0, patch.dim))
         fields = [VField(patch, tuple(draw(small_polys(patch)) for _ in patch.coords)) for _ in range(k)]
         try:
-            frame = foliation_frame(fields) if fields else graph_bivector(Bivector.zero(patch))
+            frame = foliation_frame(fields) if fields else graph_bivector(Bivector(patch, {}))
         except RankDeficient:
             assume(False)
     if draw(st.booleans()):
@@ -1265,7 +1292,7 @@ def test_ca_identities_read_only_the_fibre_halves(monkeypatch):
     g = pair_groupoid(R2)
     samples = [(s, s, s) for s in (pair_section(g, ("y", "x"), ("x", "0")), pair_section(g, ("1", "x*y"), ("y", "x")))]
     assert check_ca_identities(g, samples).passed
-    ends = (g._jacobians["src"], g._jacobians["tgt"])
+    ends = (g.src.jacobian().entries, g.tgt.jacobian().entries)
     substituted = []
     real = groupoid._subst_matrix
 
@@ -1304,7 +1331,7 @@ def reference_product(g, xa, yb):
     pairing identity against the transposed multiplication Jacobian.
     """
     chart, n_total = g.comp_chart, g.total.dim
-    data, dmul = g._chart, g._jacobians["mul"]
+    data, dmul = g._chart, g.mul.jacobian().entries
     delta = data.solve(list(xa[:n_total]) + list(yb[:n_total]), chart, RankJump, "composable pair escapes the chart")
     tangent = [symalg.RatExpr(symalg.dot(chart, zip(row, delta))) for row in dmul]
     mat = ExprMatrix(chart, tuple(zip(*dmul)))
@@ -1335,7 +1362,7 @@ def composable_stacked_pairs(draw):
     y = [symalg._combine(chart, row, delta) for row in data.a_h]
     c = [draw(polys) for _ in range(n_total)]
     stacked = ExprMatrix.from_rows(chart, [[Expr.const(chart, q) for q in col] for col in zip(*(data.a_g + data.a_h))])
-    pulled = [symalg.dot(chart, zip(col, c)) for col in zip(*g._jacobians["mul"])]
+    pulled = [symalg.dot(chart, zip(col, c)) for col in zip(*g.mul.jacobian().entries)]
     ab = [v.as_expr() for v in solve_linear(stacked, pulled)]
     for vec in symalg.nullspace(stacked):
         f = draw(polys)

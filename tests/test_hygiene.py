@@ -3,8 +3,9 @@ name without a caller, no unreferenced private class members, no
 ``assert`` statements and no accumulator loops over ``Expr`` or ``KForm`` in
 ``src/diracgeom``, every module of it importable on its own, and no syntax
 newer than Python 3.10 in any Python file.  Outside the tests, the package,
-the benchmark and the demos must read every public member of a public class
-and pass every parameter and dataclass field that has a default.
+the benchmark and the demos must read every public member of a public class,
+read every static or class method of one through its own class, and pass
+every parameter and dataclass field that has a default.
 
 Standard library and pytest only, so it runs with the rest of the tier-1 tests.
 """
@@ -199,6 +200,27 @@ def test_public_class_members_are_read():
             for name, stmt in _class_members(cls):
                 if not name.startswith("_") and everywhere[name] <= _mentions(stmt)[name]:
                     unread.append(f"{path.name}: {cls.name}.{name}")
+    assert unread == []
+
+
+def _qualified_reads(node: ast.AST) -> Counter:
+    """How often each ``Class.member`` is read inside ``node``, keyed by (class name, member name)."""
+    return Counter((n.value.id, n.attr) for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name))
+
+
+def test_static_members_are_read_through_their_class():
+    # a static or class method of a public class must be read as Class.member by the package, the
+    # benchmark or a demo: a read of another class's member of that name does not count, nor does
+    # the member's own definition
+    everywhere = sum((_qualified_reads(_tree(path)) for path in PROGRAMS), Counter())
+    unread = []
+    for path in MODULES:
+        for cls in (stmt for stmt in _tree(path).body if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_")):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and _decorators(stmt) & {"staticmethod", "classmethod"}:
+                    key = (cls.name, stmt.name)
+                    if everywhere[key] <= _qualified_reads(stmt)[key]:
+                        unread.append(f"{path.name}: {cls.name}.{stmt.name}")
     assert unread == []
 
 
