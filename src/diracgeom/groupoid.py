@@ -12,20 +12,21 @@ derivative along the chart.  That single mechanism drives the right-invariant
 frames, the cotangent target, and the multiplicativity checks.  The cotangent
 source is not a second mechanism: T*G inverts by ξ ↦ −(T inv)*ξ, and its
 source is its target after that inversion, as s = t ∘ inv on G.
-The frame route reads both ends of TG ⊕ T*G ⇒ TM ⊕ A* through one helper,
-``_end``, at the two factors of a pair and along units: Ts or Tt on the
-tangent half, and on the covector half the fibre rows of the cotangent
-source or target, kept on the arrow chart, so no T*G or A* chart is built.
-A passing unit item carries no witness.  The multiplication of TG ⊕ T*G has
-one helper too: ``_tangent_product`` applies Tm to the chart direction with
-two given factor vectors, and ``_product`` follows it with the product
-covector that the pairing identity pins down.
+One helper, ``_end``, builds an end of TG ⊕ T*G ⇒ TM ⊕ A* at a point: Ts or
+Tt on the tangent half, and on the covector half the fibre rows of the
+cotangent source or target, kept on the arrow chart, so no T*G or A* chart
+is built.  The checks read the ends at the two factors of a pair and along
+units.  A passing unit item carries no witness.  The multiplication of
+TG ⊕ T*G has one helper too: ``_tangent_product`` applies Tm to the chart
+direction with two given factor vectors, and ``_product`` follows it with
+the product covector that the pairing identity pins down.
 
 Data derived from the structure maps is computed once per ``GroupoidPatch``,
 on first use, and kept on the instance: the solved pair chart, the kernel
 frame along units and its right-invariant extensions, the Lie algebroid of
-that frame, the fibre rows of the cotangent source and target, and a group's
-translation matrices.  Each structure map keeps its own Jacobian
+that frame, the fibre rows of the cotangent source and target, the four ends
+the checks read, the unit-covector matrix, the product-covector system, and
+a group's translation matrices.  Each structure map keeps its own Jacobian
 (``PolyMap.jacobian``).  Every check on the same instance reads the same copy.
 
 Cotangent unit convention: the unit covector over ``xi`` at ``eps(x)`` is the
@@ -167,10 +168,32 @@ class GroupoidPatch:
         return tuple(s_rows), tuple(field.components() for field in self._fields)
 
     @cached_property
+    def _ends(self) -> tuple:
+        """The source of TG ⊕ T*G at the left factor and its target at the right one, then both along units."""
+        chart, eps = self.comp_chart, list(self.unit.components)
+        pair = (_end(self, 0, list(self.g_of.components), chart), _end(self, 1, list(self.h_of.components), chart))
+        return pair + (_end(self, 0, eps, self.base), _end(self, 1, eps, self.base))
+
+    @cached_property
+    def _unit_covectors(self) -> ExprMatrix:
+        """[Tεᵀ; frame]: a unit covector annihilates the image of Tε and restricts to its fibre value on the frame."""
+        return ExprMatrix(self.base, self.unit.jacobian().transpose().entries + self._frame)
+
+    @cached_property
+    def _product_system(self) -> tuple[ExprMatrix, tuple[tuple[Fraction, ...], ...]]:
+        """The transposed multiplication Jacobian, its rank checked, and the factor rows pulled back to the pair chart."""
+        data = _chart_data(self, TranslationNotDerivable)
+        mat = self.mul.jacobian().transpose()
+        if generic_rank(mat) != self.total.dim:
+            raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
+        return mat, tuple(zip(*(data.a_g + data.a_h)))
+
+    @cached_property
     def _translations(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
         """Derivatives of left and right translation on the pair chart, column by moved coordinate."""
         chart = self.comp_chart
-        translate = _tangent_product(self, None, chart, *_TRANSLATION)
+        message = "translation direction missing from the chart"
+        translate = _tangent_product(self, None, chart, message, TranslationNotDerivable)
         n_total = self.total.dim
         zero = [Expr.zero(chart)] * n_total
         basis = [[Expr.const(chart, 1 if k == i else 0) for k in range(n_total)] for i in range(n_total)]
@@ -179,10 +202,6 @@ class GroupoidPatch:
 
 
 # -- solved-chart linear data ---------------------------------------------------------
-
-# a translation direction outside the pair chart
-_TRANSLATION = ("translation direction missing from the chart", TranslationNotDerivable)
-
 
 @dataclass(frozen=True)
 class _ChartData:
@@ -492,28 +511,19 @@ def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patc
     return lambda x, y: _matvec(dmul, data.solve(list(x) + list(y), ppatch, exc, message), ppatch)
 
 
-def _product(g: GroupoidPatch, message: str, exc):
-    """The multiplication of TG ⊕ T*G on the pair chart, as a map of two stacked (x, a).
+def _product(g: GroupoidPatch, xa: Sequence[Expr], yb: Sequence[Expr], message: str, exc) -> list[RatExpr]:
+    """The multiplication of TG ⊕ T*G on the pair chart: the product of two stacked (x, a), as ``RatExpr``.
 
-    The product, as ``RatExpr``, is the tangent product, then the covector c
-    the pairing identity ⟨c, Tm·δ⟩ = ⟨a, δ_g⟩ + ⟨b, δ_h⟩ pins down over chart
-    directions δ with factor images δ_g, δ_h.  Every product solves the same
-    matrix, and its rank is checked when a product is asked for.
+    The product is the tangent product, then the covector c the pairing
+    identity ⟨c, Tm·δ⟩ = ⟨a, δ_g⟩ + ⟨b, δ_h⟩ pins down over chart directions δ
+    with factor images δ_g, δ_h.  Every product solves the same kept system
+    (``GroupoidPatch._product_system``), whose rank is checked once per groupoid.
     """
-    chart = g.comp_chart
-    tangent = _tangent_product(g, None, chart, message, exc)
-    n_total = g.total.dim
-    mat = g.mul.jacobian().transpose()
-    pulled = tuple(zip(*(g._chart.a_g + g._chart.a_h)))
-
-    def product(xa: Sequence[Expr], yb: Sequence[Expr]) -> list[RatExpr]:
-        x = tangent(xa[:n_total], yb[:n_total])
-        if generic_rank(mat) != n_total:
-            raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
-        covs = list(xa[n_total:]) + list(yb[n_total:])
-        return [RatExpr(v) for v in x] + solve_linear(mat, [_combine(chart, row, covs) for row in pulled])
-
-    return product
+    chart, n_total = g.comp_chart, g.total.dim
+    x = _tangent_product(g, None, chart, message, exc)(xa[:n_total], yb[:n_total])
+    mat, pulled = g._product_system
+    covs = list(xa[n_total:]) + list(yb[n_total:])
+    return [RatExpr(v) for v in x] + solve_linear(mat, [_combine(chart, row, covs) for row in pulled])
 
 
 # -- multiplicativity checks ---------------------------------------------------------------------
@@ -551,12 +561,6 @@ def check_multiplicative_bivector(g: GroupoidPatch, p: Bivector) -> Report:
     return Report((CheckItem.first("product bivector equals the sum of its translates", entries()),))
 
 
-def _section_values(sec: GSec, point, ppatch) -> tuple[list[Expr], list[Expr]]:
-    x = [comp.substitute(point, ppatch) for comp in sec.vf.components()]
-    al = [comp.substitute(point, ppatch) for comp in sec.of.components()]
-    return x, al
-
-
 def _in_span(span: ExprMatrix, span_rank: int, column: Sequence[Expr]) -> bool:
     """Whether ``column`` lies in the generic span of the columns of ``span``.
 
@@ -590,10 +594,10 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     """Subgroupoid test: composable frame combinations close up, and so do units.
 
     L_G must be a subgroupoid of TG ⊕ T*G ⇒ TM ⊕ A*, whose source and target
-    ``_end`` reads.  Composable pairs are the kernel of the matching condition
-    over the pair chart, and each product must stay in the span of the frame
-    at the product point; units over the source and target of each section
-    along units must stay in the span there.
+    are the kept ``_ends``.  Composable pairs are the kernel of the matching
+    condition over the pair chart, and each product must stay in the span of
+    the frame at the product point; units over the source and target of each
+    section along units must stay in the span there.
 
     The covector half of the source reads ``inv``: it is the target's after
     the inversion of T*G (``GroupoidPatch._fibre_rows``).  That identity, like
@@ -613,47 +617,42 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     if l.patch != g.total:
         raise PatchMismatch("frame on a different patch")
     check_lagrangian(l).require(NotLagrangian)
-    chart = g.comp_chart
-    m = g.base
+    chart, m = g.comp_chart, g.base
     n, n_total, k = m.dim, g.total.dim, len(l.secs)
-    compose = _product(g, "composable pair escapes the chart", RankJump)
+    s_left, t_right, *unit_ends = g._ends
     coefficients = l.coefficient_matrix().entries
-    g_pt, h_pt = list(g.g_of.components), list(g.h_of.components)
     # stacked section values, one column per section, at the two factors and at the product
-    left = _subst_matrix(coefficients, g_pt, chart)
-    right = _subst_matrix(coefficients, h_pt, chart)
+    left = _subst_matrix(coefficients, list(g.g_of.components), chart)
+    right = _subst_matrix(coefficients, list(g.h_of.components), chart)
     span = ExprMatrix.from_rows(chart, _subst_matrix(coefficients, list(g.mul.components), chart))
 
     # matching: the source of the left combination equals the target of the right one
-    s_ends = list(map(_end(g, 0, g_pt, chart), zip(*left)))
-    t_ends = list(map(_end(g, 1, h_pt, chart), zip(*right)))
+    s_ends = list(map(s_left, zip(*left)))
+    t_ends = list(map(t_right, zip(*right)))
     rows = [[s[i] for s in s_ends] + [-t[i] for t in t_ends] for i in range(n_total)]
     kernel = nullspace(ExprMatrix.from_rows(chart, rows))
     span_rank = generic_rank(span)
 
     def products():
         for idx, vec in enumerate(kernel):
-            column = compose(_matvec(left, vec[:k], chart), _matvec(right, vec[k:], chart))
+            xa, yb = _matvec(left, vec[:k], chart), _matvec(right, vec[k:], chart)
+            column = _product(g, xa, yb, "composable pair escapes the chart", RankJump)
             if not _in_span(span, span_rank, clear_denominators(column)):
                 yield f"composable direction {idx + 1}: the product leaves the span"
 
     closed = CheckItem.first("composable products stay in the span", products())
 
     # units over the source and target of every section along units
-    eps = list(g.unit.components)
     jeps = g.unit.jacobian().entries
-    along_units = _subst_matrix(coefficients, eps, m)
+    along_units = _subst_matrix(coefficients, list(g.unit.components), m)
     span_unit = ExprMatrix.from_rows(m, along_units)
     span_unit_rank = generic_rank(span_unit)
-    unit_ends = (_end(g, 0, eps, m), _end(g, 1, eps, m))
-    # a unit covector annihilates the image of T eps and restricts to the fiber values on the frame
-    unit_cov = ExprMatrix.from_rows(m, [[jeps[i][col] for i in range(n_total)] for col in range(n)] + list(g._frame))
 
     def escaping_units():
         for (j, col), end in product(enumerate(zip(*along_units)), unit_ends):
             down = end(col)
             try:
-                eta = solve_linear(unit_cov, [Expr.zero(m)] * n + down[n:])
+                eta = solve_linear(g._unit_covectors, [Expr.zero(m)] * n + down[n:])
             except Inconsistent:
                 raise RankJump("unit covector is not determined along units") from None
             column = [RatExpr(v) for v in _matvec(jeps, down[:n], m)] + eta
@@ -693,31 +692,29 @@ def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:
 def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GSec]]) -> Report:
     """Pairing additivity and bracket compatibility on related section triples."""
     chart = g.comp_chart
-    n_total = g.total.dim
-    compose = _product(g, "tangent parts are not composable", NotComposable)
-    g_pt, h_pt, mul_pt = (list(f.components) for f in (g.g_of, g.h_of, g.mul))
-    # the fibre halves of the source and target ends at the two factors
-    s_fibre, t_fibre = (_subst_matrix(rows, pt, chart) for rows, pt in zip(g._fibre_rows, (g_pt, h_pt)))
+    n, n_total = g.base.dim, g.total.dim
+    s_left, t_right = g._ends[:2]
+    g_pt, h_pt, mul_pt = points = [list(f.components) for f in (g.g_of, g.h_of, g.mul)]
     zero = [Expr.zero(chart)] * n_total
 
     def unrelated(trio) -> str | None:
         """First obstruction to a triple of sections being related by multiplication."""
-        left, right, total = trio
-        x1, a1 = _section_values(left, g_pt, chart)
-        x2, a2 = _section_values(right, h_pt, chart)
-        x0, a0 = _section_values(total, mul_pt, chart)
-        ends = _first_difference(_matvec(s_fibre, a1, chart), _matvec(t_fibre, a2, chart))
+        # stacked section values at the two factors and at the product
+        xa1, xa2, xa0 = ([c.substitute(pt, chart) for c in sec.coefficients()] for sec, pt in zip(trio, points))
+        ends = _first_difference(s_left(xa1)[n:], t_right(xa2)[n:])
         # covectors whose ends differ have no product: multiply the tangent parts alone
+        if ends is not None:
+            xa1, xa2 = xa1[:n_total] + zero, xa2[:n_total] + zero
         try:
-            xa = compose(x1 + (a1 if ends is None else zero), x2 + (a2 if ends is None else zero))
+            xa = _product(g, xa1, xa2, "tangent parts are not composable", NotComposable)
         except NotComposable as exc:
             return str(exc)
-        diff = _first_difference(xa[:n_total], x0)
+        diff = _first_difference(xa[:n_total], xa0[:n_total])
         if diff is not None:
             return f"tangent component {diff[0] + 1} deviates by {diff[1]}"
         if ends is not None:
             return f"covector parts are not composable: component {ends[0] + 1} deviates by {ends[1]}"
-        for i, (v, want) in enumerate(zip(xa[n_total:], a0)):
+        for i, (v, want) in enumerate(zip(xa[n_total:], xa0[n_total:])):
             if v != RatExpr(want):
                 return f"covector component {i + 1} deviates"
         return None

@@ -62,6 +62,7 @@ from .report import CheckItem, Report
 from .symalg import Expr, ExprMatrix, Patch, _combine, in_span
 from .tanlift import (
     canonical_involution,
+    canonical_symplectic,
     check_tangent_mu_identity,
     cotangent_patch,
     lift_function,
@@ -461,24 +462,20 @@ def ca_identity_examples() -> Report:
 
 def linearity_examples() -> Report:
     """Fiber-scaling verdicts match how each structure was built."""
-    from .tanlift import canonical_symplectic
-
+    pt, r1 = Patch("pt", ()), Patch("R1", ("x",))
     so3 = AlgebroidPatch(
-        Patch("pt", ()),
-        [VField.zero(Patch("pt", ()))] * 3,
+        pt,
+        [VField.zero(pt)] * 3,
         {
-            (0, 1): tuple(Expr.const(Patch("pt", ()), v) for v in (0, 0, 1)),
-            (1, 2): tuple(Expr.const(Patch("pt", ()), v) for v in (1, 0, 0)),
-            (0, 2): tuple(Expr.const(Patch("pt", ()), v) for v in (0, -1, 0)),
+            (0, 1): tuple(Expr.const(pt, v) for v in (0, 0, 1)),
+            (1, 2): tuple(Expr.const(pt, v) for v in (1, 0, 0)),
+            (0, 2): tuple(Expr.const(pt, v) for v in (0, -1, 0)),
         },
     )
     affine = AlgebroidPatch(
-        Patch("R1", ("x",)),
-        [
-            VField(Patch("R1", ("x",)), (Expr.one(Patch("R1", ("x",))),)),
-            VField(Patch("R1", ("x",)), (parse_expr("x", Patch("R1", ("x",))),)),
-        ],
-        {(0, 1): (Expr.one(Patch("R1", ("x",))), Expr.zero(Patch("R1", ("x",))))},
+        r1,
+        [VField(r1, (Expr.one(r1),)), VField(r1, (parse_expr("x", r1),))],
+        {(0, 1): (Expr.one(r1), Expr.zero(r1))},
     )
     mixed_patch = Patch("XU", ("x", "u"))
     ct2 = cotangent_patch(R2)

@@ -363,7 +363,7 @@ def test_derived_data_is_built_once_per_groupoid(build_counts):
     build_counts.clear()
     first = _pair_checks(g, inputs)
     assert _pair_checks(g, inputs) == first
-    pieces = {"_chart", "_frame", "_fields", "_algebroid", "_fibre_rows"}
+    pieces = {"_chart", "_frame", "_fields", "_algebroid", "_fibre_rows", "_ends", "_unit_covectors", "_product_system"}
     assert {k: v for k, v in build_counts.items() if isinstance(k, str)} == dict.fromkeys(pieces, 1)
     maps = {id(m) for m in (g.src, g.tgt, g.unit, g.inv, g.mul, g.g_of, g.h_of)}
     assert {k[1]: v for k, v in build_counts.items() if not isinstance(k, str)} == dict.fromkeys(maps, 1)
@@ -509,7 +509,7 @@ def cotangent_source_target(g: GroupoidPatch) -> tuple[PolyMap, PolyMap]:
     jt_eps = groupoid._subst_matrix(g.tgt.jacobian().entries, eps_s, ct)
     jeps = groupoid._subst_matrix(g.unit.jacobian().entries, x_s, ct)
     pair = chart_params(g, gp, eps_s, ct, TranslationNotDerivable)
-    translate = groupoid._tangent_product(g, pair, ct, *groupoid._TRANSLATION)
+    translate = groupoid._tangent_product(g, pair, ct, "translation direction missing from the chart", TranslationNotDerivable)
     zero = [Expr.zero(ct)] * n_total
     translated = []
     for vec in g._frame:
@@ -726,18 +726,38 @@ def test_cotangent_compose_satisfies_pairing_identity_numerically():
         assert lhs == rhs
 
 
-def test_cotangent_compose_underdetermined_multiplication():
+def squashed_bundle():
+    """The bundle of groups with multiplication (w_1, 0): the pairing identity cannot pin down a product covector."""
     b = bundle_of_groups()
     cp = [Expr.coord(b.comp_chart, c) for c in b.comp_chart.coords]
-    squashed = GroupoidPatch(
+    return GroupoidPatch(
         base=b.base, total=b.total, src=b.src, tgt=b.tgt, unit=b.unit, inv=b.inv,
         comp_chart=b.comp_chart, g_of=b.g_of, h_of=b.h_of,
         mul=PolyMap(b.comp_chart, b.total, (cp[0], Expr.zero(b.comp_chart))),
     )
+
+
+def test_cotangent_compose_underdetermined_multiplication():
+    squashed = squashed_bundle()
     p = Patch("P4", ("t", "s"))
     cov = CovectorPoint(p, (Expr.coord(p, "t"), Expr.coord(p, "s")), (Expr.zero(p), Expr.one(p)))
     with pytest.raises(UnderdeterminedSpan):
         cotangent_compose(squashed, cov, cov)
+
+
+def test_underdetermined_product_covector_is_refused_by_every_check():
+    # a kept property that raises keeps nothing: the frame route and then the sample route
+    # each meet the refusal on one instance
+    squashed = squashed_bundle()
+    zero = GSec(VField.zero(squashed.total), KForm.zero(squashed.total, 1))
+    checks = (
+        lambda: check_multiplicative_frame(squashed, graph_two_form(KForm.zero(squashed.total, 2))),
+        lambda: check_ca_identities(squashed, [(zero, zero, zero)]),
+    )
+    for check in checks:
+        with pytest.raises(UnderdeterminedSpan, match="^the pairing identity does not pin down the product covector$"):
+            check()
+    assert "_product_system" not in vars(squashed)
 
 
 def test_loose_chart_breaks_translations():
@@ -1011,8 +1031,8 @@ def test_full_rank_span_membership_needs_no_elimination(monkeypatch):
 
 
 def test_passing_frame_check_computes_no_unit_subbundle_rank(monkeypatch):
-    # 8 generic ranks: the span at the product, one for each of the 6 product covectors, and
-    # the span along units; a passing unit item carries no witness
+    # 2 generic ranks: the span at the product and the span along units; the product-covector
+    # system's rank is checked once per groupoid, and a passing unit item carries no witness
     g = pair_groupoid(R2)
     frame = graph_two_form(difference_form(g, beta_form(R2, "x")))
     assert check_multiplicative_frame(g, frame).passed
@@ -1026,46 +1046,62 @@ def test_passing_frame_check_computes_no_unit_subbundle_rank(monkeypatch):
     monkeypatch.setattr(groupoid, "generic_rank", spy)
     rep = check_multiplicative_frame(g, frame)
     assert rep.passed
-    assert len(calls) == 8
+    assert len(calls) == 2
     assert all(item.witness is None for item in rep.items)
 
 
-def test_constant_covector_systems_are_reduced_once_per_check(monkeypatch):
-    # on pair_groupoid(R3) the product covector solves a 9x6 constant system, once per
-    # composable direction, and the unit covector a 6x6 one, once per section end
+@pytest.fixture
+def reductions(monkeypatch):
+    """Appends each reduction, over Q or fraction-free, with its shape, to the last list in the returned list."""
+    rounds = [[]]
+    real_gauss_jordan, real_fraction_free = symalg._gauss_jordan, symalg._FractionFree
+
+    def gauss_jordan(rows, ncols):
+        rounds[-1].append(("Q", len(rows), ncols))
+        return real_gauss_jordan(rows, ncols)
+
+    def fraction_free(a):
+        rounds[-1].append(("Bareiss", a.nrows, a.ncols))
+        return real_fraction_free(a)
+
+    monkeypatch.setattr(symalg, "_gauss_jordan", gauss_jordan)
+    monkeypatch.setattr(symalg, "_FractionFree", fraction_free)
+    return rounds
+
+
+def _checks_in_rounds(rounds, g, frame, samples):
+    """A frame check, then check_ca_identities, twice; the reductions of each call in a list of their own."""
+    for _ in range(2):
+        rounds.append([])
+        assert check_multiplicative_frame(g, frame).passed
+        rounds.append([])
+        assert check_ca_identities(g, samples).passed
+    return rounds[1:]
+
+
+def test_constant_covector_systems_are_reduced_once_per_groupoid(reductions):
+    # on pair_groupoid(R3) the product covector solves a 9x6 constant system and the unit
+    # covector a 6x6 one; both are kept on the groupoid, so a warm frame check reduces only
+    # its 6x12 matching rows, and relating samples reduces nothing
     g = pair_groupoid(R3)
     beta = KForm(R3, 2, {(0, 1): parse_expr("x", R3), (0, 2): parse_expr("y*z", R3), (1, 2): Expr.one(R3)})
     frame = graph_two_form(difference_form(g, beta))
-    assert check_multiplicative_frame(g, frame).passed
-    shapes = Counter()
-    real_gauss_jordan = symalg._gauss_jordan
-
-    def gauss_jordan(rows, ncols):
-        shapes[len(rows), ncols] += 1
-        return real_gauss_jordan(rows, ncols)
-
-    monkeypatch.setattr(symalg, "_gauss_jordan", gauss_jordan)
-    assert check_multiplicative_frame(g, frame).passed
-    assert (shapes[9, 6], shapes[6, 6]) == (1, 1)
+    sections = (pair_section(g, ("y", "x", "z"), ("x", "0", "1")), pair_section(g, ("1", "x*y", "0"), ("y", "x", "z")))
+    cold_frame, cold_ca, warm_frame, warm_ca = _checks_in_rounds(reductions, g, frame, [(s, s, s) for s in sections])
+    assert (cold_frame.count(("Q", 9, 6)), cold_frame.count(("Q", 6, 6))) == (1, 1)
+    assert (cold_ca, warm_frame, warm_ca) == ([], [("Bareiss", 6, 12)], [])
 
 
-def test_chart_dependent_covector_system_is_eliminated_once_per_check(monkeypatch):
-    # the multiplication Jacobian of heisenberg3 depends on the chart, so its product-covector
-    # system is polynomial; a warm check eliminates the 3x6 matching rows and that 6x3 system,
-    # once each, and every composable direction replays its right-hand side
+def test_chart_dependent_covector_system_is_eliminated_once_per_groupoid(reductions):
+    # the multiplication Jacobian of heisenberg3 depends on the chart, so its 6x3 product-covector
+    # system is eliminated fraction-free, once per groupoid; a warm frame check reduces only its
+    # 3x6 matching rows and its 6x3 constant span along units, and relating samples reduces nothing
     g = heisenberg3()
     frame = graph_bivector(Bivector(g.total, {(1, 2): parse_expr("a", g.total)}))
-    assert check_multiplicative_frame(g, frame).passed
-    shapes = []
-    real = symalg._FractionFree
-
-    def fraction_free(a):
-        shapes.append((a.nrows, a.ncols))
-        return real(a)
-
-    monkeypatch.setattr(symalg, "_FractionFree", fraction_free)
-    assert check_multiplicative_frame(g, frame).passed
-    assert shapes == [(3, 6), (6, 3)]
+    zero = GSec(VField.zero(g.total), KForm.zero(g.total, 1))
+    cold_frame, cold_ca, warm_frame, warm_ca = _checks_in_rounds(reductions, g, frame, [(zero, zero, zero)])
+    assert cold_frame.count(("Bareiss", 6, 3)) == 1
+    assert (cold_ca, warm_frame, warm_ca) == ([], [("Bareiss", 3, 6), ("Q", 6, 3)], [])
 
 
 # -- induced infinitesimal data -------------------------------------------------------------------
@@ -1375,5 +1411,5 @@ def composable_stacked_pairs(draw):
 def test_product_matches_the_inline_route(case):
     name, xa, yb = case
     g = PRODUCT_GROUPOIDS[name]
-    compose = groupoid._product(g, "composable pair escapes the chart", RankJump)
-    assert [str(v) for v in compose(xa, yb)] == [str(v) for v in reference_product(g, xa, yb)]
+    product = groupoid._product(g, xa, yb, "composable pair escapes the chart", RankJump)
+    assert [str(v) for v in product] == [str(v) for v in reference_product(g, xa, yb)]
