@@ -35,7 +35,6 @@ point d_* = -delta, and the cyclic sum of [[x, y], z] is minus the
 Jacobiator.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from types import MappingProxyType
 from typing import Mapping
@@ -76,7 +75,6 @@ def _linear_combination(cls, patch: Patch, section: Mapping[int, Expr], tensors)
     return cls._trusted(patch, 1, {i: dot(patch, ps) for i, ps in sorted(pairs.items())})
 
 
-@dataclass(frozen=True, init=False)
 class AlgebroidPatch:
     """Anchor fields and structure functions of a would-be Lie algebroid.
 
@@ -84,11 +82,10 @@ class AlgebroidPatch:
     each ``comps`` all r coefficients of [e_a, e_b] and a pair left out zero;
     keys, lengths and patches are validated.  Jacobi and anchor compatibility
     are check results (check_lie_algebroid), not construction invariants.
+    Immutable; equal when base, anchors and structure functions agree.
     """
 
-    base: Patch
-    anchor: tuple[VField, ...]
-    _table: dict[tuple[int, int], Mapping[int, Expr]]
+    __slots__ = ("base", "anchor", "_table")
 
     def __init__(self, base: Patch, anchors, brackets):
         anchor = tuple(anchors)
@@ -111,6 +108,14 @@ class AlgebroidPatch:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "_table", table)
+
+    def __setattr__(self, *a):
+        raise AttributeError("AlgebroidPatch is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not AlgebroidPatch:
+            return NotImplemented
+        return (self.base, self.anchor, self._table) == (other.base, other.anchor, other._table)
 
     @property
     def rank(self) -> int:
@@ -305,18 +310,32 @@ def check_lie_bialgebroid(a: AlgebroidPatch, dual: AlgebroidPatch) -> Report:
 # -- IM 2-forms ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IMTwoForm:
-    """A bundle map into covectors, one one-form per frame section."""
+    """A bundle map into covectors, one one-form per frame section.
 
-    sigma: tuple[KForm, ...]
+    Immutable; equal and hashing alike when the one-forms agree.
+    """
 
-    def __post_init__(self):
-        for s in self.sigma:
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: tuple[KForm, ...]):
+        for s in sigma:
             if s.degree != 1:
                 raise WrongShape("IM data must consist of one-forms")
-            if s.patch != self.sigma[0].patch:
+            if s.patch != sigma[0].patch:
                 raise PatchMismatch("IM one-forms on different patches")
+        object.__setattr__(self, "sigma", sigma)
+
+    def __setattr__(self, *a):
+        raise AttributeError("IMTwoForm is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not IMTwoForm:
+            return NotImplemented
+        return self.sigma == other.sigma
+
+    def __hash__(self):
+        return hash(self.sigma)
 
 
 def im_from_two_form(a: AlgebroidPatch, b: KForm) -> IMTwoForm:
@@ -371,23 +390,26 @@ def check_im_two_form(a: AlgebroidPatch, s: IMTwoForm) -> Report:
 # -- IM foliations -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IMFoliation:
-    """Foliation data: tangent generators and the frame columns spanning K.
+    """Foliation data: tangent generators and the frame columns spanning K.  Immutable.
 
     Quotient classes are the frame sections outside k_sub in increasing
     index order; flat sections are the quotient frame classes themselves.
     """
 
-    f_m: tuple[VField, ...]
-    k_sub: tuple[int, ...]
+    __slots__ = ("f_m", "k_sub")
 
-    def __post_init__(self):
-        if tuple(sorted(set(self.k_sub))) != self.k_sub:
+    def __init__(self, f_m: tuple[VField, ...], k_sub: tuple[int, ...]):
+        if tuple(sorted(set(k_sub))) != k_sub:
             raise WrongShape("k_sub must be strictly increasing")
-        for v in self.f_m:
-            if v.patch != self.f_m[0].patch:
+        for v in f_m:
+            if v.patch != f_m[0].patch:
                 raise PatchMismatch("foliation fields on different patches")
+        object.__setattr__(self, "f_m", f_m)
+        object.__setattr__(self, "k_sub", k_sub)
+
+    def __setattr__(self, *a):
+        raise AttributeError("IMFoliation is immutable")
 
 
 def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:

@@ -43,7 +43,6 @@ determinants.  Each sum is built in one term map by ``symalg.dot`` (or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from typing import Mapping, Sequence
@@ -310,20 +309,36 @@ class Bivector(_AntisymTensor):
         return self.signed_coeff((i, j))
 
 
-@dataclass(frozen=True)
 class PolyMap:
-    """Polynomial map between patches: one component per target coordinate."""
+    """Polynomial map between patches: one component per target coordinate.
+
+    Immutable; equal and hashing alike when source, target and components agree.
+    """
 
     source: Patch
     target: Patch
     components: tuple[Expr, ...]
 
-    def __post_init__(self):
-        if len(self.components) != self.target.dim:
+    def __init__(self, source: Patch, target: Patch, components: tuple[Expr, ...]):
+        if len(components) != target.dim:
             raise WrongShape("need one component per target coordinate")
-        for c in self.components:
-            if c.patch != self.source:
+        for c in components:
+            if c.patch != source:
                 raise PatchMismatch("component on a patch other than the source")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PolyMap is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not PolyMap:
+            return NotImplemented
+        return (self.source, self.target, self.components) == (other.source, other.target, other.components)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.components))
 
     @staticmethod
     def identity(patch: Patch) -> "PolyMap":

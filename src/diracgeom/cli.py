@@ -28,9 +28,8 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebroid import (
     AlgebroidPatch,
@@ -88,29 +87,24 @@ DIVISION_REFUSAL = "division is only defined by a nonzero number"
 #   primary := integer | name | name '(' [expr (',' expr)*] ')' | '(' expr ')'
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     id: str
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: object
     right: object
@@ -229,20 +223,19 @@ def _parse_primary(line: _Line):
 # -- statements --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LetStmt:
+class LetStmt(NamedTuple):
     name: str
     value: object
+    line: int
 
 
-@dataclass(frozen=True)
-class CheckStmt:
+class CheckStmt(NamedTuple):
     kind: str
     args: tuple
+    line: int
 
 
-@dataclass(frozen=True)
-class CheckFile:
+class CheckFile(NamedTuple):
     statements: tuple
 
 
@@ -270,7 +263,7 @@ def parse_checkfile(text: str) -> CheckFile:
                 value = _parse_expr(line)
                 if line.peek() is not None:
                     line.fail("trailing tokens after declaration")
-                statements.append(LetStmt(name, value))
+                statements.append(LetStmt(name, value, number))
             elif head == "check":
                 line.next()
                 kind = line.next()
@@ -281,7 +274,7 @@ def parse_checkfile(text: str) -> CheckFile:
                 line.calls_must_touch = True
                 while line.peek() is not None:
                     args.append(_parse_unary(line))
-                statements.append(CheckStmt(kind, tuple(args)))
+                statements.append(CheckStmt(kind, tuple(args), number))
             else:
                 line.fail(f"expected 'let' or 'check', found '{head}'")
         except RecursionError:
@@ -578,16 +571,14 @@ CHECKS: dict[str, tuple[tuple, bool, Callable]] = {
 # -- running ------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     verdict: str
     witness: str | None
     seconds: float
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -608,35 +599,45 @@ def _result(name: str, report: Report, seconds: float) -> CheckResult:
 
 
 def run_checks(cf: CheckFile) -> RunReport:
+    """Evaluate the statements in order; an evaluation error names its line, as a parse error does."""
     env: dict[str, object] = {}
     results = []
     for stmt in cf.statements:
         try:
-            if isinstance(stmt, LetStmt):
-                if isinstance(stmt.value, Call) and stmt.value.fn == "patch":
-                    coords = []
-                    for a in stmt.value.args:
-                        if not isinstance(a, Name):
-                            raise ParseError("patch(...) takes bare coordinate names")
-                        coords.append(a.id)
-                    # a bad coordinate list raises WrongShape, whose message names the patch
-                    env[stmt.name] = Patch(stmt.name, tuple(coords))
-                else:
-                    env[stmt.name] = _evaluate_argument(stmt.value, env)
-                continue
-            types, variadic, fn = CHECKS[stmt.kind]
-            args = _typed_args(f"check {stmt.kind}", types, variadic, stmt.args, lambda a: _evaluate_argument(a, env))
-            label = " ".join([stmt.kind] + [_print_expr(a, 3) for a in stmt.args])
-        except RecursionError:
-            where = f"let {stmt.name}" if isinstance(stmt, LetStmt) else f"check {stmt.kind}"
-            raise CheckError(f"{where}: the expression nests too deeply") from None
-        start = time.monotonic()
-        try:
-            report = fn(*args)
+            result = _run_statement(stmt, env)
         except EngineError as exc:
-            raise CheckError(f"{label}: {exc}") from exc
-        results.append(_result(label, report, time.monotonic() - start))
+            raise type(exc)(f"line {stmt.line}: {exc}") from exc
+        if result is not None:
+            results.append(result)
     return RunReport(tuple(results))
+
+
+def _run_statement(stmt, env: dict) -> CheckResult | None:
+    """Bind a let in ``env``, or run a check and return its result."""
+    try:
+        if isinstance(stmt, LetStmt):
+            if isinstance(stmt.value, Call) and stmt.value.fn == "patch":
+                coords = []
+                for a in stmt.value.args:
+                    if not isinstance(a, Name):
+                        raise ParseError("patch(...) takes bare coordinate names")
+                    coords.append(a.id)
+                # a bad coordinate list raises WrongShape, whose message names the patch
+                env[stmt.name] = Patch(stmt.name, tuple(coords))
+            else:
+                env[stmt.name] = _evaluate_argument(stmt.value, env)
+            return None
+        types, variadic, fn = CHECKS[stmt.kind]
+        args = _typed_args(f"check {stmt.kind}", types, variadic, stmt.args, lambda a: _evaluate_argument(a, env))
+        label = " ".join([stmt.kind] + [_print_expr(a, 3) for a in stmt.args])
+    except RecursionError:
+        raise CheckError("the expression nests too deeply") from None
+    start = time.monotonic()
+    try:
+        report = fn(*args)
+    except EngineError as exc:
+        raise CheckError(f"{label}: {exc}") from exc
+    return _result(label, report, time.monotonic() - start)
 
 
 def run_checkfile(path: str) -> RunReport:

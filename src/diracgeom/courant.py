@@ -28,7 +28,6 @@ before it reads ``_increasing_mu``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -47,18 +46,32 @@ from .report import CheckItem, Report
 from .symalg import Expr, ExprMatrix, Patch, dot, generic_rank, nullspace
 
 
-@dataclass(frozen=True)
 class GSec:
-    """Section of TM + T*M: a vector field and a one-form."""
+    """Section of TM + T*M: a vector field and a one-form.
 
-    vf: VField
-    of: KForm
+    Immutable; equal and hashing alike when both parts agree.
+    """
 
-    def __post_init__(self):
-        if self.of.degree != 1:
+    __slots__ = ("vf", "of")
+
+    def __init__(self, vf: VField, of: KForm):
+        if of.degree != 1:
             raise WrongShape("form part must have degree 1")
-        if self.vf.patch != self.of.patch:
+        if vf.patch != of.patch:
             raise PatchMismatch("vector and form parts on different patches")
+        object.__setattr__(self, "vf", vf)
+        object.__setattr__(self, "of", of)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GSec is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not GSec:
+            return NotImplemented
+        return self.vf == other.vf and self.of == other.of
+
+    def __hash__(self):
+        return hash((self.vf, self.of))
 
     @property
     def patch(self) -> Patch:
@@ -78,21 +91,24 @@ class GSec:
         return f"({self.vf}; {self.of})"
 
 
-@dataclass(frozen=True)
 class Frame:
-    """Ordered generating sections for a would-be Dirac structure.
+    """Ordered generating sections for a would-be Dirac structure.  Immutable.
 
     The container itself is loose; check_lagrangian verifies the span is
     Lagrangian (isotropic of generic rank n) and reports failures.
     """
 
-    patch: Patch
-    secs: tuple[GSec, ...]
+    __slots__ = ("patch", "secs")
 
-    def __post_init__(self):
-        for s in self.secs:
-            if s.patch != self.patch:
+    def __init__(self, patch: Patch, secs: tuple[GSec, ...]):
+        for s in secs:
+            if s.patch != patch:
                 raise PatchMismatch("section on a different patch")
+        object.__setattr__(self, "patch", patch)
+        object.__setattr__(self, "secs", secs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Frame is immutable")
 
     def coefficient_matrix(self) -> ExprMatrix:
         """2n x k matrix whose columns are the stacked section components."""

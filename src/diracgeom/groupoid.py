@@ -36,11 +36,10 @@ on the kernel of ``Ts``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebroid import AlgebroidPatch, IMTwoForm
 from .cartan import Bivector, KForm, PolyMap, VField, _pushed_entries, interior_product, lie_bracket, pullback_form
@@ -80,41 +79,53 @@ from .symalg import (
 from .tanlift import tangent_map, tangent_patch
 
 
-@dataclass(frozen=True)
 class GroupoidPatch:
-    """Groupoid structure maps over global polynomial charts, plus their derived data."""
+    """Groupoid structure maps over global polynomial charts, plus their derived data.
 
-    base: Patch
-    total: Patch
-    src: PolyMap
-    tgt: PolyMap
-    unit: PolyMap
-    inv: PolyMap
-    comp_chart: Patch
-    g_of: PolyMap
-    h_of: PolyMap
-    mul: PolyMap
+    Immutable; equal and hashing alike when the structure maps agree.
+    """
 
-    def __post_init__(self):
-        if self.total.dim == 0:
+    _FIELDS = ("base", "total", "src", "tgt", "unit", "inv", "comp_chart", "g_of", "h_of", "mul")
+
+    def __init__(
+        self, base: Patch, total: Patch, src: PolyMap, tgt: PolyMap, unit: PolyMap, inv: PolyMap,
+        comp_chart: Patch, g_of: PolyMap, h_of: PolyMap, mul: PolyMap,
+    ):
+        if total.dim == 0:
             # the checks solve linear systems on the arrow charts, which
             # would have no rows: pair_groupoid of a point, the trivial group
-            raise WrongShape(f"groupoid {self.total.name} needs at least one arrow coordinate")
+            raise WrongShape(f"groupoid {total.name} needs at least one arrow coordinate")
         expected = (
-            (self.src, self.total, self.base),
-            (self.tgt, self.total, self.base),
-            (self.unit, self.base, self.total),
-            (self.inv, self.total, self.total),
-            (self.g_of, self.comp_chart, self.total),
-            (self.h_of, self.comp_chart, self.total),
-            (self.mul, self.comp_chart, self.total),
+            (src, total, base),
+            (tgt, total, base),
+            (unit, base, total),
+            (inv, total, total),
+            (g_of, comp_chart, total),
+            (h_of, comp_chart, total),
+            (mul, comp_chart, total),
         )
         for m, source, target in expected:
             if m.source != source or m.target != target:
                 raise WrongShape(f"structure map {m} should go {source.name} -> {target.name}")
+        for name, value in zip(self._FIELDS, (base, total, src, tgt, unit, inv, comp_chart, g_of, h_of, mul)):
+            object.__setattr__(self, name, value)
 
-    # Derived data: cached properties, not fields, so equality and hashing see
-    # the structure maps only.  A property that raises caches nothing.
+    def __setattr__(self, *a):
+        raise AttributeError("GroupoidPatch is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if type(other) is not GroupoidPatch:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    # Derived data: cached properties, outside _FIELDS, so equality and hashing
+    # see the structure maps only.  A property that raises caches nothing.
 
     @cached_property
     def _chart(self) -> _ChartData | str:
@@ -203,8 +214,7 @@ class GroupoidPatch:
 
 # -- solved-chart linear data ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ChartData:
+class _ChartData(NamedTuple):
     """Affine parts of g_of and h_of, and the reduction over Q of their stacked linear part [a_g; a_h]."""
 
     a_g: tuple[tuple[Fraction, ...], ...]

@@ -6,12 +6,10 @@ failing report always says what broke.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     passed: bool
     witness: str | None = None
@@ -31,9 +29,8 @@ class CheckItem:
         return f"{self.name}: {'pass' if self.passed else 'fail'}{tail}"
 
 
-@dataclass(frozen=True)
-class Report:
-    items: tuple[CheckItem, ...] = field(default_factory=tuple)
+class Report(NamedTuple):
+    items: tuple[CheckItem, ...] = ()
 
     @property
     def passed(self) -> bool:

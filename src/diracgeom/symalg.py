@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -88,39 +87,52 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 MAX_DIMENSION = 128
 
 
-@dataclass(frozen=True)
 class Patch:
     """A named coordinate patch: an ordered tuple of distinct coordinate names.
 
     Zero-dimensional patches are allowed; they carry the constants and serve
     as the base of groups viewed as groupoids over a point.  A patch has at
-    most ``MAX_DIMENSION`` coordinates.
+    most ``MAX_DIMENSION`` coordinates.  Immutable; equal and hashing alike
+    when name and coordinates agree.  ``dim``, the coordinate -> index map
+    and the hash are kept in slots, since every polynomial operation reads
+    them.
     """
 
-    name: str
-    coords: tuple[str, ...]
+    __slots__ = ("name", "coords", "dim", "_index", "_hash")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, coords: Sequence[str]):
+        coords = tuple(coords)
+        if not name:
             raise WrongShape("patch needs a name")
-        if self.dim > MAX_DIMENSION:
-            raise WrongShape(f"patch {self.name} has {self.dim} coordinates, above the limit of {MAX_DIMENSION}")
-        seen = set()
-        for c in self.coords:
+        if len(coords) > MAX_DIMENSION:
+            raise WrongShape(f"patch {name} has {len(coords)} coordinates, above the limit of {MAX_DIMENSION}")
+        index = {}
+        for i, c in enumerate(coords):
             if not _NAME_RE.fullmatch(c):
-                raise WrongShape(f"patch {self.name}: bad coordinate name {c!r}")
-            if c in seen:
-                raise WrongShape(f"patch {self.name}: duplicate coordinate {c!r}")
-            seen.add(c)
+                raise WrongShape(f"patch {name}: bad coordinate name {c!r}")
+            if c in index:
+                raise WrongShape(f"patch {name}: duplicate coordinate {c!r}")
+            index[c] = i
+        for slot, value in zip(Patch.__slots__, (name, coords, len(coords), index, hash((name, coords)))):
+            object.__setattr__(self, slot, value)
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+    def __setattr__(self, *a):
+        raise AttributeError("Patch is immutable")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not Patch:
+            return NotImplemented
+        return self._hash == other._hash and self.name == other.name and self.coords == other.coords
+
+    def __hash__(self):
+        return self._hash
 
     def index(self, coord: str) -> int:
         try:
-            return self.coords.index(coord)
-        except ValueError:
+            return self._index[coord]
+        except KeyError:
             raise UnknownSymbol(f"{coord!r} is not a coordinate of patch {self.name!r}")
 
     def __repr__(self):
@@ -388,13 +400,11 @@ class Expr:
         """Reinterpret on a patch containing all coordinates of this one."""
         if target == self.patch:
             return self
-        idx = []
-        for c in self.patch.coords:
-            if c not in target.coords:
-                raise UnknownSymbol(
-                    f"coordinate {c!r} missing from patch {target.name!r}"
-                )
-            idx.append(target.coords.index(c))
+        index = target._index
+        try:
+            idx = [index[c] for c in self.patch.coords]
+        except KeyError as exc:
+            raise UnknownSymbol(f"coordinate {exc.args[0]!r} missing from patch {target.name!r}") from None
         out = {}
         for e, c in self.terms.items():
             ne = [0] * target.dim
@@ -651,21 +661,25 @@ def _divide_terms(p: Expr, c: Scalar) -> Expr:
 # -- matrices and elimination ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExprMatrix:
-    """Dense matrix of polynomials on one patch (rows of equal length)."""
+    """Dense matrix of polynomials on one patch (rows of equal length).  Immutable."""
 
     patch: Patch
     entries: tuple[tuple[Expr, ...], ...]
 
-    def __post_init__(self):
-        widths = {len(r) for r in self.entries}
+    def __init__(self, patch: Patch, entries: tuple[tuple[Expr, ...], ...]):
+        widths = {len(r) for r in entries}
         if len(widths) > 1:
             raise WrongShape("ragged rows")
-        for row in self.entries:
+        for row in entries:
             for e in row:
-                if e.patch != self.patch:
+                if e.patch != patch:
                     raise PatchMismatch("matrix entry on a different patch")
+        object.__setattr__(self, "patch", patch)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ExprMatrix is immutable")
 
     @staticmethod
     def from_rows(patch: Patch, rows: Sequence[Sequence[Expr]]) -> "ExprMatrix":

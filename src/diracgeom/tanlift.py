@@ -22,8 +22,8 @@ defining identities
 which the test suite re-verifies on random inputs.
 """
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .cartan import KForm, PolyMap, VField, _perm_sign
 from .courant import Frame, GSec, _increasing_mu, _require_isotropic, check_lagrangian
@@ -65,8 +65,7 @@ def _extend(base: Patch, new_names: tuple[str, ...], name: str) -> Patch:
     return Patch(name, base.coords + tuple(names))
 
 
-@dataclass(frozen=True)
-class LiftedPatch:
+class LiftedPatch(NamedTuple):
     """A base patch together with its doubled total patch: positions, then velocities or momenta."""
 
     base: Patch

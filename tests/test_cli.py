@@ -66,14 +66,20 @@ def test_parse_shapes():
     assert omega == LetStmt(
         "omega",
         BinOp("*", BinOp("+", IntLit(1), Name("x")), BinOp("^", Name("dx"), Name("dy"))),
+        3,
     )
-    assert cf.statements[3] == CheckStmt("dirac", (Name("L"),))
+    # each statement keeps its line, counting the comment and the blank line
+    assert cf.statements[3] == CheckStmt("dirac", (Name("L"),), 6)
 
 
 def print_checkfile(cf: CheckFile) -> str:
-    """The check-file text of ``cf``, which parses back to ``cf``: the parser round-trip reference."""
+    """The check-file text of ``cf``, which parses back to ``cf``: the parser round-trip reference.
+
+    Each statement is printed on its own line number, blank lines filling the gaps.
+    """
     lines = []
     for stmt in cf.statements:
+        lines += [""] * (stmt.line - 1 - len(lines))
         if isinstance(stmt, LetStmt):
             lines.append(f"let {stmt.name} = {_print_expr(stmt.value)}")
         else:
@@ -482,7 +488,9 @@ def test_main_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("text", "expected"),
     [
-        ("let M = patch(x, x)\n", "patch M: duplicate coordinate 'x'"),
+        ("let M = patch(x, x)\n", "line 1: patch M: duplicate coordinate 'x'"),
+        # an evaluation error names its line, as a parse error does
+        ("let M = patch(x)\nlet a = x/0\n", "line 2: division is only defined by a nonzero number"),
         ("let M = patch(x, y, z, w)\ncheck closed dx^dy^dz^dw\n", None),
         ("let G = abelian_group(-1)\ncheck groupoid_axioms G\n", None),
         ("let M = patch()\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n", None),
@@ -494,63 +502,61 @@ def test_main_exit_codes(tmp_path, capsys):
         ("let M = patch(x, y)\nlet f = (x + y)^64\nlet g = f^64\n", None),
         ("let M = patch(x, y, z)\nlet f = (x + y + z)^8^8\nlet g = f^8\n", None),
         ("let n = 2^64^64^64^64^64^64\n", None),
-        ("let G = abelian_group(10^9)\ncheck groupoid_axioms G\n", "abelian_group needs at most 64 coordinates, got 1000000000"),
+        ("let G = abelian_group(10^9)\ncheck groupoid_axioms G\n", "line 1: abelian_group needs at most 64 coordinates, got 1000000000"),
         (
             f"let M = patch({', '.join(f'x{i}' for i in range(MAX_DIMENSION + 1))})\n",
-            "patch M has 129 coordinates, above the limit of 128",
+            "line 1: patch M has 129 coordinates, above the limit of 128",
         ),
         (
             "let G = tangent_groupoid(tangent_groupoid(abelian_group(20)))\ncheck groupoid_axioms G\n",
-            "patch TTAb20_pairs has 160 coordinates, above the limit of 128",
+            "line 1: patch TTAb20_pairs has 160 coordinates, above the limit of 128",
         ),
         # the constructor names itself: the pair chart of abelian_group(n) has 2n coordinates
-        ("let G = abelian_group(100)\n", "abelian_group needs at most 64 coordinates, got 100"),
+        ("let G = abelian_group(100)\n", "line 1: abelian_group needs at most 64 coordinates, got 100"),
         # and that of pair_groupoid(M) three times as many as M
         (
             f"let M = patch({', '.join(f'x{i}' for i in range(43))})\nlet G = pair_groupoid(M)\n",
-            "pair_groupoid needs a patch of at most 42 coordinates, got 43",
+            "line 2: pair_groupoid needs a patch of at most 42 coordinates, got 43",
         ),
         # the associativity check names its chart of composable triples: 3n coordinates for a group,
         (
             "let G = abelian_group(43)\ncheck groupoid_axioms G\n",
-            "groupoid_axioms G: the composable-triple chart has 129 coordinates, above the limit of 128",
+            "line 2: groupoid_axioms G: the composable-triple chart has 129 coordinates, above the limit of 128",
         ),
         # 4n for a pair groupoid
         (
             f"let M = patch({', '.join(f'x{i}' for i in range(33))})\nlet G = pair_groupoid(M)\ncheck groupoid_axioms G\n",
-            "groupoid_axioms G: the composable-triple chart has 132 coordinates, above the limit of 128",
+            "line 3: groupoid_axioms G: the composable-triple chart has 132 coordinates, above the limit of 128",
         ),
         # the lifted Courant tensor of a frame on 64 coordinates would have C(128, 3) entries
         (
             f"let M = patch({', '.join('abcdefghijklmnop')})\n"
             "check tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(da^db)))\n",
-            "tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(da^db))): "
+            "line 2: tangent_mu tangent_lift_dirac(tangent_lift_dirac(graph_two_form(da^db))): "
             "a frame on 64 coordinates is above the limit of 32 for the lifted Courant tensor",
         ),
         # nesting deeper than the interpreter's stack is an error line, not a traceback: in the parser,
         ("let M = patch(x)\nlet f = " + "(" * 2000 + "x" + ")" * 2000 + "\n", "line 2: the expression nests too deeply"),
         ("let M = patch(x)\nlet f = " + "-" * 5000 + "x\n", "line 2: the expression nests too deeply"),
         # and in the evaluation of a let or of a check's arguments
-        ("let M = patch(x)\nlet f = x" + "^1" * 3000 + "\n", "let f: the expression nests too deeply"),
-        (
-            "let M = patch(x)\ncheck closed ((" + "+".join(["x"] * 1500) + ")*dx)\n",
-            "check closed: the expression nests too deeply",
-        ),
+        ("let M = patch(x)\nlet f = x" + "^1" * 3000 + "\n", "line 2: the expression nests too deeply"),
+        ("let M = patch(x)\ncheck closed ((" + "+".join(["x"] * 1500) + ")*dx)\n", "line 2: the expression nests too deeply"),
         # the Jacobi walk refuses a rank above MAX_DIMENSION // 4, also where a check or constructor needs it
         (
             f"let M = patch({', '.join(f'x{i}' for i in range(33))})\nlet P = dual_linear_poisson(tangent_bundle_algebroid(M))\n",
-            "an algebroid of rank 33 is above the limit of 32 for the Jacobi check",
+            "line 2: an algebroid of rank 33 is above the limit of 32 for the Jacobi check",
         ),
         (
             f"let M = patch({', '.join(f'x{i}' for i in range(33))})\nlet A = tangent_bundle_algebroid(M)\n"
             "check im_two_form A im_from_two_form(A, dx0^dx1)\n",
-            "im_two_form A im_from_two_form(A, dx0^dx1): an algebroid of rank 33 is above the limit of 32 for the Jacobi check",
+            "line 3: im_two_form A im_from_two_form(A, dx0^dx1): an algebroid of rank 33 is above the limit of 32 for the Jacobi check",
         ),
         # a constructor's shape error is an engine error, printed once without the constructor's name
-        ("let M = patch(x, y)\nlet L = bfield_transform(graph_two_form(dx^dy), dx)\n", "b-field must be a two-form"),
+        ("let M = patch(x, y)\nlet L = bfield_transform(graph_two_form(dx^dy), dx)\n", "line 2: b-field must be a two-form"),
     ],
     ids=[
         "duplicate-coordinate",
+        "division-by-zero-on-line-2",
         "degree-too-high",
         "negative-group-size",
         "zero-dimensional-pair-groupoid",
@@ -603,7 +609,7 @@ def test_oversized_algebroid_is_refused_at_once(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        "error: lie_algebroid tangent_bundle_algebroid(M): an algebroid of rank 33 is above the limit of 32 for the Jacobi check\n"
+        "error: line 2: lie_algebroid tangent_bundle_algebroid(M): an algebroid of rank 33 is above the limit of 32 for the Jacobi check\n"
     )
 
 

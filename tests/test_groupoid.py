@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from diracgeom import groupoid, symalg
+from diracgeom import cli, groupoid, symalg
 from diracgeom.algebroid import (
     IMFoliation,
     check_im_foliation,
@@ -387,6 +387,41 @@ def test_derived_data_leaves_equality_and_hashing_alone():
     lie_algebroid_of(g)
     assert g == h and hash(g) == hash(h)
     assert len({g, h}) == 1
+
+
+def test_value_types_refuse_attribute_assignment():
+    # the classes with a validating constructor, each with one of its attributes
+    g = pair_groupoid(R1)
+    w = KForm(g.total, 2, {(0, 1): Expr.coord(g.total, "x_1")})
+    frame = graph_two_form(w)
+    checked = [
+        (R1, "coords"),
+        (g.src.jacobian(), "entries"),
+        (g.src, "components"),
+        (frame.secs[0], "vf"),
+        (frame, "secs"),
+        (g, "mul"),
+        (lie_algebroid_of(g), "anchor"),
+        (induced_im_two_form(g, w), "sigma"),
+        (IMFoliation((), ()), "k_sub"),
+    ]
+    # and the plain records, by their first field
+    cf = cli.parse_checkfile("let M = patch(x)\ncheck closed -(x*dx) 2^1\n")
+    let, check = cf.statements
+    run = cli.run_checks(cli.parse_checkfile("let M = patch(x)\ncheck closed dx\n"))
+    records = [cf, let, let.value, let.value.args[0], check, check.args[0], check.args[0].operand, check.args[1].right]
+    report = check_groupoid_axioms(g)
+    records += [run, run.checks[0], report, report.items[0], tangent_patch(R1), g._chart]
+    assert {type(r).__name__ for r in records} == {
+        "CheckFile", "LetStmt", "CheckStmt", "Name", "Neg", "BinOp", "IntLit", "Call",
+        "RunReport", "CheckResult", "Report", "CheckItem", "LiftedPatch", "_ChartData",
+    }
+    checked += [(r, r._fields[0]) for r in records]
+    for value, attr in checked:
+        getattr(value, attr)
+        for name in (attr, "new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
 
 
 # -- tangent groupoid -----------------------------------------------------------------

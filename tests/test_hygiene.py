@@ -5,7 +5,8 @@ name without a caller, no unreferenced private class members, no
 newer than Python 3.10 in any Python file.  Outside the tests, the package,
 the benchmark and the demos must read every public member of a public class,
 read every static or class method of one through its own class, and pass
-every parameter and dataclass field that has a default.
+every parameter and ``NamedTuple`` field that has a default.  Importing the
+command line and the suite loads neither ``dataclasses`` nor ``inspect``.
 
 Standard library and pytest only, so it runs with the rest of the tier-1 tests.
 """
@@ -146,7 +147,7 @@ def _decorators(node: ast.FunctionDef | ast.ClassDef) -> set[str]:
 
 
 def _options(tree: ast.Module):
-    """Yield (callee, position, name) for every parameter and every dataclass field with a default.
+    """Yield (callee, position, name) for every parameter and every ``NamedTuple`` field with a default.
 
     ``position`` is the number of arguments a call passes before it, None for a keyword-only
     parameter.  A call to a class is a call to its ``__init__``.
@@ -160,7 +161,7 @@ def _options(tree: ast.Module):
             first = len(positional) - len(node.args.defaults)
             yield from ((callee, i, arg.arg) for i, arg in enumerate(positional) if i >= first)
             yield from ((callee, None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d)
-        elif isinstance(node, ast.ClassDef) and "dataclass" in _decorators(node):
+        elif isinstance(node, ast.ClassDef) and "NamedTuple" in {ast.unparse(b) for b in node.bases}:
             fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
             yield from ((node.name, i, stmt.target.id) for i, stmt in enumerate(fields) if stmt.value is not None)
 
@@ -178,7 +179,7 @@ def _passed(tree: ast.Module) -> set[tuple[str, object]]:
 
 
 def test_every_option_has_a_program_caller():
-    # a parameter or dataclass field with a default that no program passes has one value in use,
+    # a parameter or NamedTuple field with a default that no program passes has one value in use,
     # so it is a constant; callees and keywords are matched by bare name, as in the tests above
     passed = set().union(*(_passed(_tree(path)) for path in PROGRAMS))
     unpassed = [
@@ -282,6 +283,22 @@ def test_each_module_imports_alone(module):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", f"import {name}"], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+def test_options_cover_named_tuple_fields():
+    # the defaults of NamedTuple fields count as options, with their position among the fields
+    tree = ast.parse("class T(NamedTuple):\n    a: int\n    b: int = 0\n\n    def f(self, c=1):\n        pass\n")
+    assert set(_options(tree)) == {("T", 1, "b"), ("f", 0, "c")}
+
+
+def test_start_up_generates_no_code():
+    # dataclasses builds each class's methods with exec at import, and it pulls in inspect:
+    # together about a fifth of a short command's wall time
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, diracgeom.cli, diracgeom.suite; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_python_files_parse_as_python_3_10():

@@ -23,6 +23,7 @@ from diracgeom.symalg import (
     nullspace,
     solve_linear,
 )
+from diracgeom.tanlift import tangent_patch
 
 XY = Patch("M", ("x", "y"))
 XYZ = Patch("N", ("x", "y", "z"))
@@ -248,6 +249,39 @@ def test_combine_drops_cancelled_sums():
 def test_zero_dimensional_patch_carries_constants():
     pt = Patch("pt", ())
     assert Expr.const(pt, 5) * Expr.const(pt, Fraction(1, 5)) == Expr.one(pt)
+
+
+# -- patches are values of their name and coordinates ------------------------------------
+
+PATCH_SPECS = st.tuples(st.sampled_from(["M", "N"]), st.lists(st.sampled_from("xyz"), max_size=3, unique=True).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(PATCH_SPECS, PATCH_SPECS, st.sampled_from("xyzw"))
+def test_patch_is_a_value_of_its_name_and_coordinates(a, b, coord):
+    p, q = Patch(*a), Patch(*b)
+    assert (p == q) == (a == b) and (p != q) == (a != b)
+    # the hash of the pair, so sets and dicts of patches keep their order
+    assert hash(p) == hash(a) and p == Patch(*a)
+    if p == q:
+        # equal patches share one cache entry
+        assert tangent_patch(p) is tangent_patch(q)
+    if coord in p.coords:
+        assert p.index(coord) == p.coords.index(coord)
+    else:
+        with pytest.raises(UnknownSymbol, match=f"^'{coord}' is not a coordinate of patch '{p.name}'$"):
+            p.index(coord)
+    # a monomial in every coordinate moves by name, or names the first coordinate missing from q
+    e = Expr(p, {tuple(range(1, p.dim + 1)): 1})
+    value = {c: ord(c) for c in "xyz"}
+    missing = [c for c in p.coords if c not in q.coords]
+    if missing:
+        with pytest.raises(UnknownSymbol, match=f"^coordinate '{missing[0]}' missing from patch '{q.name}'$"):
+            e.inject(q)
+    else:
+        moved = e.inject(q)
+        assert moved.patch == q
+        assert moved.eval_rational([value[c] for c in q.coords]) == e.eval_rational([value[c] for c in p.coords])
 
 
 # -- calculus ------------------------------------------------------------------
