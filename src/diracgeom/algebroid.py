@@ -60,7 +60,7 @@ from .errors import (
     WrongShape,
 )
 from .report import CheckItem, Report
-from .symalg import MAX_DIMENSION, Expr, ExprMatrix, Patch, dot, fresh_names, generic_rank, in_span
+from .symalg import MAX_DIMENSION, Expr, ExprMatrix, Patch, _Frozen, _Value, dot, fresh_names, generic_rank, in_span
 from .tanlift import lift_function, lift_vector_field, tangent_patch
 
 _NO_TERMS = MappingProxyType({})
@@ -75,17 +75,19 @@ def _linear_combination(cls, patch: Patch, section: Mapping[int, Expr], tensors)
     return cls._trusted(patch, 1, {i: dot(patch, ps) for i, ps in sorted(pairs.items())})
 
 
-class AlgebroidPatch:
+class AlgebroidPatch(_Value):
     """Anchor fields and structure functions of a would-be Lie algebroid.
 
     Built from the anchor fields and a ``{(a, b): comps}`` table with a < b,
     each ``comps`` all r coefficients of [e_a, e_b] and a pair left out zero;
     keys, lengths and patches are validated.  Jacobi and anchor compatibility
     are check results (check_lie_algebroid), not construction invariants.
-    Immutable; equal when base, anchors and structure functions agree.
+    Immutable; equal when base, anchors and structure functions agree, and
+    unhashable, as its table holds mappings.
     """
 
-    __slots__ = ("base", "anchor", "_table")
+    __slots__ = _FIELDS = ("base", "anchor", "_table")
+    __hash__ = None
 
     def __init__(self, base: Patch, anchors, brackets):
         anchor = tuple(anchors)
@@ -105,17 +107,7 @@ class AlgebroidPatch:
         for v in anchor:
             if v.patch != base:
                 raise PatchMismatch("anchor field on a different patch")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "_table", table)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebroidPatch is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not AlgebroidPatch:
-            return NotImplemented
-        return (self.base, self.anchor, self._table) == (other.base, other.anchor, other._table)
+        self._fill(base, anchor, table)
 
     @property
     def rank(self) -> int:
@@ -310,13 +302,13 @@ def check_lie_bialgebroid(a: AlgebroidPatch, dual: AlgebroidPatch) -> Report:
 # -- IM 2-forms ------------------------------------------------------------------------
 
 
-class IMTwoForm:
+class IMTwoForm(_Value):
     """A bundle map into covectors, one one-form per frame section.
 
     Immutable; equal and hashing alike when the one-forms agree.
     """
 
-    __slots__ = ("sigma",)
+    __slots__ = _FIELDS = ("sigma",)
 
     def __init__(self, sigma: tuple[KForm, ...]):
         for s in sigma:
@@ -324,18 +316,7 @@ class IMTwoForm:
                 raise WrongShape("IM data must consist of one-forms")
             if s.patch != sigma[0].patch:
                 raise PatchMismatch("IM one-forms on different patches")
-        object.__setattr__(self, "sigma", sigma)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IMTwoForm is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not IMTwoForm:
-            return NotImplemented
-        return self.sigma == other.sigma
-
-    def __hash__(self):
-        return hash(self.sigma)
+        self._fill(sigma)
 
 
 def im_from_two_form(a: AlgebroidPatch, b: KForm) -> IMTwoForm:
@@ -390,14 +371,14 @@ def check_im_two_form(a: AlgebroidPatch, s: IMTwoForm) -> Report:
 # -- IM foliations -----------------------------------------------------------------------
 
 
-class IMFoliation:
+class IMFoliation(_Frozen):
     """Foliation data: tangent generators and the frame columns spanning K.  Immutable.
 
     Quotient classes are the frame sections outside k_sub in increasing
     index order; flat sections are the quotient frame classes themselves.
     """
 
-    __slots__ = ("f_m", "k_sub")
+    __slots__ = _FIELDS = ("f_m", "k_sub")
 
     def __init__(self, f_m: tuple[VField, ...], k_sub: tuple[int, ...]):
         if tuple(sorted(set(k_sub))) != k_sub:
@@ -405,11 +386,7 @@ class IMFoliation:
         for v in f_m:
             if v.patch != f_m[0].patch:
                 raise PatchMismatch("foliation fields on different patches")
-        object.__setattr__(self, "f_m", f_m)
-        object.__setattr__(self, "k_sub", k_sub)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IMFoliation is immutable")
+        self._fill(f_m, k_sub)
 
 
 def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:

@@ -48,7 +48,7 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .errors import DegreeTooHigh, DegreeZero, PatchMismatch, WrongShape
-from .symalg import Expr, ExprMatrix, Patch, _combine, dot
+from .symalg import Expr, ExprMatrix, Patch, _combine, _Frozen, _Value, dot
 
 MAX_DEGREE = 3
 
@@ -66,7 +66,7 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return sign
 
 
-class _AntisymTensor:
+class _AntisymTensor(_Frozen):
     """Nonzero coefficients ``coeffs`` on strictly increasing index tuples.
 
     A subclass sets its printed ``_basis`` and ``_mismatch`` message.  The
@@ -101,14 +101,11 @@ class _AntisymTensor:
         return self
 
     def _fill(self, patch: Patch, degree: int, coeffs: dict[tuple[int, ...], Expr]) -> None:
-        # through the slot descriptors' own setters, as Expr._trusted fills an Expr
+        # in place of _Frozen._fill: through the slot descriptors' own setters, as Expr._trusted fills an Expr
         _set_patch(self, patch)
         _set_degree(self, degree)
         _set_coeffs(self, coeffs)
         _set_memo(self, None)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _signed(self, idx: Sequence[int]) -> Expr | None:
         """Coefficient with arbitrary index order (antisymmetric extension), None when it is zero."""
@@ -309,7 +306,7 @@ class Bivector(_AntisymTensor):
         return self.signed_coeff((i, j))
 
 
-class PolyMap:
+class PolyMap(_Value):
     """Polynomial map between patches: one component per target coordinate.
 
     Immutable; equal and hashing alike when source, target and components agree.
@@ -318,6 +315,7 @@ class PolyMap:
     source: Patch
     target: Patch
     components: tuple[Expr, ...]
+    _FIELDS = ("source", "target", "components")
 
     def __init__(self, source: Patch, target: Patch, components: tuple[Expr, ...]):
         if len(components) != target.dim:
@@ -325,20 +323,7 @@ class PolyMap:
         for c in components:
             if c.patch != source:
                 raise PatchMismatch("component on a patch other than the source")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMap is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not PolyMap:
-            return NotImplemented
-        return (self.source, self.target, self.components) == (other.source, other.target, other.components)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.components))
+        self._fill(source, target, components)
 
     @staticmethod
     def identity(patch: Patch) -> "PolyMap":

@@ -43,35 +43,23 @@ from .cartan import (
 )
 from .errors import NotLagrangian, PatchMismatch, RankDeficient, WrongShape
 from .report import CheckItem, Report
-from .symalg import Expr, ExprMatrix, Patch, dot, generic_rank, nullspace
+from .symalg import Expr, ExprMatrix, Patch, _Frozen, _Value, dot, generic_rank, nullspace
 
 
-class GSec:
+class GSec(_Value):
     """Section of TM + T*M: a vector field and a one-form.
 
     Immutable; equal and hashing alike when both parts agree.
     """
 
-    __slots__ = ("vf", "of")
+    __slots__ = _FIELDS = ("vf", "of")
 
     def __init__(self, vf: VField, of: KForm):
         if of.degree != 1:
             raise WrongShape("form part must have degree 1")
         if vf.patch != of.patch:
             raise PatchMismatch("vector and form parts on different patches")
-        object.__setattr__(self, "vf", vf)
-        object.__setattr__(self, "of", of)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GSec is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not GSec:
-            return NotImplemented
-        return self.vf == other.vf and self.of == other.of
-
-    def __hash__(self):
-        return hash((self.vf, self.of))
+        self._fill(vf, of)
 
     @property
     def patch(self) -> Patch:
@@ -91,24 +79,20 @@ class GSec:
         return f"({self.vf}; {self.of})"
 
 
-class Frame:
+class Frame(_Frozen):
     """Ordered generating sections for a would-be Dirac structure.  Immutable.
 
     The container itself is loose; check_lagrangian verifies the span is
     Lagrangian (isotropic of generic rank n) and reports failures.
     """
 
-    __slots__ = ("patch", "secs")
+    __slots__ = _FIELDS = ("patch", "secs")
 
     def __init__(self, patch: Patch, secs: tuple[GSec, ...]):
         for s in secs:
             if s.patch != patch:
                 raise PatchMismatch("section on a different patch")
-        object.__setattr__(self, "patch", patch)
-        object.__setattr__(self, "secs", secs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Frame is immutable")
+        self._fill(patch, secs)
 
     def coefficient_matrix(self) -> ExprMatrix:
         """2n x k matrix whose columns are the stacked section components."""

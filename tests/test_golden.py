@@ -49,6 +49,7 @@ EXIT_CODES = {
     "deep_nesting": 2,
     "dirac_witnesses": 1,
     "groupoid_witnesses": 1,
+    "lifted_algebroids": 1,
     "rank_deficient": 2,
     "slow_linearity": 1,
     "slow_linearity_4d": 1,

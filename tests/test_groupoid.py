@@ -511,8 +511,7 @@ def test_algebroid_of_tangent_groupoid_is_tangent_lift():
             lifted.append(
                 [Expr.zero(tm)] * n_total + [lift_function(c, "vertical") for c in col]
             )
-        frame_matrix = ExprMatrix.from_rows(tg.base, lifted).transpose()
-        assert groupoid._algebroid_on(tg, frame_matrix, groupoid._right_invariant_fields(tg, lifted)) == tangent_lift_algebroid(a)
+        assert groupoid._algebroid_on(tg, lifted, groupoid._right_invariant_fields(tg, lifted)) == tangent_lift_algebroid(a)
 
 
 # -- cotangent source and target ----------------------------------------------------------

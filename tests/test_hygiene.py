@@ -7,6 +7,10 @@ the benchmark and the demos must read every public member of a public class,
 read every static or class method of one through its own class, and pass
 every parameter and ``NamedTuple`` field that has a default.  Importing the
 command line and the suite loads neither ``dataclasses`` nor ``inspect``.
+Immutability has one mechanism: only ``symalg._Frozen`` defines
+``__setattr__``, only ``_Value`` and the types with their own fast paths
+define ``__eq__`` or ``__hash__``, and every class with ``__slots__`` or a
+cached property derives from ``_Frozen``.
 
 Standard library and pytest only, so it runs with the rest of the tier-1 tests.
 """
@@ -299,6 +303,33 @@ def test_start_up_generates_no_code():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+# the types whose equality keeps an identity or hash fast path, compares with numbers or hashes a frozenset
+OWN_EQUALITY = {f"{cls}.{name}" for cls in ("_Value", "Patch", "Expr", "RatExpr", "_AntisymTensor") for name in ("__eq__", "__hash__")}
+
+
+def test_immutability_has_one_mechanism():
+    # a class refusing assignment or comparing its fields by hand repeats what _Frozen and _Value hold once;
+    # a _Value without its own _FIELDS would compare equal to every other instance of its type
+    classes = {cls.name: cls for path in MODULES for cls in ast.walk(_tree(path)) if isinstance(cls, ast.ClassDef)}
+
+    def derives(name: str, base: str) -> bool:
+        return name == base or name in classes and any(derives(ast.unparse(b), base) for b in classes[name].bases)
+
+    defined, loose = set(), []
+    for cls in classes.values():
+        members = {name for name, _ in _class_members(cls)}
+        for name, stmt in _class_members(cls):
+            if name in ("__setattr__", "__eq__", "__hash__"):
+                defined.add(f"{cls.name}.{name}" + ("" if isinstance(stmt, ast.FunctionDef) else f" = {ast.unparse(stmt.value)}"))
+        cached = any("cached_property" in _decorators(stmt) for stmt in cls.body if isinstance(stmt, ast.FunctionDef))
+        if ("__slots__" in members or cached) and not derives(cls.name, "_Frozen"):
+            loose.append(cls.name)
+        if derives(cls.name, "_Value") and cls.name != "_Value" and "_FIELDS" not in members:
+            loose.append(f"{cls.name} has no _FIELDS")
+    assert defined == {"_Frozen.__setattr__", "AlgebroidPatch.__hash__ = None"} | OWN_EQUALITY
+    assert loose == []
 
 
 def test_python_files_parse_as_python_3_10():
