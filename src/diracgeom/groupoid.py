@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import NamedTuple, Sequence
 
 from .algebroid import AlgebroidPatch, IMTwoForm
@@ -686,7 +686,15 @@ def induced_dual_bracket(g: GroupoidPatch, p: Bivector) -> AlgebroidPatch:
 
 
 def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GSec]]) -> Report:
-    """Pairing additivity and bracket compatibility on related section triples."""
+    """Pairing additivity and bracket compatibility on related section triples.
+
+    Each Courant bracket and each pairing of two sample sections is computed
+    once per call, keyed by the identity of the two sections, so the three
+    slots of a diagonal trio ``(s, s, s)`` share one bracket and one pairing.
+    The pairing is symmetric, so only the pairs i <= j are visited: the first
+    failing pair in row order has i <= j.  The bracket (Dorfman) is not skew,
+    so both orders of every pair are kept.
+    """
     chart = g.comp_chart
     n, n_total = g.base.dim, g.total.dim
     s_left, t_right = g._ends[:2]
@@ -724,18 +732,27 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
             raise HypothesisFails(f"sample {idx + 1}: {bad}")
 
     indices = range(len(samples))
+    computed: dict = {}
+
+    def once(op, a: GSec, b: GSec):
+        """``op(a, b)``, computed on its first use in this call."""
+        key = (op, id(a), id(b))
+        value = computed.get(key)
+        if value is None:
+            value = computed[key] = op(a, b)
+        return value
 
     def pairings():
-        for i, j in product(indices, repeat=2):
-            lhs = pairing(samples[i][2], samples[j][2]).substitute(mul_pt, chart)
-            rhs = pairing(samples[i][0], samples[j][0]).substitute(g_pt, chart)
-            rhs = rhs + pairing(samples[i][1], samples[j][1]).substitute(h_pt, chart)
+        for i, j in combinations_with_replacement(indices, 2):
+            lhs = once(pairing, samples[i][2], samples[j][2]).substitute(mul_pt, chart)
+            rhs = once(pairing, samples[i][0], samples[j][0]).substitute(g_pt, chart)
+            rhs = rhs + once(pairing, samples[i][1], samples[j][1]).substitute(h_pt, chart)
             if lhs != rhs:
                 yield f"samples ({i + 1},{j + 1}): pairing deviates by {lhs - rhs}"
 
     def brackets():
         for i, j in permutations(indices, 2):
-            bra = tuple(courant_bracket(samples[i][slot], samples[j][slot]) for slot in range(3))
+            bra = tuple(once(courant_bracket, samples[i][slot], samples[j][slot]) for slot in range(3))
             bad = unrelated(bra)
             if bad is not None:
                 yield f"samples ({i + 1},{j + 1}): bracket not related ({bad})"

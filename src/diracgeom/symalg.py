@@ -4,8 +4,11 @@ Scalars are multivariate polynomials with rational coefficients, stored as
 canonical term maps: exponent tuple -> coefficient, zero coefficients never
 stored.  A coefficient is an ``int`` or a ``Fraction``: the constructors and
 every quotient store an integral value as ``int``, and sums and products of
-``int`` stay ``int``, so a ``Fraction`` appears only where a value needs one.
-``Fraction(2) == 2``, the two hash alike and print alike, so equality of
+``int`` stay ``int``.  A sum or product with a ``Fraction`` operand stays a
+``Fraction`` even when it is integral: ``(Expr(P, {(1,): Fraction(2, 3)}) *
+Fraction(3, 2)).terms`` stores ``Fraction(1, 1)``.  It is not normalised, as
+that would add a check to every term product.  ``Fraction(2) == 2``, the two
+hash alike, print alike and have one residue in ``_mod_p``, so equality of
 scalars is literal equality of term maps either way, and ``is_zero`` is a
 syntactic check on the canonical form.  No floats anywhere: ``int / int`` is
 one, so every division of coefficients goes through ``_quotient``.
@@ -55,10 +58,16 @@ and the two slot descriptors' own setters, with no ``__setattr__`` call, so
 every other assignment still raises.
 
 No work on a zero or a unit: ``substitute`` checks its values and then
-returns the target's zero for the zero polynomial at once, and builds a
-unit only for a constant term; ``e ** k`` is k - 1 products starting from
-``e`` itself.  A zero operand returns at once: ``a + 0``, ``0 + a`` and
-``a - 0`` are ``a``, and ``-0`` and the derivative of 0 are that zero, so a
+returns the target's zero for the zero polynomial at once.  When every value
+the polynomial uses has one term or none (a coordinate, a constant or a
+scaled monomial, as the projections and unit maps of a groupoid give), each
+term goes to one term: its exponents are moved and its coefficient scaled,
+and the results are merged into one term map in the order ``_merge`` would
+give, with no power or product of ``Expr``s.  At the first used value of two
+or more terms it drops that work and takes the general path, which builds
+each power of a value once, and a unit only for a constant term.  ``e ** k``
+is k - 1 products starting from ``e`` itself.  A zero operand returns at once:
+``a + 0``, ``0 + a`` and ``a - 0`` are ``a``, and ``-0`` and the derivative of 0 are that zero, so a
 result may be an operand itself; no operation changes a term map it did not
 build.  ``a - b`` subtracts into one copy of ``a``, with the terms of
 ``a + (-b)`` in the same order.  ``__mul__`` and ``dot`` share one product
@@ -392,6 +401,9 @@ class Expr(_Frozen):
                 raise PatchMismatch("substitution values must live on the target patch")
         if not self.terms:
             return Expr._trusted(target, {})
+        terms = self._substitute_terms(values, target.dim)
+        if terms is not None:
+            return Expr._trusted(target, terms)
         powers: list[dict[int, Expr]] = [dict() for _ in values]
 
         def power(i: int, k: int) -> Expr:
@@ -408,6 +420,49 @@ class Expr(_Frozen):
                     mono = power(i, k) if mono is None else mono * power(i, k)
             monomials.append(Expr.one(target) if mono is None else mono)
         return _combine(target, self.terms.values(), monomials)
+
+    def _substitute_terms(self, values: Sequence["Expr"], dim: int) -> dict | None:
+        """The term map of ``substitute`` when each value it uses has one term or none, else None.
+
+        With values c_i x^{a_i}, the term c x^e goes to c prod c_i^{e_i} x^{sum e_i a_i}
+        (to nothing when a zero value has e_i > 0), merged in term order as ``_merge``
+        would, a term deleted as soon as it cancels: no power or product of ``Expr``s.
+        """
+        add = operator.add
+        constant = (0,) * dim
+        # coordinate i -> the exponents and coefficient of its value's one term, (constant, 0) for zero
+        images: dict[int, tuple] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
+        for e, c in self.terms.items():
+            moved = constant
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                image = images.get(i)
+                if image is None:
+                    value = values[i].terms
+                    if len(value) > 1:
+                        return None
+                    image = images[i] = next(iter(value.items()), (constant, 0))
+                a, ci = image
+                if not ci:
+                    break
+                if ci != 1:
+                    c = c * ci ** k
+                if k > 1:
+                    a = tuple([k * x for x in a])
+                moved = a if moved is constant else tuple(map(add, moved, a))
+            else:
+                s = out.get(moved)
+                if s is None:
+                    out[moved] = c
+                else:
+                    s += c
+                    if s:
+                        out[moved] = s
+                    else:
+                        del out[moved]
+        return out
 
     def eval_rational(self, point: Sequence[Scalar]) -> Fraction:
         """Exact evaluation at a rational point."""

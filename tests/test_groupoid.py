@@ -1138,6 +1138,58 @@ def test_chart_dependent_covector_system_is_eliminated_once_per_groupoid(reducti
     assert (cold_ca, warm_frame, warm_ca) == ([], [("Bareiss", 3, 6), ("Q", 6, 3)], [])
 
 
+# -- multiplicative gauge ---------------------------------------------------------------------------
+
+
+@st.composite
+def pair_frames(draw):
+    """A frame on pair_groupoid(R1) or pair_groupoid(R2), multiplicative or not, with its groupoid and kind.
+
+    The graphs of t*w - s*w and of t*w, of pi x (-pi) and pi x pi, or the product
+    foliation F x F of a field on the base (the zero field gives the zero foliation).
+    """
+    m = draw(st.sampled_from((R1, R2)))
+    g = pair_groupoid(m)
+    total, n = g.total, m.dim
+    factors = [Expr.coord(total, c) for c in total.coords[:n]], [Expr.coord(total, c) for c in total.coords[n:]]
+    pairs = list(combinations(range(n), 2))
+    kind = draw(st.sampled_from(("t*w - s*w", "t*w", "pi x -pi", "pi x pi", "F x F")))
+    if kind.startswith("t*w"):
+        w = KForm(m, 2, {ij: draw(small_polys(m)) for ij in pairs})
+        form = pullback_form(g.tgt, w)
+        frame = graph_two_form(form - pullback_form(g.src, w) if kind == "t*w - s*w" else form)
+    elif kind.startswith("pi"):
+        pi = {ij: draw(small_polys(m)) for ij in pairs}
+        sign = -1 if kind == "pi x -pi" else 1
+        entries = {(i, j): f.substitute(factors[0], total) for (i, j), f in pi.items()}
+        entries.update({(n + i, n + j): f.substitute(factors[1], total) * sign for (i, j), f in pi.items()})
+        frame = graph_bivector(Bivector(total, entries))
+    else:
+        field = [draw(small_polys(m)) for _ in m.coords]
+        zero = (Expr.zero(total),) * n
+        lifted = [tuple(c.substitute(values, total) for c in field) for values in factors]
+        if any(not c.is_zero() for c in field):
+            frame = foliation_frame([VField(total, lifted[0] + zero), VField(total, zero + lifted[1])])
+        else:
+            frame = graph_bivector(Bivector(total, {}))
+    return g, frame, kind
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair_frames(), st.data())
+def test_multiplicative_gauge_keeps_both_verdicts(drawn, data):
+    # B = t*beta - s*beta is multiplicative, and closed since every two-form on R1 or R2 is,
+    # so X -> i_X B is a groupoid morphism TG -> T*G and L -> L + graph(B) keeps both verdicts
+    g, frame, kind = drawn
+    m = g.base
+    beta = KForm(m, 2, {ij: data.draw(small_polys(m)) for ij in combinations(range(m.dim), 2)})
+    gauged = bfield_transform(frame, difference_form(g, beta))
+    dirac, multiplicative = check_dirac(frame).passed, check_multiplicative_frame(g, frame).passed
+    event(f"{kind}: dirac {dirac}, multiplicative {multiplicative}")
+    assert check_dirac(gauged).passed == dirac
+    assert check_multiplicative_frame(g, gauged).passed == multiplicative
+
+
 # -- induced infinitesimal data -------------------------------------------------------------------
 
 
@@ -1355,6 +1407,33 @@ def test_ca_identities_solve_the_pair_chart_once_per_trio(monkeypatch):
     monkeypatch.setattr(groupoid._ChartData, "solve", spy)
     assert check_ca_identities(g, samples).passed
     assert solves.count("tangent parts are not composable") == 4
+
+
+def test_ca_identities_compute_each_bracket_and_pairing_once(monkeypatch):
+    g = pair_groupoid(R2)
+    fields = ((("y", "x"), ("x", "0")), (("1", "x*y"), ("y", "x")))
+    calls = []
+
+    def spy(name):
+        real = getattr(groupoid, name)
+
+        def counted(a, b):
+            calls.append(name)
+            return real(a, b)
+
+        return counted
+
+    for name in ("courant_bracket", "pairing"):
+        monkeypatch.setattr(groupoid, name, spy(name))
+    # diagonal trios: the three slots share one bracket per ordered pair and one pairing per pair i <= j
+    diagonal = [(s, s, s) for s in (pair_section(g, *f) for f in fields)]
+    assert check_ca_identities(g, diagonal).passed
+    assert (calls.count("courant_bracket"), calls.count("pairing")) == (2, 3)
+    # three equal sections as three objects: one bracket and one pairing per slot
+    calls.clear()
+    distinct = [tuple(pair_section(g, *f) for _ in range(3)) for f in fields]
+    assert check_ca_identities(g, distinct).passed
+    assert (calls.count("courant_bracket"), calls.count("pairing")) == (6, 9)
 
 
 def test_ca_identities_read_only_the_fibre_halves(monkeypatch):

@@ -584,6 +584,35 @@ def test_substitute_matches_the_term_by_term_rule(e, values):
     assert list(got.terms.items()) == list(want.terms.items())
 
 
+def single_terms(patch):
+    """Values of one term or none: coordinates, zero, integer and non-integral constants, scaled monomials."""
+    coords = st.sampled_from([Expr.coord(patch, c) for c in patch.coords])
+    constants = QQ.map(lambda c: Expr.const(patch, c))
+    monomials = st.builds(lambda e, c: Expr(patch, {e: c}), st.tuples(*[st.integers(0, 2)] * patch.dim), QQ)
+    return st.one_of(coords, constants, monomials)
+
+
+X, Y = Expr.coord(XY, "x"), Expr.coord(XY, "y")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    polys(XYZ),
+    st.lists(single_terms(XY), min_size=3, max_size=3),
+    st.lists(st.one_of(single_terms(XY), polys(XY)), min_size=3, max_size=3),
+)
+# the pair groupoid's unit x -> (x, x) sends x*y and x^2 to one term; x*z restores it after the constant
+@example(parse_expr("x*y - x^2 + 1 + x*z", XYZ), [X, X, X], [X, X, parse_expr("x + y", XY)])
+@example(parse_expr("x*y*z + 2*z^2", XYZ), [X, Expr.zero(XY), Expr.const(XY, Fraction(2, 3))], [Expr.const(XY, 3), Y, X])
+def test_substitute_by_single_terms_matches_the_term_by_term_rule(e, singles, mixed):
+    # values of one term or none take the exponent-moving path; a used value of two or more terms, the path of powers
+    for values in (singles, mixed):
+        got = e.substitute(values, XY)
+        want = _substitute_term_by_term(e, values, XY)
+        assert got.terms == want.terms and str(got) == str(want)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
 @st.composite
 def constant_systems(draw):
     """A constant matrix and a polynomial right-hand side.
