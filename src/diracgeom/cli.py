@@ -126,7 +126,8 @@ def _print_expr(node, parent_prec: int = 0) -> str:
         return f"({out})" if parent_prec >= 3 else out
     if isinstance(node, BinOp):
         prec = _PREC[node.op]
-        left = _print_expr(node.left, prec - 1)
+        # a negated base keeps its parentheses: -x^2 reads as -(x^2)
+        left = _print_expr(node.left, 3 if prec == 3 and isinstance(node.left, Neg) else prec - 1)
         right = _print_expr(node.right, prec)
         out = f"{left} {node.op} {right}" if prec == 1 else f"{left}{node.op}{right}"
         return f"({out})" if parent_prec >= prec else out

@@ -22,11 +22,11 @@ direction with two given factor vectors, and ``_product`` follows it with
 the product covector that the pairing identity pins down.
 
 Data derived from the structure maps is computed once per ``GroupoidPatch``,
-on first use, and kept on the instance: the solved pair chart, the kernel
-frame along units and its right-invariant extensions, the Lie algebroid of
-that frame, the fibre rows of the cotangent source and target, the four ends
-the checks read, the unit-covector matrix, the product-covector system, and
-a group's translation matrices.  Each structure map keeps its own Jacobian
+on first use, and kept on the instance: the solved pair chart, the chart of
+composable triples, the kernel frame along units and its right-invariant
+extensions, the Lie algebroid of that frame, the fibre rows of the cotangent
+source and target, the four ends the checks read, the unit-covector matrix,
+the product-covector system, and a group's translation matrices.  Each structure map keeps its own Jacobian
 (``PolyMap.jacobian``).  Every check on the same instance reads the same copy.
 
 Cotangent unit convention: the unit covector over ``xi`` at ``eps(x)`` is the
@@ -124,6 +124,25 @@ class GroupoidPatch(_Value):
         if len(reduction.pivots) != self.comp_chart.dim:
             return "the composable-pair chart has directions that move neither factor"
         return _ChartData(*g_part, *h_part, reduction)
+
+    @cached_property
+    def _triples(self) -> tuple[Patch, tuple[Expr, ...], tuple[Expr, ...]] | str:
+        """The composable-triple chart and the pair-chart points of its two pairs, or why no triple fits."""
+        data = _chart_data(self, ChartMismatch)
+        d = self.comp_chart.dim
+        # composable triples: h_of of the first pair equals g_of of the second
+        triples = _Reduction([a_h + tuple(-q for q in a_g) for a_g, a_h in zip(data.a_g, data.a_h)], 2 * d)
+        kernel = triples.kernel()
+        if len(kernel) > MAX_DIMENSION:
+            raise WrongShape(f"the composable-triple chart has {len(kernel)} coordinates, above the limit of {MAX_DIMENSION}")
+        tri = Patch(self.comp_chart.name + "_triples", tuple(fresh_names("tau", len(kernel), ())))
+        coords = [Expr.coord(tri, c) for c in tri.coords]
+        try:
+            part = triples.solve([Expr.const(tri, data.c_g[i] - data.c_h[i]) for i in range(self.total.dim)], tri)
+        except Inconsistent:
+            return "no composable triples fit on the chart"
+        z = tuple(p + _combine(tri, [vec[j] for vec in kernel], coords) for j, p in enumerate(part))
+        return tri, z[:d], z[d:]
 
     @cached_property
     def _frame(self) -> tuple[tuple[Expr, ...], ...]:
@@ -248,7 +267,7 @@ def chart_params(
 
 def _subst_matrix(rows, values: Sequence[Expr] | None, ppatch: Patch):
     """The rows with ``values`` substituted; the rows themselves when ``values`` is None."""
-    return rows if values is None else [[e.substitute(list(values), ppatch) for e in row] for row in rows]
+    return rows if values is None else [[e.substitute(values, ppatch) for e in row] for row in rows]
 
 
 def _matvec(rows, vec, ppatch: Patch) -> list[Expr]:
@@ -272,7 +291,7 @@ def check_groupoid_axioms(g: GroupoidPatch) -> Report:
         raise ChartMismatch(
             f"left-factor source differs from right-factor target: component {matching[0] + 1} = {matching[1]}"
         )
-    data = _chart_data(g, ChartMismatch)
+    _chart_data(g, ChartMismatch)
     total = g.total
     gp = [Expr.coord(total, c) for c in total.coords]
     unit_left = g.unit.apply(list(g.tgt.components), total)
@@ -304,7 +323,7 @@ def check_groupoid_axioms(g: GroupoidPatch) -> Report:
             _agreement("right units act trivially", product(gp, unit_right), gp),
             _agreement("left inverses produce units", product(inv_pt, gp), unit_right),
             _agreement("right inverses produce units", product(gp, inv_pt), unit_left),
-            _associativity_item(g, data),
+            _associativity_item(g),
         )
     )
 
@@ -315,23 +334,12 @@ def _agreement(name: str, lhs: Sequence[Expr], rhs: Sequence[Expr]) -> CheckItem
     return CheckItem(name, diff is None, None if diff is None else f"component {diff[0] + 1} deviates by {diff[1]}")
 
 
-def _associativity_item(g: GroupoidPatch, data: _ChartData) -> CheckItem:
+def _associativity_item(g: GroupoidPatch) -> CheckItem:
     """Compare the two triple products on a chart solved from the pair constraint."""
-    d = g.comp_chart.dim
-    n_total = g.total.dim
-    # composable triples: h_of of the first pair equals g_of of the second
-    triples = _Reduction([a_h + tuple(-q for q in a_g) for a_g, a_h in zip(data.a_g, data.a_h)], 2 * d)
-    kernel = triples.kernel()
-    if len(kernel) > MAX_DIMENSION:
-        raise WrongShape(f"the composable-triple chart has {len(kernel)} coordinates, above the limit of {MAX_DIMENSION}")
-    tri = Patch(g.comp_chart.name + "_triples", tuple(fresh_names("tau", len(kernel), ())))
-    coords = [Expr.coord(tri, c) for c in tri.coords]
-    try:
-        part = triples.solve([Expr.const(tri, data.c_g[i] - data.c_h[i]) for i in range(n_total)], tri)
-    except Inconsistent:
-        raise ChartMismatch("no composable triples fit on the chart") from None
-    z = [p + _combine(tri, [vec[j] for vec in kernel], coords) for j, p in enumerate(part)]
-    c_first, c_second = z[:d], z[d:]
+    triples = g._triples
+    if isinstance(triples, str):
+        raise ChartMismatch(triples)
+    tri, c_first, c_second = triples
     gh = g.mul.apply(c_first, tri)
     hk = g.mul.apply(c_second, tri)
     left = g.mul.apply(chart_params(g, gh, g.h_of.apply(c_second, tri), tri, ChartMismatch), tri)

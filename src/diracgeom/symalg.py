@@ -58,14 +58,12 @@ and the two slot descriptors' own setters, with no ``__setattr__`` call, so
 every other assignment still raises.
 
 No work on a zero or a unit: ``substitute`` checks its values and then
-returns the target's zero for the zero polynomial at once.  When every value
-the polynomial uses has one term or none (a coordinate, a constant or a
-scaled monomial, as the projections and unit maps of a groupoid give), each
-term goes to one term: its exponents are moved and its coefficient scaled,
-and the results are merged into one term map in the order ``_merge`` would
-give, with no power or product of ``Expr``s.  At the first used value of two
-or more terms it drops that work and takes the general path, which builds
-each power of a value once, and a unit only for a constant term.  ``e ** k``
+returns the target's zero for the zero polynomial at once.  Otherwise it
+makes one pass over the terms and reads each used value once: a value of one
+term or none moves a term's exponents and scales its coefficient, a value of
+more terms contributes its power, built once per call by ``_product``, and a
+term that uses a zero value is skipped.  The terms are merged in the order of
+the term-by-term rule, and the result is the only ``Expr`` built.  ``e ** k``
 is k - 1 products starting from ``e`` itself.  A zero operand returns at once:
 ``a + 0``, ``0 + a`` and ``a - 0`` are ``a``, and ``-0`` and the derivative of 0 are that zero, so a
 result may be an operand itself; no operation changes a term map it did not
@@ -393,7 +391,11 @@ class Expr(_Frozen):
         return Expr._trusted(self.patch, out)
 
     def substitute(self, values: Sequence["Expr"], target: Patch) -> "Expr":
-        """Evaluate at values[i] in place of coordinate i; result on ``target``."""
+        """Evaluate at values[i] in place of coordinate i; result on ``target``.
+
+        The terms come in the order of the term-by-term rule c * prod values[i] ** e_i: multiplying
+        by one term never merges two terms, so the single-term factors of a term fold into one pair.
+        """
         if len(values) != self.patch.dim:
             raise WrongShape("need one value per coordinate")
         for v in values:
@@ -401,49 +403,30 @@ class Expr(_Frozen):
                 raise PatchMismatch("substitution values must live on the target patch")
         if not self.terms:
             return Expr._trusted(target, {})
-        terms = self._substitute_terms(values, target.dim)
-        if terms is not None:
-            return Expr._trusted(target, terms)
-        powers: list[dict[int, Expr]] = [dict() for _ in values]
-
-        def power(i: int, k: int) -> Expr:
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = values[i] ** k
-            return cache[k]
-
-        monomials = []
-        for e in self.terms:
-            mono = None
-            for i, k in enumerate(e):
-                if k:
-                    mono = power(i, k) if mono is None else mono * power(i, k)
-            monomials.append(Expr.one(target) if mono is None else mono)
-        return _combine(target, self.terms.values(), monomials)
-
-    def _substitute_terms(self, values: Sequence["Expr"], dim: int) -> dict | None:
-        """The term map of ``substitute`` when each value it uses has one term or none, else None.
-
-        With values c_i x^{a_i}, the term c x^e goes to c prod c_i^{e_i} x^{sum e_i a_i}
-        (to nothing when a zero value has e_i > 0), merged in term order as ``_merge``
-        would, a term deleted as soon as it cancels: no power or product of ``Expr``s.
-        """
         add = operator.add
-        constant = (0,) * dim
-        # coordinate i -> the exponents and coefficient of its value's one term, (constant, 0) for zero
-        images: dict[int, tuple] = {}
+        constant = (0,) * target.dim
+        # coordinate i -> the exponents and coefficient of its value's one term, (constant, 0) for
+        # zero, or for a value of more terms its powers by exponent, the first its own term map
+        images: dict[int, tuple | dict] = {}
         out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
-            moved = constant
+            moved, poly = constant, None
             for i, k in enumerate(e):
                 if not k:
                     continue
                 image = images.get(i)
                 if image is None:
                     value = values[i].terms
-                    if len(value) > 1:
-                        return None
-                    image = images[i] = next(iter(value.items()), (constant, 0))
+                    image = images[i] = {1: value} if len(value) > 1 else next(iter(value.items()), (constant, 0))
+                if type(image) is dict:
+                    p = image.get(k)
+                    if p is None:
+                        p = image[1]
+                        for _ in range(k - 1):
+                            p = _product(p, image[1])
+                        image[k] = p
+                    poly = p if poly is None else _product(poly, p)
+                    continue
                 a, ci = image
                 if not ci:
                     break
@@ -453,6 +436,10 @@ class Expr(_Frozen):
                     a = tuple([k * x for x in a])
                 moved = a if moved is constant else tuple(map(add, moved, a))
             else:
+                if poly is not None:
+                    # a fresh map: never the value's own map or a kept power
+                    out = _merge(out, _product({moved: c}, poly))
+                    continue
                 s = out.get(moved)
                 if s is None:
                     out[moved] = c
@@ -462,7 +449,7 @@ class Expr(_Frozen):
                         out[moved] = s
                     else:
                         del out[moved]
-        return out
+        return Expr._trusted(target, out)
 
     def eval_rational(self, point: Sequence[Scalar]) -> Fraction:
         """Exact evaluation at a rational point."""

@@ -127,6 +127,37 @@ def test_parenthesised_check_arguments_are_not_calls():
     assert parse_checkfile(print_checkfile(cf)) == cf
 
 
+EXPR_TREES = st.recursive(
+    st.one_of(st.sampled_from([Name("x"), Name("dy")]), st.integers(0, 12).map(IntLit)),
+    lambda children: st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(Call, st.sampled_from(["f", "patch"]), st.lists(children, max_size=2).map(tuple)),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPR_TREES)
+@example(Neg(BinOp("^", Neg(Name("x")), Name("x"))))
+@example(BinOp("^", BinOp("^", Name("x"), IntLit(2)), IntLit(3)))
+def test_printed_expressions_parse_back(tree):
+    # as a declared value (parent precedence 0) and as a check argument (3)
+    assert parse_checkfile(f"let a = {_print_expr(tree)}\n").statements[0].value == tree
+    assert parse_checkfile(f"check closed {_print_expr(tree, 3)}\n").statements[0].args == (tree,)
+
+
+def test_labels_keep_the_parentheses_of_a_negated_power_base(tmp_path, capsys):
+    path = write(tmp_path, "let M = patch(x, y)\ncheck closed ((-x)^2*dy)\ncheck closed (-(x^2)*dy)\n")
+    assert main(["verify", path]) == 1
+    assert capsys.readouterr().out.splitlines()[::2] == [
+        "fail  closed ((-x)^2*dy)",
+        "fail  closed (-(x^2)*dy)",
+        "summary: 0 passed, 2 failed",
+    ]
+
+
 def test_exponent_limit():
     ok = run_checks(parse_checkfile(f"let M = patch(x)\ncheck closed (x^{MAX_EXPONENT}*dx)\n"))
     assert ok.checks[0].verdict == "pass"

@@ -363,7 +363,7 @@ def test_derived_data_is_built_once_per_groupoid(build_counts):
     build_counts.clear()
     first = _pair_checks(g, inputs)
     assert _pair_checks(g, inputs) == first
-    pieces = {"_chart", "_frame", "_fields", "_algebroid", "_fibre_rows", "_ends", "_unit_covectors", "_product_system"}
+    pieces = {"_chart", "_triples", "_frame", "_fields", "_algebroid", "_fibre_rows", "_ends", "_unit_covectors", "_product_system"}
     assert {k: v for k, v in build_counts.items() if isinstance(k, str)} == dict.fromkeys(pieces, 1)
     maps = {id(m) for m in (g.src, g.tgt, g.unit, g.inv, g.mul, g.g_of, g.h_of)}
     assert {k[1]: v for k, v in build_counts.items() if not isinstance(k, str)} == dict.fromkeys(maps, 1)

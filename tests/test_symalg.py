@@ -532,6 +532,7 @@ def test_operations_change_no_operand(a, b, c):
     first = [
         a + b, b + a, a - b, b - a, -a, a * b, b * a, a.differentiate("x"),
         symalg.dot(XY, [(a, b), (b, c), (a, c)]), symalg._combine(XY, [2, -1, 1], [a, b, c]),
+        a.substitute([b, c], XY), b.substitute([c, c], XY),
     ]
     middle = snapshot(first)
     # each result again as an operand, and what that gives once more
@@ -604,12 +605,35 @@ X, Y = Expr.coord(XY, "x"), Expr.coord(XY, "y")
 # the pair groupoid's unit x -> (x, x) sends x*y and x^2 to one term; x*z restores it after the constant
 @example(parse_expr("x*y - x^2 + 1 + x*z", XYZ), [X, X, X], [X, X, parse_expr("x + y", XY)])
 @example(parse_expr("x*y*z + 2*z^2", XYZ), [X, Expr.zero(XY), Expr.const(XY, Fraction(2, 3))], [Expr.const(XY, 3), Y, X])
+# x*y cancels the X^2 of the first term through the value x + y, and x*z restores it at the end of the map
+@example(parse_expr("x^2 - x*y + x*z", XYZ), [X, Y, X], [X, parse_expr("x + y", XY), X])
 def test_substitute_by_single_terms_matches_the_term_by_term_rule(e, singles, mixed):
-    # values of one term or none take the exponent-moving path; a used value of two or more terms, the path of powers
     for values in (singles, mixed):
         got = e.substitute(values, XY)
         want = _substitute_term_by_term(e, values, XY)
         assert got.terms == want.terms and str(got) == str(want)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_substitute_builds_no_expr_but_its_result(monkeypatch):
+    # multi-term values raised to powers k >= 2, a constant term and a zero value: no power, product or unit
+    cases = [
+        (parse_expr("x^2*y + z", XYZ), [parse_expr("x + y", XY), Y, X]),
+        (parse_expr("3 + x^3*z - y*z^2 + x*z^2", XYZ), [parse_expr("x - 1", XY), Expr.zero(XY), parse_expr("x*y + 2", XY)]),
+    ]
+    built = []
+    trusted = Expr._trusted
+
+    def spy(patch, terms):
+        built.append(patch)
+        return trusted(patch, terms)
+
+    monkeypatch.setattr(Expr, "_trusted", staticmethod(spy))
+    for e, values in cases:
+        built.clear()
+        got = e.substitute(values, XY)
+        assert built == [XY]
+        want = _substitute_term_by_term(e, values, XY)
         assert list(got.terms.items()) == list(want.terms.items())
 
 
