@@ -50,13 +50,11 @@ from .cartan import (
 )
 from .courant import Frame, check_lagrangian
 from .errors import (
-    AnchorNotTangent,
+    HypothesisFails,
     NotAlgebroid,
     NotLagrangian,
-    NotLie,
     PatchMismatch,
     RankDeficient,
-    RankTooLarge,
     WrongShape,
 )
 from .report import CheckItem, Report
@@ -183,7 +181,7 @@ def check_lie_algebroid(a: AlgebroidPatch) -> Report:
     """Jacobi identity on frame triples and anchor compatibility on frame pairs, up to rank MAX_DIMENSION // 4."""
     r = a.rank
     if r > MAX_DIMENSION // 4:
-        raise RankTooLarge(f"an algebroid of rank {r} is above the limit of {MAX_DIMENSION // 4} for the Jacobi check")
+        raise WrongShape(f"an algebroid of rank {r} is above the limit of {MAX_DIMENSION // 4} for the Jacobi check")
     jacobi = (f"jacobi[{i + 1},{j + 1},{k + 1}] has e_{m + 1} component {v}" for i, j, k, m, v in _jacobi_failures(a))
 
     def anchor():
@@ -287,7 +285,7 @@ def check_lie_bialgebroid(a: AlgebroidPatch, dual: AlgebroidPatch) -> Report:
     if dual.rank != a.rank:
         raise WrongShape("dual structure must have the same rank")
     if a.rank > 4:
-        raise RankTooLarge("bialgebroid check supports rank at most 4")
+        raise WrongShape("bialgebroid check supports rank at most 4")
     for side, name in ((a, "primary"), (dual, "dual")):
         rep = check_lie_algebroid(side)
         if not rep.passed:
@@ -408,7 +406,7 @@ def check_im_foliation(a: AlgebroidPatch, f: IMFoliation) -> Report:
         raise RankDeficient("foliation generators are generically dependent")
     for m in f.k_sub:
         if not in_span(span, a.anchor[m].components()):
-            raise AnchorNotTangent(f"rho(e_{m + 1}) is not tangent to the foliation")
+            raise HypothesisFails(f"rho(e_{m + 1}) is not tangent to the foliation")
     quotient = [m for m in range(a.rank) if m not in f.k_sub]
     nf = len(f.f_m)
 
@@ -459,7 +457,7 @@ def check_lie_bialgebra(g: AlgebroidPatch, gstar: AlgebroidPatch) -> Report:
     both algebroids of one rank over one point patch, read as a bialgebroid over the point."""
     if g.base.dim != 0 or gstar.base != g.base or gstar.rank != g.rank:
         raise WrongShape("a Lie bialgebra needs two algebroids of one rank over one point patch")
-    check_lie_algebroid(g).require(NotLie)
+    check_lie_algebroid(g).require(NotAlgebroid)
     dual_jacobi = (
         f"dual jacobi[{i + 1},{j + 1},{k + 1}] component {m + 1}: {-v}" for i, j, k, m, v in _jacobi_failures(gstar)
     )

@@ -47,7 +47,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
-from .errors import DegreeTooHigh, DegreeZero, PatchMismatch, WrongShape
+from .errors import PatchMismatch, WrongShape
 from .symalg import Expr, ExprMatrix, Patch, _combine, _Frozen, _Value, dot
 
 MAX_DEGREE = 3
@@ -236,7 +236,7 @@ class KForm(_AntisymTensor):
 
     def __init__(self, patch: Patch, degree: int, coeffs: Mapping[tuple[int, ...], Expr]):
         if degree < 0 or degree > MAX_DEGREE:
-            raise DegreeTooHigh(f"degree {degree} outside 0..{MAX_DEGREE}")
+            raise WrongShape(f"degree {degree} outside 0..{MAX_DEGREE}")
         super().__init__(patch, degree, coeffs)
 
     @staticmethod
@@ -288,7 +288,7 @@ def _det(rows: list[list[Expr]]) -> Expr:
             - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
             + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
         )
-    raise DegreeTooHigh("determinants only up to 3x3 are needed")
+    raise WrongShape("determinants only up to 3x3 are needed")
 
 
 class Bivector(_AntisymTensor):
@@ -406,7 +406,7 @@ def lie_bracket(x: VField, y: VField) -> VField:
 def exterior_derivative(w: KForm) -> KForm:
     """d on forms of degree <= 2, taken once per form and memoised on it."""
     if w.degree > 2:
-        raise DegreeTooHigh("exterior derivative supported for degree <= 2")
+        raise WrongShape("exterior derivative supported for degree <= 2")
     if w._memo is not None:
         return w._memo
     patch = w.patch
@@ -426,7 +426,7 @@ def exterior_derivative(w: KForm) -> KForm:
 def interior_product(x: VField, w: KForm) -> KForm:
     """i_X w; requires degree >= 1."""
     if w.degree == 0:
-        raise DegreeZero("cannot contract a function")
+        raise WrongShape("cannot contract a function")
     if x.patch != w.patch:
         raise PatchMismatch("operands on different patches")
     patch, support = w.patch, x.coeffs
@@ -441,7 +441,7 @@ def interior_product(x: VField, w: KForm) -> KForm:
 def lie_derivative(x: VField, w: KForm) -> KForm:
     """Cartan magic formula L_X = i_X d + d i_X (degree <= 2)."""
     if w.degree > 2:
-        raise DegreeTooHigh("Lie derivative supported for degree <= 2")
+        raise WrongShape("Lie derivative supported for degree <= 2")
     if w.degree == 0:
         return KForm._trusted(w.patch, 0, {k: x.apply(c) for k, c in w.coeffs.items()})
     return interior_product(x, exterior_derivative(w)) + exterior_derivative(
@@ -466,7 +466,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
         raise PatchMismatch("forms on different patches")
     deg = a.degree + b.degree
     if deg > MAX_DEGREE:
-        raise DegreeTooHigh(f"wedge degree {deg} exceeds {MAX_DEGREE}")
+        raise WrongShape(f"wedge degree {deg} exceeds {MAX_DEGREE}")
     return KForm._trusted(a.patch, deg, _wedge_coeffs(a, b))
 
 

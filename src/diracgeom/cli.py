@@ -476,12 +476,13 @@ def _typed_args(name, types, variadic, nodes, evaluate) -> list:
 
     A variadic signature repeats its last type; an integral Fraction passes as an int.
     """
+    count = f"{len(types)} argument" + ("" if len(types) == 1 else "s")
     if variadic:
         if len(nodes) < len(types):
-            raise CheckError(f"{name} expects at least {len(types)} arguments, got {len(nodes)}")
+            raise CheckError(f"{name} expects at least {count}, got {len(nodes)}")
         types = list(types) + [types[-1]] * (len(nodes) - len(types))
     elif len(nodes) != len(types):
-        raise CheckError(f"{name} expects {len(types)} arguments, got {len(nodes)}")
+        raise CheckError(f"{name} expects {count}, got {len(nodes)}")
     args = []
     for i, (node, want) in enumerate(zip(nodes, types), start=1):
         value = evaluate(node)
@@ -642,11 +643,18 @@ def _run_statement(stmt, env: dict) -> CheckResult | None:
 
 
 def run_checkfile(path: str) -> RunReport:
+    """Run a UTF-8 check file; a leading byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec reports the offset within the bytes after the mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line}: the file is not UTF-8 text") from None
     return run_checks(parse_checkfile(text))
 
 

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all engine modules."""
+"""Exception hierarchy shared by all engine modules.
+
+One class per condition, raised where the condition is found: a caller does
+not pass a class or a message down to the helper that finds a failure, and
+two classes never name the same condition.  Every class below has a raise
+site in the package (``tests/test_hygiene.py::test_every_error_class_is_raised``).
+"""
 
 
 class EngineError(Exception):
@@ -23,20 +29,10 @@ class Inconsistent(EngineError):
     """A linear system has no solution over the fraction field."""
 
 
-# -- Cartan calculus ---------------------------------------------------------
-
-class DegreeTooHigh(EngineError):
-    """A form degree outside the supported range was requested."""
-
-
-class DegreeZero(EngineError):
-    """The operation needs a form of degree at least one."""
-
-
 # -- Courant / Dirac ---------------------------------------------------------
 
 class RankDeficient(EngineError):
-    """A span has lower generic rank than required."""
+    """A span has lower generic rank than required, or a solve has more than one solution."""
 
 
 class NotLagrangian(EngineError):
@@ -44,7 +40,7 @@ class NotLagrangian(EngineError):
 
 
 class WrongShape(EngineError):
-    """Coordinate data does not have the expected block structure."""
+    """Data has the wrong block structure, or a size or degree outside the supported range."""
 
 
 # -- algebroids --------------------------------------------------------------
@@ -53,38 +49,18 @@ class NotAlgebroid(EngineError):
     """The anchor/structure data fails the Lie algebroid axioms."""
 
 
-class RankTooLarge(EngineError):
-    """The operation is only supported up to a fixed small rank."""
-
-
-class NotLie(EngineError):
-    """Constant structure data fails the Jacobi identity."""
-
-
 class RankJump(EngineError):
     """A kernel or span fails to have constant rank along the patch."""
-
-
-class AnchorNotTangent(EngineError):
-    """An anchor image does not lie in the prescribed distribution."""
 
 
 # -- groupoids ---------------------------------------------------------------
 
 class ChartMismatch(EngineError):
-    """Groupoid chart maps do not satisfy the composability identities."""
-
-
-class TranslationNotDerivable(EngineError):
-    """Left/right translation cannot be recovered from the composition chart."""
+    """Groupoid chart maps do not give a solvable chart of composable pairs or triples."""
 
 
 class NotComposable(EngineError):
     """The two elements do not satisfy the source/target matching condition."""
-
-
-class UnderdeterminedSpan(EngineError):
-    """A linear solve has more than one solution where a unique one is needed."""
 
 
 class NotAGroup(EngineError):
@@ -96,7 +72,7 @@ class NotMultiplicative(EngineError):
 
 
 class HypothesisFails(EngineError):
-    """Supplied sample data does not satisfy the hypothesis it claims."""
+    """Supplied data does not satisfy the hypothesis it claims."""
 
 
 # -- check files -------------------------------------------------------------

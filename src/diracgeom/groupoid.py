@@ -53,9 +53,8 @@ from .errors import (
     NotLagrangian,
     NotMultiplicative,
     PatchMismatch,
+    RankDeficient,
     RankJump,
-    TranslationNotDerivable,
-    UnderdeterminedSpan,
     WrongShape,
 )
 from .report import CheckItem, Report
@@ -114,21 +113,24 @@ class GroupoidPatch(_Value):
     # see the structure maps only.  A property that raises caches nothing.
 
     @cached_property
-    def _chart(self) -> _ChartData | str:
-        """The pair chart solved over Q, or why it cannot be solved."""
+    def _chart(self) -> _ChartData:
+        """The pair chart solved over Q; ``ChartMismatch`` when it cannot be solved."""
         g_part, h_part = _affine_rows(self.g_of), _affine_rows(self.h_of)
         if g_part is None or h_part is None:
-            return "factor projections must be affine in the chart coordinates"
+            raise ChartMismatch("factor projections must be affine in the chart coordinates")
         reduction = _Reduction(g_part[0] + h_part[0], self.comp_chart.dim)
         # the chart must embed into the pair space, otherwise factors do not pin it down
         if len(reduction.pivots) != self.comp_chart.dim:
-            return "the composable-pair chart has directions that move neither factor"
+            raise ChartMismatch("the composable-pair chart has directions that move neither factor")
         return _ChartData(*g_part, *h_part, reduction)
 
     @cached_property
-    def _triples(self) -> tuple[Patch, tuple[Expr, ...], tuple[Expr, ...]] | str:
-        """The composable-triple chart and the pair-chart points of its two pairs, or why no triple fits."""
-        data = _chart_data(self, ChartMismatch)
+    def _triples(self) -> tuple[Patch, tuple[Expr, ...], tuple[Expr, ...]]:
+        """The composable-triple chart and the pair-chart points of its two pairs.
+
+        ``ChartMismatch`` when the pair chart cannot be solved or no triple fits on it.
+        """
+        data = self._chart
         d = self.comp_chart.dim
         # composable triples: h_of of the first pair equals g_of of the second
         triples = _Reduction([a_h + tuple(-q for q in a_g) for a_g, a_h in zip(data.a_g, data.a_h)], 2 * d)
@@ -140,7 +142,7 @@ class GroupoidPatch(_Value):
         try:
             part = triples.solve([Expr.const(tri, data.c_g[i] - data.c_h[i]) for i in range(self.total.dim)], tri)
         except Inconsistent:
-            return "no composable triples fit on the chart"
+            raise ChartMismatch("no composable triples fit on the chart") from None
         z = tuple(p + _combine(tri, [vec[j] for vec in kernel], coords) for j, p in enumerate(part))
         return tri, z[:d], z[d:]
 
@@ -198,18 +200,17 @@ class GroupoidPatch(_Value):
     @cached_property
     def _product_system(self) -> tuple[ExprMatrix, tuple[tuple[Fraction, ...], ...]]:
         """The transposed multiplication Jacobian, its rank checked, and the factor rows pulled back to the pair chart."""
-        data = _chart_data(self, TranslationNotDerivable)
+        data = self._chart
         mat = self.mul.jacobian().transpose()
         if generic_rank(mat) != self.total.dim:
-            raise UnderdeterminedSpan("the pairing identity does not pin down the product covector")
+            raise RankDeficient("the pairing identity does not pin down the product covector")
         return mat, tuple(zip(*(data.a_g + data.a_h)))
 
     @cached_property
     def _translations(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
         """Derivatives of left and right translation on the pair chart, column by moved coordinate."""
         chart = self.comp_chart
-        message = "translation direction missing from the chart"
-        translate = _tangent_product(self, None, chart, message, TranslationNotDerivable)
+        translate = _tangent_product(self, None, chart)
         n_total = self.total.dim
         zero = [Expr.zero(chart)] * n_total
         basis = [[Expr.const(chart, 1 if k == i else 0) for k in range(n_total)] for i in range(n_total)]
@@ -228,12 +229,12 @@ class _ChartData(NamedTuple):
     c_h: tuple[Fraction, ...]
     reduction: _Reduction
 
-    def solve(self, rhs: Sequence[Expr], ppatch: Patch, exc, message: str) -> list[Expr]:
-        """The chart vector whose factor images are ``rhs``; ``exc(message)`` when there is none."""
+    def solve(self, rhs: Sequence[Expr], ppatch: Patch) -> list[Expr]:
+        """The chart vector whose factor images are ``rhs``; ``NotComposable`` when there is none."""
         try:
             return self.reduction.solve(rhs, ppatch)
         except Inconsistent:
-            raise exc(message) from None
+            raise NotComposable("the pair does not lie on the composable chart") from None
 
 
 def _affine_rows(m: PolyMap) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]] | None:
@@ -245,24 +246,11 @@ def _affine_rows(m: PolyMap) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fr
     return tuple(tuple(row) for row in rows), tuple(comp.eval_rational(origin) for comp in m.components)
 
 
-def _chart_data(g: GroupoidPatch, exc) -> _ChartData:
-    data = g._chart
-    if isinstance(data, str):
-        raise exc(data)
-    return data
-
-
-def chart_params(
-    g: GroupoidPatch,
-    left: Sequence[Expr],
-    right: Sequence[Expr],
-    ppatch: Patch,
-    exc=NotComposable,
-) -> list[Expr]:
+def chart_params(g: GroupoidPatch, left: Sequence[Expr], right: Sequence[Expr], ppatch: Patch) -> list[Expr]:
     """Chart coordinates of the composable pair (left, right)."""
-    data = _chart_data(g, exc)
+    data = g._chart
     rhs = [p - Expr.const(ppatch, q) if q else p for p, q in zip(list(left) + list(right), data.c_g + data.c_h)]
-    return data.solve(rhs, ppatch, exc, "the pair does not lie on the composable chart")
+    return data.solve(rhs, ppatch)
 
 
 def _subst_matrix(rows, values: Sequence[Expr] | None, ppatch: Patch):
@@ -291,7 +279,6 @@ def check_groupoid_axioms(g: GroupoidPatch) -> Report:
         raise ChartMismatch(
             f"left-factor source differs from right-factor target: component {matching[0] + 1} = {matching[1]}"
         )
-    _chart_data(g, ChartMismatch)
     total = g.total
     gp = [Expr.coord(total, c) for c in total.coords]
     unit_left = g.unit.apply(list(g.tgt.components), total)
@@ -299,8 +286,7 @@ def check_groupoid_axioms(g: GroupoidPatch) -> Report:
     inv_pt = list(g.inv.components)
 
     def product(left, right):
-        c0 = chart_params(g, left, right, total, ChartMismatch)
-        return g.mul.apply(c0, total)
+        return g.mul.apply(chart_params(g, left, right, total), total)
 
     return Report(
         (
@@ -336,14 +322,11 @@ def _agreement(name: str, lhs: Sequence[Expr], rhs: Sequence[Expr]) -> CheckItem
 
 def _associativity_item(g: GroupoidPatch) -> CheckItem:
     """Compare the two triple products on a chart solved from the pair constraint."""
-    triples = g._triples
-    if isinstance(triples, str):
-        raise ChartMismatch(triples)
-    tri, c_first, c_second = triples
+    tri, c_first, c_second = g._triples
     gh = g.mul.apply(c_first, tri)
     hk = g.mul.apply(c_second, tri)
-    left = g.mul.apply(chart_params(g, gh, g.h_of.apply(c_second, tri), tri, ChartMismatch), tri)
-    right = g.mul.apply(chart_params(g, g.g_of.apply(c_first, tri), hk, tri, ChartMismatch), tri)
+    left = g.mul.apply(chart_params(g, gh, g.h_of.apply(c_second, tri), tri), tri)
+    right = g.mul.apply(chart_params(g, g.g_of.apply(c_first, tri), hk, tri), tri)
     return _agreement("composition is associative on the derived triple chart", left, right)
 
 
@@ -461,11 +444,9 @@ def heisenberg3() -> GroupoidPatch:
 def _right_invariant_fields(g: GroupoidPatch, basis) -> list[VField]:
     """Extend kernel-frame vectors to the whole chart by right translation."""
     total = g.total
-    # a pair chart that cannot be solved is a translation fault, named before the unit pair is solved
-    _chart_data(g, TranslationNotDerivable)
     x_t = list(g.tgt.components)
     pair = chart_params(g, g.unit.apply(x_t, total), [Expr.coord(total, c) for c in total.coords], total)
-    translate = _tangent_product(g, pair, total, "kernel vector does not extend along the chart", TranslationNotDerivable)
+    translate = _tangent_product(g, pair, total)
     zero = [Expr.zero(total)] * total.dim
     return [VField(total, tuple(translate([comp.substitute(x_t, total) for comp in vec], zero))) for vec in basis]
 
@@ -505,17 +486,18 @@ def _algebroid_on(g: GroupoidPatch, basis: Sequence[Sequence[Expr]], fields) -> 
     return AlgebroidPatch(m, anchors, brackets)
 
 
-def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch, message: str, exc):
+def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patch):
     """The map (x, y) -> Tm·δ at chart point ``pair``, where δ is the chart direction with factor images x and y.
 
-    ``exc(message)`` when there is no such δ; ``pair=None`` is the pair chart itself, with no substitution.
+    ``ChartMismatch`` at once when the pair chart cannot be solved, and ``NotComposable`` from the
+    map when there is no such δ; ``pair=None`` is the pair chart itself, with no substitution.
     """
-    data = _chart_data(g, TranslationNotDerivable)
+    data = g._chart
     dmul = _subst_matrix(g.mul.jacobian().entries, pair, ppatch)
-    return lambda x, y: _matvec(dmul, data.solve(list(x) + list(y), ppatch, exc, message), ppatch)
+    return lambda x, y: _matvec(dmul, data.solve(list(x) + list(y), ppatch), ppatch)
 
 
-def _product(g: GroupoidPatch, xa: Sequence[Expr], yb: Sequence[Expr], message: str, exc) -> list[RatExpr]:
+def _product(g: GroupoidPatch, xa: Sequence[Expr], yb: Sequence[Expr]) -> list[RatExpr]:
     """The multiplication of TG ⊕ T*G on the pair chart: the product of two stacked (x, a), as ``RatExpr``.
 
     The product is the tangent product, then the covector c the pairing
@@ -524,7 +506,7 @@ def _product(g: GroupoidPatch, xa: Sequence[Expr], yb: Sequence[Expr], message: 
     (``GroupoidPatch._product_system``), whose rank is checked once per groupoid.
     """
     chart, n_total = g.comp_chart, g.total.dim
-    x = _tangent_product(g, None, chart, message, exc)(xa[:n_total], yb[:n_total])
+    x = _tangent_product(g, None, chart)(xa[:n_total], yb[:n_total])
     mat, pulled = g._product_system
     covs = list(xa[n_total:]) + list(yb[n_total:])
     return [RatExpr(v) for v in x] + solve_linear(mat, [_combine(chart, row, covs) for row in pulled])
@@ -640,7 +622,7 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     def products():
         for idx, vec in enumerate(kernel):
             xa, yb = _matvec(left, vec[:k], chart), _matvec(right, vec[k:], chart)
-            column = _product(g, xa, yb, "composable pair escapes the chart", RankJump)
+            column = _product(g, xa, yb)
             if not _in_span(span, span_rank, clear_denominators(column)):
                 yield f"composable direction {idx + 1}: the product leaves the span"
 
@@ -718,9 +700,9 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
         if ends is not None:
             xa1, xa2 = xa1[:n_total] + zero, xa2[:n_total] + zero
         try:
-            xa = _product(g, xa1, xa2, "tangent parts are not composable", NotComposable)
-        except NotComposable as exc:
-            return str(exc)
+            xa = _product(g, xa1, xa2)
+        except NotComposable:
+            return "tangent parts are not composable"
         diff = _first_difference(xa[:n_total], xa0[:n_total])
         if diff is not None:
             return f"tangent component {diff[0] + 1} deviates by {diff[1]}"

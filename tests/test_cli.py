@@ -584,6 +584,9 @@ def test_main_exit_codes(tmp_path, capsys):
         ),
         # a constructor's shape error is an engine error, printed once without the constructor's name
         ("let M = patch(x, y)\nlet L = bfield_transform(graph_two_form(dx^dy), dx)\n", "line 2: b-field must be a two-form"),
+        # one argument is singular, for a variadic constructor and for a check
+        ("let M = patch(x)\nlet L = foliation_frame()\n", "line 2: foliation_frame expects at least 1 argument, got 0"),
+        ("let M = patch(x)\ncheck closed\n", "line 2: check closed expects 1 argument, got 0"),
     ],
     ids=[
         "duplicate-coordinate",
@@ -614,6 +617,8 @@ def test_main_exit_codes(tmp_path, capsys):
         "dual-poisson-above-the-algebroid-rank-limit",
         "im-two-form-above-the-algebroid-rank-limit",
         "bfield-of-a-one-form",
+        "variadic-constructor-without-arguments",
+        "check-without-arguments",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected):
@@ -623,6 +628,29 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected)
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     if expected is not None:
         assert out.err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"let M = patch(x)\n# caf\xe9\ncheck closed dx\n", "line 2: the file is not UTF-8 text"),
+        (b"\xef\xbb\xbflet M = patch(x)\r\n\xff", "line 2: the file is not UTF-8 text"),
+        (b"\xe9", "line 1: the file is not UTF-8 text"),
+    ],
+    ids=["latin-1-comment", "after-a-byte-order-mark", "first-byte"],
+)
+def test_a_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, data, expected):
+    path = tmp_path / "bytes.check"
+    path.write_bytes(data)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    path = tmp_path / "bom.check"
+    path.write_bytes(b"\xef\xbb\xbflet M = patch(x)\ncheck closed dx\n")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "pass  closed dx\nsummary: 1 passed, 0 failed\n"
 
 
 def test_a_300_term_sum_in_a_check_passes(tmp_path, capsys):

@@ -50,6 +50,7 @@ EXIT_CODES = {
     "dirac_witnesses": 1,
     "groupoid_witnesses": 1,
     "lifted_algebroids": 1,
+    "not_utf8": 2,
     "rank_deficient": 2,
     "slow_linearity": 1,
     "slow_linearity_4d": 1,

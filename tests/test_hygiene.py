@@ -1,11 +1,12 @@
 """Source hygiene: no unused imports, no unreferenced private names, no public
 name without a caller, no unreferenced private class members, no
-``assert`` statements and no accumulator loops over ``Expr`` or ``KForm`` in
-``src/diracgeom``, every module of it importable on its own, and no syntax
-newer than Python 3.10 in any Python file.  Outside the tests, the package,
-the benchmark and the demos must read every public member of a public class,
-read every static or class method of one through its own class, and pass
-every parameter and ``NamedTuple`` field that has a default.  Importing the
+``assert`` statements, no accumulator loops over ``Expr`` or ``KForm`` and no
+error class without a raise site in ``src/diracgeom``, every module of it
+importable on its own, and no syntax newer than Python 3.10 in any Python
+file.  Outside the tests, the package, the benchmark and the demos must read
+every public member of a public class, read every static or class method of
+one through its own class, and pass every parameter and ``NamedTuple`` field
+that has a default.  Importing the
 command line and the suite loads neither ``dataclasses`` nor ``inspect``.
 Immutability has one mechanism: only ``symalg._Frozen`` defines
 ``__setattr__``, only ``_Value`` and the types with their own fast paths
@@ -235,6 +236,27 @@ def test_no_assert_statements():
     for path in MODULES:
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _raised_names(tree: ast.AST) -> set[str]:
+    """Classes raised by name: ``raise X(...)`` or ``raise X``, and every name passed to ``.require(...)``."""
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "require":
+            raised |= {arg.id for arg in node.args if isinstance(arg, ast.Name)}
+    return raised
+
+
+def test_every_error_class_is_raised():
+    # one class per condition, raised where the condition is found: a class whose last raise
+    # site goes must go with it, so no two classes are left naming one condition
+    defined = {stmt.name for stmt in _tree(SRC / "errors.py").body if isinstance(stmt, ast.ClassDef)}
+    raised = set().union(*(_raised_names(_tree(path)) for path in MODULES))
+    assert sorted(defined - {"EngineError"} - raised) == []
 
 
 def _is_zero_call(node: ast.AST) -> bool:
