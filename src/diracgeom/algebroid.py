@@ -142,6 +142,8 @@ def tangent_lift_algebroid(a: AlgebroidPatch) -> AlgebroidPatch:
     Te_a to the tangent lift and e_a-hat to the vertical lift of rho(e_a).
     Only the pairs with a non-zero base bracket get an entry.
     """
+    if 2 * a.base.dim > MAX_DIMENSION:
+        raise WrongShape(f"tangent_lift_algebroid needs an algebroid over at most {MAX_DIMENSION // 2} coordinates, got {a.base.dim}")
     r = a.rank
     total = tangent_patch(a.base).total
     anchors = [lift_vector_field(v, "tangent") for v in a.anchor]

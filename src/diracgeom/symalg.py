@@ -466,9 +466,14 @@ class Expr(_Frozen):
         return acc
 
     def inject(self, target: Patch) -> "Expr":
-        """Reinterpret on a patch containing all coordinates of this one."""
+        """Reinterpret on a patch containing all coordinates of this one; on one that starts with
+        them in order, as tangent and cotangent total patches do, only pad the exponent tuples."""
         if target == self.patch:
             return self
+        n = self.patch.dim
+        if target.coords[:n] == self.patch.coords:
+            pad = (0,) * (target.dim - n)
+            return Expr._trusted(target, {e + pad: c for e, c in self.terms.items()})
         index = target._index
         try:
             idx = [index[c] for c in self.patch.coords]

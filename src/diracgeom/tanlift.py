@@ -19,7 +19,10 @@ defining identities
   X^v(f^v) = 0        X^v(f^T) = (Xf)^v      X^T(f^v) = (Xf)^v
   X^T(f^T) = (Xf)^T   a^v(X^T) = (a(X))^v    a^T(X^T) = (a(X))^T
 
-which the test suite re-verifies on random inputs.
+which the test suite re-verifies on random inputs.  f^T = sum of v_i * df/dx_i
+is built from f's terms with no product: terms from one i differ in x and terms
+from different i in their velocity, so none merge and the order is that of the
+sum taken coordinate by coordinate.
 """
 
 from functools import cache
@@ -29,7 +32,7 @@ from .cartan import KForm, PolyMap, VField, _perm_sign
 from .courant import Frame, GSec, _increasing_mu, _require_isotropic, check_lagrangian
 from .errors import NotLagrangian, WrongShape
 from .report import CheckItem, Report
-from .symalg import MAX_DIMENSION, Expr, Patch, dot, fresh_names
+from .symalg import MAX_DIMENSION, Expr, Patch, fresh_names
 
 VELOCITY_SUFFIX = "_dot"
 SECOND_ORDER_PREFIX = "del_"
@@ -93,15 +96,25 @@ def _check_kind(kind: str) -> None:
         raise WrongShape(f"kind must be 'vertical' or 'tangent', got {kind!r}")
 
 
+def _tangent_lift(f: Expr, total: Patch) -> Expr:
+    """f^T on ``total``, f's tangent patch: c*x^e gives c*k*x^(e - 1_i)*v_i for each e_i = k > 0, i in order."""
+    n = f.patch.dim
+    zeros = (0,) * n
+    out = {}
+    for i in range(n):
+        vel = zeros[:i] + (1,) + zeros[i + 1:]
+        for e, c in f.terms.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:] + vel] = c * k
+    return Expr._trusted(total, out)
+
+
 def lift_function(f: Expr, kind: str) -> Expr:
-    """f^v = f reinterpreted; f^T = sum of velocity * df/dx."""
+    """f^v = f reinterpreted; f^T = sum of velocity * df/dx, whose terms never merge."""
     _check_kind(kind)
-    tp = tangent_patch(f.patch)
-    if kind == "vertical":
-        return f.inject(tp.total)
-    total = tp.total
-    diffs = ((v, f.differentiate(c)) for c, v in zip(f.patch.coords, tp.fibre_names))
-    return dot(total, ((Expr.coord(total, v), df.inject(total)) for v, df in diffs if df.terms))
+    total = tangent_patch(f.patch).total
+    return f.inject(total) if kind == "vertical" else _tangent_lift(f, total)
 
 
 def lift_vector_field(x: VField, kind: str) -> VField:
@@ -111,7 +124,7 @@ def lift_vector_field(x: VField, kind: str) -> VField:
     if kind == "vertical":
         return VField._trusted(total, 1, {(n + i,): c.inject(total) for (i,), c in x.coeffs.items()})
     out = {k: c.inject(total) for k, c in x.coeffs.items()}
-    out.update({(n + i,): lift_function(c, "tangent") for (i,), c in x.coeffs.items()})
+    out.update({(n + i,): _tangent_lift(c, total) for (i,), c in x.coeffs.items()})
     return VField._trusted(total, 1, out)
 
 
@@ -123,7 +136,7 @@ def lift_one_form(a: KForm, kind: str) -> KForm:
     total, n = tangent_patch(a.patch).total, a.patch.dim
     if kind == "vertical":
         return KForm._trusted(total, 1, {k: c.inject(total) for k, c in a.coeffs.items()})
-    out = {k: lift_function(c, "tangent") for k, c in a.coeffs.items()}
+    out = {k: _tangent_lift(c, total) for k, c in a.coeffs.items()}
     out.update({(n + i,): c.inject(total) for (i,), c in a.coeffs.items()})
     return KForm._trusted(total, 1, out)
 
@@ -133,13 +146,11 @@ def lift_section(s: GSec, kind: str) -> GSec:
 
 
 def tangent_map(f: PolyMap) -> PolyMap:
-    """Tangent functor: (x, v) -> (f(x), Df(x) v)."""
-    src = tangent_patch(f.source)
-    tgt = tangent_patch(f.target)
-    vel = [Expr.coord(src.total, v) for v in src.fibre_names]
-    comps = [c.inject(src.total) for c in f.components]
-    comps += [dot(src.total, ((e.inject(src.total), v) for e, v in zip(row, vel) if e.terms)) for row in f.jacobian().entries]
-    return PolyMap(src.total, tgt.total, tuple(comps))
+    """Tangent functor: (x, v) -> (f(x), Df(x) v); row i of Df(x) v is the tangent lift of f_i."""
+    src = tangent_patch(f.source).total
+    comps = [c.inject(src) for c in f.components]
+    comps += [_tangent_lift(c, src) for c in f.components]
+    return PolyMap(src, tangent_patch(f.target).total, tuple(comps))
 
 
 def canonical_involution(base: Patch) -> PolyMap:
@@ -174,7 +185,9 @@ def canonical_symplectic(ct: LiftedPatch) -> KForm:
 
 
 def tangent_lift_dirac(l: Frame) -> Frame:
-    """Frame of tangent lifts followed by vertical lifts of the sections."""
+    """Frame of tangent lifts followed by vertical lifts of the sections; the lift doubles the patch."""
+    if 2 * l.patch.dim > MAX_DIMENSION:
+        raise WrongShape(f"tangent_lift_dirac needs a frame on at most {MAX_DIMENSION // 2} coordinates, got {l.patch.dim}")
     tp = tangent_patch(l.patch)
     secs = [lift_section(s, "tangent") for s in l.secs]
     secs += [lift_section(s, "vertical") for s in l.secs]

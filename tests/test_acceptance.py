@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from diracgeom import suite
+from diracgeom import courant, groupoid, suite
 
 
 def _verdict(n: int, label: str, report) -> None:
@@ -73,3 +73,29 @@ def test_criterion_11_cli_suite_is_reproducible():
     assert first.stdout == second.stdout
     data = json.loads(first.stdout.decode("utf-8"))
     assert data["summary"] == {"pass": len(suite.SUITE), "fail": 0}
+
+
+def _count_calls(monkeypatch, module, name):
+    """The argument tuples of every call of ``module.name``, from each diracgeom module that holds it."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("diracgeom.") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_suite_sections_build_each_bracket_and_algebroid_once(monkeypatch):
+    # per random lift instance: the base bracket once, and s1's lifted sections from its lifted parts
+    brackets = _count_calls(monkeypatch, courant, "courant_bracket")
+    assert suite.tangent_lift_identities().passed
+    assert len(brackets) == 139
+    # the pair groupoid's and the Heisenberg group's algebroids are read from the groupoids checked before
+    builds = _count_calls(monkeypatch, groupoid, "_algebroid_on")
+    assert suite.groupoid_functoriality().passed
+    assert len(builds) == 3

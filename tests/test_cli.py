@@ -587,6 +587,17 @@ def test_main_exit_codes(tmp_path, capsys):
         # one argument is singular, for a variadic constructor and for a check
         ("let M = patch(x)\nlet L = foliation_frame()\n", "line 2: foliation_frame expects at least 1 argument, got 0"),
         ("let M = patch(x)\ncheck closed\n", "line 2: check closed expects 1 argument, got 0"),
+        # a tangent lift doubles the patch, so it names itself above half the patch limit
+        (
+            f"let M = patch({', '.join(f'x{i}' for i in range(1, 66))})\n"
+            "check dirac tangent_lift_dirac(graph_two_form(dx1^dx2))\n",
+            "line 2: tangent_lift_dirac needs a frame on at most 64 coordinates, got 65",
+        ),
+        (
+            f"let M = patch({', '.join(f'x{i}' for i in range(1, 66))})\n"
+            "let A = tangent_lift_algebroid(tangent_bundle_algebroid(M))\n",
+            "line 2: tangent_lift_algebroid needs an algebroid over at most 64 coordinates, got 65",
+        ),
     ],
     ids=[
         "duplicate-coordinate",
@@ -619,6 +630,8 @@ def test_main_exit_codes(tmp_path, capsys):
         "bfield-of-a-one-form",
         "variadic-constructor-without-arguments",
         "check-without-arguments",
+        "tangent-lift-of-a-frame-above-half-the-limit",
+        "tangent-lift-of-an-algebroid-above-half-the-limit",
     ],
 )
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, text, expected):

@@ -1,8 +1,11 @@
 """Lift formulas, canonical maps, and the lifted Courant tensor blocks."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracgeom.cartan import (
     Bivector,
@@ -24,7 +27,7 @@ from diracgeom.courant import (
 )
 from diracgeom.errors import EngineError
 from diracgeom.report import CheckItem, Report
-from diracgeom.symalg import Expr, Patch
+from diracgeom.symalg import Expr, Patch, dot
 from diracgeom.tanlift import (
     canonical_involution,
     canonical_symplectic,
@@ -155,6 +158,102 @@ def test_lift_bracket_identities():
         assert tv == lift_section(courant_bracket(s1, s2), "vertical")
         tt = courant_bracket(lift_section(s1, "tangent"), lift_section(s2, "tangent"))
         assert tt == lift_section(courant_bracket(s1, s2), "tangent")
+
+
+# -- one-pass lifts against the dot route ---------------------------------------------
+
+
+def reference_inject(e, target):
+    """e on ``target`` through the coordinate -> index map, whatever the target's order."""
+    idx = [target.index(c) for c in e.patch.coords]
+    out = {}
+    for exps, c in e.terms.items():
+        moved = [0] * target.dim
+        for i, k in zip(idx, exps):
+            moved[i] = k
+        out[tuple(moved)] = c
+    return Expr._trusted(target, out)
+
+
+def reference_tangent_lift(f):
+    """f^T as the sum of each velocity coordinate times the injected derivative."""
+    tp = tangent_patch(f.patch)
+    diffs = ((v, f.differentiate(c)) for c, v in zip(f.patch.coords, tp.fibre_names))
+    return dot(tp.total, ((Expr.coord(tp.total, v), reference_inject(df, tp.total)) for v, df in diffs if df.terms))
+
+
+def reference_tangent_map(f):
+    src, tgt = tangent_patch(f.source).total, tangent_patch(f.target).total
+    vel = [Expr.coord(src, v) for v in tangent_patch(f.source).fibre_names]
+    comps = [reference_inject(c, src) for c in f.components]
+    comps += [
+        dot(src, ((reference_inject(e, src), v) for e, v in zip(row, vel) if e.terms)) for row in f.jacobian().entries
+    ]
+    return PolyMap(src, tgt, tuple(comps))
+
+
+def assert_same_terms(got, want):
+    """Equal term maps in the same insertion order with the same coefficient types, printed alike."""
+    assert got.patch == want.patch
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+    assert str(got) == str(want)
+
+
+# dimensions 1 to 4; velocity names the base already uses, and second lifts with del_ names
+LIFT_BASES = (
+    M1,
+    Patch("clash", ("x", "x_dot")),
+    Patch("clash3", ("x", "x_dot", "y")),
+    Patch("abcd", ("a", "b", "c", "d")),
+    tangent_patch(M1).total,
+    tangent_patch(M2).total,
+)
+# an integral Fraction keeps its type, as a product with a Fraction operand does
+COEFFS = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3), st.integers(-3, 3).map(Fraction)
+).filter(bool)
+
+
+def raw_polys(patch):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * patch.dim), COEFFS, max_size=4).map(
+        lambda t: Expr._trusted(patch, t)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_pass_lifts_match_the_dot_route(data):
+    base = data.draw(st.sampled_from(LIFT_BASES))
+    total = tangent_patch(base).total
+    f = data.draw(raw_polys(base))
+    assert_same_terms(lift_function(f, "tangent"), reference_tangent_lift(f))
+    assert_same_terms(lift_function(f, "vertical"), reference_inject(f, total))
+    # a target whose coordinates come in another order takes the general path
+    reordered = Patch("reordered", tuple(reversed(total.coords)))
+    assert_same_terms(f.inject(reordered), reference_inject(f, reordered))
+    comps = [data.draw(raw_polys(base)) for _ in range(base.dim)]
+    x = VField(base, tuple(comps))
+    a = KForm.one_form(base, tuple(comps))
+    n = base.dim
+    want_x = {k: reference_inject(c, total) for k, c in x.coeffs.items()}
+    want_x.update({(n + i,): reference_tangent_lift(c) for (i,), c in x.coeffs.items()})
+    want_a = {k: reference_tangent_lift(c) for k, c in a.coeffs.items()}
+    want_a.update({(n + i,): reference_inject(c, total) for (i,), c in a.coeffs.items()})
+    lifts = (
+        (lift_vector_field(x, "tangent"), VField._trusted(total, 1, want_x)),
+        (lift_one_form(a, "tangent"), KForm._trusted(total, 1, want_a)),
+    )
+    for got, want in lifts:
+        assert list(got.coeffs) == list(want.coeffs) and str(got) == str(want)
+        for k, c in want.coeffs.items():
+            assert_same_terms(got.coeffs[k], c)
+    target = data.draw(st.sampled_from(LIFT_BASES))
+    f_map = PolyMap(base, target, tuple(data.draw(raw_polys(base)) for _ in target.coords))
+    got_map, want_map = tangent_map(f_map), reference_tangent_map(f_map)
+    assert (got_map.source, got_map.target) == (want_map.source, want_map.target)
+    for got, want in zip(got_map.components, want_map.components, strict=True):
+        assert_same_terms(got, want)
 
 
 def test_lift_kind_validated():
