@@ -63,12 +63,10 @@ from .symalg import (
     Expr,
     ExprMatrix,
     Patch,
-    RatExpr,
     _combine,
     _rational_rows,
     _Reduction,
     _Value,
-    clear_denominators,
     dot,
     fresh_names,
     generic_rank,
@@ -334,7 +332,15 @@ def _associativity_item(g: GroupoidPatch) -> CheckItem:
 
 
 def tangent_groupoid(g: GroupoidPatch) -> GroupoidPatch:
-    """Apply the tangent construction to every structure map."""
+    """Apply the tangent construction to every structure map.
+
+    The tangent pair chart has twice the coordinates of the pair chart, so a
+    pair chart above half of ``MAX_DIMENSION`` is rejected before any lift.
+    """
+    if 2 * g.comp_chart.dim > MAX_DIMENSION:
+        raise WrongShape(
+            f"tangent_groupoid needs a pair chart of at most {MAX_DIMENSION // 2} coordinates, got {g.comp_chart.dim}"
+        )
     return GroupoidPatch(
         base=tangent_patch(g.base).total,
         total=tangent_patch(g.total).total,
@@ -474,15 +480,13 @@ def _algebroid_on(g: GroupoidPatch, basis: Sequence[Sequence[Expr]], fields) -> 
             bracket = lie_bracket(fields[a], fields[b])
             along_units = [comp.substitute(eps, m) for comp in bracket.components()]
             try:
-                coeffs = solve_linear(frame_matrix, along_units)
+                nums, d = solve_linear(frame_matrix, along_units)
             except Inconsistent:
                 raise RankJump("bracket of right-invariant fields leaves the kernel frame") from None
-            comps = []
-            for v in coeffs:
-                if not v.is_polynomial():
-                    raise RankJump("bracket coefficients are not polynomial on this chart")
-                comps.append(v.as_expr())
-            brackets[(a, b)] = tuple(comps)
+            comps = tuple(v.divide_exact(d) for v in nums)
+            if any(v is None for v in comps):
+                raise RankJump("bracket coefficients are not polynomial on this chart")
+            brackets[(a, b)] = comps
     return AlgebroidPatch(m, anchors, brackets)
 
 
@@ -497,19 +501,20 @@ def _tangent_product(g: GroupoidPatch, pair: Sequence[Expr] | None, ppatch: Patc
     return lambda x, y: _matvec(dmul, data.solve(list(x) + list(y), ppatch), ppatch)
 
 
-def _product(g: GroupoidPatch, xa: Sequence[Expr], yb: Sequence[Expr]) -> list[RatExpr]:
-    """The multiplication of TG ⊕ T*G on the pair chart: the product of two stacked (x, a), as ``RatExpr``.
+def _product(g: GroupoidPatch, xa: Sequence[Expr], yb: Sequence[Expr]) -> tuple[list[Expr], list[Expr], Expr]:
+    """The multiplication of TG ⊕ T*G on the pair chart: the product of two stacked (x, a).
 
     The product is the tangent product, then the covector c the pairing
     identity ⟨c, Tm·δ⟩ = ⟨a, δ_g⟩ + ⟨b, δ_h⟩ pins down over chart directions δ
     with factor images δ_g, δ_h.  Every product solves the same kept system
     (``GroupoidPatch._product_system``), whose rank is checked once per groupoid.
+    Returned as (tangent, N, d): the covector is N / d.
     """
     chart, n_total = g.comp_chart, g.total.dim
     x = _tangent_product(g, None, chart)(xa[:n_total], yb[:n_total])
     mat, pulled = g._product_system
     covs = list(xa[n_total:]) + list(yb[n_total:])
-    return [RatExpr(v) for v in x] + solve_linear(mat, [_combine(chart, row, covs) for row in pulled])
+    return (x, *solve_linear(mat, [_combine(chart, row, covs) for row in pulled]))
 
 
 # -- multiplicativity checks ---------------------------------------------------------------------
@@ -598,7 +603,9 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     pairs to zero with every section.  Substitution can drop the rank (the
     unit map is not injective), and then the annihilator is larger than the
     span: such a span is decided by the rank of the span with the column
-    appended.
+    appended.  A product or unit covector is N / d (``solve_linear``), so the
+    column tested is [d·x; N], d times the stacked (x, N / d): a non-zero
+    polynomial multiple, which lies in the span exactly when the column does.
     """
     if l.patch != g.total:
         raise PatchMismatch("frame on a different patch")
@@ -622,8 +629,8 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
     def products():
         for idx, vec in enumerate(kernel):
             xa, yb = _matvec(left, vec[:k], chart), _matvec(right, vec[k:], chart)
-            column = _product(g, xa, yb)
-            if not _in_span(span, span_rank, clear_denominators(column)):
+            tangent, nums, d = _product(g, xa, yb)
+            if not _in_span(span, span_rank, [d * v for v in tangent] + nums):
                 yield f"composable direction {idx + 1}: the product leaves the span"
 
     closed = CheckItem.first("composable products stay in the span", products())
@@ -638,11 +645,10 @@ def check_multiplicative_frame(g: GroupoidPatch, l: Frame) -> Report:
         for (j, col), end in product(enumerate(zip(*along_units)), unit_ends):
             down = end(col)
             try:
-                eta = solve_linear(g._unit_covectors, [Expr.zero(m)] * n + down[n:])
+                nums, d = solve_linear(g._unit_covectors, [Expr.zero(m)] * n + down[n:])
             except Inconsistent:
                 raise RankJump("unit covector is not determined along units") from None
-            column = [RatExpr(v) for v in _matvec(jeps, down[:n], m)] + eta
-            if not _in_span(span_unit, span_unit_rank, clear_denominators(column)):
+            if not _in_span(span_unit, span_unit_rank, [d * v for v in _matvec(jeps, down[:n], m)] + nums):
                 yield f"unit element over section {j + 1} leaves the span"
 
     return Report((closed, CheckItem.first("units over sources and targets stay in the span", escaping_units())))
@@ -700,16 +706,17 @@ def check_ca_identities(g: GroupoidPatch, samples: Sequence[tuple[GSec, GSec, GS
         if ends is not None:
             xa1, xa2 = xa1[:n_total] + zero, xa2[:n_total] + zero
         try:
-            xa = _product(g, xa1, xa2)
+            tangent, nums, d = _product(g, xa1, xa2)
         except NotComposable:
             return "tangent parts are not composable"
-        diff = _first_difference(xa[:n_total], xa0[:n_total])
+        diff = _first_difference(tangent, xa0[:n_total])
         if diff is not None:
             return f"tangent component {diff[0] + 1} deviates by {diff[1]}"
         if ends is not None:
             return f"covector parts are not composable: component {ends[0] + 1} deviates by {ends[1]}"
-        for i, (v, want) in enumerate(zip(xa[n_total:], xa0[n_total:])):
-            if v != RatExpr(want):
+        # the product covector is nums / d
+        for i, (v, want) in enumerate(zip(nums, xa0[n_total:])):
+            if v != d * want:
                 return f"covector component {i + 1} deviates"
         return None
 

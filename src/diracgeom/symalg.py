@@ -16,9 +16,6 @@ one, so every division of coefficients goes through ``_quotient``.
 Serialization orders terms graded-lexicographically by coordinate index, so
 printing is deterministic and byte-stable across runs.
 
-Rational functions (``RatExpr``) appear only transiently, as outputs of
-``solve_linear`` and inside elimination; everything user-facing is polynomial.
-
 Elimination (``generic_rank``, ``solve_linear``, ``nullspace``, ``in_span``)
 takes an ``ExprMatrix``, which carries its patch even with no entries, and
 reads one reduction per matrix, made on first use and kept on it.  A matrix
@@ -30,8 +27,16 @@ polynomial ring that keeps its steps (``_FractionFree``), and a
 right-hand side is replayed through them: it ends as the last column of
 [a | b] would, at the cost of one column.  A column lies in the span when it
 vanishes past the rank after either.  Both take the leftmost column with a
-nonzero entry as the next pivot, so they find the same pivot columns and
-return equal results.
+nonzero entry as the next pivot, so they find the same pivot columns, the
+same kernel vectors and solutions equal as fractions.
+
+A solution carries one denominator: ``solve_linear`` returns numerators N
+and a polynomial d with a*N = d*b.  Over Q, d is 1.  After Bareiss, d is the
+last pivot, a minor of a, so d*x is a vector of minors by Cramer's rule, and
+back substitution finds it by exact divisions alone (fraction-free back
+substitution, Nakos-Turner-Williams 1997).  A kernel vector comes out of the
+same back substitution, then is divided by the pivots while they divide it
+and made primitive, so no rational function is ever built.
 
 Until a non-constant matrix keeps its reduction, ``generic_rank`` first
 certifies the rank from both sides in word-size integers.  From below: the
@@ -69,8 +74,7 @@ is k - 1 products starting from ``e`` itself.  A zero operand returns at once:
 result may be an operand itself; no operation changes a term map it did not
 build.  ``a - b`` subtracts into one copy of ``a``, with the terms of
 ``a + (-b)`` in the same order.  ``__mul__`` and ``dot`` share one product
-loop on term maps, ``_product``, so ``dot`` builds no ``Expr`` per pair.  A
-``RatExpr`` keeps a unit denominator it is given instead of building another.
+loop on term maps, ``_product``, so ``dot`` builds no ``Expr`` per pair.
 """
 
 from __future__ import annotations
@@ -565,158 +569,6 @@ _set_patch = Expr.patch.__set__
 _set_terms = Expr.terms.__set__
 
 
-# -- rational functions ----------------------------------------------------------
-
-
-class RatExpr(_Frozen):
-    """Element of the fraction field: a pair of polynomials num/den.
-
-    Normalization cancels shared monomial factors and numeric content, and
-    performs exact polynomial division when the denominator divides the
-    numerator.  Denominators are kept grlex-monic for determinism.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr | None = None):
-        if den is None:
-            den = Expr.one(num.patch)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if den.patch != num.patch:
-            raise PatchMismatch("numerator and denominator on different patches")
-        num, den = _rat_normalize(num, den)
-        # one is built per entry of every solution, so through the slot setters, as Expr._trusted
-        _set_num(self, num)
-        _set_den(self, den)
-
-    @property
-    def patch(self) -> Patch:
-        return self.num.patch
-
-    @staticmethod
-    def from_scalar(patch: Patch, value: Scalar) -> "RatExpr":
-        return RatExpr(Expr.const(patch, value))
-
-    def _coerce(self, other) -> "RatExpr":
-        if isinstance(other, RatExpr):
-            return other
-        if isinstance(other, Expr):
-            return RatExpr(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatExpr(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __neg__(self):
-        return RatExpr(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatExpr(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return RatExpr(self.num * o.den, self.den * o.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero()
-
-    def __hash__(self):
-        # equal values must hash alike, but num/den is not canonical; a polynomial
-        # value is, since normalization divides exactly and leaves it over 1
-        return hash(self.num) if self.is_polynomial() else hash(self.patch)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return _is_unit(self.den)
-
-    def as_expr(self) -> Expr:
-        """The underlying polynomial; raises when genuinely rational."""
-        if not self.is_polynomial():
-            raise WrongShape(f"{self} is not a polynomial")
-        return self.num
-
-    def __str__(self):
-        if self.is_polynomial():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RatExpr({self})"
-
-
-_set_num, _set_den = RatExpr.num.__set__, RatExpr.den.__set__
-
-
-def _is_unit(e: Expr) -> bool:
-    """Whether e is the constant 1, read off its term map without building the unit."""
-    return e.terms == {(0,) * e.patch.dim: 1}
-
-
-def _rat_normalize(num: Expr, den: Expr) -> tuple[Expr, Expr]:
-    # a unit denominator given is the unit returned, so no second one is built
-    patch = num.patch
-    if num.is_zero():
-        return num, den if _is_unit(den) else Expr.one(patch)
-    if den.degree() == 0:
-        # dividing by a constant: what divide_exact would return, term by term
-        c = den.constant_value()
-        return (num, den) if c == 1 else (_divide_terms(num, c), Expr.one(patch))
-    # shared monomial factor
-    def min_exps(e: Expr):
-        it = iter(e.terms)
-        first = next(it)
-        mins = list(first)
-        for exps in it:
-            for i, k in enumerate(exps):
-                if k < mins[i]:
-                    mins[i] = k
-        return mins
-
-    mn = [min(a, b) for a, b in zip(min_exps(num), min_exps(den))]
-    if any(mn):
-        shift = lambda e: Expr._trusted(
-            patch, {tuple(a - b for a, b in zip(ex, mn)): c for ex, c in e.terms.items()}
-        )
-        num, den = shift(num), shift(den)
-    # exact cancellation
-    q = num.divide_exact(den)
-    if q is not None:
-        return q, Expr.one(patch)
-    # monic denominator
-    _, lc = den.leading()
-    if lc != 1:
-        num = _divide_terms(num, lc)
-        den = _divide_terms(den, lc)
-    return num, den
-
-
-def _divide_terms(p: Expr, c: Scalar) -> Expr:
-    """p / c for a non-zero number c, term by term in the order of p."""
-    return Expr._trusted(p.patch, {e: _quotient(t, c) for e, t in p.terms.items()})
-
-
 # -- matrices and elimination ------------------------------------------------------
 
 
@@ -834,14 +686,14 @@ class _Reduction:
             sol[c] = _combine(patch, row, b)
         return sol
 
-    def solution(self, b: Sequence[Expr], patch: Patch) -> list[RatExpr]:
-        return [RatExpr(v) for v in self.solve(b, patch)]
+    def solution(self, b: Sequence[Expr], patch: Patch) -> tuple[list[Expr], Expr]:
+        return self.solve(b, patch), Expr.one(patch)
 
     def kernel(self) -> list[list[int]]:
         """Kernel basis indexed by the non-pivot columns in order.
 
-        Each vector is cleared as ``clear_denominators`` clears constants:
-        times lcm(denominators) / gcd(numerators), which leaves integers.
+        Each vector has its free entry 1 and is then made primitive: times
+        lcm(denominators) / gcd(numerators), which leaves coprime integers.
         """
         basis = []
         for fc in (c for c in range(self.ncols) if c not in self.pivots):
@@ -849,7 +701,7 @@ class _Reduction:
             vec[fc] = 1
             for row, c in zip(self.echelon, self.pivots):
                 vec[c] = -row[fc]
-            den, num = lcm(*(v.denominator for v in vec)), gcd(*(v.numerator for v in vec))
+            den, num = _content(vec)
             basis.append([_quotient(v * den, num) for v in vec])
         return basis
 
@@ -857,11 +709,22 @@ class _Reduction:
         return [[Expr.const(patch, v) for v in vec] for vec in self.kernel()]
 
 
+def _content(coeffs: Sequence[Scalar]) -> tuple[int, int]:
+    """lcm of the denominators and gcd of the numerators: times the first over the second leaves coprime integers."""
+    return lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs))
+
+
+def _exact(u: Expr, v: Expr) -> Expr:
+    """u / v, a division the minors of a fraction-free elimination make exact; raises should one ever not be."""
+    q = u.divide_exact(v)
+    if q is None:
+        raise ArithmeticError(f"fraction-free elimination: ({u}) / ({v}) is not exact")
+    return q
+
+
 def _step(piv: Expr, v: Expr, head: Expr, w: Expr, prev: Expr) -> Expr:
-    """(piv*v - head*w) / prev, or the undivided value should the division ever be inexact."""
-    u = piv * v - head * w
-    q = u.divide_exact(prev)
-    return u if q is None else q
+    """(piv*v - head*w) / prev, exact by the consecutive-minor identity."""
+    return _exact(piv * v - head * w, prev)
 
 
 class _FractionFree:
@@ -878,6 +741,13 @@ class _FractionFree:
     row operations the last column of [a | b] would see: ``replay`` ends as
     eliminating [a | b] ends, and b lies in the column span exactly when its
     replayed entries past the rank vanish.
+
+    ``det`` is the last pivot d, the minor of a on the pivot rows and
+    columns.  By Cramer's rule d times a solution with its free entries zero,
+    or a kernel vector with one free entry d and the others zero, is a vector
+    of minors, so ``_back_substitute`` finds it by exact divisions alone.
+    Every division of the elimination is exact; one that is not raises
+    ``ArithmeticError`` (``_exact``), as a broken invariant of the kernel.
     """
 
     def __init__(self, a: ExprMatrix):
@@ -906,6 +776,7 @@ class _FractionFree:
             self.steps.append((best, piv, heads, prev))
             prev = piv
         self.rows = rows
+        self.det = prev
 
     def replay(self, b: Sequence[Expr]) -> list[Expr]:
         """b carried through the row operations of the elimination."""
@@ -920,35 +791,54 @@ class _FractionFree:
     def contains(self, b: Sequence[Expr], patch: Patch) -> bool:
         return all(v.is_zero() for v in self.replay(b)[len(self.pivots) :])
 
-    def solution(self, b: Sequence[Expr], patch: Patch) -> list[RatExpr]:
+    def solution(self, b: Sequence[Expr], patch: Patch) -> tuple[list[Expr], Expr]:
+        """Numerators N and the last pivot d with a*N = d*b, free entries zero."""
         b = self.replay(b)
-        if any(not v.is_zero() for v in b[len(self.pivots) :]):
+        rank = len(self.pivots)
+        if any(not v.is_zero() for v in b[rank:]):
             raise Inconsistent("right-hand side outside the column span")
-        return self._back_substitute([RatExpr.from_scalar(patch, 0)] * self.ncols, b)
+        d = self.det
+        return self._back_substitute([Expr.zero(patch)] * self.ncols, [d * v for v in b[:rank]], patch), d
 
     def basis(self, patch: Patch) -> list[list[Expr]]:
-        # each free column in turn: a*v = 0 with that variable 1 and the other free ones 0
-        return [
-            clear_denominators(self._back_substitute([RatExpr.from_scalar(patch, int(c == fc)) for c in range(self.ncols)]))
-            for fc in range(self.ncols)
-            if fc not in self.pivots
-        ]
+        """One kernel vector per free column fc: v[fc] = d, the other free entries 0.
 
-    def _back_substitute(self, sol: list[RatExpr], rhs: Sequence[Expr] | None = None) -> list[RatExpr]:
-        """Fill the pivot variables of ``sol``; the others stay as given.
+        The back substitution gives a vector of minors; it is divided by each
+        distinct non-constant pivot, in ``str`` order, while every entry
+        divides, then made primitive with the leading coefficient of v[fc]
+        positive.
+        """
+        zero = Expr.zero(patch)
+        divisors = sorted({row[c] for row, c in zip(self.rows, self.pivots) if row[c].degree() > 0}, key=str)
+        basis = []
+        for fc in (c for c in range(self.ncols) if c not in self.pivots):
+            vec = [zero] * self.ncols
+            vec[fc] = self.det
+            vec = self._back_substitute(vec, [zero] * len(self.pivots), patch)
+            divided = True
+            while divided:
+                divided = False
+                for p in divisors:
+                    quots = [e.divide_exact(p) for e in vec]
+                    if all(q is not None for q in quots):
+                        vec, divided = quots, True
+            den, num = _content([c for e in vec for c in e.terms.values()])
+            if vec[fc].leading()[1] < 0:
+                num = -num
+            basis.append([Expr._trusted(patch, {x: _quotient(c * den, num) for x, c in e.terms.items()}) for e in vec])
+        return basis
 
-        Pivot row r gives its variable: the replayed ``rhs`` entry (zero
-        without one) minus the later variables times their entries, over the
-        pivot.
+    def _back_substitute(self, vec: list[Expr], rhs: Sequence[Expr], patch: Patch) -> list[Expr]:
+        """Fill the pivot entries of ``vec``, from the last pivot row up; the others stay as given.
+
+        Pivot row r gives its entry: rhs[r] minus the later entries times the
+        row's, over the pivot.  When ``vec`` solves the system, that entry is
+        a polynomial, so the division is exact.
         """
         for r, c in reversed(list(enumerate(self.pivots))):
             row = self.rows[r]
-            acc = RatExpr.from_scalar(sol[c].patch, 0) if rhs is None else RatExpr(rhs[r])
-            for c2 in range(c + 1, len(sol)):
-                if not row[c2].is_zero() and not sol[c2].is_zero():
-                    acc = acc - RatExpr(row[c2]) * sol[c2]
-            sol[c] = acc / RatExpr(row[c])
-        return sol
+            vec[c] = _exact(rhs[r] - dot(patch, zip(row[c + 1 :], vec[c + 1 :])), row[c])
+        return vec
 
 
 def _product(t1: dict, t2: dict) -> dict:
@@ -1148,14 +1038,16 @@ def _right_hand_side(a: ExprMatrix, b: Sequence[Expr]) -> list[Expr]:
     return b
 
 
-def solve_linear(a: ExprMatrix, b: Sequence[Expr]) -> list[RatExpr]:
-    """One solution of a*x = b over the fraction field.
+def solve_linear(a: ExprMatrix, b: Sequence[Expr]) -> tuple[list[Expr], Expr]:
+    """One solution x = N / d of a*x = b over the fraction field, as ``(N, d)``.
 
     ``b`` is a sequence of Exprs (one per row).  Raises ``Inconsistent`` when
-    no solution exists generically.  Free variables are set to zero, so the
-    returned solution is deterministic; substituting it back yields zero.
-    ``b`` is carried through the matrix's kept reduction, so every system
-    on one matrix shares a single elimination.
+    no solution exists generically.  The numerators N are polynomials with
+    a*N = d*b, and d is one non-zero polynomial for the whole solution: 1
+    for a matrix of constants, else the last Bareiss pivot.  Free variables
+    are set to zero, so the returned solution is deterministic.  ``b`` is
+    carried through the matrix's kept reduction, so every system on one
+    matrix shares a single elimination.
     """
     return a._reduced.solution(_right_hand_side(a, b), a.patch)
 
@@ -1171,52 +1063,12 @@ def in_span(m: ExprMatrix, column: Sequence[Expr]) -> bool:
 
 
 def nullspace(a: ExprMatrix) -> list[list[Expr]]:
-    """Basis of the kernel over the fraction field, cleared to polynomials.
+    """Basis of the kernel over the fraction field, as polynomial vectors.
 
     Basis vectors are indexed by the non-pivot columns in order, which makes
-    the output deterministic.  The basis is read off the matrix's kept
+    the output deterministic: each has its own free entry non-zero, with a
+    positive leading coefficient, the other free entries zero, and integer
+    coefficients of content 1.  The basis is read off the matrix's kept
     reduction.
     """
     return a._reduced.basis(a.patch)
-
-
-def clear_denominators(vec: Sequence[RatExpr]) -> list[Expr]:
-    """Scale a rational vector to a polynomial one, content-reduced to integer coefficients."""
-    if not vec:
-        return []
-    patch = vec[0].patch
-    scale = Expr.one(patch)
-    for v in vec:
-        if not v.is_polynomial():
-            # multiply by this denominator unless it already divides scale
-            if scale.divide_exact(v.den) is None:
-                scale = scale * v.den
-    # every denominator divides scale: each numerator times the exact quotient scale/den,
-    # its terms in the grlex-descending order in which divide_exact builds num*scale/den
-    cofactors: dict[Expr, Expr] = {}
-    out = []
-    for v in vec:
-        if v.is_polynomial():
-            out.append(v.num * scale)
-            continue
-        if v.den not in cofactors:
-            cofactors[v.den] = scale.divide_exact(v.den)
-        w = v.num * cofactors[v.den]
-        out.append(Expr._trusted(patch, dict(sorted(w.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True))))
-    # the scale above can overshoot the lcm; divide back out while possible
-    if all(e.is_zero() for e in out):
-        return out
-    dens = sorted({v.den for v in vec if not v.is_polynomial()}, key=str)
-    changed = True
-    while changed:
-        changed = False
-        for d in dens:
-            quots = [e.divide_exact(d) for e in out]
-            if all(q is not None for q in quots):
-                out = quots
-                changed = True
-    # reduce numeric content for a tidy, deterministic representative: times
-    # lcm(denominators) / gcd(numerators), which leaves every coefficient an int
-    coeffs = [c for e in out for c in e.terms.values()]
-    den, num = lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs))
-    return [Expr._trusted(patch, {x: _quotient(c * den, num) for x, c in e.terms.items()}) for e in out]

@@ -538,9 +538,10 @@ def test_main_exit_codes(tmp_path, capsys):
             f"let M = patch({', '.join(f'x{i}' for i in range(MAX_DIMENSION + 1))})\n",
             "line 1: patch M has 129 coordinates, above the limit of 128",
         ),
+        # a tangent groupoid doubles the pair chart, so it names itself above half the patch limit
         (
             "let G = tangent_groupoid(tangent_groupoid(abelian_group(20)))\ncheck groupoid_axioms G\n",
-            "line 1: patch TTAb20_pairs has 160 coordinates, above the limit of 128",
+            "line 1: tangent_groupoid needs a pair chart of at most 64 coordinates, got 80",
         ),
         # the constructor names itself: the pair chart of abelian_group(n) has 2n coordinates
         ("let G = abelian_group(100)\n", "line 1: abelian_group needs at most 64 coordinates, got 100"),
@@ -584,6 +585,8 @@ def test_main_exit_codes(tmp_path, capsys):
         ),
         # a constructor's shape error is an engine error, printed once without the constructor's name
         ("let M = patch(x, y)\nlet L = bfield_transform(graph_two_form(dx^dy), dx)\n", "line 2: b-field must be a two-form"),
+        # forms add only at one degree, on one patch: a one-form plus a two-form is an error line
+        ("let M = patch(x, y)\nlet w = x*dx + dx^dy\ncheck closed w\n", "line 2: can only add forms of one degree on one patch"),
         # one argument is singular, for a variadic constructor and for a check
         ("let M = patch(x)\nlet L = foliation_frame()\n", "line 2: foliation_frame expects at least 1 argument, got 0"),
         ("let M = patch(x)\ncheck closed\n", "line 2: check closed expects 1 argument, got 0"),
@@ -628,6 +631,7 @@ def test_main_exit_codes(tmp_path, capsys):
         "dual-poisson-above-the-algebroid-rank-limit",
         "im-two-form-above-the-algebroid-rank-limit",
         "bfield-of-a-one-form",
+        "sum-of-forms-of-two-degrees",
         "variadic-constructor-without-arguments",
         "check-without-arguments",
         "tangent-lift-of-a-frame-above-half-the-limit",

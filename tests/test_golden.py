@@ -13,10 +13,14 @@ can build (non-isotropic or rank-deficient ones), which carry the
 ``pairing[...]`` and ``generic rank`` witnesses.
 
 ``elimination.txt`` holds the rank, kernel and two solutions of a fixed set
-of random matrices.  Witnesses print ``RatExpr`` numerators and
-denominators, and normalization is not canonical, so a different
-elimination order could print a different but equal fraction; this file
-pins the bytes the elimination itself produces.
+of random matrices.  A solution prints as ``N_1; ...; N_k | d``, its
+numerators over its one denominator, which is 1 for a constant matrix and
+the last Bareiss pivot for any other.  A kernel vector is fixed only up to a
+polynomial factor: it is divided by the pivots while they divide it, then
+made primitive with a positive leading coefficient in its free entry.
+Neither form is canonical, so a different elimination order could print a
+different but equal fraction or a different multiple of one vector; this
+file pins the bytes the elimination itself produces.
 
 Re-record (only for a change that means to alter output, and say so):
 
@@ -160,7 +164,8 @@ def elimination_lines(count: int = 200, seed: int = 12) -> list[str]:
 
     def solution(a, b):
         try:
-            return "; ".join(f"{v.num} | {v.den}" for v in solve_linear(a, b))
+            nums, d = solve_linear(a, b)
+            return "; ".join(map(str, nums)) + f" | {d}"
         except Inconsistent:
             return "inconsistent"
 

@@ -288,9 +288,12 @@ def _solve_stacked(g, rhs):
     data = g._chart
     stacked = [[Expr.const(ST, q) for q in row] for row in data.a_g + data.a_h]
     try:
-        return [v.as_expr() for v in solve_linear(ExprMatrix.from_rows(ST, stacked), rhs)]
+        nums, d = solve_linear(ExprMatrix.from_rows(ST, stacked), rhs)
     except Inconsistent:
         return None
+    # a constant system is solved over Q: its one denominator is 1
+    assert d == Expr.one(ST)
+    return nums
 
 
 S, ZERO = Expr.coord(ST, "s"), Expr.zero(ST)
@@ -689,10 +692,11 @@ def cotangent_compose(g: GroupoidPatch, a: CovectorPoint, b: CovectorPoint) -> C
     if generic_rank(mat) != n_total:
         raise RankDeficient("the pairing identity does not pin down the product covector")
     covs = list(a.covector) + list(b.covector)
-    cov = solve_linear(mat, [symalg._combine(ppatch, row, covs) for row in zip(*(g._chart.a_g + g._chart.a_h))])
-    if not all(v.is_polynomial() for v in cov):
+    nums, d = solve_linear(mat, [symalg._combine(ppatch, row, covs) for row in zip(*(g._chart.a_g + g._chart.a_h))])
+    cov = tuple(v.divide_exact(d) for v in nums)
+    if any(v is None for v in cov):
         raise RankJump("product covector is not polynomial on this chart")
-    return CovectorPoint(ppatch, tuple(g.mul.apply(c0, ppatch)), tuple(v.as_expr() for v in cov))
+    return CovectorPoint(ppatch, tuple(g.mul.apply(c0, ppatch)), cov)
 
 
 def test_cotangent_compose_pair_example():
@@ -1491,18 +1495,19 @@ def reference_product(g, xa, yb):
     """Stacked product of two stacked (x, a) on the pair chart, as the frame check once wrote it inline.
 
     Solve the pair chart for the tangent direction and apply Tm, then solve the
-    pairing identity against the transposed multiplication Jacobian.
+    pairing identity against the transposed multiplication Jacobian.  Returned
+    as (tangent, N, d), the covector N / d.
     """
     chart, n_total = g.comp_chart, g.total.dim
     data, dmul = g._chart, g.mul.jacobian().entries
     delta = data.solve(list(xa[:n_total]) + list(yb[:n_total]), chart)
-    tangent = [symalg.RatExpr(symalg.dot(chart, zip(row, delta))) for row in dmul]
+    tangent = [symalg.dot(chart, zip(row, delta)) for row in dmul]
     mat = ExprMatrix(chart, tuple(zip(*dmul)))
     pulled = tuple(zip(*(data.a_g + data.a_h)))
     if generic_rank(mat) != n_total:
         raise RankDeficient("the pairing identity does not pin down the product covector")
     covs = list(xa[n_total:]) + list(yb[n_total:])
-    return tangent + solve_linear(mat, [symalg._combine(chart, row, covs) for row in pulled])
+    return (tangent, *solve_linear(mat, [symalg._combine(chart, row, covs) for row in pulled]))
 
 
 @st.composite
@@ -1526,7 +1531,8 @@ def composable_stacked_pairs(draw):
     c = [draw(polys) for _ in range(n_total)]
     stacked = ExprMatrix.from_rows(chart, [[Expr.const(chart, q) for q in col] for col in zip(*(data.a_g + data.a_h))])
     pulled = [symalg.dot(chart, zip(col, c)) for col in zip(*g.mul.jacobian().entries)]
-    ab = [v.as_expr() for v in solve_linear(stacked, pulled)]
+    # a constant system: its one denominator is 1, so the numerators solve it
+    ab, _ = solve_linear(stacked, pulled)
     for vec in symalg.nullspace(stacked):
         f = draw(polys)
         ab = [u + f * v for u, v in zip(ab, vec)]
@@ -1538,5 +1544,8 @@ def composable_stacked_pairs(draw):
 def test_product_matches_the_inline_route(case):
     name, xa, yb = case
     g = PRODUCT_GROUPOIDS[name]
-    product = groupoid._product(g, xa, yb)
-    assert [str(v) for v in product] == [str(v) for v in reference_product(g, xa, yb)]
+    def printed(product):
+        tangent, nums, d = product
+        return [str(v) for v in tangent], [str(v) for v in nums], str(d)
+
+    assert printed(groupoid._product(g, xa, yb)) == printed(reference_product(g, xa, yb))

@@ -328,7 +328,7 @@ def test_start_up_generates_no_code():
 
 
 # the types whose equality keeps an identity or hash fast path, compares with numbers or hashes a frozenset
-OWN_EQUALITY = {f"{cls}.{name}" for cls in ("_Value", "Patch", "Expr", "RatExpr", "_AntisymTensor") for name in ("__eq__", "__hash__")}
+OWN_EQUALITY = {f"{cls}.{name}" for cls in ("_Value", "Patch", "Expr", "_AntisymTensor") for name in ("__eq__", "__hash__")}
 
 
 def test_immutability_has_one_mechanism():

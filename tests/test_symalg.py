@@ -16,8 +16,6 @@ from diracgeom.symalg import (
     Expr,
     ExprMatrix,
     Patch,
-    RatExpr,
-    clear_denominators,
     generic_rank,
     in_span,
     nullspace,
@@ -206,7 +204,6 @@ ONE = Expr.one(XY)
         lambda: solve_linear(ExprMatrix.from_rows(XY, [[parse_expr("x", XY)]]), [ONE, ONE]),
         lambda: symalg._Reduction([[1]], 1).solve([ONE, ONE], XY),
         lambda: parse_expr("x + 1", XY).constant_value(),
-        lambda: RatExpr(ONE, parse_expr("x", XY)).as_expr(),
     ],
     ids=[
         "patch-without-a-name",
@@ -217,7 +214,6 @@ ONE = Expr.one(XY)
         "right-hand-side-length",
         "chart-right-hand-side-length",
         "constant-value-of-a-non-constant",
-        "as-expr-of-a-quotient",
     ],
 )
 def test_shape_checks_raise_wrong_shape(build):
@@ -378,9 +374,10 @@ def test_solve_linear_example():
     zero = Expr.zero(XY)
     x = parse_expr("x", XY)
     y = parse_expr("y", XY)
-    sol = solve_linear(ExprMatrix.from_rows(XY, [[one, zero], [zero, x]]), [y, x * x])
-    assert sol[0].as_expr() == y
-    assert sol[1].as_expr() == x
+    nums, d = solve_linear(ExprMatrix.from_rows(XY, [[one, zero], [zero, x]]), [y, x * x])
+    # one denominator for the whole solution, the last Bareiss pivot
+    assert d == x
+    assert nums == [x * y, x * x]
 
 
 def test_solve_linear_residual_is_zero_after_clearing():
@@ -392,13 +389,13 @@ def test_solve_linear_residual_is_zero_after_clearing():
         xs = [rand_expr(rng, XY, max_deg=1, terms=2) for _ in range(n)]
         b = [sum((a[i][j] * xs[j] for j in range(n)), Expr.zero(XY)) for i in range(m)]
         try:
-            sol = solve_linear(ExprMatrix.from_rows(XY, a), b)
+            nums, d = solve_linear(ExprMatrix.from_rows(XY, a), b)
         except Inconsistent:
             # rank-deficient a with b built from xs is never inconsistent
             raise AssertionError("consistent system reported inconsistent")
-        for i in range(m):
-            res = sum((RatExpr(a[i][j]) * sol[j] for j in range(n)), RatExpr(Expr.zero(XY)))
-            assert (res - RatExpr(b[i])).is_zero()
+        # the residual of nums / d, cleared of its one denominator: a*N - d*b = 0
+        assert not d.is_zero()
+        assert [symalg.dot(XY, zip(row, nums)) for row in a] == [d * v for v in b]
 
 
 def test_solve_linear_inconsistent():
@@ -542,28 +539,6 @@ def test_operations_change_no_operand(a, b, c):
     assert snapshot(operands) == before and snapshot(first) == middle
 
 
-def test_a_unit_denominator_is_kept_not_rebuilt(monkeypatch):
-    unit, x = Expr.one(XY), parse_expr("x + 1", XY)
-    for num in (x, Expr.zero(XY)):
-        assert RatExpr(num, unit).den is unit
-    units = []
-    original = Expr.one
-
-    def spy(patch):
-        units.append(patch)
-        return original(patch)
-
-    monkeypatch.setattr(Expr, "one", spy)
-    for num in (x, Expr.zero(XY), Expr.const(XY, 3)):
-        units.clear()
-        r = RatExpr(num)
-        assert r.num is num and r.is_polynomial()
-        # the default denominator, and no second one from normalization
-        assert len(units) == 1
-    units.clear()
-    assert RatExpr(Expr.zero(XY), x).den == unit and len(units) == 1
-
-
 def _substitute_term_by_term(e, values, target):
     """The substitution rule before monomials were combined once: one scaled term at a time."""
     acc = Expr.zero(target)
@@ -696,9 +671,17 @@ def _ask(a, question):
 
 def _solve_or_inconsistent(a, b):
     try:
-        return [(v.num, v.den) for v in solve_linear(a, b)]
+        return solve_linear(a, b)
     except Inconsistent:
         return Inconsistent
+
+
+def _same_answer(fast, slow):
+    """Equal answers, a solution (N, d) as a fraction: N * d' == N' * d."""
+    if isinstance(fast, tuple) and isinstance(slow, tuple):
+        (n1, d1), (n2, d2) = fast, slow
+        return [u * d2 for u in n1] == [v * d1 for v in n2]
+    return fast == slow
 
 
 DIFF = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -731,9 +714,11 @@ def test_rational_rank_and_nullspace_match_bareiss(vals):
 def test_rational_solve_matches_bareiss(system):
     a, b = system
     fast = _solve_or_inconsistent(a, b)
-    assert fast == _by_bareiss(_solve_or_inconsistent, a, b)
+    assert _same_answer(fast, _by_bareiss(_solve_or_inconsistent, a, b))
     if fast is not Inconsistent:
-        sol = [RatExpr(num, den).as_expr() for num, den in fast]
+        # over Q the one denominator is 1: the numerators are the solution
+        sol, d = fast
+        assert d == Expr.one(XY)
         assert [_combine_row(row, sol) for row in a.entries] == b
 
 
@@ -746,7 +731,7 @@ def test_one_constant_matrix_is_reduced_once_for_every_question(problem):
         for question in questions:
             fast = _ask(a, question)
             with mock.patch.object(symalg, "_FractionFree", wraps=symalg._FractionFree) as fraction_free:
-                assert fast == _by_bareiss(_ask, a, question)
+                assert _same_answer(fast, _by_bareiss(_ask, a, question))
             assert fraction_free.called or (question == "rank" and not a.ncols)
     assert gauss_jordan.call_count == 1
 
@@ -756,7 +741,7 @@ def test_rational_solve_reports_inconsistent_on_zero_rows():
     a = ExprMatrix.from_rows(XY, [[one, zero], [zero, zero]])
     with pytest.raises(Inconsistent):
         solve_linear(a, [one, x])
-    assert [v.as_expr() for v in solve_linear(a, [x, zero])] == [x, zero]
+    assert solve_linear(a, [x, zero]) == ([x, zero], one)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1024,56 +1009,23 @@ def test_kernel_matches_sympy(data):
             assert q is None
 
 
-# -- rational functions --------------------------------------------------------------------
+# -- solutions over a constant denominator -------------------------------------------------
 
 
 @settings(max_examples=150, deadline=None)
 @given(polys(XYZ), QQ.filter(bool))
 def test_constant_denominator_shortcut_matches_division(num, c):
+    # a 1 x 1 constant system [c] x = num is solved over Q: its one denominator is 1 and its
+    # numerator is what the exact division by c returns
     den = Expr.const(XYZ, c)
-    got_num, got_den = symalg._rat_normalize(num, den)
-    # the general route: no monomial factor is shared with a constant, and
-    # the exact division by it always succeeds
-    want_num = num if num.is_zero() else num.divide_exact(den)
+    (got_num,), got_den = solve_linear(ExprMatrix.from_rows(XYZ, [[den]]), [num])
+    want_num = num.divide_exact(den)
     assert got_num.terms == want_num.terms
     assert str(got_num) == str(want_num)
     assert got_den == Expr.one(XYZ)
-    assert RatExpr(num, den) == RatExpr(want_num)
 
 
 NONZERO = polys(XYZ).filter(lambda e: not e.is_zero())
-
-
-@settings(max_examples=150, deadline=None)
-@given(polys(XYZ), NONZERO, NONZERO)
-@example(parse_expr("y", XYZ), parse_expr("x + 1", XYZ), parse_expr("z", XYZ))
-def test_equal_ratexprs_hash_alike(p, q, r):
-    # p*q / r*q need not normalize to p / r, yet the two are equal and must hash alike
-    a, b = RatExpr(p * q, r * q), RatExpr(p, r)
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    # a polynomial value hashes like its Expr, which it equals
-    for value in (RatExpr(p), RatExpr(p * q, q)):
-        assert value == p and hash(value) == hash(p) and len({value, p}) == 1
-
-
-def test_ratexpr_arithmetic_and_normalization():
-    x = parse_expr("x", XY)
-    y = parse_expr("y", XY)
-    r = RatExpr(x * x - y * y, x - y)
-    assert r.is_polynomial()
-    assert r.as_expr() == x + y
-    s = RatExpr(x, y) + RatExpr(y, x)
-    assert s == RatExpr(x * x + y * y, x * y)
-    assert (s - s).is_zero()
-
-
-def test_clear_denominators():
-    x = parse_expr("x", XY)
-    y = parse_expr("y", XY)
-    vec = [RatExpr(Expr.one(XY), x), RatExpr(y, x * x)]
-    cleared = clear_denominators(vec)
-    assert cleared[0] == x
-    assert cleared[1] == y
 
 
 def test_expr_matrix_shape_checks():
@@ -1104,8 +1056,6 @@ def _terms(value):
     """Term maps in insertion order, with their printed form, of a result or a nest of them."""
     if isinstance(value, Expr):
         return list(value.terms.items()), str(value)
-    if isinstance(value, RatExpr):
-        return _terms(value.num), _terms(value.den)
     if isinstance(value, (list, tuple)):
         return [_terms(v) for v in value]
     return value
@@ -1134,8 +1084,6 @@ def _kernel_results(a, b, rows, column):
     if b.terms:
         out.append((a * b).divide_exact(b))
     out += [generic_rank(m), nullspace(m), in_span(m, column), _solve_or_inconsistent(m, column)]
-    if a.terms and b.terms:
-        out.append(clear_denominators([RatExpr(a, b), RatExpr(b, a), RatExpr(a)]))
     return out
 
 
@@ -1179,34 +1127,64 @@ def test_divide_exact_matches_the_scan(q, d, r, exact):
         assert list(got.terms.items()) == list(want.terms.items())
 
 
-def _clear_by_normalising(vec):
-    """``clear_denominators`` before the exact quotient: each entry num*scale normalised over den."""
-    scale = Expr.one(vec[0].patch)
-    for v in vec:
-        if not v.is_polynomial() and scale.divide_exact(v.den) is None:
-            scale = scale * v.den
-    out = [(v * RatExpr(scale)).as_expr() for v in vec]
-    if all(e.is_zero() for e in out):
-        return out
-    dens = sorted({v.den for v in vec if not v.is_polynomial()}, key=str)
-    changed = True
-    while changed:
-        changed = False
-        for d in dens:
-            quots = [e.divide_exact(d) for e in out]
-            if all(q is not None for q in quots):
-                out, changed = quots, True
-    coeffs = [Fraction(c) for e in out for c in e.terms.values()]
-    factor = Fraction(math.lcm(*(c.denominator for c in coeffs)), math.gcd(*(c.numerator for c in coeffs)))
-    return [e * factor for e in out]
+# -- fraction-free results: one denominator per solution, primitive kernel vectors ----------------
+
+# the entries of tests/test_golden.py's elimination_lines: up to three terms of degree at most 2
+# with integer coefficients, or rational constants
+GOLDEN_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) <= 2), st.integers(-3, 3), max_size=3
+).map(lambda t: Expr(XY, t))
+GOLDEN_CONSTANTS = st.builds(
+    lambda n, d: Expr.const(XY, Fraction(n, d)), st.sampled_from([0, 0, 1, -1, 2, -3]), st.sampled_from([1, 1, 2, 3])
+)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(polys(XY), polys(XY).filter(lambda e: not e.is_zero())), min_size=1, max_size=3))
-@example([(parse_expr("x", XY), parse_expr("x*y + y", XY)), (parse_expr("2", XY), parse_expr("y + 1", XY))])
-def test_clear_denominators_matches_the_normalised_products(pairs):
-    vec = [RatExpr(n, d) for n, d in pairs]
-    got, want = clear_denominators(vec), _clear_by_normalising(vec)
-    assert [list(e.terms.items()) for e in got] == [list(e.terms.items()) for e in want]
-    # cleared vectors have integer coefficients
-    assert all(type(c) is int for e in got for c in e.terms.values())
+@st.composite
+def elimination_problems(draw):
+    """A 1-4 x 1-4 matrix on (x, y), constant or polynomial, sometimes with a row that is a
+    multiple of an earlier one, and two right-hand sides: a times a drawn vector, and a drawn one."""
+    constant = draw(st.booleans())
+    entries = GOLDEN_CONSTANTS if constant else GOLDEN_POLYS
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, nrows - 1))
+        factor = draw(entries)
+        rows[k] = [factor * e for e in rows[draw(st.integers(0, k - 1))]]
+    xs = [draw(entries) for _ in range(ncols)]
+    consistent = [symalg.dot(XY, zip(row, xs)) for row in rows]
+    drawn = [draw(entries) for _ in range(nrows)]
+    return ExprMatrix.from_rows(XY, rows), constant, consistent, drawn
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(elimination_problems())
+@example((_matrix(["x", "0", "y"], ["x*y", "y", "0"]), False, [parse_expr("x", XY), parse_expr("y", XY)], [ONE, ONE]))
+def test_solutions_and_kernels_are_fraction_free(problem):
+    a, constant, consistent, drawn = problem
+    # the free columns: those that add nothing to the rank of the columns before them
+    ranks = [generic_rank(ExprMatrix.from_rows(XY, [row[:c] for row in a.entries])) for c in range(a.ncols + 1)]
+    free = [c for c in range(a.ncols) if ranks[c + 1] == ranks[c]]
+    for b in (consistent, drawn):
+        try:
+            nums, d = solve_linear(a, b)
+        except Inconsistent:
+            assert b is drawn and not in_span(a, b)
+            continue
+        # a*N = d*b with one non-zero d, 1 over Q, and the free entries zero
+        assert not d.is_zero()
+        if constant:
+            assert d == ONE
+        assert [symalg.dot(XY, zip(row, nums)) for row in a.entries] == [d * v for v in b]
+        assert all(nums[c].is_zero() for c in free)
+    kernel = nullspace(a)
+    assert len(kernel) == len(free) == a.ncols - generic_rank(a)
+    for fc, vec in zip(free, kernel):
+        assert all(symalg.dot(XY, zip(row, vec)).is_zero() for row in a.entries)
+        # polynomial with integer coefficients of content 1
+        coeffs = [c for e in vec for c in e.terms.values()]
+        assert all(Fraction(c).denominator == 1 for c in coeffs) and math.gcd(*map(int, coeffs)) == 1
+        # its own free entry non-zero with a positive leading coefficient, the other free entries zero:
+        # that fixes the vector up to a polynomial factor
+        assert not vec[fc].is_zero() and vec[fc].leading()[1] > 0
+        assert all(vec[c].is_zero() for c in free if c != fc)
